@@ -619,29 +619,31 @@ func benchScale() {
 	}
 }
 
-// engineBaseline is the engine benchmark recorded on the string-keyed
-// routing implementation (map[string] dispatch for legs/rates/receivers,
-// sort-based rolling medians) at commit f1ad427, on the same workloads
-// benchEngine runs: the Teams 24p/3r/20Mbps 30s cascaded call, the bare
-// scheduler micro, and the Meet 16-party routing micro. It is the
-// yardstick BENCH_engine.json and the -check regression gate compare
-// against.
+// engineBaseline is the engine benchmark as recorded when delay-class
+// lanes replaced the timer wheel (PR 12; medians of five runs on the
+// 2-vCPU reference host), on the same workloads benchEngine runs: the
+// Teams 24p/3r/20Mbps 30s cascaded call, the bare scheduler micro, and
+// the Meet 16-party routing micro. It is the yardstick BENCH_engine.json
+// and the -check regression gate compare against. The wheel-era level
+// it replaces was 5.1 M macro / 13.4 M micro / 6.4 M routing events/s;
+// the micro fell because its 977 distinct delays earn no lane
+// (DESIGN.md §7).
 var engineBaseline = vcalab.EngineBenchResult{
 	Events:                  2821228,
-	WallSeconds:             0.672,
-	EventsPerSecond:         4200172,
-	AllocsPerEvent:          0.0187,
-	BytesPerEvent:           2.29,
-	SimSecondsPerWallSecond: 44.7,
-	MicroEventsPerSecond:    12325763,
-	MicroAllocsPerEvent:     1e-6,
-	RouteEventsPerSecond:    4678939,
-	RouteAllocsPerEvent:     0.0389,
+	WallSeconds:             0.271,
+	EventsPerSecond:         10400000,
+	AllocsPerEvent:          0.0114,
+	BytesPerEvent:           1.61,
+	SimSecondsPerWallSecond: 110.6,
+	MicroEventsPerSecond:    8410000,
+	MicroAllocsPerEvent:     5e-7,
+	RouteEventsPerSecond:    11850000,
+	RouteAllocsPerEvent:     0.0393,
 }
 
 // benchEngine measures the simulation engine itself — events/sec,
 // allocs/event and sim-seconds per wall-second on a cascaded call — and
-// records the result next to the pre-refactor baseline.
+// records the result next to the recorded baseline.
 func benchEngine() {
 	cfg := vcalab.EngineBenchConfig{Profile: vcalab.Teams(), Seed: *seed, Shards: *shards, Recovery: recoveryOn()}
 	if *quick {
@@ -680,7 +682,7 @@ func benchEngine() {
 	if *jsonOut {
 		out := struct {
 			Workload string                   `json:"workload"`
-			Baseline vcalab.EngineBenchResult `json:"baseline_string_keyed_routing"`
+			Baseline vcalab.EngineBenchResult `json:"baseline"`
 			Current  vcalab.EngineBenchResult `json:"current"`
 		}{"teams 24p/3r/20Mbps 30s cascaded call + scheduler micro + meet 16p routing micro", engineBaseline, cur}
 		data, err := json.MarshalIndent(out, "", "  ")

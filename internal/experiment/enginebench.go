@@ -96,10 +96,10 @@ type EngineBenchResult struct {
 
 	// Previously-buried internals of the macro run, surfaced for the
 	// observability layer: the scheduler's pooled-event high-water mark,
-	// the share of insertions the timer wheel absorbed, and the deepest
+	// the share of insertions filed on delay-class lanes, and the deepest
 	// queue / total drops across the topology's links.
 	EventHighWater        int     `json:"event_high_water"`
-	WheelInsertRatio      float64 `json:"wheel_insert_ratio"`
+	LaneInsertRatio       float64 `json:"lane_insert_ratio"`
 	MaxLinkQueueHighWater int     `json:"max_link_queue_high_water_bytes"`
 	LinkDrops             uint64  `json:"link_drops"`
 
@@ -200,8 +200,8 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 		res.BytesPerEvent = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Events)
 	}
 	res.EventHighWater = eng.LiveHighWater()
-	if wheel, heap := eng.SchedulerInserts(); wheel+heap > 0 {
-		res.WheelInsertRatio = float64(wheel) / float64(wheel+heap)
+	if lane, heap := eng.SchedulerInserts(); lane+heap > 0 {
+		res.LaneInsertRatio = float64(lane) / float64(lane+heap)
 	}
 	for _, l := range mesh.Links() {
 		if hw := l.QueueHighWater(); hw > res.MaxLinkQueueHighWater {
@@ -340,8 +340,14 @@ func benchFingerprint(mesh *cascade.Mesh) (delivered, dropped uint64) {
 	return delivered, dropped
 }
 
-// runShardedBench times the ShardParticipants-party cascaded call once
-// sequentially and once region-sharded, on identical seeds.
+// shardedBenchReps is how many times runShardedBench times each leg,
+// keeping the fastest. One ~1 s timing on a shared host swings ±15%,
+// which is wider than the gap between the speedup measured on two cores
+// and the -check floor; the minimum is the run the host disturbed least.
+const shardedBenchReps = 3
+
+// runShardedBench times the ShardParticipants-party cascaded call
+// sequentially and region-sharded, on identical seeds.
 func runShardedBench(cfg EngineBenchConfig) *ShardedBenchResult {
 	topo := benchTopology(&cfg, cfg.ShardParticipants)
 	plan := cascade.PlanShards(topo, cfg.Shards)
@@ -350,58 +356,62 @@ func runShardedBench(cfg EngineBenchConfig) *ShardedBenchResult {
 	}
 	sb := &ShardedBenchResult{
 		Shards: plan.NumShards, Participants: cfg.ShardParticipants,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), OutputMatches: true,
 	}
-
-	eng := sim.New(cfg.Seed)
-	mesh := cascade.Build(eng, topo)
-	call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
-	start := time.Now()
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
-	seqWall := time.Since(start)
-	sb.SeqEvents = eng.Processed()
-	sb.SeqWallSeconds = seqWall.Seconds()
-	if seqWall > 0 {
-		sb.SeqEventsPerSecond = float64(sb.SeqEvents) / seqWall.Seconds()
-	}
-	seqDelivered, seqDropped := benchFingerprint(mesh)
-
-	sm := cascade.BuildSharded(cfg.Seed, topo, plan)
-	defer sm.Group.Close()
-	shCall := sm.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
-	start = time.Now()
-	shCall.Start()
-	sm.Group.RunUntil(cfg.Dur)
-	shCall.Stop()
-	wall := time.Since(start)
-
-	sb.Events = sm.Eng.Processed()
-	for _, se := range sm.ShardEngines {
-		sb.Events += se.Processed()
-	}
-	sb.WallSeconds = wall.Seconds()
-	if wall > 0 {
-		sb.EventsPerSecond = float64(sb.Events) / wall.Seconds()
-	}
-	if sb.WallSeconds > 0 && sb.SeqWallSeconds > 0 {
-		sb.Speedup = sb.SeqWallSeconds / sb.WallSeconds
-	}
-	delivered, dropped := benchFingerprint(sm.Mesh)
-	sb.OutputMatches = sb.Events == sb.SeqEvents &&
-		delivered == seqDelivered && dropped == seqDropped
-
-	st := sm.Group.Stats()
-	sb.Windows = st.Windows
-	sb.MailboxHighWater = st.MailboxHighWater
-	sb.ShardBarrierWaitFrac = st.ShardBarrierWaitFrac
-	for k, n := range st.ShardProcessed {
-		eps := 0.0
-		if k < len(st.ShardBusySeconds) && st.ShardBusySeconds[k] > 0 {
-			eps = float64(n) / st.ShardBusySeconds[k]
+	for rep := 0; rep < shardedBenchReps; rep++ {
+		eng := sim.New(cfg.Seed)
+		mesh := cascade.Build(eng, topo)
+		call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
+		start := time.Now()
+		call.Start()
+		eng.RunUntil(cfg.Dur)
+		call.Stop()
+		if wall := time.Since(start).Seconds(); rep == 0 || wall < sb.SeqWallSeconds {
+			sb.SeqWallSeconds = wall
 		}
-		sb.ShardEventsPerSecond = append(sb.ShardEventsPerSecond, eps)
+		sb.SeqEvents = eng.Processed()
+		seqDelivered, seqDropped := benchFingerprint(mesh)
+
+		sm := cascade.BuildSharded(cfg.Seed, topo, plan)
+		shCall := sm.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
+		start = time.Now()
+		shCall.Start()
+		sm.Group.RunUntil(cfg.Dur)
+		shCall.Stop()
+		wall := time.Since(start).Seconds()
+		sm.Group.Close()
+
+		sb.Events = sm.Eng.Processed()
+		for _, se := range sm.ShardEngines {
+			sb.Events += se.Processed()
+		}
+		delivered, dropped := benchFingerprint(sm.Mesh)
+		if sb.Events != sb.SeqEvents || delivered != seqDelivered || dropped != seqDropped {
+			sb.OutputMatches = false
+		}
+		if rep > 0 && wall >= sb.WallSeconds {
+			continue
+		}
+		sb.WallSeconds = wall
+		st := sm.Group.Stats()
+		sb.Windows = st.Windows
+		sb.MailboxHighWater = st.MailboxHighWater
+		sb.ShardBarrierWaitFrac = st.ShardBarrierWaitFrac
+		sb.ShardEventsPerSecond = sb.ShardEventsPerSecond[:0]
+		for k, n := range st.ShardProcessed {
+			eps := 0.0
+			if k < len(st.ShardBusySeconds) && st.ShardBusySeconds[k] > 0 {
+				eps = float64(n) / st.ShardBusySeconds[k]
+			}
+			sb.ShardEventsPerSecond = append(sb.ShardEventsPerSecond, eps)
+		}
+	}
+	if sb.SeqWallSeconds > 0 {
+		sb.SeqEventsPerSecond = float64(sb.SeqEvents) / sb.SeqWallSeconds
+	}
+	if sb.WallSeconds > 0 {
+		sb.EventsPerSecond = float64(sb.Events) / sb.WallSeconds
+		sb.Speedup = sb.SeqWallSeconds / sb.WallSeconds
 	}
 	return sb
 }

@@ -73,7 +73,7 @@ func (to *trialObs) finish() *trialObs {
 // window barriers with every shard parked at the sample instant, so
 // link, call and getStats lines read exactly the state the sequential
 // run would have sampled. Engine-internal gauges aggregate over all
-// engines and remain deterministic, but scheduler internals (wheel
+// engines and remain deterministic, but scheduler internals (lane
 // ratio, live high-water) legitimately differ across shard counts.
 func instrumentTrial(o *ObsConfig, sm *cascade.ShardedMesh, eng *sim.Engine, mesh *cascade.Mesh, call *vca.Call, tl *scenario.Timeline) *trialObs {
 	if o == nil || (!o.Trace && !o.Metrics) {
@@ -140,7 +140,7 @@ func instrumentTrial(o *ObsConfig, sm *cascade.ShardedMesh, eng *sim.Engine, mes
 // engine of the trial: one entry sequentially, control plus shards on a
 // sharded run. Sums of processed/live match the sequential run at every
 // sample instant (the same event set precedes each barrier); high-water
-// and wheel-ratio are per-engine properties whose aggregate is
+// and lane-ratio are per-engine properties whose aggregate is
 // deterministic but shard-count-dependent.
 func registerEngineMetrics(reg *obs.Registry, engines []*sim.Engine) {
 	reg.Gauge("eng/processed", func() float64 {
@@ -164,17 +164,17 @@ func registerEngineMetrics(reg *obs.Registry, engines []*sim.Engine) {
 		}
 		return float64(n)
 	})
-	reg.Gauge("eng/wheel_insert_ratio", func() float64 {
-		var w, h uint64
+	reg.Gauge("eng/lane_insert_ratio", func() float64 {
+		var l, h uint64
 		for _, e := range engines {
-			ew, eh := e.SchedulerInserts()
-			w += ew
+			el, eh := e.SchedulerInserts()
+			l += el
 			h += eh
 		}
-		if w+h == 0 {
+		if l+h == 0 {
 			return 0
 		}
-		return float64(w) / float64(w+h)
+		return float64(l) / float64(l+h)
 	})
 }
 

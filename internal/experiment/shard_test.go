@@ -72,7 +72,7 @@ func TestScale48PartyShardedMatchesSequential(t *testing.T) {
 // TestDynamicShardedMatchesSequential: a churn-storm dynamic trial with
 // full observability capture, sharded vs sequential. Experiment stdout
 // must match byte-for-byte; metrics lines too, except the eng/ scheduler
-// gauges, which aggregate per-engine internals (wheel ratio, high-water)
+// gauges, which aggregate per-engine internals (lane ratio, high-water)
 // that legitimately depend on the shard count. The trace file follows a
 // different event interleaving (per-shard rings merged by time) but must
 // be deterministic for a fixed shard count.

@@ -165,11 +165,15 @@ type Link struct {
 	cfg  LinkConfig
 	dst  Handler
 
-	queue      []*Packet
-	queuedSize int
-	busy       bool
-	paused     bool    // serialization gate (a cellular handover gap)
-	inService  *Packet // the packet currently being serialized
+	// queue is the drop-tail FIFO, a ring of power-of-two capacity: the
+	// qLen packets waiting start at qHead and wrap. It grows by doubling
+	// and is reused for the link's lifetime.
+	queue       []*Packet
+	qHead, qLen int
+	queuedSize  int
+	busy        bool
+	paused      bool    // serialization gate (a cellular handover gap)
+	inService   *Packet // the packet currently being serialized
 
 	// loss, when set, replaces the independent LossProb draw with a
 	// stateful per-packet loss process (Gilbert–Elliott WiFi bursts).
@@ -371,7 +375,7 @@ func (l *Link) Send(pkt *Packet) {
 			return
 		}
 		pkt.queuedAt = l.eng.Now()
-		l.queue = append(l.queue, pkt)
+		l.enqueue(pkt)
 		l.queuedSize += pkt.Size
 		if l.queuedSize > l.queueHW {
 			l.queueHW = l.queuedSize
@@ -382,6 +386,18 @@ func (l *Link) Send(pkt *Packet) {
 		return
 	}
 	l.transmit(pkt)
+}
+
+// enqueue appends pkt at the ring's tail.
+func (l *Link) enqueue(pkt *Packet) {
+	if l.qLen == len(l.queue) {
+		grown := make([]*Packet, max(2*len(l.queue), 8))
+		n := copy(grown, l.queue[l.qHead:])
+		copy(grown[n:], l.queue[:l.qHead])
+		l.queue, l.qHead = grown, 0
+	}
+	l.queue[(l.qHead+l.qLen)&(len(l.queue)-1)] = pkt
+	l.qLen++
 }
 
 func (l *Link) transmit(pkt *Packet) {
@@ -414,9 +430,11 @@ func (l *Link) OnEvent(time.Duration) {
 // CoDel: the dropped packet already paid its queue wait.
 func (l *Link) startNext() {
 	now := l.eng.Now()
-	for len(l.queue) > 0 {
-		next := l.queue[0]
-		l.queue = l.queue[1:]
+	for l.qLen > 0 {
+		next := l.queue[l.qHead]
+		l.queue[l.qHead] = nil
+		l.qHead = (l.qHead + 1) & (len(l.queue) - 1)
+		l.qLen--
 		l.queuedSize -= next.Size
 		if l.aqm != nil && l.aqm.dropOnDequeue(now, now-next.queuedAt) {
 			l.AQMDrops++

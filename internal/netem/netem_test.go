@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -412,5 +414,86 @@ func TestSetDelayMidSimulation(t *testing.T) {
 	want := []time.Duration{15 * time.Millisecond, 50 * time.Millisecond}
 	if len(arrivals) != 2 || arrivals[0] != want[0] || arrivals[1] != want[1] {
 		t.Errorf("arrivals = %v, want %v (delay cut reorders across the change)", arrivals, want)
+	}
+}
+
+// The drop-tail queue is a ring: a standing backlog that is fed as fast
+// as it drains must wrap in place — FIFO order, byte accounting and the
+// high-water mark unchanged, and the backing array no larger than the
+// deepest backlog needs.
+func TestLinkQueueRingWrapsInPlace(t *testing.T) {
+	eng := sim.New(1)
+	s := &sink{}
+	l := NewLink(eng, "l", LinkConfig{RateBps: 8e6, QueueBytes: 1 << 20}, s) // 1000 B/ms
+	sent := 0
+	send := func() {
+		l.Send(&Packet{Size: 1000, Payload: sent})
+		sent++
+	}
+	for i := 0; i < 6; i++ { // one in service, five queued
+		send()
+	}
+	eng.Every(time.Millisecond, func() {
+		if sent < 500 {
+			send() // one in per one out: the backlog stands at five
+		}
+	})
+	eng.RunUntil(200 * time.Millisecond)
+	if l.QueuedBytes() != 5000 || l.QueueHighWater() != 5000 {
+		t.Fatalf("QueuedBytes() = %d, QueueHighWater() = %d mid-run; want 5000, 5000", l.QueuedBytes(), l.QueueHighWater())
+	}
+	eng.RunUntil(time.Second)
+	if len(s.pkts) != 500 || l.QueuedBytes() != 0 {
+		t.Fatalf("delivered %d of 500, %d bytes still queued", len(s.pkts), l.QueuedBytes())
+	}
+	for i, p := range s.pkts {
+		if p.Payload.(int) != i {
+			t.Fatalf("packet %d delivered in position %d", p.Payload.(int), i)
+		}
+	}
+	if len(l.queue) != 8 {
+		t.Fatalf("ring grew to %d slots for a backlog of 5", len(l.queue))
+	}
+}
+
+// A delay cut mid-call with both delays hot enough to own scheduler
+// lanes: packets in flight keep the old delay, later ones overtake them,
+// and every arrival lands at send time + the delay in force at the send.
+func TestSetDelayCutInterleavesLanes(t *testing.T) {
+	eng := sim.New(1)
+	const oldDelay, newDelay = 50 * time.Millisecond, 5 * time.Millisecond
+	const n, cutAt = 200, 100 // one packet per ms; the cut lands before packet 100
+	type arrival struct {
+		id int
+		at time.Duration
+	}
+	var got, want []arrival
+	l := NewLink(eng, "wan", LinkConfig{Delay: oldDelay},
+		HandlerFunc(func(p *Packet) { got = append(got, arrival{p.Payload.(int), eng.Now()}) }))
+	id := 0
+	eng.Every(time.Millisecond, func() {
+		if id == cutAt {
+			l.SetDelay(newDelay)
+		}
+		if id < n {
+			want = append(want, arrival{id, eng.Now() + l.Delay()})
+			l.Send(&Packet{Size: 100, Payload: id})
+			id++
+		}
+	})
+	eng.RunUntil(time.Second)
+	if lane, _ := eng.SchedulerInserts(); lane < n {
+		t.Fatalf("only %d lane inserts: the two delay classes never both ran on lanes", lane)
+	}
+	// Arrival order is by time, then send order: packets 100..144 (sent
+	// under 5 ms) land in the same instants as packets 55..99, which are
+	// still propagating under 50 ms.
+	slices.SortStableFunc(want, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("arrivals across the delay cut:\n got %v\nwant %v", got, want)
+	}
+	pos := func(id int) int { return slices.IndexFunc(got, func(a arrival) bool { return a.id == id }) }
+	if pos(cutAt) > pos(cutAt-1) {
+		t.Fatalf("packet %d did not overtake packet %d: the cut did not reorder", cutAt, cutAt-1)
 	}
 }

@@ -95,7 +95,7 @@ func (n *pingNode) OnArgEvent(now time.Duration, arg any) {
 
 const pingDelay = 10 * time.Millisecond
 
-func runSequentialPing(hops int, until time.Duration) []string {
+func runSequentialPing(hops int, until time.Duration) ([]string, *Engine) {
 	var log []string
 	eng := New(42)
 	a := &pingNode{name: "a", eng: eng, log: &log}
@@ -109,7 +109,7 @@ func runSequentialPing(hops int, until time.Duration) []string {
 	eng.RunUntil(until)
 	tick.Stop()
 	eng.Run()
-	return log
+	return log, eng
 }
 
 func runShardedPing(t *testing.T, hops int, until time.Duration) []string {
@@ -165,7 +165,7 @@ func runShardedPing(t *testing.T, hops int, until time.Duration) []string {
 // including a partial RunUntil horizon and the post-stop full drain.
 func TestGroupMatchesSequential(t *testing.T) {
 	for _, until := range []time.Duration{0, 33 * time.Millisecond, 100 * time.Millisecond} {
-		seq := runSequentialPing(7, until)
+		seq, _ := runSequentialPing(7, until)
 		shard := runShardedPing(t, 7, until)
 		if !reflect.DeepEqual(seq, shard) {
 			t.Fatalf("until=%v: sharded log diverges\n seq   %v\n shard %v", until, seq, shard)
@@ -174,6 +174,24 @@ func TestGroupMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(shard, again) {
 			t.Fatalf("until=%v: sharded run not deterministic", until)
 		}
+	}
+}
+
+// TestGroupMatchesSequentialOnLanes runs the ping-pong long enough that
+// the sequential engine serves the bounce, the local events and the
+// ticker from lanes, while the shards receive every bounce through
+// inject (heap) and only the rest through lanes: which queue an event
+// sat in must not show in the log.
+func TestGroupMatchesSequentialOnLanes(t *testing.T) {
+	const hops, until = 150, 900 * time.Millisecond
+	seq, eng := runSequentialPing(hops, until)
+	for _, d := range []time.Duration{0, 7 * time.Millisecond, pingDelay} {
+		if !hasLane(eng, d) {
+			t.Fatalf("sequential run never opened a lane for %v: %v", d, eng.laneDelay[:eng.nLanes])
+		}
+	}
+	if shard := runShardedPing(t, hops, until); !reflect.DeepEqual(seq, shard) {
+		t.Fatalf("sharded log diverges from the sequential one (%d vs %d entries)", len(shard), len(seq))
 	}
 }
 

@@ -15,21 +15,27 @@
 //     cancellation is collected, so steady-state scheduling allocates
 //     nothing. The engine is single-threaded, so the free list needs no
 //     locking.
-//   - The ready queue is a 4-ary min-heap ordered by (time, seq):
-//     shallower than a binary heap, with all four children in one cache
-//     line's worth of pointers. Lazy cancellation means events never
-//     need removal by position, so no per-event index is maintained.
-//   - A hierarchical timer wheel (3 levels x 256 slots, 1 ms granularity)
-//     front-ends the heap for far-out events — periodic tickers, RTO and
-//     keyframe timers. Insertion is O(1); a slot is flushed into the heap
-//     when virtual time reaches its start, which preserves the exact
-//     (time, seq) total order because flushing can only happen at or
-//     before an event's due time.
+//   - Most events never touch a priority queue. Simulation traffic is
+//     dominated by a handful of exact delay values (link propagation
+//     delays, ticker periods), and because the clock is monotone, events
+//     filed with one delay are already in dispatch order. Each of up to
+//     eight such delay classes owns a FIFO lane: scheduling appends to the
+//     lane's ring, O(1) and without comparing against any other event. A
+//     delay earns its lane through a deterministic heavy-hitter count over
+//     the events that missed.
+//   - Everything else — size-dependent serialization times, jittered
+//     propagation, cross-shard injections — goes to a 4-ary min-heap
+//     ordered by the same key: shallower than a binary heap, with all
+//     four children in one cache line's worth of pointers. Lazy
+//     cancellation means events never need removal by position, so no
+//     per-event index is maintained.
+//   - The next event is the minimum of the heap top and the lane heads, so
+//     which queue an event sat in can never change the order it fires in.
 //   - Hot callers schedule closure-free events against the Handler and
 //     ArgHandler interfaces instead of func() closures; the packet path
 //     (internal/netem) carries its *Packet through the event's arg slot.
 //   - Timer.Stop is a lazy cancellation: the event is marked dead and its
-//     struct is recycled when the heap or wheel next encounters it. Timer
+//     struct is recycled when it reaches the front of its queue. Timer
 //     handles carry a generation counter so a stale handle can never
 //     cancel an unrelated reuse of the same pooled struct.
 //
@@ -41,7 +47,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -89,7 +94,7 @@ type event struct {
 	ah  ArgHandler
 	arg any
 
-	// next links free-list entries and wheel-slot chains.
+	// next links free-list entries.
 	next *event
 }
 
@@ -115,62 +120,61 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// Timer wheel geometry. Level 0 covers 256 ms at 1 ms granularity; each
-// higher level covers 256x more. Events beyond the horizon, or due sooner
-// than wheelMinDelay (they would only bounce through the current slot),
-// go straight to the heap.
+// Lane geometry. All four are fixed: which queue an event sits in is a
+// pure function of the schedule sequence, never of a flag or the host.
 const (
-	wheelBits     = 8
-	wheelSlots    = 1 << wheelBits
-	wheelLevels   = 3
-	wheelTick     = time.Millisecond
-	wheelMinDelay = 4 * wheelTick
+	// maxLanes bounds the lane-head scan in peek to one cache line of
+	// times.
+	maxLanes = 8
+	// laneCandidates is the size of the Misra–Gries table counting delays
+	// that missed every lane; a delay filed more often than 1 in
+	// laneCandidates+1 misses cannot be starved out of it.
+	laneCandidates = 16
+	// lanePromoteAt is the count at which a candidate delay earns a lane.
+	lanePromoteAt = 32
+	laneRingInit  = 16
 )
+
+// fromHeap is peek's queue index for the heap; lanes are 0..maxLanes-1.
+const fromHeap = -1
 
 const farFuture = time.Duration(math.MaxInt64)
 
-// wheel is the hierarchical timer wheel. Slots hold intrusive event
-// chains; per-level bitmaps make the next-occupied-slot scan cheap.
-// nextDue is a lower bound on the earliest slot start time — flushing a
-// slot early is always safe, because the heap re-establishes the exact
-// (time, seq) order of whatever the wheel hands it.
-type wheel struct {
-	slots   [wheelLevels][wheelSlots]*event
-	bitmaps [wheelLevels][wheelSlots / 64]uint64
-	count   int
-	nextDue time.Duration
+// lane is a FIFO of events that were all filed with the same delay. The
+// engine clock is monotone, so each event's (at, schedAt) = (now+d, now) is
+// at or after its predecessor's and seq breaks the tie: the ring is sorted
+// by the engine's ordering key without ever comparing. add re-checks that
+// against the tail (src can be renumbered by NewGroup) and falls back to
+// the heap when it would not hold.
+type lane struct {
+	ring    []*event // power-of-two capacity
+	head, n int
 }
 
-// insert files ev into the wheel, or reports false if it belongs in the
-// heap (too near, or beyond the horizon). now is the engine clock.
-func (w *wheel) insert(now time.Duration, ev *event) bool {
-	if ev.at-now < wheelMinDelay {
-		return false
+// at returns the k-th event from the head, 0 <= k < n.
+func (l *lane) at(k int) *event { return l.ring[(l.head+k)&(len(l.ring)-1)] }
+
+func (l *lane) push(ev *event) {
+	if l.n == len(l.ring) {
+		grown := make([]*event, max(2*len(l.ring), laneRingInit))
+		k := copy(grown, l.ring[l.head:])
+		copy(grown[k:], l.ring[:l.head])
+		l.ring, l.head = grown, 0
 	}
-	base := uint64(now / wheelTick)
-	tick := uint64(ev.at / wheelTick)
-	delta := tick - base
-	var level int
-	switch {
-	case delta < wheelSlots:
-		level = 0
-	case delta < wheelSlots*wheelSlots:
-		level = 1
-	case delta < wheelSlots*wheelSlots*wheelSlots:
-		level = 2
-	default:
-		return false
-	}
-	slot := (tick >> (wheelBits * level)) & (wheelSlots - 1)
-	ev.next = w.slots[level][slot]
-	w.slots[level][slot] = ev
-	w.bitmaps[level][slot/64] |= 1 << (slot % 64)
-	start := time.Duration((tick>>(wheelBits*level))<<(wheelBits*level)) * wheelTick
-	if w.count == 0 || start < w.nextDue {
-		w.nextDue = start
-	}
-	w.count++
-	return true
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.n++
+}
+
+func (l *lane) pop() {
+	l.ring[l.head] = nil
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+}
+
+// laneCandidate is one Misra–Gries counter; count == 0 marks a free slot.
+type laneCandidate struct {
+	delay time.Duration
+	count uint32
 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
@@ -189,18 +193,28 @@ type Engine struct {
 	// shards of a Group.
 	src uint32
 
-	wheel wheel
-	free  *event
+	// Lanes 0..nLanes-1 are live. Their delays and a copy of each head
+	// (event and time; nil and farFuture when the lane is empty) are kept
+	// apart from the rings, so the scans in add and peek read one cache
+	// line each and peek dereferences no event that cannot be the minimum.
+	laneDelay  [maxLanes]time.Duration
+	laneAt     [maxLanes]time.Duration
+	laneHead   [maxLanes]*event
+	lanes      [maxLanes]lane
+	nLanes     int
+	candidates [laneCandidates]laneCandidate
+
+	free *event
 	// live counts events handed out of the free list and not yet
 	// recycled — the pooled-event leak detector used by tests.
 	live int
 	// liveHW is the high-water mark of live: the scheduler's peak
 	// working set over the engine's lifetime.
 	liveHW int
-	// wheelIns/heapIns count insertions filed through the timer wheel
-	// vs pushed straight onto the heap — the wheel hit ratio is the
-	// scheduler's cheapest health signal.
-	wheelIns, heapIns uint64
+	// laneIns/heapIns count insertions appended to a lane vs pushed onto
+	// the heap — the lane hit ratio is the scheduler's cheapest health
+	// signal.
+	laneIns, heapIns uint64
 }
 
 // eventBlock is how many pooled events are allocated at once when the
@@ -234,12 +248,12 @@ func (e *Engine) Live() int { return e.live }
 // high-water mark.
 func (e *Engine) LiveHighWater() int { return e.liveHW }
 
-// SchedulerInserts reports how many event insertions went through the
-// timer wheel vs straight onto the fallback heap. A low wheel share
-// means events are being scheduled beyond the wheel horizon and the
-// O(log n) path dominates.
-func (e *Engine) SchedulerInserts() (wheel, heap uint64) {
-	return e.wheelIns, e.heapIns
+// SchedulerInserts reports how many event insertions were appended to a
+// delay-class lane vs pushed onto the heap. A low lane share means the
+// schedule has no recurring delays (or more than maxLanes of them) and
+// the O(log n) path dominates.
+func (e *Engine) SchedulerInserts() (lane, heap uint64) {
+	return e.laneIns, e.heapIns
 }
 
 // alloc hands out a pooled event, growing the pool by a block when empty.
@@ -282,13 +296,59 @@ func (e *Engine) add(at time.Duration, ev *event) Timer {
 	ev.src = e.src
 	ev.seq = e.seq
 	e.seq++
-	if e.wheel.insert(e.now, ev) {
-		e.wheelIns++
-	} else {
-		e.heapIns++
-		e.heapPush(ev)
+	d := at - e.now
+	for i, ld := range e.laneDelay[:e.nLanes] {
+		if ld != d {
+			continue
+		}
+		l := &e.lanes[i]
+		if l.n == 0 {
+			e.laneAt[i], e.laneHead[i] = at, ev
+		} else if less(ev, l.at(l.n-1)) {
+			break // would unsort the lane
+		}
+		l.push(ev)
+		e.laneIns++
+		return Timer{ev: ev, gen: ev.gen}
+	}
+	e.heapIns++
+	e.heapPush(ev)
+	if e.nLanes < maxLanes {
+		e.countMiss(d)
 	}
 	return Timer{ev: ev, gen: ev.gen}
+}
+
+// countMiss records that an event with delay d missed every lane, and
+// opens a lane for d once it has been counted lanePromoteAt times. The
+// table is a Misra–Gries summary: a miss that finds it full of other
+// delays decrements them all, so one-off delays (serialization times)
+// wash out while recurring ones climb. Events of d already on the heap
+// stay there; peek merges them with the new lane by key.
+func (e *Engine) countMiss(d time.Duration) {
+	free := -1
+	for i := range e.candidates {
+		c := &e.candidates[i]
+		switch {
+		case c.count == 0:
+			free = i
+		case c.delay == d:
+			if c.count++; c.count == lanePromoteAt {
+				c.count = 0
+				e.laneDelay[e.nLanes] = d
+				e.laneAt[e.nLanes] = farFuture
+				e.nLanes++
+			}
+			return
+		}
+	}
+	if free >= 0 {
+		e.candidates[free] = laneCandidate{delay: d, count: 1}
+		return
+	}
+	for i := range e.candidates {
+		e.candidates[i].count--
+	}
 }
 
 // TakeSeq consumes and returns the engine's next scheduling sequence
@@ -302,7 +362,8 @@ func (e *Engine) TakeSeq() uint64 {
 }
 
 // inject files an event carrying a foreign ordering key — the mailbox
-// drain path. The caller (a Group barrier) guarantees at >= e.now.
+// drain path. The caller (a Group barrier) guarantees at >= e.now. A
+// foreign schedAt says nothing about lane order, so it goes to the heap.
 func (e *Engine) inject(at, schedAt time.Duration, src uint32, seq uint64, ah ArgHandler, arg any) {
 	ev := e.alloc()
 	ev.ah = ah
@@ -311,12 +372,8 @@ func (e *Engine) inject(at, schedAt time.Duration, src uint32, seq uint64, ah Ar
 	ev.schedAt = schedAt
 	ev.src = src
 	ev.seq = seq
-	if e.wheel.insert(e.now, ev) {
-		e.wheelIns++
-	} else {
-		e.heapIns++
-		e.heapPush(ev)
-	}
+	e.heapIns++
+	e.heapPush(ev)
 }
 
 // Timer is a handle to a scheduled event. Stop cancels it. The zero Timer
@@ -456,90 +513,55 @@ func (t *Ticker) Reset(interval time.Duration) {
 	t.arm()
 }
 
-// flushWheel moves every wheel slot whose start time is at or before upTo
-// into the heap, and recomputes the wheel's exact next due bound. Moving a
-// slot early is always safe: the heap orders its events by (time, seq)
-// exactly as if they had been pushed at schedule time.
-func (e *Engine) flushWheel(upTo time.Duration) {
-	w := &e.wheel
-	base := uint64(e.now / wheelTick)
-	next := farFuture
-	for l := 0; l < wheelLevels; l++ {
-		shift := uint(wheelBits * l)
-		baseL := base >> shift
-		for wi := range w.bitmaps[l] {
-			word := w.bitmaps[l][wi]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				s := uint64(wi*64 + b)
-				sd := (s - baseL) & (wheelSlots - 1)
-				start := time.Duration((baseL+sd)<<shift) * wheelTick
-				if start > upTo {
-					if start < next {
-						next = start
-					}
-					continue
-				}
-				ev := w.slots[l][s]
-				w.slots[l][s] = nil
-				w.bitmaps[l][wi] &^= 1 << uint(b)
-				for ev != nil {
-					nx := ev.next
-					ev.next = nil
-					w.count--
-					if ev.cancelled {
-						e.recycle(ev)
-					} else {
-						e.heapPush(ev)
-					}
-					ev = nx
-				}
-			}
-		}
-	}
-	w.nextDue = next
-}
-
-// peek returns the earliest live event without executing it, collecting
-// cancelled events and flushing due wheel slots along the way.
-func (e *Engine) peek() *event {
+// peek returns the earliest live event and the queue holding it (a lane
+// index, or fromHeap), collecting cancelled events along the way.
+func (e *Engine) peek() (*event, int) {
 	for {
-		if e.wheel.count > 0 {
-			ht := farFuture
-			if len(e.heap) > 0 {
-				ht = e.heap[0].at
-			}
-			if e.wheel.nextDue <= ht {
-				// A wheel slot may hold an event due before the heap
-				// top: flush the earliest slot and re-examine. Each
-				// call either moves a slot into the heap or raises
-				// nextDue, so this terminates.
-				e.flushWheel(e.wheel.nextDue)
+		var best *event
+		q, minAt := fromHeap, farFuture
+		if len(e.heap) > 0 {
+			best = e.heap[0]
+			minAt = best.at
+		}
+		for i, at := range e.laneAt[:e.nLanes] {
+			if at > minAt {
 				continue
 			}
+			head := e.laneHead[i]
+			if head == nil {
+				continue
+			}
+			if at < minAt || best == nil || less(head, best) {
+				best, q, minAt = head, i, at
+			}
 		}
-		if len(e.heap) == 0 {
-			return nil
+		if best == nil || !best.cancelled {
+			return best, q
 		}
-		top := e.heap[0]
-		if top.cancelled {
-			e.heapPop()
-			e.recycle(top)
-			continue
-		}
-		return top
+		e.remove(q)
+		e.recycle(best)
 	}
 }
 
-// Step executes the single earliest pending event and reports whether one
-// existed.
-func (e *Engine) Step() bool {
-	ev := e.peek()
-	if ev == nil {
-		return false
+// remove pops the front of queue q — the event peek just returned.
+func (e *Engine) remove(q int) {
+	if q == fromHeap {
+		e.heapPop()
+		return
 	}
-	e.heapPop()
+	l := &e.lanes[q]
+	l.pop()
+	if l.n == 0 {
+		e.laneAt[q], e.laneHead[q] = farFuture, nil
+	} else {
+		head := l.at(0)
+		e.laneAt[q], e.laneHead[q] = head.at, head
+	}
+}
+
+// dispatch executes ev, which peek just returned at the front of queue q.
+func (e *Engine) dispatch(ev *event, q int) {
+	e.remove(q)
 	e.now = ev.at
 	e.processed++
 	fn, h, ah, arg := ev.fn, ev.h, ev.ah, ev.arg
@@ -554,6 +576,16 @@ func (e *Engine) Step() bool {
 	default:
 		h.OnEvent(e.now)
 	}
+}
+
+// Step executes the single earliest pending event and reports whether one
+// existed.
+func (e *Engine) Step() bool {
+	ev, q := e.peek()
+	if ev == nil {
+		return false
+	}
+	e.dispatch(ev, q)
 	return true
 }
 
@@ -567,11 +599,11 @@ func (e *Engine) Run() {
 // exactly t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t time.Duration) {
 	for {
-		ev := e.peek()
+		ev, q := e.peek()
 		if ev == nil || ev.at > t {
 			break
 		}
-		e.Step()
+		e.dispatch(ev, q)
 	}
 	if e.now < t {
 		e.now = t
@@ -589,18 +621,18 @@ func (e *Engine) RunUntil(t time.Duration) {
 // atLimit.
 func (e *Engine) RunBefore(atLimit, schedLimit time.Duration) {
 	for {
-		ev := e.peek()
+		ev, q := e.peek()
 		if ev == nil || ev.at > atLimit || (ev.at == atLimit && ev.schedAt >= schedLimit) {
 			return
 		}
-		e.Step()
+		e.dispatch(ev, q)
 	}
 }
 
 // NextKey reports the ordering key of the earliest pending event, or
 // ok == false when the engine is drained.
 func (e *Engine) NextKey() (at, schedAt time.Duration, ok bool) {
-	ev := e.peek()
+	ev, _ := e.peek()
 	if ev == nil {
 		return 0, 0, false
 	}
@@ -625,12 +657,11 @@ func (e *Engine) Pending() int {
 			n++
 		}
 	}
-	for l := range e.wheel.slots {
-		for s := range e.wheel.slots[l] {
-			for ev := e.wheel.slots[l][s]; ev != nil; ev = ev.next {
-				if !ev.cancelled {
-					n++
-				}
+	for i := range e.lanes[:e.nLanes] {
+		l := &e.lanes[i]
+		for k := range l.n {
+			if !l.at(k).cancelled {
+				n++
 			}
 		}
 	}

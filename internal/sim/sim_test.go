@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -345,16 +347,16 @@ func TestTickerStopThenRestart(t *testing.T) {
 	}
 }
 
-// Long-interval tickers ride the timer wheel's higher levels; cadence and
-// determinism must be unaffected.
-func TestTickerLongIntervalsOnWheel(t *testing.T) {
+// A ticker fast enough to earn a lane and a far-future one that never
+// leaves the heap interleave on time.
+func TestTickerLongIntervals(t *testing.T) {
 	e := New(1)
 	var times []time.Duration
-	e.Every(700*time.Millisecond, func() { times = append(times, e.Now()) }) // level 1
-	e.Every(90*time.Second, func() { times = append(times, e.Now()) })       // level 2
+	e.Every(700*time.Millisecond, func() { times = append(times, e.Now()) })
+	e.Every(90*time.Second, func() { times = append(times, e.Now()) })
 	e.RunUntil(91 * time.Second)
-	if len(times) == 0 {
-		t.Fatal("no ticks")
+	if !hasLane(e, 700*time.Millisecond) || hasLane(e, 90*time.Second) {
+		t.Fatalf("lanes = %v, want 700ms on a lane and 90s on the heap", e.laneDelay[:e.nLanes])
 	}
 	// Verify the 700ms cadence exactly, with the 90s tick interleaved.
 	want := 700 * time.Millisecond
@@ -371,22 +373,26 @@ func TestTickerLongIntervalsOnWheel(t *testing.T) {
 		next += want
 	}
 	if !seen90 {
-		t.Fatal("90s wheel-level-2 tick missing")
+		t.Fatal("90s tick missing")
+	}
+	if next <= 90*time.Second {
+		t.Fatalf("700ms ticker stopped early: next tick due at %v", next)
 	}
 }
 
 // After a full drain, every pooled event must be back on the free list:
-// zero leaks from firing, cancellation, wheel residence, or ticker stop.
+// zero leaks from firing, cancellation on the heap or inside a lane, or
+// ticker stop.
 func TestEngineDrainNoLeakedEvents(t *testing.T) {
 	e := New(1)
 	for i := 0; i < 500; i++ {
-		d := time.Duration(i%300) * time.Millisecond // heap + wheel levels 0/1
-		tm := e.Schedule(d, func() {})
+		// Ten recurring delays: eight earn lanes, two stay on the heap.
+		tm := e.Schedule(time.Duration(i%10)*time.Millisecond, func() {})
 		if i%7 == 0 {
 			tm.Stop()
 		}
 	}
-	e.Schedule(70*time.Second, func() {}) // wheel level 2
+	e.Schedule(70*time.Second, func() {})
 	var tk *Ticker
 	tk = e.Every(33*time.Millisecond, func() {
 		if e.Now() > 2*time.Second {
@@ -395,12 +401,138 @@ func TestEngineDrainNoLeakedEvents(t *testing.T) {
 	})
 	tk2 := e.Every(time.Hour, func() {})
 	e.Schedule(80*time.Second, tk2.Stop)
+	if lane, heap := e.SchedulerInserts(); lane == 0 || heap == 0 {
+		t.Fatalf("inserts: %d lane, %d heap; the drain must cover both", lane, heap)
+	}
 	e.Run()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after drain, want 0", e.Pending())
 	}
 	if e.live != 0 {
 		t.Fatalf("%d pooled events leaked after drain", e.live)
+	}
+}
+
+// --- delay-class lanes ---
+
+func hasLane(e *Engine, d time.Duration) bool {
+	return slices.Contains(e.laneDelay[:e.nLanes], d)
+}
+
+// openLane files and drains just enough events with delay d to earn it a
+// lane.
+func openLane(t *testing.T, e *Engine, d time.Duration) {
+	t.Helper()
+	for i := 0; i < lanePromoteAt; i++ {
+		e.Schedule(d, func() {})
+	}
+	e.Run()
+	if !hasLane(e, d) {
+		t.Fatalf("delay %v has no lane after %d events", d, lanePromoteAt)
+	}
+}
+
+// A cancelled timer resident in a lane is skipped and recycled when it
+// reaches the lane head, not fired.
+func TestLaneCancelledTimerRecycledNotFired(t *testing.T) {
+	e := New(1)
+	d := 5 * time.Millisecond
+	openLane(t, e, d)
+	before, _ := e.SchedulerInserts()
+	fired := 0
+	e.Schedule(d, func() { fired++ })
+	tm := e.Schedule(d, func() { t.Error("cancelled lane event fired") })
+	e.Schedule(d, func() { fired++ })
+	if after, _ := e.SchedulerInserts(); after-before != 3 {
+		t.Fatalf("%d of 3 events filed on the lane", after-before)
+	}
+	if !tm.Stop() {
+		t.Fatal("Stop() = false on a pending lane event")
+	}
+	if e.Pending() != 2 || e.Live() != 3 {
+		t.Fatalf("Pending() = %d, Live() = %d; want 2 live of 3 resident", e.Pending(), e.Live())
+	}
+	e.Run()
+	if fired != 2 || e.Live() != 0 {
+		t.Fatalf("fired = %d, Live() = %d after drain; want 2, 0", fired, e.Live())
+	}
+}
+
+// A delay promoted while older events of that delay still sit on the
+// heap: the heap's and the lane's events are due at the same instant and
+// must fire in scheduling order.
+func TestLanePromotionMidRunKeepsKeyOrder(t *testing.T) {
+	e := New(1)
+	n := lanePromoteAt + 10
+	var got []int
+	for i := 0; i < n; i++ {
+		e.Schedule(5*time.Millisecond, func() { got = append(got, i) })
+	}
+	if lane, heap := e.SchedulerInserts(); heap != lanePromoteAt || lane != 10 {
+		t.Fatalf("inserts: %d lane, %d heap; want the first %d on the heap and 10 on the new lane", lane, heap, lanePromoteAt)
+	}
+	e.Run()
+	for i := range n {
+		if got[i] != i {
+			t.Fatalf("order across the promotion = %v", got)
+		}
+	}
+}
+
+// With every lane taken, a further hot delay stays on the heap and is
+// still merged in (time, scheduling) order with the lanes.
+func TestNinthHotDelayStaysOnHeap(t *testing.T) {
+	e := New(1)
+	var delays []time.Duration
+	for i := 1; i <= maxLanes; i++ {
+		delays = append(delays, time.Duration(i)*time.Millisecond)
+		openLane(t, e, delays[i-1])
+	}
+	ninth := 2500 * time.Microsecond
+	delays = append(delays, ninth)
+
+	type filed struct {
+		id int
+		at time.Duration
+	}
+	var want, got []filed
+	id := 0
+	e.Every(500*time.Microsecond, func() {
+		if id >= 50*len(delays) {
+			return
+		}
+		for _, d := range delays { // nine events per tick, many due together
+			ev := filed{id, e.Now() + d}
+			id++
+			want = append(want, ev)
+			e.Schedule(d, func() { got = append(got, ev) })
+		}
+	})
+	e.RunUntil(time.Second)
+	if e.nLanes != maxLanes || hasLane(e, ninth) {
+		t.Fatalf("lanes = %v, want the first %d delays only", e.laneDelay[:e.nLanes], maxLanes)
+	}
+	slices.SortStableFunc(want, func(a, b filed) int { return cmp.Compare(a.at, b.at) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("dispatch order diverges from (time, scheduling order) with a heap-resident hot delay")
+	}
+}
+
+// The lane's sorted-by-construction argument needs src to be constant.
+// NewGroup may renumber an engine that already holds events; a push
+// that would land before the lane's tail must take the heap instead.
+func TestLaneRenumberedSrcFallsBackToHeap(t *testing.T) {
+	e := New(1)
+	e.src = 2
+	d := 5 * time.Millisecond
+	openLane(t, e, d)
+	var got []string
+	e.Schedule(d, func() { got = append(got, "src2") })
+	e.src = 0
+	e.Schedule(d, func() { got = append(got, "src0") })
+	e.Run()
+	if want := []string{"src0", "src2"}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v: equal (at, schedAt) orders by src before seq", got, want)
 	}
 }
 
