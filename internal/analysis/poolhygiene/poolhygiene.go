@@ -1,13 +1,16 @@
 // Package poolhygiene implements the vcalint analyzer that tracks
 // pooled objects — netem packets (PacketPool.Get / Host.NewPacket),
-// vca media packets (mpPool.get / copyOf), sim's pooled events
-// (Engine.alloc) — from acquisition to one of the three legal fates:
+// vca media packets (mpPool.get / copyOf) and control messages
+// (mpPool.getFeedback / getNack / getTWCC / copyCtrl), sim's pooled
+// events (Engine.alloc) — from acquisition to one of the three legal
+// fates:
 //
 //   - released: Release / ReleasePayload / discard / put / recycle /
 //     releaseMedia, directly or via defer;
 //   - transferred: passed to another call (the callee now owes the
 //     release — Host.Send, Mailbox.Post, rtxStore...), stored into a
-//     field / slice / map / channel, returned, or captured;
+//     field / slice / map / channel (pkt.Payload = fb hands the message
+//     to the packet), returned, or captured;
 //   - or it leaks, which is the finding: a path reaches a return (or
 //     the loop iteration ends, for values acquired inside the loop)
 //     with the value still owned and live.
@@ -45,8 +48,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // acquisition reports whether call hands out a pooled object: a
-// Get/get/copyOf method on a *...Pool receiver, Host.NewPacket, or
-// the sim engine's event alloc.
+// Get/get/copyOf method (or one of the control-message getters) on a
+// *...Pool receiver, Host.NewPacket, or the sim engine's event alloc.
 func isAcquire(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -62,7 +65,7 @@ func isAcquire(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	recv := typeName(sig.Recv().Type())
 	switch fn.Name() {
-	case "Get", "get", "copyOf":
+	case "Get", "get", "copyOf", "getFeedback", "getNack", "getTWCC", "copyCtrl":
 		return strings.HasSuffix(recv, "Pool")
 	case "NewPacket":
 		return true
@@ -365,8 +368,15 @@ func (c *checker) walkAssign(s *ast.AssignStmt, st state) {
 		for i, l := range s.Lhs {
 			if id, ok := l.(*ast.Ident); ok {
 				c.bind(id, s.Rhs[i], st)
-			} else {
-				c.evalExpr(l, st)
+				continue
+			}
+			c.evalExpr(l, st)
+			// Storing a live value into a field, element or dereference
+			// hands it to whatever owns that location.
+			if v := c.varOf(s.Rhs[i]); v != nil {
+				if vs, tracked := st[v]; tracked && vs == stLive {
+					delete(st, v)
+				}
 			}
 		}
 		return

@@ -30,7 +30,50 @@ type Mailbox struct{ q []*Buf }
 
 func (m *Mailbox) Post(b *Buf) { m.q = append(m.q, b) }
 
+// Msg models a pooled control message (vca's FeedbackMsg / NackMsg /
+// TWCCMsg): drawn from the pool by a typed getter, released by its
+// consumer through ReleasePayload, carried there in an envelope's
+// Payload field.
+type Msg struct {
+	pool *bufPool
+	seq  int
+}
+
+func (p *bufPool) getFeedback() *Msg { return &Msg{pool: p} }
+
+func (m *Msg) ReleasePayload() {}
+
+// Envelope models netem.Packet: whoever holds it owns its Payload.
+type Envelope struct{ Payload any }
+
+func (m *Mailbox) Send(e *Envelope) {}
+
 // ---- violations ----
+
+// A report built and then abandoned on the early return.
+func msgLeakOnEarlyReturn(p *bufPool, m *Mailbox, e *Envelope, idle bool) {
+	fb := p.getFeedback() // want `pooled value "fb" acquired here is neither released nor ownership-transferred on a path reaching this return`
+	fb.seq = 1
+	if idle {
+		return
+	}
+	e.Payload = fb
+	m.Send(e)
+}
+
+// The consumer releases, then a second return path releases again.
+func msgDoubleRelease(p *bufPool) {
+	fb := p.getFeedback()
+	fb.ReleasePayload()
+	fb.ReleasePayload() // want `released twice on this path`
+}
+
+// Relaying a message after its consumer released it.
+func msgUseAfterRelease(p *bufPool, e *Envelope) {
+	fb := p.getFeedback()
+	fb.ReleasePayload()
+	e.Payload = fb // want `use of pooled value "fb" after it was released`
+}
 
 // Straight-line leak: acquired, read, never released.
 func leak(p *bufPool) int {
@@ -111,6 +154,25 @@ func deferRelease(p *bufPool) int {
 // Returning the value transfers ownership to the caller.
 func handOut(p *bufPool) *Buf {
 	return p.Get()
+}
+
+// Storing the message into the envelope's Payload hands it over: the
+// envelope's consumer (or netem's drop path) releases it.
+func msgHandoffIntoPayload(p *bufPool, m *Mailbox, e *Envelope) {
+	fb := p.getFeedback()
+	fb.seq = 2
+	e.Payload = fb
+	m.Send(e)
+}
+
+// Nothing to report: the message goes back unused (the twccTick idiom).
+func msgReleaseUnused(p *bufPool, e *Envelope, ok bool) {
+	fb := p.getFeedback()
+	if !ok {
+		fb.ReleasePayload()
+		return
+	}
+	e.Payload = fb
 }
 
 // Acquire-release inside a loop body is fine.

@@ -150,6 +150,7 @@ func TestCascadeMediaFlows(t *testing.T) {
 		Default: netem.LinkConfig{RateBps: 50e6, Delay: 25 * time.Millisecond},
 	})
 	call := m.NewCall(vca.Zoom(), vca.CallOptions{Seed: 4})
+	call.SampleFrameLatency(5 * time.Second)
 	call.Start()
 	eng.RunUntil(20 * time.Second)
 	call.Stop()
@@ -162,7 +163,7 @@ func TestCascadeMediaFlows(t *testing.T) {
 			t.Errorf("c1 displayed no frames from remote origin %s", origin)
 		}
 	}
-	if lats := c1.FrameLatencies(5 * time.Second); len(lats) == 0 {
+	if lats := call.FrameLatencies(); len(lats) == 0 {
 		t.Error("no end-to-end frame latency samples recorded")
 	}
 	down := c1.DownMeter.MeanRateMbps(10*time.Second, 20*time.Second)

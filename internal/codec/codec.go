@@ -7,6 +7,12 @@
 //
 // The paper's pre-recorded 720p clip exists to make runs comparable; here a
 // seeded AR(1) complexity process serves the same purpose.
+//
+// Frame ownership: every Tick returns frames held by the encoder that
+// produced them (Encoder one Frame, Simulcast a two-slot list, SVC one
+// Frame per layer). They are valid until that encoder's next Tick, which
+// overwrites them in place; a caller that needs a frame longer copies the
+// struct. The 30 Hz tick path therefore allocates nothing.
 package codec
 
 import (
@@ -152,6 +158,8 @@ type Encoder struct {
 	// byteDebt tracks bytes emitted beyond budget (keyframes); the
 	// encoder repays it by skipping frames, as real rate control does.
 	byteDebt float64
+
+	frame Frame // the frame Tick returns, overwritten by the next Tick
 }
 
 // NewEncoder creates an encoder. src may be shared across encoders
@@ -181,7 +189,8 @@ func (e *Encoder) Params() EncodeParams { return e.params }
 func (e *Encoder) RequestKeyframe() { e.keyPending = true }
 
 // Tick advances one capture interval and returns an encoded frame, or nil
-// if this tick is skipped (FPS below the capture rate).
+// if this tick is skipped (FPS below the capture rate). The frame is the
+// encoder's own and valid until its next Tick.
 func (e *Encoder) Tick(now time.Duration) *Frame {
 	if e.target <= 0 {
 		return nil
@@ -242,7 +251,7 @@ func (e *Encoder) Tick(now time.Duration) *Frame {
 		bytes = 50
 	}
 	e.frameSeq++
-	return &Frame{
+	e.frame = Frame{
 		StreamID:  e.StreamID,
 		FrameSeq:  e.frameSeq,
 		Bytes:     int(bytes),
@@ -250,6 +259,7 @@ func (e *Encoder) Tick(now time.Duration) *Frame {
 		CaptureTS: now,
 		Params:    e.params,
 	}
+	return &e.frame
 }
 
 // Simulcast is Google Meet's encoding strategy: the client encodes the same
@@ -262,6 +272,8 @@ type Simulcast struct {
 	// MinHighBps disables the high stream when the remaining budget is
 	// below this (below it Meet sends only the low copy).
 	MinHighBps float64
+
+	out [2]*Frame // backs the list Tick returns
 }
 
 // NewSimulcast builds the two encoders sharing one source.
@@ -287,9 +299,10 @@ func (s *Simulcast) SetTarget(totalBps float64) {
 	s.High.SetTarget(high)
 }
 
-// Tick produces this tick's frames for both copies.
+// Tick produces this tick's frames for both copies. The list and its
+// frames are valid until the next Tick.
 func (s *Simulcast) Tick(now time.Duration) []*Frame {
-	var out []*Frame
+	out := s.out[:0]
 	if f := s.Low.Tick(now); f != nil {
 		out = append(out, f)
 	}
@@ -306,11 +319,25 @@ type SVC struct {
 	enc *Encoder
 	// Split gives each layer's share of the frame bytes (sums to 1).
 	Split []float64
+
+	layers []Frame  // one frame per layer, rewritten every Tick
+	out    []*Frame // the list Tick returns: pointers into layers
 }
 
 // NewSVC creates an SVC encoder with the given per-layer byte split.
 func NewSVC(ladder Ladder, split []float64, src *Source, rng *rand.Rand) *SVC {
-	return &SVC{enc: NewEncoder("svc", ladder, src, rng), Split: split}
+	s := &SVC{enc: NewEncoder("svc", ladder, src, rng), Split: split}
+	s.sizeLayers()
+	return s
+}
+
+// sizeLayers (re)builds the per-layer frame storage to match Split.
+func (s *SVC) sizeLayers() {
+	s.layers = make([]Frame, len(s.Split))
+	s.out = make([]*Frame, len(s.Split))
+	for i := range s.layers {
+		s.out[i] = &s.layers[i]
+	}
 }
 
 // SetTarget sets the total (all-layer) target bitrate.
@@ -325,16 +352,19 @@ func (s *SVC) Params() EncodeParams { return s.enc.Params() }
 // RequestKeyframe forwards a keyframe request to the encoder.
 func (s *SVC) RequestKeyframe() { s.enc.RequestKeyframe() }
 
-// Tick returns one frame per layer (or nil on skipped ticks).
+// Tick returns one frame per layer (or nil on skipped ticks). The list
+// and its frames are valid until the next Tick.
 func (s *SVC) Tick(now time.Duration) []*Frame {
 	f := s.enc.Tick(now)
 	if f == nil {
 		return nil
 	}
-	out := make([]*Frame, 0, len(s.Split))
+	if len(s.layers) != len(s.Split) {
+		s.sizeLayers() // Split was reassigned after construction
+	}
 	for i, share := range s.Split {
-		lf := *f
-		lf.StreamID = "svc"
+		lf := &s.layers[i]
+		*lf = *f
 		lf.Layer = i
 		lf.Bytes = int(float64(f.Bytes) * share)
 		if lf.Bytes < 20 {
@@ -342,9 +372,8 @@ func (s *SVC) Tick(now time.Duration) []*Frame {
 		}
 		// Only the base layer carries the keyframe weight.
 		lf.Keyframe = f.Keyframe && i == 0
-		out = append(out, &lf)
 	}
-	return out
+	return s.out
 }
 
 // FECBytes returns the forward-error-correction overhead the Zoom relay

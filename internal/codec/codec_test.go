@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"vcalab/internal/race"
 )
 
 func testLadder() Ladder {
@@ -135,7 +137,8 @@ func TestEncoderKeyframes(t *testing.T) {
 	for now := time.Duration(0); now < 2*time.Second; now += tick {
 		if f := e.Tick(now); f != nil {
 			if first == nil {
-				first = f
+				kept := *f // the encoder overwrites f on its next Tick
+				first = &kept
 				if !f.Keyframe {
 					t.Fatal("requested keyframe not honoured")
 				}
@@ -274,5 +277,112 @@ func TestQuickEncoderRateTracking(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTickAllocFree pins the encoder-owned-frame contract's point: once
+// an encoder has ticked, further ticks allocate nothing.
+func TestTickAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(21))
+	src := NewSource(rng)
+	single := NewEncoder("video", testLadder(), src, rng)
+	simul := NewSimulcast(testLadder(), testLadder(), 190_000, 150_000, src, rng)
+	svc := NewSVC(testLadder(), []float64{0.4, 0.3, 0.3}, src, rng)
+	single.KeyInterval, svc.enc.KeyInterval = time.Second, time.Second
+	single.SetTarget(900_000)
+	simul.SetTarget(900_000)
+	svc.SetTarget(900_000)
+	now := time.Duration(0)
+	tick := time.Second / 30
+	for _, tc := range []struct {
+		name string
+		tick func() int
+	}{
+		{"Encoder", func() int {
+			if single.Tick(now) != nil {
+				return 1
+			}
+			return 0
+		}},
+		{"Simulcast", func() int { return len(simul.Tick(now)) }},
+		{"SVC", func() int { return len(svc.Tick(now)) }},
+	} {
+		frames := tc.tick()
+		allocs := testing.AllocsPerRun(300, func() {
+			now += tick
+			frames += tc.tick()
+		})
+		if allocs != 0 {
+			t.Errorf("%s.Tick: %v allocs per tick, want 0", tc.name, allocs)
+		}
+		if frames == 0 {
+			t.Errorf("%s.Tick encoded no frames", tc.name)
+		}
+	}
+}
+
+// TestFrameValidUntilNextTick documents the ownership rule: the pointer
+// Tick returns is the encoder's own frame, so a caller that keeps it
+// across the next Tick sees that tick's frame.
+func TestFrameValidUntilNextTick(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	e := NewEncoder("v", testLadder(), NewSource(rng), rng)
+	e.SetTarget(2_000_000) // 30 fps rung: every tick emits
+	tick := time.Second / 30
+	kept := e.Tick(0)
+	if kept == nil {
+		t.Fatal("no frame on the first tick")
+	}
+	seq := kept.FrameSeq
+	next := e.Tick(tick)
+	if next != kept {
+		t.Fatal("Tick returned a fresh frame; it should reuse the encoder's")
+	}
+	if kept.FrameSeq != seq+1 || kept.CaptureTS != tick {
+		t.Errorf("kept pointer shows seq %d ts %v, want the overwrite (seq %d ts %v)",
+			kept.FrameSeq, kept.CaptureTS, seq+1, tick)
+	}
+}
+
+// TestSVCLayerFramesDistinct checks that one tick's layer frames are
+// separate objects carrying their own Layer, Bytes and Keyframe — they
+// share storage across ticks, never within one.
+func TestSVCLayerFramesDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	split := []float64{0.5, 0.3, 0.2}
+	s := NewSVC(testLadder(), split, NewSource(rng), rng)
+	s.SetTarget(2_000_000)
+	s.RequestKeyframe()
+	frames := s.Tick(0)
+	if len(frames) != len(split) {
+		t.Fatalf("got %d layer frames, want %d", len(frames), len(split))
+	}
+	total := s.enc.frame.Bytes
+	for i, f := range frames {
+		for j := 0; j < i; j++ {
+			if frames[j] == f {
+				t.Fatalf("layers %d and %d share one Frame", j, i)
+			}
+		}
+		if f.Layer != i || f.StreamID != "svc" || f.FrameSeq != frames[0].FrameSeq {
+			t.Errorf("layer %d frame = %+v", i, *f)
+		}
+		if want := int(float64(total) * split[i]); f.Bytes != want {
+			t.Errorf("layer %d bytes = %d, want %d", i, f.Bytes, want)
+		}
+		if f.Keyframe != (i == 0) {
+			t.Errorf("layer %d keyframe = %v", i, f.Keyframe)
+		}
+	}
+	first := frames[0]
+	var again []*Frame // the keyframe's byte debt skips some ticks
+	for now := time.Second / 30; again == nil && now < 2*time.Second; now += time.Second / 30 {
+		again = s.Tick(now)
+	}
+	if len(again) == 0 || again[0] != first {
+		t.Error("SVC.Tick should reuse its per-layer frames across ticks")
 	}
 }

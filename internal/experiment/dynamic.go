@@ -115,7 +115,8 @@ type DynamicResult struct {
 	// displayed origin) pair, all clients.
 	FreezeRatio stats.Summary
 	// LatP50Ms/LatP95Ms/LatP99Ms are end-to-end frame latency
-	// percentiles across all clients, in ms.
+	// percentiles across all clients, in ms, over the frames arriving
+	// from Warmup on.
 	LatP50Ms, LatP95Ms, LatP99Ms stats.Summary
 	// Events reports recovery after each Recover-marked scenario event,
 	// in timeline order.
@@ -176,6 +177,7 @@ func (cfg *DynamicConfig) runTrial(rep int) dynamicTrial {
 	tl := scenario.New(eng, call, scenario.MeshLinks(mesh), cfg.Scenario)
 	to := instrumentTrial(cfg.Obs, sm, eng, mesh, call, tl)
 	tl.Start() // events at t<=0 (a thinned starting roster) apply before the call starts
+	call.SampleFrameLatency(cfg.Warmup)
 	call.Start()
 	if sm != nil {
 		sm.Group.RunUntil(cfg.Dur)
@@ -190,7 +192,6 @@ func (cfg *DynamicConfig) runTrial(rep int) dynamicTrial {
 
 	var freezeSum float64
 	var freezeN int
-	var lats []float64
 	for _, cl := range call.Clients {
 		for _, origin := range cl.Origins() {
 			r := cl.Receiver(origin)
@@ -199,14 +200,11 @@ func (cfg *DynamicConfig) runTrial(rep int) dynamicTrial {
 				freezeN++
 			}
 		}
-		for _, d := range cl.FrameLatencies(cfg.Warmup) {
-			lats = append(lats, d.Seconds()*1000)
-		}
 	}
 	if freezeN > 0 {
 		t.freeze = freezeSum / float64(freezeN)
 	}
-	if lp := stats.SortedPercentiles(lats, 50, 95, 99); lp != nil {
+	if lp := stats.DurationPercentilesMs(call.FrameLatencies(), 50, 95, 99); lp != nil {
 		t.p50Ms, t.p95Ms, t.p99Ms = lp[0], lp[1], lp[2]
 	}
 

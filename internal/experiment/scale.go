@@ -86,7 +86,8 @@ type ScaleResult struct {
 	// across the directed inter-region links (post-warmup).
 	RelayUtilMean, RelayUtilMax stats.Summary
 	// LatP50Ms/LatP95Ms/LatP99Ms are end-to-end frame latency percentiles
-	// (origin capture to receiver arrival, across all clients) in ms.
+	// (origin capture to receiver arrival, across all clients) in ms,
+	// over the frames arriving from Warmup on.
 	LatP50Ms, LatP95Ms, LatP99Ms stats.Summary
 }
 
@@ -141,6 +142,7 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 		}
 	})
 
+	call.SampleFrameLatency(cfg.Warmup)
 	call.Start()
 	if sm != nil {
 		sm.Group.RunUntil(cfg.Dur)
@@ -168,7 +170,6 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 
 	var freezeSum float64
 	var freezeN int
-	var lats []float64
 	flat := 0 // call.Clients is flattened in mesh.Clients order
 	for _, hosts := range mesh.Clients {
 		var down float64
@@ -183,9 +184,6 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 					freezeN++
 				}
 			}
-			for _, d := range cl.FrameLatencies(cfg.Warmup) {
-				lats = append(lats, d.Seconds()*1000)
-			}
 		}
 		if len(hosts) > 0 {
 			down /= float64(len(hosts))
@@ -195,7 +193,7 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 	if freezeN > 0 {
 		t.freeze = freezeSum / float64(freezeN)
 	}
-	if lp := stats.SortedPercentiles(lats, 50, 95, 99); lp != nil {
+	if lp := stats.DurationPercentilesMs(call.FrameLatencies(), 50, 95, 99); lp != nil {
 		t.p50Ms, t.p95Ms, t.p99Ms = lp[0], lp[1], lp[2]
 	}
 	return t

@@ -183,11 +183,10 @@ func (q *NackQueue) Len() int { return len(q.entries) }
 // Highest returns the highest sequence number observed so far.
 func (q *NackQueue) Highest() (uint16, bool) { return q.highest, q.started }
 
-// BuildNackPairs packs an ascending seq list into RFC 4585 (PID, BLP)
-// pairs: each pair names one lost packet plus a bitmask of losses in the
-// following 16 seqs.
-func BuildNackPairs(seqs []uint16) []NackPair {
-	var pairs []NackPair
+// AppendNackPairs packs an ascending seq list into RFC 4585 (PID, BLP)
+// pairs appended to pairs: each pair names one lost packet plus a bitmask
+// of losses in the following 16 seqs.
+func AppendNackPairs(pairs []NackPair, seqs []uint16) []NackPair {
 	for i := 0; i < len(seqs); {
 		p := NackPair{PacketID: seqs[i]}
 		j := i + 1

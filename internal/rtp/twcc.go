@@ -123,10 +123,24 @@ func (r *TWCCRecorder) Record(seq uint16, atUs int64) {
 	r.slots[int(seq)%len(r.slots)] = twccSlot{seq: seq, valid: true, atUs: atUs}
 }
 
-// BuildReport flushes all arrivals since the previous report into a
-// TransportCC covering [next, highest]. It returns false when nothing
-// new arrived. The report's RefTimeUs is the earliest arrival included.
-func (r *TWCCRecorder) BuildReport() (TransportCC, bool) {
+// Reset returns the recorder to its just-constructed state, keeping the
+// ring.
+func (r *TWCCRecorder) Reset() {
+	for i := range r.slots {
+		r.slots[i] = twccSlot{}
+	}
+	r.started, r.next, r.highest = false, 0, 0
+}
+
+// BuildReport is AppendReport into a fresh delta slice.
+func (r *TWCCRecorder) BuildReport() (TransportCC, bool) { return r.AppendReport(nil) }
+
+// AppendReport flushes all arrivals since the previous report into a
+// TransportCC covering [next, highest], its deltas appended to deltas
+// (pass a recycled slice's [:0] to build without allocating). It returns
+// false when nothing new arrived. The report's RefTimeUs is the earliest
+// arrival included.
+func (r *TWCCRecorder) AppendReport(deltas []int32) (TransportCC, bool) {
 	if !r.started {
 		return TransportCC{}, false
 	}
@@ -145,17 +159,18 @@ func (r *TWCCRecorder) BuildReport() (TransportCC, bool) {
 	if ref < 0 {
 		return TransportCC{}, false // window is all losses; wait for an arrival
 	}
-	rep := TransportCC{BaseSeq: r.next, RefTimeUs: ref, DeltaUs: make([]int32, span)}
+	base := len(deltas)
 	for i := 0; i < span; i++ {
 		seq := r.next + uint16(i)
 		s := &r.slots[int(seq)%len(r.slots)]
 		if s.valid && s.seq == seq {
-			rep.DeltaUs[i] = int32(s.atUs - ref)
+			deltas = append(deltas, int32(s.atUs-ref))
 			*s = twccSlot{}
 		} else {
-			rep.DeltaUs[i] = DeltaLost
+			deltas = append(deltas, DeltaLost)
 		}
 	}
+	rep := TransportCC{BaseSeq: r.next, RefTimeUs: ref, DeltaUs: deltas[base:]}
 	r.next = r.highest + 1
 	return rep, true
 }

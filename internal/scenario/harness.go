@@ -25,6 +25,10 @@ import (
 //   - netem packet-pool conservation: once drained, every host pool reads
 //     zero outstanding packets — a drop path that forgets Release is a
 //     violation, not a silent slow leak;
+//   - control-message conservation: every region's pool of receiver
+//     reports, NACKs and TWCC reports reads zero outstanding — a consumer
+//     return path, netem drop or shard handoff that forgets (or repeats)
+//     the release is a violation;
 //   - drop conservation: replay runs with tracing enabled, and the
 //     tracer's cumulative drop-event count must equal the sum of every
 //     link's drop counter.
@@ -285,6 +289,16 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 	if traced != linkDrops {
 		out = violationf(out, "drop-conservation",
 			"tracers recorded %d drop events, link counters total %d", traced, linkDrops)
+	}
+
+	// Control-message conservation: every pooled receiver report, NACK
+	// and TWCC report went back to its region's pool exactly once — by its
+	// consumer, by a netem drop, or by the shard-boundary transfer.
+	for r := range mesh.SFUs {
+		if n := call.ControlMsgsLive(r); n != 0 {
+			out = violationf(out, "control-pool",
+				"region %d: %d pooled control messages live after drain (positive: leaked, negative: released twice)", r, n)
+		}
 	}
 
 	// Packet-pool conservation across every host of the topology.

@@ -151,6 +151,38 @@ func TestSortedPercentiles(t *testing.T) {
 	}
 }
 
+// DurationPercentilesMs must equal, bit for bit, converting every sample to
+// milliseconds and taking SortedPercentiles of the copy — the formulation
+// the scale and dynamic latency columns were produced with.
+func TestDurationPercentilesMsMatchesConvertedCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 3, 10, 1000, 4097} {
+		ds := make([]time.Duration, n)
+		ms := make([]float64, n)
+		for i := range ds {
+			// Sub-microsecond to multi-second, with duplicates.
+			ds[i] = time.Duration(rng.Int63n(3e9)) / time.Duration(1+rng.Intn(1000)) * time.Duration(1+rng.Intn(1000))
+			ms[i] = ds[i].Seconds() * 1000
+		}
+		ps := []float64{0, 50, 95, 99, 99.9, 100}
+		want := SortedPercentiles(ms, ps...)
+		got := DurationPercentilesMs(ds, ps...)
+		for i := range ps {
+			if got[i] != want[i] {
+				t.Errorf("n=%d p%v = %v, want %v", n, ps[i], got[i], want[i])
+			}
+		}
+		for i := 1; i < n; i++ {
+			if ds[i-1] > ds[i] {
+				t.Fatalf("n=%d: durations not sorted in place", n)
+			}
+		}
+	}
+	if DurationPercentilesMs(nil, 50) != nil {
+		t.Error("empty input should return nil")
+	}
+}
+
 func sortedAsc(vs []float64) bool {
 	for i := 1; i < len(vs); i++ {
 		if vs[i-1] > vs[i] {

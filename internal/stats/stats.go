@@ -7,6 +7,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -138,25 +139,32 @@ func Percentile(vs []float64, p float64) float64 {
 // (propagated, never an index), and out-of-range quantiles clamp to the
 // extremes.
 func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
+	return percentileAt(len(sorted), p, func(i int) float64 { return sorted[i] })
+}
+
+// percentileAt interpolates the p-th percentile of n ascending samples
+// read through at, so a caller holding samples in another unit converts
+// only the one or two it lands on.
+func percentileAt(n int, p float64, at func(i int) float64) float64 {
+	if n == 0 {
 		return 0
 	}
 	if math.IsNaN(p) {
 		return math.NaN()
 	}
 	if p <= 0 {
-		return sorted[0]
+		return at(0)
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return at(n - 1)
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
+	if lo+1 >= n {
+		return at(lo)
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return at(lo)*(1-frac) + at(lo+1)*frac
 }
 
 // SortedPercentiles sorts vs in place once and returns the requested
@@ -171,6 +179,23 @@ func SortedPercentiles(vs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		out[i] = percentileSorted(vs, p)
+	}
+	return out
+}
+
+// DurationPercentilesMs sorts ds in place and returns the requested
+// percentiles in milliseconds. Duration-to-ms conversion is monotone, so
+// the result is bit-identical to converting every sample to ms first and
+// calling SortedPercentiles — without the converted copy. Returns nil for
+// empty input.
+func DurationPercentilesMs(ds []time.Duration, ps ...float64) []float64 {
+	if len(ds) == 0 {
+		return nil
+	}
+	slices.Sort(ds)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = percentileAt(len(ds), p, func(j int) float64 { return ds[j].Seconds() * 1000 })
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package vca
 
 import (
 	"fmt"
+	"time"
 
 	"vcalab/internal/netem"
 	"vcalab/internal/obs"
@@ -59,10 +60,14 @@ type Call struct {
 	// Servers holds every region's SFU (length 1 for NewCall).
 	Servers []*Server
 
-	eng     *sim.Engine
-	reg     *registry
-	tracer  *obs.Tracer // churn events; set via SetTracer
-	pools   []*mpPool   // per-region media-packet free lists
+	eng    *sim.Engine
+	reg    *registry
+	tracer *obs.Tracer // churn events; set via SetTracer
+	pools  []*mpPool   // per-region payload free lists (media + control)
+	// lats holds one frame-latency log per region once SampleFrameLatency
+	// has subscribed; nil before. Per region for the same reason pools
+	// are: a region's clients share one engine, so a log has one writer.
+	lats    []*latencyLog
 	mode    ViewMode
 	home    []int32         // participant ID -> region index
 	left    map[string]bool // by name: a left participant's ID is recycled
@@ -183,11 +188,12 @@ func regionEngine(r CascadePlacement, callEng *sim.Engine) *sim.Engine {
 }
 
 // PayloadTransfer returns the boundary-link payload re-homing hook for
-// packets delivered into dstRegion (netem.Link.SetHandoffPayload). Media
-// packets are cloned into the destination region's pool and the source
-// copy released; signalling messages (feedback, FIR, alloc, NACK, TWCC)
-// are immutable after construction and pass through by pointer. It runs at window
-// barriers with both shards parked, so touching both pools is safe.
+// packets delivered into dstRegion (netem.Link.SetHandoffPayload). Pooled
+// payloads — media packets and the feedback/NACK/TWCC control messages —
+// are copied into the destination region's pool and the source released;
+// FIR and alloc messages are never mutated or recycled and pass through by
+// pointer. It runs at window barriers with both shards parked, so touching
+// both pools is safe.
 func (c *Call) PayloadTransfer(dstRegion int) func(any) any {
 	pool := c.pools[dstRegion]
 	return func(p any) any {
@@ -196,8 +202,79 @@ func (c *Call) PayloadTransfer(dstRegion int) func(any) any {
 			releaseMedia(mp)
 			return dup
 		}
+		if dup := pool.copyCtrl(p); dup != nil {
+			p.(netem.PayloadReleaser).ReleasePayload()
+			return dup
+		}
 		return p
 	}
+}
+
+// ControlMsgsLive reports how many pooled control messages (receiver
+// reports, NACKs, TWCC reports) drawn from one region's pool are still
+// out of it. Every message has one consumer that releases it and netem
+// releases the ones it drops, so a stopped, drained call reports zero in
+// every region; anything else is a leak (positive) or a double release
+// (negative).
+func (c *Call) ControlMsgsLive(region int) int { return c.pools[region].ctrlLive }
+
+// latencyLog is one region's end-to-end frame-latency samples: origin
+// stamp to receiver arrival of every video frame-end packet delivered to
+// one of the region's clients at or after from. Fixed-size chunks, so
+// growth never copies what is already recorded.
+type latencyLog struct {
+	from   time.Duration
+	chunks [][]time.Duration
+}
+
+const latencyChunk = 8192 // samples per chunk (64 KB)
+
+func (l *latencyLog) add(d time.Duration) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == latencyChunk {
+		l.chunks = append(l.chunks, make([]time.Duration, 0, latencyChunk))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], d)
+}
+
+// SampleFrameLatency subscribes to end-to-end frame latency: from now on
+// every client records the latency of each video frame-end packet that
+// arrives at or after virtual time from. Without a subscription nothing
+// is recorded — the paper's figures never read these samples, only the
+// scale and dynamic experiments do. Call it before Start; subscribing
+// again restarts the logs.
+func (c *Call) SampleFrameLatency(from time.Duration) {
+	c.lats = make([]*latencyLog, len(c.pools))
+	for i := range c.lats {
+		c.lats[i] = &latencyLog{from: from}
+	}
+	for _, cl := range c.Clients {
+		cl.lat = c.lats[cl.region]
+	}
+}
+
+// FrameLatencies returns every sample recorded since SampleFrameLatency,
+// all clients together, in one exactly-sized slice the caller owns (sort
+// it in place for percentiles). Nil without a subscription. Read it once
+// the run has finished.
+func (c *Call) FrameLatencies() []time.Duration {
+	total := 0
+	for _, l := range c.lats {
+		for _, ch := range l.chunks {
+			total += len(ch)
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]time.Duration, 0, total)
+	for _, l := range c.lats {
+		for _, ch := range l.chunks {
+			out = append(out, ch...)
+		}
+	}
+	return out
 }
 
 // active returns the clients currently in the call, in join order.

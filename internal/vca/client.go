@@ -37,19 +37,16 @@ type Client struct {
 	startedAt time.Duration
 
 	// --- sender ---
-	ccUp   cc.Controller
-	single *codec.Encoder
-	// frameScratch backs the single-encoder frame list in videoTick so
-	// the 30 Hz tick never allocates a one-element slice.
-	frameScratch [1]*codec.Frame
-	simul        *codec.Simulcast
-	svc          *codec.SVC
-	tierBps      float64 // layout-imposed video cap
-	lowAlloc     float64 // Meet SFU low-copy allocation (0 = default)
-	stallUntil   time.Duration
-	seq          uint16
-	padOwed      float64
-	lastPad      time.Duration
+	ccUp       cc.Controller
+	single     *codec.Encoder
+	simul      *codec.Simulcast
+	svc        *codec.SVC
+	tierBps    float64 // layout-imposed video cap
+	lowAlloc   float64 // Meet SFU low-copy allocation (0 = default)
+	stallUntil time.Duration
+	seq        uint16
+	padOwed    float64
+	lastPad    time.Duration
 
 	// --- receiver ---
 	recv []*media.Receiver // origin ID -> receiver (nil until first packet)
@@ -60,11 +57,13 @@ type Client struct {
 	recvOrder []int32
 
 	// --- hot-path caches ---
-	pool *mpPool // shared per-call media packet free list
+	pool *mpPool // the home region's payload free lists
 	// flows caches the per-stream accounting labels by rate key; flowRtcp
-	// is the feedback label. Building these per packet would allocate.
-	flows    [rkSVC + 1]string
-	flowRtcp string
+	// and flowSignal are the feedback and FIR labels. Building these per
+	// packet would allocate.
+	flows      [rkSVC + 1]string
+	flowRtcp   string
+	flowSignal string
 
 	// strayRecv backs Receiver() calls for names outside the call's
 	// registry (misspellings, probes): read-style lookups must never
@@ -93,12 +92,9 @@ type Client struct {
 	// lastRTT retains the RTT the uplink controller last saw, for the
 	// metrics sampler and candidate-pair snapshots.
 	lastRTT time.Duration
-	// latT/latV sample end-to-end frame latency: for every video
-	// frame-end packet, the virtual arrival time and the delay since the
-	// origin client stamped it. OriginSentAt survives SFU forwarding (and
-	// cascading), so the sample spans the whole origin→receiver path.
-	latT []time.Duration
-	latV []time.Duration
+	// lat, when set (Call.SampleFrameLatency), is the home region's
+	// frame-latency log; nil records nothing.
+	lat *latencyLog
 
 	tickers []*sim.Ticker
 	running bool
@@ -106,21 +102,22 @@ type Client struct {
 
 func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, reg *registry, server string, region int, pool *mpPool, seed int64) *Client {
 	c := &Client{
-		Name:      name,
-		eng:       eng,
-		prof:      prof,
-		host:      host,
-		server:    server,
-		reg:       reg,
-		id:        reg.intern(name, false),
-		region:    region,
-		rng:       rand.New(rand.NewSource(seed)),
-		recv:      make([]*media.Receiver, reg.cap()),
-		pool:      pool,
-		flowRtcp:  prof.Name + "/" + name + "/rtcp",
-		UpMeter:   stats.NewMeter(time.Second),
-		DownMeter: stats.NewMeter(time.Second),
-		Recorder:  webrtcstats.NewRecorder(),
+		Name:       name,
+		eng:        eng,
+		prof:       prof,
+		host:       host,
+		server:     server,
+		reg:        reg,
+		id:         reg.intern(name, false),
+		region:     region,
+		rng:        rand.New(rand.NewSource(seed)),
+		recv:       make([]*media.Receiver, reg.cap()),
+		pool:       pool,
+		flowRtcp:   prof.Name + "/" + name + "/rtcp",
+		flowSignal: prof.Name + "/" + name + "/signal",
+		UpMeter:    stats.NewMeter(time.Second),
+		DownMeter:  stats.NewMeter(time.Second),
+		Recorder:   webrtcstats.NewRecorder(),
 	}
 	src := codec.NewSource(c.rng)
 	keyInt := prof.KeyInterval
@@ -273,7 +270,7 @@ func (c *Client) stop() {
 			return func(info media.PacketInfo) { r.OnPacket(now, info) }
 		})
 		if c.rec.twcc != nil {
-			c.rec.twcc = rtp.NewTWCCRecorder(2048)
+			c.rec.twcc.Reset()
 		}
 	}
 	c.running = false
@@ -311,8 +308,9 @@ func (c *Client) videoTick(now time.Duration) {
 			return
 		}
 	}
+	// Frames belong to their encoder until its next Tick; sendFrame copies
+	// every field it needs into the packets before returning.
 	target := c.videoTarget()
-	var frames []*codec.Frame
 	switch c.prof.MediaMode {
 	case ModeSimulcast:
 		if c.lowAlloc > 0 {
@@ -325,21 +323,20 @@ func (c *Client) videoTick(now time.Duration) {
 		} else {
 			c.simul.SetTarget(target)
 		}
-		frames = c.simul.Tick(now)
+		for _, f := range c.simul.Tick(now) {
+			c.sendFrame(f)
+		}
 	case ModeSVC:
 		c.svc.SetTarget(target)
-		frames = c.svc.Tick(now)
+		for _, f := range c.svc.Tick(now) {
+			c.sendFrame(f)
+		}
 	default:
 		c.single.SetTarget(target)
 		if f := c.single.Tick(now); f != nil {
-			c.frameScratch[0] = f
-			frames = c.frameScratch[:1]
+			c.sendFrame(f)
 		}
 	}
-	for _, f := range frames {
-		c.sendFrame(f)
-	}
-	c.frameScratch[0] = nil
 }
 
 // sendFrame packetizes one encoded frame into RTP-sized packets.
@@ -446,13 +443,13 @@ func (c *Client) send(mp *MediaPacket, wireBytes int) {
 }
 
 func (c *Client) sendSignal(payload any) {
-	c.host.Send(&netem.Packet{
-		Size:    firWire,
-		From:    netem.Addr{Host: c.Name, Port: PortSignal},
-		To:      netem.Addr{Host: c.server, Port: PortSignal},
-		Flow:    c.prof.Name + "/" + c.Name + "/signal",
-		Payload: payload,
-	})
+	pkt := c.host.NewPacket()
+	pkt.Size = firWire
+	pkt.From = netem.Addr{Host: c.Name, Port: PortSignal}
+	pkt.To = netem.Addr{Host: c.server, Port: PortSignal}
+	pkt.Flow = c.flowSignal
+	pkt.Payload = payload
+	c.host.Send(pkt)
 }
 
 // onMedia handles a forwarded media packet from the SFU, dispatching to
@@ -471,9 +468,10 @@ func (c *Client) onMedia(pkt *netem.Packet) {
 	}
 	now := c.eng.Now()
 	c.DownMeter.AddBytes(now, pkt.Size)
-	if !mp.Padding && !mp.Audio && mp.FrameEnd {
-		c.latT = append(c.latT, now)
-		c.latV = append(c.latV, now-mp.OriginSentAt)
+	if c.lat != nil && mp.FrameEnd && !mp.Padding && !mp.Audio && now >= c.lat.from {
+		// OriginSentAt survives SFU forwarding (and cascading), so the
+		// sample spans the whole origin→receiver path.
+		c.lat.add(now - mp.OriginSentAt)
 	}
 	sentAt := pkt.SentAt
 	if mp.E2E {
@@ -563,13 +561,15 @@ func (c *Client) recoveryTick(now time.Duration) {
 // sendNack requests retransmission of missing seqs in one origin's
 // per-leg sequence space.
 func (c *Client) sendNack(origin int32, seqs []uint16) {
-	pairs := rtp.BuildNackPairs(seqs)
+	m := c.pool.getNack()
+	m.From, m.FromID, m.Origin = c.Name, c.id, origin
+	m.Pairs = rtp.AppendNackPairs(m.Pairs, seqs)
 	pkt := c.host.NewPacket()
-	pkt.Size = nackWireBase + 4*len(pairs)
+	pkt.Size = nackWireBase + 4*len(m.Pairs)
 	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
 	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
 	pkt.Flow = c.flowRtcp
-	pkt.Payload = &NackMsg{From: c.Name, FromID: c.id, Origin: origin, Pairs: pairs}
+	pkt.Payload = m
 	c.host.Send(pkt)
 }
 
@@ -580,26 +580,31 @@ func (c *Client) twccTick(now time.Duration) {
 	if !c.running || c.rec == nil || c.rec.twcc == nil {
 		return
 	}
-	rep, ok := c.rec.twcc.BuildReport()
+	m := c.pool.getTWCC()
+	rep, ok := c.rec.twcc.AppendReport(m.Report.DeltaUs)
 	if !ok {
+		m.ReleasePayload()
 		return
 	}
+	m.From, m.FromID, m.Report = c.Name, c.id, rep
 	pkt := c.host.NewPacket()
 	pkt.Size = twccWireBase + 4*len(rep.DeltaUs)
 	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
 	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
 	pkt.Flow = c.flowRtcp
-	pkt.Payload = &TWCCMsg{From: c.Name, FromID: c.id, Report: rep} //vcalint:ignore hotpath deliberate 10 Hz allocation: TWCC reports are rare relative to packets
+	pkt.Payload = m
 	c.host.Send(pkt)
 }
 
-// onFeedback handles receiver reports about this client's uplink.
+// onFeedback handles receiver reports about this client's uplink. The
+// report is consumed here: it goes back to its pool on every path.
 func (c *Client) onFeedback(pkt *netem.Packet) {
-	if !c.running || c.ccUp == nil {
-		return
-	}
 	fb, ok := pkt.Payload.(*FeedbackMsg)
 	if !ok {
+		return
+	}
+	defer fb.ReleasePayload()
+	if !c.running || c.ccUp == nil {
 		return
 	}
 	st := fb.Stats
@@ -696,7 +701,7 @@ func (c *Client) feedbackTick(now time.Duration) {
 	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
 	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
 	pkt.Flow = c.flowRtcp
-	pkt.Payload = &FeedbackMsg{From: c.Name, FromID: c.id, Stats: agg} //vcalint:ignore hotpath deliberate allocation: receiver reports fire once per feedback interval, not per packet
+	pkt.Payload = c.pool.getFeedback(c.Name, c.id, agg)
 	c.host.Send(pkt)
 }
 
@@ -754,11 +759,4 @@ func (c *Client) Origins() []string {
 		}
 	}
 	return names // recvOrder is name-sorted already
-}
-
-// FrameLatencies returns the end-to-end frame latencies sampled at or
-// after from (origin capture to receiver arrival, across every hop).
-func (c *Client) FrameLatencies(from time.Duration) []time.Duration {
-	i := sort.Search(len(c.latT), func(i int) bool { return c.latT[i] >= from })
-	return c.latV[i:]
 }

@@ -122,12 +122,22 @@ type MediaPacket struct {
 	pool *mpPool // owning free list, nil for literal packets
 }
 
-// mpPool is a single-threaded free list of MediaPacket structs shared by
-// every client and server of one call. The media path creates one
-// MediaPacket per RTP packet at the origin plus one per forwarded copy at
-// each SFU; pooling makes all of that allocation-free. Each packet has
-// exactly one consumer (its netem delivery), which releases it.
-type mpPool struct{ free []*MediaPacket }
+// mpPool is the single-threaded free list of one region's payload
+// objects, shared by its SFU and every client homed on it: MediaPacket
+// structs (one per RTP packet at the origin plus one per forwarded copy at
+// each SFU) and the control messages — receiver reports, and with recovery
+// on NACKs and TWCC reports. Pooling makes all of that allocation-free.
+// Each payload has exactly one consumer (its netem delivery), which
+// releases it.
+type mpPool struct {
+	free []*MediaPacket
+	fb   []*FeedbackMsg
+	nack []*NackMsg
+	twcc []*TWCCMsg
+	// ctrlLive counts control messages handed out and not yet released.
+	// A drained call must read zero (scenario harness invariant).
+	ctrlLive int
+}
 
 func (p *mpPool) get() *MediaPacket {
 	if n := len(p.free) - 1; n >= 0 {
@@ -149,6 +159,69 @@ func (p *mpPool) copyOf(mp *MediaPacket) *MediaPacket {
 	*out = *mp
 	out.pool = p
 	return out
+}
+
+// pop takes the most recently freed message off a free list, or returns
+// nil when the list is empty.
+func pop[T any](free *[]*T) *T {
+	n := len(*free) - 1
+	if n < 0 {
+		return nil
+	}
+	m := (*free)[n]
+	*free = (*free)[:n]
+	return m
+}
+
+// getFeedback hands out a receiver report from the named sender.
+func (p *mpPool) getFeedback(from string, fromID int32, st media.IntervalStats) *FeedbackMsg {
+	p.ctrlLive++
+	m := pop(&p.fb)
+	if m == nil {
+		m = &FeedbackMsg{pool: p}
+	}
+	m.From, m.FromID, m.Stats = from, fromID, st
+	return m
+}
+
+// getNack hands out a NACK whose Pairs is empty but keeps its capacity.
+func (p *mpPool) getNack() *NackMsg {
+	p.ctrlLive++
+	if m := pop(&p.nack); m != nil {
+		return m
+	}
+	return &NackMsg{pool: p}
+}
+
+// getTWCC hands out a TWCC report whose DeltaUs is empty but keeps its
+// capacity.
+func (p *mpPool) getTWCC() *TWCCMsg {
+	p.ctrlLive++
+	if m := pop(&p.twcc); m != nil {
+		return m
+	}
+	return &TWCCMsg{pool: p}
+}
+
+// copyCtrl returns a copy of a control message drawn from p, slices
+// included, or nil when m is not one (the shard-boundary transfer).
+func (p *mpPool) copyCtrl(m any) any {
+	switch m := m.(type) {
+	case *FeedbackMsg:
+		return p.getFeedback(m.From, m.FromID, m.Stats)
+	case *NackMsg:
+		out := p.getNack()
+		out.From, out.FromID, out.Origin = m.From, m.FromID, m.Origin
+		out.Pairs = append(out.Pairs, m.Pairs...)
+		return out
+	case *TWCCMsg:
+		out := p.getTWCC()
+		deltas := append(out.Report.DeltaUs, m.Report.DeltaUs...)
+		out.From, out.FromID, out.Report = m.From, m.FromID, m.Report
+		out.Report.DeltaUs = deltas
+		return out
+	}
+	return nil
 }
 
 // releaseMedia recycles a pooled media packet at its consumption point;
@@ -185,10 +258,27 @@ func (m *MediaPacket) Info(wireBytes int, sentAt time.Duration) media.PacketInfo
 
 // FeedbackMsg is the periodic receiver report (100 ms cadence), carrying
 // the aggregate interval statistics the congestion controllers consume.
+//
+// Control messages (FeedbackMsg, NackMsg, TWCCMsg) come from the region's
+// pool and follow the media-packet ownership rule: the port handler they
+// are delivered to is their one consumer and releases them on every
+// return path; a packet netem drops releases its payload itself.
 type FeedbackMsg struct {
 	From   string // reporting client (or downstream SFU)
 	FromID int32  // From's registry ID — the SFU's leg lookup key
 	Stats  media.IntervalStats
+
+	pool *mpPool // owning free list, nil for literal messages
+}
+
+// ReleasePayload implements netem.PayloadReleaser and is the consumer's
+// release call; a no-op for literal messages.
+func (m *FeedbackMsg) ReleasePayload() {
+	if p := m.pool; p != nil {
+		*m = FeedbackMsg{pool: p}
+		p.fb = append(p.fb, m)
+		p.ctrlLive--
+	}
 }
 
 // FIRMsg requests a keyframe for Origin's stream (RTCP FIR, RFC 5104).
@@ -204,23 +294,44 @@ type AllocMsg struct {
 }
 
 // NackMsg asks the SFU to retransmit missing packets of one origin's
-// per-leg sequence space (RTCP generic NACK, rtp.Nack). Immutable after
-// construction: sharded runs pass it across region boundaries by
-// pointer.
+// per-leg sequence space (RTCP generic NACK, rtp.Nack). Pairs' backing
+// array is recycled with the message.
 type NackMsg struct {
 	From   string
 	FromID int32 // receiver's registry ID — the SFU's leg lookup key
 	Origin int32 // origin whose (leg, origin) seq space Pairs index
 	Pairs  []rtp.NackPair
+
+	pool *mpPool
+}
+
+// ReleasePayload implements netem.PayloadReleaser (see FeedbackMsg).
+func (m *NackMsg) ReleasePayload() {
+	if p := m.pool; p != nil {
+		*m = NackMsg{Pairs: m.Pairs[:0], pool: p}
+		p.nack = append(p.nack, m)
+		p.ctrlLive--
+	}
 }
 
 // TWCCMsg carries one transport-wide CC arrival report from a receiver
-// to its SFU (rtp.TransportCC over the per-leg TWSeq space). Immutable
-// after construction, like NackMsg.
+// to its SFU (rtp.TransportCC over the per-leg TWSeq space).
+// Report.DeltaUs' backing array is recycled with the message.
 type TWCCMsg struct {
 	From   string
 	FromID int32
 	Report rtp.TransportCC
+
+	pool *mpPool
+}
+
+// ReleasePayload implements netem.PayloadReleaser (see FeedbackMsg).
+func (m *TWCCMsg) ReleasePayload() {
+	if p := m.pool; p != nil {
+		*m = TWCCMsg{Report: rtp.TransportCC{DeltaUs: m.Report.DeltaUs[:0]}, pool: p}
+		p.twcc = append(p.twcc, m)
+		p.ctrlLive--
+	}
 }
 
 const (

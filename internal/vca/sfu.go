@@ -86,7 +86,7 @@ type Server struct {
 	fanAudio [][]*leg
 	fanDirty bool
 
-	pool *mpPool // shared per-call media packet free list
+	pool *mpPool // this region's payload free lists
 	// Precomputed accounting labels for the fixed-cadence feedback and
 	// signalling flows.
 	flowRtcpUp, flowRtcpHop, flowRtcpRelay string
@@ -823,24 +823,29 @@ func (s *Server) send(l *leg, mp *MediaPacket, size int) {
 	s.host.Send(pkt)
 }
 
-// onFeedback handles a receiver's (or downstream peer SFU's) aggregate
-// report.
+// onFeedback is the feedback port: a receiver's (or downstream peer
+// SFU's) aggregate report, NACK or TWCC report. Whatever arrives is
+// consumed here and goes back to its pool on every return path.
 func (s *Server) onFeedback(pkt *netem.Packet) {
-	if !s.running {
-		return
+	if s.running {
+		switch m := pkt.Payload.(type) {
+		case *FeedbackMsg:
+			s.onReport(m)
+		case *NackMsg:
+			s.onNack(m)
+		case *TWCCMsg:
+			s.onTWCC(m)
+		}
 	}
-	switch m := pkt.Payload.(type) {
-	case *NackMsg:
-		s.onNack(m)
-		return
-	case *TWCCMsg:
-		s.onTWCC(m)
-		return
+	if m, ok := pkt.Payload.(netem.PayloadReleaser); ok {
+		m.ReleasePayload()
 	}
-	fb, ok := pkt.Payload.(*FeedbackMsg)
-	if !ok {
-		return
-	}
+}
+
+// onReport folds an aggregate receiver report into its leg's controller,
+// or, for Teams, relays it to the senders. It only reads fb; onFeedback
+// releases it.
+func (s *Server) onReport(fb *FeedbackMsg) {
 	if fb.FromID < 0 || int(fb.FromID) >= len(s.legs) {
 		return
 	}
@@ -882,15 +887,16 @@ func (s *Server) onFeedback(pkt *netem.Packet) {
 	// Teams: relay the report end-to-end to every origin the receiver
 	// displays — the far sender does the congestion control (§4.2). In a
 	// cascade this reaches remote origins across the inter-region link,
-	// keeping the loop end-to-end. The FeedbackMsg itself is shared
-	// across the relayed packets, so it is deliberately not pooled.
+	// keeping the loop end-to-end. Every relayed packet carries its own
+	// pooled copy of the report: each copy has one consumer that releases
+	// it, and the original is released by onFeedback.
 	for _, origin := range s.displayed[fb.FromID] {
 		pkt := s.host.NewPacket()
 		pkt.Size = feedbackWire
 		pkt.From = netem.Addr{Host: s.Name, Port: PortFeedback}
 		pkt.To = netem.Addr{Host: s.reg.name(origin), Port: PortFeedback}
 		pkt.Flow = s.flowRtcpRelay
-		pkt.Payload = fb
+		pkt.Payload = s.pool.getFeedback(fb.From, fb.FromID, fb.Stats)
 		s.host.Send(pkt)
 	}
 }
@@ -900,7 +906,8 @@ func (s *Server) onFeedback(pkt *netem.Packet) {
 // the normal leg path — shaped, droppable, TWCC-stamped — as a fresh
 // pooled copy marked RTX; the buffered clone stays put so a re-NACK can
 // be answered again. Seqs already evicted are silently unanswerable:
-// the receiver's retry budget bounds how long it keeps asking.
+// the receiver's retry budget bounds how long it keeps asking. It only
+// reads m; onFeedback releases it.
 func (s *Server) onNack(m *NackMsg) {
 	if s.rec == nil || m.FromID < 0 || int(m.FromID) >= len(s.legs) {
 		return
@@ -945,7 +952,8 @@ func (s *Server) onNack(m *NackMsg) {
 // onTWCC folds a receiver's transport-wide arrival report into the
 // leg's controller. The filter reconstructs per-packet one-way delay
 // against the leg's send history; RTT follows the repo's synthetic
-// convention (2×queue delay + 40 ms base).
+// convention (2×queue delay + 40 ms base). It only reads m; onFeedback
+// releases it.
 func (s *Server) onTWCC(m *TWCCMsg) {
 	if s.rec == nil || m.FromID < 0 || int(m.FromID) >= len(s.legs) {
 		return
@@ -992,6 +1000,8 @@ func (s *Server) onSignal(pkt *netem.Packet) {
 
 // controlTick runs every 100 ms: refresh rate estimates, send uplink and
 // relay-hop feedback, and update every leg's selection state.
+//
+//vca:hotpath 10 Hz per-server control loop
 func (s *Server) controlTick(now time.Duration) {
 	if !s.running {
 		return
@@ -1019,7 +1029,7 @@ func (s *Server) controlTick(now time.Duration) {
 			pkt.From = netem.Addr{Host: s.Name, Port: PortFeedback}
 			pkt.To = netem.Addr{Host: s.reg.name(origin), Port: PortFeedback}
 			pkt.Flow = s.flowRtcpUp
-			pkt.Payload = &FeedbackMsg{From: s.Name, FromID: s.id, Stats: st}
+			pkt.Payload = s.pool.getFeedback(s.Name, s.id, st)
 			s.host.Send(pkt)
 		}
 		// Per-hop feedback to each upstream peer SFU: the downstream end
@@ -1040,7 +1050,7 @@ func (s *Server) controlTick(now time.Duration) {
 			pkt.From = netem.Addr{Host: s.Name, Port: PortFeedback}
 			pkt.To = netem.Addr{Host: s.reg.name(peer), Port: PortFeedback}
 			pkt.Flow = s.flowRtcpHop
-			pkt.Payload = &FeedbackMsg{From: s.Name, FromID: s.id, Stats: st}
+			pkt.Payload = s.pool.getFeedback(s.Name, s.id, st)
 			s.host.Send(pkt)
 		}
 	}
