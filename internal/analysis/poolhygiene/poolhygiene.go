@@ -5,10 +5,10 @@
 // events (Engine.alloc) — from acquisition to one of the three legal
 // fates:
 //
-//   - released: Release / ReleasePayload / discard / put / recycle /
+//   - released: Release / ReleasePayload / discard / put / recycle / unref /
 //     releaseMedia, directly or via defer;
 //   - transferred: passed to another call (the callee now owes the
-//     release — Host.Send, Mailbox.Post, rtxStore...), stored into a
+//     release — Host.Send, Mailbox.Post...), stored into a
 //     field / slice / map / channel (pkt.Payload = fb hands the message
 //     to the packet), returned, or captured;
 //   - or it leaks, which is the finding: a path reaches a return (or
@@ -17,6 +17,16 @@
 //
 // Use-after-release is the second finding: any read of a variable
 // after the path released it.
+//
+// A media packet the SFU keeps for retransmission has several holders.
+// retain() adds one — bound to the variable it is assigned to, or to
+// the receiver when the call stands alone as a statement — and that
+// reference has two fates only: unref, or a store (composite literal,
+// field, element: the RTX ring slot). Handing a retained value to a call
+// is a use, not a transfer, so a forgotten unref after the fan-out is
+// caught. Recycling a still-retained value through releaseMedia (or any
+// other single-owner release) is the third finding: other holders still
+// point at it.
 //
 // The walk is a linear abstract interpretation over the function body
 // (the syntactic CFG): if/else branches are interpreted separately
@@ -67,7 +77,7 @@ func isAcquire(pass *analysis.Pass, call *ast.CallExpr) bool {
 	switch fn.Name() {
 	case "Get", "get", "copyOf", "getFeedback", "getNack", "getTWCC", "copyCtrl":
 		return strings.HasSuffix(recv, "Pool")
-	case "NewPacket":
+	case "NewPacket", "retain":
 		return true
 	case "alloc":
 		return recv == "Engine"
@@ -81,7 +91,7 @@ var releaseMethods = map[string]bool{
 	"Release": true, "ReleasePayload": true, "discard": true,
 }
 var releaseArgFuncs = map[string]bool{
-	"put": true, "recycle": true, "releaseMedia": true,
+	"put": true, "recycle": true, "releaseMedia": true, "unref": true,
 }
 
 func typeName(t types.Type) string {
@@ -136,6 +146,9 @@ type checker struct {
 	// acquiredAt remembers where each tracked var came from, for the
 	// leak message.
 	acquiredAt map[*types.Var]token.Pos
+	// retained marks tracked vars holding a counted reference (retain):
+	// call arguments do not transfer them and only unref releases them.
+	retained map[*types.Var]bool
 }
 
 func run(pass *analysis.Pass) error {
@@ -145,7 +158,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			c := &checker{pass: pass, acquiredAt: map[*types.Var]token.Pos{}}
+			c := &checker{pass: pass, acquiredAt: map[*types.Var]token.Pos{}, retained: map[*types.Var]bool{}}
 			st := state{}
 			term := c.walkBlock(fd.Body, st)
 			if !term {
@@ -199,6 +212,11 @@ func (c *checker) walkStmt(s ast.Stmt, st state) (terminated bool) {
 		}
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
+			if v := c.retainReceiver(call); v != nil {
+				// v.retain() on its own: the new reference stays with v.
+				st[v], c.acquiredAt[v], c.retained[v] = stLive, call.Pos(), true
+				return false
+			}
 			if c.handleCall(call, st) {
 				return false
 			}
@@ -406,42 +424,37 @@ func (c *checker) bind(id *ast.Ident, rhs ast.Expr, st state) {
 	if call, ok := stripParens(rhs).(*ast.CallExpr); ok && isAcquire(c.pass, call) {
 		st[v] = stLive
 		c.acquiredAt[v] = call.Pos()
+		c.retained[v] = c.retainReceiver(call) != nil
 		return
 	}
 	delete(st, v)
 }
 
+// retainReceiver returns x for a call of the form x.retain(), x a
+// variable; nil for anything else.
+func (c *checker) retainReceiver(call *ast.CallExpr) *types.Var {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "retain" || !isAcquire(c.pass, call) {
+		return nil
+	}
+	return c.varOf(sel.X)
+}
+
 // handleCall applies release semantics; reports true if the call was
 // a release (so the caller skips generic transfer evaluation).
 func (c *checker) handleCall(call *ast.CallExpr, st state) bool {
-	name := ""
-	var recv ast.Expr
-	switch f := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		name = f.Sel.Name
-		recv = f.X
-	case *ast.Ident:
-		name = f.Name
-	default:
+	v, how := releaseTarget(c.pass, call)
+	if v == nil {
 		return false
 	}
-	if releaseMethods[name] && recv != nil {
-		if v := c.varOf(recv); v != nil {
-			c.release(v, recv.Pos(), st)
-			return true
-		}
-		return false
-	}
-	if releaseArgFuncs[name] && len(call.Args) == 1 {
-		if v := c.varOf(call.Args[0]); v != nil {
-			c.release(v, call.Args[0].Pos(), st)
-			return true
-		}
-	}
-	return false
+	c.release(how, v, call.Pos(), st)
+	return true
 }
 
-func (c *checker) release(v *types.Var, pos token.Pos, st state) {
+// release applies the release named how to v. Only unref may let go of
+// a retained reference: every other release recycles the object outright.
+func (c *checker) release(how string, v *types.Var, pos token.Pos, st state) {
+	c.checkRecycle(how, v, pos, st)
 	if prev, tracked := st[v]; tracked && prev != stLive {
 		if prev == stDeferred {
 			c.pass.Reportf(pos, "%q is also released by a defer: this release double-releases it", v.Name())
@@ -453,14 +466,24 @@ func (c *checker) release(v *types.Var, pos token.Pos, st state) {
 	st[v] = stReleased
 }
 
+// checkRecycle reports a single-owner release of a live retained
+// reference, and in any case ends v's retained status.
+func (c *checker) checkRecycle(how string, v *types.Var, pos token.Pos, st state) {
+	if how != "unref" && c.retained[v] && st[v] == stLive {
+		c.pass.Reportf(pos, "%s recycles %q while it still holds a retained reference: other holders may point at it, let go with unref", how, v.Name())
+	}
+	c.retained[v] = false
+}
+
 // handleDefer treats a deferred release as satisfying every exit
 // path, without making intervening uses illegal: the release only
 // actually runs at function exit.
 func (c *checker) handleDefer(call *ast.CallExpr, st state) {
-	if v := releaseTarget(c.pass, call); v != nil {
+	if v, how := releaseTarget(c.pass, call); v != nil {
 		if prev, tracked := st[v]; tracked && prev == stReleased {
 			c.pass.Reportf(call.Pos(), "%q already released on this path; the deferred release will double-release it", v.Name())
 		}
+		c.checkRecycle(how, v, call.Pos(), st)
 		st[v] = stDeferred
 		return
 	}
@@ -468,7 +491,7 @@ func (c *checker) handleDefer(call *ast.CallExpr, st state) {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			if inner, ok := n.(*ast.CallExpr); ok {
-				if v := releaseTarget(c.pass, inner); v != nil {
+				if v, _ := releaseTarget(c.pass, inner); v != nil {
 					st[v] = stDeferred
 				}
 			}
@@ -479,8 +502,9 @@ func (c *checker) handleDefer(call *ast.CallExpr, st state) {
 	c.evalExpr(call, st)
 }
 
-// releaseTarget returns the variable a call releases, or nil.
-func releaseTarget(pass *analysis.Pass, call *ast.CallExpr) *types.Var {
+// releaseTarget returns the variable a call releases and the name of
+// the releasing function, or nil.
+func releaseTarget(pass *analysis.Pass, call *ast.CallExpr) (*types.Var, string) {
 	name := ""
 	var recv ast.Expr
 	switch f := call.Fun.(type) {
@@ -490,16 +514,16 @@ func releaseTarget(pass *analysis.Pass, call *ast.CallExpr) *types.Var {
 	case *ast.Ident:
 		name = f.Name
 	default:
-		return nil
+		return nil, ""
 	}
 	c := &checker{pass: pass}
 	if releaseMethods[name] && recv != nil {
-		return c.varOf(recv)
+		return c.varOf(recv), name
 	}
 	if releaseArgFuncs[name] && len(call.Args) == 1 {
-		return c.varOf(call.Args[0])
+		return c.varOf(call.Args[0]), name
 	}
-	return nil
+	return nil, ""
 }
 
 // evalExpr scans an expression for uses of tracked variables:
@@ -525,7 +549,7 @@ func (c *checker) evalExpr(e ast.Expr, st state) {
 				if v := c.varOf(a); v != nil {
 					if st[v] == stReleased {
 						c.useAfterRelease(v, a.Pos(), st)
-					} else if _, ok := st[v]; ok {
+					} else if _, ok := st[v]; ok && !c.retained[v] {
 						delete(st, v)
 					}
 				} else {

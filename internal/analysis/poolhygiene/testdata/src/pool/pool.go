@@ -2,7 +2,7 @@
 // of the repo's pooled-object shapes: a Get method on a *Pool-suffixed
 // receiver hands out ownership; Release (and the put helper) give it
 // back; a Mailbox stands in for the ownership-transferring sinks
-// (Host.Send, shard mailboxes, rtxStore).
+// (Host.Send, shard mailboxes).
 package pool
 
 type Buf struct {
@@ -48,7 +48,60 @@ type Envelope struct{ Payload any }
 
 func (m *Mailbox) Send(e *Envelope) {}
 
+// retain / unref model vca's shared retransmission packet: several
+// holders, the last unref recycles. A Slot is an RTX ring entry.
+func (b *Buf) retain() *Buf { b.n++; return b }
+
+func unref(b *Buf) {
+	if b.n--; b.n == 0 {
+		b.Release()
+	}
+}
+
+type Slot struct{ pkt *Buf }
+
+type Ring struct{ slots []Slot }
+
+func (r *Ring) Put(i int, s Slot) { r.slots[i] = s }
+
+func fanOut(b *Buf) {}
+
 // ---- violations ----
+
+// The ingress hold is taken, the early return forgets to give it back.
+func retainLeakOnEarlyReturn(b *Buf, idle bool) {
+	b.retain() // want `pooled value "b" acquired here is neither released nor ownership-transferred on a path reaching this return`
+	if idle {
+		return
+	}
+	fanOut(b)
+	unref(b)
+}
+
+// Handing a retained value to a call is a use, not a transfer.
+func retainLeakAfterFanOut(b *Buf) {
+	ref := b.retain() // want `pooled value "ref" acquired here is neither released nor ownership-transferred`
+	fanOut(ref)
+}
+
+// The pre-retain idiom left in place: other holders still point at b.
+func recycleWhileRetained(b *Buf) {
+	b.retain()
+	fanOut(b)
+	b.Release() // want `Release recycles "b" while it still holds a retained reference`
+}
+
+func deferredRecycleWhileRetained(p *bufPool, b *Buf) {
+	b.retain()
+	defer p.put(b) // want `put recycles "b" while it still holds a retained reference`
+	fanOut(b)
+}
+
+func unrefTwice(b *Buf) {
+	b.retain()
+	unref(b)
+	unref(b) // want `released twice on this path`
+}
 
 // A report built and then abandoned on the early return.
 func msgLeakOnEarlyReturn(p *bufPool, m *Mailbox, e *Envelope, idle bool) {
@@ -181,4 +234,30 @@ func perIteration(p *bufPool, n int) {
 		b := p.Get()
 		b.Release()
 	}
+}
+
+// The SFU ingress idiom: hold while fanning out, let go on exit.
+func retainAcrossFanOut(b *Buf, running bool) {
+	b.retain()
+	if running {
+		fanOut(b)
+	}
+	unref(b)
+}
+
+// The slot store: the new reference goes into the ring entry, which
+// owes the unref when it is evicted.
+func retainIntoSlot(r *Ring, b *Buf, i int) {
+	r.Put(i, Slot{pkt: b.retain()})
+}
+
+func retainBoundThenStored(r *Ring, b *Buf, i int) {
+	ref := b.retain()
+	r.slots[i].pkt = ref
+}
+
+// Eviction: the slot's reference, read back out of the ring, is let go.
+func evict(r *Ring, i int) {
+	unref(r.slots[i].pkt)
+	r.slots[i] = Slot{}
 }

@@ -111,9 +111,10 @@ type EngineBenchResult struct {
 	// Recovery reports the loss-recovery macro section (nil unless the
 	// bench ran with Recovery): the macro call with NACK/RTX, jitter
 	// buffers and TWCC enabled under 1% per-link random loss. -check
-	// gates its alloc figure at 0.25 allocs/event on the full workload:
-	// NACK/TWCC/report messages and RTX clones are all pooled, and what
-	// remains is the one-time fill of the RTX rings.
+	// gates its alloc figure at 0.1 allocs/event on the full workload,
+	// like the recovery-off row: NACK/TWCC/report messages are pooled, an
+	// RTX ring slot shares the ingress packet, and what remains is the
+	// one-time fill of the rings and the packets they retain.
 	Recovery *RecoveryBenchResult `json:"recovery,omitempty"`
 }
 

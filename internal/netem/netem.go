@@ -10,7 +10,9 @@ package netem
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
+	"unsafe"
 
 	"vcalab/internal/obs"
 	"vcalab/internal/sim"
@@ -548,9 +550,11 @@ type Host struct {
 
 	eng    *sim.Engine
 	uplink *Link
-	ports  map[int]Handler
-	taps   []func(*Packet)
-	pool   PacketPool
+	// ports is scanned linearly on every delivery: a host binds a handful
+	// of ports, and three integer compares beat hashing one.
+	ports []portBinding
+	taps  []func(*Packet)
+	pool  PacketPool
 
 	// Unrouteable counts packets delivered to a port nobody listens on.
 	Unrouteable uint64
@@ -570,7 +574,12 @@ func (h *Host) PoolLive() int { return h.pool.Live() }
 // NewHost creates a host. Attach its uplink with SetUplink once the
 // topology is wired.
 func NewHost(eng *sim.Engine, name string) *Host {
-	return &Host{Name: name, eng: eng, ports: map[int]Handler{}}
+	return &Host{Name: name, eng: eng}
+}
+
+type portBinding struct {
+	port int
+	h    Handler
 }
 
 // SetUplink sets the link outbound packets are sent through.
@@ -580,10 +589,18 @@ func (h *Host) SetUplink(l *Link) { h.uplink = l }
 func (h *Host) Uplink() *Link { return h.uplink }
 
 // Handle registers a handler for a local port, replacing any previous one.
-func (h *Host) Handle(port int, fn Handler) { h.ports[port] = fn }
+func (h *Host) Handle(port int, fn Handler) {
+	for i := range h.ports {
+		if h.ports[i].port == port {
+			h.ports[i].h = fn
+			return
+		}
+	}
+	h.ports = append(h.ports, portBinding{port, fn})
+}
 
 // HandleFunc registers a handler function for a local port.
-func (h *Host) HandleFunc(port int, fn func(*Packet)) { h.ports[port] = HandlerFunc(fn) }
+func (h *Host) HandleFunc(port int, fn func(*Packet)) { h.Handle(port, HandlerFunc(fn)) }
 
 // Tap registers fn to observe every packet delivered to this host,
 // regardless of port. Taps run before the port handler.
@@ -605,10 +622,12 @@ func (h *Host) Deliver(pkt *Packet) {
 	for _, tap := range h.taps {
 		tap(pkt)
 	}
-	if hd, ok := h.ports[pkt.To.Port]; ok {
-		hd.Deliver(pkt)
-		pkt.Release()
-		return
+	for i := range h.ports {
+		if h.ports[i].port == pkt.To.Port {
+			h.ports[i].h.Deliver(pkt)
+			pkt.Release()
+			return
+		}
 	}
 	h.Unrouteable++
 	pkt.discard()
@@ -617,13 +636,34 @@ func (h *Host) Deliver(pkt *Packet) {
 // Router forwards packets by destination host name. It also models the
 // paper's unmanaged switch (a switch is just a router whose links are
 // uncontended).
+//
+// The name table is the only routing state. In front of it sits a memo
+// keyed by the identity of the destination string — its data pointer and
+// length — because senders address every packet of a flow with the same
+// string value: a hit costs one multiply and two compares where the
+// table costs a string hash. Equal pointer and length means equal bytes,
+// so a hit can never disagree with the table; any other string, equal
+// contents included, misses and is resolved by name.
 type Router struct {
 	Name   string
 	routes map[string]*Link
 	def    *Link
+	// memo is direct-mapped, sized from the route count on the first
+	// delivery after a routing change; nil until then.
+	memo      []routeMemo
+	memoShift uint
 
 	// Unrouteable counts packets with no matching route and no default.
 	Unrouteable uint64
+}
+
+// routeMemo remembers how one destination string resolved. The slot
+// keeps the string's bytes alive, so their address cannot be reused by
+// another name while the slot can still match it.
+type routeMemo struct {
+	key  *byte // data pointer of the Host string last resolved here
+	n    int   // and its length
+	next *Link // the named route, else the default; nil: unrouteable
 }
 
 // NewRouter creates an empty router.
@@ -632,24 +672,48 @@ func NewRouter(name string) *Router {
 }
 
 // Route directs traffic for the named destination host through l.
-func (r *Router) Route(hostName string, l *Link) { r.routes[hostName] = l }
+func (r *Router) Route(hostName string, l *Link) {
+	r.routes[hostName] = l
+	r.memo = nil
+}
 
 // DefaultRoute directs traffic with no specific route through l
 // (the "to the Internet" port).
-func (r *Router) DefaultRoute(l *Link) { r.def = l }
+func (r *Router) DefaultRoute(l *Link) {
+	r.def = l
+	r.memo = nil
+}
 
 // Deliver implements Handler.
 func (r *Router) Deliver(pkt *Packet) {
-	if l, ok := r.routes[pkt.To.Host]; ok {
+	if l := r.resolve(pkt.To.Host); l != nil {
 		l.Send(pkt)
-		return
-	}
-	if r.def != nil {
-		r.def.Send(pkt)
 		return
 	}
 	r.Unrouteable++
 	pkt.discard()
+}
+
+// resolve returns the link toward host: its named route, else the
+// default route, else nil.
+func (r *Router) resolve(host string) *Link {
+	if r.memo == nil {
+		// Four slots per destination keep most of them from sharing one.
+		width := uint(bits.Len(uint(4*len(r.routes) + 3)))
+		r.memo = make([]routeMemo, 1<<width)
+		r.memoShift = 64 - width
+	}
+	key := unsafe.StringData(host)
+	m := &r.memo[uint64(uintptr(unsafe.Pointer(key)))*0x9E3779B97F4A7C15>>r.memoShift]
+	if m.key == key && m.n == len(host) && key != nil {
+		return m.next
+	}
+	l, ok := r.routes[host]
+	if !ok {
+		l = r.def
+	}
+	*m = routeMemo{key, len(host), l}
+	return l
 }
 
 // Duplex wires a bidirectional connection between two handlers and returns

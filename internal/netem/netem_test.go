@@ -2,6 +2,7 @@ package netem
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,120 @@ func TestRouterRouting(t *testing.T) {
 	if len(a.pkts) != 1 || len(b.pkts) != 1 || len(def.pkts) != 1 {
 		t.Errorf("routing counts a=%d b=%d def=%d, want 1 each",
 			len(a.pkts), len(b.pkts), len(def.pkts))
+	}
+}
+
+// TestRouterMemoNeverDisagreesWithTheTable drives the router the way a
+// call does — the same Host string on every packet of a flow — through
+// every change the memo in front of the name table has to survive.
+func TestRouterMemoNeverDisagreesWithTheTable(t *testing.T) {
+	eng := sim.New(1)
+	a, a2, c1, def := &sink{}, &sink{}, &sink{}, &sink{}
+	r := NewRouter("rt")
+	r.Route("a", NewLink(eng, "ra", LinkConfig{}, a))
+	r.Route("c1", NewLink(eng, "rc1", LinkConfig{}, c1))
+	deliver := func(host string, times int) {
+		for i := 0; i < times; i++ {
+			r.Deliver(&Packet{To: Addr{Host: host}})
+		}
+		eng.Run()
+	}
+	expect := func(step string, want map[*sink]int, unrouteable uint64) {
+		t.Helper()
+		for s, n := range want {
+			if len(s.pkts) != n {
+				t.Errorf("%s: sink got %d packets, want %d", step, len(s.pkts), n)
+			}
+		}
+		if r.Unrouteable != unrouteable {
+			t.Errorf("%s: Unrouteable = %d, want %d", step, r.Unrouteable, unrouteable)
+		}
+	}
+
+	// Every packet of a flow carries the same string: first a table
+	// lookup, then memo hits. Unrouteable packets count one by one.
+	deliver("a", 3)
+	deliver("nowhere", 3)
+	expect("memo hits", map[*sink]int{a: 3}, 3)
+
+	// An Addr built from a different string with equal contents.
+	other := string([]byte{'a'})
+	deliver(other, 2)
+	expect("equal contents, other bytes", map[*sink]int{a: 5}, 3)
+
+	// A name that shares its first bytes — same data pointer, other
+	// length — with a routed one must not take that route.
+	long := string([]byte("c10"))
+	deliver(long[:2], 2) // "c1"
+	deliver(long, 2)     // "c10": no route
+	expect("shared prefix", map[*sink]int{c1: 2}, 5)
+
+	// A default route installed mid-run catches what had been memoized
+	// as unrouteable; named routes keep winning over it.
+	r.DefaultRoute(NewLink(eng, "rdef", LinkConfig{}, def))
+	deliver("nowhere", 2)
+	deliver(long, 1)
+	deliver("a", 1)
+	expect("default route fallthrough", map[*sink]int{def: 3, a: 6}, 5)
+
+	// Re-routing a memoized name mid-run takes effect on the next packet.
+	r.Route("a", NewLink(eng, "ra2", LinkConfig{}, a2))
+	deliver("a", 2)
+	deliver(other, 1)
+	expect("re-route", map[*sink]int{a: 6, a2: 3}, 5)
+
+	// A name the default used to carry gets its own route.
+	r.Route("nowhere", NewLink(eng, "rnw", LinkConfig{}, c1))
+	deliver("nowhere", 1)
+	expect("route shadows default", map[*sink]int{def: 3, c1: 3}, 5)
+}
+
+// TestRouterManyDestinations sends to more names than a small memo has
+// slots, in an order that makes colliding names evict each other.
+func TestRouterManyDestinations(t *testing.T) {
+	eng := sim.New(1)
+	r := NewRouter("rt")
+	names := make([]string, 200)
+	sinks := make([]*sink, len(names))
+	for i := range names {
+		names[i] = fmt.Sprintf("c%d", i)
+		sinks[i] = &sink{}
+	}
+	// Route only the first ten; the rest share the default.
+	def := &sink{}
+	r.DefaultRoute(NewLink(eng, "rdef", LinkConfig{}, def))
+	for i := 0; i < 10; i++ {
+		r.Route(names[i], NewLink(eng, "r"+names[i], LinkConfig{}, sinks[i]))
+	}
+	for round := 0; round < 3; round++ {
+		for _, n := range names {
+			r.Deliver(&Packet{To: Addr{Host: n}})
+		}
+	}
+	eng.Run()
+	for i := 0; i < 10; i++ {
+		if len(sinks[i].pkts) != 3 {
+			t.Errorf("%s got %d packets, want 3", names[i], len(sinks[i].pkts))
+		}
+	}
+	if want := 3 * (len(names) - 10); len(def.pkts) != want {
+		t.Errorf("default got %d packets, want %d", len(def.pkts), want)
+	}
+}
+
+// TestHostHandleReplaces: a port has one handler; registering again
+// replaces it, and unbound ports count as unrouteable.
+func TestHostHandleReplaces(t *testing.T) {
+	eng := sim.New(1)
+	h := NewHost(eng, "h")
+	var first, second int
+	h.HandleFunc(9, func(*Packet) { first++ })
+	h.HandleFunc(10, func(*Packet) {})
+	h.HandleFunc(9, func(*Packet) { second++ })
+	h.Deliver(&Packet{To: Addr{Host: "h", Port: 9}})
+	h.Deliver(&Packet{To: Addr{Host: "h", Port: 11}})
+	if first != 0 || second != 1 || h.Unrouteable != 1 {
+		t.Errorf("first=%d second=%d unrouteable=%d, want 0 1 1", first, second, h.Unrouteable)
 	}
 }
 

@@ -3,7 +3,7 @@ package rtp
 import "time"
 
 // This file implements the sender- and receiver-side state machines of
-// packet-level loss recovery: a seq-indexed retransmission ring buffer
+// packet-level loss recovery: a seq-indexed retransmission ring
 // (the sender keeps recent packets so it can answer NACKs) and a NACK
 // queue that doubles as the receiver's loss tracker (gap detection from
 // sequence numbers, bounded retries with per-seq backoff, give-up
@@ -11,55 +11,61 @@ import "time"
 // construction, and know nothing about the simulator: callers supply
 // time and payloads.
 
-// RTXBuffer is a fixed-capacity retransmission buffer indexed by RTP
-// sequence number. Put stores a payload clone under its seq and returns
-// whatever older clone the slot evicts, so the caller can release it to
-// its pool; Get answers a NACK if the seq is still buffered. A slot is
-// reused every capacity packets, so the buffer holds the most recent
-// `capacity` consecutive seqs of one stream.
-type RTXBuffer struct {
-	slots []rtxSlot
+// RTXRing is a fixed-capacity retransmission buffer indexed by RTP
+// sequence number. Put stores an entry under its seq and returns whatever
+// older entry the slot evicts, so the caller can drop the references it
+// holds; Get answers a NACK if the seq is still buffered. A slot is
+// reused every capacity packets, so the ring holds the most recent
+// `capacity` consecutive seqs of one stream. T is whatever the sender
+// needs to rebuild the packet: the SFU stores a pointer to the shared
+// ingress packet plus the header fields its down-track rewrote.
+type RTXRing[T any] struct {
+	slots []rtxSlot[T]
 }
 
-type rtxSlot struct {
+// RTXBuffer is the ring at its untyped instantiation.
+type RTXBuffer = RTXRing[any]
+
+type rtxSlot[T any] struct {
+	payload T
+	atUs    int64
+	size    int32
 	seq     uint16
 	valid   bool
-	payload any
-	size    int
-	atUs    int64
 }
 
-// NewRTXBuffer returns a buffer holding up to capacity packets.
-func NewRTXBuffer(capacity int) *RTXBuffer {
+// NewRTXRing returns a ring holding up to capacity packets.
+func NewRTXRing[T any](capacity int) *RTXRing[T] {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &RTXBuffer{slots: make([]rtxSlot, capacity)}
+	return &RTXRing[T]{slots: make([]rtxSlot[T], capacity)}
 }
 
+// NewRTXBuffer returns an untyped ring holding up to capacity packets.
+func NewRTXBuffer(capacity int) *RTXBuffer { return NewRTXRing[any](capacity) }
+
 // Put stores payload under seq, recording its wire size and send time,
-// and returns the evicted payload (nil if the slot was free). Storing
-// the same seq twice evicts the older clone.
-func (b *RTXBuffer) Put(seq uint16, payload any, size int, atUs int64) (evicted any) {
+// and returns the entry the slot held before (ok false if it was free).
+// Storing the same seq twice evicts the older entry.
+func (b *RTXRing[T]) Put(seq uint16, payload T, size int, atUs int64) (evicted T, ok bool) {
 	s := &b.slots[int(seq)%len(b.slots)]
-	if s.valid {
-		evicted = s.payload
-	}
-	*s = rtxSlot{seq: seq, valid: true, payload: payload, size: size, atUs: atUs}
-	return evicted
+	evicted, ok = s.payload, s.valid
+	*s = rtxSlot[T]{payload: payload, atUs: atUs, size: int32(size), seq: seq, valid: true}
+	return evicted, ok
 }
 
 // Get returns the buffered payload for seq, if it has not been evicted.
-func (b *RTXBuffer) Get(seq uint16) (payload any, size int, atUs int64, ok bool) {
+func (b *RTXRing[T]) Get(seq uint16) (payload T, size int, atUs int64, ok bool) {
 	s := &b.slots[int(seq)%len(b.slots)]
 	if !s.valid || s.seq != seq {
-		return nil, 0, 0, false
+		return payload, 0, 0, false
 	}
-	return s.payload, s.size, s.atUs, true
+	return s.payload, int(s.size), s.atUs, true
 }
 
 // Len reports the number of buffered packets.
-func (b *RTXBuffer) Len() int {
+func (b *RTXRing[T]) Len() int {
 	n := 0
 	for i := range b.slots {
 		if b.slots[i].valid {
@@ -69,13 +75,13 @@ func (b *RTXBuffer) Len() int {
 	return n
 }
 
-// Drain releases every buffered payload through release and empties the
-// buffer. Call at teardown so pooled clones return to their pool.
-func (b *RTXBuffer) Drain(release func(payload any)) {
+// Drain hands every buffered payload to release and empties the ring.
+// Call at teardown so whatever the entries reference is let go.
+func (b *RTXRing[T]) Drain(release func(payload T)) {
 	for i := range b.slots {
 		if b.slots[i].valid {
 			release(b.slots[i].payload)
-			b.slots[i] = rtxSlot{}
+			b.slots[i] = rtxSlot[T]{}
 		}
 	}
 }

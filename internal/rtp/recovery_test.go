@@ -9,7 +9,7 @@ import (
 func TestRTXBufferPutGetEvict(t *testing.T) {
 	b := NewRTXBuffer(4)
 	for seq := uint16(0); seq < 4; seq++ {
-		if ev := b.Put(seq, int(seq), 100, int64(seq)); ev != nil {
+		if ev, ok := b.Put(seq, int(seq), 100, int64(seq)); ok {
 			t.Fatalf("unexpected eviction %v at seq %d", ev, seq)
 		}
 	}
@@ -22,8 +22,8 @@ func TestRTXBufferPutGetEvict(t *testing.T) {
 	}
 	// Wraparound: seq 4 lands in slot 0, evicting seq 0 — the un-NACKed
 	// oldest packet must come back so the caller can release it.
-	if ev := b.Put(4, 40, 100, 4); ev.(int) != 0 {
-		t.Fatalf("Put(4) evicted %v, want 0", ev)
+	if ev, ok := b.Put(4, 40, 100, 4); !ok || ev.(int) != 0 {
+		t.Fatalf("Put(4) evicted %v, %v, want 0", ev, ok)
 	}
 	if _, _, _, ok := b.Get(0); ok {
 		t.Fatal("seq 0 should be gone after wraparound eviction")
@@ -45,6 +45,37 @@ func TestRTXBufferDrain(t *testing.T) {
 	}
 	if _, _, _, ok := b.Get(12); ok {
 		t.Fatal("Get after Drain should miss")
+	}
+}
+
+// TestRTXRingTypedEntries runs the ring at a struct instantiation, the way
+// the SFU uses it: entries come back by value, a free slot evicts nothing,
+// and a miss returns the zero entry.
+func TestRTXRingTypedEntries(t *testing.T) {
+	type entry struct {
+		ref      *int
+		frameSeq int32
+		key      bool
+	}
+	shared := 7
+	b := NewRTXRing[entry](2)
+	if ev, ok := b.Put(10, entry{&shared, 1, true}, 1240, 5); ok || ev != (entry{}) {
+		t.Fatalf("Put into a free slot evicted %+v, %v", ev, ok)
+	}
+	b.Put(11, entry{&shared, 2, false}, 140, 6)
+	if ev, ok := b.Put(12, entry{&shared, 3, false}, 1240, 7); !ok || ev.frameSeq != 1 || ev.ref != &shared {
+		t.Fatalf("Put(12) evicted %+v, %v; want seq 10's entry", ev, ok)
+	}
+	if e, size, at, ok := b.Get(11); !ok || e.frameSeq != 2 || size != 140 || at != 6 {
+		t.Fatalf("Get(11) = %+v,%d,%d,%v", e, size, at, ok)
+	}
+	if e, _, _, ok := b.Get(10); ok || e != (entry{}) {
+		t.Fatalf("Get(10) after eviction = %+v, %v", e, ok)
+	}
+	n := 0
+	b.Drain(func(e entry) { n += int(e.frameSeq) })
+	if n != 5 || b.Len() != 0 {
+		t.Fatalf("Drain visited frameSeq sum %d, Len %d; want 5, 0", n, b.Len())
 	}
 }
 

@@ -265,12 +265,12 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 			out = violationf(out, "rtx-conservation",
 				"traced %d RTX deliveries for %d NACKs sent", rtxEv, nackEv)
 		}
-		// Clone conservation: draining the RTX buffers returns every
-		// payload clone the SFUs ever made to its pool.
+		// Retained-packet conservation: draining the RTX rings lets go
+		// of every reference a slot ever took.
 		call.DrainRecovery()
 		if n := call.RTXClonesLive(); n != 0 {
 			out = violationf(out, "rtx-conservation",
-				"%d RTX payload clones live after DrainRecovery", n)
+				"%d RTX ring references live after DrainRecovery", n)
 		}
 	}
 
@@ -298,6 +298,16 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 		if n := call.ControlMsgsLive(r); n != 0 {
 			out = violationf(out, "control-pool",
 				"region %d: %d pooled control messages live after drain (positive: leaked, negative: released twice)", r, n)
+		}
+	}
+
+	// Media-packet conservation: with the engine dry and the RTX rings
+	// drained, every media packet is back in its region's pool — none in
+	// flight, none still retained by a ring slot, none filed twice.
+	for r := range mesh.SFUs {
+		if n := call.MediaPacketsLive(r); n != 0 {
+			out = violationf(out, "media-pool",
+				"region %d: %d pooled media packets live after drain (positive: leaked, negative: released twice)", r, n)
 		}
 	}
 

@@ -424,28 +424,36 @@ func (c *Call) Stop() {
 	}
 }
 
-// DrainRecovery releases every RTX clone held in server-side
-// retransmission buffers. Call after Stop when inspecting a
+// DrainRecovery empties every server-side retransmission ring, letting go
+// of the packets the slots retain. Call after Stop when inspecting a
 // recovery-enabled call: the scenario harness asserts RTXClonesLive()
-// is zero afterwards (clone conservation).
+// is zero afterwards (retained-packet conservation).
 func (c *Call) DrainRecovery() {
 	for _, s := range c.Servers {
 		s.drainRecovery()
 	}
 }
 
-// RTXClonesLive reports the number of RTX payload clones currently held
-// in server buffers across the call (zero after DrainRecovery, and
-// always zero with recovery off).
+// RTXClonesLive reports the number of retained packet references RTX
+// ring slots currently hold across the call (zero after DrainRecovery,
+// and always zero with recovery off). The name is kept for its callers
+// outside the module's reach (bench/): a slot holds a reference, not a
+// clone.
 func (c *Call) RTXClonesLive() uint64 {
 	var n uint64
 	for _, s := range c.Servers {
 		if s.rec != nil {
-			n += s.rec.clonesLive()
+			n += s.rec.refsLive
 		}
 	}
 	return n
 }
+
+// MediaPacketsLive reports how many media packets drawn from one region's
+// pool are still out of it: in flight, or retained by an RTX ring. A
+// stopped call whose engine has run dry and whose rings are drained
+// reports zero in every region.
+func (c *Call) MediaPacketsLive(region int) int { return c.pools[region].mediaLive() }
 
 // PendingNacks sums every client's outstanding NACK-queue depth. Client
 // stop flushes its jitter buffers, so a stopped call reports zero.

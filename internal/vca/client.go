@@ -265,10 +265,7 @@ func (c *Client) stop() {
 		// runs must end with empty NACK queues, and a rejoin must not
 		// inherit stale seq state.
 		now := c.eng.Now()
-		c.rec.flushAll(now, func(id int32) func(media.PacketInfo) {
-			r := c.receiverByID(id)
-			return func(info media.PacketInfo) { r.OnPacket(now, info) }
-		})
+		c.rec.flushAll(now, func(id int32) packetSink { return c.receiverByID(id) })
 		if c.rec.twcc != nil {
 			c.rec.twcc.Reset()
 		}
@@ -500,11 +497,11 @@ func (c *Client) onMedia(pkt *netem.Packet) {
 // recoveryOnMedia routes one participant-media arrival through the
 // origin's jitter buffer, which decides what (and when) the media
 // receiver sees.
+//
+//vca:hotpath per-packet downlink receive path, recovery on
 func (c *Client) recoveryOnMedia(now time.Duration, mp *MediaPacket, wireBytes int, sentAt time.Duration) {
 	b := c.rec.jbFor(mp.OriginID)
-	r := c.receiverByID(mp.OriginID)
-	ok := b.onPacket(now, mp.Seq, mp.RTX, wireBytes, mp.Info(wireBytes, sentAt), c.lastRTT,
-		func(info media.PacketInfo) { r.OnPacket(now, info) })
+	ok := b.onPacket(now, mp, wireBytes, sentAt, c.lastRTT, c.receiverByID(mp.OriginID))
 	if c.tracer != nil {
 		if !ok {
 			c.tracer.Recovery(obs.EvJBLate, now, c.Name, mp.Origin, int(mp.Seq))
@@ -533,8 +530,7 @@ func (c *Client) recoveryTick(now time.Duration) {
 		r := c.receiverByID(id)
 		origin := c.reg.name(id)
 		seqs := b.nackScratch[:0]
-		b.tick(now, backoff,
-			func(info media.PacketInfo) { r.OnPacket(now, info) },
+		b.tick(now, backoff, r,
 			func(seq uint16) {
 				seqs = append(seqs, seq)
 				if c.tracer != nil {

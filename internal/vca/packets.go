@@ -86,6 +86,10 @@ type MediaPacket struct {
 	// preserved across every forwarding hop: all per-packet routing and
 	// accounting indexes by it, never by the name.
 	OriginID int32
+	// refs counts the holders of a retained packet (see retain). It sits
+	// in the padding after OriginID, so the struct stays in its 144-byte
+	// size class.
+	refs     int32
 	StreamID string // "video", "sim/low", "sim/high", "svc", "audio", "pad"
 	// RK is StreamID's rate key (see streamRK), stamped alongside OriginID.
 	RK       uint8
@@ -128,9 +132,14 @@ type MediaPacket struct {
 // each SFU) and the control messages — receiver reports, and with recovery
 // on NACKs and TWCC reports. Pooling makes all of that allocation-free.
 // Each payload has exactly one consumer (its netem delivery), which
-// releases it.
+// releases it; the one exception is a media packet the SFU retains for
+// retransmission, which goes back when its last holder lets go (retain).
 type mpPool struct {
 	free []*MediaPacket
+	// made counts media packets ever allocated for this pool, so
+	// made - len(free) is the number out of it without a per-packet
+	// counter on the hottest path. A drained call must read zero.
+	made int
 	fb   []*FeedbackMsg
 	nack []*NackMsg
 	twcc []*TWCCMsg
@@ -145,8 +154,12 @@ func (p *mpPool) get() *MediaPacket {
 		p.free = p.free[:n]
 		return mp
 	}
+	p.made++
 	return &MediaPacket{pool: p}
 }
+
+// mediaLive is the number of media packets handed out and not yet back.
+func (p *mpPool) mediaLive() int { return p.made - len(p.free) }
 
 func (p *mpPool) put(mp *MediaPacket) {
 	*mp = MediaPacket{pool: p}
@@ -154,10 +167,11 @@ func (p *mpPool) put(mp *MediaPacket) {
 }
 
 // copyOf returns a pooled copy of mp (the SFU's per-receiver rewrite).
+// The copy has one owner whatever mp's holders are.
 func (p *mpPool) copyOf(mp *MediaPacket) *MediaPacket {
 	out := p.get()
 	*out = *mp
-	out.pool = p
+	out.pool, out.refs = p, 0
 	return out
 }
 
@@ -225,10 +239,28 @@ func (p *mpPool) copyCtrl(m any) any {
 }
 
 // releaseMedia recycles a pooled media packet at its consumption point;
-// it is a no-op for literal packets (tests, external builders).
+// it is a no-op for literal packets (tests, external builders). The
+// packet must have exactly one owner: holders of a retained packet let go
+// through unref.
 func releaseMedia(mp *MediaPacket) {
 	if mp.pool != nil {
 		mp.pool.put(mp)
+	}
+}
+
+// retain adds a holder to a packet that will outlive its one consumer:
+// the SFU holds an ingress packet while it fans out, and every RTX ring
+// slot that points at the packet holds it until the slot is evicted or
+// drained. Each retain is paid back by exactly one unref.
+func (m *MediaPacket) retain() *MediaPacket {
+	m.refs++
+	return m
+}
+
+// unref drops one holder; the last one out recycles the packet.
+func unref(mp *MediaPacket) {
+	if mp.refs--; mp.refs == 0 {
+		releaseMedia(mp)
 	}
 }
 

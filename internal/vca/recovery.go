@@ -23,7 +23,7 @@ import (
 
 // RecoveryConfig tunes the NACK/RTX loss-recovery loop. The zero value
 // means "use the defaults" (filled by withDefaults) so profiles only
-// override what they care about.
+// override what they care about; so does any non-positive value.
 type RecoveryConfig struct {
 	// RTXBufferPkts is the per-(leg, origin) retransmission ring
 	// capacity at the SFU.
@@ -46,40 +46,35 @@ type RecoveryConfig struct {
 	// PlayoutJitterMult scales the observed jitter EWMA into the playout
 	// deadline: deadline = clamp(mult*jitter + RTT, min, max).
 	PlayoutJitterMult float64
-	// TWCCInterval is the transport-wide CC report cadence; 0 disables
-	// TWCC generation.
+	// TWCCInterval is the transport-wide CC report cadence.
 	TWCCInterval time.Duration
 }
 
+// withDefaults fills every field left at zero — or set to a value no
+// ring, ticker or deadline can be built from: a negative size or duration
+// (or a NaN multiplier) means "use the default" too, and an inverted
+// playout range is swapped.
 func (c RecoveryConfig) withDefaults() RecoveryConfig {
-	if c.RTXBufferPkts == 0 {
-		c.RTXBufferPkts = 512
+	c.RTXBufferPkts = positiveOr(c.RTXBufferPkts, 512)
+	c.JitterBufferPkts = positiveOr(c.JitterBufferPkts, 256)
+	c.MaxNackRetries = positiveOr(c.MaxNackRetries, 3)
+	c.NackMinBackoff = positiveOr(c.NackMinBackoff, 20*time.Millisecond)
+	c.NackTick = positiveOr(c.NackTick, 20*time.Millisecond)
+	c.PlayoutMin = positiveOr(c.PlayoutMin, 60*time.Millisecond)
+	c.PlayoutMax = positiveOr(c.PlayoutMax, 400*time.Millisecond)
+	if c.PlayoutMin > c.PlayoutMax {
+		c.PlayoutMin, c.PlayoutMax = c.PlayoutMax, c.PlayoutMin
 	}
-	if c.JitterBufferPkts == 0 {
-		c.JitterBufferPkts = 256
-	}
-	if c.MaxNackRetries == 0 {
-		c.MaxNackRetries = 3
-	}
-	if c.NackMinBackoff == 0 {
-		c.NackMinBackoff = 20 * time.Millisecond
-	}
-	if c.NackTick == 0 {
-		c.NackTick = 20 * time.Millisecond
-	}
-	if c.PlayoutMin == 0 {
-		c.PlayoutMin = 60 * time.Millisecond
-	}
-	if c.PlayoutMax == 0 {
-		c.PlayoutMax = 400 * time.Millisecond
-	}
-	if c.PlayoutJitterMult == 0 {
-		c.PlayoutJitterMult = 4
-	}
-	if c.TWCCInterval == 0 {
-		c.TWCCInterval = 100 * time.Millisecond
-	}
+	c.PlayoutJitterMult = positiveOr(c.PlayoutJitterMult, 4)
+	c.TWCCInterval = positiveOr(c.TWCCInterval, 100*time.Millisecond)
 	return c
+}
+
+func positiveOr[T int | time.Duration | float64](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // jbSlot states.
@@ -96,6 +91,12 @@ type jbSlot struct {
 	arrivedAt time.Duration
 }
 
+// packetSink is where a jitter buffer delivers what has become in-order:
+// the origin's media.Receiver in a call, a recorder in tests.
+type packetSink interface {
+	OnPacket(now time.Duration, p media.PacketInfo)
+}
+
 // jitterBuffer reorders one origin's per-leg sequence space in front of
 // its media.Receiver. In-order packets pass straight through; gaps are
 // buffered, NACKed, and either healed (RTX or late arrival within the
@@ -103,7 +104,10 @@ type jbSlot struct {
 // the receiver's gap accounting — and therefore FreezeTime — charges
 // each lost packet exactly once.
 type jitterBuffer struct {
-	cfg   *RecoveryConfig
+	cfg *RecoveryConfig
+	// slots is the reorder window, cfg.JitterBufferPkts wide. It is
+	// allocated by the first out-of-order arrival: a stream that only
+	// ever arrives in order never pays for it.
 	slots []jbSlot
 	q     *rtp.NackQueue
 
@@ -131,14 +135,15 @@ type jitterBuffer struct {
 }
 
 func newJitterBuffer(cfg *RecoveryConfig) *jitterBuffer {
-	return &jitterBuffer{
-		cfg:   cfg,
-		slots: make([]jbSlot, cfg.JitterBufferPkts),
-		q:     rtp.NewNackQueue(cfg.MaxNackRetries),
-	}
+	return &jitterBuffer{cfg: cfg, q: rtp.NewNackQueue(cfg.MaxNackRetries)}
 }
 
-func (b *jitterBuffer) slot(seq uint16) *jbSlot { return &b.slots[int(seq)%len(b.slots)] }
+func (b *jitterBuffer) slot(seq uint16) *jbSlot {
+	if b.slots == nil {
+		b.slots = make([]jbSlot, b.cfg.JitterBufferPkts)
+	}
+	return &b.slots[int(seq)%len(b.slots)]
+}
 
 // observeJitter folds one arrival's transit time into the jitter EWMA.
 func (b *jitterBuffer) observeJitter(now time.Duration, sentAt time.Duration) {
@@ -167,13 +172,18 @@ func (b *jitterBuffer) playoutDelay(rtt time.Duration) time.Duration {
 }
 
 // onPacket feeds one arrival through the buffer, delivering whatever
-// becomes in-order to deliver(). Returns false when the packet was
-// dropped (late straggler past concession).
-func (b *jitterBuffer) onPacket(now time.Duration, seq uint16, rtx bool, wireBytes int,
-	info media.PacketInfo, rtt time.Duration, deliver func(media.PacketInfo)) bool {
+// becomes in-order to the sink. Returns false when the packet was dropped
+// (late straggler past concession). The buffer keeps nothing of mp: an
+// in-order arrival's metadata is built once and handed straight on, an
+// out-of-order one's is built into its slot.
+//
+//vca:hotpath per-packet jitter buffer
+func (b *jitterBuffer) onPacket(now time.Duration, mp *MediaPacket, wireBytes int,
+	sentAt, rtt time.Duration, to packetSink) bool {
 
-	b.observeJitter(now, info.SentAt)
-	if rtx {
+	seq := mp.Seq
+	b.observeJitter(now, sentAt)
+	if mp.RTX {
 		b.rtxRecv++
 		b.intRTXPkts++
 		b.intRTXBytes += wireBytes
@@ -183,7 +193,7 @@ func (b *jitterBuffer) onPacket(now time.Duration, seq uint16, rtx bool, wireByt
 		b.nextSeq = seq + 1
 		b.highest = seq
 		b.q.Observe(seq, now, 0)
-		deliver(info)
+		to.OnPacket(now, mp.Info(wireBytes, sentAt))
 		return true
 	}
 	d := rtp.SeqDiff(b.nextSeq, seq)
@@ -199,18 +209,18 @@ func (b *jitterBuffer) onPacket(now time.Duration, seq uint16, rtx bool, wireByt
 		if rtp.SeqLess(b.highest, seq) {
 			b.highest = seq
 		}
-		deliver(info)
+		to.OnPacket(now, mp.Info(wireBytes, sentAt))
 		b.nextSeq++
-		b.flush(now, deliver)
+		b.flush(now, to)
 		return true
-	case d >= len(b.slots):
+	case d >= b.cfg.JitterBufferPkts:
 		// Catastrophic gap (partition): stop chasing, deliver what we
 		// have in order, concede the rest, restart at seq.
-		b.reset(now, deliver)
+		b.reset(now, to)
 		b.q.Reset(seq)
 		b.nextSeq = seq + 1
 		b.highest = seq
-		deliver(info)
+		to.OnPacket(now, mp.Info(wireBytes, sentAt))
 		return true
 	}
 	// Out-of-order within the window: track new gaps, buffer.
@@ -232,12 +242,13 @@ func (b *jitterBuffer) onPacket(now time.Duration, seq uint16, rtx bool, wireByt
 	if s.state == jbFilled && s.seq == seq {
 		return true // network duplicate of a buffered packet
 	}
-	*s = jbSlot{state: jbFilled, seq: seq, info: info, arrivedAt: now}
+	s.state, s.seq, s.arrivedAt = jbFilled, seq, now
+	s.info = mp.Info(wireBytes, sentAt)
 	return true
 }
 
 // flush delivers the contiguous run of filled/conceded slots at nextSeq.
-func (b *jitterBuffer) flush(now time.Duration, deliver func(media.PacketInfo)) {
+func (b *jitterBuffer) flush(now time.Duration, to packetSink) {
 	for b.nextSeq != b.highest+1 {
 		s := b.slot(b.nextSeq)
 		if s.seq != b.nextSeq || s.state == jbEmpty {
@@ -245,7 +256,7 @@ func (b *jitterBuffer) flush(now time.Duration, deliver func(media.PacketInfo)) 
 		}
 		if s.state == jbFilled {
 			b.jbDelayTotal += now - s.arrivedAt
-			deliver(s.info)
+			to.OnPacket(now, s.info)
 		}
 		*s = jbSlot{}
 		b.nextSeq++
@@ -254,12 +265,12 @@ func (b *jitterBuffer) flush(now time.Duration, deliver func(media.PacketInfo)) 
 
 // reset delivers every buffered packet in seq order and concedes the
 // holes — the catastrophic-gap path.
-func (b *jitterBuffer) reset(now time.Duration, deliver func(media.PacketInfo)) {
+func (b *jitterBuffer) reset(now time.Duration, to packetSink) {
 	for b.nextSeq != b.highest+1 {
 		s := b.slot(b.nextSeq)
 		if s.seq == b.nextSeq && s.state == jbFilled {
 			b.jbDelayTotal += now - s.arrivedAt
-			deliver(s.info)
+			to.OnPacket(now, s.info)
 		} else if s.seq != b.nextSeq || s.state != jbConceded {
 			b.conceded++
 		}
@@ -273,7 +284,7 @@ func (b *jitterBuffer) reset(now time.Duration, deliver func(media.PacketInfo)) 
 // tick runs the NACK retry machine and concedes expired seqs: nack
 // fires per seq to request, giveUp per seq whose retry budget ran out,
 // and conceded once with the number of seqs given up on this tick.
-func (b *jitterBuffer) tick(now, backoff time.Duration, deliver func(media.PacketInfo),
+func (b *jitterBuffer) tick(now, backoff time.Duration, to packetSink,
 	nack, giveUp func(seq uint16), conceded func(n int)) {
 
 	if !b.started || b.q.Len() == 0 {
@@ -297,7 +308,7 @@ func (b *jitterBuffer) tick(now, backoff time.Duration, deliver func(media.Packe
 			}
 		})
 	if n > 0 {
-		b.flush(now, deliver)
+		b.flush(now, to)
 		conceded(n)
 	}
 }
@@ -322,7 +333,7 @@ type clientRecovery struct {
 
 func newClientRecovery(cfg RecoveryConfig, idCap int, twcc bool) *clientRecovery {
 	r := &clientRecovery{cfg: cfg, jbs: make([]*jitterBuffer, idCap)}
-	if twcc && cfg.TWCCInterval > 0 {
+	if twcc {
 		r.twcc = rtp.NewTWCCRecorder(2048)
 	}
 	return r
@@ -389,25 +400,36 @@ func (r *clientRecovery) pendingNacks() int {
 // flushAll concedes every pending gap and delivers the stragglers —
 // called at stop so drained runs end with empty NACK queues and fully
 // delivered buffers.
-func (r *clientRecovery) flushAll(now time.Duration, deliverFor func(id int32) func(media.PacketInfo)) {
+func (r *clientRecovery) flushAll(now time.Duration, sinkFor func(id int32) packetSink) {
 	for _, id := range r.live {
 		b := r.jbs[id]
-		deliver := deliverFor(id)
-		b.tick(now+b.cfg.PlayoutMax+time.Hour, time.Hour, deliver,
+		to := sinkAt{sinkFor(id), now}
+		b.tick(now+b.cfg.PlayoutMax+time.Hour, time.Hour, to,
 			func(uint16) {}, func(uint16) {}, func(int) {})
-		b.reset(now, deliver)
+		b.reset(now, to)
 	}
 }
 
+// sinkAt delivers at a fixed time whatever time the buffer is run at:
+// flushAll ticks far in the future to expire every deadline, but what
+// that flushes reaches the receiver now.
+type sinkAt struct {
+	to  packetSink
+	now time.Duration
+}
+
+func (s sinkAt) OnPacket(_ time.Duration, p media.PacketInfo) { s.to.OnPacket(s.now, p) }
+
 // serverRecovery is the per-server recovery state: NACK/RTX counters
-// (per-origin for getStats) plus clone conservation accounting checked
-// by the fuzz harness. The RTX buffers themselves live on each leg's
-// fwdState; the TWCC send histories live on each leg.
+// (per-origin for getStats) plus retained-packet conservation accounting
+// checked by the fuzz harness. The RTX rings themselves live on each
+// leg's fwdState; the TWCC send histories live on each leg.
 type serverRecovery struct {
 	cfg RecoveryConfig
 
-	clonesMade  uint64
-	clonesFreed uint64
+	// refsLive is the number of ring slots currently holding a packet
+	// (harness invariant: zero after DrainRecovery).
+	refsLive uint64
 
 	nackRecv  []uint64 // by origin ID: NACKed seqs received
 	rtxSent   []uint64 // by origin ID: retransmissions answered
@@ -429,10 +451,6 @@ func (r *serverRecovery) grow(id int32) {
 		r.rtxSent = append(r.rtxSent, 0)
 	}
 }
-
-// clonesLive is the number of RTX payload clones currently held in
-// buffers (harness invariant: zero after DrainRecovery).
-func (r *serverRecovery) clonesLive() uint64 { return r.clonesMade - r.clonesFreed }
 
 // RecoveryReceiverStats is one origin's receiver-side recovery counters,
 // surfaced into inbound-rtp getStats.

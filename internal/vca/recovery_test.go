@@ -1,6 +1,8 @@
 package vca
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,55 +137,89 @@ func TestRecoveryDeterministic(t *testing.T) {
 func TestJitterBufferSingleCharge(t *testing.T) {
 	cfg := RecoveryConfig{}.withDefaults()
 	b := newJitterBuffer(&cfg)
-	var delivered []uint16
-	deliver := func(info media.PacketInfo) { delivered = append(delivered, info.Seq) }
-	info := func(seq uint16, at time.Duration) media.PacketInfo {
-		return media.PacketInfo{Seq: seq, SentAt: at}
-	}
+	var got seqRecorder
+	rtt := 40 * time.Millisecond
 	now := time.Second
 	step := 10 * time.Millisecond
 	// In-order warmup, then a gap at seq 2.
-	b.onPacket(now, 0, false, 100, info(0, now-step), 40*time.Millisecond, deliver)
-	b.onPacket(now+step, 1, false, 100, info(1, now), 40*time.Millisecond, deliver)
-	b.onPacket(now+2*step, 3, false, 100, info(3, now+step), 40*time.Millisecond, deliver)
+	b.onPacket(now, &MediaPacket{Seq: 0}, 100, now-step, rtt, &got)
+	b.onPacket(now+step, &MediaPacket{Seq: 1}, 100, now, rtt, &got)
+	if b.slots != nil {
+		t.Errorf("in-order arrivals allocated the %d-slot reorder window", len(b.slots))
+	}
+	b.onPacket(now+2*step, &MediaPacket{Seq: 3}, 100, now+step, rtt, &got)
 	if b.q.Len() != 1 {
 		t.Fatalf("gap not tracked: queue len %d, want 1", b.q.Len())
+	}
+	if len(b.slots) != cfg.JitterBufferPkts {
+		t.Errorf("reorder window has %d slots after an out-of-order arrival, want %d", len(b.slots), cfg.JitterBufferPkts)
 	}
 	// Tick far past the playout deadline: seq 2 is conceded and the
 	// buffered seq 3 flushes through.
 	var gaveUp, conceded int
-	b.tick(now+cfg.PlayoutMax+time.Second, 20*time.Millisecond, deliver,
+	b.tick(now+cfg.PlayoutMax+time.Second, 20*time.Millisecond, &got,
 		func(uint16) {}, func(uint16) { gaveUp++ }, func(n int) { conceded += n })
 	if conceded != 1 {
 		t.Fatalf("conceded %d seqs, want 1", conceded)
 	}
 	want := []uint16{0, 1, 3}
-	if len(delivered) != len(want) {
-		t.Fatalf("delivered %v, want %v", delivered, want)
-	}
-	for i := range want {
-		if delivered[i] != want[i] {
-			t.Fatalf("delivered %v, want %v", delivered, want)
-		}
+	if !slices.Equal(got.seqs, want) {
+		t.Fatalf("delivered %v, want %v", got.seqs, want)
 	}
 	// The straggler: seq 2 finally arrives. It must be dropped, not
 	// delivered — its loss was already charged at concession.
 	late := now + cfg.PlayoutMax + 2*time.Second
-	if ok := b.onPacket(late, 2, true, 100, info(2, now+step), 40*time.Millisecond, deliver); ok {
+	if ok := b.onPacket(late, &MediaPacket{Seq: 2, RTX: true}, 100, now+step, rtt, &got); ok {
 		t.Errorf("late straggler for conceded seq 2 was accepted")
 	}
-	if len(delivered) != len(want) {
-		t.Errorf("straggler reached the receiver: delivered %v", delivered)
+	if !slices.Equal(got.seqs, want) {
+		t.Errorf("straggler reached the receiver: delivered %v", got.seqs)
 	}
 	if b.lateDropped != 1 {
 		t.Errorf("lateDropped = %d, want 1", b.lateDropped)
 	}
 	// Delivery resumes cleanly after the drop.
-	if ok := b.onPacket(late+step, 4, false, 100, info(4, late), 40*time.Millisecond, deliver); !ok {
+	if ok := b.onPacket(late+step, &MediaPacket{Seq: 4}, 100, late, rtt, &got); !ok {
 		t.Errorf("in-order seq 4 rejected after straggler drop")
 	}
-	if delivered[len(delivered)-1] != 4 {
-		t.Errorf("seq 4 not delivered: %v", delivered)
+	if got.seqs[len(got.seqs)-1] != 4 {
+		t.Errorf("seq 4 not delivered: %v", got.seqs)
+	}
+}
+
+// seqRecorder is a packetSink that remembers the order of delivery and
+// the latest time anything was delivered at.
+type seqRecorder struct {
+	seqs []uint16
+	last time.Duration
+}
+
+func (r *seqRecorder) OnPacket(now time.Duration, p media.PacketInfo) {
+	r.seqs = append(r.seqs, p.Seq)
+	r.last = max(r.last, now)
+}
+
+// TestFlushAllDeliversNow: stopping a client expires every playout
+// deadline by ticking its buffers far in the future, but the stragglers
+// that releases must reach the media receiver at the stop time — a
+// receiver fed an hour ahead books the hour as a freeze.
+func TestFlushAllDeliversNow(t *testing.T) {
+	r := newClientRecovery(RecoveryConfig{}.withDefaults(), 4, false)
+	var got seqRecorder
+	now := time.Second
+	for _, seq := range []uint16{0, 1, 3, 4} { // 2 is missing: 3 and 4 wait
+		r.jbFor(1).onPacket(now, &MediaPacket{Seq: seq}, 100, now, 0, &got)
+	}
+	stop := now + 50*time.Millisecond
+	r.flushAll(stop, func(int32) packetSink { return &got })
+	if want := []uint16{0, 1, 3, 4}; !slices.Equal(got.seqs, want) {
+		t.Fatalf("delivered %v, want %v", got.seqs, want)
+	}
+	if got.last != stop {
+		t.Errorf("stragglers delivered at %v, want the stop time %v", got.last, stop)
+	}
+	if n := r.pendingNacks(); n != 0 {
+		t.Errorf("%d NACKs pending after flushAll", n)
 	}
 }
 
@@ -193,28 +229,85 @@ func TestJitterBufferSingleCharge(t *testing.T) {
 func TestJitterBufferCatastrophicGap(t *testing.T) {
 	cfg := RecoveryConfig{JitterBufferPkts: 16}.withDefaults()
 	b := newJitterBuffer(&cfg)
-	var delivered []uint16
-	deliver := func(info media.PacketInfo) { delivered = append(delivered, info.Seq) }
+	var got seqRecorder
 	now := time.Second
 	rtt := 40 * time.Millisecond
-	b.onPacket(now, 10, false, 100, media.PacketInfo{Seq: 10, SentAt: now}, rtt, deliver)
-	b.onPacket(now, 12, false, 100, media.PacketInfo{Seq: 12, SentAt: now}, rtt, deliver) // gap at 11
-	b.onPacket(now, 1000, false, 100, media.PacketInfo{Seq: 1000, SentAt: now}, rtt, deliver)
+	for _, seq := range []uint16{10, 12, 1000} { // gap at 11, then the partition
+		b.onPacket(now, &MediaPacket{Seq: seq}, 100, now, rtt, &got)
+	}
 	if b.q.Len() != 0 {
 		t.Errorf("queue not reset after catastrophic gap: len %d", b.q.Len())
 	}
-	want := []uint16{10, 12, 1000}
-	if len(delivered) != len(want) {
-		t.Fatalf("delivered %v, want %v", delivered, want)
-	}
-	for i := range want {
-		if delivered[i] != want[i] {
-			t.Fatalf("delivered %v, want %v", delivered, want)
-		}
+	if want := []uint16{10, 12, 1000}; !slices.Equal(got.seqs, want) {
+		t.Fatalf("delivered %v, want %v", got.seqs, want)
 	}
 	// In-order flow continues from the new base.
-	b.onPacket(now, 1001, false, 100, media.PacketInfo{Seq: 1001, SentAt: now}, rtt, deliver)
-	if delivered[len(delivered)-1] != 1001 {
-		t.Errorf("post-reset in-order packet not delivered: %v", delivered)
+	b.onPacket(now, &MediaPacket{Seq: 1001}, 100, now, rtt, &got)
+	if got.seqs[len(got.seqs)-1] != 1001 {
+		t.Errorf("post-reset in-order packet not delivered: %v", got.seqs)
+	}
+}
+
+// TestJitterBufferCatastrophicGapBeforeAnyReorder: a partition-sized jump
+// on a stream that never reordered must re-base without the window.
+func TestJitterBufferCatastrophicGapBeforeAnyReorder(t *testing.T) {
+	cfg := RecoveryConfig{JitterBufferPkts: 16}.withDefaults()
+	b := newJitterBuffer(&cfg)
+	var got seqRecorder
+	for _, seq := range []uint16{10, 11, 5000, 5001} {
+		b.onPacket(time.Second, &MediaPacket{Seq: seq}, 100, time.Second, 0, &got)
+	}
+	if want := []uint16{10, 11, 5000, 5001}; !slices.Equal(got.seqs, want) {
+		t.Fatalf("delivered %v, want %v", got.seqs, want)
+	}
+	if b.slots != nil || b.q.Len() != 0 || b.conceded != 0 {
+		t.Errorf("window %d slots, %d NACKs pending, %d conceded; want none of each", len(b.slots), b.q.Len(), b.conceded)
+	}
+}
+
+// TestRecoveryConfigDefaults: a config no ring, ticker or deadline can be
+// built from must come out usable — non-positive values fall back to the
+// default instead of reaching make or the engine, and an inverted playout
+// range is put the right way round.
+func TestRecoveryConfigDefaults(t *testing.T) {
+	def := RecoveryConfig{}.withDefaults()
+	cases := []struct {
+		name string
+		in   RecoveryConfig
+		edit func(want *RecoveryConfig) // applied to the defaults; nil: the defaults
+	}{
+		{"zero value", RecoveryConfig{}, nil},
+		{"negative sizes", RecoveryConfig{RTXBufferPkts: -1, JitterBufferPkts: -256, MaxNackRetries: -3}, nil},
+		{"negative durations", RecoveryConfig{NackMinBackoff: -time.Second, NackTick: -1, PlayoutMin: -1,
+			PlayoutMax: -time.Hour, TWCCInterval: -time.Millisecond}, nil},
+		{"bad multiplier", RecoveryConfig{PlayoutJitterMult: math.NaN()}, nil},
+		{"overrides kept", RecoveryConfig{RTXBufferPkts: 64, JitterBufferPkts: 16, PlayoutJitterMult: 2},
+			func(c *RecoveryConfig) { c.RTXBufferPkts, c.JitterBufferPkts, c.PlayoutJitterMult = 64, 16, 2 }},
+		{"inverted playout range", RecoveryConfig{PlayoutMin: 500 * time.Millisecond, PlayoutMax: 100 * time.Millisecond},
+			func(c *RecoveryConfig) { c.PlayoutMin, c.PlayoutMax = 100*time.Millisecond, 500*time.Millisecond }},
+		{"min above the default max", RecoveryConfig{PlayoutMin: time.Second},
+			func(c *RecoveryConfig) { c.PlayoutMin, c.PlayoutMax = def.PlayoutMax, time.Second }},
+	}
+	for _, tc := range cases {
+		want := def
+		if tc.edit != nil {
+			tc.edit(&want)
+		}
+		if got := tc.in.withDefaults(); got != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, want)
+		}
+	}
+	// The hostile config end to end: the call must run, not panic.
+	prof := Meet()
+	prof.Recovery = RecoveryConfig{RTXBufferPkts: -5, JitterBufferPkts: -5, NackTick: -time.Second,
+		PlayoutMin: time.Second, PlayoutMax: time.Millisecond, TWCCInterval: -1}
+	eng := sim.New(5)
+	call, l := twoPartyRecovery(eng, prof, 0, 0, true)
+	l.down.SetImpairment(0.03, 0)
+	call.Start()
+	eng.RunUntil(5 * time.Second)
+	call.Stop()
+	if nacks, _ := call.NackRTXTotals(); nacks == 0 {
+		t.Error("no NACKs under 3% loss with a defaulted config")
 	}
 }

@@ -1,0 +1,204 @@
+package vca
+
+import (
+	"fmt"
+	"testing"
+	"time"
+	"unsafe"
+
+	"vcalab/internal/netem"
+	"vcalab/internal/sim"
+)
+
+// emissionKey names one packet of one (receiver, origin) sequence space.
+type emissionKey struct {
+	receiver string
+	origin   int32
+	seq      uint16
+}
+
+// sentPacket is the reference store's clone of one emission.
+type sentPacket struct {
+	mp   MediaPacket
+	size int
+}
+
+// asSent strips what legitimately differs between an emission and its
+// retransmission: the RTX mark, the transport-wide seq send() stamps
+// afresh, and the pool bookkeeping.
+func asSent(mp *MediaPacket, size int) sentPacket {
+	c := *mp
+	c.RTX, c.TWSeq, c.pool, c.refs = false, 0, nil, 0
+	return sentPacket{c, size}
+}
+
+// TestRetransmissionsMatchAClonePerEmission is the differential test for
+// the shared retained packet: a reference store on the SFU's wire clones
+// every packet as it is first sent — what the per-emission clone ring used
+// to keep — and every NACK answer, rebuilt from a ring slot and the shared
+// ingress packet, must equal the clone filed under the same (receiver,
+// origin, seq), field for field. The calls lose 3% of everything the SFU
+// sends and go through a Leave, a Rejoin (recycled ID, fresh rings) and a
+// mode switch (layout reflow, stream switches, forced keyframes).
+func TestRetransmissionsMatchAClonePerEmission(t *testing.T) {
+	for _, tc := range []struct {
+		prof    *Profile
+		parties int
+	}{{Meet(), 4}, {Teams(), 4}, {Zoom(), 4}, {Teams(), 2}} { // 2-party Teams: the E2E pass-through relay
+		t.Run(fmt.Sprintf("%s-%dp", tc.prof.Name, tc.parties), func(t *testing.T) {
+			eng := sim.New(17)
+			l := newLab(eng, 0, 0)
+			hosts := []*netem.Host{l.clientHost("c1")}
+			for i := 2; i <= tc.parties; i++ {
+				hosts = append(hosts, l.remoteHost(fmt.Sprintf("c%d", i), 5*time.Millisecond))
+			}
+			sfu := l.remoteHost("sfu", 15*time.Millisecond)
+			call := NewCall(eng, tc.prof, sfu, hosts, CallOptions{Seed: 17, Recovery: true})
+			sfu.Uplink().SetImpairment(0.03, 0)
+
+			ref := map[emissionKey]sentPacket{}
+			var answered, keyframes, e2e int
+			sfu.Uplink().OnSend(func(pkt *netem.Packet) {
+				mp, ok := pkt.Payload.(*MediaPacket)
+				if !ok || mp.OriginID == call.Servers[0].id {
+					return // feedback, signalling, the SFU's own probe padding
+				}
+				key := emissionKey{pkt.To.Host, mp.OriginID, mp.Seq}
+				got := asSent(mp, pkt.Size)
+				if !mp.RTX {
+					ref[key] = got
+					return
+				}
+				answered++
+				want, ok := ref[key]
+				if !ok {
+					t.Errorf("RTX for %+v, which was never sent", key)
+					return
+				}
+				if got != want {
+					t.Errorf("RTX for %+v differs from its first emission:\n got %+v\nwant %+v", key, got, want)
+				}
+				if got.mp.Keyframe {
+					keyframes++
+				}
+				if got.mp.E2E {
+					e2e++
+				}
+			})
+
+			call.Start()
+			eng.RunUntil(8 * time.Second)
+			if tc.parties > 2 {
+				call.Leave("c3")
+				eng.RunUntil(14 * time.Second)
+				call.Rejoin("c3")
+			}
+			eng.RunUntil(18 * time.Second)
+			call.SetMode(Speaker)
+			eng.RunUntil(25 * time.Second)
+			call.Stop()
+
+			_, rtx := call.NackRTXTotals()
+			if answered == 0 || uint64(answered) != rtx {
+				t.Errorf("compared %d retransmissions, SFU counts %d", answered, rtx)
+			}
+			if keyframes == 0 {
+				t.Error("no retransmitted keyframe packet: the rewritten-header path went unexercised")
+			}
+			if pass := tc.parties == 2; pass != (e2e > 0) {
+				t.Errorf("%d E2E retransmissions, pass-through %v", e2e, pass)
+			}
+
+			// Conservation: the rings hold references until drained; then,
+			// with the wire empty, every packet is back in the pool.
+			eng.Run()
+			if call.RTXClonesLive() == 0 || call.MediaPacketsLive(0) == 0 {
+				t.Errorf("before drain: %d ring references, %d media packets live; want both > 0",
+					call.RTXClonesLive(), call.MediaPacketsLive(0))
+			}
+			call.DrainRecovery()
+			if refs, live, ctrl := call.RTXClonesLive(), call.MediaPacketsLive(0), call.ControlMsgsLive(0); refs != 0 || live != 0 || ctrl != 0 {
+				t.Errorf("after drain: %d ring references, %d media packets, %d control messages live; want 0", refs, live, ctrl)
+			}
+		})
+	}
+}
+
+// TestSharedPacketOutlivesIngressUntilLastSlot walks one ingress packet
+// through the ownership rule by hand: the SFU's hold ends with onMedia,
+// each ring slot's with its eviction, and only the last one out files the
+// packet back in the pool.
+func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
+	prof := Teams()
+	prof.Recovery = RecoveryConfig{RTXBufferPkts: 4}
+	eng := sim.New(1)
+	l := newLab(eng, 0, 0)
+	hosts := []*netem.Host{l.clientHost("c1"), l.remoteHost("c2", time.Millisecond), l.remoteHost("c3", time.Millisecond)}
+	call := NewCall(eng, prof, l.remoteHost("sfu", time.Millisecond), hosts, CallOptions{Seed: 1, Recovery: true})
+	s, pool := call.Servers[0], call.pools[0]
+	s.running = true // ingest without starting the tickers
+
+	audio := func(seq uint16) *MediaPacket {
+		mp := pool.get()
+		mp.Origin, mp.OriginID = "c1", call.Clients[0].id
+		mp.StreamID, mp.RK, mp.Audio, mp.Seq = "audio", rkAudio, true, seq
+		return mp
+	}
+	first := audio(0)
+	s.onMedia(&netem.Packet{Size: 140, Payload: first})
+	if first.refs != 2 || s.rec.refsLive != 2 {
+		t.Fatalf("after fan-out to two legs: refs %d, refsLive %d; want 2 and 2", first.refs, s.rec.refsLive)
+	}
+	// Three more packets fill the 4-slot rings; the fifth evicts the first
+	// from both, and only then does it go back.
+	for seq := uint16(1); seq <= 3; seq++ {
+		s.onMedia(&netem.Packet{Size: 140, Payload: audio(seq)})
+	}
+	if first.refs != 2 {
+		t.Fatalf("refs %d with both slots still in their rings, want 2", first.refs)
+	}
+	free := len(pool.free)
+	s.onMedia(&netem.Packet{Size: 140, Payload: audio(4)})
+	if first.refs != 0 || first.Origin != "" {
+		t.Errorf("evicted from every ring but not recycled: refs %d, origin %q", first.refs, first.Origin)
+	}
+	if len(pool.free) != free+1 {
+		t.Errorf("pool free list went %d -> %d, want one packet back", free, len(pool.free))
+	}
+	if s.rec.refsLive != 8 {
+		t.Errorf("refsLive %d, want 8 (two full 4-slot rings)", s.rec.refsLive)
+	}
+	// A NACK for an evicted seq is unanswerable; for a held one the answer
+	// is rebuilt from the slot.
+	l2 := s.legs[call.Clients[1].id]
+	if _, _, _, ok := l2.fwd[call.Clients[0].id].rtx.Get(0); ok {
+		t.Error("seq 0 still answerable after eviction")
+	}
+	e, size, _, ok := l2.fwd[call.Clients[0].id].rtx.Get(3)
+	if !ok || size != 140 {
+		t.Fatalf("seq 3 not held: ok %v size %d", ok, size)
+	}
+	out := e.rebuild(pool, 3)
+	if out.Seq != 3 || !out.Audio || out.refs != 0 || out == e.pkt {
+		t.Errorf("rebuilt %+v", out)
+	}
+	releaseMedia(out)
+	s.running = false
+	eng.Run()
+	call.DrainRecovery()
+	if refs, live := call.RTXClonesLive(), call.MediaPacketsLive(0); refs != 0 || live != 0 {
+		t.Errorf("after drain: %d references, %d packets live", refs, live)
+	}
+}
+
+// TestMediaPacketSizeClass: the reference count lives in padding. A
+// MediaPacket that outgrows 144 bytes moves to the 160-byte size class
+// and every pool fill, recovery on or off, pays for it.
+func TestMediaPacketSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(MediaPacket{}); got > 144 {
+		t.Errorf("MediaPacket is %d bytes, want <= 144", got)
+	}
+	if got := unsafe.Sizeof(rtxEntry{}); got > 16 {
+		t.Errorf("rtxEntry is %d bytes, want <= 16 (a 32-byte ring slot)", got)
+	}
+}

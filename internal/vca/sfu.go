@@ -92,11 +92,11 @@ type Server struct {
 	flowRtcpUp, flowRtcpHop, flowRtcpRelay string
 	flowFir, flowAlloc                     string
 
-	// rec, when non-nil, is the loss-recovery state (recovery.go): clone
-	// conservation accounting and per-origin NACK/RTX counters. Nil
-	// unless CallOptions.Recovery — the recovery-off packet path is
-	// exactly the pre-recovery one. The RTX buffers themselves hang off
-	// each receiver leg's fwdState; TWCC send history off each leg.
+	// rec, when non-nil, is the loss-recovery state (recovery.go):
+	// retained-packet conservation accounting and per-origin NACK/RTX
+	// counters. Nil unless CallOptions.Recovery — the recovery-off packet
+	// path is exactly the pre-recovery one. The RTX rings themselves hang
+	// off each receiver leg's fwdState; TWCC send history off each leg.
 	rec *serverRecovery
 
 	tickers []*sim.Ticker
@@ -150,11 +150,33 @@ type fwdState struct {
 	thinAcc    float64
 	needKey    bool // mark next forwarded frame as a keyframe (stream switch)
 	fecOwed    float64
-	// rtx, when recovery is on, buffers a pooled clone of every packet
-	// emitted in this (receiver, origin) sequence space so NACKs can be
-	// answered. Lazily created on first emission; relay legs never get
-	// one (recovery is last-mile: each region's SFU re-answers locally).
-	rtx *rtp.RTXBuffer
+	// rtx, when recovery is on, remembers every packet emitted in this
+	// (receiver, origin) sequence space so NACKs can be answered. Lazily
+	// created on first emission; relay legs never get one (recovery is
+	// last-mile: each region's SFU re-answers locally).
+	rtx *rtp.RTXRing[rtxEntry]
+}
+
+// rtxEntry is one ring slot: the packet this down-track shares with
+// every other ring its ingress packet fanned out to, plus the header
+// fields this down-track rewrote on the copy it sent. The ring keys the
+// slot by the rewritten Seq and keeps the wire size. The slot is one of
+// pkt's holders (MediaPacket.retain) until it is evicted or drained.
+type rtxEntry struct {
+	pkt *MediaPacket
+	// frameSeq narrows MediaPacket.FrameSeq to keep the slot at 32 bytes;
+	// at 30 fps it wraps after two years of simulated call.
+	frameSeq                int32
+	keyframe, frameEnd, e2e bool
+}
+
+// rebuild returns a fresh pooled copy of the packet exactly as this
+// down-track first sent it under seq.
+func (e rtxEntry) rebuild(p *mpPool, seq uint16) *MediaPacket {
+	out := p.copyOf(e.pkt)
+	out.Seq, out.FrameSeq = seq, int(e.frameSeq)
+	out.Keyframe, out.FrameEnd, out.E2E = e.keyframe, e.frameEnd, e.e2e
+	return out
 }
 
 // newFwdState is the construction-time forwarding state: the maxLayer
@@ -259,42 +281,60 @@ func (s *Server) newLeg(receiver int32, relay bool) *leg {
 
 // enableRecovery attaches loss-recovery state (called once at call
 // construction when CallOptions.Recovery is set, before start). RTX
-// buffers and TWCC histories are created lazily on each leg's first
+// rings and TWCC histories are created lazily on each leg's first
 // emission, so mid-call churn needs no special casing here.
 func (s *Server) enableRecovery(cfg RecoveryConfig) {
 	s.rec = newServerRecovery(cfg, s.reg.cap())
 }
 
-// rtxStore clones an outgoing packet into its (receiver, origin) RTX
-// buffer so a NACK for its seq can be answered. Relay legs are skipped:
-// recovery is last-mile, the downstream SFU re-buffers in its own
-// rewritten sequence space. Evicted clones return to the pool, with the
-// made/freed counters keeping the conservation invariant checkable.
-func (s *Server) rtxStore(l *leg, fs *fwdState, out *MediaPacket, size int) {
+// rtxStore files an outgoing packet in its (receiver, origin) RTX ring so
+// a NACK for its seq can be answered: the slot retains shared — the
+// ingress packet out was copied from — and records what out rewrote.
+// Relay legs are skipped: recovery is last-mile, the downstream SFU
+// re-buffers in its own rewritten sequence space. The slot this one
+// evicts lets go of its packet; refsLive counts occupied slots, keeping
+// the conservation invariant checkable.
+//
+//vca:hotpath per-emission RTX slot store
+func (s *Server) rtxStore(l *leg, fs *fwdState, shared, out *MediaPacket, size int) {
 	if s.rec == nil || l.relay {
 		return
 	}
 	if fs.rtx == nil {
-		fs.rtx = rtp.NewRTXBuffer(s.rec.cfg.RTXBufferPkts)
+		fs.rtx = rtp.NewRTXRing[rtxEntry](s.rec.cfg.RTXBufferPkts)
 	}
-	clone := s.pool.copyOf(out)
-	s.rec.clonesMade++
-	if ev := fs.rtx.Put(out.Seq, clone, size, int64(s.eng.Now()/time.Microsecond)); ev != nil {
-		releaseMedia(ev.(*MediaPacket))
-		s.rec.clonesFreed++
+	ev, ok := fs.rtx.Put(out.Seq, rtxEntry{
+		pkt:      shared.retain(),
+		frameSeq: int32(out.FrameSeq),
+		keyframe: out.Keyframe, frameEnd: out.FrameEnd, e2e: out.E2E,
+	}, size, int64(s.eng.Now()/time.Microsecond))
+	if ok {
+		unref(ev.pkt) // one reference in, one out: refsLive stands
+	} else {
+		s.rec.refsLive++
 	}
 }
 
-// drainFwd releases every RTX clone one forwarding state holds. Every
-// teardown path that nils a fwdState must come through here (or
-// drainLeg), or clones leak out of the pool conservation accounting.
+// rtxStoreOwn files a server-generated packet (FEC): no ingress packet
+// stands behind it and out itself is consumed by the wire, so the slot
+// holds a copy of its own.
+func (s *Server) rtxStoreOwn(l *leg, fs *fwdState, out *MediaPacket, size int) {
+	if s.rec == nil || l.relay {
+		return
+	}
+	s.rtxStore(l, fs, s.pool.copyOf(out), out, size)
+}
+
+// drainFwd lets go of every packet one forwarding state's ring holds.
+// Every teardown path that nils a fwdState must come through here (or
+// drainLeg), or retained packets never return to the pool.
 func (s *Server) drainFwd(fs *fwdState) {
 	if fs == nil || fs.rtx == nil {
 		return
 	}
-	fs.rtx.Drain(func(p any) {
-		releaseMedia(p.(*MediaPacket))
-		s.rec.clonesFreed++
+	fs.rtx.Drain(func(e rtxEntry) {
+		unref(e.pkt)
+		s.rec.refsLive--
 	})
 }
 
@@ -308,7 +348,7 @@ func (s *Server) drainLeg(l *leg) {
 	}
 }
 
-// drainRecovery releases every RTX clone on every leg (call teardown).
+// drainRecovery empties every RTX ring on every leg (call teardown).
 func (s *Server) drainRecovery() {
 	if s.rec == nil {
 		return
@@ -591,7 +631,10 @@ func (s *Server) sourcePeer(origin int32) int32 {
 // onMedia receives an uplink or relayed packet and forwards it along the
 // origin's precomputed fan-out — no string is hashed anywhere on this
 // path. The inbound payload is consumed here: every forwarded copy is a
-// fresh pooled packet, so the original returns to the pool on exit.
+// fresh pooled packet, and the SFU holds the original only while it fans
+// out. With recovery on, each RTX ring slot filed on the way adds a
+// holder, and the original returns to the pool when the last slot
+// pointing at it is evicted or drained; otherwise it returns on exit.
 //
 //vca:hotpath per-packet SFU ingress
 func (s *Server) onMedia(pkt *netem.Packet) {
@@ -599,10 +642,17 @@ func (s *Server) onMedia(pkt *netem.Packet) {
 	if !ok {
 		return
 	}
-	defer releaseMedia(mp)
-	if !s.running {
-		return
+	mp.retain()
+	if s.running {
+		s.ingest(mp, pkt.Size, pkt.SentAt)
 	}
+	unref(mp)
+}
+
+// ingest accounts one arrival and fans it out.
+//
+//vca:hotpath per-packet SFU ingress
+func (s *Server) ingest(mp *MediaPacket, size int, sentAt time.Duration) {
 	origin := mp.OriginID
 	if origin < 0 || int(origin) >= len(s.upRecv) {
 		return // stranger to this call
@@ -611,18 +661,18 @@ func (s *Server) onMedia(pkt *netem.Packet) {
 	// treated as opaque payload: local uplinks feed the origin's feedback
 	// loop, relay arrivals feed the per-hop loop back to the upstream SFU.
 	if r := s.upRecv[origin]; r != nil {
-		info := mp.Info(pkt.Size, pkt.SentAt)
+		info := mp.Info(size, sentAt)
 		info.Padding = true
 		r.OnPacket(s.eng.Now(), info)
 	} else if peer := s.sourcePeer(origin); peer != noID {
 		if r := s.relayRecv[peer]; r != nil {
-			info := mp.Info(pkt.Size, pkt.SentAt)
+			info := mp.Info(size, sentAt)
 			info.Padding = true
 			r.OnPacket(s.eng.Now(), info)
 		}
 	}
 	// Track per-stream arrival rates for selection decisions.
-	s.trackRate(mp, pkt.Size)
+	s.trackRate(mp, size)
 
 	if mp.Padding {
 		return // probe padding and relay FEC terminate at each hop
@@ -635,7 +685,7 @@ func (s *Server) onMedia(pkt *netem.Packet) {
 		fan = s.fanAudio[origin]
 	}
 	for _, l := range fan {
-		s.forward(l, mp, pkt.Size)
+		s.forward(l, mp, size)
 	}
 }
 
@@ -676,7 +726,7 @@ func (s *Server) forward(l *leg, mp *MediaPacket, size int) {
 		// across a cascade of SFUs.
 		out := s.pool.copyOf(mp)
 		out.E2E = true
-		s.rtxStore(l, fs, out, size)
+		s.rtxStore(l, fs, mp, out, size)
 		s.send(l, out, size)
 		return
 	}
@@ -743,7 +793,7 @@ func (s *Server) emit(l *leg, fs *fwdState, mp *MediaPacket, size int, isVideo b
 			out.FrameEnd = mp.LayerEnd && (mp.Layer == fs.maxLayer || mp.FrameEnd)
 		}
 	}
-	s.rtxStore(l, fs, out, size)
+	s.rtxStore(l, fs, mp, out, size)
 	s.send(l, out, size)
 
 	if isVideo && s.prof.ServerFECOverhead > 0 {
@@ -758,7 +808,7 @@ func (s *Server) emit(l *leg, fs *fwdState, mp *MediaPacket, size int, isVideo b
 			fec.Origin, fec.OriginID = mp.Origin, mp.OriginID
 			fec.StreamID, fec.RK = "fec", rkFEC
 			fec.Seq, fec.Padding = l.nextSeq(fs), true
-			s.rtxStore(l, fs, fec, n+wireOverhead)
+			s.rtxStoreOwn(l, fs, fec, n+wireOverhead)
 			s.send(l, fec, n+wireOverhead)
 		}
 	}
@@ -902,10 +952,11 @@ func (s *Server) onReport(fb *FeedbackMsg) {
 }
 
 // onNack answers a receiver's retransmission request from the
-// (receiver, origin) RTX buffer. Every answered seq is re-sent through
+// (receiver, origin) RTX ring. Every answered seq is re-sent through
 // the normal leg path — shaped, droppable, TWCC-stamped — as a fresh
-// pooled copy marked RTX; the buffered clone stays put so a re-NACK can
-// be answered again. Seqs already evicted are silently unanswerable:
+// pooled copy rebuilt from the slot and marked RTX; the slot stays put so
+// a re-NACK can be answered again. Seqs already evicted are silently
+// unanswerable:
 // the receiver's retry budget bounds how long it keeps asking. It only
 // reads m; onFeedback releases it.
 func (s *Server) onNack(m *NackMsg) {
@@ -932,8 +983,8 @@ func (s *Server) onNack(m *NackMsg) {
 				seq = p.PacketID + uint16(i)
 			}
 			requested++
-			if payload, size, _, ok := fs.rtx.Get(seq); ok {
-				out := s.pool.copyOf(payload.(*MediaPacket))
+			if e, size, _, ok := fs.rtx.Get(seq); ok {
+				out := e.rebuild(s.pool, seq)
 				out.RTX = true
 				s.send(l, out, size)
 				answered++
