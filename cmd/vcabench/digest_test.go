@@ -17,10 +17,33 @@ var update = flag.Bool("update", false, "rewrite testdata/output_digests.txt fro
 
 const digestFile = "testdata/output_digests.txt"
 
+// captureStdout runs fn with os.Stdout pointed at a file and returns what
+// it printed — the experiment functions of `-experiment all` write there
+// directly.
+func captureStdout(t *testing.T, fn func()) *bytes.Buffer {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = stdout }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.NewBuffer(data)
+}
+
 // TestOutputDigests pins experiment output across refactors: the SHA-256
 // of what `vcabench -quick -reps 1 -seed 1` prints for every canned
-// dynamic scenario x VCA with recovery off and on, and for the impairment
-// sweep with recovery on, must equal the checked-in digest. A packet-path
+// dynamic scenario x VCA with recovery off and on, for the impairment
+// sweep with recovery on, for the scale sweep per VCA (which must also be
+// the same at -shards 1 and 2) and for each of the 17 ids of `-experiment
+// all`, must equal the checked-in digest. A packet-path
 // change that is meant to keep output byte-identical must leave
 // testdata/output_digests.txt untouched; one that is meant to change it
 // regenerates the file with
@@ -30,11 +53,11 @@ const digestFile = "testdata/output_digests.txt"
 // so the change shows up as a reviewed diff.
 func TestOutputDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 33 quick-grid experiments")
+		t.Skip("runs 56 quick-grid experiments")
 	}
-	defer func(q bool, r int, s int64, rec string) {
-		*quick, *reps, *seed, *recovery = q, r, s, rec
-	}(*quick, *reps, *seed, *recovery)
+	defer func(q bool, r int, s int64, rec string, sh int) {
+		*quick, *reps, *seed, *recovery, *shards = q, r, s, rec, sh
+	}(*quick, *reps, *seed, *recovery, *shards)
 	*quick, *reps, *seed = true, 1, 1
 
 	var keys []string
@@ -57,6 +80,26 @@ func TestOutputDigests(t *testing.T) {
 		var out bytes.Buffer
 		vcalab.PrintImpairment(&out, vcalab.RunImpairment(impairmentConfig(p)))
 		record(fmt.Sprintf("impairment/%s/recovery=on", p.Name), &out)
+	}
+	*recovery = "off"
+	for _, p := range threeVCAs() {
+		key := fmt.Sprintf("scale/%s", p.Name)
+		for _, sh := range []int{1, 2} {
+			*shards = sh
+			var out bytes.Buffer
+			vcalab.PrintScale(&out, vcalab.RunScale(scaleConfig(p, *parallel)))
+			if sh == 1 {
+				record(key, &out)
+			} else if sum := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); sum != got[key] {
+				t.Errorf("%s: output at -shards %d (sha256 %s) differs from -shards 1 (%s)", key, sh, sum, got[key])
+			}
+		}
+	}
+	*shards = 1
+	for _, d := range experiments() {
+		if d.all {
+			record("all/"+d.name, captureStdout(t, d.fn))
+		}
 	}
 
 	if *update {

@@ -1,5 +1,5 @@
-// Region sharding: partitioning a cascade topology across parallel
-// engine shards for conservative-window PDES (sim.Group).
+// Trial: one cascaded-call run, and the only entry to region-sharded
+// execution (conservative-window PDES, sim.Group).
 //
 // The partition unit is the region — a region's clients, SFU, router and
 // access links share one engine, so everything that was single-threaded
@@ -7,11 +7,12 @@
 // directed inter-region links, and those have a fixed propagation-delay
 // floor (a continental WAN hop): that floor is the conservative
 // lookahead. A topology whose cross-shard links have no positive delay
-// provides no lookahead, so PlanShards falls back to a single shard —
-// the caller then uses the plain sequential Build.
+// provides no lookahead, so it runs on one engine — which is not a second
+// code path but the same Trial with no shard engines under it.
 package cascade
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -21,173 +22,194 @@ import (
 	"vcalab/internal/vca"
 )
 
-// ShardPlan is the regions→shards partition PlanShards computes.
-type ShardPlan struct {
-	// NumShards is the number of engine shards to run; 1 means "run
-	// sequential" (requested shards <= 1, fewer than 2 regions, or no
-	// positive cross-shard delay floor).
-	NumShards int
-	// ShardOf maps region index -> shard index, round-robin. Valid only
-	// when NumShards > 1.
-	ShardOf []int
-	// Lookahead is the static conservative window: the minimum
-	// cross-shard inter-region propagation delay at build time. The
-	// running Group re-derives it from live link state every window, so
-	// mid-run delay reshaping is honored (as long as it stays positive).
-	Lookahead time.Duration
+// Uniform is the topology every cascade experiment runs on: n clients
+// ("c1".."cN") dealt round-robin (Assign) over regions "r0".."r<regions-1>",
+// with every directed inter-region link configured as inter.
+func Uniform(n, regions int, inter netem.LinkConfig) Topology {
+	topo := Topology{Default: inter}
+	for r, clients := range Assign(n, regions) {
+		topo.Regions = append(topo.Regions, Region{Name: fmt.Sprintf("r%d", r), Clients: clients})
+	}
+	return topo
 }
 
-// PlanShards partitions a topology's regions round-robin across up to
-// `shards` shards and derives the conservative lookahead. It falls back
-// to NumShards == 1 whenever the topology cannot support conservative
-// windows: fewer shards than 2 requested, fewer regions than shards
-// would split, or some cross-shard inter link with a zero delay floor.
-func PlanShards(topo Topology, shards int) ShardPlan {
-	if shards > len(topo.Regions) {
-		shards = len(topo.Regions)
+// shardCount is how many engine shards a topology can run on: the request
+// capped at the region count (regions are dealt round-robin, region ri on
+// shard ri % n), and 1 whenever conservative windows are impossible —
+// fewer than two shards asked for, or some cross-shard inter link with a
+// zero delay floor.
+func shardCount(topo Topology, shards int) int {
+	shards = min(shards, len(topo.Regions))
+	if shards <= 1 {
+		return 1
 	}
-	if shards <= 1 || len(topo.Regions) < 2 {
-		return ShardPlan{NumShards: 1}
-	}
-	shardOf := make([]int, len(topo.Regions))
-	for ri := range topo.Regions {
-		shardOf[ri] = ri % shards
-	}
-	look := time.Duration(math.MaxInt64)
 	for i := range topo.Regions {
 		for j := range topo.Regions {
-			if i == j || shardOf[i] == shardOf[j] {
-				continue
-			}
-			d := interConfig(topo, i, j).Delay
-			if d <= 0 {
-				// A zero-delay boundary link admits no lookahead window.
-				return ShardPlan{NumShards: 1}
-			}
-			if d < look {
-				look = d
+			if i%shards != j%shards && interConfig(topo, i, j).Delay <= 0 {
+				return 1
 			}
 		}
 	}
-	if look == math.MaxInt64 {
-		// No cross-shard links at all (single region per shard is
-		// guaranteed above, so this cannot happen — defensive).
-		return ShardPlan{NumShards: 1}
-	}
-	return ShardPlan{NumShards: shards, ShardOf: shardOf, Lookahead: look}
+	return shards
 }
 
-// ShardedMesh is a mesh built across engine shards. Mesh.Eng is the
-// control engine — schedule calls, timelines, warmup snapshots and
-// samplers there; the per-region machinery lives on ShardEngines. Drive
-// the run through Group (RunUntil / Run) and release the shard
-// goroutines with Group.Close when the trial ends.
-type ShardedMesh struct {
+// Trial is a built mesh, the cascaded call on it and the engine(s) under
+// both. Mesh.Eng is the control engine — schedule timelines, warmup
+// snapshots and samplers there, on one engine or many. Drive the run with
+// RunUntil and Drain and release it with Close; nothing outside this file
+// needs to know whether shard engines exist.
+type Trial struct {
 	*Mesh
-	Group *sim.Group
-	// ShardEngines are the shard engines in domain order (Group.Shards).
-	ShardEngines []*sim.Engine
-	Plan         ShardPlan
+	Call *vca.Call
+
+	engines []*sim.Engine // control first, then shards in domain order
+	group   *sim.Group    // nil on one engine
 
 	boundary []*netem.Link // cross-shard inter links, pair order
 	dstOf    []int         // boundary[i]'s destination region
+
+	tracers []*obs.Tracer // Trace's capture, index-aligned with engines
 }
 
-// BuildSharded wires the topology across NumShards engine shards plus a
-// control engine, converts every cross-shard inter link into a mailbox
-// boundary, and assembles the sim.Group. Engine seeds derive
-// deterministically from seed; note per-link RNG streams (fractional
-// loss, jitter) differ from the sequential layout's single stream, so
-// only draw-free workloads are byte-identical across shard counts.
-// plan.NumShards must be > 1 — callers use Build for the sequential
-// fallback.
-func BuildSharded(seed int64, topo Topology, plan ShardPlan) *ShardedMesh {
-	if plan.NumShards <= 1 {
-		panic("cascade: BuildSharded needs a plan with NumShards > 1")
-	}
+// NewTrial wires topo, region-sharded up to `shards` ways where the
+// topology allows it, and attaches the cascaded call: each region's
+// machinery is homed on its region's engine, and every cross-shard inter
+// link becomes a mailbox boundary that re-homes payloads into the
+// destination region's pool. Engine seeds derive deterministically from
+// seed; per-link RNG streams (fractional loss, jitter) differ between
+// shard counts, so only draw-free workloads are byte-identical across them.
+func NewTrial(seed int64, topo Topology, shards int, prof *vca.Profile, opt vca.CallOptions) *Trial {
 	ctrl := sim.New(seed)
-	engines := make([]*sim.Engine, plan.NumShards)
-	for k := range engines {
-		engines[k] = sim.New(seed + int64(k+1)*104729)
-	}
-	engOf := func(ri int) *sim.Engine { return engines[plan.ShardOf[ri]] }
-	sm := &ShardedMesh{
-		Mesh:         build(ctrl, topo, engOf),
-		ShardEngines: engines,
-		Plan:         plan,
-	}
-	for _, p := range sm.pairs {
-		i, j := p[0], p[1]
-		if plan.ShardOf[i] == plan.ShardOf[j] {
-			continue
+	t := &Trial{engines: []*sim.Engine{ctrl}}
+	if n := shardCount(topo, shards); n > 1 {
+		for k := 1; k <= n; k++ {
+			t.engines = append(t.engines, sim.New(seed+int64(k)*104729))
 		}
-		sm.boundary = append(sm.boundary, sm.inter[i][j])
-		sm.dstOf = append(sm.dstOf, j)
+		t.group = sim.NewGroup(ctrl, t.engines[1:], t.lookahead)
 	}
-	sm.Group = sim.NewGroup(ctrl, engines, sm.currentLookahead)
-	for bi, l := range sm.boundary {
-		sm.Group.Register(l.Handoff(engOf(sm.dstOf[bi])))
+	regionEng := func(ri int) *sim.Engine { return t.engines[t.engineOf(ri)] }
+	t.Mesh = build(ctrl, topo, regionEng)
+	for _, p := range t.pairs {
+		if i, j := p[0], p[1]; t.engineOf(i) != t.engineOf(j) {
+			t.boundary = append(t.boundary, t.inter[i][j])
+			t.dstOf = append(t.dstOf, j)
+			t.group.Register(t.inter[i][j].Handoff(regionEng(j)))
+		}
 	}
-	return sm
+	pl := t.Placements()
+	for ri := range pl {
+		pl[ri].Eng = regionEng(ri)
+	}
+	t.Call = vca.NewCascadedCall(ctrl, prof, pl, opt)
+	for bi, l := range t.boundary {
+		l.SetHandoffPayload(t.Call.PayloadTransfer(t.dstOf[bi]))
+	}
+	return t
 }
 
-// currentLookahead is the Group's per-window lookahead: the minimum live
+// engineOf is the index in engines of the engine region ri lives on:
+// regions are dealt round-robin over the shards, and with no shards
+// everything lives on the control engine.
+func (t *Trial) engineOf(ri int) int {
+	if n := len(t.engines) - 1; n > 0 {
+		return 1 + ri%n
+	}
+	return 0
+}
+
+// lookahead is the Group's per-window lookahead: the minimum live
 // propagation delay across the boundary links, so a timeline that
 // reshapes an inter-region delay mid-run narrows (or widens) the window
 // from the next barrier on. Jitter only adds delay, so it never
 // undercuts the floor.
-func (m *ShardedMesh) currentLookahead() time.Duration {
+func (t *Trial) lookahead() time.Duration {
 	look := time.Duration(math.MaxInt64)
-	for _, l := range m.boundary {
-		if d := l.Delay(); d < look {
-			look = d
-		}
+	for _, l := range t.boundary {
+		look = min(look, l.Delay())
 	}
 	return look
 }
 
-// BoundaryLinks returns the cross-shard inter links in deterministic
-// (ascending pair) order.
-func (m *ShardedMesh) BoundaryLinks() []*netem.Link { return m.boundary }
+// RunUntil executes every event with at <= d and leaves every clock at d.
+func (t *Trial) RunUntil(d time.Duration) {
+	if t.group == nil {
+		t.Eng.RunUntil(d)
+		return
+	}
+	t.group.RunUntil(d)
+}
 
-// BoundaryDst returns the destination region index of BoundaryLinks()[i]
-// — instrumentation uses it to attach the destination shard's tracer to
-// the link's deliver side.
-func (m *ShardedMesh) BoundaryDst(i int) int { return m.dstOf[i] }
+// Drain runs until no engine has anything pending — what a harness calls
+// on a stopped call to bring every packet and event home.
+func (t *Trial) Drain() {
+	if t.group == nil {
+		t.Eng.Run()
+		return
+	}
+	t.group.Run()
+}
 
-// ShardTracers attaches per-shard tracers: every link records its
-// send-side events into its own shard's tracer, every boundary link's
-// deliver event goes to the destination shard's tracer, and each
-// region's call machinery records into its shard's tracer. trs must hold
-// one tracer per shard. Churn and timeline events are the caller's to
-// wire (they run on the control engine).
-func (m *ShardedMesh) ShardTracers(call *vca.Call, trs []*obs.Tracer) {
-	engTr := map[*sim.Engine]*obs.Tracer{}
-	for k, se := range m.ShardEngines {
-		engTr[se] = trs[k]
-	}
-	for _, l := range m.Links() {
-		l.SetTracer(engTr[l.Engine()])
-	}
-	for bi, l := range m.boundary {
-		l.SetDeliverTracer(trs[m.Plan.ShardOf[m.dstOf[bi]]])
-	}
-	for r := 0; r < m.Regions(); r++ {
-		call.SetRegionTracer(r, trs[m.Plan.ShardOf[r]])
+// Close releases the shard goroutines, if there are any. Idempotent.
+func (t *Trial) Close() {
+	if t.group != nil {
+		t.group.Close()
 	}
 }
 
-// NewCall attaches a cascaded call with each region's machinery homed on
-// its shard engine, and wires every boundary link's payload re-homing
-// hook to the destination region's media pool.
-func (m *ShardedMesh) NewCall(prof *vca.Profile, opt vca.CallOptions) *vca.Call {
-	pl := m.Placements()
-	for ri := range pl {
-		pl[ri].Eng = m.ShardEngines[m.Plan.ShardOf[ri]]
+// Engines returns every engine of the trial: the control engine, then the
+// shards in domain order. One entry on one engine.
+func (t *Trial) Engines() []*sim.Engine { return t.engines }
+
+// BoundaryLinks returns the cross-shard inter links in deterministic
+// (ascending pair) order. Empty on one engine.
+func (t *Trial) BoundaryLinks() []*netem.Link { return t.boundary }
+
+// ShardStats reports the window, barrier-wait and mailbox accounting of
+// the run so far; the zero value on one engine.
+func (t *Trial) ShardStats() sim.GroupStats {
+	if t.group == nil {
+		return sim.GroupStats{}
 	}
-	call := vca.NewCascadedCall(m.Eng, prof, pl, opt)
-	for bi, l := range m.boundary {
-		l.SetHandoffPayload(call.PayloadTransfer(m.dstOf[bi]))
+	return t.group.Stats()
+}
+
+// Trace attaches one ring tracer of the given capacity per engine and returns
+// the control engine's, which is also where the caller's own control-side
+// producers (a scenario timeline) record. Every link records its send-side
+// events into its engine's tracer, a boundary link's deliver event goes to
+// the destination engine's, each region's call machinery records into its
+// region's, and churn — which executes on the control engine — into the
+// control tracer. Read the capture with Traced once the run is over.
+func (t *Trial) Trace(capacity int) *obs.Tracer {
+	of := make(map[*sim.Engine]*obs.Tracer, len(t.engines))
+	t.tracers = t.tracers[:0]
+	for _, e := range t.engines {
+		of[e] = obs.NewTracer(capacity)
+		t.tracers = append(t.tracers, of[e])
 	}
-	return call
+	for _, l := range t.Links() {
+		l.SetTracer(of[l.Engine()])
+	}
+	for bi, l := range t.boundary {
+		l.SetDeliverTracer(t.tracers[t.engineOf(t.dstOf[bi])])
+	}
+	for r := range t.SFUs {
+		t.Call.SetRegionTracer(r, t.tracers[t.engineOf(r)])
+	}
+	t.Call.SetChurnTracer(t.tracers[0])
+	return t.tracers[0]
+}
+
+// Traced returns what Trace captured: the control tracer itself when it is
+// the only one, otherwise the per-engine rings merged in (time,
+// control-then-shard-index) order with their cumulative counts summed.
+// Nil if Trace was never called.
+func (t *Trial) Traced() *obs.Tracer {
+	switch len(t.tracers) {
+	case 0:
+		return nil
+	case 1:
+		return t.tracers[0]
+	}
+	return obs.Merge(t.tracers...)
 }

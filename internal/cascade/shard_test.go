@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"vcalab/internal/netem"
-	"vcalab/internal/sim"
+	"vcalab/internal/obs"
 	"vcalab/internal/vca"
 )
 
@@ -25,87 +25,93 @@ func threeRegionTopo() Topology {
 // cascadeFingerprint flattens every observable outcome of a finished
 // trial — all link counters, server forwarding state, per-client
 // getStats reports — into one comparable string.
-func cascadeFingerprint(m *Mesh, call *vca.Call, now time.Duration) string {
+func cascadeFingerprint(tr *Trial, now time.Duration) string {
 	var b strings.Builder
-	for _, l := range m.Links() {
+	for _, l := range tr.Links() {
 		fmt.Fprintf(&b, "%s d=%d db=%d x=%d xb=%d qhw=%d\n",
 			l.Name(), l.Delivered, l.DeliveredBytes, l.Drops, l.DroppedBytes, l.QueueHighWater())
 	}
-	for _, s := range call.Servers {
+	for _, s := range tr.Call.Servers {
 		fmt.Fprintf(&b, "fwd=%d legs=%v\n", s.FwdSwitches(), s.LegNames())
 	}
-	for _, cl := range call.Clients {
+	for _, cl := range tr.Call.Clients {
 		fmt.Fprintf(&b, "%+v\n", cl.StatsReport(now))
 	}
 	return b.String()
 }
 
-// runCascadeTrial runs one 9-party/3-region Meet trial at the given
-// shard count (1 = plain sequential Build) and returns its fingerprint.
+// runCascadeTrial runs one 9-party/3-region trial at the given shard
+// count, asserts it came home clean on every engine, and returns its
+// fingerprint.
 func runCascadeTrial(t *testing.T, prof *vca.Profile, shards int) string {
 	t.Helper()
-	topo := threeRegionTopo()
 	const seed = 7
 	const dur = 20 * time.Second
-	var m *Mesh
-	var call *vca.Call
-	if plan := PlanShards(topo, shards); plan.NumShards > 1 {
-		if plan.NumShards != shards {
-			t.Fatalf("plan collapsed %d shards to %d", shards, plan.NumShards)
-		}
-		sm := BuildSharded(seed, topo, plan)
-		defer sm.Group.Close()
-		m, call = sm.Mesh, sm.NewCall(prof, vca.CallOptions{Seed: seed})
-		call.Start()
-		sm.Group.RunUntil(dur)
-		call.Stop()
-		sm.Group.Run()
-		if live := sm.Group.Live(); live != 0 {
-			t.Fatalf("shards=%d: %d pooled events leaked", shards, live)
-		}
-		if pend := sm.Group.Pending(); pend != 0 {
-			t.Fatalf("shards=%d: %d events still pending after drain", shards, pend)
-		}
-		for _, l := range sm.BoundaryLinks() {
-			if n := l.BoundaryPoolLive(); n != 0 {
-				t.Fatalf("shards=%d: boundary link %s leaked %d envelopes", shards, l.Name(), n)
-			}
-		}
-		st := sm.Group.Stats()
-		if st.Windows == 0 {
-			t.Fatalf("shards=%d: no windows ran", shards)
-		}
-	} else {
+	tr := NewTrial(seed, threeRegionTopo(), shards, prof, vca.CallOptions{Seed: seed})
+	defer tr.Close()
+
+	// One control engine, plus one engine per shard when there are any.
+	wantEngines := 1
+	if shards > 1 {
+		wantEngines = 1 + shards
+	}
+	engines := tr.Engines()
+	if len(engines) != wantEngines {
+		t.Fatalf("shards=%d: %d engines, want %d", shards, len(engines), wantEngines)
+	}
+	if engines[0] != tr.Eng {
+		t.Fatalf("shards=%d: Engines()[0] is not the control engine", shards)
+	}
+	for ri, sfu := range tr.SFUs {
+		want := engines[0]
 		if shards > 1 {
-			t.Fatalf("PlanShards refused %d shards on a 3-region topology", shards)
+			want = engines[1+ri%shards]
 		}
-		eng := sim.New(seed)
-		m = Build(eng, topo)
-		call = m.NewCall(prof, vca.CallOptions{Seed: seed})
-		call.Start()
-		eng.RunUntil(dur)
-		call.Stop()
-		eng.Run()
-		if live := eng.Live(); live != 0 {
-			t.Fatalf("sequential: %d pooled events leaked", live)
+		if got := sfu.Uplink().Engine(); got != want {
+			t.Fatalf("shards=%d: region %d is not on engine %d of Engines()", shards, ri, 1+ri%shards)
 		}
 	}
-	for ri, hosts := range m.Clients {
+
+	tr.Call.Start()
+	tr.RunUntil(dur)
+	tr.Call.Stop()
+	tr.Drain()
+	for k, e := range engines {
+		if e.Now() < dur {
+			t.Fatalf("shards=%d: engine %d clock at %v after RunUntil(%v)", shards, k, e.Now(), dur)
+		}
+		if live, pend := e.Live(), e.Pending(); live != 0 || pend != 0 {
+			t.Fatalf("shards=%d: engine %d has %d pooled events live, %d pending after drain", shards, k, live, pend)
+		}
+	}
+	if got := len(tr.BoundaryLinks()) > 0; got != (shards > 1) {
+		t.Fatalf("shards=%d: %d boundary links", shards, len(tr.BoundaryLinks()))
+	}
+	for _, l := range tr.BoundaryLinks() {
+		if n := l.BoundaryPoolLive(); n != 0 {
+			t.Fatalf("shards=%d: boundary link %s leaked %d envelopes", shards, l.Name(), n)
+		}
+	}
+	if st := tr.ShardStats(); (st.Windows > 0) != (shards > 1) || len(st.ShardProcessed) != wantEngines-1 {
+		t.Fatalf("shards=%d: %d windows over %d shards", shards, st.Windows, len(st.ShardProcessed))
+	}
+	for ri, hosts := range tr.Clients {
 		for _, h := range hosts {
 			if n := h.PoolLive(); n != 0 {
 				t.Fatalf("shards=%d: host %s leaked %d packets", shards, h.Name, n)
 			}
 		}
-		if n := m.SFUs[ri].PoolLive(); n != 0 {
-			t.Fatalf("shards=%d: %s leaked %d packets", shards, m.SFUs[ri].Name, n)
+		if n := tr.SFUs[ri].PoolLive(); n != 0 {
+			t.Fatalf("shards=%d: %s leaked %d packets", shards, tr.SFUs[ri].Name, n)
 		}
 	}
-	return cascadeFingerprint(m, call, dur)
+	tr.Close() // idempotent, and a no-op on one engine: the fingerprint below still reads
+	return cascadeFingerprint(tr, dur)
 }
 
 // TestShardedMatchesSequential is the cascade-level identity gate: the
-// complete observable outcome of a 3-region call is the same whether it
-// runs on one engine or split 2 or 3 ways.
+// complete observable outcome of a 3-region call is the same whether
+// NewTrial puts it on one engine or splits it 2 or 3 ways.
 func TestShardedMatchesSequential(t *testing.T) {
 	for _, prof := range []*vca.Profile{vca.Meet(), vca.Zoom(), vca.Teams()} {
 		base := runCascadeTrial(t, prof, 1)
@@ -131,21 +137,11 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
-func TestPlanShardsFallbacks(t *testing.T) {
-	topo := threeRegionTopo()
-	if p := PlanShards(topo, 1); p.NumShards != 1 {
-		t.Errorf("shards=1 must stay sequential, got %d", p.NumShards)
-	}
-	if p := PlanShards(topo, 5); p.NumShards != 3 {
-		t.Errorf("shards capped at regions: got %d want 3", p.NumShards)
-	}
-	if p := PlanShards(topo, 3); p.Lookahead != 30*time.Millisecond {
-		t.Errorf("lookahead: got %v want 30ms", p.Lookahead)
-	}
+// TestTrialEngineCount: how many engines a topology gets — the request
+// capped at the region count, and one whenever conservative windows are
+// impossible.
+func TestTrialEngineCount(t *testing.T) {
 	single := Topology{Regions: []Region{{Name: "r0", Clients: []string{"c1", "c2"}}}}
-	if p := PlanShards(single, 2); p.NumShards != 1 {
-		t.Errorf("single region must fall back, got %d shards", p.NumShards)
-	}
 	zero := threeRegionTopo()
 	zero.Default = netem.LinkConfig{RateBps: 20e6} // Delay left zero...
 	zero.Inter = map[[2]int]netem.LinkConfig{
@@ -153,7 +149,61 @@ func TestPlanShardsFallbacks(t *testing.T) {
 		// truly zero-delay directed pair via a rate-only override.
 		{0, 1}: {RateBps: 20e6, QueueBytes: 1500},
 	}
-	if p := PlanShards(zero, 3); p.NumShards != 1 {
-		t.Errorf("zero-delay boundary must fall back, got %d shards", p.NumShards)
+	for _, c := range []struct {
+		name        string
+		topo        Topology
+		shards      int
+		wantEngines int // control + shards
+	}{
+		{"zero shards is one engine", threeRegionTopo(), 0, 1},
+		{"one shard is one engine", threeRegionTopo(), 1, 1},
+		{"two shards", threeRegionTopo(), 2, 3},
+		{"capped at the region count", threeRegionTopo(), 5, 4},
+		{"single region", single, 2, 1},
+		{"zero-delay boundary", zero, 3, 1},
+	} {
+		tr := NewTrial(1, c.topo, c.shards, vca.Meet(), vca.CallOptions{Seed: 1})
+		if got := len(tr.Engines()); got != c.wantEngines {
+			t.Errorf("%s: %d engines, want %d", c.name, got, c.wantEngines)
+		}
+		if c.wantEngines > 1 {
+			if got := tr.lookahead(); got != 30*time.Millisecond {
+				t.Errorf("%s: lookahead %v, want 30ms", c.name, got)
+			}
+		}
+		tr.Close()
+		tr.Close()
+	}
+}
+
+// TestTrialTraceOneTracerPerEngine: Trace hands back the control tracer,
+// and Traced is that same tracer on one engine and a merge whose counts
+// are the per-engine sums on several — identical totals either way.
+func TestTrialTraceOneTracerPerEngine(t *testing.T) {
+	counts := func(shards int) (enq, total uint64) {
+		tr := NewTrial(3, threeRegionTopo(), shards, vca.Meet(), vca.CallOptions{Seed: 3})
+		defer tr.Close()
+		if tr.Traced() != nil {
+			t.Fatalf("shards=%d: Traced before Trace is not nil", shards)
+		}
+		ctrl := tr.Trace(1 << 10)
+		tr.Call.Start()
+		tr.RunUntil(2 * time.Second)
+		tr.Call.Stop()
+		tr.Drain()
+		got := tr.Traced()
+		if one := len(tr.Engines()) == 1; one != (got == ctrl) {
+			t.Fatalf("shards=%d: Traced()==control tracer is %v on %d engines", shards, got == ctrl, len(tr.Engines()))
+		}
+		return got.Count(obs.EvEnqueue), got.Total()
+	}
+	enq1, total1 := counts(1)
+	if enq1 == 0 {
+		t.Fatal("nothing traced")
+	}
+	for _, shards := range []int{2, 3} {
+		if enq, total := counts(shards); enq != enq1 || total != total1 {
+			t.Errorf("shards=%d traced %d enqueues of %d events, one engine %d of %d", shards, enq, total, enq1, total1)
+		}
 	}
 }

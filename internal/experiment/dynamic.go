@@ -11,7 +11,6 @@ import (
 	"vcalab/internal/netem"
 	"vcalab/internal/runner"
 	"vcalab/internal/scenario"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -145,65 +144,27 @@ func scenarioSalt(name string) int64 {
 	return int64(h)
 }
 
-// runTrial executes one repetition on a fresh engine.
+// runTrial executes one repetition on a fresh trial.
 func (cfg *DynamicConfig) runTrial(rep int) dynamicTrial {
 	seed := runner.Seed(cfg.Seed+scenarioSalt(cfg.Scenario.Name), rep)
 
-	assign := cascade.Assign(cfg.Participants, cfg.Regions)
-	topo := cascade.Topology{
-		Default: netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cfg.InterDelay},
-	}
-	for r := 0; r < cfg.Regions; r++ {
-		topo.Regions = append(topo.Regions, cascade.Region{
-			Name: fmt.Sprintf("r%d", r), Clients: assign[r],
-		})
-	}
-	var (
-		mesh *cascade.Mesh
-		sm   *cascade.ShardedMesh
-		eng  *sim.Engine // the control engine of a sharded run
-		call *vca.Call
-	)
-	if plan := cascade.PlanShards(topo, cfg.Shards); plan.NumShards > 1 {
-		sm = cascade.BuildSharded(seed, topo, plan)
-		defer sm.Group.Close()
-		mesh, eng = sm.Mesh, sm.Eng
-		call = sm.NewCall(cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	} else {
-		eng = sim.New(seed)
-		mesh = cascade.Build(eng, topo)
-		call = mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	}
-	tl := scenario.New(eng, call, scenario.MeshLinks(mesh), cfg.Scenario)
-	to := instrumentTrial(cfg.Obs, sm, eng, mesh, call, tl)
+	trial := cascade.NewTrial(seed,
+		cascade.Uniform(cfg.Participants, cfg.Regions, netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cfg.InterDelay}),
+		cfg.Shards, cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
+	defer trial.Close()
+	call := trial.Call
+	tl := scenario.New(trial.Eng, call, scenario.MeshLinks(trial.Mesh), cfg.Scenario)
+	to := instrumentTrial(cfg.Obs, trial, tl)
 	tl.Start() // events at t<=0 (a thinned starting roster) apply before the call starts
 	call.SampleFrameLatency(cfg.Warmup)
 	call.Start()
-	if sm != nil {
-		sm.Group.RunUntil(cfg.Dur)
-	} else {
-		eng.RunUntil(cfg.Dur)
-	}
+	trial.RunUntil(cfg.Dur)
 	call.Stop()
 
 	var t dynamicTrial
-	t.obs = to.finish()
+	t.obs = to.finish(trial)
 	t.down = call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
-
-	var freezeSum float64
-	var freezeN int
-	for _, cl := range call.Clients {
-		for _, origin := range cl.Origins() {
-			r := cl.Receiver(origin)
-			if r.DisplayedFrames() > 0 {
-				freezeSum += r.FreezeRatio()
-				freezeN++
-			}
-		}
-	}
-	if freezeN > 0 {
-		t.freeze = freezeSum / float64(freezeN)
-	}
+	t.freeze = call.MeanFreezeRatio()
 	if lp := stats.DurationPercentilesMs(call.FrameLatencies(), 50, 95, 99); lp != nil {
 		t.p50Ms, t.p95Ms, t.p99Ms = lp[0], lp[1], lp[2]
 	}

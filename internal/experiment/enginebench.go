@@ -167,6 +167,45 @@ type ShardedBenchResult struct {
 	MailboxHighWater     int       `json:"mailbox_high_water"`
 }
 
+// measure runs one workload between two memory-stat snapshots, after a
+// collection so a previous section's garbage is not billed to this one.
+func measure(run func()) (wall time.Duration, mallocs, bytes uint64) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	run()
+	wall = time.Since(start)
+	runtime.ReadMemStats(&m1)
+	return wall, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
+// measureCall measures one call from Start to Stop, dur of virtual time.
+func measureCall(call *vca.Call, runUntil func(time.Duration), dur time.Duration) (wall time.Duration, mallocs, bytes uint64) {
+	return measure(func() {
+		call.Start()
+		runUntil(dur)
+		call.Stop()
+	})
+}
+
+// benchTrial builds the n-participant cascade the bench workloads share,
+// on up to `shards` engine shards.
+func benchTrial(cfg *EngineBenchConfig, n, shards int, opt vca.CallOptions) *cascade.Trial {
+	opt.Seed = cfg.Seed
+	return cascade.NewTrial(cfg.Seed,
+		cascade.Uniform(n, cfg.Regions, netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cascade.DefaultInterDelay}),
+		shards, cfg.Profile, opt)
+}
+
+// processed sums the executed events over every engine of a trial.
+func processed(trial *cascade.Trial) (n uint64) {
+	for _, e := range trial.Engines() {
+		n += e.Processed()
+	}
+	return n
+}
+
 // RunEngineBench measures the simulation engine on one cascaded call plus
 // a scheduler microbenchmark. It is single-threaded by design: the numbers
 // characterize one engine/core, independent of sweep parallelism.
@@ -175,21 +214,9 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 	var res EngineBenchResult
 
 	// --- macro: one cascaded call on one engine ---
-	eng := sim.New(cfg.Seed)
-	topo := benchTopology(&cfg, cfg.Participants)
-	mesh := cascade.Build(eng, topo)
-	call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
-
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-
+	trial := benchTrial(&cfg, cfg.Participants, 1, vca.CallOptions{})
+	wall, mallocs, bytes := measureCall(trial.Call, trial.RunUntil, cfg.Dur)
+	eng := trial.Eng
 	res.Events = eng.Processed()
 	res.WallSeconds = wall.Seconds()
 	if wall > 0 {
@@ -197,14 +224,14 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 		res.SimSecondsPerWallSecond = cfg.Dur.Seconds() / wall.Seconds()
 	}
 	if res.Events > 0 {
-		res.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(res.Events)
-		res.BytesPerEvent = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Events)
+		res.AllocsPerEvent = float64(mallocs) / float64(res.Events)
+		res.BytesPerEvent = float64(bytes) / float64(res.Events)
 	}
 	res.EventHighWater = eng.LiveHighWater()
 	if lane, heap := eng.SchedulerInserts(); lane+heap > 0 {
 		res.LaneInsertRatio = float64(lane) / float64(lane+heap)
 	}
-	for _, l := range mesh.Links() {
+	for _, l := range trial.Links() {
 		if hw := l.QueueHighWater(); hw > res.MaxLinkQueueHighWater {
 			res.MaxLinkQueueHighWater = hw
 		}
@@ -230,16 +257,13 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 	for i := 0; i < 16; i++ {
 		me.Every(time.Duration(i+1)*10*time.Millisecond, func() {})
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start = time.Now()
-	for remaining > 0 && me.Step() {
-	}
-	microWall := time.Since(start)
-	runtime.ReadMemStats(&m1)
+	wall, mallocs, _ = measure(func() {
+		for remaining > 0 && me.Step() {
+		}
+	})
 	if ev := me.Processed(); ev > 0 {
-		res.MicroEventsPerSecond = float64(ev) / microWall.Seconds()
-		res.MicroAllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(ev)
+		res.MicroEventsPerSecond = float64(ev) / wall.Seconds()
+		res.MicroAllocsPerEvent = float64(mallocs) / float64(ev)
 	}
 
 	// --- routing micro: dense single-SFU fan-out, unconstrained links ---
@@ -259,17 +283,10 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 		hosts = append(hosts, h)
 	}
 	routeCall := vca.NewCall(re, vca.Meet(), sfuHost, hosts, vca.CallOptions{Seed: cfg.Seed})
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start = time.Now()
-	routeCall.Start()
-	re.RunUntil(cfg.RouteDur)
-	routeCall.Stop()
-	routeWall := time.Since(start)
-	runtime.ReadMemStats(&m1)
+	wall, mallocs, _ = measureCall(routeCall, re.RunUntil, cfg.RouteDur)
 	if ev := re.Processed(); ev > 0 {
-		res.RouteEventsPerSecond = float64(ev) / routeWall.Seconds()
-		res.RouteAllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(ev)
+		res.RouteEventsPerSecond = float64(ev) / wall.Seconds()
+		res.RouteAllocsPerEvent = float64(mallocs) / float64(ev)
 	}
 
 	if cfg.Shards > 1 {
@@ -287,58 +304,21 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 // regular packet path.
 func runRecoveryBench(cfg EngineBenchConfig) *RecoveryBenchResult {
 	const lossPct = 1.0
-	eng := sim.New(cfg.Seed)
-	mesh := cascade.Build(eng, benchTopology(&cfg, cfg.Participants))
-	call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed, Recovery: true})
-	for _, l := range mesh.Links() {
+	trial := benchTrial(&cfg, cfg.Participants, 1, vca.CallOptions{Recovery: true})
+	for _, l := range trial.Links() {
 		l.SetImpairment(lossPct/100, 0)
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
+	wall, mallocs, _ := measureCall(trial.Call, trial.RunUntil, cfg.Dur)
 
-	rb := &RecoveryBenchResult{LossPct: lossPct, Events: eng.Processed(), WallSeconds: wall.Seconds()}
+	rb := &RecoveryBenchResult{LossPct: lossPct, Events: processed(trial), WallSeconds: wall.Seconds()}
 	if wall > 0 {
 		rb.EventsPerSecond = float64(rb.Events) / wall.Seconds()
 	}
 	if rb.Events > 0 {
-		rb.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(rb.Events)
+		rb.AllocsPerEvent = float64(mallocs) / float64(rb.Events)
 	}
-	rb.NackedSeqs, rb.Retransmissions = call.NackRTXTotals()
+	rb.NackedSeqs, rb.Retransmissions = trial.Call.NackRTXTotals()
 	return rb
-}
-
-// benchTopology builds the n-participant cascade the bench workloads
-// share.
-func benchTopology(cfg *EngineBenchConfig, n int) cascade.Topology {
-	assign := cascade.Assign(n, cfg.Regions)
-	topo := cascade.Topology{
-		Default: netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cascade.DefaultInterDelay},
-	}
-	for r := 0; r < cfg.Regions; r++ {
-		topo.Regions = append(topo.Regions, cascade.Region{
-			Name: fmt.Sprintf("r%d", r), Clients: assign[r],
-		})
-	}
-	return topo
-}
-
-// benchFingerprint reduces a finished trial's observable outcome to the
-// topology-wide delivery counters — enough to flag a sharded run that
-// diverged from the sequential one (the byte-level identity is pinned by
-// the package tests; the bench cross-checks every run it times).
-func benchFingerprint(mesh *cascade.Mesh) (delivered, dropped uint64) {
-	for _, l := range mesh.Links() {
-		delivered += l.DeliveredBytes
-		dropped += l.Drops
-	}
-	return delivered, dropped
 }
 
 // shardedBenchReps is how many times runShardedBench times each leg,
@@ -347,61 +327,60 @@ func benchFingerprint(mesh *cascade.Mesh) (delivered, dropped uint64) {
 // and the -check floor; the minimum is the run the host disturbed least.
 const shardedBenchReps = 3
 
-// runShardedBench times the ShardParticipants-party cascaded call
-// sequentially and region-sharded, on identical seeds.
-func runShardedBench(cfg EngineBenchConfig) *ShardedBenchResult {
-	topo := benchTopology(&cfg, cfg.ShardParticipants)
-	plan := cascade.PlanShards(topo, cfg.Shards)
-	if plan.NumShards <= 1 {
-		return nil // no positive cross-shard delay floor: nothing to time
+// benchLeg is one timed run of the sharded bench's call: its wall time,
+// the event and delivery counters that must not depend on the shard count
+// (the byte-level identity is pinned by the package tests; the bench
+// cross-checks every run it times), and the shard accounting.
+type benchLeg struct {
+	wall                       float64
+	events, delivered, dropped uint64
+	stats                      sim.GroupStats
+}
+
+func runBenchLeg(cfg *EngineBenchConfig, shards int) benchLeg {
+	trial := benchTrial(cfg, cfg.ShardParticipants, shards, vca.CallOptions{})
+	defer trial.Close()
+	wall, _, _ := measureCall(trial.Call, trial.RunUntil, cfg.Dur)
+	leg := benchLeg{wall: wall.Seconds(), events: processed(trial), stats: trial.ShardStats()}
+	for _, l := range trial.Links() {
+		leg.delivered += l.DeliveredBytes
+		leg.dropped += l.Drops
 	}
+	return leg
+}
+
+// runShardedBench times the ShardParticipants-party cascaded call on one
+// engine and region-sharded, on identical seeds.
+func runShardedBench(cfg EngineBenchConfig) *ShardedBenchResult {
 	sb := &ShardedBenchResult{
-		Shards: plan.NumShards, Participants: cfg.ShardParticipants,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), OutputMatches: true,
+		Participants: cfg.ShardParticipants,
+		GOMAXPROCS:   runtime.GOMAXPROCS(0), OutputMatches: true,
 	}
 	for rep := 0; rep < shardedBenchReps; rep++ {
-		eng := sim.New(cfg.Seed)
-		mesh := cascade.Build(eng, topo)
-		call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
-		start := time.Now()
-		call.Start()
-		eng.RunUntil(cfg.Dur)
-		call.Stop()
-		if wall := time.Since(start).Seconds(); rep == 0 || wall < sb.SeqWallSeconds {
-			sb.SeqWallSeconds = wall
+		seq := runBenchLeg(&cfg, 1)
+		if rep == 0 || seq.wall < sb.SeqWallSeconds {
+			sb.SeqWallSeconds = seq.wall
 		}
-		sb.SeqEvents = eng.Processed()
-		seqDelivered, seqDropped := benchFingerprint(mesh)
+		sb.SeqEvents = seq.events
 
-		sm := cascade.BuildSharded(cfg.Seed, topo, plan)
-		shCall := sm.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
-		start = time.Now()
-		shCall.Start()
-		sm.Group.RunUntil(cfg.Dur)
-		shCall.Stop()
-		wall := time.Since(start).Seconds()
-		sm.Group.Close()
-
-		sb.Events = sm.Eng.Processed()
-		for _, se := range sm.ShardEngines {
-			sb.Events += se.Processed()
-		}
-		delivered, dropped := benchFingerprint(sm.Mesh)
-		if sb.Events != sb.SeqEvents || delivered != seqDelivered || dropped != seqDropped {
+		sh := runBenchLeg(&cfg, cfg.Shards)
+		sb.Events = sh.events
+		if sh.events != seq.events || sh.delivered != seq.delivered || sh.dropped != seq.dropped {
 			sb.OutputMatches = false
 		}
-		if rep > 0 && wall >= sb.WallSeconds {
+		if rep > 0 && sh.wall >= sb.WallSeconds {
 			continue
 		}
-		sb.WallSeconds = wall
-		st := sm.Group.Stats()
+		sb.WallSeconds = sh.wall
+		st := sh.stats
+		sb.Shards = len(st.ShardProcessed)
 		sb.Windows = st.Windows
 		sb.MailboxHighWater = st.MailboxHighWater
 		sb.ShardBarrierWaitFrac = st.ShardBarrierWaitFrac
 		sb.ShardEventsPerSecond = sb.ShardEventsPerSecond[:0]
 		for k, n := range st.ShardProcessed {
 			eps := 0.0
-			if k < len(st.ShardBusySeconds) && st.ShardBusySeconds[k] > 0 {
+			if st.ShardBusySeconds[k] > 0 {
 				eps = float64(n) / st.ShardBusySeconds[k]
 			}
 			sb.ShardEventsPerSecond = append(sb.ShardEventsPerSecond, eps)

@@ -42,22 +42,19 @@ type ObsConfig struct {
 	TraceCap int
 }
 
-// trialObs is one repetition's captured observability state. A sharded
-// trial records into parts (control tracer first, then shards in index
-// order); finish() folds them into tracer via obs.Merge.
+// trialObs is one repetition's captured observability state.
 type trialObs struct {
 	tracer *obs.Tracer
-	parts  []*obs.Tracer
 	log    *obs.MetricsLog
 }
 
-// finish resolves the per-shard capture into the single tracer flushObs
-// writes. Call once, after the trial's run completes. Nil-safe, returns
-// its receiver so callers can assign through it.
-func (to *trialObs) finish() *trialObs {
-	if to != nil && len(to.parts) > 0 {
-		to.tracer = obs.Merge(to.parts...)
-		to.parts = nil
+// finish collects the trial's trace capture (merged over its engines when
+// there are several) into the tracer flushObs writes. Call once, after the
+// trial's run completes. Nil-safe, returns its receiver so callers can
+// assign through it.
+func (to *trialObs) finish(trial *cascade.Trial) *trialObs {
+	if to != nil {
+		to.tracer = trial.Traced()
 	}
 	return to
 }
@@ -66,43 +63,23 @@ func (to *trialObs) finish() *trialObs {
 // built trial. Call before the timeline starts so t<=0 scenario events
 // are captured. Returns nil when observability is off.
 //
-// On a sharded trial (sm non-nil) each shard records into its own
-// tracer — the control tracer takes churn, timeline and trial-level
-// events — and finish() merges them in (time, control-then-shard-index)
-// order. The metrics sampler stays a control-engine global: it fires at
+// Each engine of the trial records into its own tracer — the control
+// tracer takes churn, timeline and trial-level events — and finish()
+// merges them in (time, control-then-shard-index) order. The metrics
+// sampler is a control-engine global: on a sharded trial it fires at
 // window barriers with every shard parked at the sample instant, so
 // link, call and getStats lines read exactly the state the sequential
 // run would have sampled. Engine-internal gauges aggregate over all
 // engines and remain deterministic, but scheduler internals (lane
 // ratio, live high-water) legitimately differ across shard counts.
-func instrumentTrial(o *ObsConfig, sm *cascade.ShardedMesh, eng *sim.Engine, mesh *cascade.Mesh, call *vca.Call, tl *scenario.Timeline) *trialObs {
+func instrumentTrial(o *ObsConfig, trial *cascade.Trial, tl *scenario.Timeline) *trialObs {
 	if o == nil || (!o.Trace && !o.Metrics) {
 		return nil
 	}
-	engines := []*sim.Engine{eng}
-	if sm != nil {
-		engines = append(engines, sm.ShardEngines...)
-	}
+	call := trial.Call
 	to := &trialObs{}
 	if o.Trace {
-		if sm != nil {
-			ctrlTr := obs.NewTracer(o.TraceCap)
-			shardTr := make([]*obs.Tracer, len(sm.ShardEngines))
-			for k := range shardTr {
-				shardTr[k] = obs.NewTracer(o.TraceCap)
-			}
-			sm.ShardTracers(call, shardTr)
-			call.SetChurnTracer(ctrlTr)
-			tl.SetTracer(ctrlTr)
-			to.parts = append([]*obs.Tracer{ctrlTr}, shardTr...)
-		} else {
-			to.tracer = obs.NewTracer(o.TraceCap)
-			for _, l := range mesh.Links() {
-				l.SetTracer(to.tracer)
-			}
-			call.SetTracer(to.tracer)
-			tl.SetTracer(to.tracer)
-		}
+		tl.SetTracer(trial.Trace(o.TraceCap))
 	}
 	if o.Metrics {
 		interval := o.Interval
@@ -111,11 +88,11 @@ func instrumentTrial(o *ObsConfig, sm *cascade.ShardedMesh, eng *sim.Engine, mes
 		}
 		to.log = &obs.MetricsLog{}
 		reg := obs.NewRegistry()
-		registerEngineMetrics(reg, engines)
-		registerLinkMetrics(reg, mesh)
+		registerEngineMetrics(reg, trial.Engines())
+		registerLinkMetrics(reg, trial.Mesh)
 		registerCallMetrics(reg, call)
 		rtt := reg.Histogram("vca/feedback_rtt_ms")
-		eng.EveryHandler(interval, sim.HandlerFunc(func(now time.Duration) {
+		trial.Eng.EveryHandler(interval, sim.HandlerFunc(func(now time.Duration) {
 			for _, cl := range call.Clients {
 				if call.Active(cl.Name) && cl.LastRTT() > 0 {
 					rtt.Observe(cl.LastRTT().Seconds() * 1000)

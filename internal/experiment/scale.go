@@ -1,13 +1,11 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
 	"vcalab/internal/cascade"
 	"vcalab/internal/netem"
 	"vcalab/internal/runner"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -99,44 +97,24 @@ type scaleTrial struct {
 	p50Ms, p95Ms, p99Ms float64
 }
 
-// runTrial executes one (n, capacity, repetition) cell on a fresh engine.
+// runTrial executes one (n, capacity, repetition) cell on a fresh trial.
 func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 	seed := cfg.Seed + int64(rep)*86243 + int64(n)*613 + int64(interMbps*1000)
 
-	assign := cascade.Assign(n, cfg.Regions)
-	topo := cascade.Topology{
-		Default: netem.LinkConfig{RateBps: interMbps * 1e6, Delay: cfg.InterDelay},
-	}
-	for r := 0; r < cfg.Regions; r++ {
-		topo.Regions = append(topo.Regions, cascade.Region{
-			Name: fmt.Sprintf("r%d", r), Clients: assign[r],
-		})
-	}
-	var (
-		mesh *cascade.Mesh
-		sm   *cascade.ShardedMesh
-		eng  *sim.Engine
-		call *vca.Call
-	)
-	if plan := cascade.PlanShards(topo, cfg.Shards); plan.NumShards > 1 {
-		sm = cascade.BuildSharded(seed, topo, plan)
-		defer sm.Group.Close()
-		mesh, eng = sm.Mesh, sm.Eng
-		call = sm.NewCall(cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	} else {
-		eng = sim.New(seed)
-		mesh = cascade.Build(eng, topo)
-		call = mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	}
+	trial := cascade.NewTrial(seed,
+		cascade.Uniform(n, cfg.Regions, netem.LinkConfig{RateBps: interMbps * 1e6, Delay: cfg.InterDelay}),
+		cfg.Shards, cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
+	defer trial.Close()
+	call := trial.Call
 
 	// Snapshot inter-link counters at warmup so utilization covers the
 	// steady state only. In a sharded run this is a control-engine
 	// global: it executes at a window barrier with every shard parked and
 	// advanced to the snapshot instant, so the counters it reads are
 	// exactly the sequential run's.
-	links := mesh.InterLinks()
+	links := trial.InterLinks()
 	startBytes := make([]uint64, len(links))
-	eng.Schedule(cfg.Warmup, func() {
+	trial.Eng.Schedule(cfg.Warmup, func() {
 		for i, l := range links {
 			startBytes[i] = l.DeliveredBytes
 		}
@@ -144,11 +122,7 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 
 	call.SampleFrameLatency(cfg.Warmup)
 	call.Start()
-	if sm != nil {
-		sm.Group.RunUntil(cfg.Dur)
-	} else {
-		eng.RunUntil(cfg.Dur)
-	}
+	trial.RunUntil(cfg.Dur)
 	call.Stop()
 
 	var t scaleTrial
@@ -168,31 +142,19 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 		t.utilMean = utilSum / float64(len(links))
 	}
 
-	var freezeSum float64
-	var freezeN int
 	flat := 0 // call.Clients is flattened in mesh.Clients order
-	for _, hosts := range mesh.Clients {
+	for _, hosts := range trial.Clients {
 		var down float64
 		for range hosts {
-			cl := call.Clients[flat]
+			down += call.Clients[flat].DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
 			flat++
-			down += cl.DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
-			for _, origin := range cl.Origins() {
-				r := cl.Receiver(origin)
-				if r.DisplayedFrames() > 0 {
-					freezeSum += r.FreezeRatio()
-					freezeN++
-				}
-			}
 		}
 		if len(hosts) > 0 {
 			down /= float64(len(hosts))
 		}
 		t.regionDown = append(t.regionDown, down)
 	}
-	if freezeN > 0 {
-		t.freeze = freezeSum / float64(freezeN)
-	}
+	t.freeze = call.MeanFreezeRatio()
 	if lp := stats.DurationPercentilesMs(call.FrameLatencies(), 50, 95, 99); lp != nil {
 		t.p50Ms, t.p95Ms, t.p99Ms = lp[0], lp[1], lp[2]
 	}

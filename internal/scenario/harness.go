@@ -7,7 +7,6 @@ import (
 	"vcalab/internal/cascade"
 	"vcalab/internal/netem"
 	"vcalab/internal/obs"
-	"vcalab/internal/sim"
 	"vcalab/internal/vca"
 )
 
@@ -111,62 +110,20 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 		return violationf(out, "validate", "%v", err)
 	}
 
-	assign := cascade.Assign(cfg.Participants, cfg.Regions)
-	topo := cascade.Topology{
-		Default: netem.LinkConfig{RateBps: cfg.InterBps, Delay: cfg.InterDelay},
-	}
-	for r := 0; r < cfg.Regions; r++ {
-		topo.Regions = append(topo.Regions, cascade.Region{
-			Name: fmt.Sprintf("r%d", r), Clients: assign[r],
-		})
-	}
-	var (
-		mesh *cascade.Mesh
-		sm   *cascade.ShardedMesh
-		eng  *sim.Engine // the control engine of a sharded run
-		call *vca.Call
-	)
-	if plan := cascade.PlanShards(topo, cfg.Shards); plan.NumShards > 1 {
-		sm = cascade.BuildSharded(cfg.Seed, topo, plan)
-		defer sm.Group.Close()
-		mesh, eng = sm.Mesh, sm.Eng
-		call = sm.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed, Recovery: cfg.Recovery})
-	} else {
-		eng = sim.New(cfg.Seed)
-		mesh = cascade.Build(eng, topo)
-		call = mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed, Recovery: cfg.Recovery})
-	}
-	tl := New(eng, call, MeshLinks(mesh), sc)
+	trial := cascade.NewTrial(cfg.Seed,
+		cascade.Uniform(cfg.Participants, cfg.Regions, netem.LinkConfig{RateBps: cfg.InterBps, Delay: cfg.InterDelay}),
+		cfg.Shards, cfg.Profile, vca.CallOptions{Seed: cfg.Seed, Recovery: cfg.Recovery})
+	defer trial.Close()
+	mesh, call := trial.Mesh, trial.Call
+	tl := New(trial.Eng, call, MeshLinks(mesh), sc)
 	// Replay always runs traced: it both exercises the instrumented paths
 	// under fuzz and feeds the drop-conservation cross-check below. The
-	// ring may wrap on a loss-heavy scenario — that is fine, because the
-	// per-kind counts are cumulative. A sharded replay gets one tracer
-	// per shard plus the control tracer (churn + timeline), exactly the
-	// sharded experiment wiring.
-	ctrlTr := obs.NewTracer(1 << 12)
-	tracers := []*obs.Tracer{ctrlTr}
-	if sm != nil {
-		shardTr := make([]*obs.Tracer, len(sm.ShardEngines))
-		for k := range shardTr {
-			shardTr[k] = obs.NewTracer(1 << 12)
-			tracers = append(tracers, shardTr[k])
-		}
-		sm.ShardTracers(call, shardTr)
-		call.SetChurnTracer(ctrlTr)
-	} else {
-		for _, l := range mesh.Links() {
-			l.SetTracer(ctrlTr)
-		}
-		call.SetTracer(ctrlTr)
-	}
-	tl.SetTracer(ctrlTr)
+	// rings may wrap on a loss-heavy scenario — that is fine, because the
+	// per-kind counts are cumulative and survive the merge over engines.
+	tl.SetTracer(trial.Trace(1 << 12))
 	tl.Start()
 	call.Start()
-	if sm != nil {
-		sm.Group.RunUntil(cfg.Dur)
-	} else {
-		eng.RunUntil(cfg.Dur)
-	}
+	trial.RunUntil(cfg.Dur)
 	call.Stop()
 
 	if !tl.Done() {
@@ -175,31 +132,24 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 	}
 
 	// Drain: with the call stopped, every in-flight packet, model event
-	// and cancelled ticker must come home — on every shard.
-	if sm != nil {
-		sm.Group.Run()
-		for k, se := range sm.ShardEngines {
-			if n := se.Live(); n != 0 {
-				out = violationf(out, "event-pool", "shard %d: %d pooled engine events live after drain", k, n)
-			}
-			if n := se.Pending(); n != 0 {
-				out = violationf(out, "event-pool", "shard %d: %d events still pending after drain", k, n)
-			}
+	// and cancelled ticker must come home — on every engine of the trial
+	// (the control engine first, then its shards), and every envelope a
+	// shard boundary re-homed.
+	trial.Drain()
+	for k, e := range trial.Engines() {
+		if n := e.Live(); n != 0 {
+			out = violationf(out, "event-pool", "engine %d: %d pooled engine events live after drain", k, n)
 		}
-		for bi, l := range sm.BoundaryLinks() {
-			if n := l.BoundaryPoolLive(); n != 0 {
-				out = violationf(out, "packet-pool", "boundary link %s (dst region %d) leaks %d envelopes", l.Name(), sm.BoundaryDst(bi), n)
-			}
+		if n := e.Pending(); n != 0 {
+			out = violationf(out, "event-pool", "engine %d: %d events still pending after drain", k, n)
 		}
-	} else {
-		eng.Run()
 	}
-	if n := eng.Live(); n != 0 {
-		out = violationf(out, "event-pool", "%d pooled engine events live after drain", n)
+	for _, l := range trial.BoundaryLinks() {
+		if n := l.BoundaryPoolLive(); n != 0 {
+			out = violationf(out, "packet-pool", "boundary link %s leaks %d envelopes", l.Name(), n)
+		}
 	}
-	if n := eng.Pending(); n != 0 {
-		out = violationf(out, "event-pool", "%d events still pending after drain", n)
-	}
+	tracer := trial.Traced() // a snapshot when merged: taken with every engine dry
 
 	// Registry density and recycled-ID aliasing.
 	if got, want := call.IDSpace(), cfg.Participants+cfg.Regions; got != want {
@@ -256,11 +206,7 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 		// sent (EvNackSent fires per seq per retry, EvRTXDeliver per
 		// retransmission that healed a gap). Counts are cumulative
 		// across ring wraparound, so this holds on loss-heavy replays.
-		var nackEv, rtxEv uint64
-		for _, tr := range tracers {
-			nackEv += tr.Count(obs.EvNackSent)
-			rtxEv += tr.Count(obs.EvRTXDeliver)
-		}
+		nackEv, rtxEv := tracer.Count(obs.EvNackSent), tracer.Count(obs.EvRTXDeliver)
 		if rtxEv > nackEv {
 			out = violationf(out, "rtx-conservation",
 				"traced %d RTX deliveries for %d NACKs sent", rtxEv, nackEv)
@@ -282,11 +228,7 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 	for _, l := range mesh.Links() {
 		linkDrops += l.Drops
 	}
-	var traced uint64
-	for _, tr := range tracers {
-		traced += tr.Count(obs.EvDrop)
-	}
-	if traced != linkDrops {
+	if traced := tracer.Count(obs.EvDrop); traced != linkDrops {
 		out = violationf(out, "drop-conservation",
 			"tracers recorded %d drop events, link counters total %d", traced, linkDrops)
 	}

@@ -195,13 +195,6 @@ func NewGroup(ctrl *Engine, shards []*Engine, lookahead func() time.Duration) *G
 	return g
 }
 
-// Ctrl returns the control engine — the one global callbacks (timelines,
-// samplers, warmup snapshots) must schedule on.
-func (g *Group) Ctrl() *Engine { return g.ctrl }
-
-// Shards returns the shard engines in domain order.
-func (g *Group) Shards() []*Engine { return g.shards }
-
 // Register adds a boundary mailbox to the barrier drain set.
 func (g *Group) Register(m *Mailbox) { g.boxes = append(g.boxes, m) }
 

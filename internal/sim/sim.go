@@ -31,9 +31,11 @@
 //     per-event index is maintained.
 //   - The next event is the minimum of the heap top and the lane heads, so
 //     which queue an event sat in can never change the order it fires in.
-//   - Hot callers schedule closure-free events against the Handler and
-//     ArgHandler interfaces instead of func() closures; the packet path
-//     (internal/netem) carries its *Packet through the event's arg slot.
+//   - There is one scheduling path: an event carries a Handler or an
+//     ArgHandler. Hot callers implement them and so schedule closure-free;
+//     the packet path (internal/netem) carries its *Packet through the
+//     event's arg slot. Schedule/At/Every are adapters that wrap their
+//     func() in a Handler.
 //   - Timer.Stop is a lazy cancellation: the event is marked dead and its
 //     struct is recycled when it reaches the front of its queue. Timer
 //     handles carry a generation counter so a stale handle can never
@@ -63,6 +65,13 @@ type HandlerFunc func(now time.Duration)
 // OnEvent calls f(now).
 func (f HandlerFunc) OnEvent(now time.Duration) { f(now) }
 
+// funcHandler is the Handler behind the closure API (Schedule, At, Every).
+// A func value is pointer-shaped, so converting one to Handler stores it
+// in the interface word directly: the adapter costs no allocation.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(time.Duration) { f() }
+
 // ArgHandler receives events that carry a payload pointer: one handler
 // instance (a link, a flow) serves many in-flight events, each carrying
 // its own argument (a packet) through the pooled event's arg slot.
@@ -70,7 +79,7 @@ type ArgHandler interface {
 	OnArgEvent(now time.Duration, arg any)
 }
 
-// event is a pooled scheduler entry. Exactly one of fn, h or ah is set.
+// event is a pooled scheduler entry. Exactly one of h or ah is set.
 type event struct {
 	at time.Duration
 	// schedAt is the engine clock at the moment the event was filed. In a
@@ -89,7 +98,6 @@ type event struct {
 	gen       uint32
 	cancelled bool
 
-	fn  func()
 	h   Handler
 	ah  ArgHandler
 	arg any
@@ -279,7 +287,7 @@ func (e *Engine) alloc() *event {
 // handles via the generation counter.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.h, ev.ah, ev.arg = nil, nil, nil, nil
+	ev.h, ev.ah, ev.arg = nil, nil, nil
 	ev.cancelled = false
 	ev.next = e.free
 	e.free = ev
@@ -404,9 +412,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
 // At runs fn at the absolute virtual time t. Times in the past are clamped
 // to now.
 func (e *Engine) At(t time.Duration, fn func()) Timer {
-	ev := e.alloc()
-	ev.fn = fn
-	return e.add(t, ev)
+	return e.AtHandler(t, funcHandler(fn))
 }
 
 // ScheduleHandler runs h.OnEvent after delay without allocating: the event
@@ -437,7 +443,6 @@ func (e *Engine) ScheduleArg(delay time.Duration, h ArgHandler, arg any) Timer {
 type Ticker struct {
 	eng      *Engine
 	interval time.Duration
-	fn       func()
 	h        Handler
 	timer    Timer
 	stopped  bool
@@ -448,9 +453,7 @@ type Ticker struct {
 // It panics if interval is not positive, since a zero-interval ticker would
 // prevent virtual time from ever advancing.
 func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
-	t := &Ticker{eng: e, interval: checkInterval(interval), fn: fn}
-	t.arm()
-	return t
+	return e.EveryHandler(interval, funcHandler(fn))
 }
 
 // EveryHandler runs h.OnEvent every interval — the closure-free form of
@@ -475,11 +478,7 @@ func (t *Ticker) OnEvent(now time.Duration) {
 		return
 	}
 	t.firing = true
-	if t.fn != nil {
-		t.fn()
-	} else {
-		t.h.OnEvent(now)
-	}
+	t.h.OnEvent(now)
 	t.firing = false
 	if !t.stopped {
 		t.arm()
@@ -564,16 +563,13 @@ func (e *Engine) dispatch(ev *event, q int) {
 	e.remove(q)
 	e.now = ev.at
 	e.processed++
-	fn, h, ah, arg := ev.fn, ev.h, ev.ah, ev.arg
+	h, ah, arg := ev.h, ev.ah, ev.arg
 	// Recycle before dispatch: the callback's own schedules reuse the
 	// still-hot struct, and its Timer handles are already invalidated.
 	e.recycle(ev)
-	switch {
-	case fn != nil:
-		fn()
-	case ah != nil:
+	if ah != nil {
 		ah.OnArgEvent(e.now, arg)
-	default:
+	} else {
 		h.OnEvent(e.now)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"vcalab/internal/race"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -570,5 +572,40 @@ func TestTickerResetInsideCallback(t *testing.T) {
 		if times[i] != want[i] {
 			t.Fatalf("tick %d at %v, want %v (full: %v)", i, times[i], want[i], times)
 		}
+	}
+}
+
+// TestClosureAPIAllocFree: Schedule, At and Every wrap their func() in a
+// Handler, and a func value is pointer-shaped, so the wrap stores it in
+// the interface word without allocating — the closure API costs what the
+// handler API costs, a pooled event.
+func TestClosureAPIAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := New(1)
+	fired := 0
+	fn := func() { fired++ }
+	step := func() {
+		e.Schedule(time.Millisecond, fn)
+		e.At(e.Now()+3*time.Millisecond, fn)
+		e.Step()
+		e.Step()
+	}
+	for i := 0; i < 4*eventBlock; i++ { // fill the pool, promote both delays to lanes
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("Schedule+At+dispatch allocates %.2f objects per round, want 0", allocs)
+	}
+	tk := e.Every(time.Millisecond, fn)
+	e.RunUntil(e.Now() + 4*eventBlock*time.Millisecond)
+	before := fired
+	if allocs := testing.AllocsPerRun(1000, func() { e.RunUntil(e.Now() + time.Millisecond) }); allocs != 0 {
+		t.Errorf("a closure ticker allocates %.2f objects per tick, want 0", allocs)
+	}
+	tk.Stop()
+	if fired == before {
+		t.Fatal("the ticker never fired under measurement")
 	}
 }

@@ -600,6 +600,26 @@ func (c *Call) Active(name string) bool {
 // C1 returns the instrumented client (client 0).
 func (c *Call) C1() *Client { return c.Clients[0] }
 
+// MeanFreezeRatio is the call's freeze figure: the mean freeze ratio over
+// every (receiver, displayed origin) pair that displayed at least one
+// frame, clients in call order, or 0 when nothing was displayed.
+func (c *Call) MeanFreezeRatio() float64 {
+	var sum float64
+	var n int
+	for _, cl := range c.Clients {
+		for _, origin := range cl.Origins() {
+			if r := cl.Receiver(origin); r.DisplayedFrames() > 0 {
+				sum += r.FreezeRatio()
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // HomeServer returns the SFU the named client is homed on (region 0's
 // for unknown names, matching the old map-default behaviour).
 func (c *Call) HomeServer(name string) *Server {

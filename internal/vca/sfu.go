@@ -457,14 +457,20 @@ func (s *Server) addRemoteOrigin(peer, origin int32) {
 func (s *Server) removeRemoteOrigin(origin int32) {
 	s.remote[origin] = noID
 	s.rates[origin] = nil
+	s.dropOrigin(origin)
+	s.fanDirty = true
+}
+
+// dropOrigin makes every remaining leg forget one origin: its RTX ring
+// drained, its forwarding state and flow names gone.
+func (s *Server) dropOrigin(id int32) {
 	for _, rid := range s.legOrder {
 		if l := s.legs[rid]; l != nil {
-			s.drainFwd(l.fwd[origin])
-			l.fwd[origin] = nil
-			l.flows[origin] = nil
+			s.drainFwd(l.fwd[id])
+			l.fwd[id] = nil
+			l.flows[id] = nil
 		}
 	}
-	s.fanDirty = true
 }
 
 // removeClient drops all per-client state when a local participant leaves
@@ -482,13 +488,7 @@ func (s *Server) removeClient(id int32) {
 	s.drainLeg(s.legs[id])
 	s.legs[id] = nil
 	s.displayed[id] = nil
-	for _, rid := range s.legOrder {
-		if l := s.legs[rid]; l != nil {
-			s.drainFwd(l.fwd[id])
-			l.fwd[id] = nil
-			l.flows[id] = nil
-		}
-	}
+	s.dropOrigin(id)
 	s.rebuildLegOrder()
 }
 
@@ -534,13 +534,7 @@ func (s *Server) resetSlot(id int32) {
 	s.legs[id] = nil
 	s.displayed[id] = nil
 	s.remote[id] = noID
-	for _, rid := range s.legOrder {
-		if l := s.legs[rid]; l != nil {
-			s.drainFwd(l.fwd[id])
-			l.fwd[id] = nil
-			l.flows[id] = nil
-		}
-	}
+	s.dropOrigin(id)
 	s.fanDirty = true
 }
 
