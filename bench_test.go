@@ -461,8 +461,7 @@ func BenchmarkExtensionLossImpairment(b *testing.B) {
 
 // scaleBench runs the cascaded large-call sweep (one condition, reduced
 // duration) at a fixed trial parallelism, reporting simulated seconds per
-// wall second — the sweep engine's throughput on cascade workloads. The
-// CLI equivalent (`vcabench -bench -json`) writes BENCH_scale.json.
+// wall second — the sweep engine's throughput on cascade workloads.
 func scaleBench(b *testing.B, parallel int) {
 	const trials, dur = 4, 20 * time.Second
 	start := time.Now()

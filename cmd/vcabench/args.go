@@ -88,9 +88,9 @@ func validateFlags(exp, bench, scenarioName, recovery string, parallel, reps, fu
 		return nil // -fuzz ignores -experiment, -bench and -scenario
 	}
 	switch bench {
-	case "", "scale", "engine":
+	case "", "engine":
 	default:
-		return fmt.Errorf("unknown -bench mode %q (want scale or engine)", bench)
+		return fmt.Errorf("unknown -bench mode %q (want engine)", bench)
 	}
 	if bench != "" {
 		return nil // -bench ignores -experiment and -scenario

@@ -31,7 +31,6 @@ func TestValidateFlags(t *testing.T) {
 		{"dynamic + generated scenario ok", "dynamic", "", "gen", "off", 0, 3, 0, 1, okObs, ""},
 		{"dynamic + seeded generated scenario ok", "dynamic", "", "gen:42", "off", 0, 3, 0, 1, okObs, ""},
 		{"dynamic + negative gen seed ok", "dynamic", "", "gen:-7", "off", 0, 3, 0, 1, okObs, ""},
-		{"bench scale ok", "ignored", "scale", "all", "off", 1, 3, 0, 1, okObs, ""},
 		{"bench engine ok", "ignored", "engine", "all", "off", 0, 3, 0, 1, okObs, ""},
 		{"fuzz ok", "ignored", "", "ignored", "off", 0, 3, 50, 1, okObs, ""},
 		{"sharded scale ok", "scale", "", "all", "off", 0, 3, 0, 3, okObs, ""},
@@ -52,6 +51,7 @@ func TestValidateFlags(t *testing.T) {
 		{"negative shards", "scale", "", "all", "off", 0, 3, 0, -2, okObs, "-shards"},
 		{"unknown experiment", "fig99", "", "all", "off", 0, 3, 0, 1, okObs, "unknown experiment"},
 		{"unknown bench mode", "table2", "bogus", "all", "off", 0, 3, 0, 1, okObs, "-bench"},
+		{"bench scale is gone", "ignored", "scale", "all", "off", 1, 3, 0, 1, okObs, "-bench"},
 		{"unknown scenario", "dynamic", "", "nope", "off", 0, 3, 0, 1, okObs, "-scenario"},
 		{"malformed gen seed", "dynamic", "", "gen:xyz", "off", 0, 3, 0, 1, okObs, "-scenario"},
 		{"scenario ignored outside dynamic", "table2", "", "nope", "off", 0, 3, 0, 1, okObs, ""},
@@ -78,7 +78,6 @@ func TestValidateFlags(t *testing.T) {
 		{"recovery dynamic ok", "dynamic", "", "region-partition", "on", 0, 3, 0, 1, okObs, ""},
 		{"recovery fuzz ok", "ignored", "", "ignored", "on", 0, 3, 50, 1, okObs, ""},
 		{"recovery bench engine ok", "ignored", "engine", "all", "on", 0, 3, 0, 1, okObs, ""},
-		{"recovery bench scale ok", "ignored", "scale", "all", "on", 0, 3, 0, 1, okObs, ""},
 		{"recovery bad value", "impairment", "", "all", "maybe", 0, 3, 0, 1, okObs, "-recovery"},
 		{"recovery on paper figure", "fig1a", "", "all", "on", 0, 3, 0, 1, okObs, "-recovery"},
 		{"recovery on table2", "table2", "", "all", "on", 0, 3, 0, 1, okObs, "-recovery"},

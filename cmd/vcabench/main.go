@@ -11,7 +11,6 @@
 //	vcabench -experiment scale -quick
 //	vcabench -experiment scale -shards 3
 //	vcabench -experiment all -quick
-//	vcabench -bench scale -json
 //	vcabench -bench engine -json -shards 3
 //
 // Independent trials fan out across all cores by default (-parallel 0);
@@ -30,7 +29,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"vcalab"
@@ -46,10 +44,10 @@ var (
 	list     = flag.Bool("list", false, "list experiment ids with descriptions and exit")
 	scen     = flag.String("scenario", "all", "with -experiment dynamic: canned scenario name (see EXPERIMENTS.md), `gen[:seed]` for a generated one, or `all`")
 	fuzzN    = flag.Int("fuzz", 0, "replay N seeded generated scenarios through the invariant harness (seeds -seed..-seed+N-1); exits non-zero and prints the offending seed on any violation")
-	bench    = flag.String("bench", "", "benchmark mode: `scale` (sweep at 1 and NumCPU workers, BENCH_scale.json) or `engine` (events/sec + allocs/event, BENCH_engine.json)")
-	jsonOut  = flag.Bool("json", false, "with -bench: write machine-readable results to BENCH_<mode>.json")
+	bench    = flag.String("bench", "", "benchmark mode: `engine` (events/sec + allocs/event, BENCH_engine.json)")
+	jsonOut  = flag.Bool("json", false, "with -bench: write machine-readable results to BENCH_engine.json")
 	recovery = flag.String("recovery", "off", "packet-level loss recovery (NACK/RTX, jitter buffer, TWCC feedback): `on|off`; applies to -experiment impairment/scale/dynamic, -fuzz and -bench")
-	check    = flag.Bool("check", false, "with -bench engine: exit non-zero if allocs/event exceeds 0.1 (on the -recovery on row too) or events/s regresses >20% vs the recorded baseline (the CI bench-regression gate)")
+	check    = flag.Bool("check", false, "with -bench engine: exit non-zero if allocs/event exceeds 0.1 (on the -recovery on row too), events/s regresses >20% vs the recorded baseline, or — with -shards > 1 — the sharded run diverges from the sequential event set (the CI bench-regression gate)")
 
 	traceFile   = flag.String("trace", "", "with -experiment dynamic: write a structured JSONL event trace (packet enqueue/dequeue/drop/deliver, CC decisions, forward switches, scenario and churn events) to `FILE`")
 	metricsFile = flag.String("metrics", "", "with -experiment dynamic: write sampled metrics and per-client getStats snapshots as JSONL to `FILE`")
@@ -176,11 +174,7 @@ func main() {
 		return
 	}
 
-	switch *bench {
-	case "scale":
-		benchScale()
-		return
-	case "engine":
+	if *bench == "engine" {
 		benchEngine()
 		return
 	}
@@ -383,7 +377,7 @@ func fig15() {
 	}
 }
 
-// scaleConfig is the shared grid for -experiment scale and -bench.
+// scaleConfig is the grid for -experiment scale.
 func scaleConfig(p *vcalab.Profile, par int) vcalab.ScaleConfig {
 	cfg := vcalab.ScaleConfig{
 		Profile:      p,
@@ -545,84 +539,6 @@ func dynamic() {
 	}
 }
 
-// benchScale times the scale sweep at 1 worker and NumCPU workers and
-// reports ns/trial and simulated-seconds per wall-second — the headline
-// throughput of the sweep engine on cascade workloads.
-func benchScale() {
-	type benchRun struct {
-		// Workers is the worker count the run actually used — on a
-		// single-core host only the workers:1 run exists (the old code
-		// recorded two identical entries). GOMAXPROCS and Shards pin
-		// the conditions the numbers were measured under.
-		Workers                 int     `json:"workers"`
-		GOMAXPROCS              int     `json:"gomaxprocs"`
-		Shards                  int     `json:"shards"`
-		WallSeconds             float64 `json:"wall_seconds"`
-		NsPerTrial              float64 `json:"ns_per_trial"`
-		SimSecondsPerWallSecond float64 `json:"sim_seconds_per_wall_second"`
-	}
-	cfg := scaleConfig(vcalab.Teams(), 1)
-	if *quick {
-		cfg.Participants = []int{8}
-		cfg.Reps = 4
-		cfg.Dur = 20 * time.Second
-		cfg.Warmup = 8 * time.Second
-	}
-	trials := len(cfg.Participants) * len(cfg.InterMbps) * cfg.Reps
-	simSeconds := float64(trials) * cfg.Dur.Seconds()
-
-	workerCounts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
-	var runs []benchRun
-	var outputs []string
-	for _, workers := range workerCounts {
-		cfg.Parallel = workers
-		start := time.Now()
-		rs := vcalab.RunScale(cfg)
-		wall := time.Since(start)
-		var buf strings.Builder
-		vcalab.PrintScale(&buf, rs)
-		outputs = append(outputs, buf.String())
-		runs = append(runs, benchRun{
-			Workers:                 workers,
-			GOMAXPROCS:              runtime.GOMAXPROCS(0),
-			Shards:                  cfg.Shards,
-			WallSeconds:             wall.Seconds(),
-			NsPerTrial:              float64(wall.Nanoseconds()) / float64(trials),
-			SimSecondsPerWallSecond: simSeconds / wall.Seconds(),
-		})
-		fmt.Printf("scale bench: %2d worker(s)  %d shard(s)  %6.2fs wall  %8.0f ns/trial  %6.1f sim-s/wall-s\n",
-			workers, cfg.Shards, wall.Seconds(), runs[len(runs)-1].NsPerTrial, runs[len(runs)-1].SimSecondsPerWallSecond)
-	}
-	deterministic := true
-	for _, out := range outputs[1:] {
-		deterministic = deterministic && out == outputs[0]
-	}
-	fmt.Printf("scale bench: parallel output identical to sequential: %v\n", deterministic)
-
-	if *jsonOut {
-		out := struct {
-			Experiment    string     `json:"experiment"`
-			Trials        int        `json:"trials"`
-			SimSeconds    float64    `json:"sim_seconds_total"`
-			Deterministic bool       `json:"deterministic"`
-			Runs          []benchRun `json:"runs"`
-		}{"scale", trials, simSeconds, deterministic, runs}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal bench results: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile("BENCH_scale.json", append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write BENCH_scale.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_scale.json")
-	}
-}
-
 // engineBaseline is the engine benchmark as recorded when delay-class
 // lanes replaced the timer wheel (PR 12; medians of five runs on the
 // 2-vCPU reference host), on the same workloads benchEngine runs: the
@@ -736,24 +652,12 @@ func benchEngine() {
 		}
 		// Sharded-mode gate (active when run with -shards > 1): the
 		// sharded engine must reproduce the sequential run's event count
-		// and delivery counters exactly, and — when the shard goroutines
-		// have cores to spread over — must actually be faster. The
-		// speedup floor is deliberately below the recorded-hardware
-		// figure (BENCH_engine.json) so shared CI runners don't flake;
-		// on a single-core host only correctness is enforced.
-		if sh := cur.Sharded; sh != nil {
-			if !sh.OutputMatches {
-				fmt.Fprintln(os.Stderr, "bench check FAIL: sharded run diverged from the sequential event set")
-				failed = true
-			}
-			switch {
-			case *quick:
-			case sh.GOMAXPROCS < 2:
-				fmt.Printf("bench check: sharded speedup floor skipped (GOMAXPROCS %d)\n", sh.GOMAXPROCS)
-			case sh.Speedup < 1.2:
-				fmt.Fprintf(os.Stderr, "bench check FAIL: sharded speedup %.2fx below the 1.2x floor\n", sh.Speedup)
-				failed = true
-			}
+		// and delivery counters exactly. The speedup is printed and
+		// recorded, not gated: on shared runners it dips under any fixed
+		// floor at random, for parent and change alike.
+		if sh := cur.Sharded; sh != nil && !sh.OutputMatches {
+			fmt.Fprintln(os.Stderr, "bench check FAIL: sharded run diverged from the sequential event set")
+			failed = true
 		}
 		if failed {
 			os.Exit(1)

@@ -137,8 +137,13 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 	for ri := range regions {
 		c.pools[ri] = &mpPool{}
 	}
+	// Recovery on is a ring capacity the servers build down-tracks with.
+	rcfg, rtxRing := prof.Recovery.withDefaults(), 0
+	if opt.Recovery {
+		rtxRing = rcfg.RTXBufferPkts
+	}
 	for ri, r := range regions {
-		s := newServer(regionEngine(r, eng), prof, r.Server, c.reg, localIDs[ri], c.pools[ri], total)
+		s := newServer(regionEngine(r, eng), prof, r.Server, c.reg, localIDs[ri], c.pools[ri], total, rtxRing)
 		c.home[s.id] = int32(ri)
 		c.Servers = append(c.Servers, s)
 	}
@@ -150,8 +155,11 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 			if i == j {
 				continue
 			}
-			si.addRelayLeg(sj.id, localIDs[i])
-			sj.addRemoteOrigins(si.id, localIDs[i])
+			si.addRelayLeg(sj.id)
+			sj.addPeer(si.id)
+			for _, o := range localIDs[i] {
+				sj.addRemoteOrigin(si.id, o)
+			}
 		}
 	}
 	i := 0
@@ -166,10 +174,6 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 		}
 	}
 	if opt.Recovery {
-		rcfg := prof.Recovery.withDefaults()
-		for _, s := range c.Servers {
-			s.enableRecovery(rcfg)
-		}
 		for _, cl := range c.Clients {
 			cl.enableRecovery(rcfg)
 			cl.homeSrv = c.Servers[cl.region]
@@ -424,27 +428,24 @@ func (c *Call) Stop() {
 	}
 }
 
-// DrainRecovery empties every server-side retransmission ring, letting go
-// of the packets the slots retain. Call after Stop when inspecting a
+// DrainRecovery empties every down-track's retransmission rings, letting
+// go of the packets the slots retain. Call after Stop when inspecting a
 // recovery-enabled call: the scenario harness asserts RTXClonesLive()
 // is zero afterwards (retained-packet conservation).
 func (c *Call) DrainRecovery() {
 	for _, s := range c.Servers {
-		s.drainRecovery()
+		s.eachRTX((*retransmitter).drain)
 	}
 }
 
-// RTXClonesLive reports the number of retained packet references RTX
-// ring slots currently hold across the call (zero after DrainRecovery,
-// and always zero with recovery off). The name is kept for its callers
-// outside the module's reach (bench/): a slot holds a reference, not a
-// clone.
+// RTXClonesLive reports how many references to retained ingress packets
+// the RTX ring slots of every down-track in the call hold (zero after
+// DrainRecovery, and always zero with recovery off). A slot holds a
+// reference, not a clone; the name is what bench/ calls.
 func (c *Call) RTXClonesLive() uint64 {
 	var n uint64
 	for _, s := range c.Servers {
-		if s.rec != nil {
-			n += s.rec.refsLive
-		}
+		s.eachRTX(func(r *retransmitter) { n += r.refsLive })
 	}
 	return n
 }
@@ -487,13 +488,9 @@ func (c *Call) Leave(name string) {
 	}
 	id := cl.id
 	n := len(c.active())
-	for i, s := range c.Servers {
-		if i == cl.region {
-			s.removeClient(id)
-		} else {
-			s.removeRemoteOrigin(id)
-		}
-		s.setTotal(n)
+	for _, s := range c.Servers {
+		s.remove(id)
+		s.n = n // layout factors like Teams' ForwardFactor depend on it
 	}
 	for _, other := range c.Clients {
 		if other != cl {
@@ -535,7 +532,7 @@ func (c *Call) Rejoin(name string) {
 		} else {
 			s.addRemoteOrigin(c.Servers[cl.region].id, id)
 		}
-		s.setTotal(n)
+		s.n = n
 	}
 	c.applyLayout(c.mode)
 	c.refreshSelection()
@@ -577,7 +574,7 @@ func (c *Call) refreshSelection() {
 // servers and clients before the ID is reused.
 func (c *Call) resetSlot(id int32) {
 	for _, s := range c.Servers {
-		s.resetSlot(id)
+		s.remove(id)
 	}
 	for _, cl := range c.Clients {
 		if cl.id != id {

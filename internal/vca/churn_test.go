@@ -28,19 +28,13 @@ func serverState(s *Server, name string) int {
 		return 0
 	}
 	n := 0
-	if s.upRecv[id] != nil {
-		n++
-	}
-	if s.rates[id] != nil {
+	if s.recv[id] != nil {
 		n++
 	}
 	if s.legs[id] != nil {
 		n++
 	}
 	if s.displayed[id] != nil {
-		n++
-	}
-	if s.remote[id] != noID {
 		n++
 	}
 	for _, rid := range s.legOrder {
@@ -70,8 +64,8 @@ func legCount(s *Server) int {
 // rateRows reports how many origins have live rate-estimator rows.
 func rateRows(s *Server) int {
 	n := 0
-	for _, row := range s.rates {
-		if row != nil {
+	for _, r := range s.recv {
+		if r != nil && len(r.rates) > 0 {
 			n++
 		}
 	}
@@ -81,8 +75,8 @@ func rateRows(s *Server) int {
 // upRecvCount reports how many local uplink receivers the server holds.
 func upRecvCount(s *Server) int {
 	n := 0
-	for _, r := range s.upRecv {
-		if r != nil {
+	for _, r := range s.recv {
+		if r != nil && r.local() {
 			n++
 		}
 	}
@@ -270,8 +264,14 @@ func TestChurnRecycledIDStartsFresh(t *testing.T) {
 		t.Fatalf("c2 rejoined with ID %d, want recycled %d (LIFO)", got, id3)
 	}
 	s := call.Server
-	if s.upRecv[got] == nil || len(s.rates[got]) != 0 || s.legs[got] == nil {
+	r := s.recv[got]
+	if r == nil || !r.local() || r.arrivals == nil || s.legs[got] == nil {
 		t.Fatal("rejoined participant's recycled slot not reset")
+	}
+	for k, e := range r.rates {
+		if e != (rateEst{}) {
+			t.Fatalf("rejoined participant inherits rate estimate %+v for key %d", e, k)
+		}
 	}
 	if s.reg.name(got) != "c2" {
 		t.Fatalf("recycled ID resolves to %q, want c2", s.reg.name(got))

@@ -45,8 +45,7 @@ type Client struct {
 	lowAlloc   float64 // Meet SFU low-copy allocation (0 = default)
 	stallUntil time.Duration
 	seq        uint16
-	padOwed    float64
-	lastPad    time.Duration
+	pad        padBudget
 
 	// --- receiver ---
 	recv []*media.Receiver // origin ID -> receiver (nil until first packet)
@@ -190,7 +189,7 @@ func (c *Client) receiverByID(origin int32) *media.Receiver {
 		r = media.NewReceiver()
 		name := c.reg.name(origin)
 		r.OnFIR = func(now time.Duration) {
-			c.sendSignal(&FIRMsg{From: c.Name, Origin: name})
+			post(c.host, c.server, PortSignal, firWire, c.flowSignal, &FIRMsg{From: c.Name, Origin: name})
 		}
 		c.recv[origin] = r
 		i := sort.Search(len(c.recvOrder), func(i int) bool {
@@ -399,14 +398,7 @@ func (c *Client) padTick(now time.Duration) {
 	if !c.running || c.ccUp == nil {
 		return
 	}
-	dt := (now - c.lastPad).Seconds()
-	if c.lastPad == 0 {
-		dt = 0.02
-	}
-	c.lastPad = now
-	c.padOwed += c.ccUp.PadRateBps(now) / 8 * dt
-	for c.padOwed >= maxPayload {
-		c.padOwed -= maxPayload
+	for n := c.pad.due(now, c.ccUp); n > 0; n-- {
 		mp := c.pool.get()
 		mp.Origin, mp.OriginID = c.Name, c.id
 		mp.StreamID, mp.RK = "pad", rkPad
@@ -430,23 +422,7 @@ func (c *Client) send(mp *MediaPacket, wireBytes int) {
 	now := c.eng.Now()
 	mp.OriginSentAt = now
 	c.UpMeter.AddBytes(now, wireBytes)
-	pkt := c.host.NewPacket()
-	pkt.Size = wireBytes
-	pkt.From = netem.Addr{Host: c.Name, Port: PortMedia}
-	pkt.To = netem.Addr{Host: c.server, Port: PortMedia}
-	pkt.Flow = c.flowFor(mp.RK, mp.StreamID)
-	pkt.Payload = mp
-	c.host.Send(pkt)
-}
-
-func (c *Client) sendSignal(payload any) {
-	pkt := c.host.NewPacket()
-	pkt.Size = firWire
-	pkt.From = netem.Addr{Host: c.Name, Port: PortSignal}
-	pkt.To = netem.Addr{Host: c.server, Port: PortSignal}
-	pkt.Flow = c.flowSignal
-	pkt.Payload = payload
-	c.host.Send(pkt)
+	post(c.host, c.server, PortMedia, wireBytes, c.flowFor(mp.RK, mp.StreamID), mp)
 }
 
 // onMedia handles a forwarded media packet from the SFU, dispatching to
@@ -560,13 +536,7 @@ func (c *Client) sendNack(origin int32, seqs []uint16) {
 	m := c.pool.getNack()
 	m.From, m.FromID, m.Origin = c.Name, c.id, origin
 	m.Pairs = rtp.AppendNackPairs(m.Pairs, seqs)
-	pkt := c.host.NewPacket()
-	pkt.Size = nackWireBase + 4*len(m.Pairs)
-	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
-	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
-	pkt.Flow = c.flowRtcp
-	pkt.Payload = m
-	c.host.Send(pkt)
+	post(c.host, c.server, PortFeedback, nackWireBase+4*len(m.Pairs), c.flowRtcp, m)
 }
 
 // twccTick flushes the transport-wide arrival record into one report.
@@ -583,13 +553,7 @@ func (c *Client) twccTick(now time.Duration) {
 		return
 	}
 	m.From, m.FromID, m.Report = c.Name, c.id, rep
-	pkt := c.host.NewPacket()
-	pkt.Size = twccWireBase + 4*len(rep.DeltaUs)
-	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
-	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
-	pkt.Flow = c.flowRtcp
-	pkt.Payload = m
-	c.host.Send(pkt)
+	post(c.host, c.server, PortFeedback, twccWireBase+4*len(rep.DeltaUs), c.flowRtcp, m)
 }
 
 // onFeedback handles receiver reports about this client's uplink. The
@@ -603,27 +567,9 @@ func (c *Client) onFeedback(pkt *netem.Packet) {
 	if !c.running || c.ccUp == nil {
 		return
 	}
-	st := fb.Stats
-	rtt := 2*st.QueueDelay + 40*time.Millisecond
-	c.lastRTT = rtt
-	var oldBps float64
-	if c.tracer != nil {
-		oldBps = c.ccUp.TargetBps()
-	}
-	c.ccUp.OnFeedback(cc.Feedback{
-		Now:            c.eng.Now(),
-		Interval:       st.Interval,
-		RTT:            rtt,
-		LossFraction:   st.LossFraction,
-		ReceiveRateBps: st.RateBps,
-		QueueDelay:     st.QueueDelay,
-	})
-	if c.tracer != nil {
-		if newBps := c.ccUp.TargetBps(); newBps != oldBps {
-			c.tracer.CC(c.eng.Now(), c.Name, "",
-				ccReason(st.LossFraction, st.QueueDelay, oldBps, newBps), oldBps, newBps)
-		}
-	}
+	in := reportFeedback(c.eng.Now(), fb.Stats)
+	c.lastRTT = in.RTT
+	feedCC(c.ccUp, in, c.tracer, c.Name, "")
 }
 
 // onSignal handles FIR and allocation messages arriving from the server.
@@ -692,13 +638,7 @@ func (c *Client) feedbackTick(now time.Duration) {
 	if agg.Interval == 0 {
 		agg.Interval = 100 * time.Millisecond
 	}
-	pkt := c.host.NewPacket()
-	pkt.Size = feedbackWire
-	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
-	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
-	pkt.Flow = c.flowRtcp
-	pkt.Payload = c.pool.getFeedback(c.Name, c.id, agg)
-	c.host.Send(pkt)
+	post(c.host, c.server, PortFeedback, feedbackWire, c.flowRtcp, c.pool.getFeedback(c.Name, c.id, agg))
 }
 
 // statsTick samples the WebRTC-stats emulation (1 Hz, §3.2).

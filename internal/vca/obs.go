@@ -10,7 +10,9 @@ package vca
 import (
 	"time"
 
+	"vcalab/internal/cc"
 	"vcalab/internal/codec"
+	"vcalab/internal/media"
 	"vcalab/internal/obs"
 	"vcalab/internal/webrtcstats"
 )
@@ -63,6 +65,35 @@ func ccReason(lossFraction float64, queueDelay time.Duration, oldBps, newBps flo
 		return "increase"
 	default:
 		return "hold"
+	}
+}
+
+// reportFeedback is an aggregate receiver report as controller input; the
+// RTT follows the repo's synthetic convention (2×queue delay + 40 ms base).
+func reportFeedback(now time.Duration, st media.IntervalStats) cc.Feedback {
+	return cc.Feedback{
+		Now:            now,
+		Interval:       st.Interval,
+		RTT:            2*st.QueueDelay + 40*time.Millisecond,
+		LossFraction:   st.LossFraction,
+		ReceiveRateBps: st.RateBps,
+		QueueDelay:     st.QueueDelay,
+	}
+}
+
+// feedCC folds one feedback sample into a controller and, when tracing,
+// records the target it moved to: client is the receiver the controller
+// paces toward, origin the sender it runs at ("" for a client's uplink).
+func feedCC(ctrl cc.Controller, fb cc.Feedback, tr *obs.Tracer, client, origin string) {
+	var oldBps float64
+	if tr != nil {
+		oldBps = ctrl.TargetBps()
+	}
+	ctrl.OnFeedback(fb)
+	if tr != nil {
+		if newBps := ctrl.TargetBps(); newBps != oldBps {
+			tr.CC(fb.Now, client, origin, ccReason(fb.LossFraction, fb.QueueDelay, oldBps, newBps), oldBps, newBps)
+		}
 	}
 }
 
@@ -144,52 +175,61 @@ func (c *Client) currentEncodeParams() codec.EncodeParams {
 	}
 }
 
-// LegNames returns the names of the server's current forwarding legs
-// (local receivers, then relay peers) in deterministic leg order.
+// LegNames returns the names of the server's current down-tracks (local
+// receivers, then relay peers) in deterministic order.
 func (s *Server) LegNames() []string {
 	out := make([]string, 0, len(s.legOrder))
 	for _, id := range s.legOrder {
-		if l := s.legs[id]; l != nil {
-			out = append(out, l.recvName)
-		}
+		out = append(out, s.legs[id].recvName)
 	}
 	return out
 }
 
 // LegFwdBytes returns the cumulative media bytes the server has sent
-// toward the named receiver's leg (0 for an unknown leg). The counter
-// lives on the leg, so it resets if churn tears the leg down and a
-// Rejoin recreates it.
+// toward the named receiver (0 for an unknown one). The counter lives on
+// the down-track, so it resets if churn tears the track down and a Rejoin
+// recreates it.
 func (s *Server) LegFwdBytes(receiver string) uint64 {
-	id := s.reg.id(receiver)
-	if id == noID || int(id) >= len(s.legs) || s.legs[id] == nil {
-		return 0
+	if l := s.track(s.reg.id(receiver)); l != nil {
+		return l.fwdBytes
 	}
-	return s.legs[id].fwdBytes
+	return 0
 }
 
 // FwdSwitches reports how many forwarding-selection changes (simulcast
 // copy flips, SVC layer moves) this server has made since creation.
 func (s *Server) FwdSwitches() uint64 { return s.fwdSwitches }
 
-// recoverySenderStats reads one origin's sender-side recovery counters
-// at this SFU: NACKed seqs received for its media and retransmissions
-// answered. Zero with recovery off or for an unknown origin.
+// recoverySenderStats reads one origin's sender-side recovery counters at
+// this SFU — NACKed seqs received for its media and retransmissions
+// answered — summed over the down-tracks that carry it or once did. Zero
+// with recovery off or for an unknown origin.
 func (s *Server) recoverySenderStats(id int32) (nacks, rtx uint64) {
-	if s.rec == nil || id < 0 || int(id) >= len(s.rec.nackRecv) {
+	if id < 0 || int(id) >= len(s.legs) {
 		return 0, 0
 	}
-	return s.rec.nackRecv[id], s.rec.rtxSent[id]
+	var c rtxCount
+	if s.retired != nil {
+		c = s.retired[id]
+	}
+	s.eachRTX(func(r *retransmitter) { c.add(r.byOrigin[id].rtxCount) })
+	return c.nacks, c.rtx
 }
 
 // NackRTXTotals reports the call-wide NACKed-seq and answered-RTX
-// counters summed over every SFU (harness invariant surface).
+// counters summed over every SFU's down-tracks, live and torn down
+// (harness invariant surface).
 func (c *Call) NackRTXTotals() (nacks, rtx uint64) {
+	var sum rtxCount
 	for _, s := range c.Servers {
-		if s.rec != nil {
-			nacks += s.rec.nackTotal
-			rtx += s.rec.rtxTotal
+		for _, o := range s.retired {
+			sum.add(o)
 		}
+		s.eachRTX(func(r *retransmitter) {
+			for i := range r.byOrigin {
+				sum.add(r.byOrigin[i].rtxCount)
+			}
+		})
 	}
-	return nacks, rtx
+	return sum.nacks, sum.rtx
 }

@@ -13,8 +13,10 @@ package vca
 import (
 	"time"
 
+	"vcalab/internal/cc"
 	"vcalab/internal/codec"
 	"vcalab/internal/media"
+	"vcalab/internal/netem"
 	"vcalab/internal/rtp"
 )
 
@@ -373,3 +375,39 @@ const (
 	nackWireBase = 16 // RTCP NACK header; + 4 per pair
 	twccWireBase = 24 // simplified TWCC header; + 4 per delta
 )
+
+// padBudget turns a controller's padding rate into whole probe packets.
+type padBudget struct {
+	owed float64
+	last time.Duration
+}
+
+// due returns how many maxPayload packets the rate has accrued since the
+// last call (the 20 ms tick cadence on the first).
+func (b *padBudget) due(now time.Duration, ctrl cc.Controller) int {
+	dt := (now - b.last).Seconds()
+	if b.last == 0 {
+		dt = 0.02
+	}
+	b.last = now
+	b.owed += ctrl.PadRateBps(now) / 8 * dt
+	n := 0
+	for ; b.owed >= maxPayload; n++ {
+		b.owed -= maxPayload
+	}
+	return n
+}
+
+// post sends one payload from the host's port to the same port on another
+// host — every packet a client or an SFU emits goes through here.
+//
+//vca:hotpath per-packet hand-off to netem
+func post(h *netem.Host, to string, port, size int, flow string, payload any) {
+	pkt := h.NewPacket()
+	pkt.Size = size
+	pkt.From = netem.Addr{Host: h.Name, Port: port}
+	pkt.To = netem.Addr{Host: to, Port: port}
+	pkt.Flow = flow
+	pkt.Payload = payload
+	h.Send(pkt)
+}

@@ -3,18 +3,20 @@ package vca
 import (
 	"time"
 
+	"vcalab/internal/cc"
 	"vcalab/internal/media"
 	"vcalab/internal/obs"
 	"vcalab/internal/rtp"
 )
 
-// This file is the client half of packet-level loss recovery (DESIGN.md
-// §13): a per-origin jitter buffer that reorders out-of-order arrivals,
-// NACKs gaps with bounded retries and RTT-derived backoff, adapts its
-// playout deadline to observed jitter, and concedes seqs whose deadline
-// or retry budget is exhausted — after which late stragglers are
-// dropped, so the media receiver sees every loss exactly once. The SFU
-// half (RTX buffers, NACK answering, TWCC processing) lives in sfu.go.
+// This file is packet-level loss recovery (DESIGN.md §13), both halves.
+// The client half is a per-origin jitter buffer that reorders out-of-order
+// arrivals, NACKs gaps with bounded retries and RTT-derived backoff, adapts
+// its playout deadline to observed jitter, and concedes seqs whose deadline
+// or retry budget is exhausted — after which late stragglers are dropped,
+// so the media receiver sees every loss exactly once. The SFU half is the
+// retransmitter a down-track is built with: RTX rings, NACK answering, TWCC
+// send history.
 //
 // Recovery is strictly opt-in: with CallOptions.Recovery false, none of
 // this state exists, no recovery ticker is scheduled, and no message or
@@ -420,36 +422,217 @@ type sinkAt struct {
 
 func (s sinkAt) OnPacket(_ time.Duration, p media.PacketInfo) { s.to.OnPacket(s.now, p) }
 
-// serverRecovery is the per-server recovery state: NACK/RTX counters
-// (per-origin for getStats) plus retained-packet conservation accounting
-// checked by the fuzz harness. The RTX rings themselves live on each
-// leg's fwdState; the TWCC send histories live on each leg.
-type serverRecovery struct {
-	cfg RecoveryConfig
-
+// retransmitter is the SFU half of loss recovery: the part a down-track
+// toward a local receiver is built with in a recovery-on call, and never
+// otherwise. Relay tracks get none — recovery is last-mile, the downstream
+// SFU re-buffers in its own rewritten sequence space. It remembers every
+// packet the track emitted, per origin, so the subscriber's NACKs can be
+// answered, and — where the track has a controller — stamps and records
+// every packet for the subscriber's TWCC reports. A track built without
+// one holds a nil *retransmitter, on which store, storeOwn, stamp and drop
+// do nothing: the packet path calls them unconditionally and asks nothing
+// else about recovery.
+type retransmitter struct {
+	ringPkts int
+	// byOrigin is dense by origin ID. A ring is created by the pair's
+	// first emission and drained when the origin is dropped; the counters
+	// outlive it.
+	byOrigin []rtxOrigin
 	// refsLive is the number of ring slots currently holding a packet
 	// (harness invariant: zero after DrainRecovery).
 	refsLive uint64
 
-	nackRecv  []uint64 // by origin ID: NACKed seqs received
-	rtxSent   []uint64 // by origin ID: retransmissions answered
-	nackTotal uint64
-	rtxTotal  uint64
+	// twSeq is the transport-wide sequence counter of this downlink: every
+	// packet of the track (media, FEC, probe padding, RTX) gets the next
+	// value, feeding the receiver's TWCC arrival reports. It skips 0, so
+	// TWSeq == 0 always means "unstamped". twHist maps a TWSeq back to its
+	// send time and size when the report returns (nil: no controller to
+	// feed, nothing is stamped); twccFilter turns report + history into
+	// cc.Feedback.
+	twSeq      uint16
+	twHist     *rtp.SentHistory
+	twccFilter cc.TWCCFilter
 }
 
-func newServerRecovery(cfg RecoveryConfig, idCap int) *serverRecovery {
-	return &serverRecovery{
-		cfg:      cfg,
-		nackRecv: make([]uint64, idCap),
-		rtxSent:  make([]uint64, idCap),
+// rtxCount is one origin's sender-side recovery counters (getStats).
+type rtxCount struct {
+	nacks uint64 // NACKed seqs received
+	rtx   uint64 // retransmissions answered
+}
+
+func (c *rtxCount) add(o rtxCount) { c.nacks += o.nacks; c.rtx += o.rtx }
+
+type rtxOrigin struct {
+	ring *rtp.RTXRing[rtxEntry]
+	rtxCount
+}
+
+// rtxEntry is one ring slot: the packet this down-track shares with
+// every other ring its ingress packet fanned out to, plus the header
+// fields this down-track rewrote on the copy it sent. The ring keys the
+// slot by the rewritten Seq and keeps the wire size. The slot is one of
+// pkt's holders (MediaPacket.retain) until it is evicted or drained.
+type rtxEntry struct {
+	pkt *MediaPacket
+	// frameSeq narrows MediaPacket.FrameSeq to keep the slot at 32 bytes;
+	// at 30 fps it wraps after two years of simulated call.
+	frameSeq                int32
+	keyframe, frameEnd, e2e bool
+}
+
+// rebuild returns a fresh pooled copy of the packet exactly as this
+// down-track first sent it under seq.
+func (e rtxEntry) rebuild(p *mpPool, seq uint16) *MediaPacket {
+	out := p.copyOf(e.pkt)
+	out.Seq, out.FrameSeq = seq, int(e.frameSeq)
+	out.Keyframe, out.FrameEnd, out.E2E = e.keyframe, e.frameEnd, e.e2e
+	return out
+}
+
+func newRetransmitter(ringPkts, idCap int, twcc bool) *retransmitter {
+	r := &retransmitter{ringPkts: ringPkts, byOrigin: make([]rtxOrigin, idCap)}
+	if twcc {
+		r.twHist = rtp.NewSentHistory(2048)
+	}
+	return r
+}
+
+// store files an outgoing packet in its origin's ring so a NACK for its
+// seq can be answered: the slot retains shared — the ingress packet out
+// was copied from — and records what out rewrote. The slot this one evicts
+// lets go of its packet.
+//
+//vca:hotpath per-emission RTX slot store
+func (r *retransmitter) store(now time.Duration, shared, out *MediaPacket, size int) {
+	if r == nil {
+		return
+	}
+	o := &r.byOrigin[out.OriginID]
+	if o.ring == nil {
+		o.ring = rtp.NewRTXRing[rtxEntry](r.ringPkts)
+	}
+	ev, ok := o.ring.Put(out.Seq, rtxEntry{
+		pkt:      shared.retain(),
+		frameSeq: int32(out.FrameSeq),
+		keyframe: out.Keyframe, frameEnd: out.FrameEnd, e2e: out.E2E,
+	}, size, int64(now/time.Microsecond))
+	if ok {
+		unref(ev.pkt) // one reference in, one out: refsLive stands
+	} else {
+		r.refsLive++
 	}
 }
 
-func (r *serverRecovery) grow(id int32) {
-	for int(id) >= len(r.nackRecv) {
-		r.nackRecv = append(r.nackRecv, 0)
-		r.rtxSent = append(r.rtxSent, 0)
+// storeOwn files a server-generated packet (FEC): no ingress packet stands
+// behind it and out itself is consumed by the wire, so the slot holds a
+// copy of its own.
+func (r *retransmitter) storeOwn(now time.Duration, p *mpPool, out *MediaPacket, size int) {
+	if r != nil {
+		r.store(now, p.copyOf(out), out, size)
 	}
+}
+
+// stamp gives an outgoing packet the downlink's next transport-wide seq.
+//
+//vca:hotpath per-packet TWCC stamp
+func (r *retransmitter) stamp(now time.Duration, mp *MediaPacket, size int) {
+	if r == nil || r.twHist == nil {
+		return
+	}
+	r.twSeq++
+	if r.twSeq == 0 {
+		r.twSeq++
+	}
+	mp.TWSeq = r.twSeq
+	r.twHist.Record(r.twSeq, int64(now/time.Microsecond), size)
+}
+
+// drop lets go of every packet one origin's ring holds. Every path that
+// makes a down-track forget an origin must come through here (or drain),
+// or retained packets never return to the pool.
+func (r *retransmitter) drop(origin int32) {
+	if r == nil {
+		return
+	}
+	o := &r.byOrigin[origin]
+	if o.ring == nil {
+		return
+	}
+	o.ring.Drain(func(e rtxEntry) {
+		unref(e.pkt)
+		r.refsLive--
+	})
+	o.ring = nil
+}
+
+// drain empties every ring (Call.DrainRecovery).
+func (r *retransmitter) drain() {
+	for id := range r.byOrigin {
+		r.drop(int32(id))
+	}
+}
+
+// retire is the track's teardown: the rings drained, the counters folded
+// into the server's per-origin tally of departed tracks.
+func (r *retransmitter) retire(into []rtxCount) {
+	r.drain()
+	for id := range r.byOrigin {
+		into[id].add(r.byOrigin[id].rtxCount)
+	}
+}
+
+// answer re-sends what a subscriber's NACK asks for from the origin's
+// ring. Every answered seq goes through the normal track path — shaped,
+// droppable, TWCC-stamped — as a fresh pooled copy rebuilt from the slot
+// and marked RTX; the slot stays put so a re-NACK can be answered again.
+// Seqs already evicted are silently unanswerable: the receiver's retry
+// budget bounds how long it keeps asking. It only reads m.
+func (l *downTrack) answer(now time.Duration, m *NackMsg) (answered int) {
+	if l.rtx == nil || m.Origin < 0 || int(m.Origin) >= len(l.rtx.byOrigin) {
+		return 0
+	}
+	o := &l.rtx.byOrigin[m.Origin]
+	if o.ring == nil {
+		return 0
+	}
+	requested := 0
+	for _, p := range m.Pairs {
+		seq := p.PacketID
+		for i := 0; i <= 16; i++ {
+			if i > 0 {
+				if p.Bitmask&(1<<(i-1)) == 0 {
+					continue
+				}
+				seq = p.PacketID + uint16(i)
+			}
+			requested++
+			if e, size, _, ok := o.ring.Get(seq); ok {
+				out := e.rebuild(l.pool, seq)
+				out.RTX = true
+				l.send(now, out, size)
+				answered++
+			}
+		}
+	}
+	o.nacks += uint64(requested)
+	o.rtx += uint64(answered)
+	return answered
+}
+
+// onTWCC folds a subscriber's transport-wide arrival report into the
+// track's controller. The filter reconstructs per-packet one-way delay
+// against the send history; RTT follows the repo's synthetic convention
+// (2×queue delay + 40 ms base). It only reads m.
+func (l *downTrack) onTWCC(now time.Duration, m *TWCCMsg, tr *obs.Tracer, server string) {
+	if l.rtx == nil || l.rtx.twHist == nil {
+		return
+	}
+	fb, ok := l.rtx.twccFilter.Process(now, 0, &m.Report, l.rtx.twHist.Lookup)
+	if !ok {
+		return
+	}
+	fb.RTT = 2*fb.QueueDelay + 40*time.Millisecond
+	feedCC(l.ctrl, fb, tr, l.recvName, server)
 }
 
 // RecoveryReceiverStats is one origin's receiver-side recovery counters,
@@ -475,13 +658,5 @@ func (r *clientRecovery) recoveryReceiverStats(id int32) RecoveryReceiverStats {
 		JitterBufferTime: b.jbDelayTotal,
 		Conceded:         b.conceded,
 		LateDropped:      b.lateDropped,
-	}
-}
-
-// tracerRecovery is a tiny helper so call sites stay one line under the
-// nil-guard convention.
-func tracerRecovery(tr *obs.Tracer, kind obs.EventKind, now time.Duration, client, origin string, n int) {
-	if tr != nil {
-		tr.Recovery(kind, now, client, origin, n)
 	}
 }

@@ -146,8 +146,8 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 	}
 	first := audio(0)
 	s.onMedia(&netem.Packet{Size: 140, Payload: first})
-	if first.refs != 2 || s.rec.refsLive != 2 {
-		t.Fatalf("after fan-out to two legs: refs %d, refsLive %d; want 2 and 2", first.refs, s.rec.refsLive)
+	if first.refs != 2 || call.RTXClonesLive() != 2 {
+		t.Fatalf("after fan-out to two legs: refs %d, refsLive %d; want 2 and 2", first.refs, call.RTXClonesLive())
 	}
 	// Three more packets fill the 4-slot rings; the fifth evicts the first
 	// from both, and only then does it go back.
@@ -165,16 +165,16 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 	if len(pool.free) != free+1 {
 		t.Errorf("pool free list went %d -> %d, want one packet back", free, len(pool.free))
 	}
-	if s.rec.refsLive != 8 {
-		t.Errorf("refsLive %d, want 8 (two full 4-slot rings)", s.rec.refsLive)
+	if n := call.RTXClonesLive(); n != 8 {
+		t.Errorf("refsLive %d, want 8 (two full 4-slot rings)", n)
 	}
 	// A NACK for an evicted seq is unanswerable; for a held one the answer
 	// is rebuilt from the slot.
-	l2 := s.legs[call.Clients[1].id]
-	if _, _, _, ok := l2.fwd[call.Clients[0].id].rtx.Get(0); ok {
+	ring := s.legs[call.Clients[1].id].rtx.byOrigin[call.Clients[0].id].ring
+	if _, _, _, ok := ring.Get(0); ok {
 		t.Error("seq 0 still answerable after eviction")
 	}
-	e, size, _, ok := l2.fwd[call.Clients[0].id].rtx.Get(3)
+	e, size, _, ok := ring.Get(3)
 	if !ok || size != 140 {
 		t.Fatalf("seq 3 not held: ok %v size %d", ok, size)
 	}

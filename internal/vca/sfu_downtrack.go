@@ -1,0 +1,163 @@
+package vca
+
+import (
+	"time"
+
+	"vcalab/internal/cc"
+	"vcalab/internal/netem"
+)
+
+// downTrack is the SFU's send side toward one subscriber — a local client,
+// or a peer SFU when relay is set. It owns what the subscriber sees of the
+// call: one forwarder (layer machine) per origin it carries, the rewritten
+// sequence spaces, the downlink congestion controller and its probe
+// padding, the accounting labels, and — when built with one — the
+// retransmit part (recovery.go) that answers the subscriber's NACKs and
+// turns its TWCC reports into controller feedback. A relay track is the
+// same machinery toward a peer: Meet/Zoom terminate congestion control per
+// hop (the downstream SFU reports back like a receiver would), Teams
+// passes through.
+type downTrack struct {
+	receiver int32
+	recvName string // cached for netem addressing
+	relay    bool
+	// passthrough marks a track that forwards packets untouched — a Teams
+	// relay hop, or Teams' 2-party call (§4.2): original sequence numbers
+	// and origin timestamps survive, so uplink loss and queueing stay
+	// visible to the far receiver's end-to-end congestion control, across
+	// a cascade of SFUs too.
+	passthrough bool
+
+	prof *Profile
+	host *netem.Host
+	pool *mpPool
+
+	ctrl     cc.Controller // nil for Teams (pure relay)
+	seq      uint16        // relay tracks: one sequence space across origins
+	fwd      []*forwarder  // origin ID -> layer machine (nil: not carried)
+	fwdBytes uint64        // cumulative media bytes sent down this track
+	pad      padBudget
+	// flows caches accounting labels per (origin ID, rate key): building
+	// the label per forwarded packet would allocate on the hottest path.
+	flows [][]string
+
+	// rtx is set at construction, or never: the retransmit part of a track
+	// toward a local receiver in a recovery-on call. Nil, every call the
+	// packet path makes on it does nothing, and that path is exactly the
+	// pre-recovery one.
+	rtx *retransmitter
+}
+
+// write offers one ingress packet to the subscriber: dropped, or copied,
+// rewritten and sent. mp itself is only read.
+//
+//vca:hotpath per-packet per-track fan-out entry
+func (l *downTrack) write(now time.Duration, mp *MediaPacket, size int) {
+	f := l.fwd[mp.OriginID]
+	if f == nil {
+		return
+	}
+	if l.passthrough {
+		out := l.pool.copyOf(mp)
+		out.E2E = true
+		l.rtx.store(now, mp, out, size)
+		l.send(now, out, size)
+	} else if f.forward(mp) {
+		l.emit(now, f, mp, size)
+	}
+}
+
+// emit rewrites sequence/frame numbers and sends the packet to the
+// subscriber, generating FEC overhead where the profile says so.
+//
+//vca:hotpath per-packet egress copy
+func (l *downTrack) emit(now time.Duration, f *forwarder, mp *MediaPacket, size int) {
+	out := l.pool.copyOf(mp)
+	out.Seq = l.nextSeq(f)
+	f.rewrite(out, mp)
+	l.rtx.store(now, mp, out, size)
+	l.send(now, out, size)
+
+	if mp.Audio || l.prof.ServerFECOverhead <= 0 {
+		return
+	}
+	f.fecOwed += float64(size) * l.prof.ServerFECOverhead
+	for f.fecOwed >= 600 {
+		n := min(int(f.fecOwed), maxPayload)
+		f.fecOwed -= float64(n)
+		fec := l.pool.get()
+		fec.Origin, fec.OriginID = mp.Origin, mp.OriginID
+		fec.StreamID, fec.RK = "fec", rkFEC
+		fec.Seq, fec.Padding = l.nextSeq(f), true
+		l.rtx.storeOwn(now, l.pool, fec, n+wireOverhead)
+		l.send(now, fec, n+wireOverhead)
+	}
+}
+
+// nextSeq allocates the next sequence number: per origin toward a
+// receiver, one space across origins on a relay track so the downstream
+// SFU can run loss accounting for the whole hop.
+func (l *downTrack) nextSeq(f *forwarder) uint16 {
+	if l.relay {
+		seq := l.seq
+		l.seq++
+		return seq
+	}
+	seq := f.seq
+	f.seq++
+	return seq
+}
+
+// flowFor returns the cached accounting label for the packet's (origin,
+// stream), index-addressed by (origin ID, rate key).
+func (l *downTrack) flowFor(mp *MediaPacket) string {
+	row := l.flows[mp.OriginID]
+	k := mp.rateKey()
+	for len(row) <= k {
+		row = append(row, "")
+	}
+	if row[k] == "" {
+		kind := "sfu"
+		if l.relay {
+			kind = "relay"
+		}
+		row[k] = l.prof.Name + "/" + kind + "/" + mp.Origin + "/" + mp.StreamID
+	}
+	l.flows[mp.OriginID] = row
+	return row[k]
+}
+
+//vca:hotpath per-packet egress to netem
+func (l *downTrack) send(now time.Duration, mp *MediaPacket, size int) {
+	l.rtx.stamp(now, mp, size)
+	l.fwdBytes += uint64(size)
+	post(l.host, l.recvName, PortMedia, size, l.flowFor(mp), mp)
+}
+
+// probe emits the padding the controller asks for (GCC recovery probes on
+// the Meet/Zoom downlink, Fig 5b's fast recovery; a relay track probes its
+// inter-region hop the same way) under the server's own identity.
+func (l *downTrack) probe(now time.Duration, server string, serverID int32) {
+	if l.ctrl == nil {
+		return
+	}
+	for n := l.pad.due(now, l.ctrl); n > 0; n-- {
+		mp := l.pool.get()
+		mp.Origin, mp.OriginID = server, serverID
+		mp.StreamID, mp.RK, mp.Padding = "pad", rkPad, true
+		l.send(now, mp, maxPayload+wireOverhead)
+	}
+}
+
+// share is the bandwidth the subscriber's estimate leaves each of the
+// numVideo origins it displays, audio set aside.
+func (l *downTrack) share(numVideo int) float64 {
+	return (l.ctrl.TargetBps() - l.prof.AudioBps*float64(numVideo)) / float64(numVideo)
+}
+
+// dropOrigin forgets one origin: its layer machine, flow labels and
+// retained packets.
+func (l *downTrack) dropOrigin(id int32) {
+	l.fwd[id], l.flows[id] = nil, nil
+	l.rtx.drop(id)
+}
