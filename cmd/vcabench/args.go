@@ -72,16 +72,14 @@ func validateFlags(exp, bench, scenarioName, recovery string, parallel, reps, fu
 		f.Close()
 	}
 	if obs.trace != "" || obs.metrics != "" {
-		// Capture is wired through the dynamic experiment only; other
-		// modes silently producing empty files would be worse than a
-		// refusal.
+		// Every experiment id captures through the one sweep path; the
+		// two modes that run no sweep trial to attach to would leave
+		// empty files, which is worse than a refusal.
 		switch {
 		case fuzz > 0:
 			return fmt.Errorf("-trace/-metrics do not apply to -fuzz (the harness traces internally)")
 		case bench != "":
 			return fmt.Errorf("-trace/-metrics do not apply to -bench")
-		case exp != "dynamic":
-			return fmt.Errorf("-trace/-metrics require -experiment dynamic; got -experiment %s", exp)
 		}
 	}
 	if fuzz > 0 {

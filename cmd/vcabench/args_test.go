@@ -66,8 +66,10 @@ func TestValidateFlags(t *testing.T) {
 			obsFlags{metrics: "/nonexistent-dir/m.jsonl", interval: time.Second}, "-metrics"},
 		{"unwritable cpuprofile path", "table2", "", "all", "off", 0, 3, 0, 1,
 			obsFlags{cpuprofile: "/nonexistent-dir/cpu.pprof", interval: time.Second}, "-cpuprofile"},
-		{"trace outside dynamic", "table2", "", "all", "off", 0, 3, 0, 1,
-			obsFlags{trace: writable, interval: time.Second}, "-experiment dynamic"},
+		{"trace on a paper table ok", "table2", "", "all", "off", 0, 3, 0, 1,
+			obsFlags{trace: writable, interval: time.Second}, ""},
+		{"trace + metrics on all ok", "all", "", "all", "off", 0, 3, 0, 1,
+			obsFlags{trace: writable, metrics: writable, interval: time.Second}, ""},
 		{"metrics with bench", "ignored", "engine", "all", "off", 0, 3, 0, 1,
 			obsFlags{metrics: writable, interval: time.Second}, "-bench"},
 		{"trace with fuzz", "ignored", "", "ignored", "off", 0, 3, 10, 1,

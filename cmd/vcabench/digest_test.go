@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -50,10 +51,12 @@ func captureStdout(t *testing.T, fn func()) *bytes.Buffer {
 //
 //	go test ./cmd/vcabench -run TestOutputDigests -update
 //
-// so the change shows up as a reviewed diff.
+// so the change shows up as a reviewed diff. A second pass over the 17
+// `all` ids and the impairment sweep with -trace/-metrics capture on must
+// print the same bytes again: capture is read-only for every experiment.
 func TestOutputDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 56 quick-grid experiments")
+		t.Skip("runs 53 quick-grid experiments, 20 of them twice")
 	}
 	defer func(q bool, r int, s int64, rec string, sh int) {
 		*quick, *reps, *seed, *recovery, *shards = q, r, s, rec, sh
@@ -76,12 +79,23 @@ func TestOutputDigests(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range threeVCAs() {
-		var out bytes.Buffer
-		vcalab.PrintImpairment(&out, vcalab.RunImpairment(impairmentConfig(p)))
-		record(fmt.Sprintf("impairment/%s/recovery=on", p.Name), &out)
+	impairmentPass := func(record func(string, *bytes.Buffer)) {
+		*recovery = "on"
+		for _, p := range threeVCAs() {
+			var out bytes.Buffer
+			vcalab.PrintImpairment(&out, vcalab.RunImpairment(impairmentConfig(p)))
+			record(fmt.Sprintf("impairment/%s/recovery=on", p.Name), &out)
+		}
+		*recovery = "off"
 	}
-	*recovery = "off"
+	allPass := func(record func(string, *bytes.Buffer)) {
+		for _, d := range experiments() {
+			if d.all {
+				record("all/"+d.name, captureStdout(t, d.fn))
+			}
+		}
+	}
+	impairmentPass(record)
 	for _, p := range threeVCAs() {
 		key := fmt.Sprintf("scale/%s", p.Name)
 		for _, sh := range []int{1, 2} {
@@ -96,10 +110,21 @@ func TestOutputDigests(t *testing.T) {
 		}
 	}
 	*shards = 1
-	for _, d := range experiments() {
-		if d.all {
-			record("all/"+d.name, captureStdout(t, d.fn))
+	allPass(record)
+
+	// Capture on: a small ring and discarded sinks keep the pass cheap;
+	// what is asserted is that attaching, sampling and flushing leave
+	// every printed byte where it was.
+	observed := func(key string, out *bytes.Buffer) {
+		if sum := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); sum != got[key] {
+			t.Errorf("%s: output with capture on (sha256 %s) differs from capture off (%s)", key, sum, got[key])
 		}
+	}
+	vcalab.SetCapture(&vcalab.ObsConfig{Trace: true, Metrics: true, TraceCap: 1 << 10}, io.Discard, io.Discard)
+	impairmentPass(observed)
+	allPass(observed)
+	if err := vcalab.SetCapture(nil, nil, nil); err != nil {
+		t.Errorf("capture to io.Discard failed: %v", err)
 	}
 
 	if *update {

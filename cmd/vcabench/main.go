@@ -11,6 +11,7 @@
 //	vcabench -experiment scale -quick
 //	vcabench -experiment scale -shards 3
 //	vcabench -experiment all -quick
+//	vcabench -experiment fig12 -quick -trace t.jsonl -metrics m.jsonl
 //	vcabench -bench engine -json -shards 3
 //
 // Independent trials fan out across all cores by default (-parallel 0);
@@ -49,8 +50,8 @@ var (
 	recovery = flag.String("recovery", "off", "packet-level loss recovery (NACK/RTX, jitter buffer, TWCC feedback): `on|off`; applies to -experiment impairment/scale/dynamic, -fuzz and -bench")
 	check    = flag.Bool("check", false, "with -bench engine: exit non-zero if allocs/event exceeds 0.1 (on the -recovery on row too), events/s regresses >20% vs the recorded baseline, or — with -shards > 1 — the sharded run diverges from the sequential event set (the CI bench-regression gate)")
 
-	traceFile   = flag.String("trace", "", "with -experiment dynamic: write a structured JSONL event trace (packet enqueue/dequeue/drop/deliver, CC decisions, forward switches, scenario and churn events) to `FILE`")
-	metricsFile = flag.String("metrics", "", "with -experiment dynamic: write sampled metrics and per-client getStats snapshots as JSONL to `FILE`")
+	traceFile   = flag.String("trace", "", "write a structured JSONL event trace of every trial (packet enqueue/dequeue/drop/deliver, CC decisions, forward switches, scenario and churn events) to `FILE`")
+	metricsFile = flag.String("metrics", "", "write every trial's sampled metrics and per-client getStats snapshots as JSONL to `FILE`")
 	obsInterval = flag.Duration("obs-interval", time.Second, "sampling period for -metrics gauges/histograms and getStats snapshots")
 	cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to `FILE`")
 	memprofile  = flag.String("memprofile", "", "write a pprof heap profile to `FILE` when the run completes")
@@ -179,24 +180,58 @@ func main() {
 		return
 	}
 
-	if *exp == "all" {
-		for _, d := range experiments() {
-			if !d.all {
-				continue
-			}
+	endCapture := openCapture()
+	for _, d := range experiments() {
+		switch {
+		case *exp == "all" && d.all:
 			fmt.Printf("\n===== %s =====\n", d.name)
 			d.fn()
-		}
-		return
-	}
-	for _, d := range experiments() {
-		if d.name == *exp {
+		case d.name == *exp: // validateFlags vetted *exp against the same registry
 			d.fn()
-			return
 		}
 	}
-	// validateFlags vetted *exp against the same registry.
-	panic(fmt.Sprintf("experiment %q vetted but not registered", *exp))
+	endCapture()
+}
+
+// openCapture opens the -trace/-metrics files and makes them the capture
+// of every sweep this process runs: each file holds every trial's capture
+// in run order, each behind a self-describing trial-header line. The
+// returned func ends the capture once every result is printed; a file
+// that could not be written whole fails the run there with exit code 1.
+// validateFlags already probed both paths for writability, so a failure
+// to open is an unexpected race and exits 2 like any other bad invocation.
+func openCapture() (end func()) {
+	if *traceFile == "" && *metricsFile == "" {
+		return func() {}
+	}
+	var files []*os.File
+	open := func(path string) io.Writer {
+		if path == "" {
+			return nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		files = append(files, f)
+		return f
+	}
+	vcalab.SetCapture(&vcalab.ObsConfig{
+		Trace: *traceFile != "", Metrics: *metricsFile != "", Interval: *obsInterval,
+	}, open(*traceFile), open(*metricsFile))
+	return func() {
+		err := vcalab.SetCapture(nil, nil, nil)
+		for _, f := range files {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "vcabench: -trace/-metrics output is incomplete: %v\n", err)
+			os.Exit(1)
+		}
+	}
 }
 
 func caps() []float64 {
@@ -479,62 +514,18 @@ func dynamicConfig(p *vcalab.Profile, scenarioName string) vcalab.DynamicConfig 
 	return cfg
 }
 
-// obsSinks opens the -trace/-metrics files and builds the ObsConfig the
-// dynamic sweeps share; everything is nil when both flags are off. The
-// files hold every (profile, scenario, rep) capture in run order, each
-// introduced by a self-describing trial-header line. validateFlags
-// already probed both paths for writability, so a failure here is an
-// unexpected race and exits 2 like any other bad invocation.
-func obsSinks() (cfg *vcalab.ObsConfig, traceW, metricsW io.Writer, closeAll func()) {
-	if *traceFile == "" && *metricsFile == "" {
-		return nil, nil, nil, func() {}
-	}
-	cfg = &vcalab.ObsConfig{
-		Trace:    *traceFile != "",
-		Metrics:  *metricsFile != "",
-		Interval: *obsInterval,
-	}
-	var files []*os.File
-	open := func(path string) io.Writer {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		files = append(files, f)
-		return f
-	}
-	traceW = open(*traceFile)
-	metricsW = open(*metricsFile)
-	return cfg, traceW, metricsW, func() {
-		for _, f := range files {
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "closing observability output: %v\n", err)
-			}
-		}
-	}
-}
-
 // dynamic replays the canned scenarios (or the one chosen with -scenario,
 // including `gen[:seed]` for a generated timeline) against every VCA: the
 // changing-conditions workload axis. `all` stays the five canned
 // scenarios so existing outputs are untouched.
 func dynamic() {
-	obsCfg, traceW, metricsW, closeObs := obsSinks()
-	defer closeObs()
 	names := vcalab.CannedScenarioNames()
 	if *scen != "all" {
 		names = []string{*scen}
 	}
 	for _, p := range threeVCAs() {
 		for _, name := range names {
-			cfg := dynamicConfig(p, name)
-			cfg.Obs, cfg.TraceW, cfg.MetricsW = obsCfg, traceW, metricsW
-			r := vcalab.RunDynamic(cfg)
-			vcalab.PrintDynamic(os.Stdout, r)
+			vcalab.PrintDynamic(os.Stdout, vcalab.RunDynamic(dynamicConfig(p, name)))
 		}
 	}
 }

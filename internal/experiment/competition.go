@@ -6,8 +6,6 @@ import (
 
 	"vcalab/internal/apps"
 	"vcalab/internal/netem"
-	"vcalab/internal/runner"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -99,19 +97,20 @@ type CompetitionResult struct {
 	NetflixPeakParallel stats.Summary
 }
 
-// competitionTrial is one repetition's raw measurements. nfConns/nfPeak
-// hold at most one sample each (set when the competitor is Netflix).
+// competitionTrial is one repetition's raw measurements. The Netflix
+// counters are read when the competitor stops, if it is Netflix and does.
 type competitionTrial struct {
 	shareUp, shareDown               float64
 	incUp, compUp, incDown, compDown stats.Series
-	nfConns, nfPeak                  []float64
+	nfConns, nfPeak                  float64
+	netflix                          bool
 }
 
 // runTrial executes one repetition on a fresh engine.
-func (cfg *CompetitionConfig) runTrial(rep int) competitionTrial {
+func (cfg *CompetitionConfig) runTrial(o *trialObs, rep int) competitionTrial {
 	seed := cfg.Seed + int64(rep)*7127
-	eng := sim.New(seed)
-	lab := NewLab(eng, cfg.LinkMbps*1e6, cfg.LinkMbps*1e6)
+	t := twoPartyTrial(o, seed, cfg.Incumbent, cfg.LinkMbps*1e6, cfg.LinkMbps*1e6, vca.CallOptions{Seed: seed})
+	lab, eng := t.lab, t.eng
 
 	// Bottleneck taps: classify by which bottleneck-side host the
 	// packet belongs to (what tcpdump at the clients saw).
@@ -133,41 +132,26 @@ func (cfg *CompetitionConfig) runTrial(rep int) competitionTrial {
 			mCompDown.AddBytes(eng.Now(), p.Size)
 		}
 	})
-
-	// Incumbent call.
-	c1 := lab.ClientHost("c1")
-	c2 := lab.RemoteHost("c2", RemoteDelay)
-	sfu := lab.RemoteHost("sfu", SFUDelay)
-	call := vca.NewCall(eng, cfg.Incumbent, sfu, []*netem.Host{c1, c2}, vca.CallOptions{Seed: seed})
-	call.Start()
+	t.start()
 
 	// Competitor.
-	var t competitionTrial
+	var res competitionTrial
 	f1 := lab.ClientHost("f1")
 	var stopComp func()
-	eng.Schedule(cfg.CompAt, func() {
-		stopComp = startCompetitor(eng, lab, *cfg, f1, seed, &t.nfConns, &t.nfPeak)
-	})
+	eng.Schedule(cfg.CompAt, func() { stopComp = cfg.startCompetitor(t, f1, &res) })
 	eng.Schedule(cfg.CompAt+cfg.CompDur, func() {
 		if stopComp != nil {
 			stopComp()
 		}
 	})
+	t.finish(cfg.CallDur)
 
-	eng.RunUntil(cfg.CallDur)
-	call.Stop()
-
-	iu := mIncUp.MeanRateMbps(cfg.ShareLo, cfg.ShareHi)
-	cu := mCompUp.MeanRateMbps(cfg.ShareLo, cfg.ShareHi)
-	id := mIncDown.MeanRateMbps(cfg.ShareLo, cfg.ShareHi)
-	cd := mCompDown.MeanRateMbps(cfg.ShareLo, cfg.ShareHi)
-	t.shareUp = stats.Share(iu, cu)
-	t.shareDown = stats.Share(id, cd)
-	t.incUp = mIncUp.RateMbps()
-	t.compUp = mCompUp.RateMbps()
-	t.incDown = mIncDown.RateMbps()
-	t.compDown = mCompDown.RateMbps()
-	return t
+	lo, hi := cfg.ShareLo, cfg.ShareHi
+	res.shareUp = stats.Share(mIncUp.MeanRateMbps(lo, hi), mCompUp.MeanRateMbps(lo, hi))
+	res.shareDown = stats.Share(mIncDown.MeanRateMbps(lo, hi), mCompDown.MeanRateMbps(lo, hi))
+	res.incUp, res.compUp = mIncUp.RateMbps(), mCompUp.RateMbps()
+	res.incDown, res.compDown = mIncDown.RateMbps(), mCompDown.RateMbps()
+	return res
 }
 
 // RunCompetition executes the experiment, repetitions in parallel.
@@ -177,43 +161,31 @@ func RunCompetition(cfg CompetitionConfig) CompetitionResult {
 	if cfg.Kind == CompVCA {
 		name = cfg.CompProfile.Name
 	}
-	res := CompetitionResult{
+	ts := repeat("competition "+cfg.Incumbent.Name+" vs "+name, cfg.Parallel, nil, cfg.Reps, cfg.runTrial)
+	return CompetitionResult{
 		Incumbent: cfg.Incumbent.Name, Competitor: name, LinkMbps: cfg.LinkMbps,
-	}
-	trials := runner.Map(pool(cfg.Parallel, "competition "+res.Incumbent+" vs "+name),
-		cfg.Reps, func(rep int) competitionTrial { return cfg.runTrial(rep) })
+		ShareUp:   summarize(ts, func(t competitionTrial) float64 { return t.shareUp }),
+		ShareDown: summarize(ts, func(t competitionTrial) float64 { return t.shareDown }),
+		IncUp:     meanSeries(ts, func(t competitionTrial) stats.Series { return t.incUp }),
+		CompUp:    meanSeries(ts, func(t competitionTrial) stats.Series { return t.compUp }),
+		IncDown:   meanSeries(ts, func(t competitionTrial) stats.Series { return t.incDown }),
+		CompDown:  meanSeries(ts, func(t competitionTrial) stats.Series { return t.compDown }),
 
-	var shUp, shDown, nfConns, nfPeak []float64
-	var incUp, compUp, incDown, compDown []stats.Series
-	for _, t := range trials {
-		shUp = append(shUp, t.shareUp)
-		shDown = append(shDown, t.shareDown)
-		incUp = append(incUp, t.incUp)
-		compUp = append(compUp, t.compUp)
-		incDown = append(incDown, t.incDown)
-		compDown = append(compDown, t.compDown)
-		nfConns = append(nfConns, t.nfConns...)
-		nfPeak = append(nfPeak, t.nfPeak...)
+		NetflixConns:        summarizeSome(ts, func(t competitionTrial) (float64, bool) { return t.nfConns, t.netflix }),
+		NetflixPeakParallel: summarizeSome(ts, func(t competitionTrial) (float64, bool) { return t.nfPeak, t.netflix }),
 	}
-	res.ShareUp = stats.Summarize(shUp)
-	res.ShareDown = stats.Summarize(shDown)
-	res.IncUp = meanSeries(incUp)
-	res.CompUp = meanSeries(compUp)
-	res.IncDown = meanSeries(incDown)
-	res.CompDown = meanSeries(compDown)
-	res.NetflixConns = stats.Summarize(nfConns)
-	res.NetflixPeakParallel = stats.Summarize(nfPeak)
-	return res
 }
 
 // startCompetitor launches the competing application on f1 and returns its
 // stop function.
-func startCompetitor(eng *sim.Engine, lab *Lab, cfg CompetitionConfig, f1 *netem.Host, seed int64, nfConns, nfPeak *[]float64) func() {
+func (cfg *CompetitionConfig) startCompetitor(t *trial, f1 *netem.Host, res *competitionTrial) func() {
+	lab, eng := t.lab, t.eng
 	switch cfg.Kind {
 	case CompVCA:
 		f2 := lab.RemoteHost("f2", RemoteDelay)
 		sfu2 := lab.RemoteHost("sfu2", SFUDelay)
-		call2 := vca.NewCall(eng, cfg.CompProfile, sfu2, []*netem.Host{f1, f2}, vca.CallOptions{Seed: seed + 999})
+		call2 := vca.NewCall(eng, cfg.CompProfile, sfu2, []*netem.Host{f1, f2}, vca.CallOptions{Seed: t.seed + 999})
+		t.traceCall(call2)
 		call2.Start()
 		return call2.Stop
 	case CompIPerf:
@@ -233,8 +205,7 @@ func startCompetitor(eng *sim.Engine, lab *Lab, cfg CompetitionConfig, f1 *netem
 		nf.Start()
 		return func() {
 			nf.Stop()
-			*nfConns = append(*nfConns, float64(nf.ConnectionsOpened))
-			*nfPeak = append(*nfPeak, float64(nf.PeakParallel))
+			res.nfConns, res.nfPeak, res.netflix = float64(nf.ConnectionsOpened), float64(nf.PeakParallel), true
 		}
 	default:
 		cdn := lab.RemoteHost("ytcdn", RemoteDelay)

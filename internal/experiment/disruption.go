@@ -3,8 +3,6 @@ package experiment
 import (
 	"time"
 
-	"vcalab/internal/runner"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -23,12 +21,11 @@ type DisruptionConfig struct {
 	Parallel int
 
 	// Timing knobs (defaults follow §4's method).
-	CallDur  time.Duration // 5 min
-	DropAt   time.Duration // 60 s
-	DropLen  time.Duration // 30 s
-	TTRFrac  float64       // fraction of nominal considered recovered (0.95)
-	TTRRoll  time.Duration // rolling-median window (5 s)
-	MeterBin time.Duration // series bin (1 s)
+	CallDur time.Duration // 5 min
+	DropAt  time.Duration // 60 s
+	DropLen time.Duration // 30 s
+	TTRFrac float64       // fraction of nominal considered recovered (0.95)
+	TTRRoll time.Duration // rolling-median window (5 s)
 }
 
 func (c *DisruptionConfig) defaults() {
@@ -80,76 +77,54 @@ type disruptionTrial struct {
 }
 
 // runTrial executes one repetition on a fresh engine.
-func (cfg *DisruptionConfig) runTrial(rep int) disruptionTrial {
+func (cfg *DisruptionConfig) runTrial(o *trialObs, rep int) disruptionTrial {
 	seed := cfg.Seed + int64(rep)*31337
-	eng := sim.New(seed)
-	call, lab := twoPartyCall(eng, cfg.Profile, 0, 0, vca.CallOptions{Seed: seed})
-	call.Start()
-	eng.Schedule(cfg.DropAt, func() {
-		if cfg.Dir == Uplink {
-			lab.SetUplink(cfg.LevelMbps * 1e6)
-		} else {
-			lab.SetDownlink(cfg.LevelMbps * 1e6)
-		}
-	})
-	eng.Schedule(cfg.DropAt+cfg.DropLen, func() {
-		if cfg.Dir == Uplink {
-			lab.SetUplink(0)
-		} else {
-			lab.SetDownlink(0)
-		}
-	})
-	eng.RunUntil(cfg.CallDur)
-	call.Stop()
-
-	var t disruptionTrial
+	t := twoPartyTrial(o, seed, cfg.Profile, 0, 0, vca.CallOptions{Seed: seed})
+	shape := t.lab.SetDownlink
 	if cfg.Dir == Uplink {
-		t.series = call.C1().UpMeter.RateMbps()
-	} else {
-		t.series = call.C1().DownMeter.RateMbps()
+		shape = t.lab.SetUplink
 	}
-	t.far = call.Clients[1].UpMeter.RateMbps()
-	if ttr, ok := stats.TTR(t.series, cfg.DropAt, cfg.DropAt+cfg.DropLen, cfg.TTRRoll, cfg.TTRFrac); ok {
-		t.ttrSec = ttr.Seconds()
-		t.recovered = true
+	t.start()
+	t.eng.Schedule(cfg.DropAt, func() { shape(cfg.LevelMbps * 1e6) })
+	t.eng.Schedule(cfg.DropAt+cfg.DropLen, func() { shape(0) })
+	t.finish(cfg.CallDur)
+
+	shaped := t.call.C1().DownMeter
+	if cfg.Dir == Uplink {
+		shaped = t.call.C1().UpMeter
 	}
-	return t
+	res := disruptionTrial{series: shaped.RateMbps(), far: t.call.Clients[1].UpMeter.RateMbps()}
+	ttr, ok := stats.TTR(res.series, cfg.DropAt, cfg.DropAt+cfg.DropLen, cfg.TTRRoll, cfg.TTRFrac)
+	res.ttrSec, res.recovered = ttr.Seconds(), ok
+	return res
 }
 
 // RunDisruption executes the experiment, repetitions in parallel.
 func RunDisruption(cfg DisruptionConfig) DisruptionResult {
 	cfg.defaults()
-	res := DisruptionResult{Profile: cfg.Profile.Name, Dir: cfg.Dir, LevelMbps: cfg.LevelMbps}
-	trials := runner.Map(pool(cfg.Parallel, "disruption "+cfg.Profile.Name+"/"+cfg.Dir.String()),
-		cfg.Reps, func(rep int) disruptionTrial { return cfg.runTrial(rep) })
-
-	var ttrs []float64
-	var repSeries, repFar []stats.Series
-	for _, t := range trials {
-		repSeries = append(repSeries, t.series)
-		repFar = append(repFar, t.far)
-		if t.recovered {
-			ttrs = append(ttrs, t.ttrSec)
-			res.Recovered++
-		}
+	ts := repeat("disruption "+cfg.Profile.Name+"/"+cfg.Dir.String(), cfg.Parallel, nil, cfg.Reps, cfg.runTrial)
+	ttr := summarizeSome(ts, func(t disruptionTrial) (float64, bool) { return t.ttrSec, t.recovered })
+	return DisruptionResult{
+		Profile: cfg.Profile.Name, Dir: cfg.Dir, LevelMbps: cfg.LevelMbps,
+		Series:    meanSeries(ts, func(t disruptionTrial) stats.Series { return t.series }),
+		FarSeries: meanSeries(ts, func(t disruptionTrial) stats.Series { return t.far }),
+		TTR:       ttr,
+		Recovered: ttr.N,
 	}
-	res.Series = meanSeries(repSeries)
-	res.FarSeries = meanSeries(repFar)
-	res.TTR = stats.Summarize(ttrs)
-	return res
 }
 
-// meanSeries averages several equally-binned series pointwise.
-func meanSeries(ss []stats.Series) stats.Series {
+// meanSeries averages one equally-binned series pointwise across
+// repetitions.
+func meanSeries[T any](trials []T, field func(T) stats.Series) stats.Series {
 	var out stats.Series
-	if len(ss) == 0 {
+	if len(trials) == 0 {
 		return out
 	}
-	n := ss[0].Len()
-	for _, s := range ss {
-		if s.Len() < n {
-			n = s.Len()
-		}
+	ss := make([]stats.Series, len(trials))
+	n := field(trials[0]).Len()
+	for i, t := range trials {
+		ss[i] = field(t)
+		n = min(n, ss[i].Len())
 	}
 	for i := 0; i < n; i++ {
 		sum := 0.0

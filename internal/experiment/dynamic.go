@@ -3,12 +3,9 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math"
-	"os"
 	"time"
 
 	"vcalab/internal/cascade"
-	"vcalab/internal/netem"
 	"vcalab/internal/runner"
 	"vcalab/internal/scenario"
 	"vcalab/internal/stats"
@@ -53,10 +50,11 @@ type DynamicConfig struct {
 	// stays byte-identical at any Parallel × Shards for either value.
 	Recovery bool
 
-	// Obs enables per-trial observability capture (observe.go); nil
-	// leaves the hot path untouched. TraceW/MetricsW receive every
-	// repetition's JSONL stream in rep order after the sweep aggregates,
-	// so these files too are byte-identical at any Parallel.
+	// Obs, when non-nil, is this run's observability capture in place of
+	// the package default (SetCapture), as Parallel overrides the default
+	// parallelism. TraceW/MetricsW receive every repetition's JSONL
+	// stream in rep order once the sweep's pool drains, so these files
+	// too are byte-identical at any Parallel.
 	Obs      *ObsConfig
 	TraceW   io.Writer
 	MetricsW io.Writer
@@ -129,8 +127,6 @@ type dynamicTrial struct {
 	// recovered[i]/ttrSec[i] follow the scenario's recovery points.
 	recovered []bool
 	ttrSec    []float64
-	// obs carries the repetition's observability capture (nil when off).
-	obs *trialObs
 }
 
 // scenarioSalt decorrelates trial seeds across scenarios with the same
@@ -145,29 +141,20 @@ func scenarioSalt(name string) int64 {
 }
 
 // runTrial executes one repetition on a fresh trial.
-func (cfg *DynamicConfig) runTrial(rep int) dynamicTrial {
+func (cfg *DynamicConfig) runTrial(o *trialObs, rep int) dynamicTrial {
 	seed := runner.Seed(cfg.Seed+scenarioSalt(cfg.Scenario.Name), rep)
-
-	trial := cascade.NewTrial(seed,
-		cascade.Uniform(cfg.Participants, cfg.Regions, netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cfg.InterDelay}),
-		cfg.Shards, cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	defer trial.Close()
-	call := trial.Call
-	tl := scenario.New(trial.Eng, call, scenario.MeshLinks(trial.Mesh), cfg.Scenario)
-	to := instrumentTrial(cfg.Obs, trial, tl)
-	tl.Start() // events at t<=0 (a thinned starting roster) apply before the call starts
+	t := newMeshTrial(o, seed, cfg.Profile, cfg.Participants, cfg.Regions, cfg.InterMbps, cfg.InterDelay, cfg.Shards, cfg.Recovery)
+	call := t.call
+	t.timeline = scenario.New(t.eng, call, scenario.MeshLinks(t.mesh.Mesh), cfg.Scenario)
 	call.SampleFrameLatency(cfg.Warmup)
-	call.Start()
-	trial.RunUntil(cfg.Dur)
-	call.Stop()
+	t.start()
+	t.finish(cfg.Dur)
 
-	var t dynamicTrial
-	t.obs = to.finish(trial)
-	t.down = call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
-	t.freeze = call.MeanFreezeRatio()
-	if lp := stats.DurationPercentilesMs(call.FrameLatencies(), 50, 95, 99); lp != nil {
-		t.p50Ms, t.p95Ms, t.p99Ms = lp[0], lp[1], lp[2]
+	res := dynamicTrial{
+		down:   call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		freeze: call.MeanFreezeRatio(),
 	}
+	res.p50Ms, res.p95Ms, res.p99Ms = latencyPercentilesMs(call)
 
 	// Recovery after each marked event: time until C1's 5 s rolling-median
 	// rate returns to 80% of the pre-scenario nominal — measured in the
@@ -175,7 +162,7 @@ func (cfg *DynamicConfig) runTrial(rep int) dynamicTrial {
 	// on C1's upload rate; everything else on its download).
 	points := cfg.Scenario.RecoveryPoints()
 	if len(points) == 0 {
-		return t
+		return res
 	}
 	down := call.C1().DownMeter.RateMbps()
 	up := call.C1().UpMeter.RateMbps()
@@ -198,26 +185,11 @@ func (cfg *DynamicConfig) runTrial(rep int) dynamicTrial {
 		if ev.Op == scenario.OpShape && ev.Ref.Kind == scenario.LinkClientUp && ev.Ref.Client == c1 {
 			series, nominal = up, nominalUp
 		}
-		ttr, ok := recoveryAfter(series, ev.At, nominal)
-		t.recovered = append(t.recovered, ok)
-		t.ttrSec = append(t.ttrSec, ttr)
+		ttr, ok := stats.RecoveryAfter(series, ev.At, 5*time.Second, 0.8*nominal)
+		res.recovered = append(res.recovered, ok)
+		res.ttrSec = append(res.ttrSec, ttr.Seconds())
 	}
-	return t
-}
-
-// recoveryAfter returns the seconds until the series' 5 s rolling median
-// reaches 80% of nominal after at, or false if it never does in the data.
-func recoveryAfter(s stats.Series, at time.Duration, nominal float64) (float64, bool) {
-	if nominal <= 0 {
-		return 0, false
-	}
-	rolled := s.Slice(at, time.Duration(math.MaxInt64)).RollingMedian(5 * time.Second)
-	for i, v := range rolled.Values {
-		if v >= 0.8*nominal {
-			return (rolled.Times[i] - at).Seconds(), true
-		}
-	}
-	return 0, false
+	return res
 }
 
 // RunDynamic replays the configured scenario against the configured call,
@@ -225,44 +197,21 @@ func recoveryAfter(s stats.Series, at time.Duration, nominal float64) (float64, 
 // output is byte-identical at any Parallel.
 func RunDynamic(cfg DynamicConfig) DynamicResult {
 	cfg.defaults()
-	trials := runner.Map(pool(cfg.Parallel, "dynamic "+cfg.Profile.Name+"/"+cfg.Scenario.Name),
-		cfg.Reps, func(i int) dynamicTrial { return cfg.runTrial(i) })
+	ts := repeat("dynamic "+cfg.Profile.Name+"/"+cfg.Scenario.Name, cfg.Parallel,
+		newCapture(cfg.Obs, cfg.TraceW, cfg.MetricsW), cfg.Reps, cfg.runTrial)
 
 	res := DynamicResult{
 		Profile: cfg.Profile.Name, Scenario: cfg.Scenario.Name,
 		N: cfg.Participants, Regions: cfg.Regions, InterMbps: cfg.InterMbps,
+		DownMbps:    summarize(ts, func(t dynamicTrial) float64 { return t.down }),
+		FreezeRatio: summarize(ts, func(t dynamicTrial) float64 { return t.freeze }),
+		LatP50Ms:    summarize(ts, func(t dynamicTrial) float64 { return t.p50Ms }),
+		LatP95Ms:    summarize(ts, func(t dynamicTrial) float64 { return t.p95Ms }),
+		LatP99Ms:    summarize(ts, func(t dynamicTrial) float64 { return t.p99Ms }),
 	}
-	var downs, freezes, p50s, p95s, p99s []float64
-	for _, t := range trials {
-		downs = append(downs, t.down)
-		freezes = append(freezes, t.freeze)
-		p50s = append(p50s, t.p50Ms)
-		p95s = append(p95s, t.p95Ms)
-		p99s = append(p99s, t.p99Ms)
-	}
-	res.DownMbps = stats.Summarize(downs)
-	res.FreezeRatio = stats.Summarize(freezes)
-	res.LatP50Ms = stats.Summarize(p50s)
-	res.LatP95Ms = stats.Summarize(p95s)
-	res.LatP99Ms = stats.Summarize(p99s)
-
 	for pi, ev := range cfg.Scenario.RecoveryPoints() {
-		er := EventRecovery{Label: ev.Label, At: ev.At}
-		var times []float64
-		for _, t := range trials {
-			if pi < len(t.recovered) && t.recovered[pi] {
-				er.Recovered++
-				times = append(times, t.ttrSec[pi])
-			}
-		}
-		er.TTRSec = stats.Summarize(times)
-		res.Events = append(res.Events, er)
-	}
-
-	if err := flushObs(&cfg, trials); err != nil {
-		// A failing trace/metrics sink must not corrupt the experiment
-		// result; report and keep the aggregates.
-		fmt.Fprintf(os.Stderr, "vcalab: writing observability output: %v\n", err)
+		ttr := summarizeSome(ts, func(t dynamicTrial) (float64, bool) { return t.ttrSec[pi], t.recovered[pi] })
+		res.Events = append(res.Events, EventRecovery{Label: ev.Label, At: ev.At, Recovered: ttr.N, TTRSec: ttr})
 	}
 	return res
 }

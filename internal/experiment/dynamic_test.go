@@ -44,67 +44,6 @@ func TestDynamicDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestDynamicObservedOutputUnchanged is the zero-interference gate for
-// the observability layer: running the exact same dynamic condition with
-// tracing + metrics capture on must leave the experiment's printed output
-// byte-identical — the tracer only observes, the metrics sampler only
-// reads — and the capture files themselves must be byte-identical at
-// -parallel 1 and 4 (per-trial buffers flushed in rep order).
-func TestDynamicObservedOutputUnchanged(t *testing.T) {
-	run := func(par int, o *ObsConfig) (stdout, trace, metrics string) {
-		cfg := dynTestConfig(vca.Meet())
-		// The churn storm's last rejoin lands at ~56.4s; ending shortly
-		// after keeps the churn events inside the ring's retained tail
-		// without needing a huge (slow-to-flush) capacity.
-		cfg.Dur = 60 * time.Second
-		cfg.Parallel = par
-		var out, tw, mw strings.Builder
-		if o != nil {
-			cfg.Obs, cfg.TraceW, cfg.MetricsW = o, &tw, &mw
-		}
-		PrintDynamic(&out, RunDynamic(cfg))
-		return out.String(), tw.String(), mw.String()
-	}
-	// A roomier-than-default ring: packet events dominate, and this test
-	// wants the late-storm churn events to survive to the flush.
-	obsCfg := &ObsConfig{Trace: true, Metrics: true, Interval: time.Second, TraceCap: 1 << 18}
-
-	plain, _, _ := run(1, nil)
-	seq, seqTrace, seqMetrics := run(1, obsCfg)
-	par, parTrace, parMetrics := run(4, obsCfg)
-
-	if plain != seq {
-		t.Errorf("observability changed the experiment output:\n-- off --\n%s-- on --\n%s", plain, seq)
-	}
-	if seq != par {
-		t.Errorf("observed output differs across parallelism:\n-- parallel 1 --\n%s-- parallel 4 --\n%s", seq, par)
-	}
-	if seqTrace != parTrace {
-		t.Error("trace file differs across parallelism")
-	}
-	if seqMetrics != parMetrics {
-		t.Error("metrics file differs across parallelism")
-	}
-	for name, s := range map[string]string{"trace": seqTrace, "metrics": seqMetrics} {
-		if s == "" {
-			t.Errorf("%s capture is empty", name)
-		}
-	}
-	// Both files carry one self-describing header line per repetition.
-	if n := strings.Count(seqTrace, `"kind":"trial"`); n != 2 {
-		t.Errorf("trace has %d trial headers, want 2 (one per rep)", n)
-	}
-	if !strings.Contains(seqTrace, `"kind":"churn"`) {
-		t.Error("churn-storm trace records no churn events")
-	}
-	if !strings.Contains(seqMetrics, `"type":"outbound-rtp"`) {
-		t.Error("metrics capture has no getStats outbound-rtp snapshots")
-	}
-	if !strings.Contains(seqMetrics, `"kind":"gauge"`) {
-		t.Error("metrics capture has no gauge samples")
-	}
-}
-
 // TestDynamicRegionPartitionLossRecovery is the loss-recovery acceptance
 // gate at the experiment level: the region-partition scenario composed
 // with sustained 3% random loss on C1's access downlink (a WAN blackout

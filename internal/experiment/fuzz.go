@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"vcalab/internal/runner"
 	"vcalab/internal/scenario"
 	"vcalab/internal/vca"
 )
@@ -82,11 +81,9 @@ type FuzzResult struct {
 // seed order, so output is byte-identical at any Parallel.
 func RunFuzz(cfg FuzzConfig) FuzzResult {
 	cfg.defaults()
-	type fuzzTrial struct {
-		events  int
-		failure *FuzzFailure
-	}
-	trials := runner.Map(pool(cfg.Parallel, "fuzz"), cfg.N, func(i int) fuzzTrial {
+	// The harness builds, traces and checks its own trial: capture has
+	// nothing to attach to. A clean replay has no Violations.
+	trials := repeat("fuzz", cfg.Parallel, nil, cfg.N, func(_ *trialObs, i int) FuzzFailure {
 		seed := cfg.Seed + int64(i)
 		// The profile is a function of the seed (not the trial index), so
 		// `-fuzz 1 -seed S` replays a failure under the same VCA.
@@ -101,21 +98,14 @@ func RunFuzz(cfg FuzzConfig) FuzzResult {
 			Shards:       cfg.Shards,
 			Recovery:     cfg.Recovery,
 		})
-		t := fuzzTrial{events: len(sc.Events)}
-		if len(violations) > 0 {
-			t.failure = &FuzzFailure{
-				Seed: seed, Profile: prof.Name, Scenario: sc.Name,
-				Events: len(sc.Events), Violations: violations,
-			}
-		}
-		return t
+		return FuzzFailure{Seed: seed, Profile: prof.Name, Scenario: sc.Name, Events: len(sc.Events), Violations: violations}
 	})
 
 	res := FuzzResult{N: cfg.N}
 	for _, t := range trials {
-		res.Events += t.events
-		if t.failure != nil {
-			res.Failures = append(res.Failures, *t.failure)
+		res.Events += t.Events
+		if len(t.Violations) > 0 {
+			res.Failures = append(res.Failures, t)
 		}
 	}
 	return res

@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"vcalab/internal/runner"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -66,21 +64,18 @@ type impairmentTrial struct {
 }
 
 // runTrial executes one (loss, repetition) cell on a fresh engine.
-func (cfg *ImpairmentConfig) runTrial(lossPct float64, rep int) impairmentTrial {
+func (cfg *ImpairmentConfig) runTrial(o *trialObs, lossPct float64, rep int) impairmentTrial {
 	seed := cfg.Seed + int64(rep)*17389 + int64(lossPct*100)
-	eng := sim.New(seed)
-	call, lab := twoPartyCall(eng, cfg.Profile, 0, 0, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	lab.Uplink().SetImpairment(lossPct/100, cfg.Jitter)
-	lab.Downlink().SetImpairment(lossPct/100, cfg.Jitter)
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
-	// Quality of C1's video as seen by the far client.
-	far := call.Clients[1].Receiver("c1")
+	t := twoPartyTrial(o, seed, cfg.Profile, 0, 0, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
+	t.lab.Uplink().SetImpairment(lossPct/100, cfg.Jitter)
+	t.lab.Downlink().SetImpairment(lossPct/100, cfg.Jitter)
+	t.start()
+	t.finish(cfg.Dur)
 	return impairmentTrial{
-		up:     call.C1().UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
-		freeze: far.FreezeRatio(),
-		fir:    float64(call.C1().FIRsForMyVideo),
+		up: t.call.C1().UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		// Quality of C1's video as seen by the far client.
+		freeze: t.call.Clients[1].Receiver("c1").FreezeRatio(),
+		fir:    float64(t.call.C1().FIRsForMyVideo),
 	}
 }
 
@@ -88,25 +83,16 @@ func (cfg *ImpairmentConfig) runTrial(lossPct float64, rep int) impairmentTrial 
 // unconstrained link, all losses × reps trials in parallel.
 func RunImpairment(cfg ImpairmentConfig) []ImpairmentResult {
 	cfg.defaults()
-	trials := runner.Map(pool(cfg.Parallel, "impairment "+cfg.Profile.Name),
-		len(cfg.LossPcts)*cfg.Reps, func(i int) impairmentTrial {
-			return cfg.runTrial(cfg.LossPcts[i/cfg.Reps], i%cfg.Reps)
-		})
+	trials := sweep("impairment "+cfg.Profile.Name, cfg.Parallel, nil, cfg.LossPcts, cfg.Reps, cfg.runTrial)
 
 	var out []ImpairmentResult
-	for li, lossPct := range cfg.LossPcts {
-		res := ImpairmentResult{Profile: cfg.Profile.Name, LossPct: lossPct, Jitter: cfg.Jitter}
-		var ups, freezes, firs []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			t := trials[li*cfg.Reps+rep]
-			ups = append(ups, t.up)
-			freezes = append(freezes, t.freeze)
-			firs = append(firs, t.fir)
-		}
-		res.UpMbps = stats.Summarize(ups)
-		res.FreezeRatio = stats.Summarize(freezes)
-		res.FIRCount = stats.Summarize(firs)
-		out = append(out, res)
+	for li, ts := range trials {
+		out = append(out, ImpairmentResult{
+			Profile: cfg.Profile.Name, LossPct: cfg.LossPcts[li], Jitter: cfg.Jitter,
+			UpMbps:      summarize(ts, func(t impairmentTrial) float64 { return t.up }),
+			FreezeRatio: summarize(ts, func(t impairmentTrial) float64 { return t.freeze }),
+			FIRCount:    summarize(ts, func(t impairmentTrial) float64 { return t.fir }),
+		})
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vcalab/internal/netem"
+	"vcalab/internal/obs"
 	"vcalab/internal/sim"
 )
 
@@ -23,6 +24,12 @@ type Lab struct {
 
 	rt, sw   *netem.Router
 	up, down *netem.Link
+	// links lists every link in creation order — the shaped pair, then
+	// each host's pair as it is attached — so capture walks a Lab the way
+	// it walks cascade.Mesh.Links(). A link created once capture has set
+	// tracer (a host attached mid-run) is traced from its first packet.
+	links  []*netem.Link
+	tracer *obs.Tracer
 }
 
 // ClientDelay is the one-way delay between a bottleneck client and the
@@ -41,26 +48,30 @@ const (
 // the paper's 1 Gbps case).
 func NewLab(eng *sim.Engine, upBps, downBps float64) *Lab {
 	l := &Lab{Eng: eng, rt: netem.NewRouter("rt"), sw: netem.NewRouter("sw")}
-	l.up = netem.NewLink(eng, "bottleneck/up", netem.LinkConfig{RateBps: upBps, Delay: ClientDelay}, l.rt)
-	l.down = netem.NewLink(eng, "bottleneck/down", netem.LinkConfig{RateBps: downBps, Delay: ClientDelay}, l.sw)
+	l.up = l.link("bottleneck/up", netem.LinkConfig{RateBps: upBps, Delay: ClientDelay}, l.rt)
+	l.down = l.link("bottleneck/down", netem.LinkConfig{RateBps: downBps, Delay: ClientDelay}, l.sw)
 	l.sw.DefaultRoute(l.up)
 	return l
 }
 
-// SetUplink re-shapes the client→router direction, like `tc` (§2.2). The
-// queue is resized to the 200 ms home-router depth for the new rate.
-func (l *Lab) SetUplink(bps float64) {
-	l.up.SetRate(bps)
-	if bps > 0 {
-		l.up.SetQueueBytes(netem.DefaultQueueBytes(bps))
-	}
+func (l *Lab) link(name string, cfg netem.LinkConfig, dst netem.Handler) *netem.Link {
+	ln := netem.NewLink(l.Eng, name, cfg, dst)
+	ln.SetTracer(l.tracer)
+	l.links = append(l.links, ln)
+	return ln
 }
 
+// SetUplink re-shapes the client→router direction, like `tc` (§2.2). The
+// queue is resized to the 200 ms home-router depth for the new rate.
+func (l *Lab) SetUplink(bps float64) { reshape(l.up, bps) }
+
 // SetDownlink re-shapes the router→client direction.
-func (l *Lab) SetDownlink(bps float64) {
-	l.down.SetRate(bps)
+func (l *Lab) SetDownlink(bps float64) { reshape(l.down, bps) }
+
+func reshape(l *netem.Link, bps float64) {
+	l.SetRate(bps)
 	if bps > 0 {
-		l.down.SetQueueBytes(netem.DefaultQueueBytes(bps))
+		l.SetQueueBytes(netem.DefaultQueueBytes(bps))
 	}
 }
 
@@ -73,8 +84,8 @@ func (l *Lab) Downlink() *netem.Link { return l.down }
 // ClientHost attaches a host behind the shaped bottleneck (C1, F1).
 func (l *Lab) ClientHost(name string) *netem.Host {
 	h := netem.NewHost(l.Eng, name)
-	h.SetUplink(netem.NewLink(l.Eng, name+"-sw", netem.LinkConfig{Delay: 100 * time.Microsecond}, l.sw))
-	l.sw.Route(name, netem.NewLink(l.Eng, "sw-"+name, netem.LinkConfig{Delay: 100 * time.Microsecond}, h))
+	h.SetUplink(l.link(name+"-sw", netem.LinkConfig{Delay: 100 * time.Microsecond}, l.sw))
+	l.sw.Route(name, l.link("sw-"+name, netem.LinkConfig{Delay: 100 * time.Microsecond}, h))
 	l.rt.Route(name, l.down)
 	return h
 }
@@ -83,7 +94,7 @@ func (l *Lab) ClientHost(name string) *netem.Host {
 // SFUs, CDN and iPerf servers).
 func (l *Lab) RemoteHost(name string, delay time.Duration) *netem.Host {
 	h := netem.NewHost(l.Eng, name)
-	h.SetUplink(netem.NewLink(l.Eng, name+"-rt", netem.LinkConfig{Delay: delay}, l.rt))
-	l.rt.Route(name, netem.NewLink(l.Eng, "rt-"+name, netem.LinkConfig{Delay: delay}, h))
+	h.SetUplink(l.link(name+"-rt", netem.LinkConfig{Delay: delay}, l.rt))
+	l.rt.Route(name, l.link("rt-"+name, netem.LinkConfig{Delay: delay}, h))
 	return h
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"vcalab/internal/netem"
-	"vcalab/internal/runner"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -54,39 +52,32 @@ type modalityTrial struct {
 }
 
 // runTrial executes one repetition on a fresh engine.
-func (cfg *ModalityConfig) runTrial(rep int) modalityTrial {
+func (cfg *ModalityConfig) runTrial(o *trialObs, rep int) modalityTrial {
 	seed := cfg.Seed + int64(rep)*52361 + int64(cfg.N)
-	eng := sim.New(seed)
-	lab := NewLab(eng, 0, 0)
-	hosts := []*netem.Host{lab.ClientHost("c1")}
+	t := newLabTrial(o, seed, 0, 0)
+	hosts := []*netem.Host{t.lab.ClientHost("c1")}
 	for i := 2; i <= cfg.N; i++ {
-		hosts = append(hosts, lab.RemoteHost(fmt.Sprintf("c%d", i), RemoteDelay))
+		hosts = append(hosts, t.lab.RemoteHost(fmt.Sprintf("c%d", i), RemoteDelay))
 	}
-	sfu := lab.RemoteHost("sfu", SFUDelay)
-	call := vca.NewCall(eng, cfg.Profile, sfu, hosts, vca.CallOptions{Mode: cfg.Mode, Seed: seed})
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
+	sfu := t.lab.RemoteHost("sfu", SFUDelay)
+	t.call = vca.NewCall(t.eng, cfg.Profile, sfu, hosts, vca.CallOptions{Mode: cfg.Mode, Seed: seed})
+	t.start()
+	t.finish(cfg.Dur)
 	return modalityTrial{
-		up:   call.C1().UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
-		down: call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		up:   t.call.C1().UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		down: t.call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
 	}
 }
 
 // RunModality executes one (n, mode) condition, repetitions in parallel.
 func RunModality(cfg ModalityConfig) ModalityResult {
 	cfg.defaults()
-	res := ModalityResult{Profile: cfg.Profile.Name, N: cfg.N, Mode: cfg.Mode}
-	trials := runner.Map(pool(cfg.Parallel, fmt.Sprintf("modality %s n=%d", cfg.Profile.Name, cfg.N)),
-		cfg.Reps, func(rep int) modalityTrial { return cfg.runTrial(rep) })
-	var ups, downs []float64
-	for _, t := range trials {
-		ups = append(ups, t.up)
-		downs = append(downs, t.down)
+	ts := repeat(fmt.Sprintf("modality %s n=%d", cfg.Profile.Name, cfg.N), cfg.Parallel, nil, cfg.Reps, cfg.runTrial)
+	return ModalityResult{
+		Profile: cfg.Profile.Name, N: cfg.N, Mode: cfg.Mode,
+		UpMbps:   summarize(ts, func(t modalityTrial) float64 { return t.up }),
+		DownMbps: summarize(ts, func(t modalityTrial) float64 { return t.down }),
 	}
-	res.UpMbps = stats.Summarize(ups)
-	res.DownMbps = stats.Summarize(downs)
-	return res
 }
 
 // ModalitySweep runs n = 2..maxN for one mode.

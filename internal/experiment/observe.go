@@ -1,11 +1,10 @@
 package experiment
 
-// Observability wiring for the dynamic experiment: per-trial tracer and
-// metrics capture, assembled here so the sim layers stay ignorant of
-// experiment structure. Each repetition owns its tracer and metrics log
-// (one engine, one tracer — nothing is shared across trials), and
-// RunDynamic flushes the captures in repetition order after the sweep,
-// so the trace and metrics files are byte-identical at any -parallel.
+// Observability wiring for every experiment: per-trial tracer and metrics
+// capture, assembled here so the sim layers stay ignorant of experiment
+// structure. Each trial owns its tracer(s) and metrics log — nothing is
+// shared across trials — and the sweep flushes them in trial order once
+// its pool drains, so the files are byte-identical at any -parallel.
 //
 // The sampler tick is an extra scheduled event, which shifts engine
 // sequence numbers relative to an unobserved run — harmless, because
@@ -16,20 +15,19 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"time"
 
-	"vcalab/internal/cascade"
 	"vcalab/internal/netem"
 	"vcalab/internal/obs"
-	"vcalab/internal/scenario"
 	"vcalab/internal/sim"
 	"vcalab/internal/vca"
 )
 
-// ObsConfig enables per-trial observability capture on a dynamic run.
-// The zero value (and a nil pointer) disables everything.
+// ObsConfig says what a capture records per trial (see SetCapture). The
+// zero value (and a nil pointer) disables everything.
 type ObsConfig struct {
-	// Trace attaches a ring-buffer tracer to every link, the call, and
+	// Trace attaches a ring-buffer tracer to every link, the call(s), and
 	// the timeline.
 	Trace bool
 	// Metrics samples the metrics registry and per-client getStats
@@ -42,75 +40,80 @@ type ObsConfig struct {
 	TraceCap int
 }
 
-// trialObs is one repetition's captured observability state.
+// capture is what a sweep records per trial and where it writes it.
+type capture struct {
+	ObsConfig
+	traceW, metricsW io.Writer
+}
+
+// newCapture returns nil unless o asks for something, so "off" is one nil
+// test downstream and an unobserved trial builds no tracer, registry or
+// sampler tick.
+func newCapture(o *ObsConfig, traceW, metricsW io.Writer) *capture {
+	if o == nil || (!o.Trace && !o.Metrics) {
+		return nil
+	}
+	return &capture{*o, traceW, metricsW}
+}
+
+// trialObs is one trial's captured observability state under a capture.
 type trialObs struct {
+	*capture
+	seed   int64
 	tracer *obs.Tracer
 	log    *obs.MetricsLog
 }
 
-// finish collects the trial's trace capture (merged over its engines when
-// there are several) into the tracer flushObs writes. Call once, after the
-// trial's run completes. Nil-safe, returns its receiver so callers can
-// assign through it.
-func (to *trialObs) finish(trial *cascade.Trial) *trialObs {
-	if to != nil {
-		to.tracer = trial.Traced()
-	}
-	return to
-}
-
-// instrumentTrial attaches tracing and metrics sampling to a freshly
-// built trial. Call before the timeline starts so t<=0 scenario events
-// are captured. Returns nil when observability is off.
+// attach instruments a built trial just before it starts, so a timeline's
+// t<=0 events are captured. Nil-safe.
 //
 // Each engine of the trial records into its own tracer — the control
-// tracer takes churn, timeline and trial-level events — and finish()
-// merges them in (time, control-then-shard-index) order. The metrics
+// tracer takes churn, timeline and trial-level events. The metrics
 // sampler is a control-engine global: on a sharded trial it fires at
 // window barriers with every shard parked at the sample instant, so
 // link, call and getStats lines read exactly the state the sequential
-// run would have sampled. Engine-internal gauges aggregate over all
-// engines and remain deterministic, but scheduler internals (lane
-// ratio, live high-water) legitimately differ across shard counts.
-func instrumentTrial(o *ObsConfig, trial *cascade.Trial, tl *scenario.Timeline) *trialObs {
-	if o == nil || (!o.Trace && !o.Metrics) {
-		return nil
+// run would have sampled. Gauges cover what exists now: hosts and calls
+// a runner wires in mid-run (the §5 competitor) appear in the trace, not
+// as new gauges.
+func (o *trialObs) attach(t *trial) {
+	if o == nil {
+		return
 	}
-	call := trial.Call
-	to := &trialObs{}
+	o.seed = t.seed
 	if o.Trace {
-		tl.SetTracer(trial.Trace(o.TraceCap))
+		o.tracer = t.trace(o.TraceCap)
 	}
-	if o.Metrics {
-		interval := o.Interval
-		if interval <= 0 {
-			interval = time.Second
+	if !o.Metrics {
+		return
+	}
+	interval := o.Interval
+	if interval <= 0 {
+		interval = time.Second
+	}
+	call := t.call
+	o.log = &obs.MetricsLog{}
+	reg := obs.NewRegistry()
+	registerEngineMetrics(reg, t.engines)
+	registerLinkMetrics(reg, t.links())
+	registerCallMetrics(reg, call)
+	rtt := reg.Histogram("vca/feedback_rtt_ms")
+	t.eng.EveryHandler(interval, sim.HandlerFunc(func(now time.Duration) {
+		for _, cl := range call.Clients {
+			if call.Active(cl.Name) && cl.LastRTT() > 0 {
+				rtt.Observe(cl.LastRTT().Seconds() * 1000)
+			}
 		}
-		to.log = &obs.MetricsLog{}
-		reg := obs.NewRegistry()
-		registerEngineMetrics(reg, trial.Engines())
-		registerLinkMetrics(reg, trial.Mesh)
-		registerCallMetrics(reg, call)
-		rtt := reg.Histogram("vca/feedback_rtt_ms")
-		trial.Eng.EveryHandler(interval, sim.HandlerFunc(func(now time.Duration) {
-			for _, cl := range call.Clients {
-				if call.Active(cl.Name) && cl.LastRTT() > 0 {
-					rtt.Observe(cl.LastRTT().Seconds() * 1000)
-				}
+		reg.Sample(now, o.log)
+		for _, cl := range call.Clients {
+			if !call.Active(cl.Name) {
+				continue
 			}
-			reg.Sample(now, to.log)
-			for _, cl := range call.Clients {
-				if !call.Active(cl.Name) {
-					continue
-				}
-				rep := cl.StatsReport(now)
-				for _, e := range rep.Entries() {
-					to.log.Append(e)
-				}
+			rep := cl.StatsReport(now)
+			for _, e := range rep.Entries() {
+				o.log.Append(e)
 			}
-		}))
-	}
-	return to
+		}
+	}))
 }
 
 // registerEngineMetrics aggregates the scheduler gauges over every
@@ -120,27 +123,17 @@ func instrumentTrial(o *ObsConfig, trial *cascade.Trial, tl *scenario.Timeline) 
 // and lane-ratio are per-engine properties whose aggregate is
 // deterministic but shard-count-dependent.
 func registerEngineMetrics(reg *obs.Registry, engines []*sim.Engine) {
-	reg.Gauge("eng/processed", func() float64 {
-		var n uint64
-		for _, e := range engines {
-			n += e.Processed()
+	sum := func(of func(*sim.Engine) float64) func() float64 {
+		return func() (n float64) {
+			for _, e := range engines {
+				n += of(e)
+			}
+			return n
 		}
-		return float64(n)
-	})
-	reg.Gauge("eng/live", func() float64 {
-		n := 0
-		for _, e := range engines {
-			n += e.Live()
-		}
-		return float64(n)
-	})
-	reg.Gauge("eng/live_high_water", func() float64 {
-		n := 0
-		for _, e := range engines {
-			n += e.LiveHighWater()
-		}
-		return float64(n)
-	})
+	}
+	reg.Gauge("eng/processed", sum(func(e *sim.Engine) float64 { return float64(e.Processed()) }))
+	reg.Gauge("eng/live", sum(func(e *sim.Engine) float64 { return float64(e.Live()) }))
+	reg.Gauge("eng/live_high_water", sum(func(e *sim.Engine) float64 { return float64(e.LiveHighWater()) }))
 	reg.Gauge("eng/lane_insert_ratio", func() float64 {
 		var l, h uint64
 		for _, e := range engines {
@@ -155,9 +148,8 @@ func registerEngineMetrics(reg *obs.Registry, engines []*sim.Engine) {
 	})
 }
 
-func registerLinkMetrics(reg *obs.Registry, mesh *cascade.Mesh) {
-	for _, l := range mesh.Links() {
-		l := l
+func registerLinkMetrics(reg *obs.Registry, links []*netem.Link) {
+	for _, l := range links {
 		prefix := "link/" + l.Name() + "/"
 		reg.Gauge(prefix+"queue_bytes", func() float64 { return float64(l.QueuedBytes()) })
 		reg.Gauge(prefix+"queue_high_water_bytes", func() float64 { return float64(l.QueueHighWater()) })
@@ -179,17 +171,14 @@ func registerLinkMetrics(reg *obs.Registry, mesh *cascade.Mesh) {
 
 func registerCallMetrics(reg *obs.Registry, call *vca.Call) {
 	for _, s := range call.Servers {
-		s := s
 		reg.Gauge("vca/"+s.Name+"/fwd_switches", func() float64 { return float64(s.FwdSwitches()) })
 		for _, legName := range s.LegNames() {
-			legName := legName
 			reg.Gauge("vca/"+s.Name+"/leg/"+legName+"/fwd_bytes", func() float64 {
 				return float64(s.LegFwdBytes(legName))
 			})
 		}
 	}
 	for _, cl := range call.Clients {
-		cl := cl
 		reg.Gauge("vca/"+cl.Name+"/target_bps", func() float64 {
 			if cc := cl.CC(); cc != nil {
 				return cc.TargetBps()
@@ -199,39 +188,32 @@ func registerCallMetrics(reg *obs.Registry, call *vca.Call) {
 	}
 }
 
-// flushObs writes every repetition's capture in rep order, each preceded
-// by a trial-header line carrying the (profile, scenario, rep) identity
-// and the tracer's retention accounting, so a multi-rep (or multi-
-// condition) file remains self-describing. Write errors surface on the
-// returned error; the experiment's own stdout is unaffected.
-func flushObs(cfg *DynamicConfig, trials []dynamicTrial) error {
-	for rep, t := range trials {
-		if t.obs == nil {
-			continue
+// flush writes the trial's capture, each stream behind a trial-header
+// line — the sweep's label, the trial's (condition, rep) position in it,
+// its seed and the tracer's retention accounting — so a file holding many
+// sweeps stays self-describing. Nil-safe.
+func (o *trialObs) flush(label string, cond, rep int) error {
+	if o == nil {
+		return nil
+	}
+	id := fmt.Sprintf(`{"kind":"trial","sweep":%q,"cond":%d,"rep":%d,"seed":%d`, label, cond, rep, o.seed)
+	if tr := o.tracer; o.traceW != nil && tr != nil {
+		if _, err := fmt.Fprintf(o.traceW, "%s,\"trace_events\":%d,\"trace_dropped\":%d}\n", id, tr.Total(), tr.Dropped()); err != nil {
+			return err
 		}
-		if cfg.TraceW != nil && t.obs.tracer != nil {
-			tr := t.obs.tracer
-			if _, err := fmt.Fprintf(cfg.TraceW,
-				"{\"kind\":\"trial\",\"profile\":%q,\"scenario\":%q,\"rep\":%d,\"trace_events\":%d,\"trace_dropped\":%d}\n",
-				cfg.Profile.Name, cfg.Scenario.Name, rep, tr.Total(), tr.Dropped()); err != nil {
-				return err
-			}
-			if err := tr.WriteJSONL(cfg.TraceW); err != nil {
-				return err
-			}
+		if err := tr.WriteJSONL(o.traceW); err != nil {
+			return err
 		}
-		if cfg.MetricsW != nil && t.obs.log != nil {
-			if err := t.obs.log.Err(); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(cfg.MetricsW,
-				"{\"kind\":\"trial\",\"profile\":%q,\"scenario\":%q,\"rep\":%d}\n",
-				cfg.Profile.Name, cfg.Scenario.Name, rep); err != nil {
-				return err
-			}
-			if _, err := t.obs.log.WriteTo(cfg.MetricsW); err != nil {
-				return err
-			}
+	}
+	if o.metricsW != nil && o.log != nil {
+		if err := o.log.Err(); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(o.metricsW, "%s}\n", id); err != nil {
+			return err
+		}
+		if _, err := o.log.WriteTo(o.metricsW); err != nil {
+			return err
 		}
 	}
 	return nil

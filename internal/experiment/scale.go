@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"vcalab/internal/cascade"
-	"vcalab/internal/netem"
-	"vcalab/internal/runner"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -89,6 +87,12 @@ type ScaleResult struct {
 	LatP50Ms, LatP95Ms, LatP99Ms stats.Summary
 }
 
+// scaleCond is one (participants, inter-region capacity) condition.
+type scaleCond struct {
+	n         int
+	interMbps float64
+}
+
 // scaleTrial is one repetition's raw measurements.
 type scaleTrial struct {
 	regionDown          []float64
@@ -98,34 +102,29 @@ type scaleTrial struct {
 }
 
 // runTrial executes one (n, capacity, repetition) cell on a fresh trial.
-func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
-	seed := cfg.Seed + int64(rep)*86243 + int64(n)*613 + int64(interMbps*1000)
-
-	trial := cascade.NewTrial(seed,
-		cascade.Uniform(n, cfg.Regions, netem.LinkConfig{RateBps: interMbps * 1e6, Delay: cfg.InterDelay}),
-		cfg.Shards, cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	defer trial.Close()
-	call := trial.Call
+func (cfg *ScaleConfig) runTrial(o *trialObs, cd scaleCond, rep int) scaleTrial {
+	seed := cfg.Seed + int64(rep)*86243 + int64(cd.n)*613 + int64(cd.interMbps*1000)
+	t := newMeshTrial(o, seed, cfg.Profile, cd.n, cfg.Regions, cd.interMbps, cfg.InterDelay, cfg.Shards, cfg.Recovery)
+	call := t.call
 
 	// Snapshot inter-link counters at warmup so utilization covers the
 	// steady state only. In a sharded run this is a control-engine
 	// global: it executes at a window barrier with every shard parked and
 	// advanced to the snapshot instant, so the counters it reads are
 	// exactly the sequential run's.
-	links := trial.InterLinks()
+	links := t.mesh.InterLinks()
 	startBytes := make([]uint64, len(links))
-	trial.Eng.Schedule(cfg.Warmup, func() {
+	t.eng.Schedule(cfg.Warmup, func() {
 		for i, l := range links {
 			startBytes[i] = l.DeliveredBytes
 		}
 	})
 
 	call.SampleFrameLatency(cfg.Warmup)
-	call.Start()
-	trial.RunUntil(cfg.Dur)
-	call.Stop()
+	t.start()
+	t.finish(cfg.Dur)
 
-	var t scaleTrial
+	var res scaleTrial
 	span := (cfg.Dur - cfg.Warmup).Seconds()
 	var utilSum float64
 	for i, l := range links {
@@ -134,16 +133,14 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 			util = float64(l.DeliveredBytes-startBytes[i]) * 8 / (l.Rate() * span)
 		}
 		utilSum += util
-		if util > t.utilMax {
-			t.utilMax = util
-		}
+		res.utilMax = max(res.utilMax, util)
 	}
 	if len(links) > 0 {
-		t.utilMean = utilSum / float64(len(links))
+		res.utilMean = utilSum / float64(len(links))
 	}
 
 	flat := 0 // call.Clients is flattened in mesh.Clients order
-	for _, hosts := range trial.Clients {
+	for _, hosts := range t.mesh.Clients {
 		var down float64
 		for range hosts {
 			down += call.Clients[flat].DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
@@ -152,65 +149,49 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 		if len(hosts) > 0 {
 			down /= float64(len(hosts))
 		}
-		t.regionDown = append(t.regionDown, down)
+		res.regionDown = append(res.regionDown, down)
 	}
-	t.freeze = call.MeanFreezeRatio()
+	res.freeze = call.MeanFreezeRatio()
+	res.p50Ms, res.p95Ms, res.p99Ms = latencyPercentilesMs(call)
+	return res
+}
+
+// latencyPercentilesMs reads the p50/p95/p99 end-to-end frame latency, in
+// ms, off a call that sampled it; zeros when no frame arrived.
+func latencyPercentilesMs(call *vca.Call) (p50, p95, p99 float64) {
 	if lp := stats.DurationPercentilesMs(call.FrameLatencies(), 50, 95, 99); lp != nil {
-		t.p50Ms, t.p95Ms, t.p99Ms = lp[0], lp[1], lp[2]
+		return lp[0], lp[1], lp[2]
 	}
-	return t
+	return 0, 0, 0
 }
 
 // RunScale executes the cascade sweep and returns one result per
-// (participants, inter-capacity) condition. Trials fan out through the
-// parallel sweep engine; aggregation happens over the ordered results, so
-// output does not depend on cfg.Parallel.
+// (participants, inter-capacity) condition.
 func RunScale(cfg ScaleConfig) []ScaleResult {
 	cfg.defaults()
-	type cond struct {
-		n     int
-		inter float64
-	}
-	var conds []cond
+	var conds []scaleCond
 	for _, n := range cfg.Participants {
 		for _, c := range cfg.InterMbps {
-			conds = append(conds, cond{n, c})
+			conds = append(conds, scaleCond{n, c})
 		}
 	}
-	trials := runner.Map(pool(cfg.Parallel, "scale "+cfg.Profile.Name),
-		len(conds)*cfg.Reps, func(i int) scaleTrial {
-			cd := conds[i/cfg.Reps]
-			return cfg.runTrial(cd.n, cd.inter, i%cfg.Reps)
-		})
+	trials := sweep("scale "+cfg.Profile.Name, cfg.Parallel, nil, conds, cfg.Reps, cfg.runTrial)
 
 	var out []ScaleResult
-	for ci, cd := range conds {
+	for ci, ts := range trials {
 		res := ScaleResult{
-			Profile: cfg.Profile.Name, N: cd.n, Regions: cfg.Regions, InterMbps: cd.inter,
-		}
-		perRegion := make([][]float64, cfg.Regions)
-		var freezes, utilMeans, utilMaxes, p50s, p95s, p99s []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			t := trials[ci*cfg.Reps+rep]
-			for r, d := range t.regionDown {
-				perRegion[r] = append(perRegion[r], d)
-			}
-			freezes = append(freezes, t.freeze)
-			utilMeans = append(utilMeans, t.utilMean)
-			utilMaxes = append(utilMaxes, t.utilMax)
-			p50s = append(p50s, t.p50Ms)
-			p95s = append(p95s, t.p95Ms)
-			p99s = append(p99s, t.p99Ms)
+			Profile: cfg.Profile.Name, N: conds[ci].n, Regions: cfg.Regions, InterMbps: conds[ci].interMbps,
+			FreezeRatio:   summarize(ts, func(t scaleTrial) float64 { return t.freeze }),
+			RelayUtilMean: summarize(ts, func(t scaleTrial) float64 { return t.utilMean }),
+			RelayUtilMax:  summarize(ts, func(t scaleTrial) float64 { return t.utilMax }),
+			LatP50Ms:      summarize(ts, func(t scaleTrial) float64 { return t.p50Ms }),
+			LatP95Ms:      summarize(ts, func(t scaleTrial) float64 { return t.p95Ms }),
+			LatP99Ms:      summarize(ts, func(t scaleTrial) float64 { return t.p99Ms }),
 		}
 		for r := 0; r < cfg.Regions; r++ {
-			res.RegionDownMbps = append(res.RegionDownMbps, stats.Summarize(perRegion[r]))
+			res.RegionDownMbps = append(res.RegionDownMbps,
+				summarize(ts, func(t scaleTrial) float64 { return t.regionDown[r] }))
 		}
-		res.FreezeRatio = stats.Summarize(freezes)
-		res.RelayUtilMean = stats.Summarize(utilMeans)
-		res.RelayUtilMax = stats.Summarize(utilMaxes)
-		res.LatP50Ms = stats.Summarize(p50s)
-		res.LatP95Ms = stats.Summarize(p95s)
-		res.LatP99Ms = stats.Summarize(p99s)
 		out = append(out, res)
 	}
 	return out

@@ -4,9 +4,6 @@ import (
 	"time"
 
 	"vcalab/internal/codec"
-	"vcalab/internal/netem"
-	"vcalab/internal/runner"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -78,18 +75,6 @@ type StaticResult struct {
 	FIRCount stats.Summary
 }
 
-// twoPartyCall builds the standard §2.2 topology on a fresh lab. The
-// options carry the trial seed plus any per-experiment toggles (loss
-// recovery for the impairment sweep).
-func twoPartyCall(eng *sim.Engine, prof *vca.Profile, upBps, downBps float64, opt vca.CallOptions) (*vca.Call, *Lab) {
-	lab := NewLab(eng, upBps, downBps)
-	c1 := lab.ClientHost("c1")
-	c2 := lab.RemoteHost("c2", RemoteDelay)
-	sfu := lab.RemoteHost("sfu", SFUDelay)
-	call := vca.NewCall(eng, prof, sfu, []*netem.Host{c1, c2}, opt)
-	return call, lab
-}
-
 // staticTrial is one repetition's raw measurements.
 type staticTrial struct {
 	median, up, down, freeze, fir float64
@@ -98,89 +83,59 @@ type staticTrial struct {
 
 // runTrial executes one (capacity, repetition) cell on a fresh engine. It
 // is pure: everything it touches is derived from cfg and its arguments.
-func (cfg *StaticConfig) runTrial(capMbps float64, rep int) staticTrial {
+func (cfg *StaticConfig) runTrial(o *trialObs, capMbps float64, rep int) staticTrial {
 	seed := cfg.Seed + int64(rep)*104729 + int64(capMbps*1000)
-	eng := sim.New(seed)
-	upBps, downBps := 0.0, 0.0
-	if capMbps > 0 {
-		if cfg.Dir == Uplink {
-			upBps = capMbps * 1e6
-		} else {
-			downBps = capMbps * 1e6
-		}
-	}
-	call, _ := twoPartyCall(eng, cfg.Profile, upBps, downBps, vca.CallOptions{Seed: seed})
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
+	var bps [2]float64 // by Direction; the other side stays unconstrained
+	bps[cfg.Dir] = max(capMbps, 0) * 1e6
+	t := twoPartyTrial(o, seed, cfg.Profile, bps[Uplink], bps[Downlink], vca.CallOptions{Seed: seed})
+	t.start()
+	t.finish(cfg.Dur)
 
-	c1 := call.C1()
-	var t staticTrial
-	upSeries := c1.UpMeter.RateMbps().Slice(cfg.Warmup, cfg.Dur)
-	downSeries := c1.DownMeter.RateMbps().Slice(cfg.Warmup, cfg.Dur)
+	c1 := t.call.C1()
+	shaped := c1.DownMeter
 	if cfg.Dir == Uplink {
-		t.median = stats.Median(upSeries.Values)
-	} else {
-		t.median = stats.Median(downSeries.Values)
+		shaped = c1.UpMeter
 	}
-	t.up = c1.UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
-	t.down = c1.DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
-	t.freeze = c1.Receiver("c2").FreezeRatio()
-	t.fir = float64(c1.FIRsForMyVideo)
-	t.out = c1.Recorder.MedianOut(cfg.Warmup, cfg.Dur)
-	t.in = c1.Recorder.MedianIn(cfg.Warmup, cfg.Dur)
-	return t
+	return staticTrial{
+		median: stats.Median(shaped.RateMbps().Slice(cfg.Warmup, cfg.Dur).Values),
+		up:     c1.UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		down:   c1.DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		freeze: c1.Receiver("c2").FreezeRatio(),
+		fir:    float64(c1.FIRsForMyVideo),
+		out:    c1.Recorder.MedianOut(cfg.Warmup, cfg.Dur),
+		in:     c1.Recorder.MedianIn(cfg.Warmup, cfg.Dur),
+	}
 }
 
-// RunStatic executes the sweep and returns one result per capacity. The
-// caps × reps trials run through the parallel sweep engine; aggregation
-// happens per capacity over the ordered trial results, so output does not
-// depend on cfg.Parallel.
+// RunStatic executes the sweep and returns one result per capacity.
 func RunStatic(cfg StaticConfig) []StaticResult {
 	cfg.defaults()
-	trials := runner.Map(pool(cfg.Parallel, "static "+cfg.Profile.Name+"/"+cfg.Dir.String()),
-		len(cfg.CapsMbps)*cfg.Reps, func(i int) staticTrial {
-			return cfg.runTrial(cfg.CapsMbps[i/cfg.Reps], i%cfg.Reps)
-		})
+	trials := sweep("static "+cfg.Profile.Name+"/"+cfg.Dir.String(), cfg.Parallel, nil,
+		cfg.CapsMbps, cfg.Reps, cfg.runTrial)
 
 	var out []StaticResult
-	for ci, capMbps := range cfg.CapsMbps {
-		res := StaticResult{Profile: cfg.Profile.Name, Dir: cfg.Dir, CapacityMbps: capMbps}
-		var medians, ups, downs, freezes, firs []float64
-		var outP, inP []codec.EncodeParams
-		for rep := 0; rep < cfg.Reps; rep++ {
-			t := trials[ci*cfg.Reps+rep]
-			medians = append(medians, t.median)
-			ups = append(ups, t.up)
-			downs = append(downs, t.down)
-			freezes = append(freezes, t.freeze)
-			firs = append(firs, t.fir)
-			outP = append(outP, t.out)
-			inP = append(inP, t.in)
-		}
-		res.MedianMbps = stats.Summarize(medians)
-		res.MeanUp = stats.Summarize(ups)
-		res.MeanDown = stats.Summarize(downs)
-		res.FreezeRatio = stats.Summarize(freezes)
-		res.FIRCount = stats.Summarize(firs)
-		res.Out = medianParams(outP)
-		res.In = medianParams(inP)
-		out = append(out, res)
+	for ci, ts := range trials {
+		out = append(out, StaticResult{
+			Profile: cfg.Profile.Name, Dir: cfg.Dir, CapacityMbps: cfg.CapsMbps[ci],
+			MedianMbps:  summarize(ts, func(t staticTrial) float64 { return t.median }),
+			MeanUp:      summarize(ts, func(t staticTrial) float64 { return t.up }),
+			MeanDown:    summarize(ts, func(t staticTrial) float64 { return t.down }),
+			FreezeRatio: summarize(ts, func(t staticTrial) float64 { return t.freeze }),
+			FIRCount:    summarize(ts, func(t staticTrial) float64 { return t.fir }),
+			Out:         medianParams(ts, func(t staticTrial) codec.EncodeParams { return t.out }),
+			In:          medianParams(ts, func(t staticTrial) codec.EncodeParams { return t.in }),
+		})
 	}
 	return out
 }
 
-func medianParams(ps []codec.EncodeParams) codec.EncodeParams {
-	var fps, qp, w []float64
-	for _, p := range ps {
-		fps = append(fps, p.FPS)
-		qp = append(qp, p.QP)
-		w = append(w, float64(p.Width))
-	}
+// medianParams is the per-parameter median across repetitions of one
+// encode-parameter measurement.
+func medianParams(trials []staticTrial, field func(staticTrial) codec.EncodeParams) codec.EncodeParams {
 	return codec.EncodeParams{
-		FPS:   stats.Median(fps),
-		QP:    stats.Median(qp),
-		Width: int(stats.Median(w)),
+		FPS:   summarize(trials, func(t staticTrial) float64 { return field(t).FPS }).Median,
+		QP:    summarize(trials, func(t staticTrial) float64 { return field(t).QP }).Median,
+		Width: int(summarize(trials, func(t staticTrial) float64 { return float64(field(t).Width) }).Median),
 	}
 }
 
@@ -198,10 +153,9 @@ func PaperCaps() []float64 {
 func Table2(profiles []*vca.Profile, reps int, seed int64) []StaticResult {
 	var out []StaticResult
 	for _, p := range profiles {
-		rs := RunStatic(StaticConfig{
+		out = append(out, RunStatic(StaticConfig{
 			Profile: p, Dir: Uplink, CapsMbps: []float64{0}, Reps: reps, Seed: seed,
-		})
-		out = append(out, rs...)
+		})...)
 	}
 	return out
 }

@@ -50,7 +50,7 @@ type TraceResult struct {
 // trial; use RunTraces to replay one trace against several profiles in
 // parallel.
 func RunTrace(prof *vca.Profile, trace BandwidthTrace, dur time.Duration, seed int64) TraceResult {
-	return runTraceTrial(prof, trace, dur, seed)
+	return runTraceTrial(nil, prof, trace, dur, seed)
 }
 
 // RunTraces replays a trace against each profile, one parallel trial per
@@ -59,19 +59,18 @@ func RunTrace(prof *vca.Profile, trace BandwidthTrace, dur time.Duration, seed i
 // derived from (seed, profile index) so results are independent of worker
 // scheduling; the result slice follows input order.
 func RunTraces(profs []*vca.Profile, trace BandwidthTrace, dur time.Duration, seed int64, parallel int) []TraceResult {
-	return runner.Map(pool(parallel, "trace"), len(profs), func(i int) TraceResult {
-		return runTraceTrial(profs[i], trace, dur, runner.Seed(seed, i))
+	return repeat("trace", parallel, nil, len(profs), func(o *trialObs, i int) TraceResult {
+		return runTraceTrial(o, profs[i], trace, dur, runner.Seed(seed, i))
 	})
 }
 
 // runTraceTrial is the pure single-trial body.
-func runTraceTrial(prof *vca.Profile, trace BandwidthTrace, dur time.Duration, seed int64) TraceResult {
-	eng := sim.New(seed)
-	call, lab := twoPartyCall(eng, prof, 0, 0, vca.CallOptions{Seed: seed})
-	trace.Apply(eng, lab)
-	call.Start()
-	eng.RunUntil(dur)
-	call.Stop()
+func runTraceTrial(o *trialObs, prof *vca.Profile, trace BandwidthTrace, dur time.Duration, seed int64) TraceResult {
+	t := twoPartyTrial(o, seed, prof, 0, 0, vca.CallOptions{Seed: seed})
+	trace.Apply(t.eng, t.lab)
+	t.start()
+	t.finish(dur)
+	call := t.call
 
 	res := TraceResult{
 		Profile:     prof.Name,

@@ -1,0 +1,128 @@
+package experiment
+
+import (
+	"time"
+
+	"vcalab/internal/cascade"
+	"vcalab/internal/netem"
+	"vcalab/internal/obs"
+	"vcalab/internal/scenario"
+	"vcalab/internal/sim"
+	"vcalab/internal/vca"
+)
+
+// trial is what one repetition of any experiment runs on: the paper's
+// shared-bottleneck Lab (§2.2) or a cascaded mesh, the measured call, and
+// the one start → run → stop. A runner's trial function builds one,
+// schedules what its experiment shapes when, and reads its measurements
+// off the call after finish; capture (observe.go) attaches here, so it
+// sees every experiment the same way.
+type trial struct {
+	seed int64
+	// eng is the control engine, where runners schedule shaping events and
+	// snapshots; engines is eng followed by any shard engines.
+	eng     *sim.Engine
+	engines []*sim.Engine
+	lab     *Lab           // exactly one of lab
+	mesh    *cascade.Trial // and mesh is set
+	call    *vca.Call
+	// timeline, when set, starts just before the call so its t<=0 events
+	// (a thinned starting roster) apply first.
+	timeline *scenario.Timeline
+	obs      *trialObs // nil = capture off
+}
+
+// newLabTrial builds an empty §2.2 testbed on a fresh engine; the caller
+// attaches hosts and sets the call.
+func newLabTrial(o *trialObs, seed int64, upBps, downBps float64) *trial {
+	eng := sim.New(seed)
+	return &trial{seed: seed, eng: eng, engines: []*sim.Engine{eng}, lab: NewLab(eng, upBps, downBps), obs: o}
+}
+
+// twoPartyTrial is the standard §2.2 topology: C1 behind the bottleneck,
+// C2 and the SFU at the router. The options carry the trial seed plus any
+// per-experiment toggles (loss recovery for the impairment sweep).
+func twoPartyTrial(o *trialObs, seed int64, prof *vca.Profile, upBps, downBps float64, opt vca.CallOptions) *trial {
+	t := newLabTrial(o, seed, upBps, downBps)
+	c1 := t.lab.ClientHost("c1")
+	c2 := t.lab.RemoteHost("c2", RemoteDelay)
+	sfu := t.lab.RemoteHost("sfu", SFUDelay)
+	t.call = vca.NewCall(t.eng, prof, sfu, []*netem.Host{c1, c2}, opt)
+	return t
+}
+
+// newMeshTrial builds the topology every cascade experiment runs on — n
+// clients dealt over regions, every inter-region link alike — with its
+// cascaded call, region-sharded where shards and the topology allow.
+func newMeshTrial(o *trialObs, seed int64, prof *vca.Profile, n, regions int, interMbps float64, interDelay time.Duration, shards int, recovery bool) *trial {
+	m := cascade.NewTrial(seed,
+		cascade.Uniform(n, regions, netem.LinkConfig{RateBps: interMbps * 1e6, Delay: interDelay}),
+		shards, prof, vca.CallOptions{Seed: seed, Recovery: recovery})
+	return &trial{seed: seed, eng: m.Eng, engines: m.Engines(), mesh: m, call: m.Call, obs: o}
+}
+
+// links lists every link the trial has right now, in a deterministic order.
+func (t *trial) links() []*netem.Link {
+	if t.mesh != nil {
+		return t.mesh.Links()
+	}
+	return t.lab.links
+}
+
+// start attaches capture (when on), then starts the timeline and the
+// call. What a runner schedules between start and finish keeps the
+// sequence numbers it always had.
+func (t *trial) start() {
+	t.obs.attach(t)
+	if t.timeline != nil {
+		t.timeline.Start()
+	}
+	t.call.Start()
+}
+
+// finish runs every engine to dur and stops the call. A mesh then hands
+// capture its per-engine trace rings merged in (time,
+// control-then-shard-index) order and releases any shard goroutines.
+func (t *trial) finish(dur time.Duration) {
+	if t.mesh == nil {
+		t.eng.RunUntil(dur)
+	} else {
+		t.mesh.RunUntil(dur)
+	}
+	t.call.Stop()
+	if t.mesh != nil {
+		if t.obs != nil {
+			t.obs.tracer = t.mesh.Traced()
+		}
+		t.mesh.Close()
+	}
+}
+
+// trace points every link, the call and the timeline at the trial's
+// tracer(s): one ring per engine on a mesh (cascade.Trial.Trace); one ring
+// on a Lab, which also hands it to every link it creates from here on.
+func (t *trial) trace(capacity int) *obs.Tracer {
+	var tr *obs.Tracer
+	if t.mesh != nil {
+		tr = t.mesh.Trace(capacity)
+	} else {
+		tr = obs.NewTracer(capacity)
+		t.lab.tracer = tr
+		for _, l := range t.lab.links {
+			l.SetTracer(tr)
+		}
+		t.call.SetTracer(tr)
+	}
+	if t.timeline != nil {
+		t.timeline.SetTracer(tr)
+	}
+	return tr
+}
+
+// traceCall adds a call that starts mid-run (the §5 competitor) to the
+// trial's trace.
+func (t *trial) traceCall(c *vca.Call) {
+	if t.obs != nil {
+		c.SetTracer(t.obs.tracer)
+	}
+}

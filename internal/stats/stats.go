@@ -268,16 +268,23 @@ func Summarize(vs []float64) Summary {
 // It returns the recovery time and true, or 0 and false if the series never
 // recovers within the data.
 func TTR(s Series, intStart, intEnd time.Duration, window time.Duration, frac float64) (time.Duration, bool) {
-	before := s.Slice(0, intStart)
-	nominal := Median(before.Values)
-	if nominal == 0 {
+	nominal := Median(s.Slice(0, intStart).Values)
+	return RecoveryAfter(s, intEnd, window, nominal*frac)
+}
+
+// RecoveryAfter is the tail of TTR for callers that bring their own
+// nominal: how long after from the rolling median (window wide, over the
+// samples from `from` on only, so the first points use a partial window)
+// first reaches level. It returns 0 and false when there is nothing to
+// recover to (level <= 0) or the data ends first.
+func RecoveryAfter(s Series, from, window time.Duration, level float64) (time.Duration, bool) {
+	if level <= 0 {
 		return 0, false
 	}
-	after := s.Slice(intEnd, time.Duration(math.MaxInt64))
-	rolled := after.RollingMedian(window)
+	rolled := s.Slice(from, time.Duration(math.MaxInt64)).RollingMedian(window)
 	for i, v := range rolled.Values {
-		if v >= nominal*frac {
-			return rolled.Times[i] - intEnd, true
+		if v >= level {
+			return rolled.Times[i] - from, true
 		}
 	}
 	return 0, false

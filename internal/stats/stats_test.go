@@ -155,6 +155,44 @@ func TestTTRNeverRecovers(t *testing.T) {
 	}
 }
 
+// TestRecoveryAfterEdges covers what TTR's happy paths never reach: a
+// zero nominal leaves nothing to recover to, and a series that ends before
+// one window has passed is judged on the partial window it has — still
+// depressed means not recovered, and no samples at all means the same.
+func TestRecoveryAfterEdges(t *testing.T) {
+	var flat Series
+	for i := 0; i <= 100; i++ {
+		flat.Add(time.Duration(i)*time.Second, 0)
+	}
+	if _, ok := TTR(flat, 50*time.Second, 60*time.Second, 5*time.Second, 0.95); ok {
+		t.Error("TTR reported recovery to a zero nominal")
+	}
+	if _, ok := RecoveryAfter(flat, 60*time.Second, 5*time.Second, 0); ok {
+		t.Error("RecoveryAfter reported recovery to a zero level")
+	}
+
+	// 1.0 until the event at 60 s, then 0.2; the data stops at 62 s.
+	var short Series
+	for i := 0; i <= 62; i++ {
+		v := 1.0
+		if i >= 60 {
+			v = 0.2
+		}
+		short.Add(time.Duration(i)*time.Second, v)
+	}
+	if _, ok := RecoveryAfter(short, 60*time.Second, 5*time.Second, 0.8); ok {
+		t.Error("recovered on a 2 s tail that never left 0.2")
+	}
+	if _, ok := RecoveryAfter(short, 70*time.Second, 5*time.Second, 0.8); ok {
+		t.Error("recovered with no samples after the event")
+	}
+	// The same short tail already back at nominal counts from its first
+	// sample: a partial window is a window.
+	if ttr, ok := RecoveryAfter(short, 30*time.Second, 5*time.Second, 0.8); !ok || ttr != 0 {
+		t.Errorf("RecoveryAfter on a healthy series = %v, %v; want 0s, true", ttr, ok)
+	}
+}
+
 func TestShare(t *testing.T) {
 	if got := Share(3, 1); got != 0.75 {
 		t.Errorf("Share(3,1) = %v, want 0.75", got)

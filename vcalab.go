@@ -299,8 +299,8 @@ type (
 	// MetricsRegistry/MetricsLog are the sampled named-metric half.
 	MetricsRegistry = obs.Registry
 	MetricsLog      = obs.MetricsLog
-	// ObsConfig enables per-trial capture on a dynamic run (see
-	// DynamicConfig.Obs).
+	// ObsConfig enables per-trial capture (see SetCapture, and
+	// DynamicConfig.Obs for one run).
 	ObsConfig = experiment.ObsConfig
 )
 
@@ -357,6 +357,9 @@ var (
 	DefaultParallelism = experiment.DefaultParallelism
 	// SetProgress installs a per-trial progress hook for all sweeps.
 	SetProgress = experiment.SetProgress
+	// SetCapture installs the -trace/-metrics capture of every sweep and
+	// returns the first write error since the previous call.
+	SetCapture = experiment.SetCapture
 )
 
 // Topology and experiment constructors/runners.
