@@ -25,7 +25,7 @@ type obsFlags struct {
 // negative -parallel was silently coerced to "all cores" and a bad
 // -scenario surfaced only after other sweeps had already burned minutes;
 // likewise an unwritable -trace path must fail here, not after the sweep.
-func validateFlags(exp, bench, scenarioName, recovery string, parallel, reps, fuzz, shards int, obs obsFlags) error {
+func validateFlags(exp, scenarioName, recovery string, parallel, reps, fuzz, shards int, obs obsFlags) error {
 	if parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 = all cores, 1 = sequential); got %d", parallel)
 	}
@@ -34,14 +34,14 @@ func validateFlags(exp, bench, scenarioName, recovery string, parallel, reps, fu
 	default:
 		return fmt.Errorf("-recovery must be on or off; got %q", recovery)
 	}
-	if recovery == "on" && fuzz == 0 && bench == "" {
+	if recovery == "on" && fuzz == 0 {
 		// The paper-reproduction figures run the VCAs as measured — no
 		// recovery knob — so silently ignoring the flag there would
 		// misrepresent what ran. Only the extension workloads take it.
 		switch exp {
 		case "impairment", "scale", "dynamic":
 		default:
-			return fmt.Errorf("-recovery on applies to -experiment impairment/scale/dynamic, -fuzz and -bench; got -experiment %s", exp)
+			return fmt.Errorf("-recovery on applies to -experiment impairment/scale/dynamic and -fuzz; got -experiment %s", exp)
 		}
 	}
 	if shards < 0 {
@@ -71,27 +71,14 @@ func validateFlags(exp, bench, scenarioName, recovery string, parallel, reps, fu
 		}
 		f.Close()
 	}
-	if obs.trace != "" || obs.metrics != "" {
-		// Every experiment id captures through the one sweep path; the
-		// two modes that run no sweep trial to attach to would leave
-		// empty files, which is worse than a refusal.
-		switch {
-		case fuzz > 0:
-			return fmt.Errorf("-trace/-metrics do not apply to -fuzz (the harness traces internally)")
-		case bench != "":
-			return fmt.Errorf("-trace/-metrics do not apply to -bench")
-		}
-	}
 	if fuzz > 0 {
-		return nil // -fuzz ignores -experiment, -bench and -scenario
-	}
-	switch bench {
-	case "", "engine":
-	default:
-		return fmt.Errorf("unknown -bench mode %q (want engine)", bench)
-	}
-	if bench != "" {
-		return nil // -bench ignores -experiment and -scenario
+		// Every experiment id captures through the one sweep path; -fuzz
+		// runs no sweep trial to attach to and would leave empty files,
+		// which is worse than a refusal.
+		if obs.trace != "" || obs.metrics != "" {
+			return fmt.Errorf("-trace/-metrics do not apply to -fuzz (the harness traces internally)")
+		}
+		return nil // -fuzz ignores -experiment and -scenario
 	}
 	if exp != "all" && !knownExperiment(exp) {
 		return fmt.Errorf("unknown experiment %q (try -list)", exp)

@@ -9,7 +9,7 @@ import (
 
 // TestValidateFlags pins the fail-fast behaviour of the flag validation
 // helper: a negative -parallel and a non-positive -reps used to be
-// silently coerced, and bad -experiment/-bench/-scenario values must exit
+// silently coerced, and bad -experiment/-scenario values must exit
 // with a clear message instead of panicking or running the wrong thing.
 // Observability flags follow the same contract: unwritable -trace paths
 // and non-positive -obs-interval fail before any sweep burns time.
@@ -18,75 +18,69 @@ func TestValidateFlags(t *testing.T) {
 	writable := filepath.Join(t.TempDir(), "out.jsonl")
 	cases := []struct {
 		name                         string
-		exp, bench, sc               string
+		exp, sc                      string
 		recovery                     string // "" = off
 		parallel, reps, fuzz, shards int
 		obs                          obsFlags
 		wantErrMentions              string // "" = must pass
 	}{
-		{"defaults ok", "table2", "", "all", "off", 0, 3, 0, 1, okObs, ""},
-		{"all ok", "all", "", "all", "off", 4, 1, 0, 1, okObs, ""},
-		{"dynamic + canned scenario ok", "dynamic", "", "churn-storm", "off", 0, 3, 0, 1, okObs, ""},
-		{"dynamic + all scenarios ok", "dynamic", "", "all", "off", 0, 3, 0, 1, okObs, ""},
-		{"dynamic + generated scenario ok", "dynamic", "", "gen", "off", 0, 3, 0, 1, okObs, ""},
-		{"dynamic + seeded generated scenario ok", "dynamic", "", "gen:42", "off", 0, 3, 0, 1, okObs, ""},
-		{"dynamic + negative gen seed ok", "dynamic", "", "gen:-7", "off", 0, 3, 0, 1, okObs, ""},
-		{"bench engine ok", "ignored", "engine", "all", "off", 0, 3, 0, 1, okObs, ""},
-		{"fuzz ok", "ignored", "", "ignored", "off", 0, 3, 50, 1, okObs, ""},
-		{"sharded scale ok", "scale", "", "all", "off", 0, 3, 0, 3, okObs, ""},
-		{"sharded dynamic ok", "dynamic", "", "all", "off", 0, 3, 0, 2, okObs, ""},
-		{"zero shards ok (same as 1)", "scale", "", "all", "off", 0, 3, 0, 0, okObs, ""},
-		{"oversubscribed shards ok (capped)", "scale", "", "all", "off", 0, 3, 0, 64, okObs, ""},
-		{"dynamic + trace ok", "dynamic", "", "all", "off", 0, 3, 0, 1,
+		{"defaults ok", "table2", "all", "off", 0, 3, 0, 1, okObs, ""},
+		{"all ok", "all", "all", "off", 4, 1, 0, 1, okObs, ""},
+		{"dynamic + canned scenario ok", "dynamic", "churn-storm", "off", 0, 3, 0, 1, okObs, ""},
+		{"dynamic + all scenarios ok", "dynamic", "all", "off", 0, 3, 0, 1, okObs, ""},
+		{"dynamic + generated scenario ok", "dynamic", "gen", "off", 0, 3, 0, 1, okObs, ""},
+		{"dynamic + seeded generated scenario ok", "dynamic", "gen:42", "off", 0, 3, 0, 1, okObs, ""},
+		{"dynamic + negative gen seed ok", "dynamic", "gen:-7", "off", 0, 3, 0, 1, okObs, ""},
+		{"fuzz ok", "ignored", "ignored", "off", 0, 3, 50, 1, okObs, ""},
+		{"sharded scale ok", "scale", "all", "off", 0, 3, 0, 3, okObs, ""},
+		{"sharded dynamic ok", "dynamic", "all", "off", 0, 3, 0, 2, okObs, ""},
+		{"zero shards ok (same as 1)", "scale", "all", "off", 0, 3, 0, 0, okObs, ""},
+		{"oversubscribed shards ok (capped)", "scale", "all", "off", 0, 3, 0, 64, okObs, ""},
+		{"dynamic + trace ok", "dynamic", "all", "off", 0, 3, 0, 1,
 			obsFlags{trace: writable, interval: time.Second}, ""},
-		{"dynamic + metrics ok", "dynamic", "", "all", "off", 0, 3, 0, 1,
+		{"dynamic + metrics ok", "dynamic", "all", "off", 0, 3, 0, 1,
 			obsFlags{metrics: writable, interval: time.Second}, ""},
-		{"cpuprofile anywhere ok", "table2", "", "all", "off", 0, 3, 0, 1,
+		{"cpuprofile anywhere ok", "table2", "all", "off", 0, 3, 0, 1,
 			obsFlags{cpuprofile: writable, interval: time.Second}, ""},
 
-		{"negative parallel", "table2", "", "all", "off", -1, 3, 0, 1, okObs, "-parallel"},
-		{"zero reps", "table2", "", "all", "off", 0, 0, 0, 1, okObs, "-reps"},
-		{"negative reps", "table2", "", "all", "off", 0, -3, 0, 1, okObs, "-reps"},
-		{"negative fuzz", "table2", "", "all", "off", 0, 3, -1, 1, okObs, "-fuzz"},
-		{"negative shards", "scale", "", "all", "off", 0, 3, 0, -2, okObs, "-shards"},
-		{"unknown experiment", "fig99", "", "all", "off", 0, 3, 0, 1, okObs, "unknown experiment"},
-		{"unknown bench mode", "table2", "bogus", "all", "off", 0, 3, 0, 1, okObs, "-bench"},
-		{"bench scale is gone", "ignored", "scale", "all", "off", 1, 3, 0, 1, okObs, "-bench"},
-		{"unknown scenario", "dynamic", "", "nope", "off", 0, 3, 0, 1, okObs, "-scenario"},
-		{"malformed gen seed", "dynamic", "", "gen:xyz", "off", 0, 3, 0, 1, okObs, "-scenario"},
-		{"scenario ignored outside dynamic", "table2", "", "nope", "off", 0, 3, 0, 1, okObs, ""},
+		{"negative parallel", "table2", "all", "off", -1, 3, 0, 1, okObs, "-parallel"},
+		{"zero reps", "table2", "all", "off", 0, 0, 0, 1, okObs, "-reps"},
+		{"negative reps", "table2", "all", "off", 0, -3, 0, 1, okObs, "-reps"},
+		{"negative fuzz", "table2", "all", "off", 0, 3, -1, 1, okObs, "-fuzz"},
+		{"negative shards", "scale", "all", "off", 0, 3, 0, -2, okObs, "-shards"},
+		{"unknown experiment", "fig99", "all", "off", 0, 3, 0, 1, okObs, "unknown experiment"},
+		{"unknown scenario", "dynamic", "nope", "off", 0, 3, 0, 1, okObs, "-scenario"},
+		{"malformed gen seed", "dynamic", "gen:xyz", "off", 0, 3, 0, 1, okObs, "-scenario"},
+		{"scenario ignored outside dynamic", "table2", "nope", "off", 0, 3, 0, 1, okObs, ""},
 
-		{"zero obs interval", "dynamic", "", "all", "off", 0, 3, 0, 1,
+		{"zero obs interval", "dynamic", "all", "off", 0, 3, 0, 1,
 			obsFlags{trace: writable}, "-obs-interval"},
-		{"negative obs interval", "dynamic", "", "all", "off", 0, 3, 0, 1,
+		{"negative obs interval", "dynamic", "all", "off", 0, 3, 0, 1,
 			obsFlags{metrics: writable, interval: -time.Second}, "-obs-interval"},
-		{"unwritable trace path", "dynamic", "", "all", "off", 0, 3, 0, 1,
+		{"unwritable trace path", "dynamic", "all", "off", 0, 3, 0, 1,
 			obsFlags{trace: "/nonexistent-dir/t.jsonl", interval: time.Second}, "-trace"},
-		{"unwritable metrics path", "dynamic", "", "all", "off", 0, 3, 0, 1,
+		{"unwritable metrics path", "dynamic", "all", "off", 0, 3, 0, 1,
 			obsFlags{metrics: "/nonexistent-dir/m.jsonl", interval: time.Second}, "-metrics"},
-		{"unwritable cpuprofile path", "table2", "", "all", "off", 0, 3, 0, 1,
+		{"unwritable cpuprofile path", "table2", "all", "off", 0, 3, 0, 1,
 			obsFlags{cpuprofile: "/nonexistent-dir/cpu.pprof", interval: time.Second}, "-cpuprofile"},
-		{"trace on a paper table ok", "table2", "", "all", "off", 0, 3, 0, 1,
+		{"trace on a paper table ok", "table2", "all", "off", 0, 3, 0, 1,
 			obsFlags{trace: writable, interval: time.Second}, ""},
-		{"trace + metrics on all ok", "all", "", "all", "off", 0, 3, 0, 1,
+		{"trace + metrics on all ok", "all", "all", "off", 0, 3, 0, 1,
 			obsFlags{trace: writable, metrics: writable, interval: time.Second}, ""},
-		{"metrics with bench", "ignored", "engine", "all", "off", 0, 3, 0, 1,
-			obsFlags{metrics: writable, interval: time.Second}, "-bench"},
-		{"trace with fuzz", "ignored", "", "ignored", "off", 0, 3, 10, 1,
+		{"trace with fuzz", "ignored", "ignored", "off", 0, 3, 10, 1,
 			obsFlags{trace: writable, interval: time.Second}, "-fuzz"},
 
-		{"recovery impairment ok", "impairment", "", "all", "on", 0, 3, 0, 1, okObs, ""},
-		{"recovery scale ok", "scale", "", "all", "on", 0, 3, 0, 2, okObs, ""},
-		{"recovery dynamic ok", "dynamic", "", "region-partition", "on", 0, 3, 0, 1, okObs, ""},
-		{"recovery fuzz ok", "ignored", "", "ignored", "on", 0, 3, 50, 1, okObs, ""},
-		{"recovery bench engine ok", "ignored", "engine", "all", "on", 0, 3, 0, 1, okObs, ""},
-		{"recovery bad value", "impairment", "", "all", "maybe", 0, 3, 0, 1, okObs, "-recovery"},
-		{"recovery on paper figure", "fig1a", "", "all", "on", 0, 3, 0, 1, okObs, "-recovery"},
-		{"recovery on table2", "table2", "", "all", "on", 0, 3, 0, 1, okObs, "-recovery"},
-		{"recovery on all", "all", "", "all", "on", 0, 3, 0, 1, okObs, "-recovery"},
+		{"recovery impairment ok", "impairment", "all", "on", 0, 3, 0, 1, okObs, ""},
+		{"recovery scale ok", "scale", "all", "on", 0, 3, 0, 2, okObs, ""},
+		{"recovery dynamic ok", "dynamic", "region-partition", "on", 0, 3, 0, 1, okObs, ""},
+		{"recovery fuzz ok", "ignored", "ignored", "on", 0, 3, 50, 1, okObs, ""},
+		{"recovery bad value", "impairment", "all", "maybe", 0, 3, 0, 1, okObs, "-recovery"},
+		{"recovery on paper figure", "fig1a", "all", "on", 0, 3, 0, 1, okObs, "-recovery"},
+		{"recovery on table2", "table2", "all", "on", 0, 3, 0, 1, okObs, "-recovery"},
+		{"recovery on all", "all", "all", "on", 0, 3, 0, 1, okObs, "-recovery"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.exp, c.bench, c.sc, c.recovery, c.parallel, c.reps, c.fuzz, c.shards, c.obs)
+		err := validateFlags(c.exp, c.sc, c.recovery, c.parallel, c.reps, c.fuzz, c.shards, c.obs)
 		if c.wantErrMentions == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)

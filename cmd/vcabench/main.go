@@ -12,7 +12,6 @@
 //	vcabench -experiment scale -shards 3
 //	vcabench -experiment all -quick
 //	vcabench -experiment fig12 -quick -trace t.jsonl -metrics m.jsonl
-//	vcabench -bench engine -json -shards 3
 //
 // Independent trials fan out across all cores by default (-parallel 0);
 // output is byte-identical to a sequential run (-parallel 1) because each
@@ -23,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,15 +38,12 @@ var (
 	quick    = flag.Bool("quick", false, "coarser grids and shorter calls")
 	seed     = flag.Int64("seed", 1, "base simulation seed")
 	parallel = flag.Int("parallel", 0, "trials run concurrently (0 = all cores, 1 = sequential); results are identical either way")
-	shards   = flag.Int("shards", 1, "region shards per trial for scale/dynamic/fuzz/bench-engine (<= 1 = one engine; capped at the region count); experiment output is identical at every value")
+	shards   = flag.Int("shards", 1, "region shards per trial for scale/dynamic/fuzz (<= 1 = one engine; capped at the region count); experiment output is identical at every value")
 	progress = flag.Bool("progress", true, "report per-sweep trial progress on stderr")
 	list     = flag.Bool("list", false, "list experiment ids with descriptions and exit")
 	scen     = flag.String("scenario", "all", "with -experiment dynamic: canned scenario name (see EXPERIMENTS.md), `gen[:seed]` for a generated one, or `all`")
 	fuzzN    = flag.Int("fuzz", 0, "replay N seeded generated scenarios through the invariant harness (seeds -seed..-seed+N-1); exits non-zero and prints the offending seed on any violation")
-	bench    = flag.String("bench", "", "benchmark mode: `engine` (events/sec + allocs/event, BENCH_engine.json)")
-	jsonOut  = flag.Bool("json", false, "with -bench: write machine-readable results to BENCH_engine.json")
-	recovery = flag.String("recovery", "off", "packet-level loss recovery (NACK/RTX, jitter buffer, TWCC feedback): `on|off`; applies to -experiment impairment/scale/dynamic, -fuzz and -bench")
-	check    = flag.Bool("check", false, "with -bench engine: exit non-zero if allocs/event exceeds 0.1 (on the -recovery on row too), events/s regresses >20% vs the recorded baseline, or — with -shards > 1 — the sharded run diverges from the sequential event set (the CI bench-regression gate)")
+	recovery = flag.String("recovery", "off", "packet-level loss recovery (NACK/RTX, jitter buffer, TWCC feedback): `on|off`; applies to -experiment impairment/scale/dynamic and -fuzz")
 
 	traceFile   = flag.String("trace", "", "write a structured JSONL event trace of every trial (packet enqueue/dequeue/drop/deliver, CC decisions, forward switches, scenario and churn events) to `FILE`")
 	metricsFile = flag.String("metrics", "", "write every trial's sampled metrics and per-client getStats snapshots as JSONL to `FILE`")
@@ -96,7 +91,7 @@ func main() {
 		"experiment id (see -list): table2, fig1a..fig15, impairment, scale, dynamic, all")
 	flag.Parse()
 
-	if err := validateFlags(*exp, *bench, *scen, *recovery, *parallel, *reps, *fuzzN, *shards, obsFlags{
+	if err := validateFlags(*exp, *scen, *recovery, *parallel, *reps, *fuzzN, *shards, obsFlags{
 		trace: *traceFile, metrics: *metricsFile, interval: *obsInterval,
 		cpuprofile: *cpuprofile, memprofile: *memprofile,
 	}); err != nil {
@@ -172,11 +167,6 @@ func main() {
 
 	if *fuzzN > 0 {
 		runFuzz()
-		return
-	}
-
-	if *bench == "engine" {
-		benchEngine()
 		return
 	}
 
@@ -527,132 +517,5 @@ func dynamic() {
 		for _, name := range names {
 			vcalab.PrintDynamic(os.Stdout, vcalab.RunDynamic(dynamicConfig(p, name)))
 		}
-	}
-}
-
-// engineBaseline is the engine benchmark as recorded when delay-class
-// lanes replaced the timer wheel (PR 12; medians of five runs on the
-// 2-vCPU reference host), on the same workloads benchEngine runs: the
-// Teams 24p/3r/20Mbps 30s cascaded call, the bare scheduler micro, and
-// the Meet 16-party routing micro. It is the yardstick BENCH_engine.json
-// and the -check regression gate compare against. The wheel-era level
-// it replaces was 5.1 M macro / 13.4 M micro / 6.4 M routing events/s;
-// the micro fell because its 977 distinct delays earn no lane
-// (DESIGN.md §7).
-var engineBaseline = vcalab.EngineBenchResult{
-	Events:                  2821228,
-	WallSeconds:             0.271,
-	EventsPerSecond:         10400000,
-	AllocsPerEvent:          0.0114,
-	BytesPerEvent:           1.61,
-	SimSecondsPerWallSecond: 110.6,
-	MicroEventsPerSecond:    8410000,
-	MicroAllocsPerEvent:     5e-7,
-	RouteEventsPerSecond:    11850000,
-	RouteAllocsPerEvent:     0.0393,
-}
-
-// benchEngine measures the simulation engine itself — events/sec,
-// allocs/event and sim-seconds per wall-second on a cascaded call — and
-// records the result next to the recorded baseline.
-func benchEngine() {
-	cfg := vcalab.EngineBenchConfig{Profile: vcalab.Teams(), Seed: *seed, Shards: *shards, Recovery: recoveryOn()}
-	if *quick {
-		cfg.Participants = 8
-		cfg.Dur = 10 * time.Second
-		cfg.MicroEvents = 200_000
-		cfg.ShardParticipants = 12
-	}
-	cur := vcalab.RunEngineBench(cfg)
-	fmt.Printf("engine bench: %9d events  %6.2fs wall  %9.0f events/s  %5.2f allocs/event  %6.1f sim-s/wall-s\n",
-		cur.Events, cur.WallSeconds, cur.EventsPerSecond, cur.AllocsPerEvent, cur.SimSecondsPerWallSecond)
-	fmt.Printf("engine micro: %9.0f events/s  %5.2f allocs/event\n",
-		cur.MicroEventsPerSecond, cur.MicroAllocsPerEvent)
-	fmt.Printf("routing micro:%9.0f events/s  %5.2f allocs/event\n",
-		cur.RouteEventsPerSecond, cur.RouteAllocsPerEvent)
-	if sh := cur.Sharded; sh != nil {
-		fmt.Printf("sharded macro: %dp/%d shards  %6.2fs wall vs %6.2fs sequential  %.2fx speedup  %d windows  mailbox hw %d  output match %v\n",
-			sh.Participants, sh.Shards, sh.WallSeconds, sh.SeqWallSeconds, sh.Speedup, sh.Windows, sh.MailboxHighWater, sh.OutputMatches)
-		for k := range sh.ShardEventsPerSecond {
-			fmt.Printf("  shard %d: %9.0f events/s busy  %5.1f%% barrier wait\n",
-				k, sh.ShardEventsPerSecond[k], 100*sh.ShardBarrierWaitFrac[k])
-		}
-	}
-	if rb := cur.Recovery; rb != nil {
-		fmt.Printf("recovery on:  %9d events  %6.2fs wall  %9.0f events/s  %5.2f allocs/event  (%.0f%% loss: %d NACKed seqs, %d RTX)\n",
-			rb.Events, rb.WallSeconds, rb.EventsPerSecond, rb.AllocsPerEvent, rb.LossPct, rb.NackedSeqs, rb.Retransmissions)
-	}
-	if engineBaseline.EventsPerSecond > 0 {
-		fmt.Printf("vs baseline:  %.2fx events/s  %.2fx allocs/event  %.2fx sim-s/wall-s  %.2fx routing events/s\n",
-			cur.EventsPerSecond/engineBaseline.EventsPerSecond,
-			cur.AllocsPerEvent/engineBaseline.AllocsPerEvent,
-			cur.SimSecondsPerWallSecond/engineBaseline.SimSecondsPerWallSecond,
-			cur.RouteEventsPerSecond/engineBaseline.RouteEventsPerSecond)
-	}
-
-	if *jsonOut {
-		out := struct {
-			Workload string                   `json:"workload"`
-			Baseline vcalab.EngineBenchResult `json:"baseline"`
-			Current  vcalab.EngineBenchResult `json:"current"`
-		}{"teams 24p/3r/20Mbps 30s cascaded call + scheduler micro + meet 16p routing micro", engineBaseline, cur}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal bench results: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile("BENCH_engine.json", append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write BENCH_engine.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_engine.json")
-	}
-
-	if *check {
-		failed := false
-		if cur.AllocsPerEvent > 0.1 {
-			fmt.Fprintf(os.Stderr, "bench check FAIL: %.4f allocs/event exceeds the 0.1 budget\n", cur.AllocsPerEvent)
-			failed = true
-		}
-		// The recovery-on row (present with -recovery on) is held to the
-		// same budget: control messages are pooled and an RTX ring slot
-		// shares the ingress packet, so what the row still allocates is
-		// the one-time fill of the rings and of the retained packets
-		// behind them, 0.02 allocs/event over the full 30 s call. A -quick
-		// run is too short to amortize the fill, so like the throughput
-		// gate this one holds the full workload only.
-		if rb := cur.Recovery; rb != nil && !*quick && rb.AllocsPerEvent > 0.1 {
-			fmt.Fprintf(os.Stderr, "bench check FAIL: recovery on: %.4f allocs/event exceeds the 0.1 budget\n", rb.AllocsPerEvent)
-			failed = true
-		}
-		// The throughput gate compares like against like: -quick shrinks
-		// the workload, so only the full workload is held to the recorded
-		// baseline. The baseline is rescaled by the bare-scheduler micro
-		// ratio measured in this same run — the micro contains no protocol
-		// work, so it moves with the hardware while a routing regression
-		// moves only the macro — making the gate portable to slower CI
-		// runners without loosening the 20% budget.
-		if !*quick {
-			hw := cur.MicroEventsPerSecond / engineBaseline.MicroEventsPerSecond
-			want := 0.8 * engineBaseline.EventsPerSecond * hw
-			if cur.EventsPerSecond < want {
-				fmt.Fprintf(os.Stderr, "bench check FAIL: %.0f events/s regresses >20%% vs baseline %.0f (hardware-normalized to %.0f)\n",
-					cur.EventsPerSecond, engineBaseline.EventsPerSecond, want/0.8)
-				failed = true
-			}
-		}
-		// Sharded-mode gate (active when run with -shards > 1): the
-		// sharded engine must reproduce the sequential run's event count
-		// and delivery counters exactly. The speedup is printed and
-		// recorded, not gated: on shared runners it dips under any fixed
-		// floor at random, for parent and change alike.
-		if sh := cur.Sharded; sh != nil && !sh.OutputMatches {
-			fmt.Fprintln(os.Stderr, "bench check FAIL: sharded run diverged from the sequential event set")
-			failed = true
-		}
-		if failed {
-			os.Exit(1)
-		}
-		fmt.Println("bench check ok")
 	}
 }

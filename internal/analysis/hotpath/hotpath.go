@@ -1,7 +1,8 @@
 // Package hotpath implements the vcalint analyzer that keeps the
 // //vca:hotpath-annotated functions — the per-tick media loops, the
 // SFU forward/feedback paths, the shard barrier — within the
-// ≤0.1 allocs/event budget the engine bench gates dynamically.
+// ≤0.1 allocs/event budget cascade.TestTrialAllocsPerEvent gates
+// dynamically.
 //
 // Inside an annotated function the analyzer flags every construct the
 // zero-alloc rewrite (DESIGN.md §7) banned because it allocates per

@@ -10,7 +10,7 @@ import (
 )
 
 // Short, low-rep versions of each experiment keep the suite fast; the full
-// paper parameters live in the root benchmarks.
+// paper parameters are cmd/vcabench's.
 
 func TestStaticSweepShapes(t *testing.T) {
 	rs := RunStatic(StaticConfig{

@@ -199,29 +199,44 @@ func TestNackQueueReset(t *testing.T) {
 	}
 }
 
-func TestTransportCCRoundTrip(t *testing.T) {
-	in := &TransportCC{
-		SenderSSRC: 0x1111, MediaSSRC: 0x2222,
-		BaseSeq: 65530, RefTimeUs: 123456789,
-		DeltaUs: []int32{0, DeltaLost, 250, 1200, DeltaLost, 2400},
+// TestAppendNackPairs packs ascending seq lists into (PID, BLP) pairs and
+// expands them back: a pair reaches 16 seqs past its PID and no further,
+// and the distance is taken modulo 2^16.
+func TestAppendNackPairs(t *testing.T) {
+	expand := func(pairs []NackPair) (seqs []uint16) {
+		for _, p := range pairs {
+			seqs = append(seqs, p.PacketID)
+			for i := 0; i < 16; i++ {
+				if p.Bitmask&(1<<i) != 0 {
+					seqs = append(seqs, p.PacketID+uint16(i)+1)
+				}
+			}
+		}
+		return seqs
 	}
-	buf, err := in.MarshalRTCP()
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		seqs []uint16
+		want []NackPair
+	}{
+		{"empty", nil, nil},
+		{"one pair", []uint16{100, 101, 103}, []NackPair{{100, 0b101}}},
+		{"16 apart fits", []uint16{100, 116}, []NackPair{{100, 1 << 15}}},
+		{"17 apart splits", []uint16{100, 117, 118}, []NackPair{{100, 0}, {117, 1}}},
+		{"wrap at 65535", []uint16{65534, 65535, 0, 2}, []NackPair{{65534, 0b1011}}},
+		{"split across the wrap", []uint16{65530, 20}, []NackPair{{65530, 0}, {20, 0}}},
+	} {
+		got := AppendNackPairs(nil, c.seqs)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: pairs %v, want %v", c.name, got, c.want)
+		}
+		if back := expand(got); !reflect.DeepEqual(back, c.seqs) {
+			t.Errorf("%s: expands to %v, want %v", c.name, back, c.seqs)
+		}
 	}
-	out, n, err := UnmarshalRTCP(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", n, len(buf))
-	}
-	got, ok := out.(*TransportCC)
-	if !ok {
-		t.Fatalf("decoded %T, want *TransportCC", out)
-	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, in)
+	head := []NackPair{{7, 0}}
+	if got := AppendNackPairs(head, []uint16{9}); len(got) != 2 || got[0] != head[0] || got[1] != (NackPair{9, 0}) {
+		t.Errorf("append to existing pairs: %v", got)
 	}
 }
 

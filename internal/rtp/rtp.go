@@ -1,11 +1,13 @@
-// Package rtp implements the RTP wire format of RFC 3550 plus the RTCP
-// feedback messages the paper's VCAs rely on (sender/receiver reports,
-// PLI, FIR, REMB, generic NACK).
+// Package rtp implements the RTP wire format of RFC 3550 plus the
+// loss-recovery state machines the VCA models run on it (RTX rings, the
+// NACK queue, TWCC recorder and send history).
 //
 // The emulator moves typed packets for speed, but every media packet it
 // moves carries a real, marshalable RTP header, so traces written by
-// internal/pcap decode in standard tools. This package has no dependency on
-// the simulator and is usable standalone.
+// internal/pcap decode in standard tools. Feedback (reports, FIR, NACK,
+// TWCC) travels as typed messages charged at their wire size and has no
+// codec here. This package has no dependency on the simulator and is
+// usable standalone.
 package rtp
 
 import (

@@ -1,10 +1,5 @@
 package rtp
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // Transport-wide congestion control (TWCC,
 // draft-holmer-rmcat-transport-wide-cc-extensions): the sender stamps
 // every outgoing packet — media, FEC, padding and retransmissions alike
@@ -13,12 +8,10 @@ import (
 // arrivals against its own send-time history to recover one-way delay,
 // loss and receive rate per transport. This file carries the feedback
 // message plus the two ring-buffer state machines at either end. The
-// wire format is a simplified fixed-width rendering of the real TWCC
-// chunk encoding: a base seq, a reference time and one 32-bit arrival
-// delta per packet, -1 marking a loss.
-
-// FMTTWCC is the RTPFB feedback message type for transport-wide CC.
-const FMTTWCC = 15
+// message is a simplified fixed-width rendering of the real TWCC chunk
+// encoding: a base seq, a reference time and one 32-bit arrival delta per
+// packet, -1 marking a loss. It travels as a typed value; the simulator
+// charges its wire size and never serializes it.
 
 // DeltaLost marks a never-received packet in TransportCC.DeltaUs.
 const DeltaLost = int32(-1)
@@ -27,47 +20,9 @@ const DeltaLost = int32(-1)
 // seqs [BaseSeq, BaseSeq+len(DeltaUs)). DeltaUs[i] is the arrival time
 // of BaseSeq+i in microseconds after RefTimeUs, or DeltaLost.
 type TransportCC struct {
-	SenderSSRC uint32
-	MediaSSRC  uint32
-	BaseSeq    uint16
-	RefTimeUs  int64
-	DeltaUs    []int32
-}
-
-// MarshalRTCP implements RTCPPacket.
-func (t *TransportCC) MarshalRTCP() ([]byte, error) {
-	if len(t.DeltaUs) > 0xffff {
-		return nil, fmt.Errorf("rtp: %d TWCC deltas exceeds 65535", len(t.DeltaUs))
-	}
-	buf := rtcpHeader(FMTTWCC, TypeRTPFB, 24+4*len(t.DeltaUs))
-	binary.BigEndian.PutUint32(buf[4:], t.SenderSSRC)
-	binary.BigEndian.PutUint32(buf[8:], t.MediaSSRC)
-	binary.BigEndian.PutUint16(buf[12:], t.BaseSeq)
-	binary.BigEndian.PutUint16(buf[14:], uint16(len(t.DeltaUs)))
-	binary.BigEndian.PutUint64(buf[16:], uint64(t.RefTimeUs))
-	for i, d := range t.DeltaUs {
-		binary.BigEndian.PutUint32(buf[24+4*i:], uint32(d))
-	}
-	return buf, nil
-}
-
-func (t *TransportCC) unmarshalBody(buf []byte) error {
-	if len(buf) < 20 {
-		return ErrShortPacket
-	}
-	t.SenderSSRC = binary.BigEndian.Uint32(buf[0:])
-	t.MediaSSRC = binary.BigEndian.Uint32(buf[4:])
-	t.BaseSeq = binary.BigEndian.Uint16(buf[8:])
-	n := int(binary.BigEndian.Uint16(buf[10:]))
-	t.RefTimeUs = int64(binary.BigEndian.Uint64(buf[12:]))
-	if len(buf) < 20+4*n {
-		return ErrShortPacket
-	}
-	t.DeltaUs = make([]int32, n)
-	for i := range t.DeltaUs {
-		t.DeltaUs[i] = int32(binary.BigEndian.Uint32(buf[20+4*i:]))
-	}
-	return nil
+	BaseSeq   uint16
+	RefTimeUs int64
+	DeltaUs   []int32
 }
 
 // TWCCRecorder is the receiver half: it records arrival times by

@@ -94,7 +94,7 @@ func (m *Mailbox) Post(at, schedAt time.Duration, seq uint64, arg any) {
 }
 
 // HighWater reports the most entries the mailbox has held between drains
-// — the cross-shard backlog metric surfaced by the engine benchmark.
+// — the cross-shard backlog metric GroupStats reports.
 func (m *Mailbox) HighWater() int { return m.hw }
 
 // drain injects every posted entry into the destination engine. Runs on

@@ -489,9 +489,9 @@ func (c *Client) recoveryOnMedia(now time.Duration, mp *MediaPacket, wireBytes i
 
 // recoveryTick runs each origin's NACK retry machine: emit due NACKs
 // (bounded retries, RTT-derived backoff) and concede seqs past their
-// playout deadline or retry budget.
+// playout deadline or retry budget. start arms it only when c.rec is set.
 func (c *Client) recoveryTick(now time.Duration) {
-	if !c.running || c.rec == nil {
+	if !c.running {
 		return
 	}
 	backoff := c.rec.cfg.NackMinBackoff
@@ -540,10 +540,11 @@ func (c *Client) sendNack(origin int32, seqs []uint16) {
 }
 
 // twccTick flushes the transport-wide arrival record into one report.
+// start arms it only when c.rec.twcc is set.
 //
 //vca:hotpath transport-wide feedback tick
 func (c *Client) twccTick(now time.Duration) {
-	if !c.running || c.rec == nil || c.rec.twcc == nil {
+	if !c.running {
 		return
 	}
 	m := c.pool.getTWCC()

@@ -328,7 +328,7 @@ type AllocMsg struct {
 }
 
 // NackMsg asks the SFU to retransmit missing packets of one origin's
-// per-leg sequence space (RTCP generic NACK, rtp.Nack). Pairs' backing
+// per-leg sequence space (RTCP generic NACK). Pairs' backing
 // array is recycled with the message.
 type NackMsg struct {
 	From   string

@@ -280,10 +280,6 @@ type (
 	BandwidthTrace = experiment.BandwidthTrace
 	TraceStep      = experiment.TraceStep
 	TraceResult    = experiment.TraceResult
-	// EngineBenchConfig/EngineBenchResult drive the simulation-engine
-	// benchmark (events/sec, allocs/event, sim-seconds per wall-second).
-	EngineBenchConfig = experiment.EngineBenchConfig
-	EngineBenchResult = experiment.EngineBenchResult
 )
 
 // Observability (internal/obs): a ring-buffer tracer of typed sim-time
@@ -373,7 +369,6 @@ var (
 	RunScale       = experiment.RunScale
 	RunDynamic     = experiment.RunDynamic
 	RunFuzz        = experiment.RunFuzz
-	RunEngineBench = experiment.RunEngineBench
 	RunTrace       = experiment.RunTrace
 	RunTraces      = experiment.RunTraces
 	ModalitySweep  = experiment.ModalitySweep
