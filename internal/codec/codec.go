@@ -8,9 +8,13 @@
 // The paper's pre-recorded 720p clip exists to make runs comparable; here a
 // seeded AR(1) complexity process serves the same purpose.
 //
-// Frame ownership: every Tick returns frames held by the encoder that
-// produced them (Encoder one Frame, Simulcast a two-slot list, SVC one
-// Frame per layer). They are valid until that encoder's next Tick, which
+// Encoder, Simulcast and SVC are the three strategies behind one method
+// set — SetTarget, SetLowAlloc, Tick, RequestKeyframe, Params — so a sender
+// picks one at construction and never asks again which it holds.
+//
+// Frame ownership: every Tick returns a list of frames held by the encoder
+// that produced them (Encoder one Frame, Simulcast up to two, SVC one per
+// layer). List and frames are valid until that encoder's next Tick, which
 // overwrites them in place; a caller that needs a frame longer copies the
 // struct. The 30 Hz tick path therefore allocates nothing.
 package codec
@@ -159,7 +163,8 @@ type Encoder struct {
 	// encoder repays it by skipping frames, as real rate control does.
 	byteDebt float64
 
-	frame Frame // the frame Tick returns, overwritten by the next Tick
+	frame Frame     // the frame Tick returns, overwritten by the next Tick
+	out   [1]*Frame // backs the list Tick returns
 }
 
 // NewEncoder creates an encoder. src may be shared across encoders
@@ -188,10 +193,23 @@ func (e *Encoder) Params() EncodeParams { return e.params }
 // RequestKeyframe makes the next emitted frame a keyframe (FIR handling).
 func (e *Encoder) RequestKeyframe() { e.keyPending = true }
 
-// Tick advances one capture interval and returns an encoded frame, or nil
-// if this tick is skipped (FPS below the capture rate). The frame is the
-// encoder's own and valid until its next Tick.
-func (e *Encoder) Tick(now time.Duration) *Frame {
+// SetLowAlloc does nothing: only a simulcast has a low copy to resize.
+func (e *Encoder) SetLowAlloc(float64) {}
+
+// Tick advances one capture interval and returns the encoded frame as a
+// one-entry list, or nil if this tick is skipped (FPS below the capture
+// rate).
+func (e *Encoder) Tick(now time.Duration) []*Frame {
+	f := e.tick(now)
+	if f == nil {
+		return nil
+	}
+	e.out[0] = f
+	return e.out[:]
+}
+
+// tick is Tick for the strategies built on an Encoder: the frame itself.
+func (e *Encoder) tick(now time.Duration) *Frame {
 	if e.target <= 0 {
 		return nil
 	}
@@ -273,7 +291,8 @@ type Simulcast struct {
 	// below this (below it Meet sends only the low copy).
 	MinHighBps float64
 
-	out [2]*Frame // backs the list Tick returns
+	lowAlloc float64   // SetLowAlloc's rate for the low copy (0 = default split)
+	out      [2]*Frame // backs the list Tick returns
 }
 
 // NewSimulcast builds the two encoders sharing one source.
@@ -285,8 +304,22 @@ func NewSimulcast(low, high Ladder, lowCap, minHigh float64, src *Source, rng *r
 	}
 }
 
+// SetLowAlloc pins the low copy at bps — the SFU's request when some
+// receiver cannot sustain the default low copy (§3.1 downlink floor) — until
+// called again with 0. It takes effect at the next SetTarget.
+func (s *Simulcast) SetLowAlloc(bps float64) { s.lowAlloc = bps }
+
 // SetTarget splits the total uplink video budget across the two copies.
 func (s *Simulcast) SetTarget(totalBps float64) {
+	if s.lowAlloc > 0 {
+		high := totalBps - s.lowAlloc
+		if high < s.MinHighBps {
+			high = 0
+		}
+		s.Low.SetTarget(s.lowAlloc)
+		s.High.SetTarget(math.Max(0, high))
+		return
+	}
 	low := math.Min(s.LowCapBps, 0.25*totalBps)
 	high := totalBps - low
 	if high < s.MinHighBps {
@@ -299,14 +332,28 @@ func (s *Simulcast) SetTarget(totalBps float64) {
 	s.High.SetTarget(high)
 }
 
-// Tick produces this tick's frames for both copies. The list and its
-// frames are valid until the next Tick.
+// RequestKeyframe makes the next frame of both copies a keyframe.
+func (s *Simulcast) RequestKeyframe() {
+	s.Low.RequestKeyframe()
+	s.High.RequestKeyframe()
+}
+
+// Params returns the encode parameters of the copy a receiver of the main
+// stream gets: the high copy while it is on, the low copy otherwise.
+func (s *Simulcast) Params() EncodeParams {
+	if s.High.Target() > 0 {
+		return s.High.Params()
+	}
+	return s.Low.Params()
+}
+
+// Tick produces this tick's frames for both copies, low copy first.
 func (s *Simulcast) Tick(now time.Duration) []*Frame {
 	out := s.out[:0]
-	if f := s.Low.Tick(now); f != nil {
+	if f := s.Low.tick(now); f != nil {
 		out = append(out, f)
 	}
-	if f := s.High.Tick(now); f != nil {
+	if f := s.High.tick(now); f != nil {
 		out = append(out, f)
 	}
 	return out
@@ -314,9 +361,11 @@ func (s *Simulcast) Tick(now time.Duration) []*Frame {
 
 // SVC is Zoom's encoding strategy (§4.2): one hierarchical encoding whose
 // layers sum to the target; the SFU forwards a layer subset per receiver
-// and can re-add layers instantly when conditions improve.
+// and can re-add layers instantly when conditions improve. It is an Encoder
+// — target, parameters, keyframe requests and key interval are the embedded
+// one's — whose every frame Tick splits into layers.
 type SVC struct {
-	enc *Encoder
+	*Encoder
 	// Split gives each layer's share of the frame bytes (sums to 1).
 	Split []float64
 
@@ -326,7 +375,7 @@ type SVC struct {
 
 // NewSVC creates an SVC encoder with the given per-layer byte split.
 func NewSVC(ladder Ladder, split []float64, src *Source, rng *rand.Rand) *SVC {
-	s := &SVC{enc: NewEncoder("svc", ladder, src, rng), Split: split}
+	s := &SVC{Encoder: NewEncoder("svc", ladder, src, rng), Split: split}
 	s.sizeLayers()
 	return s
 }
@@ -340,22 +389,10 @@ func (s *SVC) sizeLayers() {
 	}
 }
 
-// SetTarget sets the total (all-layer) target bitrate.
-func (s *SVC) SetTarget(bps float64) { s.enc.SetTarget(bps) }
-
-// SetKeyInterval sets the periodic intra-refresh interval.
-func (s *SVC) SetKeyInterval(d time.Duration) { s.enc.KeyInterval = d }
-
-// Params exposes the underlying encode parameters.
-func (s *SVC) Params() EncodeParams { return s.enc.Params() }
-
-// RequestKeyframe forwards a keyframe request to the encoder.
-func (s *SVC) RequestKeyframe() { s.enc.RequestKeyframe() }
-
-// Tick returns one frame per layer (or nil on skipped ticks). The list
-// and its frames are valid until the next Tick.
+// Tick returns one frame per layer, base layer first (or nil on skipped
+// ticks).
 func (s *SVC) Tick(now time.Duration) []*Frame {
-	f := s.enc.Tick(now)
+	f := s.tick(now)
 	if f == nil {
 		return nil
 	}

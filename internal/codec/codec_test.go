@@ -3,6 +3,7 @@ package codec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -100,7 +101,7 @@ func TestEncoderHitsTargetRate(t *testing.T) {
 	tick := time.Second / 30
 	dur := 10 * time.Second
 	for now := time.Duration(0); now < dur; now += tick {
-		if f := e.Tick(now); f != nil {
+		for _, f := range e.Tick(now) {
 			bytes += f.Bytes
 		}
 	}
@@ -117,9 +118,7 @@ func TestEncoderFPSSkipping(t *testing.T) {
 	frames := 0
 	tick := time.Second / 30
 	for now := time.Duration(0); now < 10*time.Second; now += tick {
-		if f := e.Tick(now); f != nil {
-			frames++
-		}
+		frames += len(e.Tick(now))
 	}
 	if frames < 140 || frames > 160 {
 		t.Errorf("frames in 10s at 15fps rung = %d, want ~150", frames)
@@ -135,7 +134,7 @@ func TestEncoderKeyframes(t *testing.T) {
 	var first *Frame
 	var normal []int
 	for now := time.Duration(0); now < 2*time.Second; now += tick {
-		if f := e.Tick(now); f != nil {
+		for _, f := range e.Tick(now) {
 			if first == nil {
 				kept := *f // the encoder overwrites f on its next Tick
 				first = &kept
@@ -268,7 +267,7 @@ func TestQuickEncoderRateTracking(t *testing.T) {
 		var bytes int
 		tick := time.Second / 30
 		for now := time.Duration(0); now < 20*time.Second; now += tick {
-			if f := e.Tick(now); f != nil {
+			for _, f := range e.Tick(now) {
 				bytes += f.Bytes
 			}
 		}
@@ -291,36 +290,141 @@ func TestTickAllocFree(t *testing.T) {
 	single := NewEncoder("video", testLadder(), src, rng)
 	simul := NewSimulcast(testLadder(), testLadder(), 190_000, 150_000, src, rng)
 	svc := NewSVC(testLadder(), []float64{0.4, 0.3, 0.3}, src, rng)
-	single.KeyInterval, svc.enc.KeyInterval = time.Second, time.Second
-	single.SetTarget(900_000)
-	simul.SetTarget(900_000)
-	svc.SetTarget(900_000)
+	single.KeyInterval, svc.KeyInterval = time.Second, time.Second
+	simul.SetLowAlloc(120_000)
 	now := time.Duration(0)
 	tick := time.Second / 30
 	for _, tc := range []struct {
 		name string
-		tick func() int
+		enc  strategy
 	}{
-		{"Encoder", func() int {
-			if single.Tick(now) != nil {
-				return 1
-			}
-			return 0
-		}},
-		{"Simulcast", func() int { return len(simul.Tick(now)) }},
-		{"SVC", func() int { return len(svc.Tick(now)) }},
+		{"Encoder", single},
+		{"Simulcast", simul},
+		{"SVC", svc},
 	} {
-		frames := tc.tick()
+		// One tick as a sender drives it: target, frames, and once a second
+		// the stats read and a keyframe request.
+		n := 0
+		step := func() int {
+			tc.enc.SetTarget(900_000)
+			if n++; n%30 == 0 {
+				tc.enc.RequestKeyframe()
+				_ = tc.enc.Params()
+			}
+			return len(tc.enc.Tick(now))
+		}
+		frames := step()
 		allocs := testing.AllocsPerRun(300, func() {
 			now += tick
-			frames += tc.tick()
+			frames += step()
 		})
 		if allocs != 0 {
-			t.Errorf("%s.Tick: %v allocs per tick, want 0", tc.name, allocs)
+			t.Errorf("%s: %v allocs per tick, want 0", tc.name, allocs)
 		}
 		if frames == 0 {
 			t.Errorf("%s.Tick encoded no frames", tc.name)
 		}
+	}
+}
+
+// strategy is the method set a sender holds its encoder by, whichever of
+// the three it built.
+type strategy interface {
+	SetTarget(bps float64)
+	SetLowAlloc(bps float64)
+	Tick(now time.Duration) []*Frame
+	RequestKeyframe()
+	Params() EncodeParams
+}
+
+// TestStrategySurface drives the three strategies through that one method
+// set: a target and a tick give each its streams' frames; a keyframe
+// request marks the next frame of every stream (the base layer's, for SVC);
+// the reported parameters are those of the stream a receiver of the main
+// video gets; and a low-copy allocation means something to a simulcast
+// only, where it pins the low copy and turns the high copy off once the
+// rest of the budget is under MinHighBps.
+func TestStrategySurface(t *testing.T) {
+	const target = 2_000_000 // 30 fps rung: every tick emits
+	// The low copy runs at full frame rate whatever its rate (§3.1).
+	lowLadder := Ladder{Rungs: []Rung{{FPS: 30, Width: 320, Height: 180, QPLo: 33, QPHi: 38}}}
+	for _, tc := range []struct {
+		name    string
+		build   func(*Source, *rand.Rand) strategy
+		streams []string // one tick's frames, in order
+	}{
+		{"single", func(src *Source, rng *rand.Rand) strategy {
+			return NewEncoder("video", testLadder(), src, rng)
+		}, []string{"video"}},
+		{"simulcast", func(src *Source, rng *rand.Rand) strategy {
+			return NewSimulcast(lowLadder, testLadder(), 190_000, 250_000, src, rng)
+		}, []string{"sim/low", "sim/high"}},
+		{"svc", func(src *Source, rng *rand.Rand) strategy {
+			return NewSVC(testLadder(), []float64{0.5, 0.3, 0.2}, src, rng)
+		}, []string{"svc", "svc", "svc"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			enc := tc.build(NewSource(rng), rng)
+			if got := enc.Tick(0); len(got) != 0 {
+				t.Fatalf("%d frames before any target", len(got))
+			}
+			enc.SetTarget(target)
+			enc.RequestKeyframe()
+			frames := enc.Tick(0)
+			var got []string
+			for i, f := range frames {
+				got = append(got, f.StreamID)
+				if want := f.Layer == 0; f.Keyframe != want {
+					t.Errorf("frame %d (%s layer %d) keyframe %v after a request, want %v", i, f.StreamID, f.Layer, f.Keyframe, want)
+				}
+			}
+			if !slices.Equal(got, tc.streams) {
+				t.Fatalf("streams %v, want %v", got, tc.streams)
+			}
+			// The main stream's last frame carries what Params reports.
+			if p := enc.Params(); p != frames[len(frames)-1].Params {
+				t.Errorf("Params %+v, want the main stream's %+v", p, frames[len(frames)-1].Params)
+			}
+
+			// A low-copy allocation: 100k pinned, and 300k total leaves
+			// the high copy 200k, under the 250k it needs.
+			enc.SetLowAlloc(100_000)
+			enc.SetTarget(300_000)
+			simul, isSimul := enc.(*Simulcast)
+			if !isSimul {
+				enc.Tick(time.Second)
+				if want := testLadder().ParamsFor(300_000, nil); enc.Params() != want {
+					t.Errorf("Params %+v after a low-copy allocation, want the whole target's %+v", enc.Params(), want)
+				}
+				return
+			}
+			if simul.Low.Target() != 100_000 || simul.High.Target() != 0 {
+				t.Errorf("low %v high %v at 300k with 100k allocated; want 100000 and 0", simul.Low.Target(), simul.High.Target())
+			}
+			enc.SetTarget(target)
+			if simul.Low.Target() != 100_000 || simul.High.Target() != target-100_000 {
+				t.Errorf("low %v high %v at 2M with 100k allocated; want 100000 and the rest", simul.Low.Target(), simul.High.Target())
+			}
+			// Outbound parameters follow the live copy.
+			enc.SetTarget(300_000)
+			for now := time.Second; now < 2*time.Second; now += time.Second / 30 {
+				for _, f := range enc.Tick(now) {
+					if f.StreamID != "sim/low" {
+						t.Fatalf("%s frame with the high copy off", f.StreamID)
+					}
+				}
+			}
+			if p := enc.Params(); p != simul.Low.Params() || p == (EncodeParams{}) {
+				t.Errorf("Params %+v with the high copy off, want the low copy's %+v", p, simul.Low.Params())
+			}
+			// Lifting the allocation restores the default split.
+			enc.SetLowAlloc(0)
+			enc.SetTarget(950_000)
+			if simul.Low.Target() != 190_000 || simul.High.Target() != 760_000 {
+				t.Errorf("low %v high %v at 950k, allocation lifted; want 190000 and 760000", simul.Low.Target(), simul.High.Target())
+			}
+		})
 	}
 }
 
@@ -332,13 +436,14 @@ func TestFrameValidUntilNextTick(t *testing.T) {
 	e := NewEncoder("v", testLadder(), NewSource(rng), rng)
 	e.SetTarget(2_000_000) // 30 fps rung: every tick emits
 	tick := time.Second / 30
-	kept := e.Tick(0)
-	if kept == nil {
-		t.Fatal("no frame on the first tick")
+	first := e.Tick(0)
+	if len(first) != 1 {
+		t.Fatalf("%d frames on the first tick, want 1", len(first))
 	}
+	kept := first[0]
 	seq := kept.FrameSeq
 	next := e.Tick(tick)
-	if next != kept {
+	if len(next) != 1 || next[0] != kept {
 		t.Fatal("Tick returned a fresh frame; it should reuse the encoder's")
 	}
 	if kept.FrameSeq != seq+1 || kept.CaptureTS != tick {
@@ -360,7 +465,7 @@ func TestSVCLayerFramesDistinct(t *testing.T) {
 	if len(frames) != len(split) {
 		t.Fatalf("got %d layer frames, want %d", len(frames), len(split))
 	}
-	total := s.enc.frame.Bytes
+	total := s.frame.Bytes
 	for i, f := range frames {
 		for j := 0; j < i; j++ {
 			if frames[j] == f {

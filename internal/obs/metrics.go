@@ -52,15 +52,14 @@ func (r *Registry) Histogram(name string) *Histogram {
 const histWindow = 256
 
 // Histogram accumulates float observations. Per-interval values reset
-// at each Sample; the rolling median (stats.MedianWindow over the last
-// histWindow observations) and the cumulative count persist.
+// at each Sample; the last histWindow observations, whose median Sample
+// reports as the rolling median, and the cumulative count persist.
 type Histogram struct {
 	name  string
 	vals  []float64 // this interval's observations
-	win   stats.MedianWindow
-	ring  []float64 // the window contents, for Remove on overflow
-	next  int
-	count uint64 // cumulative observations
+	ring  []float64 // the last histWindow observations
+	next  int       // the oldest, once the ring is full
+	count uint64    // cumulative observations
 }
 
 // Observe records one value. Nil-safe no-op.
@@ -73,11 +72,9 @@ func (h *Histogram) Observe(v float64) {
 	if len(h.ring) < histWindow {
 		h.ring = append(h.ring, v)
 	} else {
-		h.win.Remove(h.ring[h.next])
 		h.ring[h.next] = v
 		h.next = (h.next + 1) % histWindow
 	}
-	h.win.Push(v)
 }
 
 // GaugeSample is one gauge reading on the metrics stream.
@@ -127,7 +124,7 @@ func (r *Registry) Sample(now time.Duration, log *MetricsLog) {
 			TUs: tus, Kind: "hist", Name: h.name,
 			N: len(h.vals), Count: h.count,
 			P50: pcts[0], P90: pcts[1], P99: pcts[2], Max: max,
-			RollMd: h.win.Median(),
+			RollMd: stats.Median(h.ring),
 		})
 		h.vals = h.vals[:0]
 	}

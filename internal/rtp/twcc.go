@@ -28,7 +28,8 @@ type TransportCC struct {
 // TWCCRecorder is the receiver half: it records arrival times by
 // transport-wide seq and periodically flushes them into TransportCC
 // reports. Fixed capacity; a gap wider than the ring re-bases the
-// recorder (the skipped range is reported lost).
+// recorder (the skipped range is reported lost). A receiver with nobody to
+// report to holds a nil *TWCCRecorder, on which Record and Reset do nothing.
 type TWCCRecorder struct {
 	started bool
 	next    uint16 // first seq not yet reported
@@ -54,6 +55,9 @@ func NewTWCCRecorder(capacity int) *TWCCRecorder {
 // Record notes that seq arrived at atUs microseconds. Seqs at or before
 // the last report are dropped (they were already reported lost).
 func (r *TWCCRecorder) Record(seq uint16, atUs int64) {
+	if r == nil {
+		return
+	}
 	if !r.started {
 		r.started = true
 		r.next = seq
@@ -81,6 +85,9 @@ func (r *TWCCRecorder) Record(seq uint16, atUs int64) {
 // Reset returns the recorder to its just-constructed state, keeping the
 // ring.
 func (r *TWCCRecorder) Reset() {
+	if r == nil {
+		return
+	}
 	for i := range r.slots {
 		r.slots[i] = twccSlot{}
 	}

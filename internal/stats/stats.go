@@ -39,20 +39,20 @@ func (s Series) Slice(from, to time.Duration) Series {
 // samples within the trailing window ending at that point. This is the
 // paper's "five-second rolling median bitrate".
 //
-// Each point costs O(log w) for a w-sample window (a MedianWindow absorbs
-// the slide incrementally), instead of the O(w log w) sort the naive
-// formulation pays; the emitted values are identical.
+// Each point is Median of its window, sorted in one scratch slice reused
+// across points so that little but the output is allocated (DESIGN §8 has
+// the measured reason this is not an incremental window).
 func (s Series) RollingMedian(window time.Duration) Series {
 	out := Series{Times: make([]time.Duration, 0, s.Len()), Values: make([]float64, 0, s.Len())}
-	var mw MedianWindow
+	var scratch []float64
 	start := 0
 	for i := range s.Times {
 		for s.Times[start] < s.Times[i]-window {
-			mw.Remove(s.Values[start])
 			start++
 		}
-		mw.Push(s.Values[i])
-		out.Add(s.Times[i], mw.Median())
+		scratch = append(scratch[:0], s.Values[start:i+1]...)
+		sort.Float64s(scratch)
+		out.Add(s.Times[i], percentileSorted(scratch, 50))
 	}
 	return out
 }

@@ -137,10 +137,14 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 	for ri := range regions {
 		c.pools[ri] = &mpPool{}
 	}
-	// Recovery on is a ring capacity the servers build down-tracks with.
-	rcfg, rtxRing := prof.Recovery.withDefaults(), 0
+	// Recovery on is a ring capacity the servers build down-tracks with and
+	// a configuration the clients build inbound tracks from; off, zero and
+	// nil, and no track gets a recovery part.
+	var jbCfg *RecoveryConfig
+	rtxRing := 0
 	if opt.Recovery {
-		rtxRing = rcfg.RTXBufferPkts
+		rcfg := prof.Recovery.withDefaults()
+		jbCfg, rtxRing = &rcfg, rcfg.RTXBufferPkts
 	}
 	for ri, r := range regions {
 		s := newServer(regionEngine(r, eng), prof, r.Server, c.reg, localIDs[ri], c.pools[ri], total, rtxRing)
@@ -168,15 +172,9 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 			// The seed is derived from the flattened global index, never
 			// from an engine, so a client's RNG stream is identical
 			// whether its region runs sharded or sequential.
-			cl := newClient(regionEngine(r, eng), prof, h.Name, h, c.reg, regions[ri].Server.Name, ri, c.pools[ri], opt.Seed+int64(i)*7919)
+			cl := newClient(regionEngine(r, eng), prof, h.Name, h, c.reg, c.Servers[ri], ri, c.pools[ri], opt.Seed+int64(i)*7919, jbCfg)
 			c.Clients = append(c.Clients, cl)
 			i++
-		}
-	}
-	if opt.Recovery {
-		for _, cl := range c.Clients {
-			cl.enableRecovery(rcfg)
-			cl.homeSrv = c.Servers[cl.region]
 		}
 	}
 	c.applyLayout(opt.Mode)
@@ -461,8 +459,8 @@ func (c *Call) MediaPacketsLive(region int) int { return c.pools[region].mediaLi
 func (c *Call) PendingNacks() int {
 	n := 0
 	for _, cl := range c.Clients {
-		if cl.rec != nil {
-			n += cl.rec.pendingNacks()
+		for _, id := range cl.nackOrder {
+			n += cl.recv[id].jb.q.Len()
 		}
 	}
 	return n

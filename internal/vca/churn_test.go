@@ -1,6 +1,7 @@
 package vca
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -10,13 +11,17 @@ import (
 
 // fiveParty builds a 5-party single-SFU call on an unconstrained lab.
 func fiveParty(eng *sim.Engine, prof *Profile) *Call {
+	return fivePartyOpt(eng, prof, CallOptions{Seed: 21})
+}
+
+func fivePartyOpt(eng *sim.Engine, prof *Profile, opt CallOptions) *Call {
 	l := newLab(eng, 0, 0)
 	hosts := []*netem.Host{l.clientHost("c1")}
 	for i := 2; i <= 5; i++ {
 		hosts = append(hosts, l.remoteHost(hostName(i), 5*time.Millisecond))
 	}
 	sfu := l.remoteHost("sfu", 15*time.Millisecond)
-	return NewCall(eng, prof, sfu, hosts, CallOptions{Seed: 21})
+	return NewCall(eng, prof, sfu, hosts, opt)
 }
 
 // serverState counts every per-client entry the SFU holds for a name.
@@ -246,22 +251,41 @@ func TestChurnStormKeepsTablesDense(t *testing.T) {
 
 // TestChurnRecycledIDStartsFresh checks that a participant rejoining onto
 // a recycled ID (possibly another participant's old slot) gets virgin
-// server state: fresh uplink receiver, empty rate row, zeroed forwarding.
+// state: on the server a fresh uplink receiver, empty rate row, zeroed
+// forwarding; on every other client a fresh inbound track — the one
+// origin-indexed table there, so receiver and (recovery on) jitter buffer
+// are forgotten in one place.
 func TestChurnRecycledIDStartsFresh(t *testing.T) {
+	for _, recovery := range []bool{false, true} {
+		t.Run(map[bool]string{false: "recovery off", true: "recovery on"}[recovery], func(t *testing.T) {
+			churnRecycledID(t, recovery)
+		})
+	}
+}
+
+func churnRecycledID(t *testing.T, recovery bool) {
 	eng := sim.New(78)
-	call := fiveParty(eng, Zoom())
+	call := fivePartyOpt(eng, Zoom(), CallOptions{Seed: 21, Recovery: recovery})
 	call.Start()
 	eng.RunUntil(5 * time.Second)
 
 	// c2 then c3 leave; c2 rejoins first, drawing c3's freed ID from the
 	// LIFO free list.
 	id2, id3 := call.clientByName("c2").id, call.clientByName("c3").id
+	c1 := call.C1()
+	old := c1.recv[id3]
+	if old.recv == nil || (old.jb != nil) != recovery {
+		t.Fatalf("before churn c1's track for c3 is %+v; want one built with a buffer = %v", old, recovery)
+	}
 	call.Leave("c2")
 	call.Leave("c3")
 	call.Rejoin("c2")
 	got := call.clientByName("c2").id
 	if got != id3 {
 		t.Fatalf("c2 rejoined with ID %d, want recycled %d (LIFO)", got, id3)
+	}
+	if c1.recv[got] != (inbound{}) || slices.Contains(c1.recvOrder, got) || slices.Contains(c1.nackOrder, got) {
+		t.Fatalf("c1 still holds c3's track (or its place in an order list) under the ID c2 now owns")
 	}
 	s := call.Server
 	r := s.recv[got]
@@ -298,6 +322,14 @@ func TestChurnRecycledIDStartsFresh(t *testing.T) {
 		if call.C1().Receiver(name).DisplayedFrames() == 0 {
 			t.Errorf("c1 never displayed rejoined %s", name)
 		}
+	}
+	// c1's track for the newcomer shares nothing with the one it recycled.
+	fresh := c1.recv[got]
+	if fresh.recv == nil || fresh.recv == old.recv || (fresh.jb != nil) != recovery || (recovery && fresh.jb == old.jb) {
+		t.Errorf("c1's track for rejoined c2 is %+v, c3's was %+v; want a fresh receiver and a fresh buffer = %v", fresh, old, recovery)
+	}
+	if c1.Receiver("c2") != fresh.recv {
+		t.Error("c2's name does not resolve to the track under its recycled ID")
 	}
 }
 

@@ -2,6 +2,7 @@ package vca
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,19 +18,24 @@ import (
 )
 
 // Client is one VCA participant: a media sender (source → encoder →
-// packetizer → host) plus a media receiver per remote participant, with
-// RTCP-style feedback loops at 100 ms cadence. Receive-side state is
-// index-addressed by the call registry's dense participant IDs; the 10 Hz
-// feedback and 1 Hz stats ticks iterate an explicit order list that
-// preserves the sorted-name order of the string-keyed implementation, so
-// aggregate statistics stay byte-identical.
+// packetizer → host) plus an inbound track per remote origin (jitter buffer,
+// when built with one → media receiver), with RTCP-style feedback loops at
+// 100 ms cadence. What kind of call it is in — encoding strategy, recovery on
+// or off — is decided where the parts are built, in newClient and track; the
+// packet path and the tickers call the parts and ask nothing (DESIGN.md §8).
+// Receive-side state is index-addressed by the call registry's dense
+// participant IDs and every loop runs over an explicit order list, so
+// aggregate statistics and uplink packet order stay byte-identical.
 type Client struct {
 	Name string
 
-	eng       *sim.Engine
-	prof      *Profile
-	host      *netem.Host
-	server    string // server host name
+	eng  *sim.Engine
+	prof *Profile
+	host *netem.Host
+	// home is the SFU this client is homed on: where its packets go, and
+	// where getStats reads the outbound-rtp recovery counters (the SFU
+	// answers NACKs on this client's behalf, so they live there).
+	home      *Server
 	reg       *registry
 	id        int32 // own registry ID (refreshed on rejoin)
 	region    int   // home region index (stable across churn)
@@ -38,22 +44,30 @@ type Client struct {
 
 	// --- sender ---
 	ccUp       cc.Controller
-	single     *codec.Encoder
-	simul      *codec.Simulcast
-	svc        *codec.SVC
+	enc        videoEncoder
+	topLayer   int     // highest layer index enc emits (frame-end marker placement)
 	tierBps    float64 // layout-imposed video cap
-	lowAlloc   float64 // Meet SFU low-copy allocation (0 = default)
 	stallUntil time.Duration
 	seq        uint16
 	pad        padBudget
 
 	// --- receiver ---
-	recv []*media.Receiver // origin ID -> receiver (nil until first packet)
-	// recvOrder lists the IDs of live receivers in sorted-name order,
+	recv []inbound // origin ID -> receive track (zero until first packet)
+	// recvOrder lists the IDs of live tracks in sorted-name order,
 	// maintained on insert so the 10 Hz feedback and 1 Hz stats ticks
 	// iterate deterministically and allocation-free, in the exact order
-	// the string-keyed implementation used.
-	recvOrder []int32
+	// the string-keyed implementation used: feedbackTick sums floats in it.
+	// nackOrder lists the tracks built with a jitter buffer in creation
+	// order, the order recoveryTick puts NACKs on the uplink in. Both are
+	// output-visible and they differ (a rejoiner is created last but sorts
+	// by name), so neither replaces the other.
+	recvOrder, nackOrder []int32
+	// jbCfg is what track builds a participant origin's jitter buffer
+	// from; nil (recovery off) builds every track without one. twcc
+	// records arrivals for the home SFU's per-leg controllers; nil where
+	// recovery is off or the SFU has none to feed (pure relays).
+	jbCfg *RecoveryConfig
+	twcc  *rtp.TWCCRecorder
 
 	// --- hot-path caches ---
 	pool *mpPool // the home region's payload free lists
@@ -69,15 +83,6 @@ type Client struct {
 	// mutate the registry — interning a stranger could steal a freed ID
 	// out from under a later Rejoin. Cold path only.
 	strayRecv map[string]*media.Receiver
-
-	// rec, when non-nil, is the loss-recovery state (recovery.go):
-	// per-origin jitter buffers, NACK scheduling, TWCC recording. Nil
-	// unless CallOptions.Recovery — the recovery-off packet path is
-	// exactly the pre-recovery one. homeSrv points at the home SFU for
-	// read-only stats (the SFU answers NACKs on this client's behalf,
-	// so the outbound-rtp recovery counters live there).
-	rec     *clientRecovery
-	homeSrv *Server
 
 	// --- instrumentation ---
 	UpMeter   *stats.Meter // bytes this client put on the wire
@@ -99,18 +104,35 @@ type Client struct {
 	running bool
 }
 
-func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, reg *registry, server string, region int, pool *mpPool, seed int64) *Client {
+// videoEncoder is what a client asks of its encoding strategy — one of
+// codec's three, chosen from the profile's media mode in newClient.
+type videoEncoder interface {
+	// SetTarget sets the total video budget; SetLowAlloc the SFU's low-copy
+	// allocation within it (AllocMsg; only a simulcast has one to resize).
+	SetTarget(bps float64)
+	SetLowAlloc(bps float64)
+	// Tick returns this capture tick's frames, valid until the next Tick.
+	Tick(now time.Duration) []*codec.Frame
+	RequestKeyframe()
+	// Params are the main outbound stream's current encode parameters.
+	Params() codec.EncodeParams
+}
+
+// newClient builds one participant homed on the given SFU. rec is the
+// call's loss-recovery configuration, nil with recovery off.
+func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, reg *registry, home *Server, region int, pool *mpPool, seed int64, rec *RecoveryConfig) *Client {
 	c := &Client{
 		Name:       name,
 		eng:        eng,
 		prof:       prof,
 		host:       host,
-		server:     server,
+		home:       home,
 		reg:        reg,
 		id:         reg.intern(name, false),
 		region:     region,
 		rng:        rand.New(rand.NewSource(seed)),
-		recv:       make([]*media.Receiver, reg.cap()),
+		recv:       make([]inbound, reg.cap()),
+		jbCfg:      rec,
 		pool:       pool,
 		flowRtcp:   prof.Name + "/" + name + "/rtcp",
 		flowSignal: prof.Name + "/" + name + "/signal",
@@ -125,28 +147,27 @@ func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, re
 	}
 	switch prof.MediaMode {
 	case ModeSimulcast:
-		c.simul = codec.NewSimulcast(prof.LowLadder, prof.Ladder, prof.SimLowCapBps, prof.SimMinHighBps, src, c.rng)
-		c.simul.Low.KeyInterval = keyInt
-		c.simul.High.KeyInterval = keyInt
+		e := codec.NewSimulcast(prof.LowLadder, prof.Ladder, prof.SimLowCapBps, prof.SimMinHighBps, src, c.rng)
+		e.Low.KeyInterval, e.High.KeyInterval = keyInt, keyInt
+		c.enc = e
 	case ModeSVC:
-		c.svc = codec.NewSVC(prof.Ladder, prof.SVCSplit, src, c.rng)
-		c.svc.SetKeyInterval(keyInt)
+		e := codec.NewSVC(prof.Ladder, prof.SVCSplit, src, c.rng)
+		e.KeyInterval = keyInt
+		c.enc, c.topLayer = e, len(prof.SVCSplit)-1
 	default:
-		c.single = codec.NewEncoder("video", prof.Ladder, src, c.rng)
-		c.single.KeyInterval = keyInt
+		e := codec.NewEncoder("video", prof.Ladder, src, c.rng)
+		e.KeyInterval = keyInt
+		c.enc = e
+	}
+	// TWCC is only generated when the home SFU runs per-leg controllers
+	// that could consume it (pure relays have none).
+	if rec != nil && prof.NewServerCC != nil {
+		c.twcc = rtp.NewTWCCRecorder(2048)
 	}
 	host.HandleFunc(PortMedia, c.onMedia)
 	host.HandleFunc(PortFeedback, c.onFeedback)
 	host.HandleFunc(PortSignal, c.onSignal)
 	return c
-}
-
-// enableRecovery attaches loss-recovery state (called once at call
-// construction when CallOptions.Recovery is set). TWCC is only
-// generated when the home SFU runs per-leg controllers that could
-// consume it (pure relays have none).
-func (c *Client) enableRecovery(cfg RecoveryConfig) {
-	c.rec = newClientRecovery(cfg, len(c.recv), c.prof.NewServerCC != nil)
 }
 
 // SetTierBps sets the layout-imposed cap on this client's video target
@@ -161,11 +182,11 @@ func (c *Client) CC() cc.Controller { return c.ccUp }
 
 // Receiver returns the media receiver tracking origin's stream, creating
 // it on first use. Experiments and tests address receivers by name; the
-// packet path uses receiverByID directly. Names outside the call get a
-// stable detached receiver rather than a registry entry.
+// packet path uses track directly. Names outside the call get a stable
+// detached receiver rather than a registry entry.
 func (c *Client) Receiver(origin string) *media.Receiver {
 	if id := c.reg.id(origin); id != noID {
-		return c.receiverByID(id)
+		return c.track(id).recv
 	}
 	if c.strayRecv == nil {
 		c.strayRecv = map[string]*media.Receiver{}
@@ -178,57 +199,52 @@ func (c *Client) Receiver(origin string) *media.Receiver {
 	return r
 }
 
-// receiverByID returns (creating on first use) the receiver slot for one
-// origin ID. New receivers enter recvOrder at their name's sorted position.
-func (c *Client) receiverByID(origin int32) *media.Receiver {
+// track returns (building on first use) the receive track for one origin
+// ID. This is the one place recovery is decided on the client: a
+// participant origin in a recovery-on call gets a jitter buffer; an SFU's
+// probe padding (constant seq) and every origin of a recovery-off call get
+// none. A new track enters recvOrder at its name's sorted position and, if
+// buffered, nackOrder at the end.
+func (c *Client) track(origin int32) *inbound {
 	for int(origin) >= len(c.recv) {
-		c.recv = append(c.recv, nil)
+		c.recv = append(c.recv, inbound{})
 	}
-	r := c.recv[origin]
-	if r == nil {
-		r = media.NewReceiver()
+	t := &c.recv[origin]
+	if t.recv == nil {
+		t.recv = media.NewReceiver()
 		name := c.reg.name(origin)
-		r.OnFIR = func(now time.Duration) {
-			post(c.host, c.server, PortSignal, firWire, c.flowSignal, &FIRMsg{From: c.Name, Origin: name})
+		t.recv.OnFIR = func(now time.Duration) {
+			post(c.host, c.home.Name, PortSignal, firWire, c.flowSignal, &FIRMsg{From: c.Name, Origin: name})
 		}
-		c.recv[origin] = r
+		if c.jbCfg != nil && !c.reg.isServer(origin) {
+			t.jb = newJitterBuffer(c.jbCfg)
+			c.nackOrder = append(c.nackOrder, origin)
+		}
 		i := sort.Search(len(c.recvOrder), func(i int) bool {
 			return c.reg.name(c.recvOrder[i]) >= name
 		})
-		c.recvOrder = append(c.recvOrder, 0)
-		copy(c.recvOrder[i+1:], c.recvOrder[i:])
-		c.recvOrder[i] = origin
+		c.recvOrder = slices.Insert(c.recvOrder, i, origin)
 	}
-	return r
+	return t
 }
 
-// dropOrigin releases the receiver slot for a departed participant, so a
-// recycled ID can never alias its accumulated state.
+// dropOrigin releases the track of a departed participant — receiver and
+// jitter buffer together, so a recycled ID can never alias either's
+// accumulated state.
 func (c *Client) dropOrigin(origin int32) {
-	if int(origin) >= len(c.recv) || c.recv[origin] == nil {
+	if int(origin) >= len(c.recv) || c.recv[origin].recv == nil {
 		return
 	}
-	c.recv[origin] = nil
-	for i, id := range c.recvOrder {
-		if id == origin {
-			c.recvOrder = append(c.recvOrder[:i], c.recvOrder[i+1:]...)
-			break
-		}
-	}
-	if c.rec != nil {
-		c.rec.drop(origin)
-	}
+	c.recv[origin] = inbound{}
+	gone := func(id int32) bool { return id == origin }
+	c.recvOrder = slices.DeleteFunc(c.recvOrder, gone)
+	c.nackOrder = slices.DeleteFunc(c.nackOrder, gone)
 }
 
-// clearRecv drops every receiver (the client itself is leaving the call).
+// clearRecv drops every track (the client itself is leaving the call).
 func (c *Client) clearRecv() {
-	for i := range c.recv {
-		c.recv[i] = nil
-	}
-	c.recvOrder = c.recvOrder[:0]
-	if c.rec != nil {
-		c.rec.clear()
-	}
+	clear(c.recv)
+	c.recvOrder, c.nackOrder = c.recvOrder[:0], c.nackOrder[:0]
 }
 
 // start begins media flow and feedback/stat tickers.
@@ -247,28 +263,23 @@ func (c *Client) start(nominalVideoBps float64) {
 	c.tickers = append(c.tickers, c.eng.EveryHandler(100*time.Millisecond, sim.HandlerFunc(c.feedbackTick)))
 	// WebRTC-stats sampling at 1 s (§3.2: per-second granularity).
 	c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second, sim.HandlerFunc(c.statsTick)))
-	// Loss recovery (recovery on only): NACK/concession tick, plus the
-	// TWCC report tick where the SFU has controllers to feed.
-	if c.rec != nil {
-		c.tickers = append(c.tickers, c.eng.EveryHandler(c.rec.cfg.NackTick, sim.HandlerFunc(c.recoveryTick)))
-		if c.rec.twcc != nil {
-			c.tickers = append(c.tickers, c.eng.EveryHandler(c.rec.cfg.TWCCInterval, sim.HandlerFunc(c.twccTick)))
-		}
+	// Loss recovery, armed from what newClient built: the NACK/concession
+	// tick where tracks get jitter buffers, the TWCC report tick where
+	// there is a recorder.
+	if c.jbCfg != nil {
+		c.tickers = append(c.tickers, c.eng.EveryHandler(c.jbCfg.NackTick, sim.HandlerFunc(c.recoveryTick)))
+	}
+	if c.twcc != nil {
+		c.tickers = append(c.tickers, c.eng.EveryHandler(c.jbCfg.TWCCInterval, sim.HandlerFunc(c.twccTick)))
 	}
 }
 
 // stop halts all activity (call teardown).
 func (c *Client) stop() {
-	if c.rec != nil {
-		// Deliver buffered stragglers, concede every pending gap: drained
-		// runs must end with empty NACK queues, and a rejoin must not
-		// inherit stale seq state.
-		now := c.eng.Now()
-		c.rec.flushAll(now, func(id int32) packetSink { return c.receiverByID(id) })
-		if c.rec.twcc != nil {
-			c.rec.twcc.Reset()
-		}
+	for _, id := range c.nackOrder {
+		c.recv[id].flush(c.eng.Now()) // a rejoin must not inherit stale seq state
 	}
+	c.twcc.Reset()
 	c.running = false
 	for _, t := range c.tickers {
 		t.Stop()
@@ -304,34 +315,11 @@ func (c *Client) videoTick(now time.Duration) {
 			return
 		}
 	}
-	// Frames belong to their encoder until its next Tick; sendFrame copies
+	// Frames belong to the encoder until its next Tick; sendFrame copies
 	// every field it needs into the packets before returning.
-	target := c.videoTarget()
-	switch c.prof.MediaMode {
-	case ModeSimulcast:
-		if c.lowAlloc > 0 {
-			// Meet SFU asked for a reduced low copy (receiver starved).
-			c.simul.Low.SetTarget(c.lowAlloc)
-			c.simul.High.SetTarget(max(0, target-c.lowAlloc))
-			if target-c.lowAlloc < c.prof.SimMinHighBps {
-				c.simul.High.SetTarget(0)
-			}
-		} else {
-			c.simul.SetTarget(target)
-		}
-		for _, f := range c.simul.Tick(now) {
-			c.sendFrame(f)
-		}
-	case ModeSVC:
-		c.svc.SetTarget(target)
-		for _, f := range c.svc.Tick(now) {
-			c.sendFrame(f)
-		}
-	default:
-		c.single.SetTarget(target)
-		if f := c.single.Tick(now); f != nil {
-			c.sendFrame(f)
-		}
+	c.enc.SetTarget(c.videoTarget())
+	for _, f := range c.enc.Tick(now) {
+		c.sendFrame(f)
 	}
 }
 
@@ -358,7 +346,7 @@ func (c *Client) sendFrame(f *codec.Frame) {
 		mp.Seq = c.seq
 		mp.FrameSeq = f.FrameSeq
 		mp.LayerEnd = last
-		mp.FrameEnd = last && f.Layer == c.topLayer()
+		mp.FrameEnd = last && f.Layer == c.topLayer
 		mp.Keyframe = f.Keyframe
 		if mp.LayerEnd {
 			mp.Params = f.Params
@@ -367,14 +355,6 @@ func (c *Client) sendFrame(f *codec.Frame) {
 		c.seq++
 		c.send(mp, chunk+wireOverhead)
 	}
-}
-
-// topLayer is the highest SVC layer index (frame-end marker placement).
-func (c *Client) topLayer() int {
-	if c.prof.MediaMode == ModeSVC {
-		return len(c.prof.SVCSplit) - 1
-	}
-	return 0
 }
 
 //vca:hotpath 50 Hz per-client audio loop
@@ -422,11 +402,11 @@ func (c *Client) send(mp *MediaPacket, wireBytes int) {
 	now := c.eng.Now()
 	mp.OriginSentAt = now
 	c.UpMeter.AddBytes(now, wireBytes)
-	post(c.host, c.server, PortMedia, wireBytes, c.flowFor(mp.RK, mp.StreamID), mp)
+	post(c.host, c.home.Name, PortMedia, wireBytes, c.flowFor(mp.RK, mp.StreamID), mp)
 }
 
 // onMedia handles a forwarded media packet from the SFU, dispatching to
-// the receiver slot by the packet's stamped origin ID. The packet's
+// the inbound track by the packet's stamped origin ID. The packet's
 // payload is consumed here: it goes back to the call's media pool.
 //
 //vca:hotpath per-packet downlink receive path
@@ -452,61 +432,40 @@ func (c *Client) onMedia(pkt *netem.Packet) {
 		// path, uplink queueing included (abs-send-time semantics).
 		sentAt = mp.OriginSentAt
 	}
-	if c.rec != nil {
-		if c.rec.twcc != nil && mp.TWSeq != 0 {
-			c.rec.twcc.Record(mp.TWSeq, int64(now/time.Microsecond))
-		}
-		// Participant media goes through the jitter buffer; SFU-origin
-		// probe padding (constant seq) bypasses it.
-		if c.reg.live(mp.OriginID) && !c.reg.isServer(mp.OriginID) {
-			c.recoveryOnMedia(now, mp, pkt.Size, sentAt)
-			releaseMedia(mp)
-			return
-		}
+	if mp.TWSeq != 0 { // stamped: the home SFU wants its arrival reported
+		c.twcc.Record(mp.TWSeq, int64(now/time.Microsecond))
 	}
 	if c.reg.live(mp.OriginID) {
-		c.receiverByID(mp.OriginID).OnPacket(now, mp.Info(pkt.Size, sentAt))
+		ok := c.track(mp.OriginID).onPacket(now, mp, pkt.Size, sentAt, c.lastRTT)
+		if c.tracer != nil {
+			if !ok {
+				c.tracer.Recovery(obs.EvJBLate, now, c.Name, mp.Origin, int(mp.Seq))
+			} else if mp.RTX {
+				c.tracer.Recovery(obs.EvRTXDeliver, now, c.Name, mp.Origin, int(mp.Seq))
+			}
+		}
 	}
 	releaseMedia(mp)
 }
 
-// recoveryOnMedia routes one participant-media arrival through the
-// origin's jitter buffer, which decides what (and when) the media
-// receiver sees.
-//
-//vca:hotpath per-packet downlink receive path, recovery on
-func (c *Client) recoveryOnMedia(now time.Duration, mp *MediaPacket, wireBytes int, sentAt time.Duration) {
-	b := c.rec.jbFor(mp.OriginID)
-	ok := b.onPacket(now, mp, wireBytes, sentAt, c.lastRTT, c.receiverByID(mp.OriginID))
-	if c.tracer != nil {
-		if !ok {
-			c.tracer.Recovery(obs.EvJBLate, now, c.Name, mp.Origin, int(mp.Seq))
-		} else if mp.RTX {
-			c.tracer.Recovery(obs.EvRTXDeliver, now, c.Name, mp.Origin, int(mp.Seq))
-		}
-	}
-}
-
-// recoveryTick runs each origin's NACK retry machine: emit due NACKs
-// (bounded retries, RTT-derived backoff) and concede seqs past their
-// playout deadline or retry budget. start arms it only when c.rec is set.
+// recoveryTick runs each buffered track's NACK retry machine: emit due
+// NACKs (bounded retries, RTT-derived backoff) and concede seqs past their
+// playout deadline or retry budget. start arms it only where tracks are
+// built with buffers.
 func (c *Client) recoveryTick(now time.Duration) {
 	if !c.running {
 		return
 	}
-	backoff := c.rec.cfg.NackMinBackoff
-	if c.lastRTT > backoff {
-		backoff = c.lastRTT
-	}
-	for _, id := range c.rec.live {
-		b := c.rec.jbs[id]
+	backoff := max(c.jbCfg.NackMinBackoff, c.lastRTT)
+	for _, id := range c.nackOrder {
+		t := &c.recv[id]
+		b := t.jb
 		if b.q.Len() == 0 {
 			continue
 		}
-		r := c.receiverByID(id)
 		origin := c.reg.name(id)
 		seqs := b.nackScratch[:0]
-		b.tick(now, backoff, r,
+		b.tick(now, backoff, t.recv,
 			func(seq uint16) {
 				seqs = append(seqs, seq)
 				if c.tracer != nil {
@@ -536,11 +495,11 @@ func (c *Client) sendNack(origin int32, seqs []uint16) {
 	m := c.pool.getNack()
 	m.From, m.FromID, m.Origin = c.Name, c.id, origin
 	m.Pairs = rtp.AppendNackPairs(m.Pairs, seqs)
-	post(c.host, c.server, PortFeedback, nackWireBase+4*len(m.Pairs), c.flowRtcp, m)
+	post(c.host, c.home.Name, PortFeedback, nackWireBase+4*len(m.Pairs), c.flowRtcp, m)
 }
 
 // twccTick flushes the transport-wide arrival record into one report.
-// start arms it only when c.rec.twcc is set.
+// start arms it only where there is a recorder.
 //
 //vca:hotpath transport-wide feedback tick
 func (c *Client) twccTick(now time.Duration) {
@@ -548,13 +507,13 @@ func (c *Client) twccTick(now time.Duration) {
 		return
 	}
 	m := c.pool.getTWCC()
-	rep, ok := c.rec.twcc.AppendReport(m.Report.DeltaUs)
+	rep, ok := c.twcc.AppendReport(m.Report.DeltaUs)
 	if !ok {
 		m.ReleasePayload()
 		return
 	}
 	m.From, m.FromID, m.Report = c.Name, c.id, rep
-	post(c.host, c.server, PortFeedback, twccWireBase+4*len(rep.DeltaUs), c.flowRtcp, m)
+	post(c.host, c.home.Name, PortFeedback, twccWireBase+4*len(rep.DeltaUs), c.flowRtcp, m)
 }
 
 // onFeedback handles receiver reports about this client's uplink. The
@@ -581,17 +540,10 @@ func (c *Client) onSignal(pkt *netem.Packet) {
 	switch m := pkt.Payload.(type) {
 	case *FIRMsg:
 		c.FIRsForMyVideo++
-		switch c.prof.MediaMode {
-		case ModeSimulcast:
-			c.simul.Low.RequestKeyframe()
-			c.simul.High.RequestKeyframe()
-		case ModeSVC:
-			c.svc.RequestKeyframe()
-		default:
-			c.single.RequestKeyframe()
-		}
+		c.enc.RequestKeyframe()
 	case *AllocMsg:
-		c.lowAlloc = m.LowBps
+		// The SFU asks for a reduced low copy: some receiver is starved.
+		c.enc.SetLowAlloc(m.LowBps)
 	}
 }
 
@@ -606,22 +558,17 @@ func (c *Client) feedbackTick(now time.Duration) {
 	var expectedSum int
 	var lossWeighted float64
 	for _, id := range c.recvOrder {
-		r := c.recv[id]
-		st := r.Take(now)
-		if c.rec != nil {
-			// Discount recovered retransmissions: CC must still see the
-			// original losses (RTX rides a separate budget in real VCAs),
-			// or recovery would mask congestion from the controllers.
-			if b := c.rec.peek(id); b != nil {
-				rtxPkts, rtxBytes := b.takeInterval()
-				if rtxPkts > 0 && st.Expected > 0 {
-					if st.Interval > 0 {
-						st.RateBps -= float64(rtxBytes) * 8 / st.Interval.Seconds()
-					}
-					lost := st.LossFraction*float64(st.Expected) + float64(rtxPkts)
-					st.LossFraction = min(1, lost/float64(st.Expected))
-				}
+		t := &c.recv[id]
+		st := t.recv.Take(now)
+		// Discount recovered retransmissions: CC must still see the
+		// original losses (RTX rides a separate budget in real VCAs), or
+		// recovery would mask congestion from the controllers.
+		if rtxPkts, rtxBytes := t.jb.takeInterval(); rtxPkts > 0 && st.Expected > 0 {
+			if st.Interval > 0 {
+				st.RateBps -= float64(rtxBytes) * 8 / st.Interval.Seconds()
 			}
+			lost := st.LossFraction*float64(st.Expected) + float64(rtxPkts)
+			st.LossFraction = min(1, lost/float64(st.Expected))
 		}
 		agg.RateBps += st.RateBps
 		expectedSum += st.Expected
@@ -639,7 +586,7 @@ func (c *Client) feedbackTick(now time.Duration) {
 	if agg.Interval == 0 {
 		agg.Interval = 100 * time.Millisecond
 	}
-	post(c.host, c.server, PortFeedback, feedbackWire, c.flowRtcp, c.pool.getFeedback(c.Name, c.id, agg))
+	post(c.host, c.home.Name, PortFeedback, feedbackWire, c.flowRtcp, c.pool.getFeedback(c.Name, c.id, agg))
 }
 
 // statsTick samples the WebRTC-stats emulation (1 Hz, §3.2).
@@ -648,19 +595,7 @@ func (c *Client) statsTick(now time.Duration) {
 		return
 	}
 	s := webrtcstats.Sample{T: now - c.startedAt}
-	// Outbound: the main video stream's current parameters.
-	switch c.prof.MediaMode {
-	case ModeSimulcast:
-		if c.simul.High.Target() > 0 {
-			s.Out = c.simul.High.Params()
-		} else {
-			s.Out = c.simul.Low.Params()
-		}
-	case ModeSVC:
-		s.Out = c.svc.Params()
-	default:
-		s.Out = c.single.Params()
-	}
+	s.Out = c.enc.Params()
 	s.OutTargetBps = c.videoTarget()
 	s.FIRCount = c.FIRsForMyVideo
 	// Inbound: aggregate over origins (2-party calls have exactly one).
@@ -669,7 +604,7 @@ func (c *Client) statsTick(now time.Duration) {
 	var frames, bestFrames int
 	var freeze time.Duration
 	for _, id := range c.recvOrder {
-		r := c.recv[id]
+		r := c.recv[id].recv
 		if r.DisplayedFrames() >= bestFrames && r.LastParams.Width > 0 {
 			bestFrames = r.DisplayedFrames()
 			s.In = r.LastParams

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"vcalab/internal/cc"
-	"vcalab/internal/codec"
 	"vcalab/internal/media"
 	"vcalab/internal/obs"
 	"vcalab/internal/webrtcstats"
@@ -115,15 +114,14 @@ func (c *Client) StatsReport(now time.Duration) webrtcstats.Report {
 		FIRCount:      c.FIRsForMyVideo,
 		BytesSent:     uint64(c.UpMeter.TotalBytes()),
 	}
-	p := c.currentEncodeParams()
+	p := c.enc.Params()
 	out.FPS, out.FrameWidth, out.FrameHeight, out.QP = p.FPS, p.Width, p.Height, p.QP
-	if c.rec != nil && c.homeSrv != nil {
-		out.NackCount, out.RetransmittedPacketsSent = c.homeSrv.recoverySenderStats(c.id)
-	}
+	out.NackCount, out.RetransmittedPacketsSent = c.home.recoverySenderStats(c.id)
 	r.Outbound = out
 
 	for _, id := range c.recvOrder {
-		recv := c.recv[id]
+		t := &c.recv[id]
+		recv, rs := t.recv, t.jb.stats()
 		lp := recv.LastParams
 		in := webrtcstats.InboundRTP{
 			TUs: tus, Type: "inbound-rtp", Client: c.Name,
@@ -135,12 +133,10 @@ func (c *Client) StatsReport(now time.Duration) webrtcstats.Report {
 			FreezeCount:    recv.FreezeCount(),
 			TotalFreezesMs: float64(recv.FreezeTime()) / float64(time.Millisecond),
 			BytesReceived:  uint64(recv.TotalBytes),
-		}
-		if c.rec != nil {
-			rs := c.rec.recoveryReceiverStats(id)
-			in.NackCount = rs.NackCount
-			in.RetransmittedPacketsReceived = rs.RTXReceived
-			in.JitterBufferDelay = rs.JitterBufferTime.Seconds()
+
+			NackCount:                    rs.NackCount,
+			RetransmittedPacketsReceived: rs.RTXReceived,
+			JitterBufferDelay:            rs.JitterBufferTime.Seconds(),
 		}
 		r.Inbound = append(r.Inbound, in)
 	}
@@ -157,22 +153,6 @@ func (c *Client) StatsReport(now time.Duration) webrtcstats.Report {
 		BytesRecv:    uint64(c.DownMeter.TotalBytes()),
 	}
 	return r
-}
-
-// currentEncodeParams returns the active outbound encoder's parameters,
-// picking the live simulcast copy the same way statsTick does.
-func (c *Client) currentEncodeParams() codec.EncodeParams {
-	switch c.prof.MediaMode {
-	case ModeSimulcast:
-		if c.simul.High.Target() > 0 {
-			return c.simul.High.Params()
-		}
-		return c.simul.Low.Params()
-	case ModeSVC:
-		return c.svc.Params()
-	default:
-		return c.single.Params()
-	}
 }
 
 // LegNames returns the names of the server's current down-tracks (local

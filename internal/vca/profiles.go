@@ -7,29 +7,10 @@ import (
 	"vcalab/internal/codec"
 )
 
-// Kind identifies the VCA family.
-type Kind int
-
-// The three VCAs the paper studies.
-const (
-	KindMeet Kind = iota
-	KindZoom
-	KindTeams
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindMeet:
-		return "meet"
-	case KindZoom:
-		return "zoom"
-	case KindTeams:
-		return "teams"
-	}
-	return "unknown"
-}
-
-// MediaMode is the encoding strategy (§2.1, §4.2).
+// MediaMode is the encoding strategy (§2.1, §4.2) — the one selector both
+// halves of a call share: the client builds its encoder from it, the SFU's
+// forwarder selects a simulcast copy, strips SVC layers, or thins a single
+// stream by it. Nothing else in a Profile names a VCA family.
 type MediaMode int
 
 // Encoding strategies.
@@ -57,7 +38,6 @@ const (
 // is the supported way to model a new VCA (see DESIGN.md §6).
 type Profile struct {
 	Name string
-	Kind Kind
 
 	// AudioBps is the constant audio rate (not adapted by any VCA).
 	AudioBps float64
@@ -141,7 +121,6 @@ func (p *Profile) videoTier(t Tier) float64 { return p.TierBps[t] }
 func Meet() *Profile {
 	p := &Profile{
 		Name:            "meet",
-		Kind:            KindMeet,
 		AudioBps:        40_000,
 		VideoNominalBps: 910_000, // 0.19 low + 0.72 high (§3.1, Table 2: 0.95 up with audio)
 		MediaMode:       ModeSimulcast,
@@ -204,7 +183,6 @@ func Meet() *Profile {
 func Zoom() *Profile {
 	p := &Profile{
 		Name:            "zoom",
-		Kind:            KindZoom,
 		AudioBps:        40_000,
 		VideoNominalBps: 740_000, // Table 2: 0.78 Mbps up with audio
 		MediaMode:       ModeSVC,
@@ -253,7 +231,6 @@ func Zoom() *Profile {
 func Teams() *Profile {
 	p := &Profile{
 		Name:            "teams",
-		Kind:            KindTeams,
 		AudioBps:        40_000,
 		VideoNominalBps: 1_400_000, // §3.1: Teams-native 1.44 Mbps at 10 Mbps uplink
 		MediaMode:       ModeSingle,

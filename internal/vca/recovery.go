@@ -9,14 +9,14 @@ import (
 	"vcalab/internal/rtp"
 )
 
-// This file is packet-level loss recovery (DESIGN.md §13), both halves.
-// The client half is a per-origin jitter buffer that reorders out-of-order
-// arrivals, NACKs gaps with bounded retries and RTT-derived backoff, adapts
-// its playout deadline to observed jitter, and concedes seqs whose deadline
-// or retry budget is exhausted — after which late stragglers are dropped,
-// so the media receiver sees every loss exactly once. The SFU half is the
-// retransmitter a down-track is built with: RTX rings, NACK answering, TWCC
-// send history.
+// This file is packet-level loss recovery (DESIGN.md §13), both halves, each
+// a part a track is built with or without. The client half is the jitter
+// buffer of an inbound track: it reorders out-of-order arrivals, NACKs gaps
+// with bounded retries and RTT-derived backoff, adapts its playout deadline
+// to observed jitter, and concedes seqs whose deadline or retry budget is
+// exhausted — after which late stragglers are dropped, so the media
+// receiver sees every loss exactly once. The SFU half is the retransmitter
+// a down-track is built with: RTX rings, NACK answering, TWCC send history.
 //
 // Recovery is strictly opt-in: with CallOptions.Recovery false, none of
 // this state exists, no recovery ticker is scheduled, and no message or
@@ -315,106 +315,59 @@ func (b *jitterBuffer) tick(now, backoff time.Duration, to packetSink,
 	}
 }
 
-// takeInterval drains the per-feedback-interval RTX counters.
+// takeInterval drains the per-feedback-interval RTX counters (none on a
+// nil buffer).
 func (b *jitterBuffer) takeInterval() (pkts, bytes int) {
+	if b == nil {
+		return 0, 0
+	}
 	pkts, bytes = b.intRTXPkts, b.intRTXBytes
 	b.intRTXPkts, b.intRTXBytes = 0, 0
 	return pkts, bytes
 }
 
-// clientRecovery is the per-client recovery state: jitter buffers dense
-// by origin ID, the TWCC arrival recorder for the home-SFU transport,
-// and the tick bookkeeping.
-type clientRecovery struct {
-	cfg  RecoveryConfig
-	jbs  []*jitterBuffer // dense by origin registry ID
-	live []int32         // origin IDs with a buffer, creation order
-
-	twcc *rtp.TWCCRecorder // nil when TWCC is off
+// inbound is a client's receive track for one origin, an entry of
+// Client.recv: the media.Receiver and, when built with one, the jitter
+// buffer in front of it — the client half of loss recovery. The zero value
+// is an origin not heard from yet. Client.track builds it with a buffer for a
+// participant origin in a recovery-on call and without one otherwise (an
+// SFU's probe padding, every origin of a recovery-off call); a track built
+// without holds a nil *jitterBuffer, through which onPacket hands every
+// arrival straight to the receiver and whose counters read zero. The
+// client calls the track unconditionally and asks nothing else about
+// recovery.
+type inbound struct {
+	recv *media.Receiver
+	jb   *jitterBuffer
 }
 
-func newClientRecovery(cfg RecoveryConfig, idCap int, twcc bool) *clientRecovery {
-	r := &clientRecovery{cfg: cfg, jbs: make([]*jitterBuffer, idCap)}
-	if twcc {
-		r.twcc = rtp.NewTWCCRecorder(2048)
+// onPacket feeds one arrival to the track: through the buffer, which decides
+// what (and when) the receiver sees, or straight to the receiver. False
+// means the buffer dropped it (a straggler past its concession).
+//
+//vca:hotpath per-packet downlink receive path
+func (t *inbound) onPacket(now time.Duration, mp *MediaPacket, wireBytes int, sentAt, rtt time.Duration) bool {
+	if t.jb == nil {
+		t.recv.OnPacket(now, mp.Info(wireBytes, sentAt))
+		return true
 	}
-	return r
+	return t.jb.onPacket(now, mp, wireBytes, sentAt, rtt, t.recv)
 }
 
-func (r *clientRecovery) grow(id int32) {
-	for int(id) >= len(r.jbs) {
-		r.jbs = append(r.jbs, nil)
-	}
+// flush concedes every pending gap of a buffered track and delivers the
+// stragglers — called at stop so drained runs end with empty NACK queues
+// and fully delivered buffers, and a rejoin inherits no stale seq state.
+// The buffer is ticked far in the future to expire every deadline, but
+// what that releases reaches the receiver now: fed an hour ahead, it would
+// book the hour as a freeze.
+func (t *inbound) flush(now time.Duration) {
+	b, to := t.jb, sinkAt{t.recv, now}
+	b.tick(now+b.cfg.PlayoutMax+time.Hour, time.Hour, to,
+		func(uint16) {}, func(uint16) {}, func(int) {})
+	b.reset(now, to)
 }
 
-func (r *clientRecovery) jbFor(id int32) *jitterBuffer {
-	r.grow(id)
-	if b := r.jbs[id]; b != nil {
-		return b
-	}
-	b := newJitterBuffer(&r.cfg)
-	r.jbs[id] = b
-	r.live = append(r.live, id)
-	return b
-}
-
-// peek returns the buffer for an origin without creating one.
-func (r *clientRecovery) peek(id int32) *jitterBuffer {
-	if int(id) < len(r.jbs) {
-		return r.jbs[id]
-	}
-	return nil
-}
-
-// drop discards the buffer for an origin that left the call. Its ID may
-// be recycled for a different participant; the stale seq state must not
-// leak onto the newcomer.
-func (r *clientRecovery) drop(id int32) {
-	if int(id) < len(r.jbs) && r.jbs[id] != nil {
-		r.jbs[id] = nil
-		for i, v := range r.live {
-			if v == id {
-				r.live = append(r.live[:i], r.live[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// clear discards every buffer (the client left the call).
-func (r *clientRecovery) clear() {
-	for _, id := range r.live {
-		r.jbs[id] = nil
-	}
-	r.live = r.live[:0]
-}
-
-// pendingNacks sums the NACK queue depths (harness invariant: zero
-// after a drained run flushes).
-func (r *clientRecovery) pendingNacks() int {
-	n := 0
-	for _, id := range r.live {
-		n += r.jbs[id].q.Len()
-	}
-	return n
-}
-
-// flushAll concedes every pending gap and delivers the stragglers —
-// called at stop so drained runs end with empty NACK queues and fully
-// delivered buffers.
-func (r *clientRecovery) flushAll(now time.Duration, sinkFor func(id int32) packetSink) {
-	for _, id := range r.live {
-		b := r.jbs[id]
-		to := sinkAt{sinkFor(id), now}
-		b.tick(now+b.cfg.PlayoutMax+time.Hour, time.Hour, to,
-			func(uint16) {}, func(uint16) {}, func(int) {})
-		b.reset(now, to)
-	}
-}
-
-// sinkAt delivers at a fixed time whatever time the buffer is run at:
-// flushAll ticks far in the future to expire every deadline, but what
-// that flushes reaches the receiver now.
+// sinkAt delivers at a fixed time whatever time the buffer is run at.
 type sinkAt struct {
 	to  packetSink
 	now time.Duration
@@ -645,13 +598,11 @@ type RecoveryReceiverStats struct {
 	LateDropped      uint64
 }
 
-// recoveryReceiverStats reads one origin's counters (zero value if the
-// client has no buffer for it).
-func (r *clientRecovery) recoveryReceiverStats(id int32) RecoveryReceiverStats {
-	if r == nil || int(id) >= len(r.jbs) || r.jbs[id] == nil {
+// stats reads the buffer's counters (the zero value on a nil buffer).
+func (b *jitterBuffer) stats() RecoveryReceiverStats {
+	if b == nil {
 		return RecoveryReceiverStats{}
 	}
-	b := r.jbs[id]
 	return RecoveryReceiverStats{
 		NackCount:        b.nackSent,
 		RTXReceived:      b.rtxRecv,

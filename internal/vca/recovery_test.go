@@ -48,7 +48,7 @@ func TestRecoveryReducesFreezeUnderLoss(t *testing.T) {
 		if nacks < rtx {
 			t.Errorf("%s: answered more RTX (%d) than seqs NACKed (%d)", prof.Name, rtx, nacks)
 		}
-		rs := call.C1().rec.recoveryReceiverStats(call.Clients[1].id)
+		rs := call.C1().track(call.Clients[1].id).jb.stats()
 		if rs.RTXReceived == 0 {
 			t.Errorf("%s: c1 received no retransmissions", prof.Name)
 		}
@@ -187,39 +187,116 @@ func TestJitterBufferSingleCharge(t *testing.T) {
 	}
 }
 
-// seqRecorder is a packetSink that remembers the order of delivery and
-// the latest time anything was delivered at.
-type seqRecorder struct {
-	seqs []uint16
-	last time.Duration
-}
+// seqRecorder is a packetSink that remembers the order of delivery.
+type seqRecorder struct{ seqs []uint16 }
 
-func (r *seqRecorder) OnPacket(now time.Duration, p media.PacketInfo) {
+func (r *seqRecorder) OnPacket(_ time.Duration, p media.PacketInfo) {
 	r.seqs = append(r.seqs, p.Seq)
-	r.last = max(r.last, now)
 }
 
 // TestFlushAllDeliversNow: stopping a client expires every playout
-// deadline by ticking its buffers far in the future, but the stragglers
-// that releases must reach the media receiver at the stop time — a
-// receiver fed an hour ahead books the hour as a freeze.
+// deadline by ticking its tracks' buffers far in the future, but the
+// stragglers that releases must reach the media receiver at the stop time —
+// a receiver fed an hour ahead books the hour as a freeze.
 func TestFlushAllDeliversNow(t *testing.T) {
-	r := newClientRecovery(RecoveryConfig{}.withDefaults(), 4, false)
-	var got seqRecorder
-	now := time.Second
+	cfg := RecoveryConfig{}.withDefaults()
+	tr := &inbound{recv: media.NewReceiver(), jb: newJitterBuffer(&cfg)}
+	// One-packet frames a frame interval apart, so the receiver has a frame
+	// duration to measure the flush against: its freeze threshold is
+	// max(3δ, δ+150 ms) = 183 ms once 0 and 1 are displayed, and a straggler
+	// delivered any later than that after frame 1 is a freeze. 0 and 3 are
+	// keyframes, 1 and 4 deltas: 4 decodes only if it is delivered after 3.
+	now, step := time.Second, 33*time.Millisecond
 	for _, seq := range []uint16{0, 1, 3, 4} { // 2 is missing: 3 and 4 wait
-		r.jbFor(1).onPacket(now, &MediaPacket{Seq: seq}, 100, now, 0, &got)
+		mp := &MediaPacket{Seq: seq, FrameSeq: int(seq), FrameEnd: true, Keyframe: seq == 0 || seq == 3}
+		tr.onPacket(now, mp, 100, now, 0)
+		now += step
 	}
-	stop := now + 50*time.Millisecond
-	r.flushAll(stop, func(int32) packetSink { return &got })
-	if want := []uint16{0, 1, 3, 4}; !slices.Equal(got.seqs, want) {
-		t.Fatalf("delivered %v, want %v", got.seqs, want)
+	if n := tr.recv.DisplayedFrames(); n != 2 {
+		t.Fatalf("%d frames displayed before the flush, want 2 (3 and 4 buffered behind the gap)", n)
 	}
-	if got.last != stop {
-		t.Errorf("stragglers delivered at %v, want the stop time %v", got.last, stop)
+	tr.flush(now + 50*time.Millisecond) // 149 ms after frame 1 was displayed
+	if n := tr.recv.DisplayedFrames(); n != 4 {
+		t.Fatalf("%d frames displayed after the flush, want 4 (delivered in order 0 1 3 4)", n)
 	}
-	if n := r.pendingNacks(); n != 0 {
-		t.Errorf("%d NACKs pending after flushAll", n)
+	if f := tr.recv.FreezeTime(); f != 0 {
+		t.Errorf("flush booked a %v freeze: stragglers were not delivered at the stop time", f)
+	}
+	if n := tr.jb.q.Len(); n != 0 {
+		t.Errorf("%d NACKs pending after flush", n)
+	}
+}
+
+// TestInboundTrack drives one origin's receive track with no client around
+// it, built each way Client.track builds it. Every packet is a one-packet
+// delta frame after a keyframe, so what the receiver displays says in what
+// order it was fed: a frame that arrives before its predecessor breaks the
+// reference chain and nothing after it decodes. Without a buffer every
+// arrival reaches the receiver as it came; with one a reorder is healed, a
+// gap is NACKed, and a straggler arriving after its seq was conceded is
+// dropped — the receiver charged that loss once already.
+func TestInboundTrack(t *testing.T) {
+	cfg := RecoveryConfig{}.withDefaults()
+	for _, tc := range []struct {
+		name     string
+		buffered bool
+
+		displayed   int      // frames decoded from the arrivals below
+		nacked      []uint16 // seqs the first recovery tick asks for
+		stragglerOK bool     // the late seq 5 is accepted
+		bytes       int64    // what reached the receiver, at 100 B a packet
+		stats       RecoveryReceiverStats
+	}{
+		// 0 1 3: frame 3 skips 2 and breaks the chain for good.
+		{name: "no buffer: arrival order", displayed: 2, stragglerOK: true, bytes: 800},
+		// 0 1 2 3 4 decode; 5 is NACKed, conceded, and dropped when it
+		// shows up; 6 and 7 are delivered behind the hole.
+		{name: "buffer: reorder healed, gap NACKed, straggler dropped", buffered: true,
+			displayed: 5, nacked: []uint16{5}, bytes: 700,
+			// 3 waited 10 ms for 2; 6 and 7 waited 420 and 410 ms for 5.
+			stats: RecoveryReceiverStats{NackCount: 1, RTXReceived: 1, Conceded: 1, LateDropped: 1, JitterBufferTime: 840 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &inbound{recv: media.NewReceiver()}
+			if tc.buffered {
+				tr.jb = newJitterBuffer(&cfg)
+			}
+			now, step, rtt := time.Second, 10*time.Millisecond, 40*time.Millisecond
+			for _, seq := range []uint16{0, 1, 3, 2, 4, 6, 7} {
+				mp := &MediaPacket{Seq: seq, FrameSeq: int(seq), FrameEnd: true, Keyframe: seq == 0}
+				if !tr.onPacket(now, mp, 100, now-step, rtt) {
+					t.Fatalf("seq %d rejected", seq)
+				}
+				now += step
+			}
+			if tc.buffered {
+				var nacked []uint16
+				note := func(seq uint16) { nacked = append(nacked, seq) }
+				tr.jb.tick(now, rtt, tr.recv, note, func(uint16) {}, func(int) {})
+				if !slices.Equal(nacked, tc.nacked) {
+					t.Errorf("NACKed %v, want %v", nacked, tc.nacked)
+				}
+				// Past the playout deadline the hole is conceded.
+				now += cfg.PlayoutMax
+				tr.jb.tick(now, rtt, tr.recv, note, func(uint16) {}, func(int) {})
+			}
+			straggler := &MediaPacket{Seq: 5, FrameSeq: 5, FrameEnd: true, RTX: tc.buffered}
+			if ok := tr.onPacket(now+step, straggler, 100, now, rtt); ok != tc.stragglerOK {
+				t.Errorf("late seq 5 accepted = %v, want %v", ok, tc.stragglerOK)
+			}
+			if n := tr.recv.DisplayedFrames(); n != tc.displayed {
+				t.Errorf("%d frames displayed, want %d", n, tc.displayed)
+			}
+			if tr.recv.TotalBytes != tc.bytes {
+				t.Errorf("%d bytes reached the receiver, want %d", tr.recv.TotalBytes, tc.bytes)
+			}
+			if got := tr.jb.stats(); got != tc.stats {
+				t.Errorf("counters %+v, want %+v", got, tc.stats)
+			}
+			if pkts, _ := tr.jb.takeInterval(); tc.buffered != (pkts == 1) {
+				t.Errorf("%d retransmissions to discount from the next report", pkts)
+			}
+		})
 	}
 }
 

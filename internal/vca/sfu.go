@@ -291,7 +291,7 @@ func (s *Server) start() {
 	s.running = true
 	s.tickers = append(s.tickers, s.eng.EveryHandler(100*time.Millisecond, sim.HandlerFunc(s.controlTick)))
 	s.tickers = append(s.tickers, s.eng.EveryHandler(20*time.Millisecond, sim.HandlerFunc(s.padTick)))
-	if s.prof.Kind == KindMeet {
+	if s.prof.MediaMode == ModeSimulcast {
 		s.tickers = append(s.tickers, s.eng.EveryHandler(500*time.Millisecond, sim.HandlerFunc(s.allocTick)))
 	}
 }

@@ -149,7 +149,7 @@ func (s *Server) updateSelection(l *downTrack) {
 			s.fwdSwitches++
 			if s.tracer != nil {
 				what := "sim-copy"
-				if s.prof.Kind == KindZoom {
+				if s.prof.MediaMode == ModeSVC {
 					what = "svc-layer"
 				}
 				s.tracer.Switch(s.eng.Now(), l.recvName, s.reg.name(origin), what, from, to)
@@ -168,7 +168,7 @@ func (s *Server) padTick(now time.Duration) {
 	}
 }
 
-// allocTick (Meet only): ask senders to shrink their low simulcast copy
+// allocTick (simulcast only): ask senders to shrink their low simulcast copy
 // when some receiver cannot even sustain it (§3.1 downlink floor). Only
 // local receivers are consulted; remote starvation is absorbed by the
 // relay track's own selection.

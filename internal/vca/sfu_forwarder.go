@@ -12,8 +12,8 @@ type forwarder struct {
 	frameOut   int
 	curInFrame int
 	curKeep    bool
-	selRK      uint8   // Meet: rate key of the selected simulcast copy
-	maxLayer   int     // Zoom: highest forwarded SVC layer
+	selRK      uint8   // simulcast: rate key of the selected copy
+	maxLayer   int     // SVC: highest forwarded layer
 	thinFactor float64 // fraction of frames forwarded
 	thinAcc    float64
 	needKey    bool // mark next forwarded frame as a keyframe (stream switch)
@@ -48,9 +48,9 @@ func (f *forwarder) forward(mp *MediaPacket) bool {
 	if mp.Audio {
 		return true
 	}
-	// Meet: the two simulcast copies have independent frame numbering, so
-	// the unselected copy is filtered before any frame-gating state.
-	if f.prof.Kind == KindMeet && mp.RK != f.selRK {
+	// Simulcast: the two copies have independent frame numbering, so the
+	// unselected copy is filtered before any frame-gating state.
+	if f.prof.MediaMode == ModeSimulcast && mp.RK != f.selRK {
 		return false
 	}
 	if mp.FrameSeq != f.curInFrame {
@@ -60,7 +60,7 @@ func (f *forwarder) forward(mp *MediaPacket) bool {
 			f.frameOut++
 		}
 	}
-	return f.curKeep && !(f.prof.Kind == KindZoom && mp.Layer > f.maxLayer)
+	return f.curKeep && !(f.prof.MediaMode == ModeSVC && mp.Layer > f.maxLayer)
 }
 
 // keepFrame decides whether a new frame survives temporal thinning.
@@ -93,7 +93,7 @@ func (f *forwarder) rewrite(out, mp *MediaPacket) {
 		out.Keyframe = true
 		f.needKey = false
 	}
-	if f.prof.Kind == KindZoom {
+	if f.prof.MediaMode == ModeSVC {
 		out.FrameEnd = mp.LayerEnd && (mp.Layer == f.maxLayer || mp.FrameEnd)
 	}
 }
@@ -103,8 +103,8 @@ func (f *forwarder) rewrite(out, mp *MediaPacket) {
 // When the simulcast copy or top SVC layer changed it reports the move.
 func (f *forwarder) sel(share float64, src *receiver, n int) (from, to int, switched bool) {
 	p := f.prof
-	switch p.Kind {
-	case KindMeet:
+	switch p.MediaMode {
+	case ModeSimulcast:
 		highRate, lowRate := src.rate(int(rkSimHigh)), src.rate(int(rkSimLow))
 		prev := f.selRK
 		switch {
@@ -136,7 +136,7 @@ func (f *forwarder) sel(share float64, src *receiver, n int) (from, to int, swit
 			f.needKey = true
 		}
 		return int(prev), int(f.selRK), f.selRK != prev
-	case KindZoom:
+	case ModeSVC:
 		f.thinFactor = 1
 		base := src.rate(int(rkSVC))
 		if base <= 0 {
@@ -165,7 +165,8 @@ func (f *forwarder) sel(share float64, src *receiver, n int) (from, to int, swit
 			f.thinFactor = max(0.35, share/fecBase)
 		}
 		return prev, top, top != prev
-	case KindTeams:
+	case ModeSingle:
+		// One stream: nothing to select, only frames to thin.
 		f.thinFactor = p.ForwardFactor(n)
 	}
 	return 0, 0, false

@@ -31,6 +31,11 @@ func TestForwarderSelection(t *testing.T) {
 	meetSrc := map[int]float64{high: 1_000_000, low: 190_000}
 	// Zoom at 0.18 FEC: cumulative FEC-inclusive rates 236k, 413k, 590k.
 	zoomSrc := map[int]float64{svc: 200_000, svc + 1: 150_000, svc + 2: 150_000}
+	// single is a profile flipped to one stream, relaying with Teams' thinning.
+	single := func(p *Profile) *Profile {
+		p.MediaMode, p.ForwardFactor = ModeSingle, Teams().ForwardFactor
+		return p
+	}
 	for _, tc := range []struct {
 		name    string
 		prof    *Profile
@@ -90,6 +95,13 @@ func TestForwarderSelection(t *testing.T) {
 			selRK: rkSimHigh, maxLayer: allLayers, thin: Teams().ForwardFactor(5)},
 		{name: "teams thins large calls harder", prof: Teams(), via: noID, n: 12,
 			selRK: rkSimHigh, maxLayer: allLayers, thin: Teams().ForwardFactor(12)},
+
+		// One stream on a simulcast or SVC profile: whatever the share and
+		// the measured rates, nothing is selected, frames thin by call size.
+		{name: "meet single stream selects no copy", prof: single(Meet()), via: noID, rates: meetSrc, share: 19_000, n: 5,
+			selRK: rkSimHigh, maxLayer: allLayers, thin: Teams().ForwardFactor(5)},
+		{name: "zoom single stream selects no layer", prof: single(Zoom()), running: true, via: noID, rates: zoomSrc, share: 10_000, n: 5,
+			selRK: rkSimLow, maxLayer: 0, thin: Teams().ForwardFactor(5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newForwarder(tc.prof, tc.running)
@@ -102,17 +114,20 @@ func TestForwarderSelection(t *testing.T) {
 			if switched != tc.switched {
 				t.Fatalf("switched %v, want %v", switched, tc.switched)
 			}
+			if tc.prof.MediaMode == ModeSingle && !f.forward(&MediaPacket{RK: rkVideo, Layer: 1, Keyframe: true}) {
+				t.Error("the one stream is filtered by a selection that does not apply to it")
+			}
 			if !switched {
 				return
 			}
 			i := 0 // which of (copy, layer) the profile switches
-			if tc.prof.Kind == KindZoom {
+			if tc.prof.MediaMode == ModeSVC {
 				i = 1
 			}
 			if is := [2]int{int(f.selRK), f.maxLayer}; from != was[i] || to != is[i] {
 				t.Errorf("reported %d -> %d, want %d -> %d", from, to, was[i], is[i])
 			}
-			if want := tc.prof.Kind == KindMeet; f.needKey != want {
+			if want := tc.prof.MediaMode == ModeSimulcast; f.needKey != want {
 				t.Errorf("needKey %v after a switch, want %v (a copy switch owes the receiver a keyframe)", f.needKey, want)
 			}
 		})
