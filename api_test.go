@@ -1,6 +1,7 @@
 package vcalab_test
 
 import (
+	"os/exec"
 	"testing"
 	"time"
 
@@ -71,5 +72,21 @@ func TestFacadeStatsHelpers(t *testing.T) {
 	if len(vcalab.PaperCaps()) != 16 || len(vcalab.PaperDisruptionLevels()) != 4 ||
 		len(vcalab.PaperCompetitionLinks()) != 6 {
 		t.Error("paper grids broken")
+	}
+}
+
+// TestBenchModuleBuilds: bench/ is its own module and imports this facade,
+// so `go test ./...` never compiles it. Running its unit tests from here
+// makes a facade change that breaks the benchmark fail the gate.
+func TestBenchModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and tests a second module")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go binary on PATH")
+	}
+	if out, err := exec.Command(goBin, "test", "-C", "bench", ".").CombinedOutput(); err != nil {
+		t.Fatalf("go test -C bench . failed: %v\n%s", err, out)
 	}
 }

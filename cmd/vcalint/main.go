@@ -1,16 +1,19 @@
-// Command vcalint is vcalab's custom vet suite: four analyzers that
-// statically enforce the invariants every PR since the zero-alloc
-// rewrite has defended by hand — determinism (byte-identical output at
-// any -parallel × -shards), pool hygiene (every pooled packet/event
-// released or ownership-transferred on every terminal path), hot-path
-// allocation discipline (//vca:hotpath functions stay within the
-// ≤0.1 allocs/event budget), and nil-guarded observability producers
-// (tracing stays zero-cost when off). See DESIGN.md §14.
+// Command vcalint runs vcalab's two custom analyzers over the module:
+// determinism (no wall clock, global RNG, select, stray goroutine or
+// effectful map iteration in the packages whose output must be
+// byte-identical at any -parallel × -shards) and nilguard (every
+// obs.Tracer producer call sits under a nil-check, so tracing costs
+// nothing when off). Neither has a deterministic dynamic twin; the
+// invariants that do (pool ownership, allocation budgets) are held by
+// tests instead. See DESIGN.md §14.
 //
-// Two modes:
+//	vcalint            # the whole module, same as ./...
+//	vcalint ./internal/vca ./internal/sim/...
+//	vcalint help
 //
-//	vcalint ./...                     # standalone, type-checks from source
-//	go vet -vettool=$(which vcalint) ./...   # driven by cmd/go
+// TestTree in this directory runs exactly this over the real tree as
+// part of `go test ./...`, and additionally holds the tree to a table
+// of the suppressions it expects.
 //
 // Suppression: //vcalint:ignore <analyzer> <reason> on (or directly
 // above) the offending line; //vcalint:file-ignore for whole files.
@@ -19,151 +22,61 @@
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"vcalab/internal/analysis"
 	"vcalab/internal/analysis/determinism"
-	"vcalab/internal/analysis/hotpath"
 	"vcalab/internal/analysis/nilguard"
-	"vcalab/internal/analysis/poolhygiene"
 )
 
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	poolhygiene.Analyzer,
-	hotpath.Analyzer,
 	nilguard.Analyzer,
 }
 
 func main() {
-	args := os.Args[1:]
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: arguments are package patterns, or
+// the word help.
+func run(args []string, stdout, stderr io.Writer) int {
 	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			// cmd/go uses this output as the tool's cache key: include a
-			// content hash so rebuilt analyzers invalidate stale results.
-			fmt.Printf("vcalint version 1 sum %s\n", selfHash())
-			return
-		case a == "-V" || a == "--V":
-			fmt.Println("vcalint version 1")
-			return
-		case a == "-flags" || a == "--flags":
-			// cmd/go probes for supported analyzer flags; we take none.
-			fmt.Println("[]")
-			return
-		case a == "help" || a == "-h" || a == "--help":
-			usage(os.Stdout)
-			return
+		if a == "help" {
+			usage(stdout)
+			return 0
+		}
+		if strings.HasPrefix(a, "-") {
+			fmt.Fprintf(stderr, "vcalint: unknown argument %q\n", a)
+			usage(stderr)
+			return 2
 		}
 	}
-
-	// Unit mode: cmd/go hands us a single vet.cfg path per package.
-	if len(args) == 1 && analysis.IsUnitConfig(args[0]) {
-		n, err := analysis.RunUnit(args[0], analyzers, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vcalint: %v\n", err)
-			os.Exit(1)
-		}
-		if n > 0 {
-			os.Exit(2)
-		}
-		return
-	}
-
-	// Standalone mode: resolve the module, expand patterns, analyze.
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	root, modPath, err := findModule()
+	findings, _, err := analysis.Run(".", args, analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "vcalint: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "vcalint: %v\n", err)
+		return 1
 	}
-	paths, dirs, err := analysis.FindPackages(root, modPath, args)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vcalint: %v\n", err)
-		os.Exit(1)
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
-	loader := analysis.NewLoader(modPath, root)
-	found := 0
-	for i, dir := range dirs {
-		pkg, err := loader.LoadPackage(paths[i], dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vcalint: %v\n", err)
-			os.Exit(1)
-		}
-		diags, err := analysis.RunPackage(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vcalint: %v\n", err)
-			os.Exit(1)
-		}
-		for _, d := range diags {
-			pos := loader.Fset.Position(d.Pos)
-			rel := pos.Filename
-			if r, err := filepath.Rel(root, pos.Filename); err == nil {
-				rel = r
-			}
-			fmt.Printf("%s:%d:%d: %s [%s]\n", rel, pos.Line, pos.Column, d.Message, d.Analyzer)
-			found++
-		}
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "vcalint: %d finding(s)\n", len(findings))
+		return 1
 	}
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "vcalint: %d finding(s)\n", found)
-		os.Exit(1)
-	}
+	return 0
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintf(w, "usage: vcalint [./... | packages]\n       go vet -vettool=vcalint ./...\n\nanalyzers:\n")
+	fmt.Fprintf(w, "usage: vcalint [help | package patterns, default ./...]\n\nanalyzers:\n")
 	for _, a := range analyzers {
 		fmt.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
 	}
 	fmt.Fprintf(w, "\nsuppress with //vcalint:ignore <analyzer> <reason> (same or previous line)\nor //vcalint:file-ignore <analyzer> <reason> for a whole file.\n")
-}
-
-// findModule walks up from the working directory to go.mod.
-func findModule() (root, modPath string, err error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		gm := filepath.Join(dir, "go.mod")
-		if data, err := os.ReadFile(gm); err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("no module line in %s", gm)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }

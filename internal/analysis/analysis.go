@@ -1,17 +1,14 @@
 // Package analysis is a self-contained miniature of the
 // golang.org/x/tools/go/analysis framework: just enough Analyzer /
-// Pass / Diagnostic surface for vcalab's custom vet suite (cmd/vcalint)
-// to run both standalone and under `go vet -vettool=`, without pulling
-// an external module into the build (the toolchain image is offline).
+// Pass / Diagnostic surface for vcalab's two custom analyzers
+// (determinism, nilguard) without pulling an external module into the
+// build (the toolchain image is offline). Both are strictly
+// intra-package, so facts and requires-graphs are omitted.
 //
-// The shape deliberately mirrors x/tools so the analyzers in the
-// subpackages (determinism, poolhygiene, hotpath, nilguard) could be
-// ported to the real framework by swapping imports. What is omitted —
-// facts, modular analysis across packages, requires-graphs — is not
-// needed: all four analyzers are strictly intra-package.
-//
-// See DESIGN.md §14 for the invariants the suite enforces and the
-// approximations each analyzer makes.
+// Run is the one way they run: packages are type-checked from source
+// and analyzed in-process, by cmd/vcalint and by its tier-1 test over
+// the real tree. See DESIGN.md §14 for what each analyzer enforces and
+// why it has no cheaper dynamic twin.
 package analysis
 
 import (
@@ -20,7 +17,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer describes one static check.
@@ -77,18 +73,6 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Path is the import path as the build system names it; test
-	// variants carry a " [...]" suffix which BasePath strips.
-	Path string
-}
-
-// BasePath returns the import path with any test-variant suffix
-// ("pkg [pkg.test]") removed.
-func (p *Package) BasePath() string {
-	if i := strings.IndexByte(p.Path, ' '); i >= 0 {
-		return p.Path[:i]
-	}
-	return p.Path
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult.
@@ -106,8 +90,8 @@ func NewInfo() *types.Info {
 // RunPackage applies each analyzer to pkg, then filters the findings
 // through the //vcalint:ignore directives found in the package's files
 // (see directive.go). Malformed directives surface as diagnostics of
-// the pseudo-analyzer "vcalint". Diagnostics in _test.go files are
-// dropped: the invariants govern shipped code, tests exercise them
+// the pseudo-analyzer "vcalint". The loader never parses _test.go
+// files: the invariants govern shipped code, tests exercise them
 // dynamically.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
@@ -128,17 +112,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	diags = applyDirectives(pkg, diags, known)
-
-	// Drop test-file findings and sort for stable output.
-	out := diags[:0]
-	for _, d := range diags {
-		f := pkg.Fset.File(d.Pos)
-		if f != nil && strings.HasSuffix(f.Name(), "_test.go") {
-			continue
-		}
-		out = append(out, d)
-	}
+	out := applyDirectives(pkg, diags, known)
 	sort.Slice(out, func(i, j int) bool {
 		pi, pj := pkg.Fset.Position(out[i].Pos), pkg.Fset.Position(out[j].Pos)
 		if pi.Filename != pj.Filename {

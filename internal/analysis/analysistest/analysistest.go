@@ -1,7 +1,7 @@
 // Package analysistest is a miniature of
 // golang.org/x/tools/go/analysis/analysistest: it loads a GOPATH-style
 // testdata/src tree, runs one analyzer over named packages, and
-// matches the diagnostics against `// want "regexp"` comments placed
+// matches the diagnostics against "// want `regexp`" comments placed
 // on the offending lines. Unmatched diagnostics and unsatisfied wants
 // both fail the test.
 //
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -71,7 +70,7 @@ func consume(wants []*want, file string, line int, msg string) bool {
 	return false
 }
 
-// collectWants scans every comment for `want "re"` clauses. Multiple
+// collectWants scans every comment for "want `re`" clauses. Multiple
 // quoted regexps may follow one want.
 func collectWants(t *testing.T, pkg *analysis.Package) []*want {
 	t.Helper()
@@ -104,36 +103,24 @@ func collectWants(t *testing.T, pkg *analysis.Package) []*want {
 	return wants
 }
 
-// parseWants splits `"re1" "re2"` (double- or back-quoted) clauses.
+// parseWants splits `re1` `re2` (back-quoted) clauses.
 func parseWants(s string) ([]*regexp.Regexp, error) {
 	var out []*regexp.Regexp
 	s = strings.TrimSpace(s)
 	for s != "" {
-		var quote byte = s[0]
-		if quote != '"' && quote != '`' {
-			return nil, fmt.Errorf("expected quoted regexp, got %q", s)
+		if s[0] != '`' {
+			return nil, fmt.Errorf("expected back-quoted regexp, got %q", s)
 		}
-		end := strings.IndexByte(s[1:], quote)
-		if end < 0 {
+		raw, rest, ok := strings.Cut(s[1:], "`")
+		if !ok {
 			return nil, fmt.Errorf("unterminated regexp in %q", s)
-		}
-		lit := s[:end+2]
-		var raw string
-		if quote == '"' {
-			var err error
-			raw, err = strconv.Unquote(lit)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			raw = lit[1 : len(lit)-1]
 		}
 		re, err := regexp.Compile(raw)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, re)
-		s = strings.TrimSpace(s[end+2:])
+		s = strings.TrimSpace(rest)
 	}
 	return out, nil
 }

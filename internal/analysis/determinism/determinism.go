@@ -76,9 +76,6 @@ func covered(path string) bool {
 
 func run(pass *analysis.Pass) error {
 	pkgPath := pass.Pkg.Path()
-	if i := strings.IndexByte(pkgPath, ' '); i >= 0 {
-		pkgPath = pkgPath[:i] // test variant "pkg [pkg.test]"
-	}
 	if !covered(pkgPath) {
 		return nil
 	}

@@ -63,10 +63,18 @@ func parseDirective(text string, pos token.Pos, line int) (directive, bool) {
 	return d, true
 }
 
-// applyDirectives filters diags through the directives in pkg's files
-// and appends one "vcalint" diagnostic per malformed or unknown-name
-// directive.
-func applyDirectives(pkg *Package, diags []Diagnostic, known map[string]bool) []Diagnostic {
+// Suppression is one well-formed directive, as Run reports it: the
+// tier-1 test holds the tree to a table of the ones it expects.
+type Suppression struct {
+	File      string // relative to the module root
+	Line      int
+	FileWide  bool
+	Analyzers []string
+	Reason    string
+}
+
+// parseDirectives collects every directive in pkg's files.
+func parseDirectives(pkg *Package) []directive {
 	var dirs []directive
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -80,7 +88,14 @@ func applyDirectives(pkg *Package, diags []Diagnostic, known map[string]bool) []
 			}
 		}
 	}
+	return dirs
+}
 
+// applyDirectives filters diags through the directives in pkg's files
+// and appends one "vcalint" diagnostic per malformed or unknown-name
+// directive.
+func applyDirectives(pkg *Package, diags []Diagnostic, known map[string]bool) []Diagnostic {
+	dirs := parseDirectives(pkg)
 	var out []Diagnostic
 	for _, d := range dirs {
 		if d.malformed != "" {

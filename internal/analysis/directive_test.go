@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"vcalab/internal/analysis/analysistest"
-	"vcalab/internal/analysis/hotpath"
+	"vcalab/internal/analysis/determinism"
 )
 
 // TestDirectives drives the suppression machinery end to end through
@@ -12,5 +12,7 @@ import (
 // while malformed and unknown-name directives surface as "vcalint"
 // findings of their own.
 func TestDirectives(t *testing.T) {
-	analysistest.Run(t, "testdata", hotpath.Analyzer, "dir")
+	determinism.Packages = append(determinism.Packages, "dir")
+	defer func() { determinism.Packages = determinism.Packages[:len(determinism.Packages)-1] }()
+	analysistest.Run(t, "testdata", determinism.Analyzer, "dir")
 }

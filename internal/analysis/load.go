@@ -8,58 +8,43 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
 // Loader type-checks packages from source with no toolchain help, so
-// the standalone `vcalint ./...` mode works in an offline container.
-// Import paths resolve through Roots (longest-prefix match: the module
-// path → repo root for real runs, "" → testdata/src for analyzer
-// tests); everything else falls back to GOROOT/src. Imported
+// vcalint works in an offline container with a cold build cache.
+// Import paths under modPath resolve below modRoot (a modPath of ""
+// puts every path there: the analyzer tests' GOPATH-style
+// testdata/src); everything else falls back to GOROOT/src. Imported
 // dependencies are checked API-only (IgnoreFuncBodies); only the
 // package under analysis gets full bodies and a populated types.Info.
 type Loader struct {
-	Fset *token.FileSet
-	// Roots maps an import-path prefix to the directory holding its
-	// source tree. A "" key is the catch-all (testdata GOPATH style).
-	Roots map[string]string
-
-	imports map[string]*types.Package
+	Fset             *token.FileSet
+	modPath, modRoot string
+	imports          map[string]*types.Package
 }
 
 // NewLoader returns a loader resolving modPath under modRoot.
 func NewLoader(modPath, modRoot string) *Loader {
-	return &Loader{
-		Fset:    token.NewFileSet(),
-		Roots:   map[string]string{modPath: modRoot},
-		imports: map[string]*types.Package{},
-	}
+	return &Loader{Fset: token.NewFileSet(), modPath: modPath, modRoot: modRoot, imports: map[string]*types.Package{}}
+}
+
+func isDir(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && st.IsDir()
 }
 
 func (l *Loader) dirFor(path string) (string, error) {
-	best, bestDir := -1, ""
-	for prefix, dir := range l.Roots {
-		switch {
-		case path == prefix:
-			if len(prefix) > best {
-				best, bestDir = len(prefix), dir
-			}
-		case prefix == "" || strings.HasPrefix(path, prefix+"/"):
-			rel := strings.TrimPrefix(strings.TrimPrefix(path, prefix), "/")
-			if len(prefix) > best {
-				best, bestDir = len(prefix), filepath.Join(dir, filepath.FromSlash(rel))
-			}
+	rel, ok := strings.CutPrefix(path, l.modPath)
+	if ok && (l.modPath == "" || rel == "" || rel[0] == '/') {
+		if d := filepath.Join(l.modRoot, filepath.FromSlash(rel)); isDir(d) {
+			return d, nil
 		}
 	}
-	if best >= 0 {
-		if st, err := os.Stat(bestDir); err == nil && st.IsDir() {
-			return bestDir, nil
-		}
-	}
-	d := filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(path))
-	if st, err := os.Stat(d); err == nil && st.IsDir() {
+	if d := filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(path)); isDir(d) {
 		return d, nil
 	}
 	return "", fmt.Errorf("cannot resolve import %q to a directory", path)
@@ -139,56 +124,41 @@ func (l *Loader) LoadPackage(importPath, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)
 	}
-	return &Package{Fset: l.Fset, Files: files, Pkg: pkg, Info: info, Path: importPath}, nil
+	return &Package{Fset: l.Fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-// FindPackages expands command-line patterns relative to root into
+// findPackages expands command-line patterns relative to root into
 // (importPath, dir) pairs. Supported: "./..." (whole tree), "./x/..."
 // (subtree), and plain relative directories. testdata and hidden
 // directories are skipped, as are directories with no non-test Go
 // files.
-func FindPackages(root, modPath string, patterns []string) (paths, dirs []string, err error) {
+func findPackages(root, modPath string, patterns []string) (paths, dirs []string, err error) {
 	seen := map[string]bool{}
-	addTree := func(base string) error {
-		return filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
+	for _, pat := range patterns {
+		rel, tree := strings.CutSuffix(pat, "...")
+		base := filepath.Join(root, filepath.FromSlash(rel))
+		if !isDir(base) {
+			return nil, nil, fmt.Errorf("pattern %q: not a directory under %s", pat, root)
+		}
+		if !tree {
+			seen[base] = true
+			continue
+		}
+		err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
-			if d.IsDir() {
-				name := d.Name()
+			if name := d.Name(); d.IsDir() {
 				if p != base && (strings.HasPrefix(name, ".") || name == "testdata") {
 					return filepath.SkipDir
 				}
-				return nil
+			} else if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+				seen[filepath.Dir(p)] = true
 			}
-			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return nil
-			}
-			dir := filepath.Dir(p)
-			if seen[dir] {
-				return nil
-			}
-			seen[dir] = true
 			return nil
 		})
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			if err := addTree(root); err != nil {
-				return nil, nil, err
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := filepath.Join(root, filepath.FromSlash(strings.TrimSuffix(pat, "/...")))
-			if err := addTree(base); err != nil {
-				return nil, nil, err
-			}
-		default:
-			dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
-			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-				return nil, nil, fmt.Errorf("pattern %q: not a directory under %s", pat, root)
-			}
-			seen[dir] = true
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	for dir := range seen {
@@ -200,11 +170,91 @@ func FindPackages(root, modPath string, patterns []string) (paths, dirs []string
 		if err != nil {
 			return nil, nil, err
 		}
-		ipath := modPath
-		if rel != "." {
-			ipath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		paths = append(paths, ipath)
+		paths = append(paths, path.Join(modPath, filepath.ToSlash(rel)))
 	}
 	return paths, dirs, nil
+}
+
+// FindModule walks up from dir to the enclosing go.mod and returns its
+// directory and module path.
+func FindModule(dir string) (root, modPath string, err error) {
+	dir, err = filepath.Abs(dir)
+	if err != nil {
+		return "", "", err
+	}
+	for {
+		gm := filepath.Join(dir, "go.mod")
+		if data, err := os.ReadFile(gm); err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+					return dir, strings.TrimSpace(rest), nil
+				}
+			}
+			return "", "", fmt.Errorf("no module line in %s", gm)
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", "", fmt.Errorf("no go.mod found above %s", dir)
+		}
+		dir = parent
+	}
+}
+
+// Finding is one diagnostic resolved to a position relative to the
+// module root, printed the way compilers print theirs.
+type Finding struct {
+	File      string
+	Line, Col int
+	Analyzer  string
+	Message   string
+}
+
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Col, f.Message, f.Analyzer)
+}
+
+// Run is the one way the analyzers run: it finds the module enclosing
+// dir, expands patterns against the module root, type-checks every
+// matched package from source and applies analyzers to it. It returns
+// the findings that survive the suppression directives, and every
+// well-formed directive it met so a caller can audit them.
+func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, []Suppression, error) {
+	root, modPath, err := FindModule(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	paths, dirs, err := findPackages(root, modPath, patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	loader := NewLoader(modPath, root)
+	rel := func(pos token.Position) string {
+		if r, err := filepath.Rel(root, pos.Filename); err == nil {
+			return filepath.ToSlash(r)
+		}
+		return pos.Filename
+	}
+	var findings []Finding
+	var sups []Suppression
+	for i, dir := range dirs {
+		pkg, err := loader.LoadPackage(paths[i], dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		diags, err := RunPackage(pkg, analyzers)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, d := range diags {
+			pos := loader.Fset.Position(d.Pos)
+			findings = append(findings, Finding{rel(pos), pos.Line, pos.Column, d.Analyzer, d.Message})
+		}
+		for _, d := range parseDirectives(pkg) {
+			if d.malformed == "" {
+				pos := loader.Fset.Position(d.pos)
+				sups = append(sups, Suppression{rel(pos), pos.Line, d.fileWide, d.analyzers, d.reason})
+			}
+		}
+	}
+	return findings, sups, nil
 }

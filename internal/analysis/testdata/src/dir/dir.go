@@ -1,27 +1,26 @@
 // Package dir exercises the //vcalint:ignore directive machinery,
-// using the hotpath analyzer as the finding source: same-line and
+// using the determinism analyzer as the finding source (the test
+// registers "dir" as a deterministic package): same-line and
 // line-above suppression, the mandatory reason, and the unknown-name
 // check.
 package dir
 
-import "fmt"
+import "time"
 
-//vca:hotpath suppressed on the same line
-func suppressedSameLine() string {
-	return fmt.Sprintf("x") //vcalint:ignore hotpath one-shot formatting in a stats flush, off the packet path
+func suppressedSameLine() time.Time {
+	return time.Now() //vcalint:ignore determinism busy-time meter, never reaches output
 }
 
-//vca:hotpath suppressed from the line above
-func suppressedLineAbove() string {
-	//vcalint:ignore hotpath one-shot formatting in a stats flush
-	return fmt.Sprintf("y")
+func suppressedLineAbove() time.Time {
+	//vcalint:ignore determinism busy-time meter, never reaches output
+	return time.Now()
 }
 
-//vca:hotpath a directive two lines away does not reach
-func notSuppressed() string {
-	//vcalint:ignore hotpath too far away to bind to the finding
+// A directive two lines away does not reach.
+func notSuppressed() time.Time {
+	//vcalint:ignore determinism too far away to bind to the finding
 
-	return fmt.Sprintf("z") // want `fmt.Sprintf in hot path`
+	return time.Now() // want `time.Now in deterministic package`
 }
 
 // A typo'd analyzer name would silently suppress nothing forever, so
@@ -32,5 +31,5 @@ var a = 1
 
 // So is a suppression without a recorded justification.
 //
-//vcalint:ignore hotpath // want `malformed directive: missing reason`
+//vcalint:ignore determinism // want `malformed directive: missing reason`
 var b = 2

@@ -1,10 +1,10 @@
-//vcalint:file-ignore hotpath bench-harness file: formatting is the output, not overhead
+//vcalint:file-ignore determinism wall-clock harness file: elapsed time is the output
 
 package dir
 
-import "fmt"
+import "time"
 
-//vca:hotpath the file-ignore above silences the whole file
-func fileWideSuppressed() string {
-	return fmt.Sprintf("w")
+// The file-ignore above silences the whole file.
+func fileWideSuppressed() time.Time {
+	return time.Now()
 }

@@ -232,13 +232,14 @@ func runBenchCall(tr *Trial) (events uint64) {
 }
 
 // TestTrialAllocsPerEvent holds a whole cascaded call — build-up included,
-// relay legs and inter-region links on the path — to 0.1 mallocs per
-// executed event, with recovery off and with recovery on under 1% loss on
-// every link. The vca SteadyState tests pin a warmed-up window on one SFU
-// far tighter; this is the budget across a mesh. Measured 0.003-0.004
-// off and 0.016-0.026 on; one allocation per forwarded packet
-// (downTrack.send) measures 0.39-0.43. Relayed packets are only ~4% of
-// events, so an allocation on relay legs alone adds ~0.04 and passes.
+// relay legs and inter-region links on the path — to a malloc budget per
+// executed event: 0.02 with recovery off, 0.04 with recovery on under 1%
+// loss on every link. The vca SteadyState tests pin a warmed-up window on
+// one SFU far tighter; this is the budget across a mesh, and the only gate
+// a relay leg is on. Measured 0.003-0.004 off and 0.016-0.026 on. Relayed
+// packets are only ~4% of events, so one allocation per packet on relay
+// legs alone adds 0.037-0.065 — over both budgets on every row; one per
+// forwarded packet (downTrack.send) measures 0.39-0.43.
 func TestTrialAllocsPerEvent(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -257,12 +258,15 @@ func TestTrialAllocsPerEvent(t *testing.T) {
 			events := runBenchCall(tr)
 			runtime.ReadMemStats(&after)
 			mallocs := after.Mallocs - before.Mallocs
-			report := t.Logf
-			if float64(mallocs) > 0.1*float64(events) {
+			budget, report := 0.02, t.Logf
+			if recovery {
+				budget = 0.04
+			}
+			if float64(mallocs) > budget*float64(events) {
 				report = t.Errorf
 			}
-			report("%s recovery=%v: %d mallocs over %d events = %.4f per event, budget 0.1",
-				prof.Name, recovery, mallocs, events, float64(mallocs)/float64(events))
+			report("%s recovery=%v: %d mallocs over %d events = %.4f per event, budget %.2f",
+				prof.Name, recovery, mallocs, events, float64(mallocs)/float64(events), budget)
 			if nacks, rtx := tr.Call.NackRTXTotals(); recovery && (nacks == 0 || rtx == 0) {
 				t.Errorf("%s: recovery loop idle under loss: %d NACKed seqs, %d RTX", prof.Name, nacks, rtx)
 			}

@@ -210,10 +210,9 @@ func (g *Group) Close() {
 }
 
 // runSegment runs every shard to the key (atLimit, schedLimit) in
-// parallel, waits for all of them, then drains every mailbox. Shards with
-// nothing due before the limit are not woken.
-//
-//vca:hotpath shard barrier dispatch, once per conservative window
+// parallel, waits for all of them, then drains every mailbox — once per
+// conservative window. Shards with nothing due before the limit are not
+// woken.
 func (g *Group) runSegment(atLimit, schedLimit time.Duration) {
 	dispatched := 0
 	for _, w := range g.workers {

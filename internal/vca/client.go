@@ -299,7 +299,6 @@ func (c *Client) videoTarget() float64 {
 	return t
 }
 
-//vca:hotpath 30 Hz per-client encode loop
 func (c *Client) videoTick(now time.Duration) {
 	if !c.running {
 		return
@@ -324,8 +323,6 @@ func (c *Client) videoTick(now time.Duration) {
 }
 
 // sendFrame packetizes one encoded frame into RTP-sized packets.
-//
-//vca:hotpath packetization inner loop
 func (c *Client) sendFrame(f *codec.Frame) {
 	rk := streamRK(f.StreamID)
 	remaining := f.Bytes
@@ -357,7 +354,7 @@ func (c *Client) sendFrame(f *codec.Frame) {
 	}
 }
 
-//vca:hotpath 50 Hz per-client audio loop
+// audioTick runs at 50 Hz.
 func (c *Client) audioTick(time.Duration) {
 	if !c.running {
 		return
@@ -372,8 +369,6 @@ func (c *Client) audioTick(time.Duration) {
 
 // padTick emits FEC/probe padding at the controller's requested rate
 // (Zoom's probe bursts, GCC recovery probes).
-//
-//vca:hotpath padding/probe emission loop
 func (c *Client) padTick(now time.Duration) {
 	if !c.running || c.ccUp == nil {
 		return
@@ -397,7 +392,6 @@ func (c *Client) flowFor(rk uint8, stream string) string {
 	return c.flows[rk]
 }
 
-//vca:hotpath per-packet uplink path
 func (c *Client) send(mp *MediaPacket, wireBytes int) {
 	now := c.eng.Now()
 	mp.OriginSentAt = now
@@ -408,8 +402,6 @@ func (c *Client) send(mp *MediaPacket, wireBytes int) {
 // onMedia handles a forwarded media packet from the SFU, dispatching to
 // the inbound track by the packet's stamped origin ID. The packet's
 // payload is consumed here: it goes back to the call's media pool.
-//
-//vca:hotpath per-packet downlink receive path
 func (c *Client) onMedia(pkt *netem.Packet) {
 	mp, ok := pkt.Payload.(*MediaPacket)
 	if !ok {
@@ -500,8 +492,6 @@ func (c *Client) sendNack(origin int32, seqs []uint16) {
 
 // twccTick flushes the transport-wide arrival record into one report.
 // start arms it only where there is a recorder.
-//
-//vca:hotpath transport-wide feedback tick
 func (c *Client) twccTick(now time.Duration) {
 	if !c.running {
 		return
@@ -548,8 +538,6 @@ func (c *Client) onSignal(pkt *netem.Packet) {
 }
 
 // feedbackTick aggregates all receive legs into one report to the server.
-//
-//vca:hotpath receiver report tick
 func (c *Client) feedbackTick(now time.Duration) {
 	if !c.running {
 		return

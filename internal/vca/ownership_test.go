@@ -87,6 +87,17 @@ func TestControlMsgReleasedByEveryConsumerPath(t *testing.T) {
 			wantReleasedOnce(t, prof.Name+" FromID without a leg", p)
 			c2.onFeedback(feedbackPkt(p, "sfu", s.id))
 			wantReleasedOnce(t, prof.Name+" live client", p)
+			// The client's own report tick: an interval in which nothing
+			// arrived draws a TWCC message and hands it straight back, one
+			// with an arrival posts it to the SFU, which consumes it.
+			if c2.twcc != nil {
+				c2.twccTick(eng.Now())
+				wantReleasedOnce(t, prof.Name+" empty twcc interval", p)
+				c2.twcc.Record(1, int64(eng.Now()/time.Microsecond))
+				c2.twccTick(eng.Now())
+				eng.Run()
+				wantReleasedOnce(t, prof.Name+" twcc report", p)
+			}
 
 			// A client that has left the call.
 			call.started = true
@@ -94,8 +105,9 @@ func TestControlMsgReleasedByEveryConsumerPath(t *testing.T) {
 			c2.onFeedback(feedbackPkt(p, "sfu", s.id))
 			wantReleasedOnce(t, prof.Name+" left client", p)
 
-			// NACK and TWCC reports share the port and the rule.
-			for _, id := range []int32{call.Clients[2].id, -1, 1 << 20} {
+			// NACK and TWCC reports share the port and the rule: from a live
+			// receiver, from c2 whose track went with it, from strangers.
+			for _, id := range []int32{call.Clients[2].id, c2.id, -1, 1 << 20} {
 				n := p.getNack()
 				n.FromID, n.Origin = id, call.Clients[0].id
 				n.Pairs = rtp.AppendNackPairs(n.Pairs, []uint16{3, 4, 9})

@@ -400,8 +400,6 @@ func (b *padBudget) due(now time.Duration, ctrl cc.Controller) int {
 
 // post sends one payload from the host's port to the same port on another
 // host — every packet a client or an SFU emits goes through here.
-//
-//vca:hotpath per-packet hand-off to netem
 func post(h *netem.Host, to string, port, size int, flow string, payload any) {
 	pkt := h.NewPacket()
 	pkt.Size = size

@@ -178,8 +178,6 @@ func (b *jitterBuffer) playoutDelay(rtt time.Duration) time.Duration {
 // (late straggler past concession). The buffer keeps nothing of mp: an
 // in-order arrival's metadata is built once and handed straight on, an
 // out-of-order one's is built into its slot.
-//
-//vca:hotpath per-packet jitter buffer
 func (b *jitterBuffer) onPacket(now time.Duration, mp *MediaPacket, wireBytes int,
 	sentAt, rtt time.Duration, to packetSink) bool {
 
@@ -344,8 +342,6 @@ type inbound struct {
 // onPacket feeds one arrival to the track: through the buffer, which decides
 // what (and when) the receiver sees, or straight to the receiver. False
 // means the buffer dropped it (a straggler past its concession).
-//
-//vca:hotpath per-packet downlink receive path
 func (t *inbound) onPacket(now time.Duration, mp *MediaPacket, wireBytes int, sentAt, rtt time.Duration) bool {
 	if t.jb == nil {
 		t.recv.OnPacket(now, mp.Info(wireBytes, sentAt))
@@ -454,8 +450,6 @@ func newRetransmitter(ringPkts, idCap int, twcc bool) *retransmitter {
 // seq can be answered: the slot retains shared — the ingress packet out
 // was copied from — and records what out rewrote. The slot this one evicts
 // lets go of its packet.
-//
-//vca:hotpath per-emission RTX slot store
 func (r *retransmitter) store(now time.Duration, shared, out *MediaPacket, size int) {
 	if r == nil {
 		return
@@ -486,8 +480,6 @@ func (r *retransmitter) storeOwn(now time.Duration, p *mpPool, out *MediaPacket,
 }
 
 // stamp gives an outgoing packet the downlink's next transport-wide seq.
-//
-//vca:hotpath per-packet TWCC stamp
 func (r *retransmitter) stamp(now time.Duration, mp *MediaPacket, size int) {
 	if r == nil || r.twHist == nil {
 		return

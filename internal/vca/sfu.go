@@ -310,8 +310,6 @@ func (s *Server) stop() {
 // it fans out. Each RTX ring slot a down-track files on the way adds a
 // holder, and the original returns to the pool when the last slot pointing
 // at it is evicted or drained; with none filed it returns on exit.
-//
-//vca:hotpath per-packet SFU ingress
 func (s *Server) onMedia(pkt *netem.Packet) {
 	mp, ok := pkt.Payload.(*MediaPacket)
 	if !ok {
@@ -325,8 +323,6 @@ func (s *Server) onMedia(pkt *netem.Packet) {
 }
 
 // ingest accounts one arrival and fans it out.
-//
-//vca:hotpath per-packet SFU ingress
 func (s *Server) ingest(mp *MediaPacket, size int, sentAt time.Duration) {
 	origin := mp.OriginID
 	if origin < 0 || int(origin) >= len(s.recv) || s.recv[origin] == nil {

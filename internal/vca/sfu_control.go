@@ -79,8 +79,6 @@ func (s *Server) onSignal(pkt *netem.Packet) {
 
 // controlTick runs every 100 ms: refresh rate estimates, report arrivals
 // back to every sender, and update every track's selection state.
-//
-//vca:hotpath 10 Hz per-server control loop
 func (s *Server) controlTick(now time.Duration) {
 	if !s.running {
 		return

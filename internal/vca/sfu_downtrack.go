@@ -50,8 +50,6 @@ type downTrack struct {
 
 // write offers one ingress packet to the subscriber: dropped, or copied,
 // rewritten and sent. mp itself is only read.
-//
-//vca:hotpath per-packet per-track fan-out entry
 func (l *downTrack) write(now time.Duration, mp *MediaPacket, size int) {
 	f := l.fwd[mp.OriginID]
 	if f == nil {
@@ -69,8 +67,6 @@ func (l *downTrack) write(now time.Duration, mp *MediaPacket, size int) {
 
 // emit rewrites sequence/frame numbers and sends the packet to the
 // subscriber, generating FEC overhead where the profile says so.
-//
-//vca:hotpath per-packet egress copy
 func (l *downTrack) emit(now time.Duration, f *forwarder, mp *MediaPacket, size int) {
 	out := l.pool.copyOf(mp)
 	out.Seq = l.nextSeq(f)
@@ -127,7 +123,6 @@ func (l *downTrack) flowFor(mp *MediaPacket) string {
 	return row[k]
 }
 
-//vca:hotpath per-packet egress to netem
 func (l *downTrack) send(now time.Duration, mp *MediaPacket, size int) {
 	l.rtx.stamp(now, mp, size)
 	l.fwdBytes += uint64(size)

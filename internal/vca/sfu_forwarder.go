@@ -42,8 +42,6 @@ func newForwarder(prof *Profile, running bool) *forwarder {
 // forward reports whether the subscriber gets this packet. Audio always
 // passes; video passes if it belongs to the selected copy / layers and its
 // frame survived thinning — all packets of a frame share its fate.
-//
-//vca:hotpath per-packet per-leg forwarding decision
 func (f *forwarder) forward(mp *MediaPacket) bool {
 	if mp.Audio {
 		return true
@@ -64,8 +62,6 @@ func (f *forwarder) forward(mp *MediaPacket) bool {
 }
 
 // keepFrame decides whether a new frame survives temporal thinning.
-//
-//vca:hotpath per-packet layer filter
 func (f *forwarder) keepFrame(mp *MediaPacket) bool {
 	if mp.Keyframe {
 		f.thinAcc = 0
@@ -82,8 +78,6 @@ func (f *forwarder) keepFrame(mp *MediaPacket) bool {
 // rewrite stamps the forwarded copy of a video packet with the pair's
 // frame numbering, the keyframe mark a stream switch owes, and the
 // frame-end marker of a layer-stripped stream. Audio goes out as it came.
-//
-//vca:hotpath per-packet header rewrite
 func (f *forwarder) rewrite(out, mp *MediaPacket) {
 	if mp.Audio {
 		return

@@ -59,8 +59,6 @@ func (r *receiver) local() bool { return r.via == noID && len(r.rates) > 0 }
 
 // account files one arrival with the loss/delay statistics. The server
 // does not decode, so every packet is opaque payload.
-//
-//vca:hotpath per-packet arrival accounting
 func (r *receiver) account(now time.Duration, mp *MediaPacket, size int, sentAt time.Duration) {
 	if r.arrivals != nil {
 		info := mp.Info(size, sentAt)
@@ -69,7 +67,6 @@ func (r *receiver) account(now time.Duration, mp *MediaPacket, size int, sentAt 
 	}
 }
 
-//vca:hotpath per-packet rate accounting
 func (r *receiver) trackRate(mp *MediaPacket, size int) {
 	if k := mp.rateKey(); k < len(r.rates) {
 		r.rates[k].bytes += size
