@@ -159,7 +159,7 @@ func (cfg *ScaleConfig) runTrial(o *trialObs, cd scaleCond, rep int) scaleTrial 
 // latencyPercentilesMs reads the p50/p95/p99 end-to-end frame latency, in
 // ms, off a call that sampled it; zeros when no frame arrived.
 func latencyPercentilesMs(call *vca.Call) (p50, p95, p99 float64) {
-	if lp := stats.DurationPercentilesMs(call.FrameLatencies(), 50, 95, 99); lp != nil {
+	if lp := call.FrameLatencyPercentilesMs(50, 95, 99); lp != nil {
 		return lp[0], lp[1], lp[2]
 	}
 	return 0, 0, 0

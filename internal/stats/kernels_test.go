@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -128,36 +130,127 @@ func TestSortedPercentiles(t *testing.T) {
 	}
 }
 
-// DurationPercentilesMs must equal, bit for bit, converting every sample to
-// milliseconds and taking SortedPercentiles of the copy — the formulation
-// the scale and dynamic latency columns were produced with.
-func TestDurationPercentilesMsMatchesConvertedCopy(t *testing.T) {
+// shape lays samples out the way vca's region logs hold them: per log,
+// chunks of chunk samples (the last one partial) for what fits 32 bits,
+// everything else in wide.
+func shape(chunk int, logs ...[]time.Duration) (chunks [][]uint32, wide []time.Duration) {
+	for _, log := range logs {
+		var cur []uint32
+		for _, d := range log {
+			if d < 0 || d > math.MaxUint32 {
+				wide = append(wide, d)
+				continue
+			}
+			if len(cur) == chunk {
+				chunks, cur = append(chunks, cur), nil
+			}
+			cur = append(cur, uint32(d))
+		}
+		if len(cur) > 0 {
+			chunks = append(chunks, cur)
+		}
+	}
+	return chunks, wide
+}
+
+// checkChunkedExact holds ChunkedPercentilesMs over the shaped logs to the
+// formulation the latency columns were first produced with — convert every
+// sample to ms, sort the copy, interpolate — bit for bit.
+func checkChunkedExact(t *testing.T, name string, chunk int, ps []float64, logs ...[]time.Duration) {
+	t.Helper()
+	var ms []float64
+	for _, log := range logs {
+		for _, d := range log {
+			ms = append(ms, d.Seconds()*1000)
+		}
+	}
+	want := SortedPercentiles(ms, ps...)
+	chunks, wide := shape(chunk, logs...)
+	got := ChunkedPercentilesMs(chunks, wide, ps...)
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: got %v, want %v", name, got, want)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("%s: n=%d p%v = %v, want %v", name, len(ms), ps[i], got[i], want[i])
+		}
+	}
+}
+
+// everyRank is a quantile grid fine enough to land on, and between, every
+// pair of adjacent ranks of a sample of up to 40, plus the edge quantiles.
+func everyRank() []float64 {
+	ps := []float64{math.NaN(), -5, 0, 50, 95, 99, 100, 105}
+	for p := 0.0; p <= 100; p += 0.625 {
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+func TestChunkedPercentilesMsMatchesConvertedCopy(t *testing.T) {
+	const over = time.Duration(1) << 32 // the first sample that does not fit
+	ps := everyRank()
+	checkChunkedExact(t, "empty", 4, ps)
+	checkChunkedExact(t, "one sample", 4, ps, []time.Duration{17})
+	checkChunkedExact(t, "one wide sample", 4, ps, []time.Duration{-3})
+	checkChunkedExact(t, "all equal", 4, ps, []time.Duration{9, 9, 9, 9, 9, 9, 9, 9, 9})
+	checkChunkedExact(t, "partial last chunk", 4, ps, []time.Duration{5, 1, 4, 2, 3, 0, math.MaxUint32})
+	checkChunkedExact(t, "several logs, partial chunks", 4, ps,
+		[]time.Duration{50, 10, 40, 20, 30}, []time.Duration{25, 15}, nil, []time.Duration{60, 5, 35, 45, 55, 65, 1, 2, 3})
+	// Ranks lo and lo+1 both inside a run of duplicates, and on each edge
+	// of it, with the run split across chunks and logs.
+	checkChunkedExact(t, "duplicates straddling a rank", 3, ps,
+		[]time.Duration{7, 1, 7, 7, 2}, []time.Duration{7, 9, 7, 8, 7})
+	// Four negatives, eight that fit, four past 2³² ns: the grid puts a
+	// rank inside each group and on both boundaries between them.
+	checkChunkedExact(t, "wide on both sides", 3, ps,
+		[]time.Duration{-1, 300, over + 2, 100, -40, 500, over}, []time.Duration{200, 5 * time.Second, -2, 400, 0, math.MaxUint32, -1, 600, over + 2})
+	checkChunkedExact(t, "only wide", 3, ps, []time.Duration{over, -1, over + 7, -9})
+
+	// The sizes a 48-party trial has: several logs of many full 8192-sample
+	// chunks and a partial one, sub-microsecond to multi-second values with
+	// duplicates, a few samples on either side of the 32-bit range.
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 3, 10, 1000, 4097} {
-		ds := make([]time.Duration, n)
-		ms := make([]float64, n)
-		for i := range ds {
-			// Sub-microsecond to multi-second, with duplicates.
-			ds[i] = time.Duration(rng.Int63n(3e9)) / time.Duration(1+rng.Intn(1000)) * time.Duration(1+rng.Intn(1000))
-			ms[i] = ds[i].Seconds() * 1000
-		}
-		ps := []float64{0, 50, 95, 99, 99.9, 100}
-		want := SortedPercentiles(ms, ps...)
-		got := DurationPercentilesMs(ds, ps...)
-		for i := range ps {
-			if got[i] != want[i] {
-				t.Errorf("n=%d p%v = %v, want %v", n, ps[i], got[i], want[i])
+	logs := make([][]time.Duration, 3)
+	for li, n := range []int{3*8192 + 5, 8192, 1000} {
+		for i := 0; i < n; i++ {
+			d := time.Duration(rng.Int63n(3e9)) / time.Duration(1+rng.Intn(1000)) * time.Duration(1+rng.Intn(1000))
+			switch rng.Intn(5000) {
+			case 0:
+				d = -d
+			case 1:
+				d += over
 			}
-		}
-		for i := 1; i < n; i++ {
-			if ds[i-1] > ds[i] {
-				t.Fatalf("n=%d: durations not sorted in place", n)
-			}
+			logs[li] = append(logs[li], d)
 		}
 	}
-	if DurationPercentilesMs(nil, 50) != nil {
-		t.Error("empty input should return nil")
-	}
+	checkChunkedExact(t, "trial-sized", 8192, []float64{0, 50, 95, 99, 99.9, 99.999, 100}, logs...)
+}
+
+// FuzzChunkedPercentilesMs decodes an arbitrary byte string into region
+// logs — five bytes a sample: a tag picking negative / past-2³² / in-range
+// and whether a new log starts, then the magnitude — and holds the kernel
+// to the converted-copy reference at quantile p and the fixed three. The
+// seed corpus under testdata/fuzz runs as a plain test.
+func FuzzChunkedPercentilesMs(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 0, 7}, uint8(4), 50.0)
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8, p float64) {
+		logs := [][]time.Duration{nil}
+		for ; len(data) >= 5; data = data[5:] {
+			d := time.Duration(binary.BigEndian.Uint32(data[1:5]))
+			switch data[0] % 8 {
+			case 0:
+				d = -d - 1
+			case 1:
+				d += 1 << 32
+			}
+			if data[0]&0x10 != 0 {
+				logs = append(logs, nil)
+			}
+			logs[len(logs)-1] = append(logs[len(logs)-1], d)
+		}
+		checkChunkedExact(t, "fuzz", 1+int(chunk), []float64{p, 50, 95, 99}, logs...)
+	})
 }
 
 func sortedAsc(vs []float64) bool {

@@ -168,9 +168,8 @@ func percentileAt(n int, p float64, at func(i int) float64) float64 {
 }
 
 // SortedPercentiles sorts vs in place once and returns the requested
-// percentiles, so callers needing several quantiles of one sample (the
-// scale sweep's p50/p95/p99 latencies) pay a single sort instead of one
-// copy-and-sort per quantile. Returns nil for empty input.
+// percentiles, so callers needing several quantiles of one sample pay a
+// single sort, not one copy-and-sort each. Returns nil for empty input.
 func SortedPercentiles(vs []float64, ps ...float64) []float64 {
 	if len(vs) == 0 {
 		return nil
@@ -183,21 +182,58 @@ func SortedPercentiles(vs []float64, ps ...float64) []float64 {
 	return out
 }
 
-// DurationPercentilesMs sorts ds in place and returns the requested
-// percentiles in milliseconds. Duration-to-ms conversion is monotone, so
-// the result is bit-identical to converting every sample to ms first and
-// calling SortedPercentiles — without the converted copy. Returns nil for
-// empty input.
-func DurationPercentilesMs(ds []time.Duration, ps ...float64) []float64 {
-	if len(ds) == 0 {
+// ChunkedPercentilesMs returns the requested percentiles, in milliseconds,
+// of nanosecond samples read in place: chunks hold those that fit 32 bits,
+// wide only those that do not (negative, or ≥ 2³² ns). It sorts inside each
+// chunk and wide, copies no sample, and is bit-identical to SortedPercentiles
+// over every sample converted to ms. Returns nil when there are no samples.
+func ChunkedPercentilesMs(chunks [][]uint32, wide []time.Duration, ps ...float64) []float64 {
+	n := len(wide)
+	for _, ch := range chunks {
+		slices.Sort(ch)
+		n += len(ch)
+	}
+	if n == 0 {
 		return nil
 	}
-	slices.Sort(ds)
+	slices.Sort(wide)
+	// Ascending: wide's neg negatives, the chunks' narrow samples, wide's rest.
+	neg, _ := slices.BinarySearch(wide, 0)
+	narrow := n - len(wide)
+	at := func(i int) float64 {
+		if i >= neg && i < neg+narrow {
+			return time.Duration(selectRank(chunks, i-neg)).Seconds() * 1000
+		}
+		if i >= neg {
+			i -= narrow
+		}
+		return wide[i].Seconds() * 1000
+	}
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = percentileAt(len(ds), p, func(j int) float64 { return ds[j].Seconds() * 1000 })
+		out[i] = percentileAt(n, p, at)
 	}
 	return out
+}
+
+// selectRank returns the k-th smallest (0-based) sample across sorted
+// chunks: the least v with more than k samples ≤ v, found by bisecting
+// the 32-bit value domain with one binary search per chunk per step.
+func selectRank(chunks [][]uint32, k int) uint32 {
+	lo, hi := uint32(0), uint32(math.MaxUint32)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		le := 0
+		for _, ch := range chunks {
+			le += sort.Search(len(ch), func(i int) bool { return ch[i] > mid })
+		}
+		if le > k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Mean returns the arithmetic mean (0 for empty input).

@@ -8,11 +8,14 @@
 // SACK-driven hole filling and pipe accounting (RFC 6675 in spirit), RTO
 // with exponential backoff, and CUBIC's W(t) = C(t-K)^3 + Wmax growth — but
 // no handshake or window scaling, which play no role in the paper's results.
+//
+// Segments and acks travel in envelopes from the sending host's pool:
+// netem recycles one at delivery or drop, so a handler keeps none.
 package tcp
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"vcalab/internal/netem"
@@ -82,7 +85,8 @@ const (
 // Flow is a unidirectional bulk TCP transfer from a sender host to a
 // receiver host/port. Create with NewFlow, then Start.
 type Flow struct {
-	Name string
+	Name    string
+	ackName string // Name + "/ack", the reverse direction's accounting label
 
 	eng  *sim.Engine
 	cfg  Config
@@ -136,7 +140,7 @@ type Flow struct {
 func NewFlow(eng *sim.Engine, name string, src, dst *netem.Host, port int, cfg Config) *Flow {
 	cfg.defaults()
 	f := &Flow{
-		Name: name, eng: eng, cfg: cfg, src: src, dst: dst, port: port,
+		Name: name, ackName: name + "/ack", eng: eng, cfg: cfg, src: src, dst: dst, port: port,
 		cwnd: cfg.InitCwnd, ssthresh: math.Inf(1),
 		scoreboard: map[int64]segState{}, rcvBuf: map[int64]bool{},
 	}
@@ -213,14 +217,17 @@ func (f *Flow) nextRexmit() bool {
 }
 
 func (f *Flow) sendSeg(seq int64) {
-	f.src.Send(&netem.Packet{
-		Size:    f.cfg.MSS + f.cfg.WireOverhead,
-		From:    netem.Addr{Host: f.src.Name, Port: f.port},
-		To:      netem.Addr{Host: f.dst.Name, Port: f.port},
-		Flow:    f.Name,
-		Payload: segment{Seq: seq},
-	})
+	f.post(f.src, f.dst, f.cfg.MSS+f.cfg.WireOverhead, f.Name, segment{Seq: seq})
 	f.ensureRTO()
+}
+
+// post sends payload from → to in a pooled envelope (see the package comment).
+func (f *Flow) post(from, to *netem.Host, size int, flow string, payload any) {
+	pkt := from.NewPacket()
+	pkt.Size, pkt.Flow, pkt.Payload = size, flow, payload
+	pkt.From = netem.Addr{Host: from.Name, Port: f.port}
+	pkt.To = netem.Addr{Host: to.Name, Port: f.port}
+	from.Send(pkt)
 }
 
 // ensureRTO arms the retransmission timer if it is not already ticking.
@@ -259,18 +266,12 @@ func (f *Flow) onData(pkt *netem.Packet) {
 		}
 		// Sorted for determinism; lowest seqs are the most useful to the
 		// sender, so the cap keeps those.
-		sort.Slice(a.Sacked, func(i, j int) bool { return a.Sacked[i] < a.Sacked[j] })
+		slices.Sort(a.Sacked)
 		if len(a.Sacked) > maxSackList {
 			a.Sacked = a.Sacked[:maxSackList]
 		}
 	}
-	f.dst.Send(&netem.Packet{
-		Size:    f.cfg.AckSize,
-		From:    netem.Addr{Host: f.dst.Name, Port: f.port},
-		To:      netem.Addr{Host: f.src.Name, Port: f.port},
-		Flow:    f.Name + "/ack",
-		Payload: a,
-	})
+	f.post(f.dst, f.src, f.cfg.AckSize, f.ackName, a)
 }
 
 func (f *Flow) deliver(segs int64) {

@@ -182,3 +182,41 @@ func TestRTTEstimate(t *testing.T) {
 		t.Errorf("SRTT = %v, want ~50ms-250ms (base RTT 50ms + queueing)", f.SRTT())
 	}
 }
+
+// TestFlowEnvelopesReturnToPool: segments and acks travel in envelopes
+// drawn from the sending host's pool, and every terminal point — delivery,
+// a random-loss drop, a drop-tail overflow — hands them back, so once a
+// stopped flow has drained neither host has one outstanding.
+func TestFlowEnvelopesReturnToPool(t *testing.T) {
+	eng := sim.New(9)
+	src := netem.NewHost(eng, "src")
+	dst := netem.NewHost(eng, "dst")
+	rt := netem.NewRouter("rt")
+	data := netem.NewLink(eng, "src-rt", netem.LinkConfig{RateBps: 2e6, Delay: 10 * time.Millisecond, QueueBytes: 6 * 1500, LossProb: 0.01}, rt)
+	acks := netem.NewLink(eng, "dst-rt", netem.LinkConfig{Delay: 10 * time.Millisecond, LossProb: 0.01}, rt)
+	src.SetUplink(data)
+	dst.SetUplink(acks)
+	rt.Route("src", netem.NewLink(eng, "rt-src", netem.LinkConfig{}, src))
+	rt.Route("dst", netem.NewLink(eng, "rt-dst", netem.LinkConfig{}, dst))
+
+	// An arriving packet is still out of its sender's pool while the taps
+	// run; a literal envelope would leave both counts at zero throughout.
+	segsOut, acksOut := 0, 0
+	dst.Tap(func(*netem.Packet) { segsOut = max(segsOut, src.PoolLive()) })
+	src.Tap(func(*netem.Packet) { acksOut = max(acksOut, dst.PoolLive()) })
+
+	f := NewFlow(eng, "iperf", src, dst, 5201, Config{})
+	f.Start(0)
+	eng.RunUntil(20 * time.Second)
+	f.Stop()
+	eng.RunUntil(25 * time.Second)
+	if f.FastRecoveries == 0 || data.DroppedBytes == 0 || acks.DroppedBytes == 0 {
+		t.Fatalf("fast recoveries %d, data bytes dropped %d, ack bytes dropped %d; the test needs all three", f.FastRecoveries, data.DroppedBytes, acks.DroppedBytes)
+	}
+	if segsOut == 0 || acksOut == 0 {
+		t.Errorf("peak envelopes out of the pools mid-flow: %d segments, %d acks; want both pooled", segsOut, acksOut)
+	}
+	if s, d := src.PoolLive(), dst.PoolLive(); s != 0 || d != 0 {
+		t.Errorf("after drain: %d segment and %d ack envelopes outstanding, want 0 and 0", s, d)
+	}
+}

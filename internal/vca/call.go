@@ -2,11 +2,13 @@ package vca
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"vcalab/internal/netem"
 	"vcalab/internal/obs"
 	"vcalab/internal/sim"
+	"vcalab/internal/stats"
 )
 
 // ViewMode is the call's viewing modality (§6).
@@ -220,32 +222,41 @@ func (c *Call) PayloadTransfer(dstRegion int) func(any) any {
 // (negative).
 func (c *Call) ControlMsgsLive(region int) int { return c.pools[region].ctrlLive }
 
-// latencyLog is one region's end-to-end frame-latency samples: origin
-// stamp to receiver arrival of every video frame-end packet delivered to
-// one of the region's clients at or after from. Fixed-size chunks, so
-// growth never copies what is already recorded.
+// latencyLog is one region's end-to-end frame-latency samples in
+// nanoseconds, as SampleFrameLatency defines them, from all the region's
+// clients. Fixed-size chunks, so growth never copies what is already
+// recorded; a sample that does not fit 32 bits (negative, or ≥ 2³² ns ≈
+// 4.29 s) goes to wide instead, so nothing is clamped.
 type latencyLog struct {
 	from   time.Duration
-	chunks [][]time.Duration
+	chunks [][]uint32
+	wide   []time.Duration
 }
 
-const latencyChunk = 8192 // samples per chunk (64 KB)
+const latencyChunk = 8192 // samples per chunk (32 KB)
 
 func (l *latencyLog) add(d time.Duration) {
+	if uint64(d) > math.MaxUint32 {
+		l.wide = append(l.wide, d)
+		return
+	}
 	last := len(l.chunks) - 1
 	if last < 0 || len(l.chunks[last]) == latencyChunk {
-		l.chunks = append(l.chunks, make([]time.Duration, 0, latencyChunk))
+		l.chunks = append(l.chunks, make([]uint32, 0, latencyChunk))
 		last++
 	}
-	l.chunks[last] = append(l.chunks[last], d)
+	l.chunks[last] = append(l.chunks[last], uint32(d))
 }
 
 // SampleFrameLatency subscribes to end-to-end frame latency: from now on
-// every client records the latency of each video frame-end packet that
-// arrives at or after virtual time from. Without a subscription nothing
-// is recorded — the paper's figures never read these samples, only the
-// scale and dynamic experiments do. Call it before Start; subscribing
-// again restarts the logs.
+// every client records arrival time minus the origin's send stamp for each
+// video frame-end packet (not padding, not audio) that arrives at or after
+// virtual time from. The sample is taken on arrival, before the origin's
+// liveness check and the jitter buffer's verdict: with recovery on, a
+// retransmitted or duplicated frame-end counts once per arrival, and one
+// the buffer then drops as late still counts. Without a subscription
+// nothing is recorded — only the scale and dynamic experiments read these
+// samples. Call it before Start; subscribing again restarts the logs.
 func (c *Call) SampleFrameLatency(from time.Duration) {
 	c.lats = make([]*latencyLog, len(c.pools))
 	for i := range c.lats {
@@ -256,27 +267,18 @@ func (c *Call) SampleFrameLatency(from time.Duration) {
 	}
 }
 
-// FrameLatencies returns every sample recorded since SampleFrameLatency,
-// all clients together, in one exactly-sized slice the caller owns (sort
-// it in place for percentiles). Nil without a subscription. Read it once
-// the run has finished.
-func (c *Call) FrameLatencies() []time.Duration {
-	total := 0
+// FrameLatencyPercentilesMs returns the requested percentiles, in ms, of
+// every sample recorded since SampleFrameLatency, all clients together,
+// read off the region logs in place (it sorts inside their chunks). Nil
+// without a sample. Read it once the run has finished.
+func (c *Call) FrameLatencyPercentilesMs(ps ...float64) []float64 {
+	var chunks [][]uint32
+	var wide []time.Duration
 	for _, l := range c.lats {
-		for _, ch := range l.chunks {
-			total += len(ch)
-		}
+		chunks = append(chunks, l.chunks...)
+		wide = append(wide, l.wide...)
 	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]time.Duration, 0, total)
-	for _, l := range c.lats {
-		for _, ch := range l.chunks {
-			out = append(out, ch...)
-		}
-	}
-	return out
+	return stats.ChunkedPercentilesMs(chunks, wide, ps...)
 }
 
 // active returns the clients currently in the call, in join order.

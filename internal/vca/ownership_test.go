@@ -1,6 +1,7 @@
 package vca
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"vcalab/internal/netem"
 	"vcalab/internal/rtp"
 	"vcalab/internal/sim"
+	"vcalab/internal/stats"
 )
 
 // Ownership rule under test: a pooled control message has exactly one
@@ -298,9 +300,27 @@ func TestPayloadTransferRehomesControlMsgs(t *testing.T) {
 	}
 }
 
+// latencySamples reads a call's region logs back in recording order,
+// widened to durations — a test-only gather; read it before
+// FrameLatencyPercentilesMs sorts the chunks.
+func latencySamples(c *Call) []time.Duration {
+	var out []time.Duration
+	for _, l := range c.lats {
+		for _, ch := range l.chunks {
+			for _, ns := range ch {
+				out = append(out, time.Duration(ns))
+			}
+		}
+		out = append(out, l.wide...)
+	}
+	return out
+}
+
 // TestFrameLatencySubscription: a call records frame latency only once
 // subscribed, and then only frames arriving at or after the subscription's
-// start — each sample stored once, in the region's log.
+// start — each sample stored once, in the region's log — and the
+// percentiles it reports are those of the samples converted to ms, sorted
+// and interpolated.
 func TestFrameLatencySubscription(t *testing.T) {
 	run := func(subscribe bool, from time.Duration) *Call {
 		eng := sim.New(9)
@@ -313,16 +333,17 @@ func TestFrameLatencySubscription(t *testing.T) {
 		call.Stop()
 		return call
 	}
-	if call := run(false, 0); call.FrameLatencies() != nil || call.Clients[0].lat != nil {
+	if call := run(false, 0); call.FrameLatencyPercentilesMs(50) != nil || call.Clients[0].lat != nil {
 		t.Error("an unsubscribed call recorded frame latencies")
 	}
-	all := run(true, 0).FrameLatencies()
-	late := run(true, 3*time.Second).FrameLatencies()
+	if call := run(true, time.Hour); call.FrameLatencyPercentilesMs(50) != nil {
+		t.Error("a subscription no frame reached reported percentiles")
+	}
+	full := run(true, 0)
+	all := latencySamples(full)
+	late := latencySamples(run(true, 3*time.Second))
 	if len(late) == 0 || len(late) >= len(all) {
 		t.Fatalf("samples from 3 s: %d, from 0: %d; want 0 < late < all", len(late), len(all))
-	}
-	if len(all) != cap(all) {
-		t.Errorf("gather not exactly sized: len %d cap %d", len(all), cap(all))
 	}
 	// Same seed, same call: the late log is the tail of the full one.
 	for i, d := range late {
@@ -333,10 +354,22 @@ func TestFrameLatencySubscription(t *testing.T) {
 			t.Fatalf("late[%d] = %v, want %v (the full log's tail)", i, d, want)
 		}
 	}
+	ms := make([]float64, len(all))
+	for i, d := range all {
+		ms[i] = d.Seconds() * 1000
+	}
+	ps := []float64{0, 50, 95, 99, 100}
+	want := stats.SortedPercentiles(ms, ps...)
+	for i, got := range full.FrameLatencyPercentilesMs(ps...) {
+		if got != want[i] {
+			t.Errorf("p%v = %v ms, want %v", ps[i], got, want[i])
+		}
+	}
 }
 
 // TestLatencyLogGrowsByChunks: growth appends a chunk and never moves the
-// samples already recorded.
+// samples already recorded; a sample that does not fit 32 bits is kept
+// whole beside the chunks.
 func TestLatencyLogGrowsByChunks(t *testing.T) {
 	var l latencyLog
 	l.add(1)
@@ -351,13 +384,65 @@ func TestLatencyLogGrowsByChunks(t *testing.T) {
 	if &l.chunks[0][0] != first {
 		t.Error("growth moved the first chunk")
 	}
-	got := (&Call{lats: []*latencyLog{&l}}).FrameLatencies()
+	call := &Call{lats: []*latencyLog{&l}}
+	got := latencySamples(call)
 	if len(got) != n {
-		t.Fatalf("gathered %d samples, want %d", len(got), n)
+		t.Fatalf("read back %d samples, want %d", len(got), n)
 	}
 	for i, d := range got {
 		if d != time.Duration(i+1) {
-			t.Fatalf("gathered[%d] = %v", i, d)
+			t.Fatalf("sample[%d] = %v", i, d)
+		}
+	}
+	l.add(math.MaxUint32) // the largest that fits
+	l.add(-time.Millisecond)
+	l.add(5 * time.Second)
+	if len(l.wide) != 2 || len(l.chunks[2]) != 6 {
+		t.Fatalf("wide holds %d, last chunk %d; want 2 and 6", len(l.wide), len(l.chunks[2]))
+	}
+	if pc := call.FrameLatencyPercentilesMs(0, 100); pc[0] != -1 || pc[1] != 5000 {
+		t.Errorf("p0, p100 = %v ms, want -1 and 5000 (unclamped)", pc)
+	}
+}
+
+// TestFrameLatencySampleIsPerArrival pins what a sample is: one per
+// arrival of a video frame-end packet at or after the subscription's
+// start, taken before the jitter buffer rules on it — so a duplicated (or
+// retransmitted) frame-end counts twice, and an arrival before from, a
+// padding, an audio or a mid-frame packet not at all.
+func TestFrameLatencySampleIsPerArrival(t *testing.T) {
+	eng := sim.New(1)
+	call := fivePartyOpt(eng, Zoom(), CallOptions{Seed: 21, Recovery: true})
+	call.SampleFrameLatency(time.Second)
+	cl, pool := call.Clients[0], call.pools[0]
+	cl.running = true // ingest without starting the tickers
+	arrive := func(edit func(*MediaPacket)) {
+		mp := pool.get()
+		mp.Origin, mp.OriginID = "c2", call.Clients[1].id
+		mp.StreamID, mp.RK, mp.FrameEnd = "video", rkVideo, true
+		mp.OriginSentAt = eng.Now() - 30*time.Millisecond
+		edit(mp)
+		cl.onMedia(&netem.Packet{Size: 1200, Payload: mp})
+	}
+	frameEnd := func(*MediaPacket) {}
+	arrive(frameEnd) // now = 0 < from
+	if got := latencySamples(call); len(got) != 0 {
+		t.Fatalf("%d samples before the subscription's start, want none", len(got))
+	}
+	eng.RunUntil(2 * time.Second)
+	arrive(frameEnd)
+	arrive(frameEnd) // same seq again: the jitter buffer drops it, the log has counted it
+	arrive(func(mp *MediaPacket) { mp.RTX = true })
+	arrive(func(mp *MediaPacket) { mp.Padding = true })
+	arrive(func(mp *MediaPacket) { mp.Audio = true })
+	arrive(func(mp *MediaPacket) { mp.FrameEnd = false })
+	got := latencySamples(call)
+	if len(got) != 3 {
+		t.Fatalf("%d samples for an original, a duplicate and a retransmitted frame-end; want 3", len(got))
+	}
+	for _, d := range got {
+		if d != 30*time.Millisecond {
+			t.Errorf("sample = %v, want 30ms (arrival minus origin stamp)", d)
 		}
 	}
 }
