@@ -11,28 +11,33 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"vcalab"
 )
 
-func main() {
+func main() { os.Exit(run(os.Stdout, os.Stderr, os.Args[1:])) }
+
+// run prints the CSV to w and the summary line to errw; it returns the exit code.
+func run(w, errw io.Writer, args []string) int {
+	fs := flag.NewFlagSet("vcacall", flag.ExitOnError)
 	var (
-		vcaName = flag.String("vca", "zoom", "VCA profile: meet|zoom|teams|teams-chrome|zoom-chrome")
-		up      = flag.Float64("up", 0, "uplink shaping in Mbps (0 = unconstrained)")
-		down    = flag.Float64("down", 0, "downlink shaping in Mbps (0 = unconstrained)")
-		dur     = flag.Duration("dur", 150*time.Second, "call duration")
-		n       = flag.Int("n", 2, "number of participants")
-		mode    = flag.String("mode", "gallery", "viewing mode: gallery|speaker")
-		seed    = flag.Int64("seed", 42, "simulation seed")
+		vcaName = fs.String("vca", "zoom", "VCA profile: meet|zoom|teams|teams-chrome|zoom-chrome")
+		up      = fs.Float64("up", 0, "uplink shaping in Mbps (0 = unconstrained)")
+		down    = fs.Float64("down", 0, "downlink shaping in Mbps (0 = unconstrained)")
+		dur     = fs.Duration("dur", 150*time.Second, "call duration")
+		n       = fs.Int("n", 2, "number of participants")
+		mode    = fs.String("mode", "gallery", "viewing mode: gallery|speaker")
+		seed    = fs.Int64("seed", 42, "simulation seed")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	prof, ok := vcalab.Profiles()[*vcaName]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown VCA %q; choose from meet, zoom, teams, teams-chrome, zoom-chrome\n", *vcaName)
-		os.Exit(2)
+		fmt.Fprintf(errw, "unknown VCA %q; choose from meet, zoom, teams, teams-chrome, zoom-chrome\n", *vcaName)
+		return 2
 	}
 	vm := vcalab.Gallery
 	if *mode == "speaker" {
@@ -47,29 +52,31 @@ func main() {
 	}
 	sfu := lab.RemoteHost("sfu", vcalab.SFUDelay)
 	call := vcalab.NewCall(eng, prof, sfu, hosts, vcalab.CallOptions{Mode: vm, Seed: *seed})
+	c1 := call.C1()
+	rec := c1.RecordStats()
 	call.Start()
 	eng.RunUntil(*dur)
 	call.Stop()
 
-	c1 := call.C1()
 	upS, downS := c1.UpMeter.RateMbps(), c1.DownMeter.RateMbps()
-	fmt.Println("t_s,up_mbps,down_mbps,out_fps,out_qp,out_width,fir_total")
+	fmt.Fprintln(w, "t_s,up_mbps,down_mbps,out_fps,out_qp,out_width,fir_total")
 	for i := range upS.Times {
 		var fps, qp float64
 		var width, fir int
-		if i < len(c1.Recorder.Samples) {
-			s := c1.Recorder.Samples[i]
+		if i < len(rec.Samples) {
+			s := rec.Samples[i]
 			fps, qp, width, fir = s.Out.FPS, s.Out.QP, s.Out.Width, s.FIRCount
 		}
 		d := 0.0
 		if i < downS.Len() {
 			d = downS.Values[i]
 		}
-		fmt.Printf("%.0f,%.3f,%.3f,%.1f,%.1f,%d,%d\n",
+		fmt.Fprintf(w, "%.0f,%.3f,%.3f,%.1f,%.1f,%d,%d\n",
 			upS.Times[i].Seconds(), upS.Values[i], d, fps, qp, width, fir)
 	}
-	fmt.Fprintf(os.Stderr, "%s: mean up %.2f Mbps, down %.2f Mbps over final 2/3 of call\n",
+	fmt.Fprintf(errw, "%s: mean up %.2f Mbps, down %.2f Mbps over final 2/3 of call\n",
 		prof.Name,
 		c1.UpMeter.MeanRateMbps(*dur/3, *dur),
 		c1.DownMeter.MeanRateMbps(*dur/3, *dur))
+	return 0
 }

@@ -1,0 +1,46 @@
+package experiment
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"vcalab/internal/race"
+	"vcalab/internal/vca"
+)
+
+// TestTrialAllocBudgets holds what one trial of the two commonest shapes
+// in the paper suite allocates — a static `-quick` cell, whose C1 is the one
+// getStats subscriber, and a competition cell, whose iPerf3 flow draws its
+// segments and acks from a pool — to 1.25× the measured value (both repeat
+// to under 1%). Per-second samples on the unread client put either cell
+// over; a boxed tcp payload per packet costs the second eight times over.
+func TestTrialAllocBudgets(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	cells := []struct {
+		name             string
+		run              func()
+		measured, parent float64 // MB: at this budget's writing, and at its parent commit (every client sampled, tcp payloads boxed)
+	}{
+		{"static meet uplink 1 Mbps 80 s", func() {
+			RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{1}, Reps: 1, Dur: 80 * time.Second, Seed: 1, Parallel: 1})
+		}, 0.123, 0.155},
+		{"zoom vs iperf3 2 Mbps", func() {
+			RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1, Parallel: 1})
+		}, 0.257, 2.097},
+	}
+	for _, c := range cells {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.run()
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+		if budget := 1.25 * c.measured; got > budget {
+			t.Errorf("%s: allocated %.3f MB, budget %.3f (1.25 × %.3f; the parent commit, sampling every client and boxing tcp payloads, allocated %.3f)", c.name, got, budget, c.measured, c.parent)
+		} else {
+			t.Logf("%s: allocated %.3f MB", c.name, got)
+		}
+	}
+}

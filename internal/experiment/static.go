@@ -88,10 +88,11 @@ func (cfg *StaticConfig) runTrial(o *trialObs, capMbps float64, rep int) staticT
 	var bps [2]float64 // by Direction; the other side stays unconstrained
 	bps[cfg.Dir] = max(capMbps, 0) * 1e6
 	t := twoPartyTrial(o, seed, cfg.Profile, bps[Uplink], bps[Downlink], vca.CallOptions{Seed: seed})
+	c1 := t.call.C1()
+	rec := c1.RecordStats() // getStats on the instrumented client (§3.2)
 	t.start()
 	t.finish(cfg.Dur)
 
-	c1 := t.call.C1()
 	shaped := c1.DownMeter
 	if cfg.Dir == Uplink {
 		shaped = c1.UpMeter
@@ -102,8 +103,8 @@ func (cfg *StaticConfig) runTrial(o *trialObs, capMbps float64, rep int) staticT
 		down:   c1.DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
 		freeze: c1.Receiver("c2").FreezeRatio(),
 		fir:    float64(c1.FIRsForMyVideo),
-		out:    c1.Recorder.MedianOut(cfg.Warmup, cfg.Dur),
-		in:     c1.Recorder.MedianIn(cfg.Warmup, cfg.Dur),
+		out:    rec.MedianOut(cfg.Warmup, cfg.Dur),
+		in:     rec.MedianIn(cfg.Warmup, cfg.Dur),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestRTXBufferPutGetEvict(t *testing.T) {
@@ -292,5 +293,9 @@ func TestSentHistory(t *testing.T) {
 	}
 	if at, size, ok := h.Lookup(13); !ok || at != 2000 || size != 300 {
 		t.Fatal("seq 13 should be present")
+	}
+	// 2048 slots per down-track with a controller: the slot stays packed.
+	if got := unsafe.Sizeof(sentSlot{}); got != 16 {
+		t.Errorf("sentSlot is %d bytes, want 16", got)
 	}
 }

@@ -146,8 +146,8 @@ type SentHistory struct {
 type sentSlot struct {
 	seq   uint16
 	valid bool
+	size  int32 // beside seq and valid, so a slot packs to 16 bytes
 	atUs  int64
-	size  int
 }
 
 // NewSentHistory returns a history holding the last capacity sends.
@@ -160,7 +160,7 @@ func NewSentHistory(capacity int) *SentHistory {
 
 // Record notes that seq was sent at atUs with the given wire size.
 func (h *SentHistory) Record(seq uint16, atUs int64, size int) {
-	h.slots[int(seq)%len(h.slots)] = sentSlot{seq: seq, valid: true, atUs: atUs, size: size}
+	h.slots[int(seq)%len(h.slots)] = sentSlot{seq: seq, valid: true, size: int32(size), atUs: atUs}
 }
 
 // Lookup returns the send time and size for seq if still in the ring.
@@ -169,5 +169,5 @@ func (h *SentHistory) Lookup(seq uint16) (atUs int64, size int, ok bool) {
 	if !s.valid || s.seq != seq {
 		return 0, 0, false
 	}
-	return s.atUs, s.size, true
+	return s.atUs, int(s.size), true
 }

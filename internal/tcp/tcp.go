@@ -10,7 +10,9 @@
 // no handshake or window scaling, which play no role in the paper's results.
 //
 // Segments and acks travel in envelopes from the sending host's pool:
-// netem recycles one at delivery or drop, so a handler keeps none.
+// netem recycles one at delivery or drop, so a handler keeps none. The
+// payloads come from free lists on the Flow: the port handler releases the
+// one it is delivered, netem one it drops (netem.PayloadReleaser).
 package tcp
 
 import (
@@ -59,7 +61,10 @@ func (c *Config) defaults() {
 
 type segment struct {
 	Seq int64
+	f   *Flow
 }
+
+func (s *segment) ReleasePayload() { s.f.segs.put(s) }
 
 // ack carries the cumulative ack plus SACK information. Sacked lists
 // out-of-order segments buffered at the receiver (capped; a modeling
@@ -67,7 +72,31 @@ type segment struct {
 type ack struct {
 	CumAck int64
 	Echo   time.Duration // SentAt of the segment that triggered this ack
-	Sacked []int64
+	Sacked []int64       // keeps its array across reuse
+	f      *Flow
+}
+
+func (a *ack) ReleasePayload() { a.f.acks.put(a) }
+
+// freeList recycles one of a Flow's payload types; live are out of it.
+type freeList[T any] struct {
+	free []*T
+	live int
+}
+
+func (l *freeList[T]) get() *T {
+	l.live++
+	if n := len(l.free) - 1; n >= 0 {
+		p := l.free[n]
+		l.free = l.free[:n]
+		return p
+	}
+	return new(T)
+}
+
+func (l *freeList[T]) put(p *T) {
+	l.live--
+	l.free = append(l.free, p)
 }
 
 const maxSackList = 256
@@ -109,6 +138,7 @@ type Flow struct {
 	scoreboard map[int64]segState
 	highSacked int64
 	pipeCnt    int
+	segs       freeList[segment]
 
 	// CUBIC state.
 	wMax       float64
@@ -119,10 +149,12 @@ type Flow struct {
 	rtoBackoff   int
 	rtoTimer     sim.Timer
 	rtoArmed     bool
+	rtoFn        func() // f.onRTO, bound once: a method value per arm allocates
 
 	// Receiver state.
 	rcvNext int64
 	rcvBuf  map[int64]bool
+	acks    freeList[ack]
 
 	// Instrumentation.
 	DeliveredSegs  int64 // in-order segments delivered to the app
@@ -144,6 +176,7 @@ func NewFlow(eng *sim.Engine, name string, src, dst *netem.Host, port int, cfg C
 		cwnd: cfg.InitCwnd, ssthresh: math.Inf(1),
 		scoreboard: map[int64]segState{}, rcvBuf: map[int64]bool{},
 	}
+	f.rtoFn = f.onRTO
 	dst.HandleFunc(port, f.onData)
 	src.HandleFunc(port, f.onAck)
 	return f
@@ -172,9 +205,6 @@ func (f *Flow) Stop() {
 	f.running = false
 	f.rtoTimer.Stop()
 }
-
-// Cwnd exposes the congestion window in packets (for tests).
-func (f *Flow) Cwnd() float64 { return f.cwnd }
 
 // SRTT exposes the smoothed RTT estimate (for tests).
 func (f *Flow) SRTT() time.Duration { return f.srtt }
@@ -217,7 +247,9 @@ func (f *Flow) nextRexmit() bool {
 }
 
 func (f *Flow) sendSeg(seq int64) {
-	f.post(f.src, f.dst, f.cfg.MSS+f.cfg.WireOverhead, f.Name, segment{Seq: seq})
+	s := f.segs.get()
+	s.Seq, s.f = seq, f
+	f.post(f.src, f.dst, f.cfg.MSS+f.cfg.WireOverhead, f.Name, s)
 	f.ensureRTO()
 }
 
@@ -238,12 +270,13 @@ func (f *Flow) ensureRTO() {
 		return
 	}
 	f.rtoArmed = true
-	f.rtoTimer = f.eng.Schedule(f.rto(), f.onRTO)
+	f.rtoTimer = f.eng.Schedule(f.rto(), f.rtoFn)
 }
 
 // onData runs at the receiver.
 func (f *Flow) onData(pkt *netem.Packet) {
-	seg := pkt.Payload.(segment)
+	seg := pkt.Payload.(*segment)
+	defer seg.ReleasePayload()
 	switch {
 	case seg.Seq == f.rcvNext:
 		f.rcvNext++
@@ -259,7 +292,8 @@ func (f *Flow) onData(pkt *netem.Packet) {
 	default:
 		// Duplicate of already-delivered data; ack anyway.
 	}
-	a := ack{CumAck: f.rcvNext, Echo: pkt.SentAt}
+	a := f.acks.get()
+	a.CumAck, a.Echo, a.Sacked, a.f = f.rcvNext, pkt.SentAt, a.Sacked[:0], f
 	if len(f.rcvBuf) > 0 {
 		for s := range f.rcvBuf {
 			a.Sacked = append(a.Sacked, s)
@@ -289,7 +323,8 @@ func (f *Flow) deliver(segs int64) {
 
 // onAck runs at the sender.
 func (f *Flow) onAck(pkt *netem.Packet) {
-	a := pkt.Payload.(ack)
+	a := pkt.Payload.(*ack)
+	defer a.ReleasePayload()
 	f.updateRTT(f.eng.Now() - a.Echo)
 
 	for _, s := range a.Sacked {

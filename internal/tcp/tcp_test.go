@@ -1,10 +1,12 @@
 package tcp
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"vcalab/internal/netem"
+	"vcalab/internal/race"
 	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 )
@@ -183,29 +185,40 @@ func TestRTTEstimate(t *testing.T) {
 	}
 }
 
-// TestFlowEnvelopesReturnToPool: segments and acks travel in envelopes
-// drawn from the sending host's pool, and every terminal point — delivery,
-// a random-loss drop, a drop-tail overflow — hands them back, so once a
-// stopped flow has drained neither host has one outstanding.
-func TestFlowEnvelopesReturnToPool(t *testing.T) {
-	eng := sim.New(9)
-	src := netem.NewHost(eng, "src")
-	dst := netem.NewHost(eng, "dst")
+// lossyPair is pair with a 2 Mbps, 6-packet drop-tail bottleneck and random
+// loss on both the data and the ack path: every way a packet can end.
+func lossyPair(eng *sim.Engine, loss float64) (src, dst *netem.Host, data, acks *netem.Link) {
+	src = netem.NewHost(eng, "src")
+	dst = netem.NewHost(eng, "dst")
 	rt := netem.NewRouter("rt")
-	data := netem.NewLink(eng, "src-rt", netem.LinkConfig{RateBps: 2e6, Delay: 10 * time.Millisecond, QueueBytes: 6 * 1500, LossProb: 0.01}, rt)
-	acks := netem.NewLink(eng, "dst-rt", netem.LinkConfig{Delay: 10 * time.Millisecond, LossProb: 0.01}, rt)
+	data = netem.NewLink(eng, "src-rt", netem.LinkConfig{RateBps: 2e6, Delay: 10 * time.Millisecond, QueueBytes: 6 * 1500, LossProb: loss}, rt)
+	acks = netem.NewLink(eng, "dst-rt", netem.LinkConfig{Delay: 10 * time.Millisecond, LossProb: loss}, rt)
 	src.SetUplink(data)
 	dst.SetUplink(acks)
 	rt.Route("src", netem.NewLink(eng, "rt-src", netem.LinkConfig{}, src))
 	rt.Route("dst", netem.NewLink(eng, "rt-dst", netem.LinkConfig{}, dst))
+	return src, dst, data, acks
+}
+
+// TestFlowEnvelopesReturnToPool: segments and acks are pooled payloads in
+// envelopes drawn from the sending host's pool, and every terminal point —
+// delivery, a random-loss drop, a drop-tail overflow — hands both back, so
+// once a stopped flow has drained neither host has an envelope outstanding
+// and the flow has no payload out, none of them returned twice.
+func TestFlowEnvelopesReturnToPool(t *testing.T) {
+	eng := sim.New(9)
+	src, dst, data, acks := lossyPair(eng, 0.01)
+	f := NewFlow(eng, "iperf", src, dst, 5201, Config{})
 
 	// An arriving packet is still out of its sender's pool while the taps
 	// run; a literal envelope would leave both counts at zero throughout.
-	segsOut, acksOut := 0, 0
-	dst.Tap(func(*netem.Packet) { segsOut = max(segsOut, src.PoolLive()) })
+	segsOut, acksOut, payloadsOut := 0, 0, 0
+	dst.Tap(func(*netem.Packet) {
+		segsOut = max(segsOut, src.PoolLive())
+		payloadsOut = max(payloadsOut, f.segs.live+f.acks.live)
+	})
 	src.Tap(func(*netem.Packet) { acksOut = max(acksOut, dst.PoolLive()) })
 
-	f := NewFlow(eng, "iperf", src, dst, 5201, Config{})
 	f.Start(0)
 	eng.RunUntil(20 * time.Second)
 	f.Stop()
@@ -213,10 +226,52 @@ func TestFlowEnvelopesReturnToPool(t *testing.T) {
 	if f.FastRecoveries == 0 || data.DroppedBytes == 0 || acks.DroppedBytes == 0 {
 		t.Fatalf("fast recoveries %d, data bytes dropped %d, ack bytes dropped %d; the test needs all three", f.FastRecoveries, data.DroppedBytes, acks.DroppedBytes)
 	}
-	if segsOut == 0 || acksOut == 0 {
-		t.Errorf("peak envelopes out of the pools mid-flow: %d segments, %d acks; want both pooled", segsOut, acksOut)
+	if segsOut == 0 || acksOut == 0 || payloadsOut == 0 {
+		t.Errorf("peak out of the pools mid-flow: %d segment envelopes, %d ack envelopes, %d payloads; want all pooled", segsOut, acksOut, payloadsOut)
 	}
 	if s, d := src.PoolLive(), dst.PoolLive(); s != 0 || d != 0 {
 		t.Errorf("after drain: %d segment and %d ack envelopes outstanding, want 0 and 0", s, d)
+	}
+	if f.segs.live != 0 || f.acks.live != 0 {
+		t.Errorf("after drain: %d segments and %d acks outstanding, want 0 and 0", f.segs.live, f.acks.live)
+	}
+	free := map[any]bool{}
+	for _, s := range f.segs.free {
+		free[s] = true
+	}
+	for _, a := range f.acks.free {
+		free[a] = true
+	}
+	if n := len(f.segs.free) + len(f.acks.free); len(free) != n {
+		t.Errorf("free lists hold %d entries but %d distinct payloads: one was released twice", n, len(free))
+	}
+}
+
+// TestFlowSteadyStateAllocs: a warmed-up flow runs allocation-free, with
+// and without loss — payloads and envelopes come from pools, an ack's
+// Sacked reuses its array and the RTO timer's handler is bound once. A
+// per-packet box, slice or closure coming back costs thousands of objects
+// over these ten simulated seconds (~1700 segments and as many acks).
+func TestFlowSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, loss := range []float64{0, 0.01} {
+		eng := sim.New(10)
+		src, dst, _, _ := lossyPair(eng, loss)
+		f := NewFlow(eng, "iperf", src, dst, 5201, Config{})
+		f.Start(0)
+		eng.RunUntil(10 * time.Second)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng.RunUntil(20 * time.Second)
+		runtime.ReadMemStats(&after)
+		f.Stop()
+		const budget = 100 // measured 0 both ways; a boxed value per packet costs 3900-5200
+		if got := after.Mallocs - before.Mallocs; got > budget {
+			t.Errorf("loss %.2f: %d mallocs over 10 steady-state sim-seconds, budget %d", loss, got, budget)
+		} else {
+			t.Logf("loss %.2f: %d mallocs over 10 steady-state sim-seconds", loss, got)
+		}
 	}
 }

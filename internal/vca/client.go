@@ -85,9 +85,9 @@ type Client struct {
 	strayRecv map[string]*media.Receiver
 
 	// --- instrumentation ---
-	UpMeter   *stats.Meter // bytes this client put on the wire
-	DownMeter *stats.Meter // bytes delivered to this client
-	Recorder  *webrtcstats.Recorder
+	UpMeter   *stats.Meter          // bytes this client put on the wire
+	DownMeter *stats.Meter          // bytes delivered to this client
+	rec       *webrtcstats.Recorder // set by RecordStats; nil samples nothing
 	// FIRsForMyVideo counts FIR messages received for this client's
 	// outbound video (the paper's Fig 3b metric).
 	FIRsForMyVideo int
@@ -138,7 +138,6 @@ func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, re
 		flowSignal: prof.Name + "/" + name + "/signal",
 		UpMeter:    stats.NewMeter(time.Second),
 		DownMeter:  stats.NewMeter(time.Second),
-		Recorder:   webrtcstats.NewRecorder(),
 	}
 	src := codec.NewSource(c.rng)
 	keyInt := prof.KeyInterval
@@ -261,8 +260,10 @@ func (c *Client) start(nominalVideoBps float64) {
 	c.tickers = append(c.tickers, c.eng.EveryHandler(20*time.Millisecond, sim.HandlerFunc(c.padTick)))
 	// Receiver feedback at 100 ms.
 	c.tickers = append(c.tickers, c.eng.EveryHandler(100*time.Millisecond, sim.HandlerFunc(c.feedbackTick)))
-	// WebRTC-stats sampling at 1 s (§3.2: per-second granularity).
-	c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second, sim.HandlerFunc(c.statsTick)))
+	// WebRTC-stats sampling at 1 s (§3.2), for a client that subscribed.
+	if c.rec != nil {
+		c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second, sim.HandlerFunc(c.statsTick)))
+	}
 	// Loss recovery, armed from what newClient built: the NACK/concession
 	// tick where tracks get jitter buffers, the TWCC report tick where
 	// there is a recorder.
@@ -577,6 +578,16 @@ func (c *Client) feedbackTick(now time.Duration) {
 	post(c.host, c.home.Name, PortFeedback, feedbackWire, c.flowRtcp, c.pool.getFeedback(c.Name, c.id, agg))
 }
 
+// RecordStats subscribes this client to per-second getStats sampling (§3.2's
+// instrumented C1) and returns the recorder; without it nothing is sampled.
+// Call it before Start; it is idempotent and outlives Leave and Rejoin.
+func (c *Client) RecordStats() *webrtcstats.Recorder {
+	if c.rec == nil {
+		c.rec = webrtcstats.NewRecorder()
+	}
+	return c.rec
+}
+
 // statsTick samples the WebRTC-stats emulation (1 Hz, §3.2).
 func (c *Client) statsTick(now time.Duration) {
 	if !c.running {
@@ -602,7 +613,7 @@ func (c *Client) statsTick(now time.Duration) {
 	}
 	s.InFramesTotal = frames
 	s.FreezeTime = freeze
-	c.Recorder.Add(s)
+	c.rec.Add(s)
 }
 
 // Host exposes the client's network host (for instrumentation).

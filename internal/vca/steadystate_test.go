@@ -14,12 +14,13 @@ import (
 // state end to end: once a call has warmed up (pools filled, lanes
 // promoted, receivers created), ten further simulated seconds — ~1200
 // encoder ticks, 400 receiver reports and tens of thousands of packets —
-// may allocate only what is retained as results: the 1 Hz Recorder
-// samples and the 1 s meter bins, growing their slices. A per-frame,
-// per-report or per-packet allocation anywhere on the path costs
-// thousands of objects and fails this.
+// may allocate only the 1 s meter bins, growing their slices, and what the
+// envelope and media pools still add on the way to their high-water mark
+// (nobody here subscribed to getStats). A per-frame, per-report or
+// per-packet allocation anywhere on the path costs thousands of objects
+// and fails this.
 func TestSteadyStateCallMallocs(t *testing.T) {
-	steadyStateMallocs(t, false, 5*time.Second, 400) // measured 60-120 per profile; one leak site is >= 1000
+	steadyStateMallocs(t, false, 5*time.Second, 480) // measured 142-238 per profile; one leak site is >= 1000
 }
 
 // TestSteadyStateRecoveryMallocs holds the recovery-on packet path to the
@@ -30,7 +31,7 @@ func TestSteadyStateCallMallocs(t *testing.T) {
 // retained packet only after 512 emissions, which an audio-only
 // (receiver, origin) pair takes ten seconds to send.
 func TestSteadyStateRecoveryMallocs(t *testing.T) {
-	steadyStateMallocs(t, true, 15*time.Second, 400) // measured 20-180 per profile
+	steadyStateMallocs(t, true, 15*time.Second, 480) // measured 16-178 per profile
 }
 
 func steadyStateMallocs(t *testing.T, recovery bool, warmup time.Duration, budget uint64) {

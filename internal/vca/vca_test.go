@@ -1,11 +1,14 @@
 package vca
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"vcalab/internal/netem"
 	"vcalab/internal/sim"
+	"vcalab/internal/stats"
+	"vcalab/internal/webrtcstats"
 )
 
 // lab is a miniature version of the paper's testbed: clients behind a
@@ -199,10 +202,10 @@ func TestFIRsUnderConstrainedUplink(t *testing.T) {
 func TestWebRTCStatsRecorded(t *testing.T) {
 	eng := sim.New(7)
 	call, _ := twoParty(eng, Meet(), 0, 0)
+	rec := call.C1().RecordStats()
 	call.Start()
 	eng.RunUntil(30 * time.Second)
 	call.Stop()
-	rec := call.C1().Recorder
 	if len(rec.Samples) < 25 {
 		t.Fatalf("recorded %d samples in 30s, want ~30", len(rec.Samples))
 	}
@@ -213,6 +216,57 @@ func TestWebRTCStatsRecorded(t *testing.T) {
 	in := rec.MedianIn(10*time.Second, 30*time.Second)
 	if in.FPS < 20 {
 		t.Errorf("inbound FPS = %v, want ~30", in.FPS)
+	}
+}
+
+// TestStatsRecordedOnlyOnSubscription: getStats sampling is a read-side
+// subscription. Subscribing C2 as well changes nothing either client sends
+// or receives nor what C1 records; an unsubscribed client arms no 1 Hz
+// ticker; and a subscription is one recorder for the life of the client,
+// churn included.
+func TestStatsRecordedOnlyOnSubscription(t *testing.T) {
+	type result struct {
+		c1, c2             *webrtcstats.Recorder
+		c2Tickers, c2AtGap int
+		meters             [4]stats.Series
+	}
+	run := func(subscribeC2 bool) result {
+		eng := sim.New(7)
+		call, _ := twoParty(eng, Meet(), 1e6, 0)
+		c1, c2 := call.Clients[0], call.Clients[1]
+		r := result{c1: c1.RecordStats()}
+		if subscribeC2 {
+			r.c2 = c2.RecordStats()
+			if again := c2.RecordStats(); again != r.c2 {
+				t.Error("a second RecordStats returned a different recorder")
+			}
+		}
+		call.Start()
+		r.c2Tickers = len(c2.tickers)
+		eng.RunUntil(10 * time.Second)
+		call.Leave("c2")
+		if r.c2 != nil {
+			r.c2AtGap = len(r.c2.Samples)
+		}
+		eng.RunUntil(15 * time.Second)
+		call.Rejoin("c2")
+		eng.RunUntil(30 * time.Second)
+		call.Stop()
+		r.meters = [4]stats.Series{c1.UpMeter.RateMbps(), c1.DownMeter.RateMbps(), c2.UpMeter.RateMbps(), c2.DownMeter.RateMbps()}
+		return r
+	}
+	one, both := run(false), run(true)
+	if len(one.c1.Samples) < 25 || !reflect.DeepEqual(one.c1.Samples, both.c1.Samples) {
+		t.Errorf("C1 recorded %d samples alone and %d beside C2, want the same ~30", len(one.c1.Samples), len(both.c1.Samples))
+	}
+	if !reflect.DeepEqual(one.meters, both.meters) {
+		t.Error("subscribing C2 changed a client's up or down meter series: recording must be read-only")
+	}
+	if one.c2Tickers != both.c2Tickers-1 {
+		t.Errorf("C2 armed %d tickers unsubscribed and %d subscribed, want one fewer", one.c2Tickers, both.c2Tickers)
+	}
+	if n := len(both.c2.Samples); both.c2AtGap < 9 || n < both.c2AtGap+14 {
+		t.Errorf("C2 recorded %d samples before leaving and %d in all, want ~10 and ~25: the subscription must outlive Leave/Rejoin", both.c2AtGap, n)
 	}
 }
 

@@ -4,8 +4,8 @@
 // state of the inbound stream, cumulative freeze time and FIR counts.
 //
 // The paper notes Zoom-Chrome exposes no video stats (DataChannels); vcalab
-// records samples for every client and the experiment layer decides which
-// to report, mirroring the paper's Meet / Teams-Chrome restriction.
+// records samples for the client that subscribed (vca.Client.RecordStats: the
+// paper's C1) and the experiment layer decides which profiles to report.
 package webrtcstats
 
 import (
