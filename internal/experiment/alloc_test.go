@@ -6,15 +6,18 @@ import (
 	"time"
 
 	"vcalab/internal/race"
+	"vcalab/internal/scenario"
 	"vcalab/internal/vca"
 )
 
 // TestTrialAllocBudgets holds what one trial of the two commonest shapes
 // in the paper suite allocates — a static `-quick` cell, whose C1 is the one
 // getStats subscriber, and a competition cell, whose iPerf3 flow draws its
-// segments and acks from a pool — to 1.25× the measured value (both repeat
-// to under 1%). Per-second samples on the unread client put either cell
-// over; a boxed tcp payload per packet costs the second eight times over.
+// segments and acks from a pool — and one recovery-on churn trial, whose
+// rejoins take drained RTX rings from the server's spare list, to 1.25× the
+// measured value (all repeat to under 1%). Per-second samples on the unread
+// client put either paper cell over; a boxed tcp payload per packet costs
+// the second eight times over; a fresh ring per rejoin puts the third over.
 func TestTrialAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -22,14 +25,18 @@ func TestTrialAllocBudgets(t *testing.T) {
 	cells := []struct {
 		name             string
 		run              func()
-		measured, parent float64 // MB: at this budget's writing, and at its parent commit (every client sampled, tcp payloads boxed)
+		measured, parent float64 // MB: at this budget's writing, and at its parent commit
 	}{
 		{"static meet uplink 1 Mbps 80 s", func() {
 			RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{1}, Reps: 1, Dur: 80 * time.Second, Seed: 1, Parallel: 1})
-		}, 0.123, 0.155},
+		}, 0.123, 0.155}, // parent: every client sampled
 		{"zoom vs iperf3 2 Mbps", func() {
 			RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1, Parallel: 1})
-		}, 0.257, 2.097},
+		}, 0.257, 2.097}, // parent: tcp payloads boxed
+		{"zoom churn-storm 8p/2r 10 Mbps recovery on", func() {
+			RunDynamic(DynamicConfig{Profile: vca.Zoom(), Scenario: scenario.ChurnStorm(8), Participants: 8, Regions: 2, InterMbps: 10,
+				Reps: 1, Dur: 80 * time.Second, Warmup: 10 * time.Second, Seed: 1, Parallel: 1, Recovery: true})
+		}, 4.437, 6.332}, // parent: no spare list, 32-byte ring slots
 	}
 	for _, c := range cells {
 		var before, after runtime.MemStats
@@ -38,7 +45,7 @@ func TestTrialAllocBudgets(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 		if budget := 1.25 * c.measured; got > budget {
-			t.Errorf("%s: allocated %.3f MB, budget %.3f (1.25 × %.3f; the parent commit, sampling every client and boxing tcp payloads, allocated %.3f)", c.name, got, budget, c.measured, c.parent)
+			t.Errorf("%s: allocated %.3f MB, budget %.3f (1.25 × %.3f; the parent commit allocated %.3f)", c.name, got, budget, c.measured, c.parent)
 		} else {
 			t.Logf("%s: allocated %.3f MB", c.name, got)
 		}

@@ -12,24 +12,22 @@ import "time"
 // time and payloads.
 
 // RTXRing is a fixed-capacity retransmission buffer indexed by RTP
-// sequence number. Put stores an entry under its seq and returns whatever
-// older entry the slot evicts, so the caller can drop the references it
-// holds; Get answers a NACK if the seq is still buffered. A slot is
-// reused every capacity packets, so the ring holds the most recent
-// `capacity` consecutive seqs of one stream. T is whatever the sender
-// needs to rebuild the packet: the SFU stores a pointer to the shared
-// ingress packet plus the header fields its down-track rewrote.
+// sequence number. A slot holds a payload, the seq it was filed under and
+// whether it is occupied — nothing else. Put stores a payload under its
+// seq and returns whatever older payload the slot evicts, so the caller
+// can drop the references it holds; Get answers a NACK if the seq is
+// still buffered. A slot is reused every capacity packets, so the ring
+// holds the most recent `capacity` consecutive seqs of one stream. T is
+// whatever the sender needs to rebuild the packet: the SFU stores a
+// pointer to the shared ingress packet plus the header fields its
+// down-track rewrote and the wire size. A drained ring is
+// indistinguishable from a new one, so a caller may keep it for reuse.
 type RTXRing[T any] struct {
 	slots []rtxSlot[T]
 }
 
-// RTXBuffer is the ring at its untyped instantiation.
-type RTXBuffer = RTXRing[any]
-
 type rtxSlot[T any] struct {
 	payload T
-	atUs    int64
-	size    int32
 	seq     uint16
 	valid   bool
 }
@@ -42,26 +40,23 @@ func NewRTXRing[T any](capacity int) *RTXRing[T] {
 	return &RTXRing[T]{slots: make([]rtxSlot[T], capacity)}
 }
 
-// NewRTXBuffer returns an untyped ring holding up to capacity packets.
-func NewRTXBuffer(capacity int) *RTXBuffer { return NewRTXRing[any](capacity) }
-
-// Put stores payload under seq, recording its wire size and send time,
-// and returns the entry the slot held before (ok false if it was free).
-// Storing the same seq twice evicts the older entry.
-func (b *RTXRing[T]) Put(seq uint16, payload T, size int, atUs int64) (evicted T, ok bool) {
+// Put stores payload under seq and returns the payload the slot held
+// before (ok false if it was free). Storing the same seq twice evicts the
+// older payload.
+func (b *RTXRing[T]) Put(seq uint16, payload T) (evicted T, ok bool) {
 	s := &b.slots[int(seq)%len(b.slots)]
 	evicted, ok = s.payload, s.valid
-	*s = rtxSlot[T]{payload: payload, atUs: atUs, size: int32(size), seq: seq, valid: true}
+	*s = rtxSlot[T]{payload: payload, seq: seq, valid: true}
 	return evicted, ok
 }
 
 // Get returns the buffered payload for seq, if it has not been evicted.
-func (b *RTXRing[T]) Get(seq uint16) (payload T, size int, atUs int64, ok bool) {
+func (b *RTXRing[T]) Get(seq uint16) (payload T, ok bool) {
 	s := &b.slots[int(seq)%len(b.slots)]
 	if !s.valid || s.seq != seq {
-		return payload, 0, 0, false
+		return payload, false
 	}
-	return s.payload, int(s.size), s.atUs, true
+	return s.payload, true
 }
 
 // Len reports the number of buffered packets.
@@ -75,8 +70,9 @@ func (b *RTXRing[T]) Len() int {
 	return n
 }
 
-// Drain hands every buffered payload to release and empties the ring.
-// Call at teardown so whatever the entries reference is let go.
+// Drain hands every buffered payload to release and zeroes its slot,
+// leaving the ring as NewRTXRing made it. Call at teardown so whatever
+// the entries reference is let go.
 func (b *RTXRing[T]) Drain(release func(payload T)) {
 	for i := range b.slots {
 		if b.slots[i].valid {
@@ -84,6 +80,46 @@ func (b *RTXRing[T]) Drain(release func(payload T)) {
 			b.slots[i] = rtxSlot[T]{}
 		}
 	}
+}
+
+// RTXBuffer is the ring at an untyped payload that also keeps each
+// packet's wire size and send time, for callers that do not carry them
+// in the payload.
+type RTXBuffer RTXRing[bufEntry]
+
+type bufEntry struct {
+	payload any
+	atUs    int64
+	size    int
+}
+
+// NewRTXBuffer returns an untyped ring holding up to capacity packets.
+func NewRTXBuffer(capacity int) *RTXBuffer {
+	return (*RTXBuffer)(NewRTXRing[bufEntry](capacity))
+}
+
+func (b *RTXBuffer) ring() *RTXRing[bufEntry] { return (*RTXRing[bufEntry])(b) }
+
+// Put stores payload under seq with its wire size and send time, and
+// returns the payload the slot held before (ok false if it was free).
+func (b *RTXBuffer) Put(seq uint16, payload any, size int, atUs int64) (evicted any, ok bool) {
+	ev, ok := b.ring().Put(seq, bufEntry{payload: payload, atUs: atUs, size: size})
+	return ev.payload, ok
+}
+
+// Get returns the buffered payload for seq with its size and send time,
+// if it has not been evicted.
+func (b *RTXBuffer) Get(seq uint16) (payload any, size int, atUs int64, ok bool) {
+	e, ok := b.ring().Get(seq)
+	return e.payload, e.size, e.atUs, ok
+}
+
+// Len reports the number of buffered packets.
+func (b *RTXBuffer) Len() int { return b.ring().Len() }
+
+// Drain hands every buffered payload to release and empties the buffer.
+func (b *RTXBuffer) Drain(release func(payload any)) {
+	b.ring().Drain(func(e bufEntry) { release(e.payload) })
 }
 
 // NackQueue is the receiver's loss tracker and retransmission-request

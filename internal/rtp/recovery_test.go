@@ -60,23 +60,38 @@ func TestRTXRingTypedEntries(t *testing.T) {
 	}
 	shared := 7
 	b := NewRTXRing[entry](2)
-	if ev, ok := b.Put(10, entry{&shared, 1, true}, 1240, 5); ok || ev != (entry{}) {
+	if ev, ok := b.Put(10, entry{&shared, 1, true}); ok || ev != (entry{}) {
 		t.Fatalf("Put into a free slot evicted %+v, %v", ev, ok)
 	}
-	b.Put(11, entry{&shared, 2, false}, 140, 6)
-	if ev, ok := b.Put(12, entry{&shared, 3, false}, 1240, 7); !ok || ev.frameSeq != 1 || ev.ref != &shared {
+	b.Put(11, entry{&shared, 2, false})
+	if ev, ok := b.Put(12, entry{&shared, 3, false}); !ok || ev.frameSeq != 1 || ev.ref != &shared {
 		t.Fatalf("Put(12) evicted %+v, %v; want seq 10's entry", ev, ok)
 	}
-	if e, size, at, ok := b.Get(11); !ok || e.frameSeq != 2 || size != 140 || at != 6 {
-		t.Fatalf("Get(11) = %+v,%d,%d,%v", e, size, at, ok)
+	if e, ok := b.Get(11); !ok || e.frameSeq != 2 {
+		t.Fatalf("Get(11) = %+v,%v", e, ok)
 	}
-	if e, _, _, ok := b.Get(10); ok || e != (entry{}) {
+	if e, ok := b.Get(10); ok || e != (entry{}) {
 		t.Fatalf("Get(10) after eviction = %+v, %v", e, ok)
 	}
 	n := 0
 	b.Drain(func(e entry) { n += int(e.frameSeq) })
 	if n != 5 || b.Len() != 0 {
 		t.Fatalf("Drain visited frameSeq sum %d, Len %d; want 5, 0", n, b.Len())
+	}
+}
+
+// TestRTXSlotLayout pins the slot the SFU's ring pays per packet: a
+// 16-byte entry (pointer, int32, uint16, uint8) plus seq and valid pack
+// into 24 bytes.
+func TestRTXSlotLayout(t *testing.T) {
+	type entry struct {
+		ref   *int
+		frame int32
+		size  uint16
+		flags uint8
+	}
+	if got := unsafe.Sizeof(rtxSlot[entry]{}); got != 24 {
+		t.Errorf("rtxSlot at a 16-byte entry is %d bytes, want 24", got)
 	}
 }
 

@@ -383,10 +383,13 @@ func (s sinkAt) OnPacket(_ time.Duration, p media.PacketInfo) { s.to.OnPacket(s.
 // else about recovery.
 type retransmitter struct {
 	ringPkts int
-	// byOrigin is dense by origin ID. A ring is created by the pair's
-	// first emission and drained when the origin is dropped; the counters
+	// byOrigin is dense by origin ID. A ring is taken by the pair's first
+	// emission and drained when the origin is dropped; the counters
 	// outlive it.
 	byOrigin []rtxOrigin
+	// spare is the server's spareRings: churn reuses drained rings, which
+	// are indistinguishable from new ones, rather than allocating.
+	spare *[]*rtp.RTXRing[rtxEntry]
 	// refsLive is the number of ring slots currently holding a packet
 	// (harness invariant: zero after DrainRecovery).
 	refsLive uint64
@@ -416,17 +419,36 @@ type rtxOrigin struct {
 	rtxCount
 }
 
-// rtxEntry is one ring slot: the packet this down-track shares with
-// every other ring its ingress packet fanned out to, plus the header
-// fields this down-track rewrote on the copy it sent. The ring keys the
-// slot by the rewritten Seq and keeps the wire size. The slot is one of
-// pkt's holders (MediaPacket.retain) until it is evicted or drained.
+// rtxEntry is one ring slot's payload: the packet this down-track shares
+// with every other ring its ingress packet fanned out to, plus the wire
+// size and the header fields this down-track rewrote on the copy it sent.
+// The ring keys the slot by the rewritten Seq. The slot is one of pkt's
+// holders (MediaPacket.retain) until it is evicted or drained.
 type rtxEntry struct {
 	pkt *MediaPacket
-	// frameSeq narrows MediaPacket.FrameSeq to keep the slot at 32 bytes;
-	// at 30 fps it wraps after two years of simulated call.
-	frameSeq                int32
-	keyframe, frameEnd, e2e bool
+	// frameSeq narrows MediaPacket.FrameSeq to keep the entry at 16 bytes
+	// (a 24-byte ring slot); at 30 fps it wraps after two years of
+	// simulated call.
+	frameSeq int32
+	size     uint16
+	flags    uint8 // rtxKeyframe | rtxFrameEnd | rtxE2E
+}
+
+// The largest packet a down-track sends must fit rtxEntry.size.
+const _ uint16 = maxPayload + wireOverhead
+
+const (
+	rtxKeyframe uint8 = 1 << iota
+	rtxFrameEnd
+	rtxE2E
+)
+
+// flag returns bit if on, else 0.
+func flag(on bool, bit uint8) uint8 {
+	if on {
+		return bit
+	}
+	return 0
 }
 
 // rebuild returns a fresh pooled copy of the packet exactly as this
@@ -434,12 +456,12 @@ type rtxEntry struct {
 func (e rtxEntry) rebuild(p *mpPool, seq uint16) *MediaPacket {
 	out := p.copyOf(e.pkt)
 	out.Seq, out.FrameSeq = seq, int(e.frameSeq)
-	out.Keyframe, out.FrameEnd, out.E2E = e.keyframe, e.frameEnd, e.e2e
+	out.Keyframe, out.FrameEnd, out.E2E = e.flags&rtxKeyframe != 0, e.flags&rtxFrameEnd != 0, e.flags&rtxE2E != 0
 	return out
 }
 
-func newRetransmitter(ringPkts, idCap int, twcc bool) *retransmitter {
-	r := &retransmitter{ringPkts: ringPkts, byOrigin: make([]rtxOrigin, idCap)}
+func newRetransmitter(ringPkts, idCap int, twcc bool, spare *[]*rtp.RTXRing[rtxEntry]) *retransmitter {
+	r := &retransmitter{ringPkts: ringPkts, byOrigin: make([]rtxOrigin, idCap), spare: spare}
 	if twcc {
 		r.twHist = rtp.NewSentHistory(2048)
 	}
@@ -449,20 +471,26 @@ func newRetransmitter(ringPkts, idCap int, twcc bool) *retransmitter {
 // store files an outgoing packet in its origin's ring so a NACK for its
 // seq can be answered: the slot retains shared — the ingress packet out
 // was copied from — and records what out rewrote. The slot this one evicts
-// lets go of its packet.
-func (r *retransmitter) store(now time.Duration, shared, out *MediaPacket, size int) {
+// lets go of its packet. An origin's first packet takes a spare ring if
+// the server has one.
+func (r *retransmitter) store(shared, out *MediaPacket, size int) {
 	if r == nil {
 		return
 	}
 	o := &r.byOrigin[out.OriginID]
 	if o.ring == nil {
-		o.ring = rtp.NewRTXRing[rtxEntry](r.ringPkts)
+		if n := len(*r.spare); n > 0 {
+			o.ring, *r.spare = (*r.spare)[n-1], (*r.spare)[:n-1]
+		} else {
+			o.ring = rtp.NewRTXRing[rtxEntry](r.ringPkts)
+		}
 	}
 	ev, ok := o.ring.Put(out.Seq, rtxEntry{
 		pkt:      shared.retain(),
 		frameSeq: int32(out.FrameSeq),
-		keyframe: out.Keyframe, frameEnd: out.FrameEnd, e2e: out.E2E,
-	}, size, int64(now/time.Microsecond))
+		size:     uint16(size),
+		flags:    flag(out.Keyframe, rtxKeyframe) | flag(out.FrameEnd, rtxFrameEnd) | flag(out.E2E, rtxE2E),
+	})
 	if ok {
 		unref(ev.pkt) // one reference in, one out: refsLive stands
 	} else {
@@ -473,9 +501,9 @@ func (r *retransmitter) store(now time.Duration, shared, out *MediaPacket, size 
 // storeOwn files a server-generated packet (FEC): no ingress packet stands
 // behind it and out itself is consumed by the wire, so the slot holds a
 // copy of its own.
-func (r *retransmitter) storeOwn(now time.Duration, p *mpPool, out *MediaPacket, size int) {
+func (r *retransmitter) storeOwn(p *mpPool, out *MediaPacket, size int) {
 	if r != nil {
-		r.store(now, p.copyOf(out), out, size)
+		r.store(p.copyOf(out), out, size)
 	}
 }
 
@@ -492,9 +520,10 @@ func (r *retransmitter) stamp(now time.Duration, mp *MediaPacket, size int) {
 	r.twHist.Record(r.twSeq, int64(now/time.Microsecond), size)
 }
 
-// drop lets go of every packet one origin's ring holds. Every path that
-// makes a down-track forget an origin must come through here (or drain),
-// or retained packets never return to the pool.
+// drop lets go of every packet one origin's ring holds and files the
+// emptied ring on the server's spare list. Every path that makes a
+// down-track forget an origin must come through here (or drain), or
+// retained packets never return to the pool.
 func (r *retransmitter) drop(origin int32) {
 	if r == nil {
 		return
@@ -507,6 +536,7 @@ func (r *retransmitter) drop(origin int32) {
 		unref(e.pkt)
 		r.refsLive--
 	})
+	*r.spare = append(*r.spare, o.ring)
 	o.ring = nil
 }
 
@@ -551,10 +581,10 @@ func (l *downTrack) answer(now time.Duration, m *NackMsg) (answered int) {
 				seq = p.PacketID + uint16(i)
 			}
 			requested++
-			if e, size, _, ok := o.ring.Get(seq); ok {
+			if e, ok := o.ring.Get(seq); ok {
 				out := e.rebuild(l.pool, seq)
 				out.RTX = true
-				l.send(now, out, size)
+				l.send(now, out, int(e.size))
 				answered++
 			}
 		}

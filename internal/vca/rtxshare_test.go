@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"vcalab/internal/netem"
+	"vcalab/internal/rtp"
 	"vcalab/internal/sim"
 )
 
@@ -171,12 +172,12 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 	// A NACK for an evicted seq is unanswerable; for a held one the answer
 	// is rebuilt from the slot.
 	ring := s.legs[call.Clients[1].id].rtx.byOrigin[call.Clients[0].id].ring
-	if _, _, _, ok := ring.Get(0); ok {
+	if _, ok := ring.Get(0); ok {
 		t.Error("seq 0 still answerable after eviction")
 	}
-	e, size, _, ok := ring.Get(3)
-	if !ok || size != 140 {
-		t.Fatalf("seq 3 not held: ok %v size %d", ok, size)
+	e, ok := ring.Get(3)
+	if !ok || e.size != 140 {
+		t.Fatalf("seq 3 not held: ok %v size %d", ok, e.size)
 	}
 	out := e.rebuild(pool, 3)
 	if out.Seq != 3 || !out.Audio || out.refs != 0 || out == e.pkt {
@@ -199,6 +200,71 @@ func TestMediaPacketSizeClass(t *testing.T) {
 		t.Errorf("MediaPacket is %d bytes, want <= 144", got)
 	}
 	if got := unsafe.Sizeof(rtxEntry{}); got > 16 {
-		t.Errorf("rtxEntry is %d bytes, want <= 16 (a 32-byte ring slot)", got)
+		t.Errorf("rtxEntry is %d bytes, want <= 16 (a 24-byte ring slot)", got)
+	}
+}
+
+// TestRingReuseAcrossChurn: a subscriber that leaves hands its drained
+// rings to the server's spare list, and its rejoin takes them back
+// instead of making new ones. The recycled ring answers only what its new
+// owner filed: a NACK for a seq the departed track filed gets nothing,
+// though the new owner's forwarder restarts the same seq space and has
+// since filed the first seqs of it.
+func TestRingReuseAcrossChurn(t *testing.T) {
+	prof := Teams()
+	prof.Recovery = RecoveryConfig{RTXBufferPkts: 8}
+	eng := sim.New(1)
+	l := newLab(eng, 0, 0)
+	hosts := []*netem.Host{l.clientHost("c1"), l.remoteHost("c2", time.Millisecond), l.remoteHost("c3", time.Millisecond)}
+	call := NewCall(eng, prof, l.remoteHost("sfu", time.Millisecond), hosts, CallOptions{Seed: 1, Recovery: true})
+	s, pool := call.Servers[0], call.pools[0]
+	s.running = true // ingest without starting the tickers
+	c1 := call.Clients[0].id
+	var next uint16
+	ingest := func(n int) {
+		for ; n > 0; n-- {
+			mp := pool.get()
+			mp.Origin, mp.OriginID = "c1", c1
+			mp.StreamID, mp.RK, mp.Audio, mp.Seq = "audio", rkAudio, true, next
+			next++
+			s.onMedia(&netem.Packet{Size: 140, Payload: mp})
+		}
+	}
+	c3Ring := func() *rtp.RTXRing[rtxEntry] { return s.legs[call.Clients[2].id].rtx.byOrigin[c1].ring }
+
+	ingest(6) // down-track seqs 0..5 toward c2 and c3
+	old := c3Ring()
+	if old.Len() != 6 || len(s.spareRings) != 0 {
+		t.Fatalf("before leave: c3's ring holds %d, %d spare; want 6 and 0", old.Len(), len(s.spareRings))
+	}
+	call.Leave("c3")
+	if len(s.spareRings) != 1 || s.spareRings[0] != old || old.Len() != 0 {
+		t.Fatalf("after leave: spare list %v, drained ring holds %d; want c3's emptied ring alone", s.spareRings, old.Len())
+	}
+	call.Rejoin("c3")
+	eng.Run()
+	ingest(2) // the new track's forwarder files seqs 0 and 1
+	if got := c3Ring(); got != old || len(s.spareRings) != 0 {
+		t.Fatalf("rejoined track made a ring (%p, spare %d) instead of reusing %p", got, len(s.spareRings), old)
+	}
+	if old.Len() != 2 {
+		t.Fatalf("recycled ring holds %d, want the new owner's 2", old.Len())
+	}
+	track := s.legs[call.Clients[2].id]
+	if n := track.answer(eng.Now(), &NackMsg{Origin: c1, Pairs: []rtp.NackPair{{PacketID: 2, Bitmask: 0b111}}}); n != 0 {
+		t.Errorf("recycled ring answered %d seqs its departed owner filed", n)
+	}
+	if n := track.answer(eng.Now(), &NackMsg{Origin: c1, Pairs: []rtp.NackPair{{PacketID: 0, Bitmask: 1}}}); n != 2 {
+		t.Errorf("recycled ring answered %d of the 2 seqs its new owner filed", n)
+	}
+
+	s.running = false
+	eng.Run()
+	call.DrainRecovery()
+	if refs, live := call.RTXClonesLive(), call.MediaPacketsLive(0); refs != 0 || live != 0 {
+		t.Errorf("after drain: %d references, %d packets live", refs, live)
+	}
+	if len(s.spareRings) != 2 {
+		t.Errorf("drain filed %d rings as spares, want both", len(s.spareRings))
 	}
 }

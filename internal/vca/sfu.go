@@ -6,6 +6,7 @@ import (
 
 	"vcalab/internal/cc"
 	"vcalab/internal/netem"
+	"vcalab/internal/rtp"
 	"vcalab/internal/sim"
 )
 
@@ -70,6 +71,10 @@ type Server struct {
 	// retired keeps, per origin ID, the recovery counters of down-tracks
 	// that have been torn down, so the sender-side totals survive churn.
 	retired []rtxCount
+	// spareRings holds drained RTX rings for the next (track, origin) pair
+	// that needs one; every retransmitter of this server shares it, so it
+	// stays on the server's engine.
+	spareRings []*rtp.RTXRing[rtxEntry]
 
 	flowRtcpUp, flowRtcpHop, flowRtcpRelay string
 	flowFir, flowAlloc                     string
@@ -128,7 +133,7 @@ func (s *Server) addTrack(id int32, relay bool) {
 	}
 	l.passthrough = s.passthrough || (relay && l.ctrl == nil)
 	if s.rtxRing > 0 && !relay {
-		l.rtx = newRetransmitter(s.rtxRing, len(l.fwd), l.ctrl != nil)
+		l.rtx = newRetransmitter(s.rtxRing, len(l.fwd), l.ctrl != nil, &s.spareRings)
 	}
 	s.legs[id] = l
 	s.rewire()

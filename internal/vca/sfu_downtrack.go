@@ -58,7 +58,7 @@ func (l *downTrack) write(now time.Duration, mp *MediaPacket, size int) {
 	if l.passthrough {
 		out := l.pool.copyOf(mp)
 		out.E2E = true
-		l.rtx.store(now, mp, out, size)
+		l.rtx.store(mp, out, size)
 		l.send(now, out, size)
 	} else if f.forward(mp) {
 		l.emit(now, f, mp, size)
@@ -71,7 +71,7 @@ func (l *downTrack) emit(now time.Duration, f *forwarder, mp *MediaPacket, size 
 	out := l.pool.copyOf(mp)
 	out.Seq = l.nextSeq(f)
 	f.rewrite(out, mp)
-	l.rtx.store(now, mp, out, size)
+	l.rtx.store(mp, out, size)
 	l.send(now, out, size)
 
 	if mp.Audio || l.prof.ServerFECOverhead <= 0 {
@@ -85,7 +85,7 @@ func (l *downTrack) emit(now time.Duration, f *forwarder, mp *MediaPacket, size 
 		fec.Origin, fec.OriginID = mp.Origin, mp.OriginID
 		fec.StreamID, fec.RK = "fec", rkFEC
 		fec.Seq, fec.Padding = l.nextSeq(f), true
-		l.rtx.storeOwn(now, l.pool, fec, n+wireOverhead)
+		l.rtx.storeOwn(l.pool, fec, n+wireOverhead)
 		l.send(now, fec, n+wireOverhead)
 	}
 }
