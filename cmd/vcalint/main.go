@@ -1,11 +1,10 @@
-// Command vcalint runs vcalab's two custom analyzers over the module:
+// Command vcalint runs vcalab's custom analyzer over the module:
 // determinism (no wall clock, global RNG, select, stray goroutine or
 // effectful map iteration in the packages whose output must be
-// byte-identical at any -parallel × -shards) and nilguard (every
-// obs.Tracer producer call sits under a nil-check, so tracing costs
-// nothing when off). Neither has a deterministic dynamic twin; the
-// invariants that do (pool ownership, allocation budgets) are held by
-// tests instead. See DESIGN.md §14.
+// byte-identical at any -parallel × -shards). It has no deterministic
+// dynamic twin; the invariants that do (pool ownership, allocation
+// budgets, tracing that costs nothing when off) are held by tests
+// instead. See DESIGN.md §14.
 //
 //	vcalint            # the whole module, same as ./...
 //	vcalint ./internal/vca ./internal/sim/...
@@ -29,12 +28,10 @@ import (
 
 	"vcalab/internal/analysis"
 	"vcalab/internal/analysis/determinism"
-	"vcalab/internal/analysis/nilguard"
 )
 
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	nilguard.Analyzer,
 }
 
 func main() {

@@ -1,13 +1,12 @@
 // Package analysis is a self-contained miniature of the
 // golang.org/x/tools/go/analysis framework: just enough Analyzer /
-// Pass / Diagnostic surface for vcalab's two custom analyzers
-// (determinism, nilguard) without pulling an external module into the
-// build (the toolchain image is offline). Both are strictly
+// Pass / Diagnostic surface for vcalab's custom analyzer (determinism)
+// without pulling an external module into the build. It is strictly
 // intra-package, so facts and requires-graphs are omitted.
 //
-// Run is the one way they run: packages are type-checked from source
+// Run is the one way it runs: packages are type-checked from source
 // and analyzed in-process, by cmd/vcalint and by its tier-1 test over
-// the real tree. See DESIGN.md §14 for what each analyzer enforces and
+// the real tree. See DESIGN.md §14 for what the analyzer enforces and
 // why it has no cheaper dynamic twin.
 package analysis
 

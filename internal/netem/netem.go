@@ -367,9 +367,7 @@ func (l *Link) Send(pkt *Packet) {
 		if l.queuedSize > l.queueHW {
 			l.queueHW = l.queuedSize
 		}
-		if tr := l.eng.Tracer(); tr != nil {
-			tr.Packet(obs.EvEnqueue, l.eng.Now(), l.name, pkt.Flow, pkt.To.Host, pkt.Size, l.queuedSize, false)
-		}
+		l.eng.Tracer().Packet(obs.EvEnqueue, l.eng.Now(), l.name, pkt.Flow, pkt.To.Host, pkt.Size, l.queuedSize, false)
 		return
 	}
 	l.transmit(pkt)
@@ -428,9 +426,7 @@ func (l *Link) startNext() {
 			l.drop(next, true)
 			continue
 		}
-		if tr := l.eng.Tracer(); tr != nil {
-			tr.Packet(obs.EvDequeue, now, l.name, next.Flow, next.To.Host, next.Size, l.queuedSize, false)
-		}
+		l.eng.Tracer().Packet(obs.EvDequeue, now, l.name, next.Flow, next.To.Host, next.Size, l.queuedSize, false)
 		l.transmit(next)
 		return
 	}
@@ -462,16 +458,14 @@ func (l *Link) OnArgEvent(now time.Duration, arg any) {
 	pkt := arg.(*Packet)
 	l.Delivered++
 	l.DeliveredBytes += uint64(pkt.Size)
-	if tr := l.rx.Tracer(); tr != nil {
-		// The send-side queue belongs to the other shard on a boundary
-		// link; even loading it here would race with the source shard's
-		// enqueue path. Boundary deliveries report depth 0.
-		q := 0
-		if l.handoff == nil {
-			q = l.queuedSize
-		}
-		tr.Packet(obs.EvDeliver, now, l.name, pkt.Flow, pkt.To.Host, pkt.Size, q, false)
+	// The send-side queue belongs to the other shard on a boundary link;
+	// even loading it here would race with the source shard's enqueue
+	// path. Boundary deliveries report depth 0.
+	q := 0
+	if l.handoff == nil {
+		q = l.queuedSize
 	}
+	l.rx.Tracer().Packet(obs.EvDeliver, now, l.name, pkt.Flow, pkt.To.Host, pkt.Size, q, false)
 	l.dst.Deliver(pkt)
 }
 
@@ -521,9 +515,7 @@ func (l *Link) BoundaryPoolLive() int { return l.boundaryPool.Live() }
 func (l *Link) drop(pkt *Packet, aqm bool) {
 	l.Drops++
 	l.DroppedBytes += uint64(pkt.Size)
-	if tr := l.eng.Tracer(); tr != nil {
-		tr.Packet(obs.EvDrop, l.eng.Now(), l.name, pkt.Flow, pkt.To.Host, pkt.Size, l.queuedSize, aqm)
-	}
+	l.eng.Tracer().Packet(obs.EvDrop, l.eng.Now(), l.name, pkt.Flow, pkt.To.Host, pkt.Size, l.queuedSize, aqm)
 	if l.onDrop != nil {
 		l.onDrop(pkt)
 	}

@@ -4,10 +4,12 @@
 // here imports sim, netem or vca — so every layer of the stack can hold
 // a *Tracer without an import cycle.
 //
-// The zero-overhead contract: a nil *Tracer is a valid tracer whose
-// record methods return immediately, and every instrumented call site in
-// a hot path additionally guards with `if tracer != nil` so arguments
-// are never even evaluated when observability is off. Tracing is
+// The zero-overhead contract: a nil *Tracer is a valid tracer and the
+// only off switch. Every producer (Packet, CC, Switch, Scenario,
+// Recovery, Churn) returns on a nil receiver, inlines, and takes strings
+// and ints its caller already holds, so call sites record unguarded and
+// a disabled run pays a field load and a branch. TestProducersInline and
+// TestNilTracer pin both halves. Tracing is
 // read-only with respect to the simulation — recording an event must
 // never mutate engine, link, or client state, and must never draw from
 // a sim RNG — so enabling it cannot change experiment output.

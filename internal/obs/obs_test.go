@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -66,19 +68,49 @@ func TestTracerCountsSurviveOverflow(t *testing.T) {
 }
 
 // TestNilTracer pins the zero-overhead contract's API half: every
-// method on a nil tracer is a safe no-op.
+// method on a nil tracer is a safe no-op, and the six producers, which
+// call sites invoke unguarded, allocate nothing.
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
-	tr.Packet(EvDrop, 0, "up", "f", "h", 1, 2, true)
-	tr.CC(0, "c1", "", "increase", 1e6, 2e6)
-	tr.Switch(0, "c1", "c2", "svc-layer", 2, 1)
-	tr.Scenario(0, "cliff", "shape", "")
-	tr.Churn(0, "c3", "leave", "")
+	record := func() {
+		tr.Packet(EvDrop, 0, "up", "f", "h", 1, 2, true)
+		tr.CC(0, "c1", "", "increase", 1e6, 2e6)
+		tr.Switch(0, "c1", "c2", "svc-layer", 2, 1)
+		tr.Scenario(0, "cliff", "shape", "")
+		tr.Recovery(EvNackAnswer, 0, "c1", "c2", 7)
+		tr.Churn(0, "c3", "leave", "")
+	}
+	if n := testing.AllocsPerRun(100, record); n != 0 {
+		t.Errorf("nil-tracer producers allocate %v times per call set, want 0", n)
+	}
 	if tr.Total() != 0 || tr.Len() != 0 || tr.Dropped() != 0 || tr.Cap() != 0 || tr.Count(EvDrop) != 0 {
 		t.Error("nil tracer must report all zeros")
 	}
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
+	}
+}
+
+// TestProducersInline pins the contract's cost half: every producer
+// inlines, so an unguarded call on a nil tracer compiles to its nil test
+// at the call site. Growing one past the compiler's inlining budget
+// fails here.
+func TestProducersInline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the compiler")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go binary on PATH")
+	}
+	out, err := exec.Command(goBin, "build", "-gcflags=vcalab/internal/obs=-m", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, p := range []string{"Packet", "CC", "Switch", "Scenario", "Recovery", "Churn"} {
+		if !regexp.MustCompile(`(?m)can inline \(\*Tracer\)\.` + p + `$`).Match(out) {
+			t.Errorf("(*Tracer).%s does not inline", p)
+		}
 	}
 }
 

@@ -319,9 +319,7 @@ func (t *Timeline) Applied() int { return t.applied }
 func (t *Timeline) Done() bool { return t.next >= len(t.events) }
 
 func (t *Timeline) apply(ev *Event) {
-	if tr := t.eng.Tracer(); tr != nil {
-		tr.Scenario(t.eng.Now(), ev.Label, opName(ev.Op), ev.Who)
-	}
+	t.eng.Tracer().Scenario(t.eng.Now(), ev.Label, opName(ev.Op), ev.Who)
 	switch ev.Op {
 	case OpLeave:
 		t.call.Leave(ev.Who)

@@ -253,9 +253,11 @@ func (e *Engine) Now() time.Duration { return e.now }
 // runs here, not because someone wired it.
 func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 
-// Tracer returns the engine's tracer, nil when tracing is off. Record
-// through `if tr := x.eng.Tracer(); tr != nil { ... }` so a disabled run
-// never evaluates the arguments.
+// Tracer returns the engine's tracer, nil when tracing is off. Call its
+// producers directly — `x.eng.Tracer().Packet(...)` — since a nil
+// *obs.Tracer is the off switch: every producer inlines its nil check
+// (internal/obs's TestProducersInline pins that) and takes only values
+// already in hand, so a disabled run pays a field load and a branch.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // Rand returns the engine's deterministic random source. All randomness in a

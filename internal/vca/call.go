@@ -477,9 +477,7 @@ func (c *Call) Leave(name string) {
 	if cl == nil || c.left[name] {
 		return
 	}
-	if tr := c.eng.Tracer(); tr != nil {
-		tr.Churn(c.eng.Now(), name, "leave", "")
-	}
+	c.eng.Tracer().Churn(c.eng.Now(), name, "leave", "")
 	c.left[name] = true
 	if c.started {
 		cl.stop()
@@ -512,9 +510,7 @@ func (c *Call) Rejoin(name string) {
 	if cl == nil || !c.left[name] {
 		return
 	}
-	if tr := c.eng.Tracer(); tr != nil {
-		tr.Churn(c.eng.Now(), name, "rejoin", "")
-	}
+	c.eng.Tracer().Churn(c.eng.Now(), name, "rejoin", "")
 	delete(c.left, name)
 	id := c.reg.intern(name, false)
 	c.resetSlot(id)
@@ -548,13 +544,11 @@ func (c *Call) SetMode(mode ViewMode) {
 	if c.mode == mode {
 		return
 	}
-	if tr := c.eng.Tracer(); tr != nil {
-		detail := "gallery"
-		if mode == Speaker {
-			detail = "speaker"
-		}
-		tr.Churn(c.eng.Now(), "", "mode", detail)
+	detail := "gallery"
+	if mode == Speaker {
+		detail = "speaker"
 	}
+	c.eng.Tracer().Churn(c.eng.Now(), "", "mode", detail)
 	c.mode = mode
 	c.applyLayout(mode)
 	c.refreshSelection()

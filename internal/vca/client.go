@@ -427,13 +427,10 @@ func (c *Client) onMedia(pkt *netem.Packet) {
 		c.twcc.Record(mp.TWSeq, int64(now/time.Microsecond))
 	}
 	if c.reg.live(mp.OriginID) {
-		ok := c.track(mp.OriginID).onPacket(now, mp, pkt.Size, sentAt, c.lastRTT)
-		if tr := c.eng.Tracer(); tr != nil {
-			if !ok {
-				tr.Recovery(obs.EvJBLate, now, c.Name, mp.Origin, int(mp.Seq))
-			} else if mp.RTX {
-				tr.Recovery(obs.EvRTXDeliver, now, c.Name, mp.Origin, int(mp.Seq))
-			}
+		if !c.track(mp.OriginID).onPacket(now, mp, pkt.Size, sentAt, c.lastRTT) {
+			c.eng.Tracer().Recovery(obs.EvJBLate, now, c.Name, mp.Origin, int(mp.Seq))
+		} else if mp.RTX {
+			c.eng.Tracer().Recovery(obs.EvRTXDeliver, now, c.Name, mp.Origin, int(mp.Seq))
 		}
 	}
 	releaseMedia(mp)
@@ -448,6 +445,7 @@ func (c *Client) recoveryTick(now time.Duration) {
 		return
 	}
 	backoff := max(c.jbCfg.NackMinBackoff, c.lastRTT)
+	tr := c.eng.Tracer()
 	for _, id := range c.nackOrder {
 		t := &c.recv[id]
 		b := t.jb
@@ -459,20 +457,10 @@ func (c *Client) recoveryTick(now time.Duration) {
 		b.tick(now, backoff, t.recv,
 			func(seq uint16) {
 				seqs = append(seqs, seq)
-				if tr := c.eng.Tracer(); tr != nil {
-					tr.Recovery(obs.EvNackSent, now, c.Name, origin, int(seq))
-				}
+				tr.Recovery(obs.EvNackSent, now, c.Name, origin, int(seq))
 			},
-			func(seq uint16) {
-				if tr := c.eng.Tracer(); tr != nil {
-					tr.Recovery(obs.EvNackGiveUp, now, c.Name, origin, int(seq))
-				}
-			},
-			func(n int) {
-				if tr := c.eng.Tracer(); tr != nil {
-					tr.Recovery(obs.EvJBConcede, now, c.Name, origin, n)
-				}
-			})
+			func(seq uint16) { tr.Recovery(obs.EvNackGiveUp, now, c.Name, origin, int(seq)) },
+			func(n int) { tr.Recovery(obs.EvJBConcede, now, c.Name, origin, n) })
 		b.nackScratch = seqs
 		if len(seqs) > 0 {
 			c.sendNack(id, seqs)

@@ -25,9 +25,7 @@ func (s *Server) onFeedback(pkt *netem.Packet) {
 		case *NackMsg:
 			if l := s.track(m.FromID); l != nil {
 				if n := l.answer(now, m); n > 0 {
-					if tr := s.eng.Tracer(); tr != nil {
-						tr.Recovery(obs.EvNackAnswer, now, l.recvName, s.reg.name(m.Origin), n)
-					}
+					s.eng.Tracer().Recovery(obs.EvNackAnswer, now, l.recvName, s.reg.name(m.Origin), n)
 				}
 			}
 		case *TWCCMsg:
@@ -147,13 +145,11 @@ func (s *Server) updateSelection(l *downTrack) {
 		}
 		if from, to, switched := f.sel(share, s.recv[origin], s.n); switched {
 			s.fwdSwitches++
-			if tr := s.eng.Tracer(); tr != nil {
-				what := "sim-copy"
-				if s.prof.MediaMode == ModeSVC {
-					what = "svc-layer"
-				}
-				tr.Switch(s.eng.Now(), l.recvName, s.reg.name(origin), what, from, to)
+			what := "sim-copy"
+			if s.prof.MediaMode == ModeSVC {
+				what = "svc-layer"
 			}
+			s.eng.Tracer().Switch(s.eng.Now(), l.recvName, s.reg.name(origin), what, from, to)
 		}
 	}
 }
