@@ -1,0 +1,520 @@
+package vcalab_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// vcalint is the determinism lint (DESIGN.md §14), run by
+// `go test -run 'Lint|OneSite' .`. In the packages whose output must
+// replay byte-identically at any -parallel × -shards it flags:
+//
+//   - time.Now / time.Since / time.Until: simulation time is engine time;
+//   - draws from math/rand's global source (rand.Intn, ...): a seeded
+//     *rand.Rand and the constructors of private sources stay legal;
+//   - select statements: case choice is runtime-random;
+//   - go statements outside the shard workers' file;
+//   - range over a map whose body has an observable effect (a call that
+//     is neither a conversion nor a pure builtin, a send, go, defer): Go
+//     randomizes map order, so effects ordered by it diverge between runs.
+//
+// It over-approximates effects (an unknown call might be pure) and cannot
+// see map order laundered through a helper; both directions are safe.
+// //vcalint:ignore determinism <reason> on a finding's line or the line
+// above suppresses it. A directive without a reason, naming another
+// analyzer, or of any other kind (file-ignore included) is a finding.
+
+// deterministic lists the module-relative package trees the lint covers.
+var deterministic = []string{
+	"internal/sim", "internal/vca", "internal/netem", "internal/cascade",
+	"internal/scenario", "internal/experiment", "internal/rtp", "internal/cc",
+}
+
+// blessedGo is the one file where goroutines start: the shard workers,
+// synchronized by the conservative barrier protocol (DESIGN.md §12).
+const blessedGo = "internal/sim/shard.go"
+
+// wantSuppressions is every //vcalint:ignore the tree may carry, per file.
+// All six are the shard workers' busy-time and the group's wall-time
+// meters, which no simulation logic reads. A new suppression is a reviewed
+// edit of this table.
+var wantSuppressions = map[string]int{
+	"internal/sim/shard.go": 6,
+}
+
+// TestLintTree is the gate: the lint over the real module, failing on any
+// finding or on a suppression the table does not list.
+func TestLintTree(t *testing.T) {
+	findings, sups := lint(t, ".", deterministic)
+	for _, f := range findings {
+		t.Error(f)
+	}
+	for file, n := range sups {
+		if n != wantSuppressions[file] {
+			t.Errorf("%d //vcalint:ignore in %s, wantSuppressions lists %d", n, file, wantSuppressions[file])
+		}
+	}
+	for file, n := range wantSuppressions {
+		if sups[file] == 0 {
+			t.Errorf("wantSuppressions lists %d for %s, the tree has none: prune the table", n, file)
+		}
+	}
+}
+
+// TestLintFindings shows each determinism rule can fail: every case yields
+// exactly the one finding it names ("" for none).
+func TestLintFindings(t *testing.T) {
+	lintCases(t, []lintCase{
+		{"map range with a call", "for k := range m {\n\temit(k)\n}", "map iteration order is random"},
+		{"map range with a send", "ch := make(chan string, 1)\nfor k := range m {\n\tch <- k\n}", "channel send"},
+		{"map range, effect-free body", "n := 0\nfor k, v := range m {\n\tn = max(n+int(int64(v)), len(k))\n\tdelete(m, k)\n}\n_ = n", ""},
+		{"slice range with a call", "for _, s := range []string{\"a\"} {\n\temit(s)\n}", ""},
+		{"time.Now", "_ = time.Now()", "time.Now in deterministic package"},
+		{"time.Since", "_ = time.Since(time.Time{})", "time.Since in deterministic package"},
+		{"time.Until", "_ = time.Until(time.Time{})", "time.Until in deterministic package"},
+		{"global rand", "_ = rand.Intn(6)", "rand.Intn draws from the process-global RNG"},
+		{"seeded rand", "_ = rand.New(rand.NewSource(1)).Intn(6)", ""},
+		{"select", "select {}", "select statement in deterministic package"},
+		{"go statement", "go emit(\"x\")", "go statement outside internal/sim/shard.go"},
+	})
+}
+
+// TestLintDirectives: a well-formed ignore silences a finding on its line
+// or the line below, and any other directive is a finding of its own.
+func TestLintDirectives(t *testing.T) {
+	lintCases(t, []lintCase{
+		{"ignore on the line", "_ = time.Now() //vcalint:ignore determinism meter, never reaches output", ""},
+		{"ignore above the line", "//vcalint:ignore determinism meter, never reaches output\n_ = time.Now()", ""},
+		{"ignore two lines above", "//vcalint:ignore determinism too far away\n\n_ = time.Now()", "time.Now in deterministic package"},
+		{"unknown analyzer", "//vcalint:ignore bogus latency experiment\n_ = 1", `names unknown analyzer "bogus"`},
+		{"missing reason", "//vcalint:ignore determinism\n_ = 1", "without a reason"},
+		{"file-ignore", "//vcalint:file-ignore determinism whole file\n_ = 1", "the only directive"},
+	})
+}
+
+// TestLintReportsFindingsAndSuppressions: outside any function too, a
+// wall-clock read is reported at its file and line, and a suppressed one
+// is counted as a suppression instead.
+func TestLintReportsFindingsAndSuppressions(t *testing.T) {
+	dir := scratchModule(t, map[string]string{
+		"internal/netem/a.go": "package netem\n\nimport \"time\"\n\nvar T = time.Now()\n",
+		"internal/netem/b.go": "package netem\n\nimport \"time\"\n\nvar U = time.Now() //vcalint:ignore determinism scratch reason\n",
+	})
+	findings, sups := lint(t, dir, []string{"internal/netem"})
+	if len(findings) != 1 || findings[0].file != "internal/netem/a.go" || findings[0].line != 5 {
+		t.Errorf("findings = %v, want one at internal/netem/a.go:5", findings)
+	}
+	if want := map[string]int{"internal/netem/b.go": 1}; !maps.Equal(sups, want) {
+		t.Errorf("suppressions = %v, want %v", sups, want)
+	}
+}
+
+// TestLintUncoveredPackageSilent: a package outside the covered trees is
+// never flagged, whatever it contains, even when a covered package imports
+// it and the lint type-checks it.
+func TestLintUncoveredPackageSilent(t *testing.T) {
+	dir := scratchModule(t, map[string]string{
+		"internal/apps/free.go": "package apps\n\nimport (\n\t\"math/rand\"\n\t\"time\"\n)\n\n" +
+			"func WallClock() time.Duration { return time.Since(time.Now()) }\n\n" +
+			"func GlobalRand() int { return rand.Intn(6) } //vcalint:bogus\n\n" +
+			"func Spawn(f func()) { go f() }\n",
+		"internal/netem/uses.go": "package netem\n\nimport \"vcalab/internal/apps\"\n\nvar Roll = apps.GlobalRand\n",
+	})
+	findings, sups := lint(t, dir, []string{"internal/netem"})
+	if len(findings) != 0 || len(sups) != 0 {
+		t.Errorf("findings %v, suppressions %v: want none outside the covered trees", findings, sups)
+	}
+}
+
+// lintCase is one function body, put in its own file of a covered package
+// of a scratch module, and the one finding it must yield ("" for none).
+type lintCase struct{ name, body, want string }
+
+// lintCases lints the cases together, with the shard workers' file present
+// as in the real tree, and checks each case's file alone yields its want.
+func lintCases(t *testing.T, cases []lintCase) {
+	t.Helper()
+	file := func(i int) string { return fmt.Sprintf("internal/netem/case%02d.go", i) }
+	files := map[string]string{
+		"internal/netem/shared.go": "package netem\n\nvar m = map[string]int{}\n\nfunc emit(string) {}\n",
+		blessedGo:                  "package sim\n\nfunc spawn(f func()) { go f() }\n",
+	}
+	for i, c := range cases {
+		files[file(i)] = fmt.Sprintf("package netem\n\nimport (\n\t\"math/rand\"\n\t\"time\"\n)\n\n"+
+			"var _ *rand.Rand\nvar _ time.Duration\n\nfunc case%02d() {\n%s\n}\n", i, c.body)
+	}
+	findings, sups := lint(t, scratchModule(t, files), []string{"internal/netem", "internal/sim"})
+	got := map[string][]string{}
+	for _, f := range findings {
+		got[f.file] = append(got[f.file], f.msg)
+	}
+	wantFindings, wantSups := 0, map[string]int{}
+	for i, c := range cases {
+		msgs := got[file(i)]
+		if c.want != "" {
+			wantFindings++
+		}
+		if strings.Contains(c.body, "//vcalint:ignore determinism ") {
+			wantSups[file(i)] = 1
+		}
+		if (c.want == "") != (len(msgs) == 0) || len(msgs) > 1 || len(msgs) == 1 && !strings.Contains(msgs[0], c.want) {
+			t.Errorf("%s: findings %q, want %q", c.name, msgs, c.want)
+		}
+	}
+	if len(findings) != wantFindings {
+		t.Errorf("%d findings, want %d: %v", len(findings), wantFindings, findings)
+	}
+	if !maps.Equal(sups, wantSups) {
+		t.Errorf("suppressions %v, want %v", sups, wantSups)
+	}
+}
+
+// scratchModule writes a module named vcalab holding files (relative path
+// to source) and returns its root.
+func scratchModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	files["go.mod"] = "module vcalab\n"
+	for rel, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// finding is one lint result, positioned relative to the linted module root.
+type finding struct {
+	file string
+	line int
+	msg  string
+}
+
+func (f finding) String() string { return fmt.Sprintf("%s:%d: %s", f.file, f.line, f.msg) }
+
+// lint type-checks from source every package under trees of the module
+// (path vcalab) rooted at root, and returns the findings no directive
+// suppresses and the count of well-formed directives per file.
+func lint(t *testing.T, root string, trees []string) ([]finding, map[string]int) {
+	t.Helper()
+	im := &srcImporter{fset: token.NewFileSet(), root: root, pkgs: map[string]*types.Package{}}
+	var findings []finding
+	sups := map[string]int{}
+	for _, dir := range packageDirs(t, root, trees) {
+		files, err := im.parseDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(root, dir)
+		path := "vcalab/" + filepath.ToSlash(rel)
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+		if _, err := (&types.Config{Importer: im}).Check(path, im.fset, files, info); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		for _, f := range files {
+			rel, _ := filepath.Rel(root, im.fset.File(f.Pos()).Name())
+			file := filepath.ToSlash(rel)
+			ignored := map[int]bool{}
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text, ok := strings.CutPrefix(c.Text, "//vcalint:")
+					if !ok {
+						continue
+					}
+					line := im.fset.Position(c.Pos()).Line
+					if bad := directiveError(text); bad != "" {
+						findings = append(findings, finding{file, line, bad})
+						continue
+					}
+					sups[file]++
+					ignored[line], ignored[line+1] = true, true
+				}
+			}
+			for _, fd := range check(im.fset, info, f, file) {
+				if !ignored[fd.line] {
+					findings = append(findings, fd)
+				}
+			}
+		}
+	}
+	return findings, sups
+}
+
+// packageDirs returns every directory under trees holding non-test Go
+// files, skipping testdata and hidden directories. A missing tree fails.
+func packageDirs(t *testing.T, root string, trees []string) []string {
+	t.Helper()
+	var dirs []string
+	for _, tree := range trees {
+		err := filepath.WalkDir(filepath.Join(root, tree), func(p string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+				return filepath.SkipDir
+			case !d.IsDir() && strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go") &&
+				!slices.Contains(dirs, filepath.Dir(p)):
+				dirs = append(dirs, filepath.Dir(p))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dirs
+}
+
+// directiveError returns why the directive text after "//vcalint:" is not
+// a well-formed suppression, or "".
+func directiveError(text string) string {
+	verb, rest, _ := strings.Cut(text, " ")
+	name, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
+	switch {
+	case verb != "ignore":
+		return "//vcalint:" + verb + ": the only directive is //vcalint:ignore determinism <reason>"
+	case name != "determinism":
+		return fmt.Sprintf("//vcalint:ignore names unknown analyzer %q", name)
+	case strings.TrimSpace(reason) == "":
+		return "//vcalint:ignore without a reason"
+	}
+	return ""
+}
+
+// check returns the determinism findings in f, in source order.
+func check(fset *token.FileSet, info *types.Info, f *ast.File, file string) []finding {
+	var out []finding
+	report := func(n ast.Node, format string, args ...any) {
+		out = append(out, finding{file, fset.Position(n.Pos()).Line, fmt.Sprintf(format, args...)})
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			if tv, ok := info.Types[n.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					if what, at := firstEffect(info, n.Body); what != "" {
+						report(n, "map iteration order is random and this body has observable effects (%s at line %d): iterate a deterministic order list",
+							what, fset.Position(at).Line)
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			if msg := globalState(info, n); msg != "" {
+				report(n, "%s", msg)
+			}
+		case *ast.SelectStmt:
+			report(n, "select statement in deterministic package: case choice is runtime-random")
+		case *ast.GoStmt:
+			if file != blessedGo {
+				report(n, "go statement outside %s: deterministic code is single-threaded per engine", blessedGo)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// globalState describes a reference to the wall clock or to a draw from
+// math/rand's global source, or returns "". Methods, such as a seeded
+// *rand.Rand's Intn, are never flagged.
+func globalState(info *types.Info, sel *ast.SelectorExpr) string {
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Signature().Recv() != nil {
+		return ""
+	}
+	switch name := fn.Name(); fn.Pkg().Path() {
+	case "time":
+		if name == "Now" || name == "Since" || name == "Until" {
+			return "time." + name + " in deterministic package: use the engine clock (Engine.Now)"
+		}
+	case "math/rand", "math/rand/v2":
+		switch name {
+		case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
+		default:
+			return "rand." + name + " draws from the process-global RNG: use a seeded *rand.Rand (e.g. Engine.Rand)"
+		}
+	}
+	return ""
+}
+
+// pureBuiltins never make an iteration order observable.
+var pureBuiltins = map[string]bool{
+	"len": true, "cap": true, "min": true, "max": true, "delete": true,
+	"real": true, "imag": true, "complex": true, "panic": true,
+}
+
+// firstEffect describes the first effectful construct in body and returns
+// its position, or "".
+func firstEffect(info *types.Info, body *ast.BlockStmt) (what string, at token.Pos) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if what != "" {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if info.Types[n.Fun].IsType() {
+				return true // conversion
+			}
+			switch fun := n.Fun.(type) {
+			case *ast.Ident:
+				if b, ok := info.Uses[fun].(*types.Builtin); ok && pureBuiltins[b.Name()] {
+					return true
+				}
+				what = "call to " + fun.Name
+			case *ast.SelectorExpr:
+				what = "call to " + fun.Sel.Name
+			default:
+				what = "call to function value"
+			}
+		case *ast.SendStmt:
+			what = "channel send"
+		case *ast.GoStmt:
+			what = "go statement"
+		case *ast.DeferStmt:
+			what = "defer"
+		default:
+			return true
+		}
+		at = n.Pos()
+		return false
+	})
+	return what, at
+}
+
+// srcImporter type-checks imports from source, exported API only:
+// vcalab/... below the module root, everything else below GOROOT/src. It
+// needs no build cache and no network.
+type srcImporter struct {
+	fset *token.FileSet
+	root string
+	pkgs map[string]*types.Package // nil while being checked
+}
+
+func (im *srcImporter) Import(path string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if pkg, ok := im.pkgs[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %q", path)
+		}
+		return pkg, nil
+	}
+	im.pkgs[path] = nil
+	dir := filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(path))
+	if rel, ok := strings.CutPrefix(path, "vcalab"); ok && (rel == "" || rel[0] == '/') {
+		dir = filepath.Join(im.root, filepath.FromSlash(rel))
+	}
+	files, err := im.parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	// Stdlib internals may use intrinsics the type checker rejects; their
+	// exported API still loads, so errors are dropped.
+	conf := types.Config{Importer: im, IgnoreFuncBodies: true, FakeImportC: true, Error: func(error) {}}
+	pkg, _ := conf.Check(path, im.fset, files, nil)
+	im.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// parseDir parses the build-constraint-selected non-test files of dir.
+func (im *srcImporter) parseDir(dir string) ([]*ast.File, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// oneSite lists the decisions the tree makes in exactly one place, so a
+// second site is the fork coming back: sel is "pkg.Name" or ".Field",
+// counted over the non-test files matching the globs (relative to the
+// module root) — occurrences, or files containing one when perFile is set.
+var oneSite = []struct {
+	why     string
+	globs   []string
+	sel     string
+	perFile bool
+	max     int
+}{
+	{"every runner goes through sweep.go's one runner.Map call (DESIGN.md §5)",
+		[]string{"internal/experiment/*.go"}, "runner.Map", true, 1},
+	{"the client reads MediaMode once, where newClient builds its encoder (DESIGN.md §8)",
+		[]string{"internal/vca/client*.go", "internal/vca/obs.go"}, ".MediaMode", false, 1},
+	{"sharded execution is reached only through cascade.NewTrial (DESIGN.md §12)",
+		[]string{"internal/experiment/*.go", "internal/scenario/*.go", "cmd/*/*.go"}, "sim.NewGroup", false, 0},
+	{"sharded execution is reached only through cascade.NewTrial (DESIGN.md §12)",
+		[]string{"internal/experiment/*.go", "internal/scenario/*.go", "cmd/*/*.go"}, "sim.Group", false, 0},
+	{"a component records into its engine's tracer and holds none of its own (DESIGN.md §11)",
+		[]string{"internal/netem/*.go", "internal/vca/*.go", "internal/scenario/*.go", "internal/cascade/*.go"}, ".tracer", false, 0},
+}
+
+func TestOneSite(t *testing.T) {
+	for _, rule := range oneSite {
+		var sites []string
+		for _, g := range rule.globs {
+			files, err := filepath.Glob(filepath.FromSlash(g))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("%s: glob %q matches no file (%v): the rule checks nothing", rule.why, g, err)
+			}
+			for _, file := range files {
+				if strings.HasSuffix(file, "_test.go") {
+					continue
+				}
+				hits := selectorSites(t, file, rule.sel)
+				if rule.perFile && len(hits) > 1 {
+					hits = hits[:1]
+				}
+				sites = append(sites, hits...)
+			}
+		}
+		if len(sites) > rule.max {
+			t.Errorf("%s: %d sites of %s, want at most %d:\n\t%s",
+				rule.why, len(sites), rule.sel, rule.max, strings.Join(sites, "\n\t"))
+		}
+	}
+}
+
+// selectorSites returns the position of every selector expression in file
+// that reads sel.
+func selectorSites(t *testing.T, file, sel string) []string {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, name, _ := strings.Cut(sel, ".")
+	var sites []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if s, ok := n.(*ast.SelectorExpr); ok && s.Sel.Name == name {
+			if id, _ := s.X.(*ast.Ident); x == "" || (id != nil && id.Name == x) {
+				sites = append(sites, fset.Position(s.Pos()).String())
+			}
+		}
+		return true
+	})
+	return sites
+}
