@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vcalab/internal/netem"
-	"vcalab/internal/quic"
 	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/tcp"
@@ -220,7 +219,7 @@ type YouTube struct {
 	chunkSeconds  float64
 	bufferSeconds float64
 	rateIdx       int
-	flow          *quic.Flow
+	flow          *tcp.Flow
 	ticker        *sim.Ticker
 	running       bool
 	fetchStart    time.Duration
@@ -266,7 +265,13 @@ func (y *YouTube) fetchChunk() {
 	y.fetchStart = y.eng.Now()
 	y.fetching = true
 	y.port++
-	f := quic.NewFlow(y.eng, "youtube", y.server, y.client, y.port, quic.Config{})
+	// YouTube rides QUIC (UDP) with CUBIC-style congestion control whose
+	// TCP-friendliness depends on configuration (Corbel et al.). At the
+	// congestion-dynamics level that is the SACK/CUBIC loop with QUIC's
+	// framing and no handshake amplification: 1350-byte datagrams (the
+	// common QUIC value), ~28 B UDP/IP plus a ~12 B short header (the same
+	// 40 B as TCP/IP), and 35-byte ACK frames.
+	f := tcp.NewFlow(y.eng, "youtube", y.server, y.client, y.port, tcp.Config{MSS: 1350, AckSize: 35})
 	y.flow = f
 	f.OnDeliver(func(at time.Duration, sz int) {
 		y.Meter.AddBytes(at, sz)

@@ -101,6 +101,8 @@ func TestYouTubeStreams(t *testing.T) {
 	l := newLab(eng, 0, 5e6)
 	client := l.clientHost("f1")
 	cdn := l.remoteHost("cdn", 5*time.Millisecond)
+	largest := 0
+	client.Tap(func(p *netem.Packet) { largest = max(largest, p.Size) })
 	yt := NewYouTube(eng, client, cdn, 8000)
 	yt.Start()
 	eng.RunUntil(60 * time.Second)
@@ -108,6 +110,11 @@ func TestYouTubeStreams(t *testing.T) {
 	rate := yt.Meter.MeanRateMbps(10*time.Second, 60*time.Second)
 	if rate < 1.0 {
 		t.Errorf("youtube on 5 Mbps = %.2f Mbps, want >= 1.0", rate)
+	}
+	// QUIC framing: a 1350-byte datagram plus 40 bytes of UDP/IP and short
+	// header.
+	if largest != 1350+40 {
+		t.Errorf("largest delivered datagram = %d bytes on the wire, want 1390", largest)
 	}
 }
 

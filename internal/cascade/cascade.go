@@ -6,9 +6,10 @@
 // relay peers, LiveKit's Room/Forwarder pipeline).
 //
 // The package owns the topology side: a Topology describes regions, the
-// inter-region latency/bandwidth matrix and the client→home-region
-// assignment; Build wires it into a multi-router netem lab; Mesh.NewCall
-// attaches the cascaded protocol machinery (vca.NewCascadedCall) on top.
+// one latency/bandwidth configuration every directed inter-region link
+// shares and the client→home-region assignment; Build wires it into a
+// multi-router netem lab; Mesh.NewCall attaches the cascaded protocol
+// machinery (vca.NewCascadedCall) on top.
 // The §4.2 server behaviours survive intact across the cascade — Meet and
 // Zoom terminate congestion control on every hop, Teams relays RTCP
 // end-to-end — which is what the scale experiment (experiment.RunScale)
@@ -24,14 +25,15 @@ import (
 	"vcalab/internal/vca"
 )
 
-// Default hop parameters, used when a Topology leaves them zero.
+// Hop delays. Every access hop is an unconstrained link; scenarios
+// re-shape one mid-call through AccessUplink/AccessDownlink.
 const (
-	// DefaultAccessDelay is the client↔regional-router one-way delay.
-	DefaultAccessDelay = 2 * time.Millisecond
-	// DefaultSFUDelay is the SFU↔regional-router one-way delay.
-	DefaultSFUDelay = 2 * time.Millisecond
+	// accessDelay is the client↔regional-router one-way delay.
+	accessDelay = 2 * time.Millisecond
+	// sfuDelay is the SFU↔regional-router one-way delay.
+	sfuDelay = 2 * time.Millisecond
 	// DefaultInterDelay is the inter-region one-way delay (a continental
-	// WAN hop).
+	// WAN hop) of a Topology whose Default is the zero LinkConfig.
 	DefaultInterDelay = 40 * time.Millisecond
 )
 
@@ -40,23 +42,14 @@ type Region struct {
 	Name string
 	// Clients are the client host names homed in this region.
 	Clients []string
-	// Access configures each client's hop to the regional router
-	// (per-client links, like per-home access shaping). A zero value
-	// means an unconstrained link with DefaultAccessDelay.
-	Access netem.LinkConfig
-	// SFUDelay is the SFU↔router one-way delay (0 = DefaultSFUDelay).
-	SFUDelay time.Duration
 }
 
-// Topology describes a cascaded relay mesh: regions plus the directed
-// inter-region link matrix.
+// Topology describes a cascaded relay mesh: regions plus the one
+// configuration of every directed inter-region link.
 type Topology struct {
 	Regions []Region
-	// Inter overrides the link configuration for specific directed region
-	// pairs, keyed by [2]int{from, to} region indices.
-	Inter map[[2]int]netem.LinkConfig
-	// Default is the inter-region link used where Inter has no entry. A
-	// zero value means an unconstrained link with DefaultInterDelay.
+	// Default configures every inter-region link. A zero value means an
+	// unconstrained link with DefaultInterDelay.
 	Default netem.LinkConfig
 }
 
@@ -100,13 +93,10 @@ type Mesh struct {
 	accessUp, accessDown map[string]*netem.Link
 }
 
-// interConfig resolves the directed i→j inter-region link configuration,
-// applying the topology default and the DefaultInterDelay fallback.
-func interConfig(topo Topology, i, j int) netem.LinkConfig {
+// interConfig resolves the inter-region link configuration: the topology
+// default, or DefaultInterDelay where that is the zero value.
+func interConfig(topo Topology) netem.LinkConfig {
 	cfg := topo.Default
-	if c, ok := topo.Inter[[2]int{i, j}]; ok {
-		cfg = c
-	}
 	if cfg == (netem.LinkConfig{}) {
 		cfg.Delay = DefaultInterDelay
 	}
@@ -142,12 +132,12 @@ func build(eng *sim.Engine, topo Topology, engOf func(ri int) *sim.Engine) *Mesh
 		m.Routers = append(m.Routers, netem.NewRouter("rt-"+r.Name))
 	}
 	// Inter-region links first, so host routes can reference them.
+	cfg := interConfig(topo)
 	for i := range topo.Regions {
 		for j := range topo.Regions {
 			if i == j {
 				continue
 			}
-			cfg := interConfig(topo, i, j)
 			name := "inter/" + topo.Regions[i].Name + "-" + topo.Regions[j].Name
 			l := netem.NewLink(engOf(i), name, cfg, m.Routers[j])
 			m.inter[i][j] = l
@@ -156,24 +146,16 @@ func build(eng *sim.Engine, topo Topology, engOf func(ri int) *sim.Engine) *Mesh
 	}
 	for ri, r := range topo.Regions {
 		rEng := engOf(ri)
-		sfuDelay := r.SFUDelay
-		if sfuDelay == 0 {
-			sfuDelay = DefaultSFUDelay
-		}
 		sfu := netem.NewHost(rEng, "sfu-"+r.Name)
 		up, down := netem.Attach(rEng, sfu, m.Routers[ri], netem.LinkConfig{Delay: sfuDelay})
 		m.accessUp[sfu.Name], m.accessDown[sfu.Name] = up, down
 		m.SFUs = append(m.SFUs, sfu)
 		m.routeRemote(ri, sfu.Name)
 
-		access := r.Access
-		if access == (netem.LinkConfig{}) {
-			access.Delay = DefaultAccessDelay
-		}
 		var hosts []*netem.Host
 		for _, name := range r.Clients {
 			h := netem.NewHost(rEng, name)
-			up, down := netem.Attach(rEng, h, m.Routers[ri], access)
+			up, down := netem.Attach(rEng, h, m.Routers[ri], netem.LinkConfig{Delay: accessDelay})
 			m.accessUp[name], m.accessDown[name] = up, down
 			hosts = append(hosts, h)
 			m.routeRemote(ri, name)

@@ -35,19 +35,12 @@ func Uniform(n, regions int, inter netem.LinkConfig) Topology {
 // shardCount is how many engine shards a topology can run on: the request
 // capped at the region count (regions are dealt round-robin, region ri on
 // shard ri % n), and 1 whenever conservative windows are impossible —
-// fewer than two shards asked for, or some cross-shard inter link with a
-// zero delay floor.
+// fewer than two shards asked for, or inter links (two or more shards put
+// some of them across shards) with a zero delay floor.
 func shardCount(topo Topology, shards int) int {
 	shards = min(shards, len(topo.Regions))
-	if shards <= 1 {
+	if shards <= 1 || interConfig(topo).Delay <= 0 {
 		return 1
-	}
-	for i := range topo.Regions {
-		for j := range topo.Regions {
-			if i%shards != j%shards && interConfig(topo, i, j).Delay <= 0 {
-				return 1
-			}
-		}
 	}
 	return shards
 }

@@ -146,12 +146,7 @@ func firstDiff(a, b string) string {
 func TestTrialEngineCount(t *testing.T) {
 	single := Topology{Regions: []Region{{Name: "r0", Clients: []string{"c1", "c2"}}}}
 	zero := threeRegionTopo()
-	zero.Default = netem.LinkConfig{RateBps: 20e6} // Delay left zero...
-	zero.Inter = map[[2]int]netem.LinkConfig{
-		// ...but a zero LinkConfig gets DefaultInterDelay, so force one
-		// truly zero-delay directed pair via a rate-only override.
-		{0, 1}: {RateBps: 20e6, QueueBytes: 1500},
-	}
+	zero.Default = netem.LinkConfig{RateBps: 20e6} // rate only: every inter link has zero delay
 	for _, c := range []struct {
 		name        string
 		topo        Topology

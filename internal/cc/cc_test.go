@@ -98,20 +98,6 @@ func TestGCCAdaptiveThresholdRises(t *testing.T) {
 	}
 }
 
-func TestGCCNoAdaptiveThresholdStaysPut(t *testing.T) {
-	cfg := DefaultGCCConfig(videoRange())
-	cfg.AdaptiveThreshold = false
-	g := NewGCC(cfg)
-	start := g.Threshold()
-	for now := time.Duration(0); now < 10*time.Second; now += 100 * time.Millisecond {
-		g.OnFeedback(Feedback{Now: now, Interval: 100 * time.Millisecond,
-			ReceiveRateBps: 500_000, QueueDelay: 150 * time.Millisecond})
-	}
-	if g.Threshold() != start {
-		t.Errorf("threshold moved without AdaptiveThreshold: %v -> %v", start, g.Threshold())
-	}
-}
-
 func TestGCCServerProbesAfterDrop(t *testing.T) {
 	g := NewGCC(ServerGCCConfig(Range{MinBps: 100_000, MaxBps: 2_000_000, StartBps: 900_000}))
 	// Establish a known-good rate near 0.9 Mbps.
@@ -227,8 +213,7 @@ func TestZoomBacksOffOnHeavyLoss(t *testing.T) {
 
 func TestZoomSteadyProbeBursts(t *testing.T) {
 	nominal := 780_000.0
-	cfg := DefaultZoomConfig(Range{MinBps: 100_000, MaxBps: 3_000_000, StartBps: nominal}, nominal)
-	z := NewZoomCC(cfg)
+	z := NewZoomCC(DefaultZoomConfig(Range{MinBps: 100_000, MaxBps: 3_000_000, StartBps: nominal}, nominal))
 	sawBurst := false
 	for now := 100 * time.Millisecond; now <= 3*time.Minute; now += 100 * time.Millisecond {
 		z.OnFeedback(Feedback{Now: now, Interval: 100 * time.Millisecond,

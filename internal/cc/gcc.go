@@ -17,46 +17,41 @@ type GCCConfig struct {
 	// asymmetry we model by disabling the delay detector server-side).
 	DelayBased bool
 
-	// AdaptiveThreshold enables gamma adaptation (Carlucci et al. §IV-B):
-	// the overuse threshold inflates when sustained queueing is observed,
-	// which is what keeps GCC from starving under loss-based TCP.
-	AdaptiveThreshold bool
-
 	// ProbeOnRecovery enables WebRTC-style padding probes when the rate
 	// sits far below the last known-good rate. The Meet SFU uses this to
 	// re-upgrade the simulcast layer within seconds after a downlink
 	// disruption ends (Fig 5b shows sub-10 s recovery).
 	ProbeOnRecovery bool
 
-	// Beta is the multiplicative decrease factor applied to the measured
-	// receive rate on overuse (WebRTC default 0.85).
-	Beta float64
-
-	// IncreasePerSec is the multiplicative increase factor per second in
-	// the increase state (WebRTC's eta=1.08 per response-time).
-	IncreasePerSec float64
-
-	// InitialThreshold is the starting overuse threshold gamma.
-	InitialThreshold time.Duration
-
-	// LossHigh and LossLow bound the loss-based controller: above
-	// LossHigh the rate is cut, below LossLow it grows (RFC 8698-style
-	// 10% / 2%).
-	LossHigh, LossLow float64
+	// LossHigh is the loss fraction above which the loss-based controller
+	// cuts the rate (RFC 8698-style 10%); below gccLossLow it grows.
+	LossHigh float64
 }
+
+// GCC's constants. The overuse threshold gamma always adapts (Carlucci et
+// al. §IV-B): it inflates when sustained queueing is observed, which is
+// what keeps GCC from starving under loss-based TCP.
+const (
+	// gccBeta is the multiplicative decrease factor applied to the
+	// measured receive rate on overuse (WebRTC default 0.85).
+	gccBeta float64 = 0.85
+	// gccIncreasePerSec is the multiplicative increase factor per second
+	// in the increase state (WebRTC's eta=1.08 per response-time).
+	gccIncreasePerSec float64 = 1.08
+	// gccInitialThreshold is the starting overuse threshold gamma.
+	gccInitialThreshold = 35 * time.Millisecond
+	// gccLossLow is the loss fraction below which the loss-based
+	// controller grows the rate (RFC 8698-style 2%).
+	gccLossLow float64 = 0.02
+)
 
 // DefaultGCCConfig returns the client-side (Meet browser) configuration.
 func DefaultGCCConfig(r Range) GCCConfig {
 	return GCCConfig{
-		Range:             r,
-		DelayBased:        true,
-		AdaptiveThreshold: true,
-		ProbeOnRecovery:   false,
-		Beta:              0.85,
-		IncreasePerSec:    1.08,
-		InitialThreshold:  35 * time.Millisecond,
-		LossHigh:          0.10,
-		LossLow:           0.02,
+		Range:           r,
+		DelayBased:      true,
+		ProbeOnRecovery: false,
+		LossHigh:        0.10,
 	}
 }
 
@@ -102,14 +97,11 @@ type GCC struct {
 
 // NewGCC creates a GCC controller.
 func NewGCC(cfg GCCConfig) *GCC {
-	if cfg.Beta == 0 || cfg.IncreasePerSec == 0 {
-		panic("cc: GCCConfig missing parameters; start from DefaultGCCConfig")
-	}
 	g := &GCC{
 		cfg:       cfg,
 		delayRate: cfg.Range.StartBps,
 		lossRate:  cfg.Range.StartBps,
-		gamma:     cfg.InitialThreshold,
+		gamma:     gccInitialThreshold,
 		lastGood:  cfg.Range.StartBps,
 	}
 	if !cfg.DelayBased {
@@ -153,25 +145,23 @@ func (g *GCC) OnFeedback(fb Feedback) {
 	// ---- Delay-based controller -------------------------------------
 	if g.cfg.DelayBased || g.cfg.ProbeOnRecovery {
 		overuse := fb.QueueDelay > g.gamma
-		if g.cfg.AdaptiveThreshold {
-			// Adapt gamma toward |queue delay|: fast when delay is
-			// above the threshold (avoid TCP starvation), slow when
-			// below (regain sensitivity).
-			k := 0.045
-			if fb.QueueDelay < g.gamma {
-				k = 0.0019
-			}
-			g.gamma += time.Duration(k * dt / 0.1 * float64(fb.QueueDelay-g.gamma))
-			// The floor sits above per-packet serialization jitter on
-			// sub-Mbps links (~15-30 ms), which is delay the sender
-			// itself causes and must not read as congestion.
-			const minGamma, maxGamma = 25 * time.Millisecond, 600 * time.Millisecond
-			if g.gamma < minGamma {
-				g.gamma = minGamma
-			}
-			if g.gamma > maxGamma {
-				g.gamma = maxGamma
-			}
+		// Adapt gamma toward |queue delay|: fast when delay is above the
+		// threshold (avoid TCP starvation), slow when below (regain
+		// sensitivity).
+		k := 0.045
+		if fb.QueueDelay < g.gamma {
+			k = 0.0019
+		}
+		g.gamma += time.Duration(k * dt / 0.1 * float64(fb.QueueDelay-g.gamma))
+		// The floor sits above per-packet serialization jitter on sub-Mbps
+		// links (~15-30 ms), which is delay the sender itself causes and
+		// must not read as congestion.
+		const minGamma, maxGamma = 25 * time.Millisecond, 600 * time.Millisecond
+		if g.gamma < minGamma {
+			g.gamma = minGamma
+		}
+		if g.gamma > maxGamma {
+			g.gamma = maxGamma
 		}
 		if g.cfg.DelayBased {
 			switch {
@@ -186,9 +176,9 @@ func (g *GCC) OnFeedback(fb Feedback) {
 			}
 			switch g.state {
 			case stateDecrease:
-				g.delayRate = g.cfg.Beta * fb.ReceiveRateBps
+				g.delayRate = gccBeta * fb.ReceiveRateBps
 			case stateIncrease:
-				grown := g.delayRate * math.Pow(g.cfg.IncreasePerSec, dt)
+				grown := g.delayRate * math.Pow(gccIncreasePerSec, dt)
 				// Growth never runs more than 1.5x ahead of what the
 				// path demonstrably delivers — but a receive-rate dip
 				// must not pull an established estimate down (only the
@@ -248,7 +238,7 @@ func (g *GCC) OnFeedback(fb Feedback) {
 		if cut < g.lossRate {
 			g.lossRate = cut
 		}
-	case fb.LossFraction < g.cfg.LossLow:
+	case fb.LossFraction < gccLossLow:
 		grown := g.lossRate * math.Pow(1.08, dt)
 		if cap := 1.5 * fb.ReceiveRateBps; grown > cap && fb.ReceiveRateBps > 0 {
 			grown = cap
@@ -262,7 +252,7 @@ func (g *GCC) OnFeedback(fb Feedback) {
 
 	// ---- Known-good tracking and recovery probing -------------------
 	target := g.TargetBps()
-	if fb.LossFraction < g.cfg.LossLow && fb.QueueDelay < g.gamma {
+	if fb.LossFraction < gccLossLow && fb.QueueDelay < g.gamma {
 		if target > g.lastGood {
 			g.lastGood = target
 		}
@@ -288,7 +278,7 @@ func (g *GCC) OnFeedback(fb Feedback) {
 		// quiet path. The probe rate is modest (1.6x) so that a failed
 		// probe does not wreck the queue it is measuring.
 		if g.probeRate == 0 && fb.Now >= g.probeUntil && target < 0.8*g.lastGood &&
-			fb.QueueDelay < g.gamma && fb.LossFraction < g.cfg.LossLow &&
+			fb.QueueDelay < g.gamma && fb.LossFraction < gccLossLow &&
 			fb.Now-g.lastProbe > 1500*time.Millisecond+g.probeBackoff {
 			g.probeRate = math.Min(1.6*target, 1.2*g.lastGood)
 			g.probeUntil = fb.Now + time.Second

@@ -19,13 +19,17 @@ type TeamsConfig struct {
 	BackoffFactor float64
 
 	// RampInitBpsPerSec is the additive-increase slope right after a
-	// back-off; the slope doubles every RampDouble until RampMaxBpsPerSec.
+	// back-off; the slope doubles every teamsRampDouble until
+	// RampMaxBpsPerSec.
 	// This produces the slow-then-fast recovery of Fig 4a and, combined
 	// with the high nominal rate, Teams' long TTR (Fig 4b, Fig 5b).
 	RampInitBpsPerSec float64
 	RampMaxBpsPerSec  float64
-	RampDouble        time.Duration
 }
+
+// teamsRampDouble is how long each additive-increase slope lasts before it
+// doubles.
+const teamsRampDouble = 4 * time.Second
 
 // DefaultTeamsConfig returns the calibration for the paper's Teams client.
 func DefaultTeamsConfig(r Range) TeamsConfig {
@@ -36,7 +40,6 @@ func DefaultTeamsConfig(r Range) TeamsConfig {
 		BackoffFactor:     0.8,
 		RampInitBpsPerSec: 12_000,
 		RampMaxBpsPerSec:  220_000,
-		RampDouble:        4 * time.Second,
 	}
 }
 
@@ -90,7 +93,7 @@ func (t *TeamsCC) OnFeedback(fb Feedback) {
 	}
 
 	// Clean interval: additive increase with accelerating slope.
-	if fb.Now-t.lastRampUp >= t.cfg.RampDouble {
+	if fb.Now-t.lastRampUp >= teamsRampDouble {
 		t.slope *= 2
 		if t.slope > t.cfg.RampMaxBpsPerSec {
 			t.slope = t.cfg.RampMaxBpsPerSec

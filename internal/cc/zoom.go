@@ -13,52 +13,45 @@ type ZoomConfig struct {
 	// unconstrained link (Table 2: ~0.78 Mbps upstream for Zoom).
 	NominalBps float64
 
-	// StepBps is the stepwise-increase quantum, and HoldTime how long the
-	// controller dwells on a step before probing the next one — producing
-	// the staircase recovery of Fig 4a.
-	StepBps  float64
-	HoldTime time.Duration
+	// StepBps is the stepwise-increase quantum.
+	StepBps float64
+}
 
-	// ProbeOvershoot is how far above nominal the post-recovery probing
-	// phase climbs before settling back (Fig 4a shows Zoom sending well
-	// above nominal for ~2 minutes after a disruption).
-	ProbeOvershoot float64
+// ZoomCC's constants.
+const (
+	// zoomHoldTime is how long the controller dwells on a StepBps step
+	// before probing the next one — producing the staircase recovery of
+	// Fig 4a.
+	zoomHoldTime = 6 * time.Second
 
-	// LossTolerance and DelayTolerance are the back-off triggers. They
-	// are deliberately huge: Zoom's FEC masks loss, so the controller
+	// zoomProbeOvershoot is how far above nominal the post-recovery
+	// probing phase climbs before settling back (Fig 4a shows Zoom sending
+	// well above nominal for ~2 minutes after a disruption).
+	zoomProbeOvershoot float64 = 1.6
+
+	// zoomLossTolerance and zoomDelayTolerance are the back-off triggers.
+	// They are deliberately huge: Zoom's FEC masks loss, so the controller
 	// keeps pushing where GCC or TeamsCC would retreat — the §5 findings
 	// that Zoom takes >75% of a constrained link follow from these.
-	LossTolerance  float64
-	DelayTolerance time.Duration
+	zoomLossTolerance  float64 = 0.30
+	zoomDelayTolerance         = 500 * time.Millisecond
 
-	// BackoffFactor scales the receive rate on back-off.
-	BackoffFactor float64
+	// zoomBackoffFactor scales the receive rate on back-off.
+	zoomBackoffFactor float64 = 0.93
 
-	// SteadyProbeInterval/Duration/Factor give the periodic in-call probe
-	// bursts ("Anomalous Zoom Bursts", Fig 13): every interval the sender
-	// emits padding at Factor×target for Duration.
-	SteadyProbeInterval time.Duration
-	SteadyProbeDuration time.Duration
-	SteadyProbeFactor   float64
-}
+	// The periodic in-call probe bursts ("Anomalous Zoom Bursts", Fig 13):
+	// every interval the sender emits padding at factor×target for the
+	// duration.
+	zoomSteadyProbeInterval         = 55 * time.Second
+	zoomSteadyProbeDuration         = 6 * time.Second
+	zoomSteadyProbeFactor   float64 = 1.7
+)
 
 // DefaultZoomConfig returns the calibration used for the paper's Zoom
 // client (§3: nominal 0.78 Mbps up; §4: ~40-50 s staircase recovery from
 // 0.25 Mbps; §5: >75% link share under competition).
 func DefaultZoomConfig(r Range, nominal float64) ZoomConfig {
-	return ZoomConfig{
-		Range:               r,
-		NominalBps:          nominal,
-		StepBps:             120_000,
-		HoldTime:            6 * time.Second,
-		ProbeOvershoot:      1.6,
-		LossTolerance:       0.30,
-		DelayTolerance:      500 * time.Millisecond,
-		BackoffFactor:       0.93,
-		SteadyProbeInterval: 55 * time.Second,
-		SteadyProbeDuration: 6 * time.Second,
-		SteadyProbeFactor:   1.7,
-	}
+	return ZoomConfig{Range: r, NominalBps: nominal, StepBps: 120_000}
 }
 
 // ZoomCC models Zoom's FEC-probing congestion control: linear/stepwise
@@ -78,7 +71,7 @@ type ZoomCC struct {
 
 // NewZoomCC creates a ZoomCC controller.
 func NewZoomCC(cfg ZoomConfig) *ZoomCC {
-	if cfg.StepBps == 0 || cfg.BackoffFactor == 0 {
+	if cfg.StepBps == 0 {
 		panic("cc: ZoomConfig missing parameters; start from DefaultZoomConfig")
 	}
 	return &ZoomCC{cfg: cfg, rate: cfg.Range.StartBps}
@@ -93,18 +86,18 @@ func (z *ZoomCC) TargetBps() float64 { return z.cfg.Range.clamp(z.rate) }
 // PadRateBps implements Controller.
 func (z *ZoomCC) PadRateBps(now time.Duration) float64 {
 	if now < z.burstUntil {
-		return (z.cfg.SteadyProbeFactor - 1) * z.TargetBps()
+		return (zoomSteadyProbeFactor - 1) * z.TargetBps()
 	}
 	return 0
 }
 
 // OnFeedback implements Controller.
 func (z *ZoomCC) OnFeedback(fb Feedback) {
-	congested := fb.LossFraction > z.cfg.LossTolerance ||
-		fb.QueueDelay > z.cfg.DelayTolerance
+	congested := fb.LossFraction > zoomLossTolerance ||
+		fb.QueueDelay > zoomDelayTolerance
 
 	if congested {
-		next := z.cfg.BackoffFactor * fb.ReceiveRateBps
+		next := zoomBackoffFactor * fb.ReceiveRateBps
 		if next < z.rate {
 			z.rate = z.cfg.Range.clamp(next)
 		}
@@ -116,20 +109,19 @@ func (z *ZoomCC) OnFeedback(fb Feedback) {
 	}
 
 	// Steady-state periodic probe bursts (only once settled at nominal).
-	if z.settled && z.cfg.SteadyProbeInterval > 0 &&
-		fb.Now-z.lastSteady >= z.cfg.SteadyProbeInterval {
-		z.burstUntil = fb.Now + z.cfg.SteadyProbeDuration
+	if z.settled && fb.Now-z.lastSteady >= zoomSteadyProbeInterval {
+		z.burstUntil = fb.Now + zoomSteadyProbeDuration
 		z.lastSteady = fb.Now
 	}
 
-	if fb.Now-z.lastChange < z.cfg.HoldTime {
+	if fb.Now-z.lastChange < zoomHoldTime {
 		return // dwell on the current step
 	}
 	z.lastChange = fb.Now
 
 	ceiling := z.cfg.NominalBps
 	if z.probing {
-		ceiling = z.cfg.NominalBps * z.cfg.ProbeOvershoot
+		ceiling = z.cfg.NominalBps * zoomProbeOvershoot
 	}
 	switch {
 	case z.rate < ceiling:

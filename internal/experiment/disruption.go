@@ -24,9 +24,15 @@ type DisruptionConfig struct {
 	CallDur time.Duration // 5 min
 	DropAt  time.Duration // 60 s
 	DropLen time.Duration // 30 s
-	TTRFrac float64       // fraction of nominal considered recovered (0.95)
-	TTRRoll time.Duration // rolling-median window (5 s)
 }
+
+// Time-to-recovery (§4, stats.TTR): how long after the disruption ends the
+// ttrRoll-wide rolling median bitrate takes to return to ttrFrac of the
+// pre-disruption median.
+const (
+	ttrFrac float64 = 0.95
+	ttrRoll         = 5 * time.Second
+)
 
 func (c *DisruptionConfig) defaults() {
 	if c.Reps == 0 {
@@ -40,12 +46,6 @@ func (c *DisruptionConfig) defaults() {
 	}
 	if c.DropLen == 0 {
 		c.DropLen = 30 * time.Second
-	}
-	if c.TTRFrac == 0 {
-		c.TTRFrac = 0.95
-	}
-	if c.TTRRoll == 0 {
-		c.TTRRoll = 5 * time.Second
 	}
 }
 
@@ -94,7 +94,7 @@ func (cfg *DisruptionConfig) runTrial(o *trialObs, rep int) disruptionTrial {
 		shaped = t.call.C1().UpMeter
 	}
 	res := disruptionTrial{series: shaped.RateMbps(), far: t.call.Clients[1].UpMeter.RateMbps()}
-	ttr, ok := stats.TTR(res.series, cfg.DropAt, cfg.DropAt+cfg.DropLen, cfg.TTRRoll, cfg.TTRFrac)
+	ttr, ok := stats.TTR(res.series, cfg.DropAt, cfg.DropAt+cfg.DropLen, ttrRoll, ttrFrac)
 	res.ttrSec, res.recovered = ttr.Seconds(), ok
 	return res
 }

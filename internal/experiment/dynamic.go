@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"vcalab/internal/cascade"
 	"vcalab/internal/runner"
 	"vcalab/internal/scenario"
 	"vcalab/internal/stats"
@@ -30,12 +29,10 @@ type DynamicConfig struct {
 	// InterMbps is the capacity of every directed inter-region link
 	// (default 20).
 	InterMbps float64
-	// InterDelay is the one-way inter-region delay (default 40 ms).
-	InterDelay time.Duration
-	Reps       int
-	Dur        time.Duration
-	Warmup     time.Duration
-	Seed       int64
+	Reps      int
+	Dur       time.Duration
+	Warmup    time.Duration
+	Seed      int64
 	// Parallel is the trial parallelism; 0 = package default, 1 =
 	// sequential. Output is identical for every value.
 	Parallel int
@@ -69,9 +66,6 @@ func (c *DynamicConfig) defaults() {
 	}
 	if c.InterMbps == 0 {
 		c.InterMbps = 20
-	}
-	if c.InterDelay == 0 {
-		c.InterDelay = cascade.DefaultInterDelay
 	}
 	if c.Reps == 0 {
 		c.Reps = 3
@@ -143,7 +137,7 @@ func scenarioSalt(name string) int64 {
 // runTrial executes one repetition on a fresh trial.
 func (cfg *DynamicConfig) runTrial(o *trialObs, rep int) dynamicTrial {
 	seed := runner.Seed(cfg.Seed+scenarioSalt(cfg.Scenario.Name), rep)
-	t := newMeshTrial(o, seed, cfg.Profile, cfg.Participants, cfg.Regions, cfg.InterMbps, cfg.InterDelay, cfg.Shards, cfg.Recovery)
+	t := newMeshTrial(o, seed, cfg.Profile, cfg.Participants, cfg.Regions, cfg.InterMbps, cfg.Shards, cfg.Recovery)
 	call := t.call
 	t.timeline = scenario.New(t.eng, call, scenario.MeshLinks(t.mesh.Mesh), cfg.Scenario)
 	call.SampleFrameLatency(cfg.Warmup)

@@ -14,9 +14,6 @@ import (
 // trials in parallel. Seeds are consecutive (Seed, Seed+1, ...), so a
 // failure printed as seed S reproduces exactly with `-fuzz 1 -seed S`.
 type FuzzConfig struct {
-	// Profiles cycle per seed (seed S runs Profiles[S % len]); default
-	// Meet, Teams, Zoom so every VCA sees a share of the space.
-	Profiles []*vca.Profile
 	// N is how many seeds to replay.
 	N int
 	// Seed is the first scenario seed.
@@ -38,9 +35,6 @@ type FuzzConfig struct {
 }
 
 func (c *FuzzConfig) defaults() {
-	if len(c.Profiles) == 0 {
-		c.Profiles = []*vca.Profile{vca.Meet(), vca.Teams(), vca.Zoom()}
-	}
 	if c.N == 0 {
 		c.N = 50
 	}
@@ -81,13 +75,16 @@ type FuzzResult struct {
 // seed order, so output is byte-identical at any Parallel.
 func RunFuzz(cfg FuzzConfig) FuzzResult {
 	cfg.defaults()
+	// Profiles cycle per seed (seed S runs profiles[S % 3]) so every VCA
+	// sees a share of the space.
+	profiles := []*vca.Profile{vca.Meet(), vca.Teams(), vca.Zoom()}
 	// The harness builds, traces and checks its own trial: capture has
 	// nothing to attach to. A clean replay has no Violations.
 	trials := repeat("fuzz", cfg.Parallel, nil, cfg.N, func(_ *trialObs, i int) FuzzFailure {
 		seed := cfg.Seed + int64(i)
 		// The profile is a function of the seed (not the trial index), so
 		// `-fuzz 1 -seed S` replays a failure under the same VCA.
-		prof := cfg.Profiles[int(uint64(seed)%uint64(len(cfg.Profiles)))]
+		prof := profiles[int(uint64(seed)%uint64(len(profiles)))]
 		sc, violations := scenario.FuzzOne(seed, scenario.HarnessConfig{
 			Profile:      prof,
 			Participants: cfg.Participants,

@@ -3,7 +3,6 @@ package experiment
 import (
 	"time"
 
-	"vcalab/internal/cascade"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -22,12 +21,10 @@ type ScaleConfig struct {
 	Regions int
 	// InterMbps sweeps the capacity of every directed inter-region link.
 	InterMbps []float64
-	// InterDelay is the one-way inter-region delay (default 40 ms).
-	InterDelay time.Duration
-	Reps       int
-	Dur        time.Duration
-	Warmup     time.Duration
-	Seed       int64
+	Reps      int
+	Dur       time.Duration
+	Warmup    time.Duration
+	Seed      int64
 	// Parallel is the trial parallelism; 0 = package default, 1 =
 	// sequential. Output is identical for every value.
 	Parallel int
@@ -50,9 +47,6 @@ func (c *ScaleConfig) defaults() {
 	}
 	if len(c.InterMbps) == 0 {
 		c.InterMbps = []float64{20}
-	}
-	if c.InterDelay == 0 {
-		c.InterDelay = cascade.DefaultInterDelay
 	}
 	if c.Reps == 0 {
 		c.Reps = 3
@@ -104,7 +98,7 @@ type scaleTrial struct {
 // runTrial executes one (n, capacity, repetition) cell on a fresh trial.
 func (cfg *ScaleConfig) runTrial(o *trialObs, cd scaleCond, rep int) scaleTrial {
 	seed := cfg.Seed + int64(rep)*86243 + int64(cd.n)*613 + int64(cd.interMbps*1000)
-	t := newMeshTrial(o, seed, cfg.Profile, cd.n, cfg.Regions, cd.interMbps, cfg.InterDelay, cfg.Shards, cfg.Recovery)
+	t := newMeshTrial(o, seed, cfg.Profile, cd.n, cfg.Regions, cd.interMbps, cfg.Shards, cfg.Recovery)
 	call := t.call
 
 	// Snapshot inter-link counters at warmup so utilization covers the

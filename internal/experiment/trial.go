@@ -51,11 +51,12 @@ func twoPartyTrial(o *trialObs, seed int64, prof *vca.Profile, upBps, downBps fl
 }
 
 // newMeshTrial builds the topology every cascade experiment runs on — n
-// clients dealt over regions, every inter-region link alike — with its
-// cascaded call, region-sharded where shards and the topology allow.
-func newMeshTrial(o *trialObs, seed int64, prof *vca.Profile, n, regions int, interMbps float64, interDelay time.Duration, shards int, recovery bool) *trial {
+// clients dealt over regions, every inter-region link alike (interMbps,
+// cascade.DefaultInterDelay) — with its cascaded call, region-sharded
+// where shards and the topology allow.
+func newMeshTrial(o *trialObs, seed int64, prof *vca.Profile, n, regions int, interMbps float64, shards int, recovery bool) *trial {
 	m := cascade.NewTrial(seed,
-		cascade.Uniform(n, regions, netem.LinkConfig{RateBps: interMbps * 1e6, Delay: interDelay}),
+		cascade.Uniform(n, regions, netem.LinkConfig{RateBps: interMbps * 1e6, Delay: cascade.DefaultInterDelay}),
 		shards, prof, vca.CallOptions{Seed: seed, Recovery: recovery})
 	return &trial{seed: seed, eng: m.Eng, engines: m.Engines(), mesh: m, call: m.Call, obs: o}
 }

@@ -158,30 +158,19 @@ func (g *GilbertElliott) Lose() bool {
 // Bad reports whether the chain is currently in the Bad (bursty) state.
 func (g *GilbertElliott) Bad() bool { return g.bad }
 
-// CoDelConfig parameterizes the AQM. Zero values select the RFC 8289
-// defaults: 5 ms target sojourn, 100 ms interval.
-type CoDelConfig struct {
-	Target   time.Duration
-	Interval time.Duration
-}
-
-func (c *CoDelConfig) defaults() {
-	if c.Target == 0 {
-		c.Target = 5 * time.Millisecond
-	}
-	if c.Interval == 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-}
+// CoDel's RFC 8289 parameters: the target sojourn and the interval.
+const (
+	codelTarget   = 5 * time.Millisecond
+	codelInterval = 100 * time.Millisecond
+)
 
 // CoDel is a deterministic CoDel-style AQM: when the head packet's queue
-// sojourn has stayed above Target for a full Interval, it enters the
-// dropping state and head-drops at a frequency growing with the square
-// root of the drop count (the RFC 8289 control law), until a sojourn back
-// under Target resets it. No randomness is involved, so AQM behaviour is
-// a pure function of the packet arrival pattern.
+// sojourn has stayed above the 5 ms target for a full 100 ms interval, it
+// enters the dropping state and head-drops at a frequency growing with the
+// square root of the drop count (the RFC 8289 control law), until a
+// sojourn back under the target resets it. No randomness is involved, so
+// AQM behaviour is a pure function of the packet arrival pattern.
 type CoDel struct {
-	cfg        CoDelConfig
 	firstAbove time.Duration // deadline to leave the above-target grace period; 0 = not above
 	dropNext   time.Duration
 	dropping   bool
@@ -192,22 +181,19 @@ type CoDel struct {
 }
 
 // NewCoDel builds an AQM instance; install it with Link.SetAQM.
-func NewCoDel(cfg CoDelConfig) *CoDel {
-	cfg.defaults()
-	return &CoDel{cfg: cfg}
-}
+func NewCoDel() *CoDel { return &CoDel{} }
 
 // dropOnDequeue is the control law, called by the link for the head packet
 // when it is dequeued for serialization.
 func (c *CoDel) dropOnDequeue(now time.Duration, sojourn time.Duration) bool {
-	if sojourn < c.cfg.Target {
+	if sojourn < codelTarget {
 		c.firstAbove = 0
 		c.dropping = false
 		c.count = 0
 		return false
 	}
 	if c.firstAbove == 0 {
-		c.firstAbove = now + c.cfg.Interval
+		c.firstAbove = now + codelInterval
 		return false
 	}
 	if c.dropping {
@@ -230,7 +216,7 @@ func (c *CoDel) dropOnDequeue(now time.Duration, sojourn time.Duration) bool {
 }
 
 func (c *CoDel) controlDelay() time.Duration {
-	return time.Duration(float64(c.cfg.Interval) / math.Sqrt(float64(c.count)))
+	return time.Duration(float64(codelInterval) / math.Sqrt(float64(c.count)))
 }
 
 // BloatConfig describes a bufferbloated access hop: a drop-tail queue
@@ -242,8 +228,7 @@ type BloatConfig struct {
 	// the DSL/cable modem buffers the bufferbloat literature measured.
 	Depth time.Duration
 	// AQM enables CoDel on the deep queue.
-	AQM   bool
-	CoDel CoDelConfig
+	AQM bool
 }
 
 // DeepQueueBytes converts a time depth at a rate into a byte bound, with
@@ -269,7 +254,7 @@ func ApplyBloat(l *Link, cfg BloatConfig) {
 	}
 	l.SetQueueBytes(DeepQueueBytes(l.Rate(), cfg.Depth))
 	if cfg.AQM {
-		l.SetAQM(NewCoDel(cfg.CoDel))
+		l.SetAQM(NewCoDel())
 	} else {
 		l.SetAQM(nil)
 	}
@@ -299,11 +284,6 @@ type CellularConfig struct {
 	// than Until, so the engine always drains. Required (>0) when
 	// handovers are enabled; 0 otherwise means "run the whole trace".
 	Until time.Duration
-	// ResizeQueue applies DefaultQueueBytes at every rate step (`tc`
-	// re-shape semantics). The default keeps the queue bound fixed — a
-	// device buffer is physical, which is exactly how a deep buffer at a
-	// low trace rate turns into cellular bufferbloat.
-	ResizeQueue bool
 }
 
 // Cellular replays a capacity trace with handover gaps against one link.
@@ -381,10 +361,7 @@ func (c *Cellular) run(now time.Duration) {
 		if c.start+st.At >= c.cfg.Until {
 			continue
 		}
-		c.link.SetRate(st.Bps)
-		if c.cfg.ResizeQueue && st.Bps > 0 {
-			c.link.SetQueueBytes(DefaultQueueBytes(st.Bps))
-		}
+		c.link.SetRate(st.Bps) // the queue bound stays: a device buffer is physical
 	}
 	// Close an elapsed gap before possibly opening the next one.
 	if c.inGap && now >= c.gapEnd {

@@ -150,7 +150,7 @@ func TestLinkLossModelAccounting(t *testing.T) {
 // the first drop, and the √count acceleration.
 func TestCoDelControlLaw(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	c := NewCoDel(CoDelConfig{}) // 5 ms target, 100 ms interval
+	c := NewCoDel() // 5 ms target, 100 ms interval
 	steps := []struct {
 		now, sojourn time.Duration
 		want         bool

@@ -695,14 +695,6 @@ func (r *Router) resolve(host string) *Link {
 	return l
 }
 
-// Duplex wires a bidirectional connection between two handlers and returns
-// the two directed links (a→b, b→a), both configured identically.
-func Duplex(eng *sim.Engine, name string, cfg LinkConfig, a, b Handler) (ab, ba *Link) {
-	ab = NewLink(eng, name+"/fwd", cfg, b)
-	ba = NewLink(eng, name+"/rev", cfg, a)
-	return ab, ba
-}
-
 // Attach wires host h to router r with a symmetric pair of links (both
 // configured as cfg): the host's uplink toward the router, and the
 // router's route back to the host. It returns (up, down). This is the
@@ -713,14 +705,4 @@ func Attach(eng *sim.Engine, h *Host, r *Router, cfg LinkConfig) (up, down *Link
 	h.SetUplink(up)
 	r.Route(h.Name, down)
 	return up, down
-}
-
-// ConnectRouters creates the two directed inter-router links a→b and b→a
-// with independent configurations (a WAN path's two directions can differ)
-// and returns them. The caller registers which destination hosts travel
-// each link via Router.Route — routing stays explicit, as in the lab.
-func ConnectRouters(eng *sim.Engine, name string, abCfg, baCfg LinkConfig, a, b *Router) (ab, ba *Link) {
-	ab = NewLink(eng, name+"/fwd", abCfg, b)
-	ba = NewLink(eng, name+"/rev", baCfg, a)
-	return ab, ba
 }

@@ -362,7 +362,7 @@ func TestQuickLinkFIFO(t *testing.T) {
 // inter-router link for mid-simulation reshaping.
 func multiRouterPath(eng *sim.Engine, interCfg LinkConfig, h1, h2 *Host) *Link {
 	rtA, rtB := NewRouter("rtA"), NewRouter("rtB")
-	ab, ba := ConnectRouters(eng, "inter", interCfg, interCfg, rtA, rtB)
+	ab, ba := NewLink(eng, "inter/fwd", interCfg, rtB), NewLink(eng, "inter/rev", interCfg, rtA)
 	Attach(eng, h1, rtA, LinkConfig{Delay: time.Millisecond})
 	Attach(eng, h2, rtB, LinkConfig{Delay: time.Millisecond})
 	rtA.Route(h2.Name, ab)

@@ -19,7 +19,7 @@ import (
 //
 // Validity guarantees the invariant harness relies on:
 //
-//   - every event lands in [cfg.Start, cfg.Dur - 2s], so a timeline bound
+//   - every event lands in [genStart, cfg.Dur - 2s], so a timeline bound
 //     to a call running for cfg.Dur always finishes;
 //   - c1 (the instrumented client) is never churned;
 //   - per participant, leaves and rejoins strictly alternate, and every
@@ -41,13 +41,15 @@ type GenConfig struct {
 	InterBps float64
 	// Dur is the call duration the scenario must fit inside (default 60s).
 	Dur time.Duration
-	// Start is the earliest event time — leave it past the experiment
-	// warmup so recovery nominals see steady state (default 10s).
-	Start time.Duration
-	// MinMotifs/MaxMotifs bound how many disturbance motifs are composed
-	// (defaults 3 and 6).
-	MinMotifs, MaxMotifs int
 }
+
+const (
+	// genStart is the earliest event time, past the experiment warmup so
+	// recovery nominals see steady state.
+	genStart = 10 * time.Second
+	// minMotifs/maxMotifs bound how many disturbance motifs are composed.
+	minMotifs, maxMotifs = 3, 6
+)
 
 func (c *GenConfig) defaults() {
 	if c.Participants == 0 {
@@ -61,15 +63,6 @@ func (c *GenConfig) defaults() {
 	}
 	if c.Dur == 0 {
 		c.Dur = 60 * time.Second
-	}
-	if c.Start == 0 {
-		c.Start = 10 * time.Second
-	}
-	if c.MinMotifs == 0 {
-		c.MinMotifs = 3
-	}
-	if c.MaxMotifs < c.MinMotifs {
-		c.MaxMotifs = c.MinMotifs + 3
 	}
 }
 
@@ -102,10 +95,7 @@ func Generate(seed int64, cfg GenConfig) Scenario {
 	}
 	g.free[1] = cfg.Dur + time.Hour // c1 is never churned
 
-	motifs := cfg.MinMotifs
-	if span := cfg.MaxMotifs - cfg.MinMotifs; span > 0 {
-		motifs += g.rng.Intn(span + 1)
-	}
+	motifs := minMotifs + g.rng.Intn(maxMotifs-minMotifs+1)
 	for i := 0; i < motifs; i++ {
 		switch g.rng.Intn(7) {
 		case 0:
@@ -135,10 +125,10 @@ func Generate(seed int64, cfg GenConfig) Scenario {
 // scenario's end margin.
 func (g *generator) window(span time.Duration) time.Duration {
 	end := g.cfg.Dur - 2*time.Second - span
-	if end <= g.cfg.Start {
-		return g.cfg.Start
+	if end <= genStart {
+		return genStart
 	}
-	return g.cfg.Start + time.Duration(g.rng.Int63n(int64(end-g.cfg.Start)))
+	return genStart + time.Duration(g.rng.Int63n(int64(end-genStart)))
 }
 
 // dur draws a duration uniformly in [lo, hi).
@@ -150,12 +140,12 @@ func (g *generator) dur(lo, hi time.Duration) time.Duration {
 }
 
 // fit clamps a motif span so its last event — at t0+span+extra even when
-// window collapses t0 to Start — still lands inside [Start, Dur-2s].
+// window collapses t0 to genStart — still lands inside [genStart, Dur-2s].
 // Without the clamp a long motif overflows a short call (window only
 // clamps the start, not the end). Clamping after the draw keeps the RNG
 // stream, and so every other motif, identical across call durations.
 func (g *generator) fit(span, extra time.Duration) time.Duration {
-	room := g.cfg.Dur - 2*time.Second - g.cfg.Start - extra
+	room := g.cfg.Dur - 2*time.Second - genStart - extra
 	if span > room {
 		span = room
 	}

@@ -47,8 +47,6 @@ type HarnessConfig struct {
 	Regions int
 	// InterBps is the inter-region link capacity (default 10e6).
 	InterBps float64
-	// InterDelay is the one-way inter-region delay (default 30 ms).
-	InterDelay time.Duration
 	// Dur is the call duration (default 60s).
 	Dur time.Duration
 	// Seed seeds the engine and call.
@@ -65,6 +63,9 @@ type HarnessConfig struct {
 	Recovery bool
 }
 
+// harnessInterDelay is the one-way delay of every inter-region link.
+const harnessInterDelay = 30 * time.Millisecond
+
 func (c *HarnessConfig) defaults() {
 	if c.Profile == nil {
 		c.Profile = vca.Meet()
@@ -77,9 +78,6 @@ func (c *HarnessConfig) defaults() {
 	}
 	if c.InterBps == 0 {
 		c.InterBps = 10e6
-	}
-	if c.InterDelay == 0 {
-		c.InterDelay = 30 * time.Millisecond
 	}
 	if c.Dur == 0 {
 		c.Dur = 60 * time.Second
@@ -111,7 +109,7 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 	}
 
 	trial := cascade.NewTrial(cfg.Seed,
-		cascade.Uniform(cfg.Participants, cfg.Regions, netem.LinkConfig{RateBps: cfg.InterBps, Delay: cfg.InterDelay}),
+		cascade.Uniform(cfg.Participants, cfg.Regions, netem.LinkConfig{RateBps: cfg.InterBps, Delay: harnessInterDelay}),
 		cfg.Shards, cfg.Profile, vca.CallOptions{Seed: cfg.Seed, Recovery: cfg.Recovery})
 	defer trial.Close()
 	mesh, call := trial.Mesh, trial.Call

@@ -24,40 +24,33 @@ import (
 	"vcalab/internal/sim"
 )
 
-// Config tunes a Flow. Zero fields take the documented defaults.
+// Config gives a Flow its framing, the two values on which TCP and QUIC
+// differ. Zero fields take the documented defaults.
 type Config struct {
-	MSS          int           // payload bytes per segment (default 1460)
-	WireOverhead int           // header bytes per packet on the wire (default 40)
-	AckSize      int           // ack packet wire size (default 40)
-	InitCwnd     float64       // initial window, packets (default 10)
-	Beta         float64       // CUBIC multiplicative decrease (default 0.7)
-	C            float64       // CUBIC scaling constant (default 0.4)
-	RTOMin       time.Duration // minimum RTO (default 200ms)
+	MSS     int // payload bytes per segment (default 1460)
+	AckSize int // ack packet wire size (default 40)
 }
 
 func (c *Config) defaults() {
 	if c.MSS == 0 {
 		c.MSS = 1460
 	}
-	if c.WireOverhead == 0 {
-		c.WireOverhead = 40
-	}
 	if c.AckSize == 0 {
 		c.AckSize = 40
 	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 10
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.7
-	}
-	if c.C == 0 {
-		c.C = 0.4
-	}
-	if c.RTOMin == 0 {
-		c.RTOMin = 200 * time.Millisecond
-	}
 }
+
+// A Flow's constants.
+const (
+	wireOverhead         = 40 // header bytes per packet on the wire
+	initCwnd     float64 = 10 // initial window, packets
+	// CUBIC's multiplicative decrease and scaling constant. Both are typed:
+	// an untyped 0.7 would fold 1 - 0.7 exactly, to a float64 other than
+	// 1 - float64(0.7), and move every CUBIC window.
+	cubicBeta float64 = 0.7
+	cubicC    float64 = 0.4
+	rtoMin            = 200 * time.Millisecond // minimum RTO
+)
 
 type segment struct {
 	Seq int64
@@ -173,7 +166,7 @@ func NewFlow(eng *sim.Engine, name string, src, dst *netem.Host, port int, cfg C
 	cfg.defaults()
 	f := &Flow{
 		Name: name, ackName: name + "/ack", eng: eng, cfg: cfg, src: src, dst: dst, port: port,
-		cwnd: cfg.InitCwnd, ssthresh: math.Inf(1),
+		cwnd: initCwnd, ssthresh: math.Inf(1),
 		scoreboard: map[int64]segState{}, rcvBuf: map[int64]bool{},
 	}
 	f.rtoFn = f.onRTO
@@ -249,7 +242,7 @@ func (f *Flow) nextRexmit() bool {
 func (f *Flow) sendSeg(seq int64) {
 	s := f.segs.get()
 	s.Seq, s.f = seq, f
-	f.post(f.src, f.dst, f.cfg.MSS+f.cfg.WireOverhead, f.Name, s)
+	f.post(f.src, f.dst, f.cfg.MSS+wireOverhead, f.Name, s)
 	f.ensureRTO()
 }
 
@@ -402,7 +395,7 @@ func (f *Flow) fastRetransmit() {
 // enterLossEpoch applies CUBIC's multiplicative decrease.
 func (f *Flow) enterLossEpoch() {
 	f.wMax = f.cwnd
-	f.cwnd = math.Max(2, f.cwnd*f.cfg.Beta)
+	f.cwnd = math.Max(2, f.cwnd*cubicBeta)
 	f.ssthresh = f.cwnd
 	f.epochStart = f.eng.Now()
 }
@@ -414,12 +407,12 @@ func (f *Flow) growCwnd(ackedSegs float64) {
 		return
 	}
 	t := (f.eng.Now() - f.epochStart).Seconds()
-	k := math.Cbrt(f.wMax * (1 - f.cfg.Beta) / f.cfg.C)
+	k := math.Cbrt(f.wMax * (1 - cubicBeta) / cubicC)
 	rtt := f.srtt.Seconds()
 	if rtt <= 0 {
 		rtt = 0.02
 	}
-	wTarget := f.cfg.C*math.Pow(t+rtt-k, 3) + f.wMax
+	wTarget := cubicC*math.Pow(t+rtt-k, 3) + f.wMax
 	if wTarget > f.cwnd {
 		f.cwnd += ackedSegs * (wTarget - f.cwnd) / f.cwnd
 	} else {
@@ -446,8 +439,8 @@ func (f *Flow) updateRTT(sample time.Duration) {
 
 func (f *Flow) rto() time.Duration {
 	rto := f.srtt + 4*f.rttvar
-	if rto < f.cfg.RTOMin {
-		rto = f.cfg.RTOMin
+	if rto < rtoMin {
+		rto = rtoMin
 	}
 	for i := 0; i < f.rtoBackoff && rto < time.Minute; i++ {
 		rto *= 2

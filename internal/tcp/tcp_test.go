@@ -25,17 +25,30 @@ func pair(eng *sim.Engine, rateBps float64, delay time.Duration) (*netem.Host, *
 }
 
 func TestBulkFlowFillsLink(t *testing.T) {
-	eng := sim.New(1)
-	src, dst := pair(eng, 10e6, 5*time.Millisecond)
-	f := NewFlow(eng, "iperf", src, dst, 5201, Config{})
-	m := stats.NewMeter(time.Second)
-	f.OnDeliver(func(at time.Duration, n int) { m.AddBytes(at, n) })
-	f.Start(0)
-	eng.RunUntil(20 * time.Second)
-	f.Stop()
-	got := m.MeanRateMbps(5*time.Second, 20*time.Second)
-	if got < 8.5 || got > 10.1 {
-		t.Errorf("steady goodput = %.2f Mbps on a 10 Mbps link, want 8.5-10", got)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		seed    int64
+		rateBps float64
+		lo, hi  float64 // steady goodput bounds, Mbps
+	}{
+		{"tcp", Config{}, 1, 10e6, 8.5, 10.1},
+		{"quic", Config{MSS: 1350, AckSize: 35}, 1, 5e6, 4.0, 5.1}, // YouTube's framing (apps.YouTube)
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(tc.seed)
+			src, dst := pair(eng, tc.rateBps, 5*time.Millisecond)
+			f := NewFlow(eng, "bulk", src, dst, 5201, tc.cfg)
+			m := stats.NewMeter(time.Second)
+			f.OnDeliver(func(at time.Duration, n int) { m.AddBytes(at, n) })
+			f.Start(0)
+			eng.RunUntil(20 * time.Second)
+			f.Stop()
+			got := m.MeanRateMbps(5*time.Second, 20*time.Second)
+			if got < tc.lo || got > tc.hi {
+				t.Errorf("steady goodput = %.2f Mbps on a %.0f Mbps link, want %.1f-%.1f", got, tc.rateBps/1e6, tc.lo, tc.hi)
+			}
+		})
 	}
 }
 
@@ -54,24 +67,59 @@ func TestBulkFlowSlowLink(t *testing.T) {
 }
 
 func TestBoundedTransferCompletes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		seed     int64
+		rateBps  float64
+		total    int
+		deadline time.Duration
+	}{
+		// 1 MB over 5 Mbps ≈ 1.6 s + slow start; allow up to 5 s.
+		{"tcp", Config{}, 3, 5e6, 1_000_000, 5 * time.Second},
+		{"quic", Config{MSS: 1350, AckSize: 35}, 2, 2e6, 500_000, 30 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(tc.seed)
+			src, dst := pair(eng, tc.rateBps, 5*time.Millisecond)
+			f := NewFlow(eng, "dl", src, dst, 80, tc.cfg)
+			done := time.Duration(0)
+			f.OnComplete(func() { done = eng.Now() })
+			var bytes int
+			f.OnDeliver(func(_ time.Duration, n int) { bytes += n })
+			f.Start(int64(tc.total))
+			eng.RunUntil(time.Minute)
+			if done == 0 {
+				t.Fatal("transfer never completed")
+			}
+			if bytes < tc.total {
+				t.Errorf("delivered %d bytes, want >= %d", bytes, tc.total)
+			}
+			if done > tc.deadline {
+				t.Errorf("%d bytes over %.0f Mbps took %v, want <= %v", tc.total, tc.rateBps/1e6, done, tc.deadline)
+			}
+		})
+	}
+}
+
+// TestQUICDatagramSizing checks YouTube's framing on the wire: a 1350-byte
+// QUIC datagram plus the 40-byte header overhead.
+func TestQUICDatagramSizing(t *testing.T) {
 	eng := sim.New(3)
-	src, dst := pair(eng, 5e6, 5*time.Millisecond)
-	f := NewFlow(eng, "dl", src, dst, 80, Config{})
-	done := time.Duration(0)
-	f.OnComplete(func() { done = eng.Now() })
-	var bytes int
-	f.OnDeliver(func(_ time.Duration, n int) { bytes += n })
-	f.Start(1_000_000)
-	eng.RunUntil(time.Minute)
-	if done == 0 {
-		t.Fatal("transfer never completed")
+	src, dst := pair(eng, 1e6, 5*time.Millisecond)
+	seen, maxSize := 0, 0
+	dst.Tap(func(p *netem.Packet) {
+		seen++
+		maxSize = max(maxSize, p.Size)
+	})
+	f := NewFlow(eng, "yt", src, dst, 443, Config{MSS: 1350, AckSize: 35})
+	f.Start(100_000)
+	eng.RunUntil(10 * time.Second)
+	if seen == 0 {
+		t.Fatal("no datagrams delivered")
 	}
-	if bytes < 1_000_000 {
-		t.Errorf("delivered %d bytes, want >= 1MB", bytes)
-	}
-	// 1 MB over 5 Mbps ≈ 1.6 s + slow start; allow up to 5 s.
-	if done > 5*time.Second {
-		t.Errorf("1 MB over 5 Mbps took %v", done)
+	if maxSize != 1350+wireOverhead {
+		t.Errorf("max datagram wire size = %d, want 1390", maxSize)
 	}
 }
 

@@ -137,17 +137,8 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 	for ri := range regions {
 		c.pools[ri] = &mpPool{}
 	}
-	// Recovery on is a ring capacity the servers build down-tracks with and
-	// a configuration the clients build inbound tracks from; off, zero and
-	// nil, and no track gets a recovery part.
-	var jbCfg *RecoveryConfig
-	rtxRing := 0
-	if opt.Recovery {
-		rcfg := prof.Recovery.withDefaults()
-		jbCfg, rtxRing = &rcfg, rcfg.RTXBufferPkts
-	}
 	for ri, r := range regions {
-		s := newServer(regionEngine(r, eng), prof, r.Server, c.reg, localIDs[ri], c.pools[ri], total, rtxRing)
+		s := newServer(regionEngine(r, eng), prof, r.Server, c.reg, localIDs[ri], c.pools[ri], total, opt.Recovery)
 		c.home[s.id] = int32(ri)
 		c.Servers = append(c.Servers, s)
 	}
@@ -172,7 +163,7 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 			// The seed is derived from the flattened global index, never
 			// from an engine, so a client's RNG stream is identical
 			// whether its region runs sharded or sequential.
-			cl := newClient(regionEngine(r, eng), prof, h.Name, h, c.reg, c.Servers[ri], ri, c.pools[ri], opt.Seed+int64(i)*7919, jbCfg)
+			cl := newClient(regionEngine(r, eng), prof, h.Name, h, c.reg, c.Servers[ri], ri, c.pools[ri], opt.Seed+int64(i)*7919, opt.Recovery)
 			c.Clients = append(c.Clients, cl)
 			i++
 		}

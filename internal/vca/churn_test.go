@@ -337,9 +337,8 @@ func churnRecycledID(t *testing.T, recovery bool) {
 // cascade package owns the nicer builder; vca tests stay self-contained).
 func miniCascade(eng *sim.Engine, prof *Profile, seed int64) (*Call, *netem.Link) {
 	rtA, rtB := netem.NewRouter("rtA"), netem.NewRouter("rtB")
-	ab, ba := netem.ConnectRouters(eng, "inter",
-		netem.LinkConfig{RateBps: 20e6, Delay: 30 * time.Millisecond},
-		netem.LinkConfig{RateBps: 20e6, Delay: 30 * time.Millisecond}, rtA, rtB)
+	inter := netem.LinkConfig{RateBps: 20e6, Delay: 30 * time.Millisecond}
+	ab, ba := netem.NewLink(eng, "inter/fwd", inter, rtB), netem.NewLink(eng, "inter/rev", inter, rtA)
 	mk := func(name string, rt *netem.Router, far *netem.Router, farLink *netem.Link) *netem.Host {
 		h := netem.NewHost(eng, name)
 		netem.Attach(eng, h, rt, netem.LinkConfig{Delay: 2 * time.Millisecond})
@@ -402,9 +401,8 @@ func TestCascadeTwoPartyTeamsStaysEndToEnd(t *testing.T) {
 	// pass-through, original sequence numbers survive to the receiver.
 	eng := sim.New(26)
 	rtA, rtB := netem.NewRouter("rtA"), netem.NewRouter("rtB")
-	ab, ba := netem.ConnectRouters(eng, "inter",
-		netem.LinkConfig{RateBps: 10e6, Delay: 25 * time.Millisecond},
-		netem.LinkConfig{RateBps: 10e6, Delay: 25 * time.Millisecond}, rtA, rtB)
+	inter := netem.LinkConfig{RateBps: 10e6, Delay: 25 * time.Millisecond}
+	ab, ba := netem.NewLink(eng, "inter/fwd", inter, rtB), netem.NewLink(eng, "inter/rev", inter, rtA)
 	mk := func(name string, rt *netem.Router, far *netem.Router, farLink *netem.Link) *netem.Host {
 		h := netem.NewHost(eng, name)
 		netem.Attach(eng, h, rt, netem.LinkConfig{Delay: 2 * time.Millisecond})

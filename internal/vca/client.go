@@ -62,12 +62,12 @@ type Client struct {
 	// output-visible and they differ (a rejoiner is created last but sorts
 	// by name), so neither replaces the other.
 	recvOrder, nackOrder []int32
-	// jbCfg is what track builds a participant origin's jitter buffer
-	// from; nil (recovery off) builds every track without one. twcc
-	// records arrivals for the home SFU's per-leg controllers; nil where
-	// recovery is off or the SFU has none to feed (pure relays).
-	jbCfg *RecoveryConfig
-	twcc  *rtp.TWCCRecorder
+	// recovery has track build a participant origin's track with a jitter
+	// buffer; off, every track is built without one. twcc records arrivals
+	// for the home SFU's per-leg controllers; nil where recovery is off or
+	// the SFU has none to feed (pure relays).
+	recovery bool
+	twcc     *rtp.TWCCRecorder
 
 	// --- hot-path caches ---
 	pool *mpPool // the home region's payload free lists
@@ -116,9 +116,12 @@ type videoEncoder interface {
 	Params() codec.EncodeParams
 }
 
-// newClient builds one participant homed on the given SFU. rec is the
-// call's loss-recovery configuration, nil with recovery off.
-func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, reg *registry, home *Server, region int, pool *mpPool, seed int64, rec *RecoveryConfig) *Client {
+// keyInterval is every encoder's periodic intra-refresh interval.
+const keyInterval = 10 * time.Second
+
+// newClient builds one participant homed on the given SFU, with loss
+// recovery's client half when recovery is set.
+func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, reg *registry, home *Server, region int, pool *mpPool, seed int64, recovery bool) *Client {
 	c := &Client{
 		Name:       name,
 		eng:        eng,
@@ -130,7 +133,7 @@ func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, re
 		region:     region,
 		rng:        rand.New(rand.NewSource(seed)),
 		recv:       make([]inbound, reg.cap()),
-		jbCfg:      rec,
+		recovery:   recovery,
 		pool:       pool,
 		flowRtcp:   prof.Name + "/" + name + "/rtcp",
 		flowSignal: prof.Name + "/" + name + "/signal",
@@ -138,27 +141,23 @@ func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, re
 		DownMeter:  stats.NewMeter(time.Second),
 	}
 	src := codec.NewSource(c.rng)
-	keyInt := prof.KeyInterval
-	if keyInt == 0 {
-		keyInt = 10 * time.Second
-	}
 	switch prof.MediaMode {
 	case ModeSimulcast:
 		e := codec.NewSimulcast(prof.LowLadder, prof.Ladder, prof.SimLowCapBps, prof.SimMinHighBps, src, c.rng)
-		e.Low.KeyInterval, e.High.KeyInterval = keyInt, keyInt
+		e.Low.KeyInterval, e.High.KeyInterval = keyInterval, keyInterval
 		c.enc = e
 	case ModeSVC:
 		e := codec.NewSVC(prof.Ladder, prof.SVCSplit, src, c.rng)
-		e.KeyInterval = keyInt
+		e.KeyInterval = keyInterval
 		c.enc, c.topLayer = e, len(prof.SVCSplit)-1
 	default:
 		e := codec.NewEncoder("video", prof.Ladder, src, c.rng)
-		e.KeyInterval = keyInt
+		e.KeyInterval = keyInterval
 		c.enc = e
 	}
 	// TWCC is only generated when the home SFU runs per-leg controllers
 	// that could consume it (pure relays have none).
-	if rec != nil && prof.NewServerCC != nil {
+	if recovery && prof.NewServerCC != nil {
 		c.twcc = rtp.NewTWCCRecorder(2048)
 	}
 	host.HandleFunc(PortMedia, c.onMedia)
@@ -213,8 +212,8 @@ func (c *Client) track(origin int32) *inbound {
 		t.recv.OnFIR = func(now time.Duration) {
 			post(c.host, c.home.Name, PortSignal, firWire, c.flowSignal, &FIRMsg{From: c.Name, Origin: name})
 		}
-		if c.jbCfg != nil && !c.reg.isServer(origin) {
-			t.jb = newJitterBuffer(c.jbCfg)
+		if c.recovery && !c.reg.isServer(origin) {
+			t.jb = newJitterBuffer()
 			c.nackOrder = append(c.nackOrder, origin)
 		}
 		i := sort.Search(len(c.recvOrder), func(i int) bool {
@@ -265,11 +264,11 @@ func (c *Client) start(nominalVideoBps float64) {
 	// Loss recovery, armed from what newClient built: the NACK/concession
 	// tick where tracks get jitter buffers, the TWCC report tick where
 	// there is a recorder.
-	if c.jbCfg != nil {
-		c.tickers = append(c.tickers, c.eng.EveryHandler(c.jbCfg.NackTick, sim.HandlerFunc(c.recoveryTick)))
+	if c.recovery {
+		c.tickers = append(c.tickers, c.eng.EveryHandler(nackTick, sim.HandlerFunc(c.recoveryTick)))
 	}
 	if c.twcc != nil {
-		c.tickers = append(c.tickers, c.eng.EveryHandler(c.jbCfg.TWCCInterval, sim.HandlerFunc(c.twccTick)))
+		c.tickers = append(c.tickers, c.eng.EveryHandler(twccInterval, sim.HandlerFunc(c.twccTick)))
 	}
 }
 
@@ -444,7 +443,7 @@ func (c *Client) recoveryTick(now time.Duration) {
 	if !c.running {
 		return
 	}
-	backoff := max(c.jbCfg.NackMinBackoff, c.lastRTT)
+	backoff := max(nackMinBackoff, c.lastRTT)
 	tr := c.eng.Tracer()
 	for _, id := range c.nackOrder {
 		t := &c.recv[id]

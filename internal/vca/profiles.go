@@ -98,23 +98,12 @@ type Profile struct {
 	// participant-scaling uplink (§6.2: 1.25→2.9 Mbps) lives here.
 	SpeakerUplinkBps func(n int) float64
 
-	// KeyInterval is the periodic intra-refresh interval (default 10 s).
-	KeyInterval time.Duration
-
-	// Recovery tunes the NACK/RTX + jitter-buffer loss-recovery loop
-	// (recovery.go). The zero value means defaults; the loop only runs
-	// when CallOptions.Recovery is set.
-	Recovery RecoveryConfig
-
 	// StallEvery/StallDur model random encoder pipeline stalls. The
 	// paper observes Teams-Chrome freezing 3.6%% of the time even on an
 	// unconstrained link (§3.2, "implementation problems or poor design
 	// choices"); these stalls reproduce that.
 	StallEvery, StallDur time.Duration
 }
-
-// videoTier returns the tier's target rate.
-func (p *Profile) videoTier(t Tier) float64 { return p.TierBps[t] }
 
 // Meet returns the Google Meet profile (Chrome client; Meet is native in
 // the browser, §2.2).

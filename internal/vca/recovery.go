@@ -23,61 +23,33 @@ import (
 // packet differs — experiment output stays byte-identical to a build
 // without this file.
 
-// RecoveryConfig tunes the NACK/RTX loss-recovery loop. The zero value
-// means "use the defaults" (filled by withDefaults) so profiles only
-// override what they care about; so does any non-positive value.
-type RecoveryConfig struct {
-	// RTXBufferPkts is the per-(leg, origin) retransmission ring
-	// capacity at the SFU.
-	RTXBufferPkts int
-	// JitterBufferPkts is the receiver-side reorder window per origin. A
-	// gap wider than this resets the buffer (partition semantics).
-	JitterBufferPkts int
-	// MaxNackRetries is the per-seq NACK budget before giving up.
-	MaxNackRetries int
-	// NackMinBackoff floors the re-NACK backoff; the effective backoff
-	// is max(NackMinBackoff, last RTT estimate) — no re-NACK before an
+// The loss-recovery loop's constants.
+const (
+	// rtxRingPkts is the per-(leg, origin) retransmission ring capacity
+	// at the SFU.
+	rtxRingPkts = 512
+	// jbWindowPkts is the receiver-side reorder window per origin. A gap
+	// wider than this resets the buffer (partition semantics).
+	jbWindowPkts = 256
+	// maxNackRetries is the per-seq NACK budget before giving up.
+	maxNackRetries = 3
+	// nackMinBackoff floors the re-NACK backoff; the effective backoff is
+	// max(nackMinBackoff, last RTT estimate) — no re-NACK before an
 	// answer could possibly have arrived.
-	NackMinBackoff time.Duration
-	// NackTick is the recovery ticker cadence (NACK emission, deadline
+	nackMinBackoff = 20 * time.Millisecond
+	// nackTick is the recovery ticker cadence (NACK emission, deadline
 	// concession).
-	NackTick time.Duration
-	// PlayoutMin/PlayoutMax clamp the adaptive playout deadline: how
-	// long the jitter buffer waits for a missing seq before conceding.
-	PlayoutMin, PlayoutMax time.Duration
-	// PlayoutJitterMult scales the observed jitter EWMA into the playout
+	nackTick = 20 * time.Millisecond
+	// playoutMin/playoutMax clamp the adaptive playout deadline: how long
+	// the jitter buffer waits for a missing seq before conceding.
+	playoutMin = 60 * time.Millisecond
+	playoutMax = 400 * time.Millisecond
+	// playoutJitterMult scales the observed jitter EWMA into the playout
 	// deadline: deadline = clamp(mult*jitter + RTT, min, max).
-	PlayoutJitterMult float64
-	// TWCCInterval is the transport-wide CC report cadence.
-	TWCCInterval time.Duration
-}
-
-// withDefaults fills every field left at zero — or set to a value no
-// ring, ticker or deadline can be built from: a negative size or duration
-// (or a NaN multiplier) means "use the default" too, and an inverted
-// playout range is swapped.
-func (c RecoveryConfig) withDefaults() RecoveryConfig {
-	c.RTXBufferPkts = positiveOr(c.RTXBufferPkts, 512)
-	c.JitterBufferPkts = positiveOr(c.JitterBufferPkts, 256)
-	c.MaxNackRetries = positiveOr(c.MaxNackRetries, 3)
-	c.NackMinBackoff = positiveOr(c.NackMinBackoff, 20*time.Millisecond)
-	c.NackTick = positiveOr(c.NackTick, 20*time.Millisecond)
-	c.PlayoutMin = positiveOr(c.PlayoutMin, 60*time.Millisecond)
-	c.PlayoutMax = positiveOr(c.PlayoutMax, 400*time.Millisecond)
-	if c.PlayoutMin > c.PlayoutMax {
-		c.PlayoutMin, c.PlayoutMax = c.PlayoutMax, c.PlayoutMin
-	}
-	c.PlayoutJitterMult = positiveOr(c.PlayoutJitterMult, 4)
-	c.TWCCInterval = positiveOr(c.TWCCInterval, 100*time.Millisecond)
-	return c
-}
-
-func positiveOr[T int | time.Duration | float64](v, def T) T {
-	if v > 0 {
-		return v
-	}
-	return def
-}
+	playoutJitterMult float64 = 4
+	// twccInterval is the transport-wide CC report cadence.
+	twccInterval = 100 * time.Millisecond
+)
 
 // jbSlot states.
 const (
@@ -106,8 +78,7 @@ type packetSink interface {
 // the receiver's gap accounting — and therefore FreezeTime — charges
 // each lost packet exactly once.
 type jitterBuffer struct {
-	cfg *RecoveryConfig
-	// slots is the reorder window, cfg.JitterBufferPkts wide. It is
+	// slots is the reorder window, jbWindowPkts wide. It is
 	// allocated by the first out-of-order arrival: a stream that only
 	// ever arrives in order never pays for it.
 	slots []jbSlot
@@ -136,13 +107,13 @@ type jitterBuffer struct {
 	nackScratch []uint16 // seqs to NACK, rebuilt each tick
 }
 
-func newJitterBuffer(cfg *RecoveryConfig) *jitterBuffer {
-	return &jitterBuffer{cfg: cfg, q: rtp.NewNackQueue(cfg.MaxNackRetries)}
+func newJitterBuffer() *jitterBuffer {
+	return &jitterBuffer{q: rtp.NewNackQueue(maxNackRetries)}
 }
 
 func (b *jitterBuffer) slot(seq uint16) *jbSlot {
 	if b.slots == nil {
-		b.slots = make([]jbSlot, b.cfg.JitterBufferPkts)
+		b.slots = make([]jbSlot, jbWindowPkts)
 	}
 	return &b.slots[int(seq)%len(b.slots)]
 }
@@ -163,14 +134,7 @@ func (b *jitterBuffer) observeJitter(now time.Duration, sentAt time.Duration) {
 
 // playoutDelay is the adaptive deadline for a newly detected gap.
 func (b *jitterBuffer) playoutDelay(rtt time.Duration) time.Duration {
-	d := time.Duration(b.cfg.PlayoutJitterMult*float64(b.jitter)) + rtt
-	if d < b.cfg.PlayoutMin {
-		d = b.cfg.PlayoutMin
-	}
-	if d > b.cfg.PlayoutMax {
-		d = b.cfg.PlayoutMax
-	}
-	return d
+	return min(max(time.Duration(playoutJitterMult*float64(b.jitter))+rtt, playoutMin), playoutMax)
 }
 
 // onPacket feeds one arrival through the buffer, delivering whatever
@@ -213,7 +177,7 @@ func (b *jitterBuffer) onPacket(now time.Duration, mp *MediaPacket, wireBytes in
 		b.nextSeq++
 		b.flush(now, to)
 		return true
-	case d >= b.cfg.JitterBufferPkts:
+	case d >= jbWindowPkts:
 		// Catastrophic gap (partition): stop chasing, deliver what we
 		// have in order, concede the rest, restart at seq.
 		b.reset(now, to)
@@ -358,7 +322,7 @@ func (t *inbound) onPacket(now time.Duration, mp *MediaPacket, wireBytes int, se
 // book the hour as a freeze.
 func (t *inbound) flush(now time.Duration) {
 	b, to := t.jb, sinkAt{t.recv, now}
-	b.tick(now+b.cfg.PlayoutMax+time.Hour, time.Hour, to,
+	b.tick(now+playoutMax+time.Hour, time.Hour, to,
 		func(uint16) {}, func(uint16) {}, func(int) {})
 	b.reset(now, to)
 }
@@ -382,6 +346,8 @@ func (s sinkAt) OnPacket(_ time.Duration, p media.PacketInfo) { s.to.OnPacket(s.
 // do nothing: the packet path calls them unconditionally and asks nothing
 // else about recovery.
 type retransmitter struct {
+	// ringPkts is the capacity of the rings this track makes: rtxRingPkts,
+	// or less where a test sets it before the first packet.
 	ringPkts int
 	// byOrigin is dense by origin ID. A ring is taken by the pair's first
 	// emission and drained when the origin is dropped; the counters
@@ -460,8 +426,8 @@ func (e rtxEntry) rebuild(p *mpPool, seq uint16) *MediaPacket {
 	return out
 }
 
-func newRetransmitter(ringPkts, idCap int, twcc bool, spare *[]*rtp.RTXRing[rtxEntry]) *retransmitter {
-	r := &retransmitter{ringPkts: ringPkts, byOrigin: make([]rtxOrigin, idCap), spare: spare}
+func newRetransmitter(idCap int, twcc bool, spare *[]*rtp.RTXRing[rtxEntry]) *retransmitter {
+	r := &retransmitter{ringPkts: rtxRingPkts, byOrigin: make([]rtxOrigin, idCap), spare: spare}
 	if twcc {
 		r.twHist = rtp.NewSentHistory(2048)
 	}

@@ -1,7 +1,6 @@
 package vca
 
 import (
-	"math"
 	"slices"
 	"testing"
 	"time"
@@ -135,8 +134,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 // concession must be swallowed by the buffer, never delivered to the
 // media receiver as a second copy of the same seq.
 func TestJitterBufferSingleCharge(t *testing.T) {
-	cfg := RecoveryConfig{}.withDefaults()
-	b := newJitterBuffer(&cfg)
+	b := newJitterBuffer()
 	var got seqRecorder
 	rtt := 40 * time.Millisecond
 	now := time.Second
@@ -151,13 +149,13 @@ func TestJitterBufferSingleCharge(t *testing.T) {
 	if b.q.Len() != 1 {
 		t.Fatalf("gap not tracked: queue len %d, want 1", b.q.Len())
 	}
-	if len(b.slots) != cfg.JitterBufferPkts {
-		t.Errorf("reorder window has %d slots after an out-of-order arrival, want %d", len(b.slots), cfg.JitterBufferPkts)
+	if len(b.slots) != jbWindowPkts {
+		t.Errorf("reorder window has %d slots after an out-of-order arrival, want %d", len(b.slots), jbWindowPkts)
 	}
 	// Tick far past the playout deadline: seq 2 is conceded and the
 	// buffered seq 3 flushes through.
 	var gaveUp, conceded int
-	b.tick(now+cfg.PlayoutMax+time.Second, 20*time.Millisecond, &got,
+	b.tick(now+playoutMax+time.Second, 20*time.Millisecond, &got,
 		func(uint16) {}, func(uint16) { gaveUp++ }, func(n int) { conceded += n })
 	if conceded != 1 {
 		t.Fatalf("conceded %d seqs, want 1", conceded)
@@ -168,7 +166,7 @@ func TestJitterBufferSingleCharge(t *testing.T) {
 	}
 	// The straggler: seq 2 finally arrives. It must be dropped, not
 	// delivered — its loss was already charged at concession.
-	late := now + cfg.PlayoutMax + 2*time.Second
+	late := now + playoutMax + 2*time.Second
 	if ok := b.onPacket(late, &MediaPacket{Seq: 2, RTX: true}, 100, now+step, rtt, &got); ok {
 		t.Errorf("late straggler for conceded seq 2 was accepted")
 	}
@@ -199,8 +197,7 @@ func (r *seqRecorder) OnPacket(_ time.Duration, p media.PacketInfo) {
 // stragglers that releases must reach the media receiver at the stop time —
 // a receiver fed an hour ahead books the hour as a freeze.
 func TestFlushAllDeliversNow(t *testing.T) {
-	cfg := RecoveryConfig{}.withDefaults()
-	tr := &inbound{recv: media.NewReceiver(), jb: newJitterBuffer(&cfg)}
+	tr := &inbound{recv: media.NewReceiver(), jb: newJitterBuffer()}
 	// One-packet frames a frame interval apart, so the receiver has a frame
 	// duration to measure the flush against: its freeze threshold is
 	// max(3δ, δ+150 ms) = 183 ms once 0 and 1 are displayed, and a straggler
@@ -236,7 +233,6 @@ func TestFlushAllDeliversNow(t *testing.T) {
 // gap is NACKed, and a straggler arriving after its seq was conceded is
 // dropped — the receiver charged that loss once already.
 func TestInboundTrack(t *testing.T) {
-	cfg := RecoveryConfig{}.withDefaults()
 	for _, tc := range []struct {
 		name     string
 		buffered bool
@@ -259,7 +255,7 @@ func TestInboundTrack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := &inbound{recv: media.NewReceiver()}
 			if tc.buffered {
-				tr.jb = newJitterBuffer(&cfg)
+				tr.jb = newJitterBuffer()
 			}
 			now, step, rtt := time.Second, 10*time.Millisecond, 40*time.Millisecond
 			for _, seq := range []uint16{0, 1, 3, 2, 4, 6, 7} {
@@ -277,7 +273,7 @@ func TestInboundTrack(t *testing.T) {
 					t.Errorf("NACKed %v, want %v", nacked, tc.nacked)
 				}
 				// Past the playout deadline the hole is conceded.
-				now += cfg.PlayoutMax
+				now += playoutMax
 				tr.jb.tick(now, rtt, tr.recv, note, func(uint16) {}, func(int) {})
 			}
 			straggler := &MediaPacket{Seq: 5, FrameSeq: 5, FrameEnd: true, RTX: tc.buffered}
@@ -304,8 +300,7 @@ func TestInboundTrack(t *testing.T) {
 // wider than the buffer delivers what is buffered, concedes the holes,
 // and re-bases — it must not NACK thousands of seqs.
 func TestJitterBufferCatastrophicGap(t *testing.T) {
-	cfg := RecoveryConfig{JitterBufferPkts: 16}.withDefaults()
-	b := newJitterBuffer(&cfg)
+	b := newJitterBuffer()
 	var got seqRecorder
 	now := time.Second
 	rtt := 40 * time.Millisecond
@@ -328,8 +323,7 @@ func TestJitterBufferCatastrophicGap(t *testing.T) {
 // TestJitterBufferCatastrophicGapBeforeAnyReorder: a partition-sized jump
 // on a stream that never reordered must re-base without the window.
 func TestJitterBufferCatastrophicGapBeforeAnyReorder(t *testing.T) {
-	cfg := RecoveryConfig{JitterBufferPkts: 16}.withDefaults()
-	b := newJitterBuffer(&cfg)
+	b := newJitterBuffer()
 	var got seqRecorder
 	for _, seq := range []uint16{10, 11, 5000, 5001} {
 		b.onPacket(time.Second, &MediaPacket{Seq: seq}, 100, time.Second, 0, &got)
@@ -339,52 +333,5 @@ func TestJitterBufferCatastrophicGapBeforeAnyReorder(t *testing.T) {
 	}
 	if b.slots != nil || b.q.Len() != 0 || b.conceded != 0 {
 		t.Errorf("window %d slots, %d NACKs pending, %d conceded; want none of each", len(b.slots), b.q.Len(), b.conceded)
-	}
-}
-
-// TestRecoveryConfigDefaults: a config no ring, ticker or deadline can be
-// built from must come out usable — non-positive values fall back to the
-// default instead of reaching make or the engine, and an inverted playout
-// range is put the right way round.
-func TestRecoveryConfigDefaults(t *testing.T) {
-	def := RecoveryConfig{}.withDefaults()
-	cases := []struct {
-		name string
-		in   RecoveryConfig
-		edit func(want *RecoveryConfig) // applied to the defaults; nil: the defaults
-	}{
-		{"zero value", RecoveryConfig{}, nil},
-		{"negative sizes", RecoveryConfig{RTXBufferPkts: -1, JitterBufferPkts: -256, MaxNackRetries: -3}, nil},
-		{"negative durations", RecoveryConfig{NackMinBackoff: -time.Second, NackTick: -1, PlayoutMin: -1,
-			PlayoutMax: -time.Hour, TWCCInterval: -time.Millisecond}, nil},
-		{"bad multiplier", RecoveryConfig{PlayoutJitterMult: math.NaN()}, nil},
-		{"overrides kept", RecoveryConfig{RTXBufferPkts: 64, JitterBufferPkts: 16, PlayoutJitterMult: 2},
-			func(c *RecoveryConfig) { c.RTXBufferPkts, c.JitterBufferPkts, c.PlayoutJitterMult = 64, 16, 2 }},
-		{"inverted playout range", RecoveryConfig{PlayoutMin: 500 * time.Millisecond, PlayoutMax: 100 * time.Millisecond},
-			func(c *RecoveryConfig) { c.PlayoutMin, c.PlayoutMax = 100*time.Millisecond, 500*time.Millisecond }},
-		{"min above the default max", RecoveryConfig{PlayoutMin: time.Second},
-			func(c *RecoveryConfig) { c.PlayoutMin, c.PlayoutMax = def.PlayoutMax, time.Second }},
-	}
-	for _, tc := range cases {
-		want := def
-		if tc.edit != nil {
-			tc.edit(&want)
-		}
-		if got := tc.in.withDefaults(); got != want {
-			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, want)
-		}
-	}
-	// The hostile config end to end: the call must run, not panic.
-	prof := Meet()
-	prof.Recovery = RecoveryConfig{RTXBufferPkts: -5, JitterBufferPkts: -5, NackTick: -time.Second,
-		PlayoutMin: time.Second, PlayoutMax: time.Millisecond, TWCCInterval: -1}
-	eng := sim.New(5)
-	call, l := twoPartyRecovery(eng, prof, 0, 0, true)
-	l.down.SetImpairment(0.03, 0)
-	call.Start()
-	eng.RunUntil(5 * time.Second)
-	call.Stop()
-	if nacks, _ := call.NackRTXTotals(); nacks == 0 {
-		t.Error("no NACKs under 3% loss with a defaulted config")
 	}
 }

@@ -130,13 +130,12 @@ func TestRetransmissionsMatchAClonePerEmission(t *testing.T) {
 // each ring slot's with its eviction, and only the last one out files the
 // packet back in the pool.
 func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
-	prof := Teams()
-	prof.Recovery = RecoveryConfig{RTXBufferPkts: 4}
 	eng := sim.New(1)
 	l := newLab(eng, 0, 0)
 	hosts := []*netem.Host{l.clientHost("c1"), l.remoteHost("c2", time.Millisecond), l.remoteHost("c3", time.Millisecond)}
-	call := NewCall(eng, prof, l.remoteHost("sfu", time.Millisecond), hosts, CallOptions{Seed: 1, Recovery: true})
+	call := NewCall(eng, Teams(), l.remoteHost("sfu", time.Millisecond), hosts, CallOptions{Seed: 1, Recovery: true})
 	s, pool := call.Servers[0], call.pools[0]
+	shrinkRings(s, 4)
 	s.running = true // ingest without starting the tickers
 
 	audio := func(seq uint16) *MediaPacket {
@@ -211,13 +210,12 @@ func TestMediaPacketSizeClass(t *testing.T) {
 // though the new owner's forwarder restarts the same seq space and has
 // since filed the first seqs of it.
 func TestRingReuseAcrossChurn(t *testing.T) {
-	prof := Teams()
-	prof.Recovery = RecoveryConfig{RTXBufferPkts: 8}
 	eng := sim.New(1)
 	l := newLab(eng, 0, 0)
 	hosts := []*netem.Host{l.clientHost("c1"), l.remoteHost("c2", time.Millisecond), l.remoteHost("c3", time.Millisecond)}
-	call := NewCall(eng, prof, l.remoteHost("sfu", time.Millisecond), hosts, CallOptions{Seed: 1, Recovery: true})
+	call := NewCall(eng, Teams(), l.remoteHost("sfu", time.Millisecond), hosts, CallOptions{Seed: 1, Recovery: true})
 	s, pool := call.Servers[0], call.pools[0]
+	shrinkRings(s, 8)
 	s.running = true // ingest without starting the tickers
 	c1 := call.Clients[0].id
 	var next uint16
@@ -266,5 +264,15 @@ func TestRingReuseAcrossChurn(t *testing.T) {
 	}
 	if len(s.spareRings) != 2 {
 		t.Errorf("drain filed %d rings as spares, want both", len(s.spareRings))
+	}
+}
+
+// shrinkRings makes every down-track of s build n-slot RTX rings; set
+// before the first packet, while no ring exists yet.
+func shrinkRings(s *Server, n int) {
+	for _, l := range s.legs {
+		if l != nil && l.rtx != nil {
+			l.rtx.ringPkts = n
+		}
 	}
 }

@@ -64,10 +64,9 @@ type Server struct {
 
 	// passthrough: Teams in a 2-party call relays untouched (§4.2).
 	passthrough bool
-	// rtxRing is the per-(track, origin) retransmission ring capacity a
-	// down-track toward a local receiver is built with; zero (recovery off)
-	// builds every track without a retransmit part.
-	rtxRing int
+	// recovery builds every down-track toward a local receiver with a
+	// retransmit part; off, every track is built without one.
+	recovery bool
 	// retired keeps, per origin ID, the recovery counters of down-tracks
 	// that have been torn down, so the sender-side totals survive churn.
 	retired []rtxCount
@@ -90,8 +89,8 @@ type Server struct {
 // newServer builds the SFU on the given host. clients are the locally homed
 // participant IDs; total is the call-wide participant count. The registry
 // must already hold every participant and SFU of the call, so both tables
-// size to their final density here. rtxRing > 0 turns loss recovery on.
-func newServer(eng *sim.Engine, prof *Profile, host *netem.Host, reg *registry, clients []int32, pool *mpPool, total, rtxRing int) *Server {
+// size to their final density here. recovery turns loss recovery on.
+func newServer(eng *sim.Engine, prof *Profile, host *netem.Host, reg *registry, clients []int32, pool *mpPool, total int, recovery bool) *Server {
 	n := reg.cap()
 	s := &Server{
 		Name: host.Name, eng: eng, prof: prof, host: host, reg: reg, pool: pool,
@@ -101,7 +100,7 @@ func newServer(eng *sim.Engine, prof *Profile, host *netem.Host, reg *registry, 
 		displayed:   make([][]int32, n),
 		n:           total,
 		passthrough: prof.NewServerCC == nil && total == 2,
-		rtxRing:     rtxRing,
+		recovery:    recovery,
 
 		flowRtcpUp:    prof.Name + "/sfu/rtcp-up",
 		flowRtcpHop:   prof.Name + "/relay/rtcp-hop",
@@ -132,8 +131,8 @@ func (s *Server) addTrack(id int32, relay bool) {
 		l.ctrl = s.prof.NewServerCC()
 	}
 	l.passthrough = s.passthrough || (relay && l.ctrl == nil)
-	if s.rtxRing > 0 && !relay {
-		l.rtx = newRetransmitter(s.rtxRing, len(l.fwd), l.ctrl != nil, &s.spareRings)
+	if s.recovery && !relay {
+		l.rtx = newRetransmitter(len(l.fwd), l.ctrl != nil, &s.spareRings)
 	}
 	s.legs[id] = l
 	s.rewire()

@@ -186,8 +186,9 @@ func trackToSink(t *testing.T, ringPkts int) (*sim.Engine, *downTrack, *[]sentPa
 	l := &downTrack{
 		receiver: 1, recvName: "c2", prof: prof, host: host, pool: &mpPool{},
 		fwd: make([]*forwarder, 2), flows: make([][]string, 2),
-		rtx: newRetransmitter(ringPkts, 2, false, new([]*rtp.RTXRing[rtxEntry])),
+		rtx: newRetransmitter(2, false, new([]*rtp.RTXRing[rtxEntry])),
 	}
+	l.rtx.ringPkts = ringPkts
 	l.fwd[0] = newForwarder(prof, false)
 	return eng, l, &wire
 }

@@ -78,8 +78,6 @@ type (
 	CellularModel = netem.Cellular
 	// RateStep is one segment of a cellular capacity trace.
 	RateStep = netem.RateStep
-	// CoDelConfig parameterizes the deterministic CoDel AQM.
-	CoDelConfig = netem.CoDelConfig
 	// BloatConfig describes a bufferbloated hop (deep queue, optional AQM).
 	BloatConfig = netem.BloatConfig
 )
@@ -137,8 +135,8 @@ var NewCall = vca.NewCall
 // meshes where each region runs its own SFU and media crosses each
 // inter-region link once per origin.
 type (
-	// CascadeTopology describes regions, the inter-region link matrix and
-	// the client→home-region assignment.
+	// CascadeTopology describes regions, the one configuration every
+	// inter-region link shares and the client→home-region assignment.
 	CascadeTopology = cascade.Topology
 	// CascadeRegion is one SFU site and its homed clients.
 	CascadeRegion = cascade.Region

@@ -518,3 +518,96 @@ func selectorSites(t *testing.T, file, sel string) []string {
 	})
 	return sites
 }
+
+// censusTypes names the option types the census covers beyond every
+// exported struct type whose name ends in Config or Options.
+var censusTypes = map[string]bool{"vca.Profile": true, "cascade.Topology": true, "cascade.Region": true}
+
+// wantOptions is every exported field of the option types under internal/,
+// per "package.Type". A field with one value in use is a constant instead
+// (DESIGN.md §6); a new option is a reviewed edit of this table.
+var wantOptions = map[string][]string{
+	"cascade.Region":               {"Name", "Clients"},
+	"cascade.Topology":             {"Regions", "Default"},
+	"cc.GCCConfig":                 {"Range", "DelayBased", "ProbeOnRecovery", "LossHigh"},
+	"cc.TeamsConfig":               {"Range", "LossBackoff", "DelayBackoff", "BackoffFactor", "RampInitBpsPerSec", "RampMaxBpsPerSec"},
+	"cc.ZoomConfig":                {"Range", "NominalBps", "StepBps"},
+	"experiment.CompetitionConfig": {"Incumbent", "Kind", "CompProfile", "LinkMbps", "Reps", "Seed", "Parallel", "CallDur", "CompAt", "CompDur", "ShareLo", "ShareHi"},
+	"experiment.DisruptionConfig":  {"Profile", "Dir", "LevelMbps", "Reps", "Seed", "Parallel", "CallDur", "DropAt", "DropLen"},
+	"experiment.DynamicConfig":     {"Profile", "Scenario", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Parallel", "Shards", "Recovery", "Obs", "TraceW", "MetricsW"},
+	"experiment.FuzzConfig":        {"N", "Seed", "Participants", "Regions", "InterMbps", "Dur", "Parallel", "Shards", "Recovery"},
+	"experiment.ImpairmentConfig":  {"Profile", "LossPcts", "Jitter", "Reps", "Dur", "Warmup", "Seed", "Parallel", "Recovery"},
+	"experiment.ModalityConfig":    {"Profile", "N", "Mode", "Reps", "Dur", "Warmup", "Seed", "Parallel"},
+	"experiment.ObsConfig":         {"Trace", "Metrics", "Interval", "TraceCap"},
+	"experiment.ScaleConfig":       {"Profile", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Parallel", "Shards", "Recovery"},
+	"experiment.StaticConfig":      {"Profile", "Dir", "CapsMbps", "Reps", "Dur", "Warmup", "Seed", "Parallel"},
+	"netem.BloatConfig":            {"Depth", "AQM"},
+	"netem.CellularConfig":         {"Steps", "HandoverEvery", "HandoverJitter", "HandoverGap", "Until"},
+	"netem.GEConfig":               {"P", "R", "LossGood", "LossBad"},
+	"netem.LinkConfig":             {"RateBps", "Delay", "QueueBytes", "LossProb", "Jitter"},
+	"scenario.GenConfig":           {"Participants", "Regions", "InterBps", "Dur"},
+	"scenario.HarnessConfig":       {"Profile", "Participants", "Regions", "InterBps", "Dur", "Seed", "Shards", "Recovery"},
+	"tcp.Config":                   {"MSS", "AckSize"},
+	"vca.CallOptions":              {"Mode", "Seed", "Recovery"},
+	"vca.Profile":                  {"Name", "AudioBps", "VideoNominalBps", "NewClientCC", "NewServerCC", "MediaMode", "Ladder", "LowLadder", "SVCSplit", "SimLowCapBps", "SimMinHighBps", "ServerFECOverhead", "ThinZoneLow", "ThinZoneHigh", "TierBps", "GalleryTier", "VisibleTiles", "ForwardFactor", "SpeakerUplinkBps", "StallEvery", "StallDur"},
+}
+
+// TestOptionCensus holds the settable values of the option types to
+// wantOptions: an unlisted field and a stale row both fail.
+func TestOptionCensus(t *testing.T) {
+	got := optionCensus(t)
+	n := 0
+	for _, typ := range slices.Sorted(maps.Keys(got)) {
+		n += len(got[typ])
+		if !slices.Equal(got[typ], wantOptions[typ]) {
+			t.Errorf("%s has fields %q, wantOptions lists %q", typ, got[typ], wantOptions[typ])
+		}
+	}
+	for _, typ := range slices.Sorted(maps.Keys(wantOptions)) {
+		if got[typ] == nil {
+			t.Errorf("wantOptions lists %s, which the tree no longer has: prune the table", typ)
+		}
+	}
+	t.Logf("%d settable values in %d option types", n, len(got))
+}
+
+// optionCensus returns the exported fields, in declaration order, of every
+// option type declared in the non-test files under internal/.
+func optionCensus(t *testing.T) map[string][]string {
+	t.Helper()
+	got := map[string][]string{}
+	fset := token.NewFileSet()
+	for _, dir := range packageDirs(t, ".", []string{"internal"}) {
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				typ := f.Name.Name + "." + ts.Name.Name
+				if !ok || !(strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Options") || censusTypes[typ]) {
+					return true
+				}
+				got[typ] = []string{}
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						if id.IsExported() {
+							got[typ] = append(got[typ], id.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return got
+}
