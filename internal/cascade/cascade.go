@@ -218,19 +218,6 @@ func (m *Mesh) Links() []*netem.Link {
 	return out
 }
 
-// SetInterRate re-shapes every inter-region link to bps (0 removes the
-// constraint), resizing queues to the default depth — the `tc` analogue
-// for the WAN mesh.
-func (m *Mesh) SetInterRate(bps float64) {
-	for _, p := range m.pairs {
-		l := m.inter[p[0]][p[1]]
-		l.SetRate(bps)
-		if bps > 0 {
-			l.SetQueueBytes(netem.DefaultQueueBytes(bps))
-		}
-	}
-}
-
 // Placements converts the built mesh into the per-region client/SFU host
 // groups vca.NewCascadedCall consumes.
 func (m *Mesh) Placements() []vca.CascadePlacement {

@@ -216,17 +216,3 @@ func TestCascadeDeterministic(t *testing.T) {
 		t.Errorf("identical seeds diverged in cascade: %v vs %v", a, b)
 	}
 }
-
-func TestSetInterRate(t *testing.T) {
-	eng := sim.New(7)
-	m := twoRegions(eng, 1, netem.LinkConfig{RateBps: 10e6, Delay: 10 * time.Millisecond})
-	m.SetInterRate(1e6)
-	for _, l := range m.InterLinks() {
-		if l.Rate() != 1e6 {
-			t.Errorf("link %s rate = %v after SetInterRate(1e6)", l.Name(), l.Rate())
-		}
-	}
-	if n := len(m.InterLinks()); n != 2 {
-		t.Errorf("2-region mesh has %d inter links, want 2", n)
-	}
-}

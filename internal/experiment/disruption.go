@@ -3,6 +3,7 @@ package experiment
 import (
 	"time"
 
+	"vcalab/internal/scenario"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -20,7 +21,8 @@ type DisruptionConfig struct {
 	// sequential. Output is identical for every value.
 	Parallel int
 
-	// Timing knobs (defaults follow §4's method).
+	// Timing knobs (defaults follow §4's method; zero or negative takes
+	// the default).
 	CallDur time.Duration // 5 min
 	DropAt  time.Duration // 60 s
 	DropLen time.Duration // 30 s
@@ -38,13 +40,13 @@ func (c *DisruptionConfig) defaults() {
 	if c.Reps == 0 {
 		c.Reps = 4
 	}
-	if c.CallDur == 0 {
+	if c.CallDur <= 0 {
 		c.CallDur = 300 * time.Second
 	}
-	if c.DropAt == 0 {
+	if c.DropAt <= 0 {
 		c.DropAt = 60 * time.Second
 	}
-	if c.DropLen == 0 {
+	if c.DropLen <= 0 {
 		c.DropLen = 30 * time.Second
 	}
 }
@@ -76,17 +78,27 @@ type disruptionTrial struct {
 	recovered   bool
 }
 
+// newTrial builds one repetition: the two-party call, with the dip as a
+// scenario timeline on C1's access link in the disrupted direction.
+func (cfg *DisruptionConfig) newTrial(o *trialObs, seed int64) *trial {
+	t := twoPartyTrial(o, seed, cfg.Profile, 0, 0, vca.CallOptions{Seed: seed})
+	ref := scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "c1"}
+	if cfg.Dir == Uplink {
+		ref.Kind = scenario.LinkClientUp
+	}
+	t.timeline = scenario.New(t.eng, t.call, t.lab, scenario.Scenario{Name: "disruption",
+		Events: scenario.Trace(ref, "disruption", []scenario.TraceStep{
+			{At: cfg.DropAt, RateBps: cfg.LevelMbps * 1e6},
+			{At: cfg.DropAt + cfg.DropLen},
+		})})
+	return t
+}
+
 // runTrial executes one repetition on a fresh engine.
 func (cfg *DisruptionConfig) runTrial(o *trialObs, rep int) disruptionTrial {
 	seed := cfg.Seed + int64(rep)*31337
-	t := twoPartyTrial(o, seed, cfg.Profile, 0, 0, vca.CallOptions{Seed: seed})
-	shape := t.lab.SetDownlink
-	if cfg.Dir == Uplink {
-		shape = t.lab.SetUplink
-	}
+	t := cfg.newTrial(o, seed)
 	t.start()
-	t.eng.Schedule(cfg.DropAt, func() { shape(cfg.LevelMbps * 1e6) })
-	t.eng.Schedule(cfg.DropAt+cfg.DropLen, func() { shape(0) })
 	t.finish(cfg.CallDur)
 
 	shaped := t.call.C1().DownMeter

@@ -5,7 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"vcalab/internal/sim"
+	"vcalab/internal/netem"
+	"vcalab/internal/scenario"
 	"vcalab/internal/vca"
 )
 
@@ -86,6 +87,60 @@ func TestDisruptionRecovers(t *testing.T) {
 	}
 }
 
+// TestDisruptionTimeline checks the §4 dip as a repetition's timeline
+// applies it: 1 ms after DropAt the disrupted direction of C1's access
+// link runs at LevelMbps with its queue resized for that rate while the
+// other direction stays unconstrained, and after DropAt+DropLen the
+// constraint is gone.
+func TestDisruptionTimeline(t *testing.T) {
+	for _, dir := range []Direction{Uplink, Downlink} {
+		t.Run(dir.String(), func(t *testing.T) {
+			cfg := DisruptionConfig{Profile: vca.Meet(), Dir: dir, LevelMbps: 0.5,
+				DropAt: 5 * time.Second, DropLen: 3 * time.Second}
+			cfg.defaults()
+			tr := cfg.newTrial(nil, 1)
+			shaped, other := tr.lab.Downlink(), tr.lab.Uplink()
+			if dir == Uplink {
+				shaped, other = other, shaped
+			}
+			tr.start()
+			tr.eng.RunUntil(cfg.DropAt + time.Millisecond)
+			if want := netem.DefaultQueueBytes(0.5e6); shaped.Rate() != 0.5e6 || shaped.QueueBytes() != want {
+				t.Errorf("%s in the dip: %v bps, queue %d B; want 0.5e6 bps, %d B",
+					shaped.Name(), shaped.Rate(), shaped.QueueBytes(), want)
+			}
+			if other.Rate() != 0 {
+				t.Errorf("%s in the dip: %v bps, want unconstrained", other.Name(), other.Rate())
+			}
+			tr.finish(cfg.DropAt + cfg.DropLen + time.Millisecond)
+			if shaped.Rate() != 0 {
+				t.Errorf("%s after the dip: %v bps, want unconstrained", shaped.Name(), shaped.Rate())
+			}
+		})
+	}
+}
+
+// TestDisruptionDefaultsNonPositive: a zero or negative duration takes the
+// §4 default. A negative DropLen once filed the restore before the drop,
+// leaving the link dipped for the rest of the call.
+func TestDisruptionDefaultsNonPositive(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  DisruptionConfig
+	}{
+		{"zero", DisruptionConfig{}},
+		{"negative CallDur", DisruptionConfig{CallDur: -time.Second}},
+		{"negative DropAt", DisruptionConfig{DropAt: -time.Second}},
+		{"negative DropLen", DisruptionConfig{DropLen: -time.Second}},
+	} {
+		c.cfg.defaults()
+		if c.cfg.CallDur != 300*time.Second || c.cfg.DropAt != 60*time.Second || c.cfg.DropLen != 30*time.Second {
+			t.Errorf("%s: CallDur %v, DropAt %v, DropLen %v; want 5m0s, 1m0s, 30s",
+				c.name, c.cfg.CallDur, c.cfg.DropAt, c.cfg.DropLen)
+		}
+	}
+}
+
 func mean(vs []float64) float64 {
 	s := 0.0
 	for _, v := range vs {
@@ -155,20 +210,40 @@ func TestModalitySweepShapes(t *testing.T) {
 	}
 }
 
-func TestLabReshaping(t *testing.T) {
-	eng := simNew()
-	lab := NewLab(eng, 0, 0)
-	lab.SetUplink(0.5e6)
-	if lab.Uplink().Rate() != 0.5e6 {
-		t.Errorf("uplink rate = %v", lab.Uplink().Rate())
+// TestLabResolveLink checks the Lab as a scenario.LinkResolver: a host
+// behind the switch resolves to the shaped bottleneck, a remote host to
+// its own router pair, an unknown host or an inter-region kind to nothing.
+func TestLabResolveLink(t *testing.T) {
+	tr := twoPartyTrial(nil, 1, vca.Meet(), 0, 0, vca.CallOptions{Seed: 1})
+	tr.start()
+	tr.lab.ClientHost("f1") // attached mid-call, as the §5 competitor is
+	for _, c := range []struct {
+		ref  scenario.LinkRef
+		want string
+	}{
+		{scenario.LinkRef{Kind: scenario.LinkClientUp, Client: "c1"}, "bottleneck/up"},
+		{scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "c1"}, "bottleneck/down"},
+		{scenario.LinkRef{Kind: scenario.LinkClientUp, Client: "f1"}, "bottleneck/up"},
+		{scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "f1"}, "bottleneck/down"},
+		{scenario.LinkRef{Kind: scenario.LinkClientUp, Client: "c2"}, "c2-rt"},
+		{scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "c2"}, "rt-c2"},
+		{scenario.LinkRef{Kind: scenario.LinkClientUp, Client: "sfu"}, "sfu-rt"},
+		{scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "sfu"}, "rt-sfu"},
+		{scenario.LinkRef{Kind: scenario.LinkClientUp, Client: "c3"}, ""},
+		{scenario.LinkRef{Kind: scenario.LinkInter, Client: "c1", From: 0, To: 1}, ""},
+		{scenario.LinkRef{Kind: scenario.LinkInterPair, Client: "c1", From: 0, To: 1}, ""},
+		{scenario.LinkRef{Kind: scenario.LinkInterAll, Client: "c1"}, ""},
+	} {
+		var got []string
+		for _, l := range tr.lab.ResolveLink(c.ref) {
+			got = append(got, l.Name())
+		}
+		if strings.Join(got, ",") != c.want {
+			t.Errorf("ResolveLink(%+v) = %q, want %q", c.ref, got, c.want)
+		}
 	}
-	lab.SetUplink(0)
-	if lab.Uplink().Rate() != 0 {
-		t.Errorf("uplink rate after unshape = %v", lab.Uplink().Rate())
-	}
+	tr.finish(time.Second)
 }
-
-func simNew() *sim.Engine { return sim.New(1) }
 
 func TestImpairmentSweep(t *testing.T) {
 	rs := RunImpairment(ImpairmentConfig{
@@ -218,38 +293,30 @@ func TestImpairmentTeamsVsZoomLossSensitivity(t *testing.T) {
 	}
 }
 
-func TestBandwidthTraceReplay(t *testing.T) {
-	// A sawtooth access link: 2 -> 0.6 -> 1.2 -> 0.4 -> 2 Mbps.
-	trace := BandwidthTrace{
-		{At: 0, UpBps: 2e6, DownBps: 2e6},
-		{At: 40 * time.Second, UpBps: 0.6e6, DownBps: 0.6e6},
-		{At: 80 * time.Second, UpBps: 1.2e6, DownBps: 1.2e6},
-		{At: 120 * time.Second, UpBps: 0.4e6, DownBps: 0.4e6},
-		{At: 160 * time.Second, UpBps: 2e6, DownBps: 2e6},
+// TestLabTraceReplay replays a capacity trace on the Lab through a
+// scenario timeline: a sawtooth on both directions of C1's access link,
+// 2 -> 0.6 -> 1.2 -> 0.4 -> 2 Mbps.
+func TestLabTraceReplay(t *testing.T) {
+	steps := []scenario.TraceStep{
+		{At: 0, RateBps: 2e6},
+		{At: 40 * time.Second, RateBps: 0.6e6},
+		{At: 80 * time.Second, RateBps: 1.2e6},
+		{At: 120 * time.Second, RateBps: 0.4e6},
+		{At: 160 * time.Second, RateBps: 2e6},
 	}
-	r := RunTrace(vca.Zoom(), trace, 200*time.Second, 9)
-	if r.MeanUtilization < 0.5 || r.MeanUtilization > 1.3 {
-		t.Errorf("zoom trace utilization = %.2f, want 0.5-1.3", r.MeanUtilization)
-	}
+	tr := twoPartyTrial(nil, 9, vca.Zoom(), 0, 0, vca.CallOptions{Seed: 9})
+	up := scenario.Trace(scenario.LinkRef{Kind: scenario.LinkClientUp, Client: "c1"}, "sawtooth", steps)
+	down := scenario.Trace(scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "c1"}, "sawtooth", steps)
+	tr.timeline = scenario.New(tr.eng, tr.call, tr.lab, scenario.Scenario{Name: "sawtooth", Events: append(up, down...)})
+	tr.start()
+	tr.finish(200 * time.Second)
 	// The sent series must visibly track the sawtooth: mean rate in the
 	// 0.4 Mbps valley well below the 2 Mbps plateau mean.
-	valley := mean(r.Up.Slice(135*time.Second, 160*time.Second).Values)
-	plateau := mean(r.Up.Slice(20*time.Second, 40*time.Second).Values)
+	sent := tr.call.C1().UpMeter.RateMbps()
+	valley := mean(sent.Slice(135*time.Second, 160*time.Second).Values)
+	plateau := mean(sent.Slice(20*time.Second, 40*time.Second).Values)
 	if valley >= 0.75*plateau {
 		t.Errorf("sent rate did not track the trace: valley %.2f vs plateau %.2f", valley, plateau)
-	}
-}
-
-func TestTraceCapacityLookup(t *testing.T) {
-	trace := BandwidthTrace{
-		{At: 0, UpBps: 1e6},
-		{At: 10 * time.Second, UpBps: 2e6},
-	}
-	if got := capacityAt(trace, 5*time.Second); got != 1e6 {
-		t.Errorf("capacityAt(5s) = %v", got)
-	}
-	if got := capacityAt(trace, 15*time.Second); got != 2e6 {
-		t.Errorf("capacityAt(15s) = %v", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vcalab/internal/netem"
+	"vcalab/internal/scenario"
 	"vcalab/internal/sim"
 )
 
@@ -27,6 +28,10 @@ type Lab struct {
 	// each host's pair as it is attached — so capture walks a Lab the way
 	// it walks cascade.Mesh.Links().
 	links []*netem.Link
+	// access is each host's up/down access pair by name, the pair a
+	// scenario shapes: the bottleneck for a host behind the switch, its
+	// own router pair for a remote host.
+	access map[string][2]*netem.Link
 }
 
 // ClientDelay is the one-way delay between a bottleneck client and the
@@ -44,31 +49,31 @@ const (
 // NewLab builds the testbed with initial shaping rates (0 = unconstrained,
 // the paper's 1 Gbps case).
 func NewLab(eng *sim.Engine, upBps, downBps float64) *Lab {
-	l := &Lab{Eng: eng, rt: netem.NewRouter("rt"), sw: netem.NewRouter("sw")}
-	l.up = l.link("bottleneck/up", netem.LinkConfig{RateBps: upBps, Delay: ClientDelay}, l.rt)
-	l.down = l.link("bottleneck/down", netem.LinkConfig{RateBps: downBps, Delay: ClientDelay}, l.sw)
+	l := &Lab{Eng: eng, rt: netem.NewRouter("rt"), sw: netem.NewRouter("sw"), access: map[string][2]*netem.Link{}}
+	l.up = netem.NewLink(eng, "bottleneck/up", netem.LinkConfig{RateBps: upBps, Delay: ClientDelay}, l.rt)
+	l.down = netem.NewLink(eng, "bottleneck/down", netem.LinkConfig{RateBps: downBps, Delay: ClientDelay}, l.sw)
+	l.links = []*netem.Link{l.up, l.down}
 	l.sw.DefaultRoute(l.up)
 	return l
 }
 
-func (l *Lab) link(name string, cfg netem.LinkConfig, dst netem.Handler) *netem.Link {
-	ln := netem.NewLink(l.Eng, name, cfg, dst)
-	l.links = append(l.links, ln)
-	return ln
-}
-
-// SetUplink re-shapes the client→router direction, like `tc` (§2.2). The
-// queue is resized to the 200 ms home-router depth for the new rate.
-func (l *Lab) SetUplink(bps float64) { reshape(l.up, bps) }
-
-// SetDownlink re-shapes the router→client direction.
-func (l *Lab) SetDownlink(bps float64) { reshape(l.down, bps) }
-
-func reshape(l *netem.Link, bps float64) {
-	l.SetRate(bps)
-	if bps > 0 {
-		l.SetQueueBytes(netem.DefaultQueueBytes(bps))
+// ResolveLink implements scenario.LinkResolver, so a scenario re-shapes
+// the Lab mid-call as it re-shapes a cascade mesh. LinkClientUp and
+// LinkClientDown name a host's access link: for C1 and F1 the shaped
+// bottleneck, their access hop in §2.2. An unknown host and the
+// inter-region kinds resolve to nothing, as in scenario.MeshLinks.
+func (l *Lab) ResolveLink(ref scenario.LinkRef) []*netem.Link {
+	pair, ok := l.access[ref.Client]
+	if !ok {
+		return nil
 	}
+	switch ref.Kind {
+	case scenario.LinkClientUp:
+		return []*netem.Link{pair[0]}
+	case scenario.LinkClientDown:
+		return []*netem.Link{pair[1]}
+	}
+	return nil
 }
 
 // Uplink exposes the shaped uplink (for taps and drop accounting).
@@ -80,9 +85,10 @@ func (l *Lab) Downlink() *netem.Link { return l.down }
 // ClientHost attaches a host behind the shaped bottleneck (C1, F1).
 func (l *Lab) ClientHost(name string) *netem.Host {
 	h := netem.NewHost(l.Eng, name)
-	h.SetUplink(l.link(name+"-sw", netem.LinkConfig{Delay: 100 * time.Microsecond}, l.sw))
-	l.sw.Route(name, l.link("sw-"+name, netem.LinkConfig{Delay: 100 * time.Microsecond}, h))
+	up, down := netem.Attach(l.Eng, h, l.sw, netem.LinkConfig{Delay: 100 * time.Microsecond})
+	l.links = append(l.links, up, down)
 	l.rt.Route(name, l.down)
+	l.access[name] = [2]*netem.Link{l.up, l.down}
 	return h
 }
 
@@ -90,7 +96,8 @@ func (l *Lab) ClientHost(name string) *netem.Host {
 // SFUs, CDN and iPerf servers).
 func (l *Lab) RemoteHost(name string, delay time.Duration) *netem.Host {
 	h := netem.NewHost(l.Eng, name)
-	h.SetUplink(l.link(name+"-rt", netem.LinkConfig{Delay: delay}, l.rt))
-	l.rt.Route(name, l.link("rt-"+name, netem.LinkConfig{Delay: delay}, h))
+	up, down := netem.Attach(l.Eng, h, l.rt, netem.LinkConfig{Delay: delay})
+	l.links = append(l.links, up, down)
+	l.access[name] = [2]*netem.Link{up, down}
 	return h
 }

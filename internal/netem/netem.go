@@ -274,6 +274,9 @@ func (l *Link) SetRate(bps float64) { l.cfg.RateBps = bps }
 // SetQueueBytes changes the drop-tail queue limit.
 func (l *Link) SetQueueBytes(n int) { l.cfg.QueueBytes = n }
 
+// QueueBytes returns the drop-tail queue limit.
+func (l *Link) QueueBytes() int { return l.cfg.QueueBytes }
+
 // Delay returns the current one-way propagation delay.
 func (l *Link) Delay() time.Duration { return l.cfg.Delay }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"vcalab/internal/experiment"
-	"vcalab/internal/runner"
 	"vcalab/internal/vca"
 )
 
@@ -72,26 +71,5 @@ func TestImpairmentParallelMatchesSequential(t *testing.T) {
 	}
 	if seq, par := run(1), run(8); !reflect.DeepEqual(seq, par) {
 		t.Errorf("ImpairmentResult differs between parallelism 1 and 8:\nseq: %+v\npar: %+v", seq, par)
-	}
-}
-
-func TestRunTracesMatchesRunTrace(t *testing.T) {
-	trace := experiment.BandwidthTrace{
-		{At: 0, UpBps: 2e6, DownBps: 2e6},
-		{At: 30 * time.Second, UpBps: 0.6e6, DownBps: 0.6e6},
-	}
-	profs := []*vca.Profile{vca.Meet(), vca.Zoom()}
-	batch := experiment.RunTraces(profs, trace, 60*time.Second, 9, 8)
-	if len(batch) != 2 {
-		t.Fatalf("got %d results, want 2", len(batch))
-	}
-	for i, p := range profs {
-		if batch[i].Profile != p.Name {
-			t.Errorf("result %d is %q, want input order (%q)", i, batch[i].Profile, p.Name)
-		}
-		solo := experiment.RunTrace(p, trace, 60*time.Second, runner.Seed(9, i))
-		if !reflect.DeepEqual(batch[i], solo) {
-			t.Errorf("RunTraces[%d] differs from the equivalent RunTrace", i)
-		}
 	}
 }

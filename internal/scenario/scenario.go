@@ -12,7 +12,9 @@
 //
 // # Mechanism
 //
-// A Timeline binds a Scenario to an engine, a call and a link resolver.
+// A Timeline binds a Scenario to an engine, a call and a link resolver:
+// MeshLinks for a cascade mesh, or the experiment package's Lab, where
+// the §4 disruption is a two-step Trace on C1's access link.
 // It is itself a sim.Handler: one pooled engine event is in flight at any
 // moment, carrying the timeline to its next due instant, where it applies
 // every event due at that time in declaration order and re-arms for the
@@ -168,9 +170,9 @@ func ModelLink(at time.Duration, ref LinkRef, spec LinkModelSpec) Event {
 	return Event{At: at, Op: OpShape, Ref: ref, Shape: Shape{SetModel: true, Model: spec}}
 }
 
-// TraceStep is one segment of a per-link capacity trace — the §4
-// two-level disruption and the experiment package's bandwidth traces are
-// special cases, generalized here to any shaped link of the topology.
+// TraceStep is one segment of a capacity trace on any link of the
+// topology: the §4 disruption is the two-step case, TraceReplay a
+// drive-style one.
 type TraceStep struct {
 	At      time.Duration
 	RateBps float64 // 0 = unconstrained
@@ -233,10 +235,12 @@ func (sc Scenario) RecoveryPoints() []Event {
 }
 
 // LinkResolver maps a declarative LinkRef to the concrete links it names
-// in one built topology. Resolution happens at event-apply cadence (cold
-// path); returning nil or an empty slice makes the event a no-op, so a
-// scenario written for a 3-region mesh degrades gracefully on a smaller
-// one.
+// in one built topology: MeshLinks for a cascade mesh, the experiment
+// package's Lab for the paper's testbed. Resolution happens at
+// event-apply cadence (cold path); returning nil or an empty slice makes
+// the event a no-op, so a scenario written for a 3-region mesh degrades
+// gracefully on a smaller one, or on the Lab, which has no inter-region
+// links.
 type LinkResolver interface {
 	ResolveLink(ref LinkRef) []*netem.Link
 }
@@ -338,10 +342,10 @@ func (t *Timeline) apply(ev *Event) {
 	}
 }
 
-// applyShape reconfigures one link. Rate changes resize the drop-tail
-// queue to the default depth for the new rate, matching Lab.SetUplink's
-// `tc` semantics. idx is the link's position within the event's
-// resolution, used to decorrelate per-link model seeds.
+// applyShape reconfigures one link. A rate change is the `tc` re-shape,
+// written only here: the new rate, and the drop-tail queue resized to the
+// default depth for a positive one. idx is the link's position within the
+// event's resolution, used to decorrelate per-link model seeds.
 func (t *Timeline) applyShape(l *netem.Link, sh Shape, idx int) {
 	if sh.SetRate {
 		l.SetRate(sh.RateBps)

@@ -60,10 +60,13 @@ func TestTimelineShapeAspects(t *testing.T) {
 		t.Errorf("rate = %v, want 1e6", l.Rate())
 	}
 	// The rate change must have resized the queue to the default depth
-	// for the new rate (the `tc` reshape semantics the Lab uses).
-	// 1 Mbps -> 200 ms -> 25 kB, above the 5-MTU floor.
+	// for the new rate (the `tc` re-shape): 1 Mbps -> 200 ms -> 25 kB,
+	// above the 5-MTU floor.
 	if want := netem.DefaultQueueBytes(1e6); want != 25000 {
 		t.Fatalf("test premise: DefaultQueueBytes(1e6) = %d", want)
+	}
+	if got := l.QueueBytes(); got != 25000 {
+		t.Errorf("queue = %d B after the 1 Mbps re-shape, want 25000", got)
 	}
 }
 

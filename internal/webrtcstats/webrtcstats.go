@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vcalab/internal/codec"
+	"vcalab/internal/stats"
 )
 
 // Sample is one per-second stats snapshot.
@@ -63,9 +64,9 @@ func (r *Recorder) MedianOut(from, to time.Duration) codec.EncodeParams {
 		w = append(w, float64(s.Out.Width))
 	}
 	return codec.EncodeParams{
-		FPS:   median(fps),
-		QP:    median(qp),
-		Width: int(median(w)),
+		FPS:   stats.Median(fps),
+		QP:    stats.Median(qp),
+		Width: int(stats.Median(w)),
 	}
 }
 
@@ -92,26 +93,8 @@ func (r *Recorder) MedianIn(from, to time.Duration) codec.EncodeParams {
 		prev = s
 	}
 	return codec.EncodeParams{
-		FPS:   median(fps),
-		QP:    median(qp),
-		Width: int(median(w)),
+		FPS:   stats.Median(fps),
+		QP:    stats.Median(qp),
+		Width: int(stats.Median(w)),
 	}
-}
-
-func median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	// Insertion sort: sample counts are small (per-second over minutes).
-	sorted := append([]float64(nil), vs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }

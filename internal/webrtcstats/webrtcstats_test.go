@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vcalab/internal/codec"
+	"vcalab/internal/stats"
 )
 
 func sample(t int, fps float64, qp float64, w int, frames int) Sample {
@@ -78,13 +79,13 @@ func TestMedianEmptyWindow(t *testing.T) {
 }
 
 func TestMedianOddEven(t *testing.T) {
-	if got := median([]float64{3, 1, 2}); got != 2 {
+	if got := stats.Median([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("odd median = %v", got)
 	}
-	if got := median([]float64{4, 1, 2, 3}); got != 2.5 {
+	if got := stats.Median([]float64{4, 1, 2, 3}); got != 2.5 {
 		t.Errorf("even median = %v", got)
 	}
-	if got := median(nil); got != 0 {
+	if got := stats.Median(nil); got != 0 {
 		t.Errorf("empty median = %v", got)
 	}
 }

@@ -173,7 +173,8 @@ type (
 	LinkShape = scenario.Shape
 	// ScenarioLinkRef names a link of the bound topology declaratively.
 	ScenarioLinkRef = scenario.LinkRef
-	// LinkResolver maps ScenarioLinkRefs to concrete links.
+	// LinkResolver maps ScenarioLinkRefs to concrete links: MeshLinks
+	// over a cascade mesh, or a *Lab itself.
 	LinkResolver = scenario.LinkResolver
 	// LinkTraceStep is one segment of a per-link capacity trace.
 	LinkTraceStep = scenario.TraceStep
@@ -273,11 +274,6 @@ type (
 	FuzzConfig  = experiment.FuzzConfig
 	FuzzResult  = experiment.FuzzResult
 	FuzzFailure = experiment.FuzzFailure
-	// BandwidthTrace replays a time-varying access-link profile (the §8
-	// "other network contexts" extension); TraceStep is one segment.
-	BandwidthTrace = experiment.BandwidthTrace
-	TraceStep      = experiment.TraceStep
-	TraceResult    = experiment.TraceResult
 )
 
 // Observability (internal/obs): a ring-buffer tracer of typed sim-time
@@ -368,8 +364,6 @@ var (
 	RunScale       = experiment.RunScale
 	RunDynamic     = experiment.RunDynamic
 	RunFuzz        = experiment.RunFuzz
-	RunTrace       = experiment.RunTrace
-	RunTraces      = experiment.RunTraces
 	ModalitySweep  = experiment.ModalitySweep
 	Table2         = experiment.Table2
 

@@ -470,6 +470,8 @@ var oneSite = []struct {
 		[]string{"internal/experiment/*.go", "internal/scenario/*.go", "cmd/*/*.go"}, "sim.Group", false, 0},
 	{"a component records into its engine's tracer and holds none of its own (DESIGN.md §11)",
 		[]string{"internal/netem/*.go", "internal/vca/*.go", "internal/scenario/*.go", "internal/cascade/*.go"}, ".tracer", false, 0},
+	{"the `tc` re-shape (a new rate, the queue resized for it) is written once, in scenario's applyShape (DESIGN.md §9)",
+		[]string{"internal/experiment/*.go", "internal/cascade/*.go", "internal/scenario/*.go"}, ".SetQueueBytes", false, 1},
 }
 
 func TestOneSite(t *testing.T) {
