@@ -36,7 +36,7 @@ func TestTrialAllocBudgets(t *testing.T) {
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on", func() {
 			RunDynamic(DynamicConfig{Profile: vca.Zoom(), Scenario: scenario.ChurnStorm(8), Participants: 8, Regions: 2, InterMbps: 10,
 				Reps: 1, Dur: 80 * time.Second, Warmup: 10 * time.Second, Seed: 1, Parallel: 1, Recovery: true})
-		}, 4.437, 6.332}, // parent: no spare list, 32-byte ring slots
+		}, 3.744, 4.431}, // parent: 144-byte packets, per-track labels
 	}
 	for _, c := range cells {
 		var before, after runtime.MemStats

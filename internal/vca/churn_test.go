@@ -300,12 +300,10 @@ func churnRecycledID(t *testing.T, recovery bool) {
 	if s.reg.name(got) != "c2" {
 		t.Fatalf("recycled ID resolves to %q, want c2", s.reg.name(got))
 	}
-	// Every other leg's cached flow-label row for the recycled ID must be
-	// gone: a stale row would account c2's media under c3's name.
-	for _, rid := range s.legOrder {
-		if l := s.legs[rid]; l != nil && rid != got && l.flows[got] != nil {
-			t.Fatalf("leg %s retains stale flow labels for recycled ID %d", l.recvName, got)
-		}
+	// The server's cached flow-label row for the recycled ID must be gone:
+	// a stale row would account c2's media under c3's name.
+	if s.flows.rows[got] != nil {
+		t.Fatalf("server retains stale flow labels %q for recycled ID %d", s.flows.rows[got], got)
 	}
 	call.Rejoin("c3")
 	if call.clientByName("c3").id != id2 {

@@ -334,12 +334,11 @@ func (c *Client) sendFrame(f *codec.Frame) {
 		mp := c.pool.get()
 		mp.Origin = c.Name
 		mp.OriginID = c.id
-		mp.StreamID = f.StreamID
 		mp.RK = rk
-		mp.Layer = f.Layer
+		mp.Layer = uint8(f.Layer)
 		mp.SSRC = 1
 		mp.Seq = c.seq
-		mp.FrameSeq = f.FrameSeq
+		mp.FrameSeq = int32(f.FrameSeq)
 		mp.LayerEnd = last
 		mp.FrameEnd = last && f.Layer == c.topLayer
 		mp.Keyframe = f.Keyframe
@@ -359,7 +358,7 @@ func (c *Client) audioTick(time.Duration) {
 	}
 	mp := c.pool.get()
 	mp.Origin, mp.OriginID = c.Name, c.id
-	mp.StreamID, mp.RK = "audio", rkAudio
+	mp.RK = rkAudio
 	mp.SSRC, mp.Seq, mp.Audio = 2, c.seq, true
 	c.seq++
 	c.send(mp, 100+wireOverhead)
@@ -374,7 +373,7 @@ func (c *Client) padTick(now time.Duration) {
 	for n := c.pad.due(now, c.ccUp); n > 0; n-- {
 		mp := c.pool.get()
 		mp.Origin, mp.OriginID = c.Name, c.id
-		mp.StreamID, mp.RK = "pad", rkPad
+		mp.RK = rkPad
 		mp.SSRC, mp.Seq, mp.Padding = 1, c.seq, true
 		c.seq++
 		c.send(mp, maxPayload+wireOverhead)
@@ -383,9 +382,9 @@ func (c *Client) padTick(now time.Duration) {
 
 // flowFor returns the cached accounting label for one of this client's
 // streams, index-addressed by rate key.
-func (c *Client) flowFor(rk uint8, stream string) string {
+func (c *Client) flowFor(rk uint8) string {
 	if c.flows[rk] == "" {
-		c.flows[rk] = c.prof.Name + "/" + c.Name + "/" + stream
+		c.flows[rk] = c.prof.Name + "/" + c.Name + "/" + streamName(rk)
 	}
 	return c.flows[rk]
 }
@@ -394,7 +393,7 @@ func (c *Client) send(mp *MediaPacket, wireBytes int) {
 	now := c.eng.Now()
 	mp.OriginSentAt = now
 	c.UpMeter.AddBytes(now, wireBytes)
-	post(c.host, c.home.Name, PortMedia, wireBytes, c.flowFor(mp.RK, mp.StreamID), mp)
+	post(c.host, c.home.Name, PortMedia, wireBytes, c.flowFor(mp.RK), mp)
 }
 
 // onMedia handles a forwarded media packet from the SFU, dispatching to

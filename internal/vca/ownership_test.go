@@ -419,7 +419,7 @@ func TestFrameLatencySampleIsPerArrival(t *testing.T) {
 	arrive := func(edit func(*MediaPacket)) {
 		mp := pool.get()
 		mp.Origin, mp.OriginID = "c2", call.Clients[1].id
-		mp.StreamID, mp.RK, mp.FrameEnd = "video", rkVideo, true
+		mp.RK, mp.FrameEnd = rkVideo, true
 		mp.OriginSentAt = eng.Now() - 30*time.Millisecond
 		edit(mp)
 		cl.onMedia(&netem.Packet{Size: 1200, Payload: mp})

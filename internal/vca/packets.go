@@ -11,6 +11,7 @@
 package vca
 
 import (
+	"slices"
 	"time"
 
 	"vcalab/internal/cc"
@@ -39,66 +40,80 @@ const maxPayload = 1200
 // layers extend past rkSVC (layer L maps to rkSVC+L), so rkSVC must stay
 // the last constant.
 const (
-	rkVideo   uint8 = iota // "video"
-	rkSimLow               // "sim/low"
-	rkSimHigh              // "sim/high"
-	rkAudio                // "audio"
-	rkPad                  // "pad"
-	rkFEC                  // "fec"
-	rkSVC                  // "svc", layer 0; layer L -> rkSVC+L
+	rkVideo uint8 = iota
+	rkSimLow
+	rkSimHigh
+	rkAudio
+	rkPad
+	rkFEC
+	rkSVC // layer 0; layer L -> rkSVC+L
 )
 
+// streamNames names each rate key's codec stream ID. Only the two labels
+// read a name back (streamName), so a packet carries just the rate key.
+var streamNames = [rkSVC + 1]string{
+	rkVideo: "video", rkSimLow: "sim/low", rkSimHigh: "sim/high",
+	rkAudio: "audio", rkPad: "pad", rkFEC: "fec", rkSVC: "svc",
+}
+
 // streamRK maps a codec stream ID to its rate key, stamped once at packet
-// creation so no forwarding hop re-derives it.
+// creation so no forwarding hop re-derives it. An unknown ID is video.
 func streamRK(stream string) uint8 {
-	switch stream {
-	case "video":
-		return rkVideo
-	case "sim/low":
-		return rkSimLow
-	case "sim/high":
-		return rkSimHigh
-	case "svc":
-		return rkSVC
-	case "audio":
-		return rkAudio
-	case "pad":
-		return rkPad
-	case "fec":
-		return rkFEC
+	if i := slices.Index(streamNames[:], stream); i >= 0 {
+		return uint8(i)
 	}
 	return rkVideo
 }
+
+// streamName is streamRK's inverse for a packet's stamped rate key.
+func streamName(rk uint8) string { return streamNames[rk] }
 
 // rateKey expands a packet's stamped rate key with its SVC layer.
 func (m *MediaPacket) rateKey() int {
 	k := int(m.RK)
 	if m.RK == rkSVC {
-		k += m.Layer
+		k += int(m.Layer)
 	}
 	return k
 }
 
 // MediaPacket is the typed payload of an RTP media packet in the emulator.
 // internal/pcap can serialize it to a real RTP packet for traces.
+//
+// Fields are ordered by alignment so the struct fits the 96-byte size
+// class: every pool fill, recovery on or off, pays for one of these.
 type MediaPacket struct {
-	Origin string // participant whose media this is
+	// Origin is the participant whose media this is. It stays a name
+	// although OriginID identifies the origin on every live path: IDs
+	// recycle while a departed participant's packets are still in flight.
+	Origin string
+	// OriginSentAt is stamped by the origin client and survives
+	// forwarding.
+	OriginSentAt time.Duration
+	Params       codec.EncodeParams
+
+	pool *mpPool // owning free list, nil for literal packets
+
 	// OriginID is Origin's dense call-wide registry ID, stamped at the
 	// origin client (or at the SFU for server-generated padding/FEC) and
 	// preserved across every forwarding hop: all per-packet routing and
 	// accounting indexes by it, never by the name.
 	OriginID int32
-	// refs counts the holders of a retained packet (see retain). It sits
-	// in the padding after OriginID, so the struct stays in its 144-byte
-	// size class.
+	// refs counts the holders of a retained packet (see retain).
 	refs     int32
-	StreamID string // "video", "sim/low", "sim/high", "svc", "audio", "pad"
-	// RK is StreamID's rate key (see streamRK), stamped alongside OriginID.
-	RK       uint8
-	Layer    int // SVC layer
 	SSRC     uint32
+	FrameSeq int32
 	Seq      uint16
-	FrameSeq int
+	// TWSeq is the transport-wide sequence number the SFU stamps on every
+	// packet of one downlink when recovery is on (0 = unstamped; the
+	// counter skips 0), feeding the TWCC arrival reports.
+	TWSeq uint16
+	// RK is the stream's rate key (see streamRK), stamped alongside
+	// OriginID; it names the stream ("video", "sim/low", "sim/high",
+	// "svc", "audio", "pad", "fec") through streamName.
+	RK    uint8
+	Layer uint8 // SVC layer
+
 	// LayerEnd marks the last packet of this frame's layer; FrameEnd
 	// marks the last packet of the whole frame (top selected layer).
 	// The SFU rewrites FrameEnd when it strips SVC layers.
@@ -107,25 +122,13 @@ type MediaPacket struct {
 	Keyframe bool
 	Audio    bool
 	Padding  bool // FEC / probe padding
-
-	// OriginSentAt is stamped by the origin client and survives
-	// forwarding; E2E is set by a pass-through relay (Teams 2-party) to
-	// tell the receiver its delay signal should span the whole path.
-	OriginSentAt time.Duration
-	E2E          bool
-
+	// E2E is set by a pass-through relay (Teams 2-party) to tell the
+	// receiver its delay signal should span the whole path.
+	E2E bool
 	// RTX marks a NACK-answered retransmission, so the receiver can
-	// account it separately and CC can discount it. TWSeq is the
-	// transport-wide sequence number the SFU stamps on every packet of
-	// one downlink when recovery is on (0 = unstamped; the counter skips
-	// 0), feeding the TWCC arrival reports.
-	RTX   bool
-	TWSeq uint16
-
-	Params    codec.EncodeParams
+	// account it separately and CC can discount it.
+	RTX       bool
 	HasParams bool
-
-	pool *mpPool // owning free list, nil for literal packets
 }
 
 // mpPool is the single-threaded free list of one region's payload
@@ -279,7 +282,7 @@ func (m *MediaPacket) ReleasePayload() { releaseMedia(m) }
 func (m *MediaPacket) Info(wireBytes int, sentAt time.Duration) media.PacketInfo {
 	return media.PacketInfo{
 		Seq:       m.Seq,
-		FrameSeq:  m.FrameSeq,
+		FrameSeq:  int(m.FrameSeq),
 		FrameEnd:  m.FrameEnd,
 		Keyframe:  m.Keyframe,
 		Bytes:     wireBytes,

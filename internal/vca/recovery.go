@@ -392,9 +392,9 @@ type rtxOrigin struct {
 // holders (MediaPacket.retain) until it is evicted or drained.
 type rtxEntry struct {
 	pkt *MediaPacket
-	// frameSeq narrows MediaPacket.FrameSeq to keep the entry at 16 bytes
-	// (a 24-byte ring slot); at 30 fps it wraps after two years of
-	// simulated call.
+	// frameSeq is MediaPacket.FrameSeq's width, which keeps the entry at
+	// 16 bytes (a 24-byte ring slot); at 30 fps it wraps after two years
+	// of simulated call.
 	frameSeq int32
 	size     uint16
 	flags    uint8 // rtxKeyframe | rtxFrameEnd | rtxE2E
@@ -421,7 +421,7 @@ func flag(on bool, bit uint8) uint8 {
 // down-track first sent it under seq.
 func (e rtxEntry) rebuild(p *mpPool, seq uint16) *MediaPacket {
 	out := p.copyOf(e.pkt)
-	out.Seq, out.FrameSeq = seq, int(e.frameSeq)
+	out.Seq, out.FrameSeq = seq, e.frameSeq
 	out.Keyframe, out.FrameEnd, out.E2E = e.flags&rtxKeyframe != 0, e.flags&rtxFrameEnd != 0, e.flags&rtxE2E != 0
 	return out
 }
@@ -453,7 +453,7 @@ func (r *retransmitter) store(shared, out *MediaPacket, size int) {
 	}
 	ev, ok := o.ring.Put(out.Seq, rtxEntry{
 		pkt:      shared.retain(),
-		frameSeq: int32(out.FrameSeq),
+		frameSeq: out.FrameSeq,
 		size:     uint16(size),
 		flags:    flag(out.Keyframe, rtxKeyframe) | flag(out.FrameEnd, rtxFrameEnd) | flag(out.E2E, rtxE2E),
 	})

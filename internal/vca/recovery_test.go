@@ -205,7 +205,7 @@ func TestFlushAllDeliversNow(t *testing.T) {
 	// keyframes, 1 and 4 deltas: 4 decodes only if it is delivered after 3.
 	now, step := time.Second, 33*time.Millisecond
 	for _, seq := range []uint16{0, 1, 3, 4} { // 2 is missing: 3 and 4 wait
-		mp := &MediaPacket{Seq: seq, FrameSeq: int(seq), FrameEnd: true, Keyframe: seq == 0 || seq == 3}
+		mp := &MediaPacket{Seq: seq, FrameSeq: int32(seq), FrameEnd: true, Keyframe: seq == 0 || seq == 3}
 		tr.onPacket(now, mp, 100, now, 0)
 		now += step
 	}
@@ -259,7 +259,7 @@ func TestInboundTrack(t *testing.T) {
 			}
 			now, step, rtt := time.Second, 10*time.Millisecond, 40*time.Millisecond
 			for _, seq := range []uint16{0, 1, 3, 2, 4, 6, 7} {
-				mp := &MediaPacket{Seq: seq, FrameSeq: int(seq), FrameEnd: true, Keyframe: seq == 0}
+				mp := &MediaPacket{Seq: seq, FrameSeq: int32(seq), FrameEnd: true, Keyframe: seq == 0}
 				if !tr.onPacket(now, mp, 100, now-step, rtt) {
 					t.Fatalf("seq %d rejected", seq)
 				}

@@ -141,7 +141,7 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 	audio := func(seq uint16) *MediaPacket {
 		mp := pool.get()
 		mp.Origin, mp.OriginID = "c1", call.Clients[0].id
-		mp.StreamID, mp.RK, mp.Audio, mp.Seq = "audio", rkAudio, true, seq
+		mp.RK, mp.Audio, mp.Seq = rkAudio, true, seq
 		return mp
 	}
 	first := audio(0)
@@ -191,12 +191,15 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 	}
 }
 
-// TestMediaPacketSizeClass: the reference count lives in padding. A
-// MediaPacket that outgrows 144 bytes moves to the 160-byte size class
-// and every pool fill, recovery on or off, pays for it.
+// TestMediaPacketSizeClass: a MediaPacket is 94 bytes, the 96-byte size
+// class — the origin name and send time (24), the encode parameters (32),
+// the pool pointer (8), four 4-byte fields (origin ID, refs, SSRC, frame
+// number), two sequence numbers, the rate key, the SVC layer and eight
+// flags. One more 8-byte field moves it to the 112-byte class, and every
+// pool fill, recovery on or off, pays for it.
 func TestMediaPacketSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(MediaPacket{}); got > 144 {
-		t.Errorf("MediaPacket is %d bytes, want <= 144", got)
+	if got := unsafe.Sizeof(MediaPacket{}); got > 96 {
+		t.Errorf("MediaPacket is %d bytes, want <= 96", got)
 	}
 	if got := unsafe.Sizeof(rtxEntry{}); got > 16 {
 		t.Errorf("rtxEntry is %d bytes, want <= 16 (a 24-byte ring slot)", got)
@@ -223,7 +226,7 @@ func TestRingReuseAcrossChurn(t *testing.T) {
 		for ; n > 0; n-- {
 			mp := pool.get()
 			mp.Origin, mp.OriginID = "c1", c1
-			mp.StreamID, mp.RK, mp.Audio, mp.Seq = "audio", rkAudio, true, next
+			mp.RK, mp.Audio, mp.Seq = rkAudio, true, next
 			next++
 			s.onMedia(&netem.Packet{Size: 140, Payload: mp})
 		}

@@ -48,6 +48,9 @@ type Server struct {
 
 	recv []*receiver  // sender ID -> arrival side (nil: stranger)
 	legs []*downTrack // subscriber ID -> send side (nil: none)
+	// flows and relayFlows are the media labels of receiver and relay
+	// tracks, indexed by origin ID like recv.
+	flows, relayFlows flowLabels
 
 	clients    []int32 // locally homed participant IDs, join order
 	relayPeers []int32 // downstream peer SFUs this server relays to
@@ -98,6 +101,8 @@ func newServer(eng *sim.Engine, prof *Profile, host *netem.Host, reg *registry, 
 		recv:        make([]*receiver, n),
 		legs:        make([]*downTrack, n),
 		displayed:   make([][]int32, n),
+		flows:       flowLabels{prefix: prof.Name + "/sfu/", rows: make([][]string, n)},
+		relayFlows:  flowLabels{prefix: prof.Name + "/relay/", rows: make([][]string, n)},
 		n:           total,
 		passthrough: prof.NewServerCC == nil && total == 2,
 		recovery:    recovery,
@@ -123,9 +128,11 @@ func newServer(eng *sim.Engine, prof *Profile, host *netem.Host, reg *registry, 
 func (s *Server) addTrack(id int32, relay bool) {
 	l := &downTrack{
 		receiver: id, recvName: s.reg.name(id), relay: relay,
-		prof: s.prof, host: s.host, pool: s.pool,
-		fwd:   make([]*forwarder, s.reg.cap()),
-		flows: make([][]string, s.reg.cap()),
+		prof: s.prof, host: s.host, pool: s.pool, flows: &s.flows,
+		fwd: make([]*forwarder, s.reg.cap()),
+	}
+	if relay {
+		l.flows = &s.relayFlows
 	}
 	if s.prof.NewServerCC != nil {
 		l.ctrl = s.prof.NewServerCC()
@@ -227,6 +234,7 @@ func (s *Server) remove(id int32) {
 		l.rtx.retire(s.retired)
 	}
 	s.legs[id], s.recv[id], s.displayed[id] = nil, nil, nil
+	s.flows.rows[id], s.relayFlows.rows[id] = nil, nil
 	s.rewire()
 	for _, rid := range s.legOrder {
 		s.legs[rid].dropOrigin(id)

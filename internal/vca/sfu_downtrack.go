@@ -11,12 +11,11 @@ import (
 // or a peer SFU when relay is set. It owns what the subscriber sees of the
 // call: one forwarder (layer machine) per origin it carries, the rewritten
 // sequence spaces, the downlink congestion controller and its probe
-// padding, the accounting labels, and — when built with one — the
-// retransmit part (recovery.go) that answers the subscriber's NACKs and
-// turns its TWCC reports into controller feedback. A relay track is the
-// same machinery toward a peer: Meet/Zoom terminate congestion control per
-// hop (the downstream SFU reports back like a receiver would), Teams
-// passes through.
+// padding, and — when built with one — the retransmit part (recovery.go)
+// that answers the subscriber's NACKs and turns its TWCC reports into
+// controller feedback. A relay track is the same machinery toward a peer:
+// Meet/Zoom terminate congestion control per hop (the downstream SFU
+// reports back like a receiver would), Teams passes through.
 type downTrack struct {
 	receiver int32
 	recvName string // cached for netem addressing
@@ -37,9 +36,7 @@ type downTrack struct {
 	fwd      []*forwarder  // origin ID -> layer machine (nil: not carried)
 	fwdBytes uint64        // cumulative media bytes sent down this track
 	pad      padBudget
-	// flows caches accounting labels per (origin ID, rate key): building
-	// the label per forwarded packet would allocate on the hottest path.
-	flows [][]string
+	flows    *flowLabels // the server's labels for this track's kind
 
 	// rtx is set at construction, or never: the retransmit part of a track
 	// toward a local receiver in a recovery-on call. Nil, every call the
@@ -83,7 +80,7 @@ func (l *downTrack) emit(now time.Duration, f *forwarder, mp *MediaPacket, size 
 		f.fecOwed -= float64(n)
 		fec := l.pool.get()
 		fec.Origin, fec.OriginID = mp.Origin, mp.OriginID
-		fec.StreamID, fec.RK = "fec", rkFEC
+		fec.RK = rkFEC
 		fec.Seq, fec.Padding = l.nextSeq(f), true
 		l.rtx.storeOwn(l.pool, fec, n+wireOverhead)
 		l.send(now, fec, n+wireOverhead)
@@ -104,29 +101,33 @@ func (l *downTrack) nextSeq(f *forwarder) uint16 {
 	return seq
 }
 
-// flowFor returns the cached accounting label for the packet's (origin,
-// stream), index-addressed by (origin ID, rate key).
-func (l *downTrack) flowFor(mp *MediaPacket) string {
-	row := l.flows[mp.OriginID]
+// flowLabels is one server's cache of media accounting labels of one kind
+// (sfu or relay), index-addressed by (origin ID, rate key). A label names
+// no subscriber, so every down-track of the kind shares it; building the
+// label per forwarded packet would allocate on the hottest path.
+type flowLabels struct {
+	prefix string     // "<vca>/<kind>/"
+	rows   [][]string // origin ID -> rate key -> label ("" until first use)
+}
+
+// get returns the cached label for the packet's (origin, stream).
+func (t *flowLabels) get(mp *MediaPacket) string {
+	row := t.rows[mp.OriginID]
 	k := mp.rateKey()
 	for len(row) <= k {
 		row = append(row, "")
 	}
 	if row[k] == "" {
-		kind := "sfu"
-		if l.relay {
-			kind = "relay"
-		}
-		row[k] = l.prof.Name + "/" + kind + "/" + mp.Origin + "/" + mp.StreamID
+		row[k] = t.prefix + mp.Origin + "/" + streamName(mp.RK)
 	}
-	l.flows[mp.OriginID] = row
+	t.rows[mp.OriginID] = row
 	return row[k]
 }
 
 func (l *downTrack) send(now time.Duration, mp *MediaPacket, size int) {
 	l.rtx.stamp(now, mp, size)
 	l.fwdBytes += uint64(size)
-	post(l.host, l.recvName, PortMedia, size, l.flowFor(mp), mp)
+	post(l.host, l.recvName, PortMedia, size, l.flows.get(mp), mp)
 }
 
 // probe emits the padding the controller asks for (GCC recovery probes on
@@ -139,7 +140,7 @@ func (l *downTrack) probe(now time.Duration, server string, serverID int32) {
 	for n := l.pad.due(now, l.ctrl); n > 0; n-- {
 		mp := l.pool.get()
 		mp.Origin, mp.OriginID = server, serverID
-		mp.StreamID, mp.RK, mp.Padding = "pad", rkPad, true
+		mp.RK, mp.Padding = rkPad, true
 		l.send(now, mp, maxPayload+wireOverhead)
 	}
 }
@@ -150,9 +151,8 @@ func (l *downTrack) share(numVideo int) float64 {
 	return (l.ctrl.TargetBps() - l.prof.AudioBps*float64(numVideo)) / float64(numVideo)
 }
 
-// dropOrigin forgets one origin: its layer machine, flow labels and
-// retained packets.
+// dropOrigin forgets one origin: its layer machine and retained packets.
 func (l *downTrack) dropOrigin(id int32) {
-	l.fwd[id], l.flows[id] = nil, nil
+	l.fwd[id] = nil
 	l.rtx.drop(id)
 }

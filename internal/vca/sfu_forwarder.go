@@ -9,8 +9,8 @@ type forwarder struct {
 	prof *Profile
 
 	seq        uint16 // the pair's rewritten sequence space (receiver tracks)
-	frameOut   int
-	curInFrame int
+	frameOut   int32
+	curInFrame int32
 	curKeep    bool
 	selRK      uint8   // simulcast: rate key of the selected copy
 	maxLayer   int     // SVC: highest forwarded layer
@@ -58,7 +58,7 @@ func (f *forwarder) forward(mp *MediaPacket) bool {
 			f.frameOut++
 		}
 	}
-	return f.curKeep && !(f.prof.MediaMode == ModeSVC && mp.Layer > f.maxLayer)
+	return f.curKeep && !(f.prof.MediaMode == ModeSVC && int(mp.Layer) > f.maxLayer)
 }
 
 // keepFrame decides whether a new frame survives temporal thinning.
@@ -88,7 +88,7 @@ func (f *forwarder) rewrite(out, mp *MediaPacket) {
 		f.needKey = false
 	}
 	if f.prof.MediaMode == ModeSVC {
-		out.FrameEnd = mp.LayerEnd && (mp.Layer == f.maxLayer || mp.FrameEnd)
+		out.FrameEnd = mp.LayerEnd && (int(mp.Layer) == f.maxLayer || mp.FrameEnd)
 	}
 }
 

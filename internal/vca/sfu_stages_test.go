@@ -3,8 +3,10 @@ package vca
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"vcalab/internal/netem"
 	"vcalab/internal/rtp"
@@ -143,7 +145,7 @@ func TestForwarderThinsAndRenumbers(t *testing.T) {
 	f.thinFactor = 0.5
 	var kept []int
 	for frame := 0; frame < 9; frame++ {
-		mp := &MediaPacket{RK: rkVideo, FrameSeq: frame, Keyframe: frame == 0 || frame == 6}
+		mp := &MediaPacket{RK: rkVideo, FrameSeq: int32(frame), Keyframe: frame == 0 || frame == 6}
 		first, second := f.forward(mp), f.forward(mp)
 		if first != second {
 			t.Fatalf("frame %d: packets of one frame split (%v, %v)", frame, first, second)
@@ -151,7 +153,7 @@ func TestForwarderThinsAndRenumbers(t *testing.T) {
 		if first {
 			out := *mp
 			f.rewrite(&out, mp)
-			if out.FrameSeq != len(kept)+1 {
+			if int(out.FrameSeq) != len(kept)+1 {
 				t.Errorf("frame %d renumbered %d, want %d", frame, out.FrameSeq, len(kept)+1)
 			}
 			kept = append(kept, frame)
@@ -185,7 +187,7 @@ func trackToSink(t *testing.T, ringPkts int) (*sim.Engine, *downTrack, *[]sentPa
 	prof := Zoom()
 	l := &downTrack{
 		receiver: 1, recvName: "c2", prof: prof, host: host, pool: &mpPool{},
-		fwd: make([]*forwarder, 2), flows: make([][]string, 2),
+		fwd: make([]*forwarder, 2), flows: &flowLabels{prefix: "zoom/sfu/", rows: make([][]string, 2)},
 		rtx: newRetransmitter(2, false, new([]*rtp.RTXRing[rtxEntry])),
 	}
 	l.rtx.ringPkts = ringPkts
@@ -206,9 +208,9 @@ func TestDownTrackAnswersNackWithItsOwnRewrite(t *testing.T) {
 
 	// One delta frame of three layers, one packet each, as the origin sent
 	// it: only the top layer's packet ends the frame.
-	ingress := func(seq uint16, layer int) {
+	ingress := func(seq uint16, layer uint8) {
 		mp := l.pool.get()
-		mp.Origin, mp.OriginID, mp.StreamID, mp.RK = "c1", 0, "svc", rkSVC
+		mp.Origin, mp.OriginID, mp.RK = "c1", 0, rkSVC
 		mp.Seq, mp.FrameSeq, mp.Layer = seq, 7, layer
 		mp.LayerEnd, mp.FrameEnd = true, layer == 2
 		mp.retain()
@@ -277,5 +279,79 @@ func TestDownTrackAnswersNackWithItsOwnRewrite(t *testing.T) {
 	}
 	if tally[0] != (rtxCount{nacks: 4, rtx: 2}) {
 		t.Errorf("retired tally %+v", tally[0])
+	}
+}
+
+// TestFlowLabelsOnePerServer: a media label names no subscriber, so every
+// down-track of one kind on a server shares one string per (origin,
+// stream); a relay track's labels say relay; and a Leave clears the
+// departed ID's row, so a recycled ID never sends under the old name.
+func TestFlowLabelsOnePerServer(t *testing.T) {
+	eng := sim.New(5)
+	l := newLab(eng, 0, 0)
+	hosts := []*netem.Host{l.clientHost("c1"), l.remoteHost("c2", 5*time.Millisecond), l.remoteHost("c3", 5*time.Millisecond)}
+	sfu := l.remoteHost("sfu", 15*time.Millisecond)
+	call := NewCall(eng, Meet(), sfu, hosts, CallOptions{Seed: 5})
+	c1 := call.C1().id
+	type copyKey struct {
+		to string
+		rk uint8
+	}
+	labels := map[copyKey]string{}
+	sfu.Uplink().OnSend(func(pkt *netem.Packet) {
+		if mp, ok := pkt.Payload.(*MediaPacket); ok && mp.OriginID == c1 && !mp.Audio && !mp.Padding {
+			labels[copyKey{pkt.To.Host, mp.RK}] = pkt.Flow
+		}
+	})
+	call.Start()
+	eng.RunUntil(3 * time.Second)
+	shared := 0
+	for k, a := range labels {
+		b, ok := labels[copyKey{"c3", k.rk}]
+		if k.to != "c2" || !ok {
+			continue
+		}
+		shared++
+		if want := "meet/sfu/c1/" + streamName(k.rk); a != want || b != want {
+			t.Errorf("c1's %s copies labelled %q and %q, want %q", streamName(k.rk), a, b, want)
+		}
+		if unsafe.StringData(a) != unsafe.StringData(b) {
+			t.Errorf("c2's and c3's copies of c1's %s carry separately built labels", streamName(k.rk))
+		}
+	}
+	if shared == 0 {
+		t.Fatalf("c2 and c3 got no copy of the same c1 video stream: %v", labels)
+	}
+
+	s := call.Server
+	c2 := call.clientByName("c2").id
+	if s.flows.rows[c2] == nil {
+		t.Fatal("no labels cached for c2's media before it left")
+	}
+	call.Leave("c2")
+	call.Rejoin("c2")
+	if got := call.clientByName("c2").id; got != c2 || s.flows.rows[c2] != nil {
+		t.Errorf("rejoined c2 (ID %d, was %d) finds labels %q cached under its ID", got, c2, s.flows.rows[c2])
+	}
+	call.Stop()
+
+	eng = sim.New(5)
+	cascade, _ := miniCascade(eng, Meet(), 5)
+	var relayed []string
+	cascade.Servers[0].host.Uplink().OnSend(func(pkt *netem.Packet) {
+		if mp, ok := pkt.Payload.(*MediaPacket); ok && pkt.To.Host == "sfu-b" && mp.Origin == "c1" {
+			relayed = append(relayed, pkt.Flow)
+		}
+	})
+	cascade.Start()
+	eng.RunUntil(time.Second)
+	cascade.Stop()
+	if len(relayed) == 0 {
+		t.Fatal("no c1 media crossed the relay track")
+	}
+	for _, f := range relayed {
+		if !strings.HasPrefix(f, "meet/relay/c1/") {
+			t.Fatalf("relay track labels c1's media %q, want meet/relay/c1/...", f)
+		}
 	}
 }

@@ -351,24 +351,52 @@ func TestDeterministicCalls(t *testing.T) {
 	}
 }
 
+// TestStreamNameRoundTrip: a packet names its stream by rate key alone,
+// and streamRK maps an unknown stream to video, so every stream the
+// encoders and packetizers emit must survive the round trip exactly or a
+// flow label would change.
+func TestStreamNameRoundTrip(t *testing.T) {
+	streams := map[string]bool{"audio": true, "pad": true, "fec": true}
+	for _, prof := range []*Profile{Meet(), Zoom(), Teams()} {
+		call, _ := twoParty(sim.New(1), prof, 0, 0)
+		enc := call.C1().enc
+		enc.SetTarget(5e6)
+		for i := range 30 {
+			for _, f := range enc.Tick(time.Duration(i) * 33 * time.Millisecond) {
+				streams[f.StreamID] = true
+			}
+		}
+	}
+	for _, want := range []string{"video", "sim/low", "sim/high", "svc"} {
+		if !streams[want] {
+			t.Errorf("no encoder emitted %q", want)
+		}
+	}
+	for s := range streams {
+		if got := streamName(streamRK(s)); got != s {
+			t.Errorf("streamName(streamRK(%q)) = %q", s, got)
+		}
+	}
+}
+
 // Rate keys must stay collision-free for every SVC layer index (the dense
 // successor of the old svcKey regression: deep ladders must not corrupt
 // per-stream rate tracking).
 func TestRateKeyAllLayers(t *testing.T) {
 	seen := map[int]uint8{}
 	for _, stream := range []string{"video", "sim/low", "sim/high", "audio", "pad", "fec"} {
-		mp := &MediaPacket{StreamID: stream, RK: streamRK(stream)}
+		mp := &MediaPacket{RK: streamRK(stream)}
 		k := mp.rateKey()
 		if prev, dup := seen[k]; dup {
 			t.Errorf("rate key collision: %q and rk %d share index %d", stream, prev, k)
 		}
 		seen[k] = mp.RK
 	}
-	for _, layer := range []int{0, 1, 9, 10, 37, 128} {
-		mp := &MediaPacket{StreamID: "svc", RK: streamRK("svc"), Layer: layer}
+	for _, layer := range []uint8{0, 1, 9, 10, 37, 128} {
+		mp := &MediaPacket{RK: streamRK("svc"), Layer: layer}
 		k := mp.rateKey()
-		if k != int(rkSVC)+layer {
-			t.Errorf("rateKey(svc/%d) = %d, want %d", layer, k, int(rkSVC)+layer)
+		if k != int(rkSVC)+int(layer) {
+			t.Errorf("rateKey(svc/%d) = %d, want %d", layer, k, int(rkSVC)+int(layer))
 		}
 		if _, dup := seen[k]; dup {
 			t.Errorf("svc layer %d collides with a base rate key at index %d", layer, k)
