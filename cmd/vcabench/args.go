@@ -72,12 +72,6 @@ func validateFlags(exp, scenarioName, recovery string, parallel, reps, fuzz, sha
 		f.Close()
 	}
 	if fuzz > 0 {
-		// Every experiment id captures through the one sweep path; -fuzz
-		// runs no sweep trial to attach to and would leave empty files,
-		// which is worse than a refusal.
-		if obs.trace != "" || obs.metrics != "" {
-			return fmt.Errorf("-trace/-metrics do not apply to -fuzz (the harness traces internally)")
-		}
 		return nil // -fuzz ignores -experiment and -scenario
 	}
 	if exp != "all" && !knownExperiment(exp) {

@@ -67,8 +67,8 @@ func TestValidateFlags(t *testing.T) {
 			obsFlags{trace: writable, interval: time.Second}, ""},
 		{"trace + metrics on all ok", "all", "all", "off", 0, 3, 0, 1,
 			obsFlags{trace: writable, metrics: writable, interval: time.Second}, ""},
-		{"trace with fuzz", "ignored", "ignored", "off", 0, 3, 10, 1,
-			obsFlags{trace: writable, interval: time.Second}, "-fuzz"},
+		{"trace with fuzz ok", "ignored", "ignored", "off", 0, 3, 10, 1,
+			obsFlags{trace: writable, interval: time.Second}, ""},
 
 		{"recovery impairment ok", "impairment", "all", "on", 0, 3, 0, 1, okObs, ""},
 		{"recovery scale ok", "scale", "all", "on", 0, 3, 0, 2, okObs, ""},

@@ -12,6 +12,7 @@
 //	vcabench -experiment scale -shards 3
 //	vcabench -experiment all -quick
 //	vcabench -experiment fig12 -quick -trace t.jsonl -metrics m.jsonl
+//	vcabench -fuzz 50 -quick -trace t.jsonl
 //
 // Independent trials fan out across all cores by default (-parallel 0);
 // output is byte-identical to a sequential run (-parallel 1) because each
@@ -165,12 +166,11 @@ func main() {
 		})
 	}
 
+	defer openCapture()()
 	if *fuzzN > 0 {
 		runFuzz()
 		return
 	}
-
-	endCapture := openCapture()
 	for _, d := range experiments() {
 		switch {
 		case *exp == "all" && d.all:
@@ -180,7 +180,6 @@ func main() {
 			d.fn()
 		}
 	}
-	endCapture()
 }
 
 // openCapture opens the -trace/-metrics files and makes them the capture

@@ -78,24 +78,19 @@ func RunFuzz(cfg FuzzConfig) FuzzResult {
 	// Profiles cycle per seed (seed S runs profiles[S % 3]) so every VCA
 	// sees a share of the space.
 	profiles := []*vca.Profile{vca.Meet(), vca.Teams(), vca.Zoom()}
-	// The harness builds, traces and checks its own trial: capture has
-	// nothing to attach to. A clean replay has no Violations.
-	trials := repeat("fuzz", cfg.Parallel, nil, cfg.N, func(_ *trialObs, i int) FuzzFailure {
+	trials := repeat("fuzz", cfg.Parallel, fuzzCapture(), cfg.N, func(o *trialObs, i int) FuzzFailure {
 		seed := cfg.Seed + int64(i)
 		// The profile is a function of the seed (not the trial index), so
 		// `-fuzz 1 -seed S` replays a failure under the same VCA.
 		prof := profiles[int(uint64(seed)%uint64(len(profiles)))]
-		sc, violations := scenario.FuzzOne(seed, scenario.HarnessConfig{
-			Profile:      prof,
+		sc := scenario.Generate(seed, scenario.GenConfig{
 			Participants: cfg.Participants,
 			Regions:      cfg.Regions,
 			InterBps:     cfg.InterMbps * 1e6,
 			Dur:          cfg.Dur,
-			Seed:         seed,
-			Shards:       cfg.Shards,
-			Recovery:     cfg.Recovery,
 		})
-		return FuzzFailure{Seed: seed, Profile: prof.Name, Scenario: sc.Name, Events: len(sc.Events), Violations: violations}
+		return FuzzFailure{Seed: seed, Profile: prof.Name, Scenario: sc.Name, Events: len(sc.Events),
+			Violations: cfg.replay(o, sc, prof, seed)}
 	})
 
 	res := FuzzResult{N: cfg.N}
@@ -106,6 +101,36 @@ func RunFuzz(cfg FuzzConfig) FuzzResult {
 		}
 	}
 	return res
+}
+
+// fuzzCapture is the capture every fuzz replay runs under. scenario.Check
+// reads the engines' tracers, so it is the installed capture with Trace
+// forced on, or unwritten rings of 1<<12 when none is installed.
+func fuzzCapture() *capture {
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	cp := capture{ObsConfig: ObsConfig{TraceCap: 1 << 12}}
+	if defaultCapture != nil {
+		cp = *defaultCapture
+	}
+	cp.Trace = true
+	return &cp
+}
+
+// replay runs sc on the cascade trial every runner builds for cfg's call,
+// traced under o, and returns the invariants it violated. An invalid
+// scenario is a generator bug, not a sim bug: it is reported as a
+// violation, so the fuzz run names its seed.
+func (cfg *FuzzConfig) replay(o *trialObs, sc scenario.Scenario, prof *vca.Profile, seed int64) []scenario.Violation {
+	if err := sc.Validate(); err != nil {
+		return []scenario.Violation{{Invariant: "validate", Detail: err.Error()}}
+	}
+	t := newMeshTrial(o, seed, prof, cfg.Participants, cfg.Regions, cfg.InterMbps, cfg.Shards, cfg.Recovery)
+	defer t.mesh.Close()
+	t.timeline = scenario.New(t.eng, t.call, scenario.MeshLinks(t.mesh.Mesh), sc)
+	t.start()
+	t.run(cfg.Dur)
+	return scenario.Check(t.mesh, t.timeline, cfg.Dur)
 }
 
 // PrintFuzz writes a fuzz run's verdict; each failure carries the exact

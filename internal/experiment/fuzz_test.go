@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -21,23 +22,55 @@ func fuzzTestConfig(n int) FuzzConfig {
 }
 
 // TestRunFuzzSmoke is the in-tree half of the CI fuzz gate: a band of
-// seeded generated scenarios must replay with zero invariant violations.
+// seeded generated scenarios must replay with zero invariant violations,
+// on one engine and region-sharded — where every replay must also drain
+// to zero live events and zero outstanding envelopes on every shard.
 // Failures print with the seed so `vcabench -fuzz 1 -seed S` reproduces.
 func TestRunFuzzSmoke(t *testing.T) {
-	n := 50
-	if testing.Short() {
-		n = 8
+	for _, row := range []struct {
+		shards, n, short int
+	}{
+		{shards: 1, n: 50, short: 8},
+		{shards: 2, n: 12, short: 3},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", row.shards), func(t *testing.T) {
+			cfg := fuzzTestConfig(row.n)
+			if testing.Short() {
+				cfg.N = row.short
+			}
+			cfg.Shards = row.shards
+			r := RunFuzz(cfg)
+			if r.N != cfg.N {
+				t.Fatalf("ran %d seeds, want %d", r.N, cfg.N)
+			}
+			if r.Events == 0 {
+				t.Fatal("no events replayed: the generator produced empty scenarios")
+			}
+			for _, f := range r.Failures {
+				t.Errorf("seed %d (%s, %s): %v — reproduce: vcabench -fuzz 1 -seed %d -shards %d",
+					f.Seed, f.Profile, f.Scenario, f.Violations, f.Seed, row.shards)
+			}
+		})
 	}
-	r := RunFuzz(fuzzTestConfig(n))
-	if r.N != n {
-		t.Fatalf("ran %d seeds, want %d", r.N, n)
-	}
-	if r.Events == 0 {
-		t.Fatal("no events replayed: the generator produced empty scenarios")
-	}
-	for _, f := range r.Failures {
-		t.Errorf("seed %d (%s, %s): %v — reproduce: vcabench -fuzz 1 -seed %d",
-			f.Seed, f.Profile, f.Scenario, f.Violations, f.Seed)
+}
+
+// TestFuzzReplayCanned: the invariant harness holds on the canned corpus,
+// not just generated timelines, on one engine and region-sharded, through
+// the replay every fuzz seed takes (Meet, 8p/2r, 10 Mbps, 60 s, seed 1).
+func TestFuzzReplayCanned(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		// The canned scenarios script a full 60-second call; a shorter
+		// replay would leave late events legitimately unapplied.
+		cfg := FuzzConfig{Participants: 8, Regions: 2, InterMbps: 10, Dur: 60 * time.Second, Shards: shards}
+		for _, name := range scenario.CannedNames() {
+			sc, err := scenario.Canned(name, cfg.Participants, cfg.InterMbps*1e6)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if vs := cfg.replay(&trialObs{capture: fuzzCapture()}, sc, vca.Meet(), 1); len(vs) != 0 {
+				t.Errorf("%s at shards %d: %d violations: %v", name, shards, len(vs), vs)
+			}
+		}
 	}
 }
 

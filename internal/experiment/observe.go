@@ -59,9 +59,10 @@ func newCapture(o *ObsConfig, traceW, metricsW io.Writer) *capture {
 // trialObs is one trial's captured observability state under a capture.
 type trialObs struct {
 	*capture
-	seed  int64
-	rings []*obs.Tracer // one per engine of the trial, control first
-	log   *obs.MetricsLog
+	seed    int64
+	rings   []*obs.Tracer // one per engine of the trial, control first
+	log     *obs.MetricsLog
+	sampler *sim.Ticker // the metrics tick, stopped with the call
 }
 
 // attach instruments a built trial just before it starts, so a timeline's
@@ -103,7 +104,7 @@ func (o *trialObs) attach(t *trial) {
 	registerLinkMetrics(reg, t.links())
 	registerCallMetrics(reg, call)
 	rtt := reg.Histogram("vca/feedback_rtt_ms")
-	t.eng.EveryHandler(interval, sim.HandlerFunc(func(now time.Duration) {
+	o.sampler = t.eng.EveryHandler(interval, sim.HandlerFunc(func(now time.Duration) {
 		for _, cl := range call.Clients {
 			if call.Active(cl.Name) && cl.LastRTT() > 0 {
 				rtt.Observe(cl.LastRTT().Seconds() * 1000)
@@ -192,6 +193,20 @@ func registerCallMetrics(reg *obs.Registry, call *vca.Call) {
 			return 0
 		})
 	}
+}
+
+// kept is what flush needs of a finished trial's capture: nothing
+// without a writer, and the rings only for a trace writer, so rings a
+// trial records for a check alone (RunFuzz's) are not held until the
+// sweep ends. Nil-safe.
+func (o *trialObs) kept() *trialObs {
+	if o == nil || (o.traceW == nil && o.metricsW == nil) {
+		return nil
+	}
+	if o.traceW == nil {
+		o.rings = nil
+	}
+	return o
 }
 
 // flush writes the trial's capture, each stream behind a trial-header

@@ -89,10 +89,13 @@ func sweep[C, T any](label string, parallel int, cp *capture, conds []C, reps in
 
 	captured := make([]*trialObs, len(conds)*reps)
 	flat := runner.Map(pool, len(captured), func(i int) T {
+		var o *trialObs
 		if cp != nil {
-			captured[i] = &trialObs{capture: cp}
+			o = &trialObs{capture: cp}
 		}
-		return run(captured[i], conds[i/reps], i%reps)
+		r := run(o, conds[i/reps], i%reps)
+		captured[i] = o.kept()
+		return r
 	})
 	for i, o := range captured {
 		if err := o.flush(label, i/reps, i%reps); err != nil {

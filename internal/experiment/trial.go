@@ -80,16 +80,24 @@ func (t *trial) start() {
 	t.call.Start()
 }
 
-// finish runs every engine to dur, stops the call and releases any shard
-// goroutines.
+// finish runs the trial to dur and releases any shard goroutines.
 func (t *trial) finish(dur time.Duration) {
+	t.run(dur)
+	if t.mesh != nil {
+		t.mesh.Close()
+	}
+}
+
+// run runs every engine to dur and stops the call and the metrics
+// sampler with it, so a drain that follows (scenario.Check) runs dry.
+func (t *trial) run(dur time.Duration) {
 	if t.mesh == nil {
 		t.eng.RunUntil(dur)
 	} else {
 		t.mesh.RunUntil(dur)
 	}
 	t.call.Stop()
-	if t.mesh != nil {
-		t.mesh.Close()
+	if t.obs != nil && t.obs.sampler != nil {
+		t.obs.sampler.Stop()
 	}
 }

@@ -100,34 +100,3 @@ func TestGenerateChurnAlternates(t *testing.T) {
 		}
 	}
 }
-
-// TestReplayCannedScenarios: the invariant harness holds on the existing
-// canned corpus, not just generated timelines.
-func TestReplayCannedScenarios(t *testing.T) {
-	for _, name := range CannedNames() {
-		sc, err := Canned(name, 8, 10e6)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if vs := Replay(sc, HarnessConfig{Seed: 1, Dur: 60 * time.Second}); len(vs) != 0 {
-			t.Errorf("%s: %d violations: %v", name, len(vs), vs)
-		}
-	}
-}
-
-// TestFuzzSmoke replays a band of consecutive seeds through the full
-// generate-and-verify loop; any violation fails with the offending seed.
-func TestFuzzSmoke(t *testing.T) {
-	n := int64(20)
-	if testing.Short() {
-		n = 4
-	}
-	for seed := int64(0); seed < n; seed++ {
-		sc, vs := FuzzOne(seed, HarnessConfig{
-			Participants: 6, Dur: 25 * time.Second, Seed: seed,
-		})
-		if len(vs) != 0 {
-			t.Errorf("seed %d (%s, %d events): %v", seed, sc.Name, len(sc.Events), vs)
-		}
-	}
-}

@@ -199,7 +199,7 @@ type Scenario struct {
 }
 
 // Validate reports the first structurally invalid event (a churn op with
-// no participant name, a negative timestamp).
+// no participant name, a negative timestamp, a shape aspect out of range).
 func (sc Scenario) Validate() error {
 	for i, ev := range sc.Events {
 		if ev.At < 0 {
@@ -208,14 +208,24 @@ func (sc Scenario) Validate() error {
 		if (ev.Op == OpLeave || ev.Op == OpRejoin) && ev.Who == "" {
 			return fmt.Errorf("scenario %s: event %d churns an unnamed participant", sc.Name, i)
 		}
-		if ev.Op == OpShape && ev.Shape.SetModel {
-			m := ev.Shape.Model
-			if m.Kind < ModelNone || m.Kind > ModelBloat {
-				return fmt.Errorf("scenario %s: event %d has unknown link-model kind %d", sc.Name, i, m.Kind)
-			}
-			if m.Kind == ModelCellular && m.Cell.HandoverEvery > 0 && m.Cell.Until <= 0 {
-				return fmt.Errorf("scenario %s: event %d starts cellular handovers with no Until bound", sc.Name, i)
-			}
+		if ev.Op != OpShape {
+			continue
+		}
+		// The negated comparisons reject NaN too.
+		sh, m := ev.Shape, ev.Shape.Model
+		switch {
+		case sh.SetRate && !(sh.RateBps >= 0):
+			return fmt.Errorf("scenario %s: event %d sets rate %v bps, want >= 0", sc.Name, i, sh.RateBps)
+		case sh.SetDelay && sh.Delay < 0:
+			return fmt.Errorf("scenario %s: event %d sets negative delay %v", sc.Name, i, sh.Delay)
+		case sh.SetImpair && !(sh.LossProb >= 0 && sh.LossProb <= 1):
+			return fmt.Errorf("scenario %s: event %d sets loss %v outside [0, 1]", sc.Name, i, sh.LossProb)
+		case sh.SetImpair && sh.Jitter < 0:
+			return fmt.Errorf("scenario %s: event %d sets negative jitter %v", sc.Name, i, sh.Jitter)
+		case sh.SetModel && (m.Kind < ModelNone || m.Kind > ModelBloat):
+			return fmt.Errorf("scenario %s: event %d has unknown link-model kind %d", sc.Name, i, m.Kind)
+		case sh.SetModel && m.Kind == ModelCellular && m.Cell.HandoverEvery > 0 && m.Cell.Until <= 0:
+			return fmt.Errorf("scenario %s: event %d starts cellular handovers with no Until bound", sc.Name, i)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -201,20 +202,41 @@ func TestCannedScenariosValidate(t *testing.T) {
 }
 
 func TestScenarioValidate(t *testing.T) {
-	bad := Scenario{Name: "bad", Events: []Event{{At: time.Second, Op: OpLeave}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("unnamed churn target passed validation")
+	pair := LinkRef{Kind: LinkInterPair, From: 0, To: 1}
+	shape := func(sh Shape) []Event { return []Event{ShapeLink(time.Second, pair, sh)} }
+	cases := []struct {
+		name   string
+		events []Event
+		ok     bool
+	}{
+		{"unnamed churn target", []Event{{At: time.Second, Op: OpLeave}}, false},
+		{"negative event time", []Event{Leave(-time.Second, "c2")}, false},
+		{"negative rate", shape(Shape{SetRate: true, RateBps: -1}), false},
+		{"NaN rate", shape(Shape{SetRate: true, RateBps: math.NaN()}), false},
+		{"negative delay", shape(Shape{SetDelay: true, Delay: -time.Millisecond}), false},
+		{"negative loss", shape(Shape{SetImpair: true, LossProb: -0.1}), false},
+		{"loss above 1", shape(Shape{SetImpair: true, LossProb: 1.5}), false},
+		{"NaN loss", shape(Shape{SetImpair: true, LossProb: math.NaN()}), false},
+		{"negative jitter", shape(Shape{SetImpair: true, Jitter: -time.Millisecond}), false},
+		// An aspect's value only matters when its Set flag applies it.
+		{"unset aspects ignored", shape(Shape{RateBps: -1, Delay: -1, LossProb: 2, Jitter: -1}), true},
+		{"in range", shape(Shape{
+			SetRate: true, RateBps: 0, SetDelay: true, Delay: 0,
+			SetImpair: true, LossProb: 1, Jitter: 5 * time.Millisecond,
+		}), true},
 	}
-	neg := Scenario{Name: "neg", Events: []Event{Leave(-time.Second, "c2")}}
-	if err := neg.Validate(); err == nil {
-		t.Error("negative event time passed validation")
+	for _, c := range cases {
+		err := Scenario{Name: c.name, Events: c.events}.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("New did not panic on invalid scenario")
 		}
 	}()
-	New(sim.New(1), nil, nil, bad)
+	New(sim.New(1), nil, nil, Scenario{Name: "bad", Events: cases[0].events})
 }
 
 func TestTraceExpansion(t *testing.T) {

@@ -184,10 +184,8 @@ type (
 	LinkModelKind = scenario.LinkModelKind
 	// GenScenarioConfig bounds the seeded scenario generator's space.
 	GenScenarioConfig = scenario.GenConfig
-	// ScenarioHarnessConfig describes the call a scenario replays against
-	// in the invariant harness.
-	ScenarioHarnessConfig = scenario.HarnessConfig
-	// ScenarioViolation is one failed invariant from a harness replay.
+	// ScenarioViolation is one failed invariant of a fuzz replay
+	// (FuzzFailure.Violations).
 	ScenarioViolation = scenario.Violation
 )
 
@@ -229,11 +227,6 @@ var (
 	// GenerateScenario composes a seed-deterministic random scenario from
 	// churn, reshape, partition and link-model motifs.
 	GenerateScenario = scenario.Generate
-	// ReplayScenario replays any scenario through the invariant harness,
-	// returning every violation; FuzzScenario generates seed's scenario
-	// first (the `-fuzz` reproduction path).
-	ReplayScenario = scenario.Replay
-	FuzzScenario   = scenario.FuzzOne
 )
 
 // Experiment harness.

@@ -548,7 +548,6 @@ var wantOptions = map[string][]string{
 	"netem.GEConfig":               {"P", "R", "LossGood", "LossBad"},
 	"netem.LinkConfig":             {"RateBps", "Delay", "QueueBytes", "LossProb", "Jitter"},
 	"scenario.GenConfig":           {"Participants", "Regions", "InterBps", "Dur"},
-	"scenario.HarnessConfig":       {"Profile", "Participants", "Regions", "InterBps", "Dur", "Seed", "Shards", "Recovery"},
 	"tcp.Config":                   {"MSS", "AckSize"},
 	"vca.CallOptions":              {"Mode", "Seed", "Recovery"},
 	"vca.Profile":                  {"Name", "AudioBps", "VideoNominalBps", "NewClientCC", "NewServerCC", "MediaMode", "Ladder", "LowLadder", "SVCSplit", "SimLowCapBps", "SimMinHighBps", "ServerFECOverhead", "ThinZoneLow", "ThinZoneHigh", "TierBps", "GalleryTier", "VisibleTiles", "ForwardFactor", "SpeakerUplinkBps", "StallEvery", "StallDur"},
