@@ -59,18 +59,20 @@ func TestRunFuzzSmoke(t *testing.T) {
 // the replay every fuzz seed takes (Meet, 8p/2r, 10 Mbps, 60 s, seed 1).
 func TestFuzzReplayCanned(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		// The canned scenarios script a full 60-second call; a shorter
-		// replay would leave late events legitimately unapplied.
-		cfg := FuzzConfig{Participants: 8, Regions: 2, InterMbps: 10, Dur: 60 * time.Second, Shards: shards}
-		for _, name := range scenario.CannedNames() {
-			sc, err := scenario.Canned(name, cfg.Participants, cfg.InterMbps*1e6)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// The canned scenarios script a full 60-second call; a shorter
+			// replay would leave late events legitimately unapplied.
+			cfg := FuzzConfig{Participants: 8, Regions: 2, InterMbps: 10, Dur: 60 * time.Second, Shards: shards}
+			for _, name := range scenario.CannedNames() {
+				sc, err := scenario.Canned(name, cfg.Participants, cfg.InterMbps*1e6)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if vs := cfg.replay(&trialObs{capture: fuzzCapture()}, sc, vca.Meet(), 1); len(vs) != 0 {
+					t.Errorf("%s: %d violations: %v", name, len(vs), vs)
+				}
 			}
-			if vs := cfg.replay(&trialObs{capture: fuzzCapture()}, sc, vca.Meet(), 1); len(vs) != 0 {
-				t.Errorf("%s at shards %d: %d violations: %v", name, shards, len(vs), vs)
-			}
-		}
+		})
 	}
 }
 
