@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vcalab/internal/netem"
 	"vcalab/internal/scenario"
 	"vcalab/internal/vca"
 )
@@ -114,5 +115,62 @@ func TestDynamicReportsRecovery(t *testing.T) {
 	}
 	if r.DownMbps.Mean <= 0 || r.LatP50Ms.Mean <= 0 {
 		t.Errorf("empty aggregate metrics: down %v lat %v", r.DownMbps.Mean, r.LatP50Ms.Mean)
+	}
+}
+
+// cellularGen is a generated 8p/2r scenario with a cellular motif: a
+// five-step trace on c5's uplink from 29.5 s with handovers at 36.9 s
+// and 46.3 s.
+func cellularGen() scenario.Scenario {
+	return scenario.Generate(1, scenario.GenConfig{Participants: 8, Regions: 2, InterBps: 10e6, Dur: 60 * time.Second})
+}
+
+// TestCellularEpisodeBuffersHandovers binds a generated cellular episode
+// to the cascade trial every runner builds. Each capacity step is the
+// `tc` re-shape, so the uplink's drop-tail queue is the default depth for
+// the stepped rate — an access link starts unconstrained with no queue —
+// and a handover gap queues what arrives during it instead of dropping it.
+func TestCellularEpisodeBuffersHandovers(t *testing.T) {
+	sc := cellularGen()
+	var step, pause scenario.Event
+	for _, ev := range sc.Events {
+		if ev.Label == "cellular" && step.Label == "" {
+			step = ev
+		}
+		if ev.Label == "handover" && pause.Label == "" {
+			pause = ev
+		}
+	}
+	if step.Label == "" || pause.Label == "" {
+		t.Fatal("test premise: generated scenario has no cellular step and handover")
+	}
+	tr := newMeshTrial(nil, 1, vca.Meet(), 8, 2, 10, 1, false)
+	defer tr.mesh.Close()
+	links := scenario.MeshLinks(tr.mesh.Mesh)
+	tr.timeline = scenario.New(tr.eng, tr.call, links, sc)
+	tr.start()
+	up := links.ResolveLink(step.Ref)[0]
+
+	tr.mesh.RunUntil(step.At)
+	if up.Rate() != step.Shape.RateBps {
+		t.Fatalf("uplink rate %v after the first step, want %v", up.Rate(), step.Shape.RateBps)
+	}
+	if got, want := up.QueueBytes(), netem.DefaultQueueBytes(up.Rate()); got != want {
+		t.Errorf("uplink queue bound %d B at %.0f bps, want the default %d B", got, up.Rate(), want)
+	}
+
+	tr.mesh.RunUntil(pause.At)
+	if !up.Paused() {
+		t.Fatalf("uplink not paused at the handover (%v)", pause.At)
+	}
+	sent, drops := 0, up.Drops
+	up.OnSend(func(*netem.Packet) { sent++ })
+	tr.mesh.RunUntil(pause.At + 100*time.Millisecond)
+	if sent == 0 {
+		t.Fatal("no packet offered to the uplink in the handover's first 100ms")
+	}
+	if up.Drops != drops || up.QueuedBytes() == 0 {
+		t.Errorf("handover gap: %d packets offered, %d dropped, %d B queued; want all queued",
+			sent, up.Drops-drops, up.QueuedBytes())
 	}
 }

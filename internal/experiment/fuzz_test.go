@@ -76,6 +76,21 @@ func TestFuzzReplayCanned(t *testing.T) {
 	}
 }
 
+// TestFuzzReplayRejectsZeroInterDelay: an inter-region delay of zero
+// would leave a sharded run no lookahead, and the shard group panics on
+// it mid-call. Validate rejects it first, so the fuzz run reports a
+// validate violation with its seed instead.
+func TestFuzzReplayRejectsZeroInterDelay(t *testing.T) {
+	cfg := FuzzConfig{Participants: 4, Regions: 2, InterMbps: 10, Dur: 20 * time.Second, Shards: 2}
+	sc := scenario.Scenario{Name: "zero-inter-delay", Events: []scenario.Event{
+		scenario.ShapeLink(12*time.Second, scenario.LinkRef{Kind: scenario.LinkInterPair, From: 0, To: 1}, scenario.Shape{SetDelay: true}),
+	}}
+	vs := cfg.replay(&trialObs{capture: fuzzCapture()}, sc, vca.Meet(), 1)
+	if len(vs) != 1 || vs[0].Invariant != "validate" {
+		t.Errorf("violations %v, want one validate violation", vs)
+	}
+}
+
 // TestRunFuzzRecoverySmoke replays the same seed band with packet-level
 // loss recovery enabled, adding the RTX-clone and NACK-queue conservation
 // invariants to every replay — churn storms and partitions must never

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vcalab/internal/scenario"
 	"vcalab/internal/vca"
 )
 
@@ -69,44 +70,55 @@ func TestScale48PartyShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDynamicShardedMatchesSequential: a churn-storm dynamic trial with
-// full observability capture, sharded vs sequential. Experiment stdout
-// must match byte-for-byte; metrics lines too, except the eng/ scheduler
-// gauges, which aggregate per-engine internals (lane ratio, high-water)
-// that legitimately depend on the shard count. The trace file follows a
-// different event interleaving (per-shard rings merged by time) but must
-// be deterministic for a fixed shard count.
+// TestDynamicShardedMatchesSequential: dynamic trials with full
+// observability capture, sharded vs sequential — the churn storm, and a
+// generated scenario whose cellular episode pauses and resumes a link a
+// region shard owns from the control engine. Experiment stdout must match
+// byte-for-byte at any shard count and trial parallelism; metrics lines
+// too, except the eng/ scheduler gauges, which aggregate per-engine
+// internals (lane ratio, high-water) that legitimately depend on the
+// shard count. The trace file follows a different event interleaving
+// (per-shard rings merged by time) but must be deterministic for a fixed
+// shard count.
 func TestDynamicShardedMatchesSequential(t *testing.T) {
-	run := func(shards, parallel int) (stdout, trace, metrics string) {
-		cfg := dynTestConfig(vca.Meet())
-		cfg.Dur = 60 * time.Second
-		cfg.Shards = shards
-		cfg.Parallel = parallel
-		var out, tw, mw strings.Builder
-		cfg.Obs = &ObsConfig{Trace: true, Metrics: true, Interval: time.Second, TraceCap: 1 << 18}
-		cfg.TraceW, cfg.MetricsW = &tw, &mw
-		PrintDynamic(&out, RunDynamic(cfg))
-		return out.String(), tw.String(), mw.String()
-	}
-	seqOut, _, seqMetrics := run(1, 1)
-	shOut, shTrace, shMetrics := run(2, 1)
-	if seqOut != shOut {
-		t.Errorf("dynamic output differs at -shards 2:\n-- shards 1 --\n%s-- shards 2 --\n%s", seqOut, shOut)
-	}
-	if got, want := stripEngineGauges(shMetrics), stripEngineGauges(seqMetrics); got != want {
-		t.Error("non-scheduler metrics lines differ between sharded and sequential runs")
-	}
-	if !strings.Contains(shTrace, `"kind":"churn"`) {
-		t.Error("sharded trace records no churn events")
-	}
-	if !strings.Contains(shTrace, `"kind":"deliver"`) {
-		t.Error("sharded trace records no deliver events")
-	}
+	for _, sc := range []scenario.Scenario{scenario.ChurnStorm(8), cellularGen()} {
+		t.Run(sc.Name, func(t *testing.T) {
+			run := func(shards, parallel int) (stdout, trace, metrics string) {
+				cfg := dynTestConfig(vca.Meet())
+				cfg.Scenario = sc
+				cfg.Dur = 60 * time.Second
+				cfg.Shards = shards
+				cfg.Parallel = parallel
+				var out, tw, mw strings.Builder
+				cfg.Obs = &ObsConfig{Trace: true, Metrics: true, Interval: time.Second, TraceCap: 1 << 18}
+				cfg.TraceW, cfg.MetricsW = &tw, &mw
+				PrintDynamic(&out, RunDynamic(cfg))
+				return out.String(), tw.String(), mw.String()
+			}
+			seqOut, _, seqMetrics := run(1, 1)
+			if parOut, _, _ := run(1, 4); parOut != seqOut {
+				t.Errorf("dynamic output differs at -parallel 4:\n-- parallel 1 --\n%s-- parallel 4 --\n%s", seqOut, parOut)
+			}
+			shOut, shTrace, shMetrics := run(2, 1)
+			if seqOut != shOut {
+				t.Errorf("dynamic output differs at -shards 2:\n-- shards 1 --\n%s-- shards 2 --\n%s", seqOut, shOut)
+			}
+			if got, want := stripEngineGauges(shMetrics), stripEngineGauges(seqMetrics); got != want {
+				t.Error("non-scheduler metrics lines differ between sharded and sequential runs")
+			}
+			if !strings.Contains(shTrace, `"kind":"churn"`) {
+				t.Error("sharded trace records no churn events")
+			}
+			if !strings.Contains(shTrace, `"kind":"deliver"`) {
+				t.Error("sharded trace records no deliver events")
+			}
 
-	// Determinism within a shard count, compounded with -parallel.
-	shOut2, shTrace2, shMetrics2 := run(2, 4)
-	if shOut2 != shOut || shTrace2 != shTrace || shMetrics2 != shMetrics {
-		t.Error("sharded capture not deterministic across reruns / trial parallelism")
+			// Determinism within a shard count, compounded with -parallel.
+			shOut2, shTrace2, shMetrics2 := run(2, 4)
+			if shOut2 != shOut || shTrace2 != shTrace || shMetrics2 != shMetrics {
+				t.Error("sharded capture not deterministic across reruns / trial parallelism")
+			}
+		})
 	}
 }
 

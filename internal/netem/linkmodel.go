@@ -2,21 +2,20 @@
 //
 // The paper measures VCAs over a fixed-rate token bucket, but its §8
 // future work points at the access networks real calls ride: WiFi with
-// bursty, correlated loss; cellular links whose capacity steps through a
-// drive trace and blanks out across handovers; home routers with buffers
-// deep enough that loss-based senders see seconds of queueing first.
-// This file models those three regimes on top of the base Link:
+// bursty, correlated loss; home routers with buffers deep enough that
+// loss-based senders see seconds of queueing first. This file models
+// those two regimes on top of the base Link:
 //
 //   - GilbertElliott: a two-state Markov loss process installed with
 //     Link.SetLossModel — loss arrives in bursts whose length and density
 //     are set by the chain's transition probabilities, not independently
 //     per packet.
-//   - Cellular: a trace/step-driven capacity driver with handover gaps,
-//     built on the same one-event-in-flight scheduling as the scenario
-//     timeline. Handover instants jitter deterministically from the
-//     model's own seeded source.
 //   - CoDel + ApplyBloat: a deep drop-tail queue with optional CoDel-style
 //     AQM consulted at dequeue.
+//
+// A cellular last mile, whose capacity steps through a drive trace and
+// blanks out across handovers, needs no model here: a scenario timeline
+// steps the rate and pauses the link (Link.SetPaused).
 //
 // Every model owns its randomness (a splitmix-mixed seed feeding a private
 // source), so installing one never perturbs the engine's shared stream —
@@ -27,12 +26,8 @@ package netem
 
 import (
 	"math"
-	"sort"
-	"time"
-
 	"math/rand"
-
-	"vcalab/internal/sim"
+	"time"
 )
 
 // LossModel is a stateful per-packet loss process installed on a link with
@@ -258,147 +253,4 @@ func ApplyBloat(l *Link, cfg BloatConfig) {
 	} else {
 		l.SetAQM(nil)
 	}
-}
-
-// RateStep is one segment of a cellular capacity trace: at offset At from
-// the model's start, the link rate becomes Bps (0 = unconstrained).
-type RateStep struct {
-	At  time.Duration
-	Bps float64
-}
-
-// CellularConfig drives a Cellular model: a capacity trace stepped against
-// the link, with periodic handover gaps that pause serialization.
-type CellularConfig struct {
-	// Steps is the capacity trace, offsets relative to Start time. Steps
-	// are applied in time order; steps at or past Until never fire.
-	Steps []RateStep
-	// HandoverEvery spaces handovers (0 disables them); each waits an
-	// extra deterministic jitter in [0, HandoverJitter) drawn from the
-	// model's own seeded source, then pauses the link for HandoverGap.
-	HandoverEvery  time.Duration
-	HandoverJitter time.Duration
-	HandoverGap    time.Duration
-	// Until is the absolute sim time the model stops at: no step or
-	// handover fires later, and an in-progress gap un-pauses no later
-	// than Until, so the engine always drains. Required (>0) when
-	// handovers are enabled; 0 otherwise means "run the whole trace".
-	Until time.Duration
-}
-
-// Cellular replays a capacity trace with handover gaps against one link.
-// Create with NewCellular, then Start. Like the scenario timeline it keeps
-// a single pooled engine event in flight, so driving the model allocates
-// nothing per step.
-type Cellular struct {
-	eng  *sim.Engine
-	link *Link
-	cfg  CellularConfig
-	rng  *rand.Rand
-
-	start   time.Duration
-	step    int
-	nextHO  time.Duration // absolute time of the next handover start
-	gapEnd  time.Duration // absolute un-pause time while in a gap
-	inGap   bool
-	started bool
-
-	// Handovers counts gaps begun.
-	Handovers int
-}
-
-const cellularNever = time.Duration(math.MaxInt64)
-
-// NewCellular binds a cellular capacity model to a link. It panics if
-// handovers are enabled without an Until bound — an unbounded pause/resume
-// loop would keep the engine from ever draining, which is always a
-// harness-construction bug.
-func NewCellular(eng *sim.Engine, l *Link, seed int64, cfg CellularConfig) *Cellular {
-	if cfg.HandoverEvery > 0 && cfg.Until <= 0 {
-		panic("netem: cellular handovers require an Until bound")
-	}
-	if cfg.Until <= 0 {
-		cfg.Until = cellularNever
-	}
-	steps := append([]RateStep(nil), cfg.Steps...)
-	sort.SliceStable(steps, func(i, j int) bool { return steps[i].At < steps[j].At })
-	cfg.Steps = steps
-	return &Cellular{eng: eng, link: l, cfg: cfg, rng: newModelRand(seed)}
-}
-
-// Start arms the model at the current sim time; steps at offset 0 apply
-// immediately. Start is idempotent.
-func (c *Cellular) Start() {
-	if c.started {
-		return
-	}
-	c.started = true
-	c.start = c.eng.Now()
-	c.nextHO = cellularNever
-	if c.cfg.HandoverEvery > 0 {
-		c.nextHO = c.start + c.interval()
-	}
-	c.run(c.eng.Now())
-}
-
-// interval draws the spacing to the next handover.
-func (c *Cellular) interval() time.Duration {
-	d := c.cfg.HandoverEvery
-	if c.cfg.HandoverJitter > 0 {
-		d += time.Duration(c.rng.Float64() * float64(c.cfg.HandoverJitter))
-	}
-	return d
-}
-
-// OnEvent implements sim.Handler; do not call it directly.
-func (c *Cellular) OnEvent(now time.Duration) { c.run(now) }
-
-func (c *Cellular) run(now time.Duration) {
-	// Apply every trace step due by now (and still inside the bound).
-	for c.step < len(c.cfg.Steps) && c.start+c.cfg.Steps[c.step].At <= now {
-		st := c.cfg.Steps[c.step]
-		c.step++
-		if c.start+st.At >= c.cfg.Until {
-			continue
-		}
-		c.link.SetRate(st.Bps) // the queue bound stays: a device buffer is physical
-	}
-	// Close an elapsed gap before possibly opening the next one.
-	if c.inGap && now >= c.gapEnd {
-		c.inGap = false
-		c.link.SetPaused(false)
-	}
-	if !c.inGap && now >= c.nextHO && now < c.cfg.Until {
-		c.inGap = true
-		c.Handovers++
-		c.link.SetPaused(true)
-		c.gapEnd = now + c.cfg.HandoverGap
-		if c.gapEnd > c.cfg.Until {
-			c.gapEnd = c.cfg.Until
-		}
-		c.nextHO = c.gapEnd + c.interval()
-	}
-	// Re-arm for the earliest pending instant, if any remains in bound.
-	next := cellularNever
-	if c.step < len(c.cfg.Steps) {
-		if at := c.start + c.cfg.Steps[c.step].At; at < c.cfg.Until {
-			next = at
-		}
-	}
-	if c.inGap && c.gapEnd < next {
-		next = c.gapEnd
-	}
-	if c.nextHO < c.cfg.Until && c.nextHO < next {
-		next = c.nextHO
-	}
-	if next != cellularNever {
-		c.eng.AtHandler(next, c)
-	}
-}
-
-// Done reports whether the model has nothing left to do (all in-bound
-// steps applied, no gap open, no handover pending).
-func (c *Cellular) Done() bool {
-	stepsLeft := c.step < len(c.cfg.Steps) && c.start+c.cfg.Steps[c.step].At < c.cfg.Until
-	return c.started && !c.inGap && !stepsLeft && c.nextHO >= c.cfg.Until
 }

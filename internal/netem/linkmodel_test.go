@@ -348,147 +348,6 @@ func TestLinkPausedIdempotent(t *testing.T) {
 	}
 }
 
-// --- cellular ---
-
-// TestCellularTrace drives a two-step trace with one handover through a
-// link and checks the schedule: rates step on time, the gap pauses and
-// resumes serialization, and the model reports Done with no events left.
-func TestCellularTrace(t *testing.T) {
-	eng := sim.New(2)
-	l := NewLink(eng, "lte", LinkConfig{RateBps: 1e6}, &sink{})
-	cfg := CellularConfig{
-		Steps: []RateStep{
-			{At: 0, Bps: 2e6},
-			{At: 100 * time.Millisecond, Bps: 0.5e6},
-		},
-		HandoverEvery: 200 * time.Millisecond,
-		HandoverGap:   50 * time.Millisecond,
-		Until:         400 * time.Millisecond,
-	}
-	c := NewCellular(eng, l, 1, cfg)
-	c.Start()
-	c.Start() // idempotent
-	type probe struct {
-		at     time.Duration
-		rate   float64
-		paused bool
-	}
-	probes := []probe{
-		{50 * time.Millisecond, 2e6, false},
-		{150 * time.Millisecond, 0.5e6, false},
-		{220 * time.Millisecond, 0.5e6, true},  // inside the gap
-		{260 * time.Millisecond, 0.5e6, false}, // gap closed at 250 ms
-	}
-	for _, p := range probes {
-		p := p
-		eng.At(p.at, func() {
-			if l.Rate() != p.rate {
-				t.Errorf("t=%v: rate %v, want %v", p.at, l.Rate(), p.rate)
-			}
-			if l.Paused() != p.paused {
-				t.Errorf("t=%v: paused %v, want %v", p.at, l.Paused(), p.paused)
-			}
-		})
-	}
-	eng.Run()
-	if c.Handovers != 1 {
-		t.Errorf("Handovers = %d, want 1 (next would land past Until)", c.Handovers)
-	}
-	if !c.Done() {
-		t.Error("model not Done after the bound")
-	}
-	if l.Paused() {
-		t.Error("link left paused past Until")
-	}
-	if n := eng.Live(); n != 0 {
-		t.Errorf("%d pooled events live after drain", n)
-	}
-}
-
-// TestCellularGapClampedToUntil: a gap opening just before the bound
-// un-pauses at Until, never later — the drain guarantee.
-func TestCellularGapClampedToUntil(t *testing.T) {
-	eng := sim.New(2)
-	l := NewLink(eng, "lte", LinkConfig{RateBps: 1e6}, &sink{})
-	c := NewCellular(eng, l, 1, CellularConfig{
-		HandoverEvery: 90 * time.Millisecond,
-		HandoverGap:   time.Minute, // absurd gap, must clamp
-		Until:         100 * time.Millisecond,
-	})
-	c.Start()
-	eng.Run()
-	if eng.Now() > 100*time.Millisecond {
-		t.Errorf("model ran to %v, past its 100ms bound", eng.Now())
-	}
-	if l.Paused() {
-		t.Error("gap straddling Until left the link paused")
-	}
-}
-
-// TestCellularDeterminism: handover jitter comes from the model's own
-// seeded source — equal seeds replay the same schedule, different seeds
-// move the gaps.
-func TestCellularDeterminism(t *testing.T) {
-	run := func(seed int64) []time.Duration {
-		eng := sim.New(1)
-		l := NewLink(eng, "lte", LinkConfig{RateBps: 1e6}, &sink{})
-		c := NewCellular(eng, l, seed, CellularConfig{
-			HandoverEvery:  50 * time.Millisecond,
-			HandoverJitter: 40 * time.Millisecond,
-			HandoverGap:    10 * time.Millisecond,
-			Until:          time.Second,
-		})
-		var gaps []time.Duration
-		c.Start()
-		for at := 0 * time.Millisecond; at < time.Second; at += time.Millisecond {
-			at := at
-			eng.At(at, func() {
-				if l.Paused() {
-					gaps = append(gaps, at)
-				}
-			})
-		}
-		eng.Run()
-		return gaps
-	}
-	a, b := run(11), run(11)
-	if len(a) == 0 {
-		t.Fatal("no paused samples observed")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different gap schedules: %d vs %d samples", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverges at sample %d", i)
-		}
-	}
-	c := run(12)
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Error("seeds 11 and 12 produced identical handover schedules")
-	}
-}
-
-func TestNewCellularUnboundedHandoversPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("handovers without Until did not panic")
-		}
-	}()
-	eng := sim.New(1)
-	NewCellular(eng, NewLink(eng, "l", LinkConfig{RateBps: 1e6}, &sink{}), 1,
-		CellularConfig{HandoverEvery: time.Second})
-}
-
 // --- packet-pool conservation ---
 
 // TestDropPathsReleasePooledPackets is the pool-leak regression: every

@@ -24,8 +24,8 @@ import (
 //   - c1 (the instrumented client) is never churned;
 //   - per participant, leaves and rejoins strictly alternate, and every
 //     leave has a rejoin before the end;
-//   - every partition is healed and every cellular model's Until bound
-//     lies inside the run, so the engine always drains;
+//   - every partition is healed and every cellular handover resumed by
+//     its episode's end, so the engine always drains;
 //   - at least one restore-style event is marked Recover.
 
 // GenConfig bounds the generated scenario space. The zero value selects
@@ -285,31 +285,45 @@ func (g *generator) wifiBurst() {
 }
 
 // cellularEpisode rides one client's uplink through a stepped capacity
-// trace with handover gaps, then restores the link to unconstrained.
+// trace with handover gaps, then restores the link to unconstrained. The
+// steps are a Trace; each gap is a pause/resume pair whose instants jitter
+// from the episode's own seeded source, and every gap resumes by the
+// episode's end, so the link is never left paused.
 func (g *generator) cellularEpisode() {
 	steps := 3 + g.rng.Intn(3)
 	spacing := g.dur(2*time.Second, 5*time.Second)
-	// Steps at or past Until simply never fire (Cellular skips them), so
-	// clamping the span only trims the trace on short calls.
+	// Clamping the span only trims the trace on short calls: steps at or
+	// past the episode's end are not emitted.
 	span := g.fit(time.Duration(steps)*spacing, time.Second)
 	t0 := g.window(span + time.Second)
-	cell := netem.CellularConfig{
-		HandoverEvery:  g.dur(6*time.Second, 12*time.Second),
-		HandoverJitter: 2 * time.Second,
-		HandoverGap:    g.dur(300*time.Millisecond, 1200*time.Millisecond),
-		Until:          t0 + span,
-	}
+	end := t0 + span
+	every := g.dur(6*time.Second, 12*time.Second)
+	gap := g.dur(300*time.Millisecond, 1200*time.Millisecond)
+	var trace []TraceStep
 	for s := 0; s < steps; s++ {
-		cell.Steps = append(cell.Steps, netem.RateStep{
-			At:  time.Duration(s) * spacing,
-			Bps: 0.4e6 + 3.6e6*g.rng.Float64(),
-		})
+		at := t0 + time.Duration(s)*spacing
+		bps := 0.4e6 + 3.6e6*g.rng.Float64()
+		if at < end {
+			trace = append(trace, TraceStep{At: at, RateBps: bps})
+		}
 	}
 	ref, _ := g.clientRef(true)
-	ev := ModelLink(t0, ref, LinkModelSpec{Kind: ModelCellular, Seed: g.rng.Int63(), Cell: cell})
-	ev.Label = "cellular"
-	g.add(ev, false)
-	rs := ShapeLink(t0+span+time.Second, ref, Shape{SetRate: true, RateBps: 0})
+	for _, ev := range Trace(ref, "cellular", trace) {
+		g.add(ev, false)
+	}
+	// The handover count varies with the jitter, so the jitter has its own
+	// source: the generator's stream, and every later motif, stay put.
+	hr := rand.New(rand.NewSource(runner.Seed(g.rng.Int63(), 0)))
+	interval := func() time.Duration { return every + time.Duration(hr.Float64()*float64(2*time.Second)) }
+	for at := t0 + interval(); at < end; at += gap + interval() {
+		pause := ShapeLink(at, ref, Shape{SetPaused: true, Paused: true})
+		pause.Label = "handover"
+		g.add(pause, false)
+		resume := ShapeLink(min(at+gap, end), ref, Shape{SetPaused: true})
+		resume.Label = "handover-resumed"
+		g.add(resume, false)
+	}
+	rs := ShapeLink(end+time.Second, ref, Shape{SetRate: true, RateBps: 0})
 	rs.Label = "cell-restored"
 	g.add(rs, true)
 }

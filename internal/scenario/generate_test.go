@@ -100,3 +100,46 @@ func TestGenerateChurnAlternates(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateCellularHandoversResume is the cellular motif's drain
+// guarantee: every handover pause is followed by its resume on the same
+// uplink, no later than the episode's end (one second before its
+// "cell-restored" event), and every episode event lies in [genStart,
+// Dur-2s], at short call durations too.
+func TestGenerateCellularHandoversResume(t *testing.T) {
+	episode := map[string]bool{"cellular": true, "handover": true, "handover-resumed": true, "cell-restored": true}
+	handovers := 0
+	for _, dur := range []time.Duration{14 * time.Second, 20 * time.Second, 30 * time.Second, 60 * time.Second} {
+		for seed := int64(0); seed < 50; seed++ {
+			evs := Generate(seed, GenConfig{Participants: 6, Regions: 2, Dur: dur}).Events
+			for i, ev := range evs {
+				if !episode[ev.Label] {
+					continue
+				}
+				if ev.At < genStart || ev.At > dur-2*time.Second {
+					t.Fatalf("dur %v seed %d: %q at %v outside [%v, %v]", dur, seed, ev.Label, ev.At, genStart, dur-2*time.Second)
+				}
+				if ev.Label != "handover" {
+					continue
+				}
+				handovers++
+				j := i + 1
+				for j < len(evs) && evs[j].Label != "cell-restored" {
+					j++
+				}
+				if j == len(evs) {
+					t.Fatalf("dur %v seed %d: handover at %v in an episode with no end", dur, seed, ev.At)
+				}
+				resume, end := evs[i+1], evs[j].At-time.Second
+				if !ev.Shape.Paused || resume.Label != "handover-resumed" || resume.Shape.Paused ||
+					resume.Ref != ev.Ref || resume.At < ev.At || resume.At > end {
+					t.Fatalf("dur %v seed %d: handover at %v not resumed by the episode's end %v (next event %q at %v)",
+						dur, seed, ev.At, end, resume.Label, resume.At)
+				}
+			}
+		}
+	}
+	if handovers == 0 {
+		t.Fatal("the sweep generated no handover: the contract went unchecked")
+	}
+}

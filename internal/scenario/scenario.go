@@ -75,6 +75,11 @@ type Shape struct {
 	LossProb  float64 // 1 severs the link (partition)
 	Jitter    time.Duration
 
+	// SetPaused closes (Paused) or reopens the serialization gate: a
+	// cellular handover gap is a pause/resume pair.
+	SetPaused bool
+	Paused    bool
+
 	// SetModel installs (or clears) a heterogeneous last-mile link model.
 	SetModel bool
 	Model    LinkModelSpec
@@ -85,14 +90,10 @@ type LinkModelKind int
 
 // Link-model kinds.
 const (
-	// ModelNone clears any installed loss model and AQM (it does not stop
-	// a running cellular driver — bound those with CellularConfig.Until).
+	// ModelNone clears any installed loss model and AQM.
 	ModelNone LinkModelKind = iota
 	// ModelGE installs a Gilbert–Elliott bursty-loss chain (WiFi).
 	ModelGE
-	// ModelCellular starts a capacity-trace driver with handover gaps
-	// (LTE/5G) against the link.
-	ModelCellular
 	// ModelBloat deepens the drop-tail queue, optionally with CoDel AQM.
 	ModelBloat
 )
@@ -106,7 +107,6 @@ type LinkModelSpec struct {
 	Kind  LinkModelKind
 	Seed  int64
 	GE    netem.GEConfig
-	Cell  netem.CellularConfig
 	Bloat netem.BloatConfig
 }
 
@@ -200,6 +200,8 @@ type Scenario struct {
 
 // Validate reports the first structurally invalid event (a churn op with
 // no participant name, a negative timestamp, a shape aspect out of range).
+// An inter-region link's delay must stay positive: it is the lookahead a
+// region-sharded run synchronizes on.
 func (sc Scenario) Validate() error {
 	for i, ev := range sc.Events {
 		if ev.At < 0 {
@@ -218,14 +220,14 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("scenario %s: event %d sets rate %v bps, want >= 0", sc.Name, i, sh.RateBps)
 		case sh.SetDelay && sh.Delay < 0:
 			return fmt.Errorf("scenario %s: event %d sets negative delay %v", sc.Name, i, sh.Delay)
+		case sh.SetDelay && sh.Delay == 0 && ev.Ref.Kind >= LinkInter:
+			return fmt.Errorf("scenario %s: event %d sets zero inter-region delay", sc.Name, i)
 		case sh.SetImpair && !(sh.LossProb >= 0 && sh.LossProb <= 1):
 			return fmt.Errorf("scenario %s: event %d sets loss %v outside [0, 1]", sc.Name, i, sh.LossProb)
 		case sh.SetImpair && sh.Jitter < 0:
 			return fmt.Errorf("scenario %s: event %d sets negative jitter %v", sc.Name, i, sh.Jitter)
 		case sh.SetModel && (m.Kind < ModelNone || m.Kind > ModelBloat):
 			return fmt.Errorf("scenario %s: event %d has unknown link-model kind %d", sc.Name, i, m.Kind)
-		case sh.SetModel && m.Kind == ModelCellular && m.Cell.HandoverEvery > 0 && m.Cell.Until <= 0:
-			return fmt.Errorf("scenario %s: event %d starts cellular handovers with no Until bound", sc.Name, i)
 		}
 	}
 	return nil
@@ -355,7 +357,9 @@ func (t *Timeline) apply(ev *Event) {
 // applyShape reconfigures one link. A rate change is the `tc` re-shape,
 // written only here: the new rate, and the drop-tail queue resized to the
 // default depth for a positive one. idx is the link's position within the
-// event's resolution, used to decorrelate per-link model seeds.
+// event's resolution, used to decorrelate per-link model seeds. In a
+// sharded run this executes at a barrier, with the link's shard parked
+// and its clock at now, so a resume may schedule on the link's engine.
 func (t *Timeline) applyShape(l *netem.Link, sh Shape, idx int) {
 	if sh.SetRate {
 		l.SetRate(sh.RateBps)
@@ -368,6 +372,9 @@ func (t *Timeline) applyShape(l *netem.Link, sh Shape, idx int) {
 	}
 	if sh.SetImpair {
 		l.SetImpairment(sh.LossProb, sh.Jitter)
+	}
+	if sh.SetPaused {
+		l.SetPaused(sh.Paused)
 	}
 	if sh.SetModel {
 		t.applyModel(l, sh.Model, idx)
@@ -383,12 +390,6 @@ func (t *Timeline) applyModel(l *netem.Link, spec LinkModelSpec, idx int) {
 		l.SetAQM(nil)
 	case ModelGE:
 		l.SetLossModel(netem.NewGilbertElliott(seed, spec.GE))
-	case ModelCellular:
-		// The handover ticker must live on the link's own engine: in a
-		// sharded run the link belongs to a region shard, and pausing it
-		// from another engine's event would race. Identical to t.eng in a
-		// sequential run.
-		netem.NewCellular(l.Engine(), l, seed, spec.Cell).Start()
 	case ModelBloat:
 		netem.ApplyBloat(l, spec.Bloat)
 	}

@@ -51,9 +51,14 @@ func TestTimelineShapeAspects(t *testing.T) {
 		ShapeLink(time.Second, LinkRef{}, Shape{SetDelay: true, Delay: 80 * time.Millisecond}),
 		ShapeLink(2*time.Second, LinkRef{}, Shape{SetImpair: true, LossProb: 0.5, Jitter: 5 * time.Millisecond}),
 		ShapeLink(3*time.Second, LinkRef{}, Shape{SetRate: true, RateBps: 1e6}),
+		ShapeLink(5*time.Second, LinkRef{}, Shape{SetPaused: true, Paused: true}),
+		ShapeLink(5500*time.Millisecond, LinkRef{}, Shape{SetPaused: true}),
 	}}
 	New(eng, nil, listResolver{[]*netem.Link{l}}, sc).Start()
 	eng.RunUntil(4 * time.Second)
+	if l.Paused() {
+		t.Error("link paused before its pause event")
+	}
 	if l.Delay() != 80*time.Millisecond {
 		t.Errorf("delay = %v, want 80ms", l.Delay())
 	}
@@ -68,6 +73,19 @@ func TestTimelineShapeAspects(t *testing.T) {
 	}
 	if got := l.QueueBytes(); got != 25000 {
 		t.Errorf("queue = %d B after the 1 Mbps re-shape, want 25000", got)
+	}
+	// A pause closes the serialization gate and the resume reopens it:
+	// the pair is a half-second handover gap.
+	eng.RunUntil(5200 * time.Millisecond)
+	if !l.Paused() {
+		t.Error("link not paused inside the pause/resume pair")
+	}
+	eng.RunUntil(6 * time.Second)
+	if l.Paused() {
+		t.Error("link still paused after its resume event")
+	}
+	if got := l.PausedTotal(); got != 500*time.Millisecond {
+		t.Errorf("paused for %v, want the 500ms between pause and resume", got)
 	}
 }
 
@@ -218,11 +236,19 @@ func TestScenarioValidate(t *testing.T) {
 		{"loss above 1", shape(Shape{SetImpair: true, LossProb: 1.5}), false},
 		{"NaN loss", shape(Shape{SetImpair: true, LossProb: math.NaN()}), false},
 		{"negative jitter", shape(Shape{SetImpair: true, Jitter: -time.Millisecond}), false},
+		// An inter-region delay is a sharded run's lookahead: zero would
+		// panic the shard group mid-call, so it is rejected up front, on
+		// every inter-region kind; an access link may be instantaneous.
+		{"zero inter-region delay", shape(Shape{SetDelay: true}), false},
+		{"zero delay on one direction", []Event{ShapeLink(time.Second, LinkRef{Kind: LinkInter, To: 1}, Shape{SetDelay: true})}, false},
+		{"zero delay on every inter link", []Event{ShapeLink(time.Second, LinkRef{Kind: LinkInterAll}, Shape{SetDelay: true})}, false},
+		{"zero access delay", []Event{ShapeLink(time.Second, LinkRef{Kind: LinkClientUp, Client: "c2"}, Shape{SetDelay: true})}, true},
 		// An aspect's value only matters when its Set flag applies it.
 		{"unset aspects ignored", shape(Shape{RateBps: -1, Delay: -1, LossProb: 2, Jitter: -1}), true},
 		{"in range", shape(Shape{
-			SetRate: true, RateBps: 0, SetDelay: true, Delay: 0,
+			SetRate: true, RateBps: 0, SetDelay: true, Delay: time.Millisecond,
 			SetImpair: true, LossProb: 1, Jitter: 5 * time.Millisecond,
+			SetPaused: true, Paused: true,
 		}), true},
 	}
 	for _, c := range cases {

@@ -61,10 +61,10 @@ type (
 func NewEngine(seed int64) *Engine { return sim.New(seed) }
 
 // Heterogeneous last-mile link models (internal/netem): Gilbert–Elliott
-// bursty loss (WiFi), trace/step-driven variable capacity with handover
-// gaps (LTE/5G), and bufferbloat with optional CoDel AQM. Each model owns
-// its seeded randomness, so installing one never perturbs the engine's
-// shared stream.
+// bursty loss (WiFi) and bufferbloat with optional CoDel AQM. Each model
+// owns its seeded randomness, so installing one never perturbs the
+// engine's shared stream. A cellular (LTE/5G) last mile is a scenario
+// timeline: a ScenarioTrace of capacity steps plus pause/resume shapes.
 type (
 	// LossModel is a stateful per-packet loss process for Link.SetLossModel.
 	LossModel = netem.LossModel
@@ -72,12 +72,6 @@ type (
 	GEConfig = netem.GEConfig
 	// GilbertElliott is the GE chain; install with Link.SetLossModel.
 	GilbertElliott = netem.GilbertElliott
-	// CellularConfig drives a capacity trace with handover gaps.
-	CellularConfig = netem.CellularConfig
-	// CellularModel replays a CellularConfig against one link.
-	CellularModel = netem.Cellular
-	// RateStep is one segment of a cellular capacity trace.
-	RateStep = netem.RateStep
 	// BloatConfig describes a bufferbloated hop (deep queue, optional AQM).
 	BloatConfig = netem.BloatConfig
 )
@@ -87,8 +81,6 @@ var (
 	NewGilbertElliott = netem.NewGilbertElliott
 	// WiFiBursty parameterizes GE for a target loss rate and burst length.
 	WiFiBursty = netem.WiFiBursty
-	// NewCellular binds a cellular capacity model to a link.
-	NewCellular = netem.NewCellular
 	// NewCoDel builds an AQM instance for Link.SetAQM.
 	NewCoDel = netem.NewCoDel
 	// ApplyBloat reconfigures a rate-limited link as a bufferbloated hop.
@@ -200,10 +192,9 @@ const (
 
 // Link-model kinds (LinkModelSpec.Kind).
 const (
-	ModelNone     = scenario.ModelNone
-	ModelGE       = scenario.ModelGE
-	ModelCellular = scenario.ModelCellular
-	ModelBloat    = scenario.ModelBloat
+	ModelNone  = scenario.ModelNone
+	ModelGE    = scenario.ModelGE
+	ModelBloat = scenario.ModelBloat
 )
 
 var (

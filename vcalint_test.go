@@ -472,6 +472,8 @@ var oneSite = []struct {
 		[]string{"internal/netem/*.go", "internal/vca/*.go", "internal/scenario/*.go", "internal/cascade/*.go"}, ".tracer", false, 0},
 	{"the `tc` re-shape (a new rate, the queue resized for it) is written once, in scenario's applyShape (DESIGN.md §9)",
 		[]string{"internal/experiment/*.go", "internal/cascade/*.go", "internal/scenario/*.go"}, ".SetQueueBytes", false, 1},
+	{"a link pauses mid-call only as a timeline event, in scenario's applyShape (DESIGN.md §10)",
+		[]string{"internal/*/*.go", "cmd/*/*.go", "*.go"}, ".SetPaused", true, 1},
 }
 
 func TestOneSite(t *testing.T) {
@@ -544,7 +546,6 @@ var wantOptions = map[string][]string{
 	"experiment.ScaleConfig":       {"Profile", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Parallel", "Shards", "Recovery"},
 	"experiment.StaticConfig":      {"Profile", "Dir", "CapsMbps", "Reps", "Dur", "Warmup", "Seed", "Parallel"},
 	"netem.BloatConfig":            {"Depth", "AQM"},
-	"netem.CellularConfig":         {"Steps", "HandoverEvery", "HandoverJitter", "HandoverGap", "Until"},
 	"netem.GEConfig":               {"P", "R", "LossGood", "LossBad"},
 	"netem.LinkConfig":             {"RateBps", "Delay", "QueueBytes", "LossProb", "Jitter"},
 	"scenario.GenConfig":           {"Participants", "Regions", "InterBps", "Dur"},
