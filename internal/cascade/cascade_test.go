@@ -49,6 +49,10 @@ func TestAssignRoundRobin(t *testing.T) {
 	}
 }
 
+// c1ID is c1's registry ID, which media packets carry: participants
+// intern first, in join order.
+const c1ID = 0
+
 // TestRelayFlowAccounting asserts the cascade's core bandwidth property:
 // each remote origin's media crosses the inter-region link exactly once,
 // regardless of how many receivers the remote region fans it out to.
@@ -63,14 +67,14 @@ func TestRelayFlowAccounting(t *testing.T) {
 	var echoes int
 	m.InterLink(0, 1).OnSend(func(p *netem.Packet) {
 		mp, ok := p.Payload.(*vca.MediaPacket)
-		if !ok || mp.Padding || mp.Origin != "c1" {
+		if !ok || mp.Padding || mp.OriginID != c1ID {
 			return
 		}
 		seen[mp.Seq]++
 	})
 	// The reverse link must never carry c1's media back (no relay loops).
 	m.InterLink(1, 0).OnSend(func(p *netem.Packet) {
-		if mp, ok := p.Payload.(*vca.MediaPacket); ok && mp.Origin == "c1" {
+		if mp, ok := p.Payload.(*vca.MediaPacket); ok && mp.OriginID == c1ID {
 			echoes++
 		}
 	})
@@ -122,7 +126,7 @@ func TestPerHopVsEndToEndCC(t *testing.T) {
 	eng, m, call := build(vca.Teams())
 	var e2e, total int
 	m.Clients[1][0].Tap(func(p *netem.Packet) {
-		if mp, ok := p.Payload.(*vca.MediaPacket); ok && !mp.Padding && mp.Origin == "c1" {
+		if mp, ok := p.Payload.(*vca.MediaPacket); ok && !mp.Padding && mp.OriginID == c1ID {
 			total++
 			if mp.E2E {
 				e2e++

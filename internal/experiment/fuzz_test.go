@@ -94,21 +94,33 @@ func TestFuzzReplayRejectsZeroInterDelay(t *testing.T) {
 // TestRunFuzzRecoverySmoke replays the same seed band with packet-level
 // loss recovery enabled, adding the RTX-clone and NACK-queue conservation
 // invariants to every replay — churn storms and partitions must never
-// leak a retransmission clone or strand a NACK queue.
+// leak a retransmission clone or strand a NACK queue — on one engine and
+// region-sharded. The sharded leg is where shard goroutines read the call
+// registry (a flow label's first build, the client's absent-ID gate)
+// while Leave and Rejoin flip a participant's absent bit at a barrier,
+// so the -race -short CI pass runs it too.
 func TestRunFuzzRecoverySmoke(t *testing.T) {
-	n := 50
-	if testing.Short() {
-		n = 8
-	}
-	cfg := fuzzTestConfig(n)
-	cfg.Recovery = true
-	r := RunFuzz(cfg)
-	if r.N != n || r.Events == 0 {
-		t.Fatalf("ran %d seeds / %d events, want %d seeds and a non-empty replay", r.N, r.Events, n)
-	}
-	for _, f := range r.Failures {
-		t.Errorf("seed %d (%s, %s): %v — reproduce: vcabench -fuzz 1 -seed %d -recovery on",
-			f.Seed, f.Profile, f.Scenario, f.Violations, f.Seed)
+	for _, row := range []struct {
+		shards, n, short int
+	}{
+		{shards: 1, n: 50, short: 8},
+		{shards: 2, n: 12, short: 8},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", row.shards), func(t *testing.T) {
+			cfg := fuzzTestConfig(row.n)
+			if testing.Short() {
+				cfg.N = row.short
+			}
+			cfg.Recovery, cfg.Shards = true, row.shards
+			r := RunFuzz(cfg)
+			if r.N != cfg.N || r.Events == 0 {
+				t.Fatalf("ran %d seeds / %d events, want %d seeds and a non-empty replay", r.N, r.Events, cfg.N)
+			}
+			for _, f := range r.Failures {
+				t.Errorf("seed %d (%s, %s): %v — reproduce: vcabench -fuzz 1 -seed %d -recovery on -shards %d",
+					f.Seed, f.Profile, f.Scenario, f.Violations, f.Seed, row.shards)
+			}
+		})
 	}
 }
 

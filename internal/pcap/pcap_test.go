@@ -39,7 +39,7 @@ func TestWriteNetemRecord(t *testing.T) {
 		From: netem.Addr{Host: "c1", Port: 5004},
 		To:   netem.Addr{Host: "sfu", Port: 5004},
 		Payload: &vca.MediaPacket{
-			Origin: "c1", SSRC: 42, Seq: 1234, FrameEnd: true,
+			SSRC: 42, Seq: 1234, FrameEnd: true,
 		},
 		SentAt: 1500 * time.Millisecond,
 	}

@@ -18,8 +18,8 @@ import (
 // n-participant roster. Each wave takes every third participant (offset
 // by the wave index, so consecutive waves churn different region mixes),
 // staggers their leaves 200 ms apart, and rejoins them in the same
-// stagger six seconds later. IDs cross the registry free list out of
-// order, exercising recycled-ID reset with packets in flight.
+// stagger six seconds later. Each rejoiner comes back under its own ID,
+// exercising the fresh rebuild of every table slot that ID indexes.
 func ChurnStorm(n int) Scenario {
 	sc := Scenario{Name: "churn-storm"}
 	for wave := 0; wave < 3; wave++ {

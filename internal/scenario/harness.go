@@ -65,7 +65,9 @@ func Check(t *cascade.Trial, tl *Timeline, dur time.Duration) []Violation {
 	}
 	tracer := obs.Merge(rings...)
 
-	// Registry density and recycled-ID aliasing.
+	// Registry density, and no receiver for a participant who is not in
+	// the call: a departed participant keeps its ID, so only the
+	// registry's absent bit stops its in-flight packets from building one.
 	if got, want := call.IDSpace(), len(call.Clients)+len(call.Servers); got != want {
 		out = violationf(out, "id-space",
 			"ID space %d, want %d (%d clients + %d SFUs): churn grew the registry", got, want, len(call.Clients), len(call.Servers))
@@ -73,9 +75,8 @@ func Check(t *cascade.Trial, tl *Timeline, dur time.Duration) []Violation {
 	for i, cl := range call.Clients {
 		seen := map[string]bool{}
 		for _, origin := range cl.Origins() {
-			if origin == "" {
-				out = violationf(out, "id-aliasing", "client %d holds a receiver bound to a freed ID", i)
-				continue
+			if !call.Active(origin) {
+				out = violationf(out, "id-aliasing", "client %d holds a receiver for %q, who is not in the call", i, origin)
 			}
 			if seen[origin] {
 				out = violationf(out, "id-aliasing", "client %d holds duplicate receivers for %q", i, origin)

@@ -3,6 +3,7 @@ package vca
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"vcalab/internal/netem"
@@ -69,8 +70,7 @@ type Call struct {
 	// are: a region's clients share one engine, so a log has one writer.
 	lats    []*latencyLog
 	mode    ViewMode
-	home    []int32         // participant ID -> region index
-	left    map[string]bool // by name: a left participant's ID is recycled
+	home    []int32 // participant ID -> region index
 	started bool
 
 	// want/wantIDs are the relay-subscription scratch set, hoisted onto
@@ -106,8 +106,7 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 		panic("vca: a call needs at least two clients")
 	}
 	c := &Call{
-		Prof: prof, eng: eng, mode: opt.Mode,
-		reg: newRegistry(), left: map[string]bool{},
+		Prof: prof, eng: eng, mode: opt.Mode, reg: newRegistry(),
 	}
 	// Intern every participant, then every SFU: participant IDs come out
 	// dense in join order, and all tables size to their final density at
@@ -272,16 +271,10 @@ func (c *Call) FrameLatencyPercentilesMs(ps ...float64) []float64 {
 
 // active returns the clients currently in the call, in join order.
 func (c *Call) active() []*Client {
-	if len(c.left) == 0 {
+	if !slices.Contains(c.reg.absent, true) {
 		return c.Clients
 	}
-	out := make([]*Client, 0, len(c.Clients))
-	for _, cl := range c.Clients {
-		if !c.left[cl.Name] {
-			out = append(out, cl)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(c.Clients), func(cl *Client) bool { return c.reg.absent[cl.id] })
 }
 
 func (c *Call) clientByName(name string) *Client {
@@ -359,7 +352,7 @@ func (c *Call) applyRelayLayout(active []*Client) {
 			}
 			var origins []int32
 			for _, cl := range c.Clients {
-				if cl.id != noID && c.want[cl.id] {
+				if c.want[cl.id] {
 					origins = append(origins, cl.id)
 				}
 			}
@@ -461,61 +454,49 @@ func (c *Call) PendingNacks() int {
 // drops its per-client state (uplink receiver, rate estimators, legs,
 // forwarding entries), every remaining client releases its receiver slot,
 // the layout re-flows for the remaining participants, and the host stays
-// wired for a later Rejoin. The departing participant's ID goes back to
-// the registry's free list, keeping the tables dense under churn.
+// wired for a later Rejoin. The participant keeps its ID, marked absent.
 func (c *Call) Leave(name string) {
 	cl := c.clientByName(name)
-	if cl == nil || c.left[name] {
+	if cl == nil || c.reg.absent[cl.id] {
 		return
 	}
 	c.eng.Tracer().Churn(c.eng.Now(), name, "leave", "")
-	c.left[name] = true
+	c.reg.absent[cl.id] = true
 	if c.started {
 		cl.stop()
 	}
-	id := cl.id
 	n := len(c.active())
 	for _, s := range c.Servers {
-		s.remove(id)
+		s.remove(cl.id)
 		s.n = n // layout factors like Teams' ForwardFactor depend on it
 	}
 	for _, other := range c.Clients {
 		if other != cl {
-			other.dropOrigin(id)
+			other.dropOrigin(cl.id)
 		}
 	}
 	cl.clearRecv()
-	c.reg.release(name)
-	cl.id = noID
 	c.applyLayout(c.mode)
 	c.refreshSelection()
 }
 
-// Rejoin re-attaches a client that previously left. The client draws a
-// (possibly recycled) ID from the registry; every table slot that ID
-// indexes is reset first, so it can never inherit a departed
-// participant's state. Server state is recreated from scratch, the layout
-// re-flows, and the client restarts its media if the call is live.
+// Rejoin re-attaches a client that previously left, under its own ID:
+// Leave cleared every table slot the ID indexes, so server state is
+// recreated from scratch, the layout re-flows, and the client restarts
+// its media if the call is live.
 func (c *Call) Rejoin(name string) {
 	cl := c.clientByName(name)
-	if cl == nil || !c.left[name] {
+	if cl == nil || !c.reg.absent[cl.id] {
 		return
 	}
 	c.eng.Tracer().Churn(c.eng.Now(), name, "rejoin", "")
-	delete(c.left, name)
-	id := c.reg.intern(name, false)
-	c.resetSlot(id)
-	cl.id = id
-	for int(id) >= len(c.home) {
-		c.home = append(c.home, 0)
-	}
-	c.home[id] = int32(cl.region)
+	c.reg.absent[cl.id] = false
 	n := len(c.active())
 	for i, s := range c.Servers {
 		if i == cl.region {
-			s.addClient(id)
+			s.addClient(cl.id)
 		} else {
-			s.addRemoteOrigin(c.Servers[cl.region].id, id)
+			s.addRemoteOrigin(c.Servers[cl.region].id, cl.id)
 		}
 		s.n = n
 	}
@@ -553,28 +534,15 @@ func (c *Call) refreshSelection() {
 	}
 }
 
-// resetSlot clears every table entry a recycled ID indexes across all
-// servers and clients before the ID is reused.
-func (c *Call) resetSlot(id int32) {
-	for _, s := range c.Servers {
-		s.remove(id)
-	}
-	for _, cl := range c.Clients {
-		if cl.id != id {
-			cl.dropOrigin(id)
-		}
-	}
-}
-
 // IDSpace reports the size of the call's participant-ID space — the
-// density ceiling of every ID-indexed routing table. Leave/Rejoin recycle
-// IDs through the registry free list, so it must never grow past the
-// call's peak population; churn tests assert exactly that.
+// density ceiling of every ID-indexed routing table. Every client and SFU
+// holds one ID for the whole call, so it is len(Clients)+len(Servers)
+// however the call churns; churn tests assert exactly that.
 func (c *Call) IDSpace() int { return c.reg.cap() }
 
 // Active reports whether the named client is currently in the call.
 func (c *Call) Active(name string) bool {
-	return c.clientByName(name) != nil && !c.left[name]
+	return c.reg.id(name) != noID && c.clientByName(name) != nil
 }
 
 // C1 returns the instrumented client (client 0).

@@ -24,12 +24,12 @@ func fivePartyOpt(eng *sim.Engine, prof *Profile, opt CallOptions) *Call {
 	return NewCall(eng, prof, sfu, hosts, opt)
 }
 
-// serverState counts every per-client entry the SFU holds for a name.
-// A released name has no live ID, and a live ID's slots are what the
-// leave path must have cleared — both count as zero state.
+// serverState counts every per-client entry the SFU holds for a name,
+// present or departed: a departed participant keeps its ID, whose slots
+// are what the leave path must have cleared.
 func serverState(s *Server, name string) int {
-	id := s.reg.id(name)
-	if id == noID {
+	id, ok := s.reg.ids[name]
+	if !ok {
 		return 0
 	}
 	n := 0
@@ -177,19 +177,21 @@ func TestLeaveIdempotentAndUnknown(t *testing.T) {
 }
 
 // TestChurnStormKeepsTablesDense drives interleaved Leave/Rejoin storms
-// and checks the registry's free-list recycling: the ID space (and with it
-// every routing table) never grows past the call's build-time density, a
-// recycled ID never aliases a live participant's state, and the whole
-// storm is deterministic for a fixed seed.
+// and checks that every participant keeps its ID for the whole call: the
+// ID space (and with it every routing table) stays at the call's
+// build-time density, no client holds a receiver for someone not in the
+// call, and the whole storm is deterministic for a fixed seed.
 func TestChurnStormKeepsTablesDense(t *testing.T) {
-	storm := func(seed int64) (capAfter int, down [5]float64, origins [][]string) {
+	storm := func(seed int64) (down [5]float64) {
 		eng := sim.New(seed)
 		call := fiveParty(eng, Meet())
-		capBefore := call.reg.cap()
+		ids := make([]int32, len(call.Clients))
+		for i, cl := range call.Clients {
+			ids[i] = cl.id
+		}
 		call.Start()
-		// Interleaved leaves and rejoins: c2 and c3's IDs cross the free
-		// list out of order, so rejoiners draw recycled IDs that may have
-		// belonged to someone else.
+		// Interleaved leaves and rejoins: c2, c3 and c4 leave and come
+		// back out of order, with their packets still in flight.
 		step := 2 * time.Second
 		at := 4 * time.Second
 		for round := 0; round < 3; round++ {
@@ -208,126 +210,122 @@ func TestChurnStormKeepsTablesDense(t *testing.T) {
 		}
 		eng.RunUntil(at + 10*time.Second)
 		call.Stop()
-		if call.reg.cap() != capBefore {
-			t.Fatalf("ID space grew under churn: %d -> %d (free list not recycling)",
-				capBefore, call.reg.cap())
+		if got := call.reg.cap(); got != 6 { // 5 clients + 1 SFU
+			t.Fatalf("ID space = %d after churn, want 6", got)
 		}
 		for i, cl := range call.Clients {
+			if cl.id != ids[i] {
+				t.Fatalf("%s holds ID %d after churn, want its own %d", cl.Name, cl.id, ids[i])
+			}
+			// Every receiver a client holds belongs to a participant in
+			// the call, once.
+			seen := map[string]bool{}
+			for _, n := range cl.Origins() {
+				if !call.Active(n) {
+					t.Fatalf("client %d holds a receiver for %q, who is not in the call", i, n)
+				}
+				if seen[n] {
+					t.Fatalf("client %d holds duplicate receivers for %q", i, n)
+				}
+				seen[n] = true
+			}
 			down[i] = cl.DownMeter.TotalBytes()
-			origins = append(origins, cl.Origins())
 		}
-		return call.reg.cap(), down, origins
+		return down
 	}
 
-	cap1, down1, origins1 := storm(77)
-	if cap1 != 6 { // 5 clients + 1 SFU
-		t.Errorf("registry cap = %d, want 6", cap1)
-	}
-	// No aliasing: every receiver a live client holds must belong to a
-	// live participant or the SFU — never an empty (freed) binding, and
-	// every live remote participant's media must be flowing again.
-	for i, names := range origins1 {
-		seen := map[string]bool{}
-		for _, n := range names {
-			if n == "" {
-				t.Fatalf("client %d holds a receiver for a freed ID", i)
-			}
-			if seen[n] {
-				t.Fatalf("client %d holds duplicate receivers for %q", i, n)
-			}
-			seen[n] = true
-		}
-	}
+	down1 := storm(77)
 	if down1[0] == 0 {
 		t.Fatal("c1 received nothing through the churn storm")
 	}
-
 	// Determinism: the identical storm replays to identical byte counts.
-	_, down2, _ := storm(77)
-	if down1 != down2 {
+	if down2 := storm(77); down1 != down2 {
 		t.Errorf("churn storm not deterministic: %v vs %v", down1, down2)
 	}
 }
 
-// TestChurnRecycledIDStartsFresh checks that a participant rejoining onto
-// a recycled ID (possibly another participant's old slot) gets virgin
-// state: on the server a fresh uplink receiver, empty rate row, zeroed
-// forwarding; on every other client a fresh inbound track — the one
-// origin-indexed table there, so receiver and (recovery on) jitter buffer
-// are forgotten in one place.
-func TestChurnRecycledIDStartsFresh(t *testing.T) {
+// TestChurnRejoinStartsFresh checks that a participant rejoining under its
+// own ID gets virgin state: on the server a fresh uplink receiver, empty
+// rate row, zeroed forwarding and no cached flow labels; on every other
+// client a fresh inbound track — the one origin-indexed table there, so
+// receiver and (recovery on) jitter buffer are forgotten in one place.
+// What is the participant's own survives: its sender-side recovery
+// counters, which another departure in between must not disturb.
+func TestChurnRejoinStartsFresh(t *testing.T) {
 	for _, recovery := range []bool{false, true} {
 		t.Run(map[bool]string{false: "recovery off", true: "recovery on"}[recovery], func(t *testing.T) {
-			churnRecycledID(t, recovery)
+			churnRejoin(t, recovery)
 		})
 	}
 }
 
-func churnRecycledID(t *testing.T, recovery bool) {
+func churnRejoin(t *testing.T, recovery bool) {
 	eng := sim.New(78)
 	call := fivePartyOpt(eng, Zoom(), CallOptions{Seed: 21, Recovery: recovery})
+	call.Server.host.Uplink().SetImpairment(0.03, 0)
 	call.Start()
-	eng.RunUntil(5 * time.Second)
+	eng.RunUntil(10 * time.Second)
 
-	// c2 then c3 leave; c2 rejoins first, drawing c3's freed ID from the
-	// LIFO free list.
-	id2, id3 := call.clientByName("c2").id, call.clientByName("c3").id
-	c1 := call.C1()
-	old := c1.recv[id3]
+	c1, c2, c3 := call.C1(), call.clientByName("c2"), call.clientByName("c3")
+	id2, id3 := c2.id, c3.id
+	old := c1.recv[id2]
 	if old.recv == nil || (old.jb != nil) != recovery {
-		t.Fatalf("before churn c1's track for c3 is %+v; want one built with a buffer = %v", old, recovery)
+		t.Fatalf("before churn c1's track for c2 is %+v; want one built with a buffer = %v", old, recovery)
 	}
+	nacks2 := c2.StatsReport(eng.Now()).Outbound.NackCount
+	nacks3 := c3.StatsReport(eng.Now()).Outbound.NackCount
+	if recovery && (nacks2 == 0 || nacks2 == nacks3) {
+		t.Fatalf("NACK counts c2 %d, c3 %d: want distinct and nonzero under 3%% loss", nacks2, nacks3)
+	}
+
+	// c2 then c3 leave; c2 rejoins first, while c3 is still away.
 	call.Leave("c2")
 	call.Leave("c3")
 	call.Rejoin("c2")
-	got := call.clientByName("c2").id
-	if got != id3 {
-		t.Fatalf("c2 rejoined with ID %d, want recycled %d (LIFO)", got, id3)
+	if got := c2.StatsReport(eng.Now()).Outbound.NackCount; got != nacks2 {
+		t.Errorf("rejoined c2 reads NACK count %d, want its own %d (c3's is %d)", got, nacks2, nacks3)
 	}
-	if c1.recv[got] != (inbound{}) || slices.Contains(c1.recvOrder, got) || slices.Contains(c1.nackOrder, got) {
-		t.Fatalf("c1 still holds c3's track (or its place in an order list) under the ID c2 now owns")
+	if c2.id != id2 {
+		t.Fatalf("c2 rejoined with ID %d, want its own %d", c2.id, id2)
+	}
+	if c1.recv[id2] != (inbound{}) || slices.Contains(c1.recvOrder, id2) || slices.Contains(c1.nackOrder, id2) {
+		t.Fatalf("c1 still holds c2's old track (or its place in an order list)")
 	}
 	s := call.Server
-	r := s.recv[got]
-	if r == nil || !r.local() || r.arrivals == nil || s.legs[got] == nil {
-		t.Fatal("rejoined participant's recycled slot not reset")
+	r := s.recv[id2]
+	if r == nil || !r.local() || r.arrivals == nil || s.legs[id2] == nil {
+		t.Fatal("rejoined participant's slot not rebuilt")
 	}
 	for k, e := range r.rates {
 		if e != (rateEst{}) {
 			t.Fatalf("rejoined participant inherits rate estimate %+v for key %d", e, k)
 		}
 	}
-	if s.reg.name(got) != "c2" {
-		t.Fatalf("recycled ID resolves to %q, want c2", s.reg.name(got))
-	}
-	// The server's cached flow-label row for the recycled ID must be gone:
-	// a stale row would account c2's media under c3's name.
-	if s.flows.rows[got] != nil {
-		t.Fatalf("server retains stale flow labels %q for recycled ID %d", s.flows.rows[got], got)
+	if s.flows.rows[id2] != nil {
+		t.Fatalf("server retains flow labels %q for rejoined ID %d", s.flows.rows[id2], id2)
 	}
 	call.Rejoin("c3")
-	if call.clientByName("c3").id != id2 {
-		t.Fatalf("c3 rejoined with ID %d, want recycled %d", call.clientByName("c3").id, id2)
+	if c3.id != id3 {
+		t.Fatalf("c3 rejoined with ID %d, want its own %d", c3.id, id3)
 	}
-	eng.RunUntil(15 * time.Second)
+	eng.RunUntil(20 * time.Second)
 	call.Stop()
 	// Both rejoiners flow media again, each under their own identity.
-	for _, name := range []string{"c2", "c3"} {
-		cl := call.clientByName(name)
-		if cl.UpMeter.MeanRateMbps(10*time.Second, 15*time.Second) <= 0 {
-			t.Errorf("rejoined %s sends nothing", name)
+	for _, cl := range []*Client{c2, c3} {
+		if cl.UpMeter.MeanRateMbps(15*time.Second, 20*time.Second) <= 0 {
+			t.Errorf("rejoined %s sends nothing", cl.Name)
 		}
-		if call.C1().Receiver(name).DisplayedFrames() == 0 {
-			t.Errorf("c1 never displayed rejoined %s", name)
+		if c1.Receiver(cl.Name).DisplayedFrames() == 0 {
+			t.Errorf("c1 never displayed rejoined %s", cl.Name)
 		}
 	}
-	// c1's track for the newcomer shares nothing with the one it recycled.
-	fresh := c1.recv[got]
+	// c1's track for the rejoiner shares nothing with its old one.
+	fresh := c1.recv[id2]
 	if fresh.recv == nil || fresh.recv == old.recv || (fresh.jb != nil) != recovery || (recovery && fresh.jb == old.jb) {
-		t.Errorf("c1's track for rejoined c2 is %+v, c3's was %+v; want a fresh receiver and a fresh buffer = %v", fresh, old, recovery)
+		t.Errorf("c1's track for rejoined c2 is %+v, the old one %+v; want a fresh receiver and a fresh buffer = %v", fresh, old, recovery)
 	}
 	if c1.Receiver("c2") != fresh.recv {
-		t.Error("c2's name does not resolve to the track under its recycled ID")
+		t.Error("c2's name does not resolve to the track under its ID")
 	}
 }
 
@@ -418,7 +416,7 @@ func TestCascadeTwoPartyTeamsStaysEndToEnd(t *testing.T) {
 
 	var e2e, total int
 	c2.Tap(func(p *netem.Packet) {
-		if mp, ok := p.Payload.(*MediaPacket); ok && !mp.Padding && mp.Origin == "c1" {
+		if mp, ok := p.Payload.(*MediaPacket); ok && !mp.Padding && mp.OriginID == call.C1().id {
 			total++
 			if mp.E2E {
 				e2e++

@@ -37,7 +37,7 @@ type Client struct {
 	// answers NACKs on this client's behalf, so they live there).
 	home      *Server
 	reg       *registry
-	id        int32 // own registry ID (refreshed on rejoin)
+	id        int32 // own registry ID, for the whole call
 	region    int   // home region index (stable across churn)
 	rng       *rand.Rand
 	startedAt time.Duration
@@ -78,10 +78,9 @@ type Client struct {
 	flowRtcp   string
 	flowSignal string
 
-	// strayRecv backs Receiver() calls for names outside the call's
-	// registry (misspellings, probes): read-style lookups must never
-	// mutate the registry — interning a stranger could steal a freed ID
-	// out from under a later Rejoin. Cold path only.
+	// strayRecv backs Receiver() calls for names not in the call
+	// (misspellings, probes, departed participants): read-style lookups
+	// must never grow the registry or a track table. Cold path only.
 	strayRecv map[string]*media.Receiver
 
 	// --- instrumentation ---
@@ -210,7 +209,7 @@ func (c *Client) track(origin int32) *inbound {
 		t.recv = media.NewReceiver()
 		name := c.reg.name(origin)
 		t.recv.OnFIR = func(now time.Duration) {
-			post(c.host, c.home.Name, PortSignal, firWire, c.flowSignal, &FIRMsg{From: c.Name, Origin: name})
+			post(c.host, c.home.Name, PortSignal, firWire, c.flowSignal, &FIRMsg{Origin: name})
 		}
 		if c.recovery && !c.reg.isServer(origin) {
 			t.jb = newJitterBuffer()
@@ -225,8 +224,7 @@ func (c *Client) track(origin int32) *inbound {
 }
 
 // dropOrigin releases the track of a departed participant — receiver and
-// jitter buffer together, so a recycled ID can never alias either's
-// accumulated state.
+// jitter buffer together, so a rejoin under the same ID starts both fresh.
 func (c *Client) dropOrigin(origin int32) {
 	if int(origin) >= len(c.recv) || c.recv[origin].recv == nil {
 		return
@@ -332,7 +330,6 @@ func (c *Client) sendFrame(f *codec.Frame) {
 		remaining -= chunk
 		last := remaining == 0
 		mp := c.pool.get()
-		mp.Origin = c.Name
 		mp.OriginID = c.id
 		mp.RK = rk
 		mp.Layer = uint8(f.Layer)
@@ -357,7 +354,7 @@ func (c *Client) audioTick(time.Duration) {
 		return
 	}
 	mp := c.pool.get()
-	mp.Origin, mp.OriginID = c.Name, c.id
+	mp.OriginID = c.id
 	mp.RK = rkAudio
 	mp.SSRC, mp.Seq, mp.Audio = 2, c.seq, true
 	c.seq++
@@ -372,7 +369,7 @@ func (c *Client) padTick(now time.Duration) {
 	}
 	for n := c.pad.due(now, c.ccUp); n > 0; n-- {
 		mp := c.pool.get()
-		mp.Origin, mp.OriginID = c.Name, c.id
+		mp.OriginID = c.id
 		mp.RK = rkPad
 		mp.SSRC, mp.Seq, mp.Padding = 1, c.seq, true
 		c.seq++
@@ -426,9 +423,9 @@ func (c *Client) onMedia(pkt *netem.Packet) {
 	}
 	if c.reg.live(mp.OriginID) {
 		if !c.track(mp.OriginID).onPacket(now, mp, pkt.Size, sentAt, c.lastRTT) {
-			c.eng.Tracer().Recovery(obs.EvJBLate, now, c.Name, mp.Origin, int(mp.Seq))
+			c.eng.Tracer().Recovery(obs.EvJBLate, now, c.Name, c.reg.name(mp.OriginID), int(mp.Seq))
 		} else if mp.RTX {
-			c.eng.Tracer().Recovery(obs.EvRTXDeliver, now, c.Name, mp.Origin, int(mp.Seq))
+			c.eng.Tracer().Recovery(obs.EvRTXDeliver, now, c.Name, c.reg.name(mp.OriginID), int(mp.Seq))
 		}
 	}
 	releaseMedia(mp)
@@ -470,7 +467,7 @@ func (c *Client) recoveryTick(now time.Duration) {
 // per-leg sequence space.
 func (c *Client) sendNack(origin int32, seqs []uint16) {
 	m := c.pool.getNack()
-	m.From, m.FromID, m.Origin = c.Name, c.id, origin
+	m.FromID, m.Origin = c.id, origin
 	m.Pairs = rtp.AppendNackPairs(m.Pairs, seqs)
 	post(c.host, c.home.Name, PortFeedback, nackWireBase+4*len(m.Pairs), c.flowRtcp, m)
 }
@@ -487,7 +484,7 @@ func (c *Client) twccTick(now time.Duration) {
 		m.ReleasePayload()
 		return
 	}
-	m.From, m.FromID, m.Report = c.Name, c.id, rep
+	m.FromID, m.Report = c.id, rep
 	post(c.host, c.home.Name, PortFeedback, twccWireBase+4*len(rep.DeltaUs), c.flowRtcp, m)
 }
 
@@ -559,7 +556,7 @@ func (c *Client) feedbackTick(now time.Duration) {
 	if agg.Interval == 0 {
 		agg.Interval = 100 * time.Millisecond
 	}
-	post(c.host, c.home.Name, PortFeedback, feedbackWire, c.flowRtcp, c.pool.getFeedback(c.Name, c.id, agg))
+	post(c.host, c.home.Name, PortFeedback, feedbackWire, c.flowRtcp, c.pool.getFeedback(c.id, agg))
 }
 
 // RecordStats subscribes this client to per-second getStats sampling (§3.2's

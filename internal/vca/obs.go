@@ -70,9 +70,9 @@ func feedCC(ctrl cc.Controller, fb cc.Feedback, tr *obs.Tracer, client, origin s
 func (c *Client) LastRTT() time.Duration { return c.lastRTT }
 
 // StatsReport builds a getStats-style snapshot of this client at now.
-// Strictly read-only: unlike the 1 Hz Recorder path it never calls
-// Receiver.Take, so sampling at any cadence leaves interval state — and
-// therefore experiment output — untouched.
+// Strictly read-only: it never calls Receiver.Take (feedbackTick's
+// 100 ms report does), so sampling at any cadence leaves interval state —
+// and therefore experiment output — untouched.
 func (c *Client) StatsReport(now time.Duration) webrtcstats.Report {
 	tus := now.Microseconds()
 	var r webrtcstats.Report

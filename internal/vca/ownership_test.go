@@ -43,10 +43,10 @@ func wantReleasedOnce(t *testing.T, what string, p *mpPool) {
 	}
 }
 
-// feedbackPkt wraps a pooled report from `from` in a literal envelope, as
+// feedbackPkt wraps a pooled report from fromID in a literal envelope, as
 // if netem were delivering it.
-func feedbackPkt(p *mpPool, from string, fromID int32) *netem.Packet {
-	fb := p.getFeedback(from, fromID, media.IntervalStats{Interval: 100 * time.Millisecond, RateBps: 1e6})
+func feedbackPkt(p *mpPool, fromID int32) *netem.Packet {
+	fb := p.getFeedback(fromID, media.IntervalStats{Interval: 100 * time.Millisecond, RateBps: 1e6})
 	return &netem.Packet{Size: feedbackWire, Payload: fb}
 }
 
@@ -69,25 +69,25 @@ func TestControlMsgReleasedByEveryConsumerPath(t *testing.T) {
 			wantReleasedOnce(t, prof.Name+" after drain", p)
 
 			// Stopped consumers still own what they are handed.
-			c2.onFeedback(feedbackPkt(p, "sfu", s.id))
+			c2.onFeedback(feedbackPkt(p, s.id))
 			wantReleasedOnce(t, prof.Name+" stopped client", p)
-			s.onFeedback(feedbackPkt(p, "c2", c2.id))
+			s.onFeedback(feedbackPkt(p, c2.id))
 			wantReleasedOnce(t, prof.Name+" stopped server", p)
 
 			s.running, c2.running = true, true
 			// A live server: the normal path (controller update; relay
 			// fan-out for Teams; the recovery-on early return), then
 			// reports it cannot attribute.
-			s.onFeedback(feedbackPkt(p, "c2", c2.id))
+			s.onFeedback(feedbackPkt(p, c2.id))
 			eng.Run() // relayed copies reach their (stopped) origins
 			wantReleasedOnce(t, prof.Name+" live server", p)
 			for _, id := range []int32{-1, int32(len(s.legs)), 1 << 20} {
-				s.onFeedback(feedbackPkt(p, "ghost", id))
+				s.onFeedback(feedbackPkt(p, id))
 				wantReleasedOnce(t, prof.Name+" out-of-range FromID", p)
 			}
-			s.onFeedback(feedbackPkt(p, "sfu", s.id)) // in range, but no leg
+			s.onFeedback(feedbackPkt(p, s.id)) // in range, but no leg
 			wantReleasedOnce(t, prof.Name+" FromID without a leg", p)
-			c2.onFeedback(feedbackPkt(p, "sfu", s.id))
+			c2.onFeedback(feedbackPkt(p, s.id))
 			wantReleasedOnce(t, prof.Name+" live client", p)
 			// The client's own report tick: an interval in which nothing
 			// arrived draws a TWCC message and hands it straight back, one
@@ -104,7 +104,7 @@ func TestControlMsgReleasedByEveryConsumerPath(t *testing.T) {
 			// A client that has left the call.
 			call.started = true
 			call.Leave("c2")
-			c2.onFeedback(feedbackPkt(p, "sfu", s.id))
+			c2.onFeedback(feedbackPkt(p, s.id))
 			wantReleasedOnce(t, prof.Name+" left client", p)
 
 			// NACK and TWCC reports share the port and the rule: from a live
@@ -145,7 +145,7 @@ func TestControlMsgReleasedWhenNetemDrops(t *testing.T) {
 		pkt := src.NewPacket()
 		pkt.Size = feedbackWire
 		pkt.To = netem.Addr{Host: to, Port: port}
-		pkt.Payload = p.getFeedback("src", 0, media.IntervalStats{})
+		pkt.Payload = p.getFeedback(0, media.IntervalStats{})
 		src.Send(pkt)
 	}
 
@@ -209,7 +209,7 @@ func TestTeamsRelayFanOutCopiesPerPacket(t *testing.T) {
 		})
 	}
 	want := media.IntervalStats{Interval: 100 * time.Millisecond, RateBps: 2e6, LossFraction: 0.25}
-	orig := p.getFeedback(c1.Name, c1.id, want)
+	orig := p.getFeedback(c1.id, want)
 	s.onFeedback(&netem.Packet{Size: feedbackWire, Payload: orig})
 	eng.Run()
 
@@ -229,7 +229,7 @@ func TestTeamsRelayFanOutCopiesPerPacket(t *testing.T) {
 				t.Errorf("copies %d and %d are one message", j, i)
 			}
 		}
-		if m.From != c1.Name || m.FromID != c1.id || m.Stats != want {
+		if m.FromID != c1.id || m.Stats != want {
 			t.Errorf("copy %d = %+v, want the original's contents", i, *m)
 		}
 	}
@@ -253,7 +253,7 @@ func TestPayloadTransferRehomesControlMsgs(t *testing.T) {
 	src, dst := call.pools[0], call.pools[1]
 	xfer := call.PayloadTransfer(1)
 
-	fb := src.getFeedback("sfu-a", 3, media.IntervalStats{RateBps: 7e5})
+	fb := src.getFeedback(3, media.IntervalStats{RateBps: 7e5})
 	nack := src.getNack()
 	nack.Origin = 2
 	nack.Pairs = append(nack.Pairs, rtp.NackPair{PacketID: 11, Bitmask: 5})
@@ -268,7 +268,7 @@ func TestPayloadTransferRehomesControlMsgs(t *testing.T) {
 	if dst.ctrlLive != 3 {
 		t.Fatalf("destination pool holds %d live messages, want 3", dst.ctrlLive)
 	}
-	if fb2 == fb || fb2.pool != dst || fb2.From != "sfu-a" || fb2.FromID != 3 || fb2.Stats.RateBps != 7e5 {
+	if fb2 == fb || fb2.pool != dst || fb2.FromID != 3 || fb2.Stats.RateBps != 7e5 {
 		t.Errorf("feedback copy = %+v", *fb2)
 	}
 	if nack2.pool != dst || nack2.Origin != 2 || len(nack2.Pairs) != 1 || nack2.Pairs[0] != (rtp.NackPair{PacketID: 11, Bitmask: 5}) {
@@ -294,7 +294,7 @@ func TestPayloadTransferRehomesControlMsgs(t *testing.T) {
 	wantReleasedOnce(t, "destination pool", dst)
 
 	// FIR/alloc signalling is not pooled and passes through by pointer.
-	fir := &FIRMsg{From: "c1", Origin: "c2"}
+	fir := &FIRMsg{Origin: "c2"}
 	if xfer(fir) != any(fir) {
 		t.Error("FIRMsg should cross the boundary by pointer")
 	}
@@ -418,7 +418,7 @@ func TestFrameLatencySampleIsPerArrival(t *testing.T) {
 	cl.running = true // ingest without starting the tickers
 	arrive := func(edit func(*MediaPacket)) {
 		mp := pool.get()
-		mp.Origin, mp.OriginID = "c2", call.Clients[1].id
+		mp.OriginID = call.Clients[1].id
 		mp.RK, mp.FrameEnd = rkVideo, true
 		mp.OriginSentAt = eng.Now() - 30*time.Millisecond
 		edit(mp)

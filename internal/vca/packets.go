@@ -80,13 +80,9 @@ func (m *MediaPacket) rateKey() int {
 // MediaPacket is the typed payload of an RTP media packet in the emulator.
 // internal/pcap can serialize it to a real RTP packet for traces.
 //
-// Fields are ordered by alignment so the struct fits the 96-byte size
+// Fields are ordered by alignment so the struct fits the 80-byte size
 // class: every pool fill, recovery on or off, pays for one of these.
 type MediaPacket struct {
-	// Origin is the participant whose media this is. It stays a name
-	// although OriginID identifies the origin on every live path: IDs
-	// recycle while a departed participant's packets are still in flight.
-	Origin string
 	// OriginSentAt is stamped by the origin client and survives
 	// forwarding.
 	OriginSentAt time.Duration
@@ -94,10 +90,11 @@ type MediaPacket struct {
 
 	pool *mpPool // owning free list, nil for literal packets
 
-	// OriginID is Origin's dense call-wide registry ID, stamped at the
-	// origin client (or at the SFU for server-generated padding/FEC) and
-	// preserved across every forwarding hop: all per-packet routing and
-	// accounting indexes by it, never by the name.
+	// OriginID is the dense call-wide registry ID of the participant
+	// whose media this is, stamped at the origin client (or at the SFU for
+	// server-generated padding/FEC) and preserved across every forwarding
+	// hop. An ID never changes owner, so the registry names the origin
+	// wherever a name is needed (labels, traces).
 	OriginID int32
 	// refs counts the holders of a retained packet (see retain).
 	refs     int32
@@ -192,14 +189,14 @@ func pop[T any](free *[]*T) *T {
 	return m
 }
 
-// getFeedback hands out a receiver report from the named sender.
-func (p *mpPool) getFeedback(from string, fromID int32, st media.IntervalStats) *FeedbackMsg {
+// getFeedback hands out a receiver report from the sender with ID fromID.
+func (p *mpPool) getFeedback(fromID int32, st media.IntervalStats) *FeedbackMsg {
 	p.ctrlLive++
 	m := pop(&p.fb)
 	if m == nil {
 		m = &FeedbackMsg{pool: p}
 	}
-	m.From, m.FromID, m.Stats = from, fromID, st
+	m.FromID, m.Stats = fromID, st
 	return m
 }
 
@@ -227,16 +224,16 @@ func (p *mpPool) getTWCC() *TWCCMsg {
 func (p *mpPool) copyCtrl(m any) any {
 	switch m := m.(type) {
 	case *FeedbackMsg:
-		return p.getFeedback(m.From, m.FromID, m.Stats)
+		return p.getFeedback(m.FromID, m.Stats)
 	case *NackMsg:
 		out := p.getNack()
-		out.From, out.FromID, out.Origin = m.From, m.FromID, m.Origin
+		out.FromID, out.Origin = m.FromID, m.Origin
 		out.Pairs = append(out.Pairs, m.Pairs...)
 		return out
 	case *TWCCMsg:
 		out := p.getTWCC()
 		deltas := append(out.Report.DeltaUs, m.Report.DeltaUs...)
-		out.From, out.FromID, out.Report = m.From, m.FromID, m.Report
+		out.FromID, out.Report = m.FromID, m.Report
 		out.Report.DeltaUs = deltas
 		return out
 	}
@@ -301,8 +298,7 @@ func (m *MediaPacket) Info(wireBytes int, sentAt time.Duration) media.PacketInfo
 // are delivered to is their one consumer and releases them on every
 // return path; a packet netem drops releases its payload itself.
 type FeedbackMsg struct {
-	From   string // reporting client (or downstream SFU)
-	FromID int32  // From's registry ID — the SFU's leg lookup key
+	FromID int32 // reporting client's (or downstream SFU's) registry ID — the SFU's leg lookup key
 	Stats  media.IntervalStats
 
 	pool *mpPool // owning free list, nil for literal messages
@@ -320,7 +316,6 @@ func (m *FeedbackMsg) ReleasePayload() {
 
 // FIRMsg requests a keyframe for Origin's stream (RTCP FIR, RFC 5104).
 type FIRMsg struct {
-	From   string
 	Origin string
 }
 
@@ -334,7 +329,6 @@ type AllocMsg struct {
 // per-leg sequence space (RTCP generic NACK). Pairs' backing
 // array is recycled with the message.
 type NackMsg struct {
-	From   string
 	FromID int32 // receiver's registry ID — the SFU's leg lookup key
 	Origin int32 // origin whose (leg, origin) seq space Pairs index
 	Pairs  []rtp.NackPair
@@ -355,7 +349,6 @@ func (m *NackMsg) ReleasePayload() {
 // to its SFU (rtp.TransportCC over the per-leg TWSeq space).
 // Report.DeltaUs' backing array is recycled with the message.
 type TWCCMsg struct {
-	From   string
 	FromID int32
 	Report rtp.TransportCC
 

@@ -1,23 +1,22 @@
 package vca
 
 // registry interns every participant and SFU name of one call to a small
-// dense integer ID assigned at join/build time. All per-packet dispatch in
-// the call (SFU routing tables, client receive tables, rate estimators,
+// dense integer ID assigned at build time. All per-packet dispatch in the
+// call (SFU routing tables, client receive tables, rate estimators,
 // flow-label caches) is index-addressed by these IDs; names survive only at
 // the reporting boundary (netem addressing, printed output, public string
 // APIs) where the registry translates back.
 //
-// Leave recycles the departing participant's ID through a LIFO free list
-// and Rejoin draws from it, so churn keeps every table dense: the ID space
-// never grows past the call's peak population. Before a recycled ID is
-// handed out again the call resets every table slot it indexes (see
-// Call.resetSlot), so a reused ID can never alias a live participant's
-// state.
+// An ID is its participant's identity for the whole call. The roster is
+// fixed at build, so the ID space is len(Clients)+len(Servers) however the
+// call churns, and the names are immutable afterwards: shard goroutines
+// read them without synchronization. Membership is one absent bit per ID,
+// flipped by Leave and Rejoin at a barrier.
 type registry struct {
-	ids    map[string]int32 // name -> live ID (cold paths only)
-	names  []string         // ID -> name ("" while the ID is on the free list)
+	ids    map[string]int32 // name -> ID (cold paths only)
+	names  []string         // ID -> name
 	server []bool           // ID -> the name is an SFU, not a participant
-	free   []int32          // recycled IDs, LIFO
+	absent []bool           // ID -> the participant has left the call
 }
 
 func newRegistry() *registry {
@@ -27,30 +26,22 @@ func newRegistry() *registry {
 // noID marks "no participant" in ID-indexed tables.
 const noID int32 = -1
 
-// intern returns the name's ID, allocating one (from the free list when
-// possible) on first use.
+// intern returns the name's ID, allocating the next one on first use.
 func (r *registry) intern(name string, isServer bool) int32 {
 	if id, ok := r.ids[name]; ok {
 		return id
 	}
-	var id int32
-	if n := len(r.free) - 1; n >= 0 {
-		id = r.free[n]
-		r.free = r.free[:n]
-		r.names[id] = name
-		r.server[id] = isServer
-	} else {
-		id = int32(len(r.names))
-		r.names = append(r.names, name)
-		r.server = append(r.server, isServer)
-	}
+	id := int32(len(r.names))
+	r.names = append(r.names, name)
+	r.server = append(r.server, isServer)
+	r.absent = append(r.absent, false)
 	r.ids[name] = id
 	return id
 }
 
-// id returns the name's live ID, or noID if the name is unknown or left.
+// id returns the name's ID, or noID if the name is unknown or has left.
 func (r *registry) id(name string) int32 {
-	if id, ok := r.ids[name]; ok {
+	if id, ok := r.ids[name]; ok && !r.absent[id] {
 		return id
 	}
 	return noID
@@ -59,26 +50,14 @@ func (r *registry) id(name string) int32 {
 // name translates an ID back to its name (the reporting boundary).
 func (r *registry) name(id int32) string { return r.names[id] }
 
-// live reports whether the ID is currently bound to a name (false while it
-// sits on the free list — e.g. packets still in flight from a departed
-// participant).
+// live reports whether the ID belongs to someone in the call (false for a
+// departed participant whose packets are still in flight).
 func (r *registry) live(id int32) bool {
-	return id >= 0 && int(id) < len(r.names) && r.names[id] != ""
+	return id >= 0 && int(id) < len(r.names) && !r.absent[id]
 }
 
 // isServer reports whether the ID belongs to an SFU.
 func (r *registry) isServer(id int32) bool { return r.server[id] }
-
-// release returns a departing participant's ID to the free list.
-func (r *registry) release(name string) {
-	id, ok := r.ids[name]
-	if !ok {
-		return
-	}
-	delete(r.ids, name)
-	r.names[id] = ""
-	r.free = append(r.free, id)
-}
 
 // cap is the ID-space size: every ID-indexed table holds cap slots.
 func (r *registry) cap() int { return len(r.names) }

@@ -140,7 +140,7 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 
 	audio := func(seq uint16) *MediaPacket {
 		mp := pool.get()
-		mp.Origin, mp.OriginID = "c1", call.Clients[0].id
+		mp.OriginID = call.Clients[0].id
 		mp.RK, mp.Audio, mp.Seq = rkAudio, true, seq
 		return mp
 	}
@@ -159,8 +159,8 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 	}
 	free := len(pool.free)
 	s.onMedia(&netem.Packet{Size: 140, Payload: audio(4)})
-	if first.refs != 0 || first.Origin != "" {
-		t.Errorf("evicted from every ring but not recycled: refs %d, origin %q", first.refs, first.Origin)
+	if first.refs != 0 || first.Audio {
+		t.Errorf("evicted from every ring but not recycled: refs %d, audio %v", first.refs, first.Audio)
 	}
 	if len(pool.free) != free+1 {
 		t.Errorf("pool free list went %d -> %d, want one packet back", free, len(pool.free))
@@ -191,15 +191,16 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 	}
 }
 
-// TestMediaPacketSizeClass: a MediaPacket is 94 bytes, the 96-byte size
-// class — the origin name and send time (24), the encode parameters (32),
-// the pool pointer (8), four 4-byte fields (origin ID, refs, SSRC, frame
-// number), two sequence numbers, the rate key, the SVC layer and eight
-// flags. One more 8-byte field moves it to the 112-byte class, and every
-// pool fill, recovery on or off, pays for it.
+// TestMediaPacketSizeClass: a MediaPacket is 78 bytes, the 80-byte size
+// class — the send time (8), the encode parameters (32), the pool pointer
+// (8), four 4-byte fields (origin ID, refs, SSRC, frame number), two
+// sequence numbers, the rate key, the SVC layer and eight flags. It
+// carries no origin name: an ID never changes owner, so the registry
+// names the origin. Three more bytes move it to the 96-byte class, and
+// every pool fill, recovery on or off, pays for it.
 func TestMediaPacketSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(MediaPacket{}); got > 96 {
-		t.Errorf("MediaPacket is %d bytes, want <= 96", got)
+	if got := unsafe.Sizeof(MediaPacket{}); got > 80 {
+		t.Errorf("MediaPacket is %d bytes, want <= 80", got)
 	}
 	if got := unsafe.Sizeof(rtxEntry{}); got > 16 {
 		t.Errorf("rtxEntry is %d bytes, want <= 16 (a 24-byte ring slot)", got)
@@ -225,7 +226,7 @@ func TestRingReuseAcrossChurn(t *testing.T) {
 	ingest := func(n int) {
 		for ; n > 0; n-- {
 			mp := pool.get()
-			mp.Origin, mp.OriginID = "c1", c1
+			mp.OriginID = c1
 			mp.RK, mp.Audio, mp.Seq = rkAudio, true, next
 			next++
 			s.onMedia(&netem.Packet{Size: 140, Payload: mp})

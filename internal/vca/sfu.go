@@ -101,8 +101,8 @@ func newServer(eng *sim.Engine, prof *Profile, host *netem.Host, reg *registry, 
 		recv:        make([]*receiver, n),
 		legs:        make([]*downTrack, n),
 		displayed:   make([][]int32, n),
-		flows:       flowLabels{prefix: prof.Name + "/sfu/", rows: make([][]string, n)},
-		relayFlows:  flowLabels{prefix: prof.Name + "/relay/", rows: make([][]string, n)},
+		flows:       flowLabels{prefix: prof.Name + "/sfu/", reg: reg, rows: make([][]string, n)},
+		relayFlows:  flowLabels{prefix: prof.Name + "/relay/", reg: reg, rows: make([][]string, n)},
 		n:           total,
 		passthrough: prof.NewServerCC == nil && total == 2,
 		recovery:    recovery,
@@ -217,9 +217,9 @@ func (s *Server) addClient(id int32) {
 }
 
 // remove clears every table entry an ID indexes — a local participant or a
-// remote origin that left, or a recycled ID about to be reused, which must
-// never inherit a departed participant's state. A torn-down track lets go
-// of the packets it retained and retires its counters.
+// remote origin that left — so a rejoin under the same ID rebuilds them
+// fresh. A torn-down track lets go of the packets it retained and retires
+// its counters, which stay the participant's.
 func (s *Server) remove(id int32) {
 	if int(id) >= len(s.legs) {
 		return

@@ -66,7 +66,7 @@ func (s *Server) onReport(now time.Duration, fb *FeedbackMsg) {
 	// it, and the original is released by onFeedback.
 	for _, origin := range s.displayed[fb.FromID] {
 		post(s.host, s.reg.name(origin), PortFeedback, feedbackWire, s.flowRtcpRelay,
-			s.pool.getFeedback(fb.From, fb.FromID, fb.Stats))
+			s.pool.getFeedback(fb.FromID, fb.Stats))
 	}
 }
 
@@ -110,7 +110,7 @@ func (s *Server) report(now time.Duration, to int32, flow string) {
 	if st.Interval == 0 {
 		st.Interval = 100 * time.Millisecond
 	}
-	post(s.host, s.reg.name(to), PortFeedback, feedbackWire, flow, s.pool.getFeedback(s.Name, s.id, st))
+	post(s.host, s.reg.name(to), PortFeedback, feedbackWire, flow, s.pool.getFeedback(s.id, st))
 }
 
 // refreshSelection recomputes every track's selection state, local
@@ -160,7 +160,7 @@ func (s *Server) padTick(now time.Duration) {
 		return
 	}
 	for _, rid := range s.legOrder {
-		s.legs[rid].probe(now, s.Name, s.id)
+		s.legs[rid].probe(now, s.id)
 	}
 }
 

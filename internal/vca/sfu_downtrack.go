@@ -79,7 +79,7 @@ func (l *downTrack) emit(now time.Duration, f *forwarder, mp *MediaPacket, size 
 		n := min(int(f.fecOwed), maxPayload)
 		f.fecOwed -= float64(n)
 		fec := l.pool.get()
-		fec.Origin, fec.OriginID = mp.Origin, mp.OriginID
+		fec.OriginID = mp.OriginID
 		fec.RK = rkFEC
 		fec.Seq, fec.Padding = l.nextSeq(f), true
 		l.rtx.storeOwn(l.pool, fec, n+wireOverhead)
@@ -107,6 +107,7 @@ func (l *downTrack) nextSeq(f *forwarder) uint16 {
 // label per forwarded packet would allocate on the hottest path.
 type flowLabels struct {
 	prefix string     // "<vca>/<kind>/"
+	reg    *registry  // names the origin on a label's first build
 	rows   [][]string // origin ID -> rate key -> label ("" until first use)
 }
 
@@ -118,7 +119,7 @@ func (t *flowLabels) get(mp *MediaPacket) string {
 		row = append(row, "")
 	}
 	if row[k] == "" {
-		row[k] = t.prefix + mp.Origin + "/" + streamName(mp.RK)
+		row[k] = t.prefix + t.reg.name(mp.OriginID) + "/" + streamName(mp.RK)
 	}
 	t.rows[mp.OriginID] = row
 	return row[k]
@@ -133,13 +134,13 @@ func (l *downTrack) send(now time.Duration, mp *MediaPacket, size int) {
 // probe emits the padding the controller asks for (GCC recovery probes on
 // the Meet/Zoom downlink, Fig 5b's fast recovery; a relay track probes its
 // inter-region hop the same way) under the server's own identity.
-func (l *downTrack) probe(now time.Duration, server string, serverID int32) {
+func (l *downTrack) probe(now time.Duration, serverID int32) {
 	if l.ctrl == nil {
 		return
 	}
 	for n := l.pad.due(now, l.ctrl); n > 0; n-- {
 		mp := l.pool.get()
-		mp.Origin, mp.OriginID = server, serverID
+		mp.OriginID = serverID
 		mp.RK, mp.Padding = rkPad, true
 		l.send(now, mp, maxPayload+wireOverhead)
 	}

@@ -184,10 +184,12 @@ func trackToSink(t *testing.T, ringPkts int) (*sim.Engine, *downTrack, *[]sentPa
 	})
 	host := netem.NewHost(eng, "sfu")
 	host.SetUplink(netem.NewLink(eng, "sfu-c2", netem.LinkConfig{Delay: time.Millisecond}, sub))
-	prof := Zoom()
+	prof, reg := Zoom(), newRegistry()
+	reg.intern("c1", false) // the origin, ID 0
+	reg.intern("c2", false)
 	l := &downTrack{
 		receiver: 1, recvName: "c2", prof: prof, host: host, pool: &mpPool{},
-		fwd: make([]*forwarder, 2), flows: &flowLabels{prefix: "zoom/sfu/", rows: make([][]string, 2)},
+		fwd: make([]*forwarder, 2), flows: &flowLabels{prefix: "zoom/sfu/", reg: reg, rows: make([][]string, 2)},
 		rtx: newRetransmitter(2, false, new([]*rtp.RTXRing[rtxEntry])),
 	}
 	l.rtx.ringPkts = ringPkts
@@ -210,7 +212,7 @@ func TestDownTrackAnswersNackWithItsOwnRewrite(t *testing.T) {
 	// it: only the top layer's packet ends the frame.
 	ingress := func(seq uint16, layer uint8) {
 		mp := l.pool.get()
-		mp.Origin, mp.OriginID, mp.RK = "c1", 0, rkSVC
+		mp.OriginID, mp.RK = 0, rkSVC
 		mp.Seq, mp.FrameSeq, mp.Layer = seq, 7, layer
 		mp.LayerEnd, mp.FrameEnd = true, layer == 2
 		mp.retain()
@@ -339,7 +341,7 @@ func TestFlowLabelsOnePerServer(t *testing.T) {
 	cascade, _ := miniCascade(eng, Meet(), 5)
 	var relayed []string
 	cascade.Servers[0].host.Uplink().OnSend(func(pkt *netem.Packet) {
-		if mp, ok := pkt.Payload.(*MediaPacket); ok && pkt.To.Host == "sfu-b" && mp.Origin == "c1" {
+		if mp, ok := pkt.Payload.(*MediaPacket); ok && pkt.To.Host == "sfu-b" && mp.OriginID == cascade.C1().id {
 			relayed = append(relayed, pkt.Flow)
 		}
 	})

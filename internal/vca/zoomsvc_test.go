@@ -33,7 +33,7 @@ func TestZoomStarvedReceiverGetsBaseLayerOnly(t *testing.T) {
 	var upper, base int
 	c1.Tap(func(p *netem.Packet) {
 		mp, ok := p.Payload.(*MediaPacket)
-		if !ok || mp.Origin != "c2" || mp.Audio || mp.Padding || eng.Now() < countFrom {
+		if !ok || mp.OriginID != call.Clients[1].id || mp.Audio || mp.Padding || eng.Now() < countFrom {
 			return
 		}
 		if mp.Layer > 0 {
