@@ -100,7 +100,7 @@ func TestOutputDigests(t *testing.T) {
 		*shards = sh
 		for _, p := range threeVCAs() {
 			var out bytes.Buffer
-			vcalab.PrintScale(&out, vcalab.RunScale(scaleConfig(p, *parallel)))
+			vcalab.PrintScale(&out, vcalab.RunScale(scaleConfig(p)))
 			record(fmt.Sprintf("scale/%s", p.Name), &out)
 		}
 		*shards = 1

@@ -402,7 +402,7 @@ func fig15() {
 }
 
 // scaleConfig is the grid for -experiment scale.
-func scaleConfig(p *vcalab.Profile, par int) vcalab.ScaleConfig {
+func scaleConfig(p *vcalab.Profile) vcalab.ScaleConfig {
 	cfg := vcalab.ScaleConfig{
 		Profile:      p,
 		Participants: []int{12, 24, 48},
@@ -412,7 +412,6 @@ func scaleConfig(p *vcalab.Profile, par int) vcalab.ScaleConfig {
 		Dur:          60 * time.Second,
 		Warmup:       20 * time.Second,
 		Seed:         *seed,
-		Parallel:     par,
 		Shards:       *shards,
 		Recovery:     recoveryOn(),
 	}
@@ -429,7 +428,7 @@ func scaleConfig(p *vcalab.Profile, par int) vcalab.ScaleConfig {
 // large calls, swept over participants and inter-region capacity.
 func scale() {
 	for _, p := range threeVCAs() {
-		rs := vcalab.RunScale(scaleConfig(p, *parallel))
+		rs := vcalab.RunScale(scaleConfig(p))
 		vcalab.PrintScale(os.Stdout, rs)
 	}
 }
@@ -443,7 +442,6 @@ func runFuzz() {
 	cfg := vcalab.FuzzConfig{
 		N:        *fuzzN,
 		Seed:     *seed,
-		Parallel: *parallel,
 		Shards:   *shards,
 		Recovery: recoveryOn(),
 	}
@@ -470,7 +468,6 @@ func dynamicConfig(p *vcalab.Profile, scenarioName string) vcalab.DynamicConfig 
 		Dur:          90 * time.Second,
 		Warmup:       15 * time.Second,
 		Seed:         *seed,
-		Parallel:     *parallel,
 		Shards:       *shards,
 		Recovery:     recoveryOn(),
 	}

@@ -34,6 +34,24 @@ func run(w, errw io.Writer, args []string) int {
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
+	// The negated comparisons reject NaN too.
+	var bad string
+	switch {
+	case *n < 2:
+		bad = fmt.Sprintf("-n must be >= 2 (C1 and one peer); got %d", *n)
+	case *mode != "gallery" && *mode != "speaker":
+		bad = fmt.Sprintf("-mode must be gallery or speaker; got %q", *mode)
+	case *dur <= 0:
+		bad = fmt.Sprintf("-dur must be > 0; got %v", *dur)
+	case !(*up >= 0):
+		bad = fmt.Sprintf("-up must be >= 0 Mbps (0 = unconstrained); got %v", *up)
+	case !(*down >= 0):
+		bad = fmt.Sprintf("-down must be >= 0 Mbps (0 = unconstrained); got %v", *down)
+	}
+	if bad != "" {
+		fmt.Fprintln(errw, bad)
+		return 2
+	}
 	prof, ok := vcalab.Profiles()[*vcaName]
 	if !ok {
 		fmt.Fprintf(errw, "unknown VCA %q; choose from meet, zoom, teams, teams-chrome, zoom-chrome\n", *vcaName)

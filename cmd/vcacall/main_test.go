@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -48,5 +49,29 @@ func TestRunRejectsUnknownVCA(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := run(&out, &errw, []string{"-vca", "nope"}); code != 2 || out.Len() != 0 {
 		t.Errorf("exit %d with %d bytes on stdout, want 2 and none", code, out.Len())
+	}
+}
+
+// TestRunRejectsBadFlags: a value the call cannot honour exits 2 with the
+// flag named on stderr and nothing on stdout, instead of panicking in the
+// call builder or silently running something else.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-n", "1"},
+		{"-n", "0"},
+		{"-mode", "bogus"},
+		{"-dur", "-5s"},
+		{"-dur", "0s"},
+		{"-up", "-3"},
+		{"-up", "NaN"},
+		{"-down", "-0.5"},
+		{"-down", "NaN"},
+	} {
+		var out, errw bytes.Buffer
+		code := run(&out, &errw, []string{"-vca", "meet", c.flag, c.value})
+		if code != 2 || out.Len() != 0 || !strings.Contains(errw.String(), c.flag) {
+			t.Errorf("%s %s: exit %d, %d bytes on stdout, stderr %q; want 2, none, and the flag named",
+				c.flag, c.value, code, out.Len(), errw.String())
+		}
 	}
 }

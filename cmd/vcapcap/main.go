@@ -27,7 +27,7 @@ func run(errw io.Writer, args []string) int {
 	var (
 		vcaName   = fs.String("vca", "zoom", "VCA profile")
 		up        = fs.Float64("up", 0, "uplink shaping in Mbps (0 = unconstrained)")
-		down      = fs.Float64("down", 0, "downlink shaping in Mbps")
+		down      = fs.Float64("down", 0, "downlink shaping in Mbps (0 = unconstrained)")
 		dur       = fs.Duration("dur", 60*time.Second, "call duration")
 		out       = fs.String("o", "call.pcap", "output pcap path")
 		seed      = fs.Int64("seed", 42, "simulation seed")
@@ -35,6 +35,20 @@ func run(errw io.Writer, args []string) int {
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
+	// The negated comparisons reject NaN too.
+	var bad string
+	switch {
+	case *dur <= 0:
+		bad = fmt.Sprintf("-dur must be > 0; got %v", *dur)
+	case !(*up >= 0):
+		bad = fmt.Sprintf("-up must be >= 0 Mbps (0 = unconstrained); got %v", *up)
+	case !(*down >= 0):
+		bad = fmt.Sprintf("-down must be >= 0 Mbps (0 = unconstrained); got %v", *down)
+	}
+	if bad != "" {
+		fmt.Fprintln(errw, bad)
+		return 2
+	}
 	prof, ok := vcalab.Profiles()[*vcaName]
 	if !ok {
 		fmt.Fprintf(errw, "unknown VCA %q\n", *vcaName)

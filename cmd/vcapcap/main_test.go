@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -51,5 +52,31 @@ func TestRunMeetTrace(t *testing.T) {
 	}
 	if decisions == 0 {
 		t.Error("no decision lines: the call's CC and switch events are missing")
+	}
+}
+
+// TestRunRejectsBadFlags: a value the capture cannot honour exits 2 with
+// the flag named on stderr before any file is created, instead of writing
+// an empty or unshaped capture. vcapcap prints nothing on stdout by
+// construction (run has no stdout writer), so the pcap path not existing
+// is the check that nothing ran.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-dur", "-5s"},
+		{"-dur", "0s"},
+		{"-up", "-3"},
+		{"-up", "NaN"},
+		{"-down", "-0.5"},
+		{"-down", "NaN"},
+	} {
+		pcapPath := filepath.Join(t.TempDir(), "c1.pcap")
+		var errw bytes.Buffer
+		code := run(&errw, []string{"-vca", "meet", "-o", pcapPath, c.flag, c.value})
+		if code != 2 || !strings.Contains(errw.String(), c.flag) {
+			t.Errorf("%s %s: exit %d, stderr %q; want 2 and the flag named", c.flag, c.value, code, errw.String())
+		}
+		if _, err := os.Stat(pcapPath); !os.IsNotExist(err) {
+			t.Errorf("%s %s: %s exists (err %v); want no file created", c.flag, c.value, pcapPath, err)
+		}
 	}
 }

@@ -10,18 +10,16 @@ import (
 type GCCConfig struct {
 	Range Range
 
-	// DelayBased enables the overuse detector. Google Meet's browser
-	// client runs with it on; the Meet SFU's sender side behaves as a
-	// loss-based-only controller (the paper observes Meet's downlink is
-	// not TCP-friendly while its uplink is, §5.2 — an architectural
-	// asymmetry we model by disabling the delay detector server-side).
-	DelayBased bool
-
-	// ProbeOnRecovery enables WebRTC-style padding probes when the rate
-	// sits far below the last known-good rate. The Meet SFU uses this to
-	// re-upgrade the simulcast layer within seconds after a downlink
+	// server selects the SFU-side mode (ServerGCCConfig). Google Meet's
+	// browser client runs the overuse detector; the Meet SFU's sender
+	// side behaves as a loss-based-only controller (the paper observes
+	// Meet's downlink is not TCP-friendly while its uplink is, §5.2 — an
+	// architectural asymmetry we model by disabling the delay detector
+	// server-side). The server side instead sends WebRTC-style padding
+	// probes when the rate sits far below the last known-good rate, which
+	// re-upgrades the simulcast layer within seconds after a downlink
 	// disruption ends (Fig 5b shows sub-10 s recovery).
-	ProbeOnRecovery bool
+	server bool
 
 	// LossHigh is the loss fraction above which the loss-based controller
 	// cuts the rate (RFC 8698-style 10%); below gccLossLow it grows.
@@ -47,12 +45,7 @@ const (
 
 // DefaultGCCConfig returns the client-side (Meet browser) configuration.
 func DefaultGCCConfig(r Range) GCCConfig {
-	return GCCConfig{
-		Range:           r,
-		DelayBased:      true,
-		ProbeOnRecovery: false,
-		LossHigh:        0.10,
-	}
+	return GCCConfig{Range: r, LossHigh: 0.10}
 }
 
 // ServerGCCConfig returns the SFU-side configuration: loss-based only,
@@ -60,8 +53,7 @@ func DefaultGCCConfig(r Range) GCCConfig {
 // the Meet relay (aggressive downstream, fast post-disruption upgrades).
 func ServerGCCConfig(r Range) GCCConfig {
 	cfg := DefaultGCCConfig(r)
-	cfg.DelayBased = false
-	cfg.ProbeOnRecovery = true
+	cfg.server = true
 	return cfg
 }
 
@@ -104,7 +96,7 @@ func NewGCC(cfg GCCConfig) *GCC {
 		gamma:     gccInitialThreshold,
 		lastGood:  cfg.Range.StartBps,
 	}
-	if !cfg.DelayBased {
+	if cfg.server {
 		// Loss-based-only operation (SFU legs): the delay estimate
 		// never updates, so it must not bind.
 		g.delayRate = cfg.Range.MaxBps
@@ -143,52 +135,52 @@ func (g *GCC) OnFeedback(fb Feedback) {
 	g.lastFeedback = fb.Now
 
 	// ---- Delay-based controller -------------------------------------
-	if g.cfg.DelayBased || g.cfg.ProbeOnRecovery {
-		overuse := fb.QueueDelay > g.gamma
-		// Adapt gamma toward |queue delay|: fast when delay is above the
-		// threshold (avoid TCP starvation), slow when below (regain
-		// sensitivity).
-		k := 0.045
-		if fb.QueueDelay < g.gamma {
-			k = 0.0019
+	// Both modes adapt the overuse threshold (the server side gates its
+	// known-good tracking and probes on it); only the client acts on it.
+	overuse := fb.QueueDelay > g.gamma
+	// Adapt gamma toward |queue delay|: fast when delay is above the
+	// threshold (avoid TCP starvation), slow when below (regain
+	// sensitivity).
+	k := 0.045
+	if fb.QueueDelay < g.gamma {
+		k = 0.0019
+	}
+	g.gamma += time.Duration(k * dt / 0.1 * float64(fb.QueueDelay-g.gamma))
+	// The floor sits above per-packet serialization jitter on sub-Mbps
+	// links (~15-30 ms), which is delay the sender itself causes and
+	// must not read as congestion.
+	const minGamma, maxGamma = 25 * time.Millisecond, 600 * time.Millisecond
+	if g.gamma < minGamma {
+		g.gamma = minGamma
+	}
+	if g.gamma > maxGamma {
+		g.gamma = maxGamma
+	}
+	if !g.cfg.server {
+		switch {
+		case overuse:
+			g.state = stateDecrease
+			g.lastOveruse = fb.Now
+		case g.state == stateDecrease:
+			// Underuse/normal after decrease: hold briefly.
+			g.state = stateHold
+		case g.state == stateHold && fb.Now-g.lastOveruse > 500*time.Millisecond:
+			g.state = stateIncrease
 		}
-		g.gamma += time.Duration(k * dt / 0.1 * float64(fb.QueueDelay-g.gamma))
-		// The floor sits above per-packet serialization jitter on sub-Mbps
-		// links (~15-30 ms), which is delay the sender itself causes and
-		// must not read as congestion.
-		const minGamma, maxGamma = 25 * time.Millisecond, 600 * time.Millisecond
-		if g.gamma < minGamma {
-			g.gamma = minGamma
-		}
-		if g.gamma > maxGamma {
-			g.gamma = maxGamma
-		}
-		if g.cfg.DelayBased {
-			switch {
-			case overuse:
-				g.state = stateDecrease
-				g.lastOveruse = fb.Now
-			case g.state == stateDecrease:
-				// Underuse/normal after decrease: hold briefly.
-				g.state = stateHold
-			case g.state == stateHold && fb.Now-g.lastOveruse > 500*time.Millisecond:
-				g.state = stateIncrease
+		switch g.state {
+		case stateDecrease:
+			g.delayRate = gccBeta * fb.ReceiveRateBps
+		case stateIncrease:
+			grown := g.delayRate * math.Pow(gccIncreasePerSec, dt)
+			// Growth never runs more than 1.5x ahead of what the
+			// path demonstrably delivers — but a receive-rate dip
+			// must not pull an established estimate down (only the
+			// overuse detector cuts).
+			if cap := 1.5 * fb.ReceiveRateBps; grown > cap && fb.ReceiveRateBps > 0 {
+				grown = cap
 			}
-			switch g.state {
-			case stateDecrease:
-				g.delayRate = gccBeta * fb.ReceiveRateBps
-			case stateIncrease:
-				grown := g.delayRate * math.Pow(gccIncreasePerSec, dt)
-				// Growth never runs more than 1.5x ahead of what the
-				// path demonstrably delivers — but a receive-rate dip
-				// must not pull an established estimate down (only the
-				// overuse detector cuts).
-				if cap := 1.5 * fb.ReceiveRateBps; grown > cap && fb.ReceiveRateBps > 0 {
-					grown = cap
-				}
-				if grown > g.delayRate {
-					g.delayRate = grown
-				}
+			if grown > g.delayRate {
+				g.delayRate = grown
 			}
 		}
 	}
@@ -198,7 +190,7 @@ func (g *GCC) OnFeedback(fb Feedback) {
 	// delivered fb.ReceiveRateBps, and loss the probe itself caused must
 	// not veto (or undercut) the jump to that proven rate.
 	jumped := false
-	if g.cfg.ProbeOnRecovery && g.probeRate > 0 &&
+	if g.cfg.server && g.probeRate > 0 &&
 		fb.ReceiveRateBps > 1.1*g.TargetBps() && fb.LossFraction < 0.5 {
 		jump := 0.95 * fb.ReceiveRateBps
 		if jump > g.delayRate {
@@ -217,7 +209,7 @@ func (g *GCC) OnFeedback(fb Feedback) {
 	}
 	// Loss observed while a probe is (or just was) in flight is
 	// self-inflicted; it must not cut the estimate the probe measured.
-	probeShield := g.cfg.ProbeOnRecovery && g.lastProbe > 0 &&
+	probeShield := g.cfg.server && g.lastProbe > 0 &&
 		fb.Now < g.probeUntil+300*time.Millisecond
 
 	// ---- Loss-based controller --------------------------------------
@@ -263,7 +255,7 @@ func (g *GCC) OnFeedback(fb Feedback) {
 		// again within seconds (Fig 5b).
 		g.lastGood *= math.Pow(0.9998, dt/0.1)
 	}
-	if g.cfg.ProbeOnRecovery {
+	if g.cfg.server {
 		if g.probeRate > 0 && fb.Now >= g.probeUntil {
 			// Probe window closed: exponential backoff on failure so a
 			// saturated path is not probed (and disturbed) forever.

@@ -12,17 +12,15 @@ type ZoomConfig struct {
 	// NominalBps is the steady-state rate the controller settles at on an
 	// unconstrained link (Table 2: ~0.78 Mbps upstream for Zoom).
 	NominalBps float64
-
-	// StepBps is the stepwise-increase quantum.
-	StepBps float64
 }
 
 // ZoomCC's constants.
 const (
-	// zoomHoldTime is how long the controller dwells on a StepBps step
-	// before probing the next one — producing the staircase recovery of
-	// Fig 4a.
-	zoomHoldTime = 6 * time.Second
+	// zoomStepBps is the stepwise-increase quantum, and zoomHoldTime how
+	// long the controller dwells on a step before probing the next one —
+	// producing the staircase recovery of Fig 4a.
+	zoomStepBps  float64 = 120_000
+	zoomHoldTime         = 6 * time.Second
 
 	// zoomProbeOvershoot is how far above nominal the post-recovery
 	// probing phase climbs before settling back (Fig 4a shows Zoom sending
@@ -51,7 +49,7 @@ const (
 // client (§3: nominal 0.78 Mbps up; §4: ~40-50 s staircase recovery from
 // 0.25 Mbps; §5: >75% link share under competition).
 func DefaultZoomConfig(r Range, nominal float64) ZoomConfig {
-	return ZoomConfig{Range: r, NominalBps: nominal, StepBps: 120_000}
+	return ZoomConfig{Range: r, NominalBps: nominal}
 }
 
 // ZoomCC models Zoom's FEC-probing congestion control: linear/stepwise
@@ -71,9 +69,6 @@ type ZoomCC struct {
 
 // NewZoomCC creates a ZoomCC controller.
 func NewZoomCC(cfg ZoomConfig) *ZoomCC {
-	if cfg.StepBps == 0 {
-		panic("cc: ZoomConfig missing parameters; start from DefaultZoomConfig")
-	}
 	return &ZoomCC{cfg: cfg, rate: cfg.Range.StartBps}
 }
 
@@ -125,7 +120,7 @@ func (z *ZoomCC) OnFeedback(fb Feedback) {
 	}
 	switch {
 	case z.rate < ceiling:
-		z.rate = math.Min(z.rate+z.cfg.StepBps, z.cfg.Range.MaxBps)
+		z.rate = math.Min(z.rate+zoomStepBps, z.cfg.Range.MaxBps)
 		z.settled = false
 	case z.probing:
 		// Finished the overshoot phase: settle back to nominal.

@@ -22,20 +22,21 @@ func TestTrialAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
+	setParallelism(t, 1)
 	cells := []struct {
 		name             string
 		run              func()
 		measured, parent float64 // MB: at this budget's writing, and at its parent commit
 	}{
 		{"static meet uplink 1 Mbps 80 s", func() {
-			RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{1}, Reps: 1, Dur: 80 * time.Second, Seed: 1, Parallel: 1})
+			RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{1}, Reps: 1, Dur: 80 * time.Second, Seed: 1})
 		}, 0.123, 0.155}, // parent: every client sampled
 		{"zoom vs iperf3 2 Mbps", func() {
-			RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1, Parallel: 1})
+			RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1})
 		}, 0.257, 2.097}, // parent: tcp payloads boxed
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on", func() {
 			RunDynamic(DynamicConfig{Profile: vca.Zoom(), Scenario: scenario.ChurnStorm(8), Participants: 8, Regions: 2, InterMbps: 10,
-				Reps: 1, Dur: 80 * time.Second, Warmup: 10 * time.Second, Seed: 1, Parallel: 1, Recovery: true})
+				Reps: 1, Dur: 80 * time.Second, Warmup: 10 * time.Second, Seed: 1, Recovery: true})
 		}, 3.744, 4.431}, // parent: 144-byte packets, per-track labels
 	}
 	for _, c := range cells {

@@ -46,9 +46,6 @@ type CompetitionConfig struct {
 	LinkMbps    float64 // symmetric shaping, paper: {0.5,1,2,3,4,5}
 	Reps        int     // paper: 3
 	Seed        int64
-	// Parallel is the trial parallelism; 0 = package default, 1 =
-	// sequential. Output is identical for every value.
-	Parallel int
 
 	CallDur time.Duration // incumbent lifetime (default 210 s)
 	CompAt  time.Duration // competitor start (default 30 s)
@@ -161,7 +158,7 @@ func RunCompetition(cfg CompetitionConfig) CompetitionResult {
 	if cfg.Kind == CompVCA {
 		name = cfg.CompProfile.Name
 	}
-	ts := repeat("competition "+cfg.Incumbent.Name+" vs "+name, cfg.Parallel, nil, cfg.Reps, cfg.runTrial)
+	ts := repeat("competition "+cfg.Incumbent.Name+" vs "+name, nil, cfg.Reps, cfg.runTrial)
 	return CompetitionResult{
 		Incumbent: cfg.Incumbent.Name, Competitor: name, LinkMbps: cfg.LinkMbps,
 		ShareUp:   summarize(ts, func(t competitionTrial) float64 { return t.shareUp }),

@@ -17,9 +17,6 @@ type DisruptionConfig struct {
 	LevelMbps float64
 	Reps      int // paper: 4
 	Seed      int64
-	// Parallel is the trial parallelism; 0 = package default, 1 =
-	// sequential. Output is identical for every value.
-	Parallel int
 
 	// Timing knobs (defaults follow §4's method; zero or negative takes
 	// the default).
@@ -114,7 +111,7 @@ func (cfg *DisruptionConfig) runTrial(o *trialObs, rep int) disruptionTrial {
 // RunDisruption executes the experiment, repetitions in parallel.
 func RunDisruption(cfg DisruptionConfig) DisruptionResult {
 	cfg.defaults()
-	ts := repeat("disruption "+cfg.Profile.Name+"/"+cfg.Dir.String(), cfg.Parallel, nil, cfg.Reps, cfg.runTrial)
+	ts := repeat("disruption "+cfg.Profile.Name+"/"+cfg.Dir.String(), nil, cfg.Reps, cfg.runTrial)
 	ttr := summarizeSome(ts, func(t disruptionTrial) (float64, bool) { return t.ttrSec, t.recovered })
 	return DisruptionResult{
 		Profile: cfg.Profile.Name, Dir: cfg.Dir, LevelMbps: cfg.LevelMbps,

@@ -33,25 +33,21 @@ type DynamicConfig struct {
 	Dur       time.Duration
 	Warmup    time.Duration
 	Seed      int64
-	// Parallel is the trial parallelism; 0 = package default, 1 =
-	// sequential. Output is identical for every value.
-	Parallel int
 	// Shards selects intra-trial region-sharded parallel execution
 	// (<= 1 runs each trial on one engine). The experiment's stdout is
 	// identical for every value; trace and engine-internal metrics lines
 	// are deterministic per shard count but not identical across counts
-	// (see DESIGN.md §12). Compounds with Parallel.
+	// (see DESIGN.md §12). Compounds with the trial parallelism.
 	Shards int
 	// Recovery enables packet-level loss recovery (NACK/RTX, jitter
 	// buffer, TWCC feedback) on every call; see DESIGN.md §13. Output
-	// stays byte-identical at any Parallel × Shards for either value.
+	// stays byte-identical at any parallelism × Shards for either value.
 	Recovery bool
 
 	// Obs, when non-nil, is this run's observability capture in place of
-	// the package default (SetCapture), as Parallel overrides the default
-	// parallelism. TraceW/MetricsW receive every repetition's JSONL
-	// stream in rep order once the sweep's pool drains, so these files
-	// too are byte-identical at any Parallel.
+	// the package default (SetCapture). TraceW/MetricsW receive every
+	// repetition's JSONL stream in rep order once the sweep's pool
+	// drains, so these files too are byte-identical at any parallelism.
 	Obs      *ObsConfig
 	TraceW   io.Writer
 	MetricsW io.Writer
@@ -188,10 +184,10 @@ func (cfg *DynamicConfig) runTrial(o *trialObs, rep int) dynamicTrial {
 
 // RunDynamic replays the configured scenario against the configured call,
 // Reps repetitions in parallel, and aggregates over the ordered results —
-// output is byte-identical at any Parallel.
+// output is byte-identical at any parallelism.
 func RunDynamic(cfg DynamicConfig) DynamicResult {
 	cfg.defaults()
-	ts := repeat("dynamic "+cfg.Profile.Name+"/"+cfg.Scenario.Name, cfg.Parallel,
+	ts := repeat("dynamic "+cfg.Profile.Name+"/"+cfg.Scenario.Name,
 		newCapture(cfg.Obs, cfg.TraceW, cfg.MetricsW), cfg.Reps, cfg.runTrial)
 
 	res := DynamicResult{

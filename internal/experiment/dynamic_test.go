@@ -30,8 +30,8 @@ func dynTestConfig(p *vca.Profile) DynamicConfig {
 // printed RunDynamic output must be byte-identical at -parallel 1 and 4.
 func TestDynamicDeterministicAcrossParallelism(t *testing.T) {
 	out := func(par int) string {
+		setParallelism(t, par)
 		cfg := dynTestConfig(vca.Meet())
-		cfg.Parallel = par
 		var buf strings.Builder
 		PrintDynamic(&buf, RunDynamic(cfg))
 		return buf.String()
@@ -63,9 +63,9 @@ func TestDynamicRegionPartitionLossRecovery(t *testing.T) {
 		return sc
 	}
 	run := func(par, shards int, recovery bool) (DynamicResult, string) {
+		setParallelism(t, par)
 		cfg := dynTestConfig(vca.Meet())
 		cfg.Scenario = partitionLossy()
-		cfg.Parallel = par
 		cfg.Shards = shards
 		cfg.Recovery = recovery
 		r := RunDynamic(cfg)

@@ -24,8 +24,6 @@ type FuzzConfig struct {
 	Regions      int
 	InterMbps    float64
 	Dur          time.Duration
-	// Parallel is the trial parallelism; 0 = package default.
-	Parallel int
 	// Shards runs every replay region-sharded (<= 1 keeps the
 	// sequential engine); the harness asserts its invariants per shard.
 	Shards int
@@ -72,13 +70,13 @@ type FuzzResult struct {
 
 // RunFuzz replays N seeded generated scenarios through the invariant
 // harness, fanning seeds across the worker pool. Results aggregate in
-// seed order, so output is byte-identical at any Parallel.
+// seed order, so output is byte-identical at any parallelism.
 func RunFuzz(cfg FuzzConfig) FuzzResult {
 	cfg.defaults()
 	// Profiles cycle per seed (seed S runs profiles[S % 3]) so every VCA
 	// sees a share of the space.
 	profiles := []*vca.Profile{vca.Meet(), vca.Teams(), vca.Zoom()}
-	trials := repeat("fuzz", cfg.Parallel, fuzzCapture(), cfg.N, func(o *trialObs, i int) FuzzFailure {
+	trials := repeat("fuzz", fuzzCapture(), cfg.N, func(o *trialObs, i int) FuzzFailure {
 		seed := cfg.Seed + int64(i)
 		// The profile is a function of the seed (not the trial index), so
 		// `-fuzz 1 -seed S` replays a failure under the same VCA.

@@ -129,8 +129,8 @@ func TestRunFuzzRecoverySmoke(t *testing.T) {
 // always reproduces locally whatever the runner's core count.
 func TestRunFuzzDeterministicAcrossParallelism(t *testing.T) {
 	out := func(par int) string {
+		setParallelism(t, par)
 		cfg := fuzzTestConfig(12)
-		cfg.Parallel = par
 		var buf strings.Builder
 		PrintFuzz(&buf, RunFuzz(cfg), cfg.Recovery)
 		return buf.String()
@@ -180,6 +180,7 @@ func TestDynamicGeneratedScenarioDeterministic(t *testing.T) {
 			Participants: 8, Regions: 2, InterBps: 10e6, Dur: 60 * time.Second,
 		})
 		out := func(par int) string {
+			setParallelism(t, par)
 			cfg := DynamicConfig{
 				Profile:      vca.Meet(),
 				Scenario:     sc,
@@ -190,7 +191,6 @@ func TestDynamicGeneratedScenarioDeterministic(t *testing.T) {
 				Dur:          60 * time.Second,
 				Warmup:       10 * time.Second,
 				Seed:         5,
-				Parallel:     par,
 			}
 			var buf strings.Builder
 			PrintDynamic(&buf, RunDynamic(cfg))

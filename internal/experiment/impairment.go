@@ -22,9 +22,6 @@ type ImpairmentConfig struct {
 	Dur      time.Duration
 	Warmup   time.Duration
 	Seed     int64
-	// Parallel is the trial parallelism; 0 = package default, 1 =
-	// sequential. Output is identical for every value.
-	Parallel int
 	// Recovery enables packet-level loss recovery (NACK/RTX, jitter
 	// buffer, TWCC feedback) on every call — the knob the loss sweep
 	// exists to evaluate; see DESIGN.md §13 and EXPERIMENTS.md.
@@ -83,7 +80,7 @@ func (cfg *ImpairmentConfig) runTrial(o *trialObs, lossPct float64, rep int) imp
 // unconstrained link, all losses × reps trials in parallel.
 func RunImpairment(cfg ImpairmentConfig) []ImpairmentResult {
 	cfg.defaults()
-	trials := sweep("impairment "+cfg.Profile.Name, cfg.Parallel, nil, cfg.LossPcts, cfg.Reps, cfg.runTrial)
+	trials := sweep("impairment "+cfg.Profile.Name, nil, cfg.LossPcts, cfg.Reps, cfg.runTrial)
 
 	var out []ImpairmentResult
 	for li, ts := range trials {

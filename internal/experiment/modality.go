@@ -19,9 +19,6 @@ type ModalityConfig struct {
 	Dur     time.Duration
 	Warmup  time.Duration
 	Seed    int64
-	// Parallel is the trial parallelism; 0 = package default, 1 =
-	// sequential. Output is identical for every value.
-	Parallel int
 }
 
 func (c *ModalityConfig) defaults() {
@@ -72,7 +69,7 @@ func (cfg *ModalityConfig) runTrial(o *trialObs, rep int) modalityTrial {
 // RunModality executes one (n, mode) condition, repetitions in parallel.
 func RunModality(cfg ModalityConfig) ModalityResult {
 	cfg.defaults()
-	ts := repeat(fmt.Sprintf("modality %s n=%d", cfg.Profile.Name, cfg.N), cfg.Parallel, nil, cfg.Reps, cfg.runTrial)
+	ts := repeat(fmt.Sprintf("modality %s n=%d", cfg.Profile.Name, cfg.N), nil, cfg.Reps, cfg.runTrial)
 	return ModalityResult{
 		Profile: cfg.Profile.Name, N: cfg.N, Mode: cfg.Mode,
 		UpMbps:   summarize(ts, func(t modalityTrial) float64 { return t.up }),

@@ -38,58 +38,51 @@ func competitionTestConfig(kind CompetitorKind) CompetitionConfig {
 // path: the same condition with tracing + metrics capture on must return
 // the very same result — the tracer only observes, the metrics sampler
 // only reads — and the capture files themselves must be byte-identical at
-// Parallel 1 and 4 (per-trial buffers flushed in trial order).
+// parallelism 1 and 4 (per-trial buffers flushed in trial order).
 func TestObservedOutputUnchanged(t *testing.T) {
 	const dur, warmup = 40 * time.Second, 10 * time.Second
 	families := []struct {
 		name   string
 		trials int
-		run    func(par int) any
+		run    func() any
 	}{
-		{"static", 4, func(par int) any {
+		{"static", 4, func() any {
 			return RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{0.5, 0},
-				Reps: 2, Dur: dur, Warmup: warmup, Seed: 1, Parallel: par})
+				Reps: 2, Dur: dur, Warmup: warmup, Seed: 1})
 		}},
-		{"disruption", 2, func(par int) any {
+		{"disruption", 2, func() any {
 			return RunDisruption(DisruptionConfig{Profile: vca.Meet(), Dir: Downlink, LevelMbps: 0.5, Reps: 2, Seed: 5,
-				CallDur: 60 * time.Second, DropAt: 20 * time.Second, DropLen: 10 * time.Second, Parallel: par})
+				CallDur: 60 * time.Second, DropAt: 20 * time.Second, DropLen: 10 * time.Second})
 		}},
-		{"competition-vs-vca", 2, func(par int) any {
-			cfg := competitionTestConfig(CompVCA)
-			cfg.Parallel = par
-			return RunCompetition(cfg)
-		}},
-		{"competition-vs-iperf", 2, func(par int) any {
-			cfg := competitionTestConfig(CompIPerf)
-			cfg.Parallel = par
-			return RunCompetition(cfg)
-		}},
-		{"modality", 2, func(par int) any {
+		{"competition-vs-vca", 2, func() any { return RunCompetition(competitionTestConfig(CompVCA)) }},
+		{"competition-vs-iperf", 2, func() any { return RunCompetition(competitionTestConfig(CompIPerf)) }},
+		{"modality", 2, func() any {
 			return RunModality(ModalityConfig{Profile: vca.Meet(), N: 3, Mode: vca.Speaker,
-				Reps: 2, Dur: dur, Warmup: warmup, Seed: 3, Parallel: par})
+				Reps: 2, Dur: dur, Warmup: warmup, Seed: 3})
 		}},
-		{"impairment", 4, func(par int) any {
+		{"impairment", 4, func() any {
 			return RunImpairment(ImpairmentConfig{Profile: vca.Meet(), LossPcts: []float64{0, 2}, Jitter: 20 * time.Millisecond,
-				Reps: 2, Dur: dur, Warmup: warmup, Seed: 11, Recovery: true, Parallel: par})
+				Reps: 2, Dur: dur, Warmup: warmup, Seed: 11, Recovery: true})
 		}},
-		{"scale", 2, func(par int) any {
+		{"scale", 2, func() any {
 			return RunScale(ScaleConfig{Profile: vca.Meet(), Participants: []int{6}, Regions: 2, InterMbps: []float64{10},
-				Reps: 2, Dur: 20 * time.Second, Warmup: 5 * time.Second, Seed: 31, Parallel: par})
+				Reps: 2, Dur: 20 * time.Second, Warmup: 5 * time.Second, Seed: 31})
 		}},
-		{"dynamic", 2, func(par int) any {
+		{"dynamic", 2, func() any {
 			cfg := dynTestConfig(vca.Meet())
 			cfg.Dur = 60 * time.Second
-			cfg.Parallel = par
 			return RunDynamic(cfg)
 		}},
 	}
 	obsCfg := ObsConfig{Trace: true, Metrics: true, Interval: time.Second, TraceCap: 1 << 12}
 	for _, f := range families {
 		t.Run(f.name, func(t *testing.T) {
-			plain := f.run(1)
+			setParallelism(t, 1)
+			plain := f.run()
 			var seq, par any
-			seqTrace, seqMetrics := captured(t, obsCfg, func() { seq = f.run(1) })
-			parTrace, parMetrics := captured(t, obsCfg, func() { par = f.run(4) })
+			seqTrace, seqMetrics := captured(t, obsCfg, func() { seq = f.run() })
+			setParallelism(t, 4)
+			parTrace, parMetrics := captured(t, obsCfg, func() { par = f.run() })
 
 			if !reflect.DeepEqual(plain, seq) {
 				t.Errorf("capture changed the result:\n-- off --\n%+v\n-- on --\n%+v", plain, seq)
@@ -167,8 +160,7 @@ func TestCompetitionTraceCoversCompetitor(t *testing.T) {
 }
 
 // TestDynamicObsOverridesCapture: DynamicConfig.Obs/TraceW/MetricsW take
-// the place of the process-wide capture for that run, as Parallel does of
-// the default parallelism.
+// the place of the process-wide capture for that run.
 func TestDynamicObsOverridesCapture(t *testing.T) {
 	cfg := dynTestConfig(vca.Meet())
 	cfg.Dur, cfg.Reps = 20*time.Second, 1

@@ -25,13 +25,10 @@ type ScaleConfig struct {
 	Dur       time.Duration
 	Warmup    time.Duration
 	Seed      int64
-	// Parallel is the trial parallelism; 0 = package default, 1 =
-	// sequential. Output is identical for every value.
-	Parallel int
 	// Shards selects intra-trial region-sharded parallel execution
 	// (<= 1 runs each trial on one engine). Output is identical for
 	// every value: the sharded engine reproduces the sequential event
-	// order exactly. Compounds with Parallel.
+	// order exactly. Compounds with the trial parallelism.
 	Shards int
 	// Recovery enables packet-level loss recovery (NACK/RTX, jitter
 	// buffer, TWCC feedback) on every call; see DESIGN.md §13.
@@ -169,7 +166,7 @@ func RunScale(cfg ScaleConfig) []ScaleResult {
 			conds = append(conds, scaleCond{n, c})
 		}
 	}
-	trials := sweep("scale "+cfg.Profile.Name, cfg.Parallel, nil, conds, cfg.Reps, cfg.runTrial)
+	trials := sweep("scale "+cfg.Profile.Name, nil, conds, cfg.Reps, cfg.runTrial)
 
 	var out []ScaleResult
 	for ci, ts := range trials {

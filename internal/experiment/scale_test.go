@@ -60,6 +60,7 @@ func TestScale48PartyDeterministicAcrossParallel(t *testing.T) {
 		t.Skip("48-party cascade is slow; skipped in -short")
 	}
 	run := func(parallel int) string {
+		setParallelism(t, parallel)
 		rs := RunScale(ScaleConfig{
 			Profile:      vca.Teams(),
 			Participants: []int{48},
@@ -69,7 +70,6 @@ func TestScale48PartyDeterministicAcrossParallel(t *testing.T) {
 			Dur:          10 * time.Second,
 			Warmup:       4 * time.Second,
 			Seed:         32,
-			Parallel:     parallel,
 		})
 		var sb strings.Builder
 		PrintScale(&sb, rs)

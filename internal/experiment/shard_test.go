@@ -14,6 +14,7 @@ import (
 // compounded with trial parallelism.
 func TestScaleDeterministicAcrossShards(t *testing.T) {
 	run := func(shards, parallel int) string {
+		setParallelism(t, parallel)
 		rs := RunScale(ScaleConfig{
 			Profile:      vca.Meet(),
 			Participants: []int{9},
@@ -23,7 +24,6 @@ func TestScaleDeterministicAcrossShards(t *testing.T) {
 			Dur:          20 * time.Second,
 			Warmup:       8 * time.Second,
 			Seed:         41,
-			Parallel:     parallel,
 			Shards:       shards,
 		})
 		var sb strings.Builder
@@ -84,11 +84,11 @@ func TestDynamicShardedMatchesSequential(t *testing.T) {
 	for _, sc := range []scenario.Scenario{scenario.ChurnStorm(8), cellularGen()} {
 		t.Run(sc.Name, func(t *testing.T) {
 			run := func(shards, parallel int) (stdout, trace, metrics string) {
+				setParallelism(t, parallel)
 				cfg := dynTestConfig(vca.Meet())
 				cfg.Scenario = sc
 				cfg.Dur = 60 * time.Second
 				cfg.Shards = shards
-				cfg.Parallel = parallel
 				var out, tw, mw strings.Builder
 				cfg.Obs = &ObsConfig{Trace: true, Metrics: true, Interval: time.Second, TraceCap: 1 << 18}
 				cfg.TraceW, cfg.MetricsW = &tw, &mw

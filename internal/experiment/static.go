@@ -33,11 +33,6 @@ type StaticConfig struct {
 	Dur      time.Duration
 	Warmup   time.Duration
 	Seed     int64
-	// Parallel is the trial parallelism; 0 uses the package default
-	// (GOMAXPROCS), 1 forces a sequential sweep. Results are identical
-	// for every value — trials are independently seeded and collected
-	// in input order.
-	Parallel int
 }
 
 func (c *StaticConfig) defaults() {
@@ -111,8 +106,7 @@ func (cfg *StaticConfig) runTrial(o *trialObs, capMbps float64, rep int) staticT
 // RunStatic executes the sweep and returns one result per capacity.
 func RunStatic(cfg StaticConfig) []StaticResult {
 	cfg.defaults()
-	trials := sweep("static "+cfg.Profile.Name+"/"+cfg.Dir.String(), cfg.Parallel, nil,
-		cfg.CapsMbps, cfg.Reps, cfg.runTrial)
+	trials := sweep("static "+cfg.Profile.Name+"/"+cfg.Dir.String(), nil, cfg.CapsMbps, cfg.Reps, cfg.runTrial)
 
 	var out []StaticResult
 	for ci, ts := range trials {

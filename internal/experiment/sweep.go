@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"io"
-	"runtime"
 	"sync"
 
 	"vcalab/internal/runner"
@@ -11,8 +10,8 @@ import (
 
 // Every experiment is the paper's one recipe — conditions × independently
 // seeded repetitions, a band per measured quantity — so every runner goes
-// through sweep and summarize. The package defaults below stand in where
-// a config's own field is zero (Parallel) or nil (DynamicConfig.Obs).
+// through sweep and summarize. The process-wide settings below apply to
+// every sweep; DynamicConfig.Obs, when non-nil, stands in for the capture.
 
 var (
 	poolMu             sync.Mutex
@@ -22,22 +21,13 @@ var (
 	captureErr         error // first failed capture write since SetCapture
 )
 
-// SetDefaultParallelism sets the trial parallelism used when a config's
-// Parallel field is zero. n <= 0 restores the GOMAXPROCS default.
+// SetDefaultParallelism sets the trial parallelism of every sweep: 1 runs
+// trials sequentially, n <= 0 restores the GOMAXPROCS default. Output is
+// identical for every value.
 func SetDefaultParallelism(n int) {
 	poolMu.Lock()
 	defer poolMu.Unlock()
 	defaultParallelism = n
-}
-
-// DefaultParallelism reports the effective default trial parallelism.
-func DefaultParallelism() int {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if defaultParallelism > 0 {
-		return defaultParallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // SetProgress installs a hook called after each trial of every sweep with
@@ -67,22 +57,19 @@ func SetCapture(o *ObsConfig, traceW, metricsW io.Writer) error {
 
 // sweep runs every condition reps times through the worker pool and
 // returns the trials grouped per condition, both in input order, so what a
-// runner aggregates from them is identical at any parallel (<= 0 = the
-// package default). run builds its trial on o, the trial's buffers under
-// cp (nil = SetCapture's; o is nil when capture is off), and the sweep
-// writes them out in trial order once the pool drains. label names the
-// sweep to the progress hook and in every capture header.
-func sweep[C, T any](label string, parallel int, cp *capture, conds []C, reps int, run func(o *trialObs, cond C, rep int) T) [][]T {
+// runner aggregates from them is identical at any SetDefaultParallelism.
+// run builds its trial on o, the trial's buffers under cp (nil =
+// SetCapture's; o is nil when capture is off), and the sweep writes them
+// out in trial order once the pool drains. label names the sweep to the
+// progress hook and in every capture header.
+func sweep[C, T any](label string, cp *capture, conds []C, reps int, run func(o *trialObs, cond C, rep int) T) [][]T {
 	poolMu.Lock()
 	progress := progressFn
 	if cp == nil {
 		cp = defaultCapture
 	}
-	if parallel <= 0 {
-		parallel = defaultParallelism // still <= 0 means GOMAXPROCS to the runner
-	}
+	pool := runner.New(defaultParallelism) // <= 0 means GOMAXPROCS to the runner
 	poolMu.Unlock()
-	pool := runner.New(parallel)
 	if progress != nil {
 		pool.OnProgress = func(done, total int) { progress(label, done, total) }
 	}
@@ -116,8 +103,8 @@ func sweep[C, T any](label string, parallel int, cp *capture, conds []C, reps in
 }
 
 // repeat is a sweep of one condition: reps trials, in order.
-func repeat[T any](label string, parallel int, cp *capture, reps int, run func(o *trialObs, rep int) T) []T {
-	return sweep(label, parallel, cp, []struct{}{{}}, reps,
+func repeat[T any](label string, cp *capture, reps int, run func(o *trialObs, rep int) T) []T {
+	return sweep(label, cp, []struct{}{{}}, reps,
 		func(o *trialObs, _ struct{}, rep int) T { return run(o, rep) })[0]
 }
 

@@ -15,7 +15,15 @@ import (
 	"vcalab/internal/vca"
 )
 
-func staticSweep(parallel int) []experiment.StaticResult {
+// setParallelism sets every sweep's trial parallelism for the rest of the
+// test and restores the GOMAXPROCS default when it ends.
+func setParallelism(t *testing.T, n int) {
+	experiment.SetDefaultParallelism(n)
+	t.Cleanup(func() { experiment.SetDefaultParallelism(0) })
+}
+
+func staticSweep(t *testing.T, parallel int) []experiment.StaticResult {
+	setParallelism(t, parallel)
 	return experiment.RunStatic(experiment.StaticConfig{
 		Profile:  vca.Meet(),
 		Dir:      experiment.Uplink,
@@ -24,19 +32,19 @@ func staticSweep(parallel int) []experiment.StaticResult {
 		Dur:      60 * time.Second,
 		Warmup:   20 * time.Second,
 		Seed:     1,
-		Parallel: parallel,
 	})
 }
 
 func TestStaticParallelMatchesSequential(t *testing.T) {
-	seq := staticSweep(1)
-	par := staticSweep(8)
+	seq := staticSweep(t, 1)
+	par := staticSweep(t, 8)
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("StaticResult slices differ between parallelism 1 and 8:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
 
-func disruptionRun(parallel int) experiment.DisruptionResult {
+func disruptionRun(t *testing.T, parallel int) experiment.DisruptionResult {
+	setParallelism(t, parallel)
 	return experiment.RunDisruption(experiment.DisruptionConfig{
 		Profile:   vca.Zoom(),
 		Dir:       experiment.Uplink,
@@ -44,13 +52,12 @@ func disruptionRun(parallel int) experiment.DisruptionResult {
 		Reps:      4,
 		Seed:      3,
 		CallDur:   150 * time.Second,
-		Parallel:  parallel,
 	})
 }
 
 func TestDisruptionParallelMatchesSequential(t *testing.T) {
-	seq := disruptionRun(1)
-	par := disruptionRun(8)
+	seq := disruptionRun(t, 1)
+	par := disruptionRun(t, 8)
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("DisruptionResult differs between parallelism 1 and 8:\nseq: %+v\npar: %+v", seq, par)
 	}
@@ -58,6 +65,7 @@ func TestDisruptionParallelMatchesSequential(t *testing.T) {
 
 func TestImpairmentParallelMatchesSequential(t *testing.T) {
 	run := func(parallel int) []experiment.ImpairmentResult {
+		setParallelism(t, parallel)
 		return experiment.RunImpairment(experiment.ImpairmentConfig{
 			Profile:  vca.Teams(),
 			LossPcts: []float64{0, 2},
@@ -66,7 +74,6 @@ func TestImpairmentParallelMatchesSequential(t *testing.T) {
 			Dur:      50 * time.Second,
 			Warmup:   20 * time.Second,
 			Seed:     5,
-			Parallel: parallel,
 		})
 	}
 	if seq, par := run(1), run(8); !reflect.DeepEqual(seq, par) {

@@ -316,8 +316,8 @@ const (
 // Parallel sweep engine. Every Run* fans its independent trials across a
 // worker pool (one fresh single-threaded Engine per trial, per-trial
 // seeds, results in input order), so parallel output is byte-identical to
-// sequential. Per-sweep parallelism lives in each config's Parallel
-// field; the knobs below set the process-wide default and progress hook.
+// sequential. The knobs below set every sweep's parallelism, progress
+// hook and capture, process-wide.
 type Runner = runner.Runner
 
 var (
@@ -325,11 +325,9 @@ var (
 	NewRunner = runner.New
 	// TrialSeed derives a decorrelated per-trial seed from (base, trial).
 	TrialSeed = runner.Seed
-	// SetDefaultParallelism sets the trial parallelism used when a
-	// config's Parallel field is 0 (n <= 0 restores GOMAXPROCS).
+	// SetDefaultParallelism sets the trial parallelism of every sweep
+	// (1 = sequential, n <= 0 restores GOMAXPROCS).
 	SetDefaultParallelism = experiment.SetDefaultParallelism
-	// DefaultParallelism reports the effective default.
-	DefaultParallelism = experiment.DefaultParallelism
 	// SetProgress installs a per-trial progress hook for all sweeps.
 	SetProgress = experiment.SetProgress
 	// SetCapture installs the -trace/-metrics capture of every sweep and

@@ -533,18 +533,18 @@ var censusTypes = map[string]bool{"vca.Profile": true, "cascade.Topology": true,
 var wantOptions = map[string][]string{
 	"cascade.Region":               {"Name", "Clients"},
 	"cascade.Topology":             {"Regions", "Default"},
-	"cc.GCCConfig":                 {"Range", "DelayBased", "ProbeOnRecovery", "LossHigh"},
+	"cc.GCCConfig":                 {"Range", "LossHigh"},
 	"cc.TeamsConfig":               {"Range", "LossBackoff", "DelayBackoff", "BackoffFactor", "RampInitBpsPerSec", "RampMaxBpsPerSec"},
-	"cc.ZoomConfig":                {"Range", "NominalBps", "StepBps"},
-	"experiment.CompetitionConfig": {"Incumbent", "Kind", "CompProfile", "LinkMbps", "Reps", "Seed", "Parallel", "CallDur", "CompAt", "CompDur", "ShareLo", "ShareHi"},
-	"experiment.DisruptionConfig":  {"Profile", "Dir", "LevelMbps", "Reps", "Seed", "Parallel", "CallDur", "DropAt", "DropLen"},
-	"experiment.DynamicConfig":     {"Profile", "Scenario", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Parallel", "Shards", "Recovery", "Obs", "TraceW", "MetricsW"},
-	"experiment.FuzzConfig":        {"N", "Seed", "Participants", "Regions", "InterMbps", "Dur", "Parallel", "Shards", "Recovery"},
-	"experiment.ImpairmentConfig":  {"Profile", "LossPcts", "Jitter", "Reps", "Dur", "Warmup", "Seed", "Parallel", "Recovery"},
-	"experiment.ModalityConfig":    {"Profile", "N", "Mode", "Reps", "Dur", "Warmup", "Seed", "Parallel"},
+	"cc.ZoomConfig":                {"Range", "NominalBps"},
+	"experiment.CompetitionConfig": {"Incumbent", "Kind", "CompProfile", "LinkMbps", "Reps", "Seed", "CallDur", "CompAt", "CompDur", "ShareLo", "ShareHi"},
+	"experiment.DisruptionConfig":  {"Profile", "Dir", "LevelMbps", "Reps", "Seed", "CallDur", "DropAt", "DropLen"},
+	"experiment.DynamicConfig":     {"Profile", "Scenario", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Shards", "Recovery", "Obs", "TraceW", "MetricsW"},
+	"experiment.FuzzConfig":        {"N", "Seed", "Participants", "Regions", "InterMbps", "Dur", "Shards", "Recovery"},
+	"experiment.ImpairmentConfig":  {"Profile", "LossPcts", "Jitter", "Reps", "Dur", "Warmup", "Seed", "Recovery"},
+	"experiment.ModalityConfig":    {"Profile", "N", "Mode", "Reps", "Dur", "Warmup", "Seed"},
 	"experiment.ObsConfig":         {"Trace", "Metrics", "Interval", "TraceCap"},
-	"experiment.ScaleConfig":       {"Profile", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Parallel", "Shards", "Recovery"},
-	"experiment.StaticConfig":      {"Profile", "Dir", "CapsMbps", "Reps", "Dur", "Warmup", "Seed", "Parallel"},
+	"experiment.ScaleConfig":       {"Profile", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Shards", "Recovery"},
+	"experiment.StaticConfig":      {"Profile", "Dir", "CapsMbps", "Reps", "Dur", "Warmup", "Seed"},
 	"netem.BloatConfig":            {"Depth", "AQM"},
 	"netem.GEConfig":               {"P", "R", "LossGood", "LossBad"},
 	"netem.LinkConfig":             {"RateBps", "Delay", "QueueBytes", "LossProb", "Jitter"},
