@@ -43,9 +43,9 @@ type Packet struct {
 	SentAt  time.Duration // stamped by Host.Send
 
 	pool *PacketPool // owning free list, nil for literal packets
-	// queuedAt is stamped when the packet enters a link's drop-tail
-	// queue; the AQM reads it at dequeue to compute the sojourn time.
-	queuedAt time.Duration
+	// link is the wire the packet is propagating on: set when it leaves
+	// serialization, read when its propagation event fires (OnEvent).
+	link *Link
 }
 
 // PacketPool is a single-threaded free list of Packet structs, owned by
@@ -174,7 +174,7 @@ type Link struct {
 	// queue is the drop-tail FIFO, a ring of power-of-two capacity: the
 	// qLen packets waiting start at qHead and wrap. It grows by doubling
 	// and is reused for the link's lifetime.
-	queue       []*Packet
+	queue       []queued
 	qHead, qLen int
 	queuedSize  int
 	busy        bool
@@ -220,6 +220,13 @@ type Link struct {
 	// destination shard (put at the terminal point), which never run
 	// concurrently, so it needs no locking.
 	boundaryPool PacketPool
+}
+
+// queued is one drop-tail queue slot: the packet and the instant it
+// entered the queue, which the AQM reads at dequeue as the sojourn start.
+type queued struct {
+	pkt *Packet
+	at  time.Duration
 }
 
 // Engine returns the engine this link schedules on — in a sharded run,
@@ -364,7 +371,6 @@ func (l *Link) Send(pkt *Packet) {
 			l.drop(pkt, false)
 			return
 		}
-		pkt.queuedAt = l.eng.Now()
 		l.enqueue(pkt)
 		l.queuedSize += pkt.Size
 		if l.queuedSize > l.queueHW {
@@ -376,15 +382,15 @@ func (l *Link) Send(pkt *Packet) {
 	l.transmit(pkt)
 }
 
-// enqueue appends pkt at the ring's tail.
+// enqueue appends pkt at the ring's tail, stamped with the current time.
 func (l *Link) enqueue(pkt *Packet) {
 	if l.qLen == len(l.queue) {
-		grown := make([]*Packet, max(2*len(l.queue), 8))
+		grown := make([]queued, max(2*len(l.queue), 8))
 		n := copy(grown, l.queue[l.qHead:])
 		copy(grown[n:], l.queue[:l.qHead])
 		l.queue, l.qHead = grown, 0
 	}
-	l.queue[(l.qHead+l.qLen)&(len(l.queue)-1)] = pkt
+	l.queue[(l.qHead+l.qLen)&(len(l.queue)-1)] = queued{pkt, l.eng.Now()}
 	l.qLen++
 }
 
@@ -419,12 +425,13 @@ func (l *Link) OnEvent(time.Duration) {
 func (l *Link) startNext() {
 	now := l.eng.Now()
 	for l.qLen > 0 {
-		next := l.queue[l.qHead]
-		l.queue[l.qHead] = nil
+		q := l.queue[l.qHead]
+		next := q.pkt
+		l.queue[l.qHead] = queued{}
 		l.qHead = (l.qHead + 1) & (len(l.queue) - 1)
 		l.qLen--
 		l.queuedSize -= next.Size
-		if l.aqm != nil && l.aqm.dropOnDequeue(now, now-next.queuedAt) {
+		if l.aqm != nil && l.aqm.dropOnDequeue(now, now-q.at) {
 			l.AQMDrops++
 			l.drop(next, true)
 			continue
@@ -439,26 +446,27 @@ func (l *Link) deliverAfter(pkt *Packet, d time.Duration) {
 	if l.cfg.Jitter > 0 {
 		d += time.Duration(l.eng.Rand().Float64() * float64(l.cfg.Jitter))
 	}
+	pkt.link = l
 	if l.handoff != nil {
 		// Boundary link: the propagation event crosses shards. Post with
-		// exactly the key ScheduleArg would have stamped — arrival time,
-		// current clock, next source seq — so the destination merge
+		// exactly the key ScheduleHandler would have stamped — arrival
+		// time, current clock, next source seq — so the destination merge
 		// reproduces the single-engine order.
 		now := l.eng.Now()
 		l.handoff.Post(now+d, now, l.eng.TakeSeq(), pkt)
 		return
 	}
-	l.eng.ScheduleArg(d, l, pkt)
+	l.eng.ScheduleHandler(d, pkt)
 }
 
-// OnArgEvent implements sim.ArgHandler: one packet finished propagating.
-// Many such events are in flight per link; each carries its packet in the
-// pooled event's arg slot, so the transit path allocates nothing. On a
+// OnEvent implements sim.Handler: the packet finished propagating across
+// pkt.link. Each packet in flight is its own propagation event's handler,
+// so the transit path allocates nothing; do not call it directly. On a
 // boundary link this runs on the destination shard; the delivery-side
 // counters below are written only here, never by the send path, so the
 // split needs no synchronization beyond the window barrier.
-func (l *Link) OnArgEvent(now time.Duration, arg any) {
-	pkt := arg.(*Packet)
+func (pkt *Packet) OnEvent(now time.Duration) {
+	l := pkt.link
 	l.Delivered++
 	l.DeliveredBytes += uint64(pkt.Size)
 	// The send-side queue belongs to the other shard on a boundary link;
@@ -482,7 +490,7 @@ func (l *Link) OnArgEvent(now time.Duration, arg any) {
 // records into dst's tracer.
 func (l *Link) Handoff(dst *sim.Engine) *sim.Mailbox {
 	l.rx = dst
-	l.handoff = sim.NewMailbox(l.name, l.eng, dst, l, l.transferPacket)
+	l.handoff = sim.NewMailbox(l.name, l.eng, dst, l.transferPacket)
 	return l.handoff
 }
 
@@ -495,11 +503,12 @@ func (l *Link) SetHandoffPayload(fn func(any) any) { l.handoffPayload = fn }
 // transferPacket is the mailbox transfer hook: it runs at a window
 // barrier with both shards parked, clones the envelope into the
 // boundary pool, re-homes the payload, and releases the source-side
-// envelope back to its owning pool.
-func (l *Link) transferPacket(arg any) any {
-	src := arg.(*Packet)
+// envelope back to its owning pool. The clone is the event the
+// destination shard dispatches.
+func (l *Link) transferPacket(h sim.Handler) sim.Handler {
+	src := h.(*Packet)
 	dup := l.boundaryPool.Get()
-	dup.Size, dup.From, dup.To, dup.Flow, dup.SentAt = src.Size, src.From, src.To, src.Flow, src.SentAt
+	dup.Size, dup.From, dup.To, dup.Flow, dup.SentAt, dup.link = src.Size, src.From, src.To, src.Flow, src.SentAt, l
 	if l.handoffPayload != nil {
 		dup.Payload = l.handoffPayload(src.Payload)
 	} else {

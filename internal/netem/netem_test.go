@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"vcalab/internal/obs"
 	"vcalab/internal/sim"
@@ -667,5 +668,17 @@ func TestBoundaryLinkTracesOnBothShards(t *testing.T) {
 	}
 	if n := l.BoundaryPoolLive(); n != 0 {
 		t.Errorf("%d boundary envelopes live after the drain", n)
+	}
+}
+
+// TestPacketSizeClass: a Packet is 112 bytes, the 112-byte size class —
+// the size (8), two addresses (48), the flow label (16), the payload
+// (16), the send time (8), the owning pool (8) and the link it is
+// propagating on (8). The drop-tail enqueue time lives in the link's
+// queue slot, not here. One more word moves it to the 128-byte class,
+// and every host's pool fill pays for it.
+func TestPacketSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 112 {
+		t.Errorf("Packet is %d bytes, want <= 112", got)
 	}
 }

@@ -27,10 +27,6 @@ type tickerControl interface {
 
 type prodScheduler struct{ e *Engine }
 
-type argFunc func()
-
-func (f argFunc) OnArgEvent(time.Duration, any) { f() }
-
 func (p prodScheduler) now() time.Duration { return p.e.Now() }
 func (p prodScheduler) at(t time.Duration, fn func()) func() bool {
 	tm := p.e.At(t, fn)
@@ -38,7 +34,7 @@ func (p prodScheduler) at(t time.Duration, fn func()) func() bool {
 }
 func (p prodScheduler) every(d time.Duration, fn func()) tickerControl { return p.e.Every(d, fn) }
 func (p prodScheduler) inject(at, schedAt time.Duration, src uint32, seq uint64, fn func()) {
-	p.e.inject(at, schedAt, src, seq, argFunc(fn), nil)
+	p.e.inject(at, schedAt, src, seq, funcHandler(fn))
 }
 func (p prodScheduler) runBefore(at, sched time.Duration) { p.e.RunBefore(at, sched) }
 func (p prodScheduler) runUntil(t time.Duration)          { p.e.RunUntil(t) }

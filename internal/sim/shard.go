@@ -54,7 +54,7 @@ import (
 type mailEntry struct {
 	at, schedAt time.Duration
 	seq         uint64
-	arg         any
+	h           Handler
 }
 
 // Mailbox is a single-producer, barrier-drained channel for cross-shard
@@ -65,29 +65,30 @@ type Mailbox struct {
 	name string
 	src  *Engine
 	dst  *Engine
-	h    ArgHandler
-	// transfer re-homes the posted argument's resource ownership to the
-	// destination side. It runs on the barrier goroutine with both shards
-	// parked; nil passes the argument through untouched.
-	transfer func(any) any
+	// transfer re-homes the posted handler's resource ownership to the
+	// destination side and returns what the destination dispatches. It
+	// runs on the barrier goroutine with both shards parked; nil passes
+	// the handler through untouched.
+	transfer func(Handler) Handler
 
 	entries []mailEntry
 	hw      int
 }
 
-// NewMailbox creates a mailbox delivering src-shard posts to h on the dst
-// engine. transfer (optional) re-homes each argument at drain time.
-func NewMailbox(name string, src, dst *Engine, h ArgHandler, transfer func(any) any) *Mailbox {
-	return &Mailbox{name: name, src: src, dst: dst, h: h, transfer: transfer}
+// NewMailbox creates a mailbox delivering src-shard posts on the dst
+// engine. transfer (optional) re-homes each posted handler at drain time.
+func NewMailbox(name string, src, dst *Engine, transfer func(Handler) Handler) *Mailbox {
+	return &Mailbox{name: name, src: src, dst: dst, transfer: transfer}
 }
 
 // Name returns the label the mailbox was created with.
 func (m *Mailbox) Name() string { return m.name }
 
-// Post files a delivery due at `at`, carrying the source shard's
-// scheduling key (schedAt, seq). Call only from the source shard.
-func (m *Mailbox) Post(at, schedAt time.Duration, seq uint64, arg any) {
-	m.entries = append(m.entries, mailEntry{at: at, schedAt: schedAt, seq: seq, arg: arg})
+// Post files h to run on the destination engine at `at`, carrying the
+// source shard's scheduling key (schedAt, seq). Call only from the source
+// shard.
+func (m *Mailbox) Post(at, schedAt time.Duration, seq uint64, h Handler) {
+	m.entries = append(m.entries, mailEntry{at: at, schedAt: schedAt, seq: seq, h: h})
 	if len(m.entries) > m.hw {
 		m.hw = len(m.entries)
 	}
@@ -102,12 +103,12 @@ func (m *Mailbox) HighWater() int { return m.hw }
 func (m *Mailbox) drain() {
 	for i := range m.entries {
 		en := &m.entries[i]
-		arg := en.arg
+		h := en.h
 		if m.transfer != nil {
-			arg = m.transfer(arg)
+			h = m.transfer(h)
 		}
-		m.dst.inject(en.at, en.schedAt, m.src.src, en.seq, m.h, arg)
-		en.arg = nil
+		m.dst.inject(en.at, en.schedAt, m.src.src, en.seq, h)
+		en.h = nil
 	}
 	m.entries = m.entries[:0]
 }

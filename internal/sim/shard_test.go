@@ -8,20 +8,22 @@ import (
 	"time"
 )
 
-// logArg appends "now/arg" to a shared log on every dispatch.
-type logArg struct{ log *[]string }
+// logMsg appends "now/v" to a shared log when it is dispatched.
+type logMsg struct {
+	log *[]string
+	v   string
+}
 
-func (l *logArg) OnArgEvent(now time.Duration, arg any) {
-	*l.log = append(*l.log, fmt.Sprintf("%v/%v", now, arg))
+func (m logMsg) OnEvent(now time.Duration) {
+	*m.log = append(*m.log, fmt.Sprintf("%v/%v", now, m.v))
 }
 
 func TestRunBeforeSemantics(t *testing.T) {
 	var log []string
-	h := &logArg{log: &log}
 	e := New(1)
-	e.inject(10*time.Millisecond, 3*time.Millisecond, 0, 0, h, "a")
-	e.inject(10*time.Millisecond, 7*time.Millisecond, 0, 1, h, "b")
-	e.inject(12*time.Millisecond, 0, 0, 2, h, "c")
+	e.inject(10*time.Millisecond, 3*time.Millisecond, 0, 0, logMsg{&log, "a"})
+	e.inject(10*time.Millisecond, 7*time.Millisecond, 0, 1, logMsg{&log, "b"})
+	e.inject(12*time.Millisecond, 0, 0, 2, logMsg{&log, "c"})
 
 	e.RunBefore(10*time.Millisecond, math.MinInt64)
 	if len(log) != 0 {
@@ -49,15 +51,14 @@ func TestRunBeforeSemantics(t *testing.T) {
 // from different shards merge in a fixed, shard-index order.
 func TestInjectTieOrder(t *testing.T) {
 	var log []string
-	h := &logArg{log: &log}
 	e := New(1)
 	at := 10 * time.Millisecond
 	// Filed out of order on purpose: the heap must sort purely by key.
-	e.inject(at, 5*time.Millisecond, 2, 7, h, "src2")
-	e.inject(at, 5*time.Millisecond, 1, 9, h, "src1-late")
-	e.inject(at, 5*time.Millisecond, 0, 4, h, "ctrl")
-	e.inject(at, 5*time.Millisecond, 1, 2, h, "src1-early")
-	e.inject(at, 4*time.Millisecond, 3, 0, h, "earlier-schedAt")
+	e.inject(at, 5*time.Millisecond, 2, 7, logMsg{&log, "src2"})
+	e.inject(at, 5*time.Millisecond, 1, 9, logMsg{&log, "src1-late"})
+	e.inject(at, 5*time.Millisecond, 0, 4, logMsg{&log, "ctrl"})
+	e.inject(at, 5*time.Millisecond, 1, 2, logMsg{&log, "src1-early"})
+	e.inject(at, 4*time.Millisecond, 3, 0, logMsg{&log, "earlier-schedAt"})
 	e.Run()
 	want := []string{
 		"10ms/earlier-schedAt", // schedAt beats src and seq
@@ -82,8 +83,16 @@ type pingNode struct {
 	send func(v int)
 }
 
-func (n *pingNode) OnArgEvent(now time.Duration, arg any) {
-	v := arg.(int)
+// ping is one bounce in flight: the event that delivers hop count v to
+// node to.
+type ping struct {
+	to *pingNode
+	v  int
+}
+
+func (p ping) OnEvent(now time.Duration) { p.to.recv(now, p.v) }
+
+func (n *pingNode) recv(now time.Duration, v int) {
 	*n.log = append(*n.log, fmt.Sprintf("%s@%v:%d", n.name, now, v))
 	n.eng.Schedule(0, func() {
 		*n.log = append(*n.log, fmt.Sprintf("%s-local@%v", n.name, n.eng.Now()))
@@ -100,12 +109,12 @@ func runSequentialPing(hops int, until time.Duration) ([]string, *Engine) {
 	eng := New(42)
 	a := &pingNode{name: "a", eng: eng, log: &log}
 	b := &pingNode{name: "b", eng: eng, log: &log}
-	a.send = func(v int) { eng.ScheduleArg(pingDelay, b, v) }
-	b.send = func(v int) { eng.ScheduleArg(pingDelay, a, v) }
+	a.send = func(v int) { eng.ScheduleHandler(pingDelay, ping{b, v}) }
+	b.send = func(v int) { eng.ScheduleHandler(pingDelay, ping{a, v}) }
 	tick := eng.Every(7*time.Millisecond, func() {
 		log = append(log, fmt.Sprintf("tick@%v", eng.Now()))
 	})
-	eng.ScheduleArg(0, a, hops)
+	eng.ScheduleHandler(0, ping{a, hops})
 	eng.RunUntil(until)
 	tick.Stop()
 	eng.Run()
@@ -121,12 +130,12 @@ func runShardedPing(t *testing.T, hops int, until time.Duration) []string {
 	defer g.Close()
 	a := &pingNode{name: "a", eng: sa, log: &log}
 	b := &pingNode{name: "b", eng: sb, log: &log}
-	mab := NewMailbox("a->b", sa, sb, b, nil)
-	mba := NewMailbox("b->a", sb, sa, a, nil)
+	mab := NewMailbox("a->b", sa, sb, nil)
+	mba := NewMailbox("b->a", sb, sa, nil)
 	g.Register(mab)
 	g.Register(mba)
-	a.send = func(v int) { mab.Post(sa.Now()+pingDelay, sa.Now(), sa.TakeSeq(), v) }
-	b.send = func(v int) { mba.Post(sb.Now()+pingDelay, sb.Now(), sb.TakeSeq(), v) }
+	a.send = func(v int) { mab.Post(sa.Now()+pingDelay, sa.Now(), sa.TakeSeq(), ping{b, v}) }
+	b.send = func(v int) { mba.Post(sb.Now()+pingDelay, sb.Now(), sb.TakeSeq(), ping{a, v}) }
 	tick := ctrl.Every(7*time.Millisecond, func() {
 		// Barrier contract: every shard is parked with its clock advanced
 		// to exactly the global's instant before the callback runs.
@@ -135,7 +144,7 @@ func runShardedPing(t *testing.T, hops int, until time.Duration) []string {
 		}
 		log = append(log, fmt.Sprintf("tick@%v", ctrl.Now()))
 	})
-	sa.ScheduleArg(0, a, hops)
+	sa.ScheduleHandler(0, ping{a, hops})
 	g.RunUntil(until)
 	tick.Stop()
 	g.Run()
@@ -205,9 +214,8 @@ func TestCrossShardSameInstantOrder(t *testing.T) {
 		ctrl := New(1)
 		s1, s2, s3 := New(2), New(3), New(4)
 		g := NewGroup(ctrl, []*Engine{s1, s2, s3}, func() time.Duration { return pingDelay })
-		rx := &logArg{log: &log}
-		m13 := NewMailbox("1->3", s1, s3, rx, nil)
-		m23 := NewMailbox("2->3", s2, s3, rx, nil)
+		m13 := NewMailbox("1->3", s1, s3, nil)
+		m23 := NewMailbox("2->3", s2, s3, nil)
 		if swapReg {
 			g.Register(m23)
 			g.Register(m13)
@@ -216,8 +224,8 @@ func TestCrossShardSameInstantOrder(t *testing.T) {
 			g.Register(m23)
 		}
 		// Shard 2 posts first; shard-index order must still win.
-		s2.Schedule(0, func() { m23.Post(s2.Now()+pingDelay, s2.Now(), s2.TakeSeq(), "from-s2") })
-		s1.Schedule(0, func() { m13.Post(s1.Now()+pingDelay, s1.Now(), s1.TakeSeq(), "from-s1") })
+		s2.Schedule(0, func() { m23.Post(s2.Now()+pingDelay, s2.Now(), s2.TakeSeq(), logMsg{&log, "from-s2"}) })
+		s1.Schedule(0, func() { m13.Post(s1.Now()+pingDelay, s1.Now(), s1.TakeSeq(), logMsg{&log, "from-s1"}) })
 		g.RunUntil(pingDelay)
 		g.Close()
 		want := []string{"10ms/from-s1", "10ms/from-s2"}
@@ -233,12 +241,13 @@ func TestMailboxTransfer(t *testing.T) {
 	s1, s2 := New(2), New(3)
 	g := NewGroup(ctrl, []*Engine{s1, s2}, func() time.Duration { return pingDelay })
 	defer g.Close()
-	rx := &logArg{log: &log}
-	m := NewMailbox("x", s1, s2, rx, func(arg any) any {
-		return "transferred:" + arg.(string)
+	m := NewMailbox("x", s1, s2, func(h Handler) Handler {
+		msg := h.(logMsg)
+		msg.v = "transferred:" + msg.v
+		return msg
 	})
 	g.Register(m)
-	s1.Schedule(0, func() { m.Post(s1.Now()+pingDelay, s1.Now(), s1.TakeSeq(), "payload") })
+	s1.Schedule(0, func() { m.Post(s1.Now()+pingDelay, s1.Now(), s1.TakeSeq(), logMsg{&log, "payload"}) })
 	g.RunUntil(pingDelay)
 	if want := []string{"10ms/transferred:payload"}; !reflect.DeepEqual(log, want) {
 		t.Fatalf("transfer hook: got %v want %v", log, want)

@@ -14,7 +14,8 @@
 //     list (allocated in blocks) and returns to it when it fires or its
 //     cancellation is collected, so steady-state scheduling allocates
 //     nothing. The engine is single-threaded, so the free list needs no
-//     locking.
+//     locking. An event is 64 bytes: its ordering key, a generation, one
+//     Handler and the free-list link.
 //   - Most events never touch a priority queue. Simulation traffic is
 //     dominated by a handful of exact delay values (link propagation
 //     delays, ticker periods), and because the clock is monotone, events
@@ -31,10 +32,10 @@
 //     per-event index is maintained.
 //   - The next event is the minimum of the heap top and the lane heads, so
 //     which queue an event sat in can never change the order it fires in.
-//   - There is one scheduling path: an event carries a Handler or an
-//     ArgHandler. Hot callers implement them and so schedule closure-free;
-//     the packet path (internal/netem) carries its *Packet through the
-//     event's arg slot. Schedule/At/Every are adapters that wrap their
+//   - There is one handler kind: an event carries a Handler. Hot callers
+//     implement it and so schedule closure-free; on the packet path
+//     (internal/netem) the in-flight *Packet is itself the propagation
+//     event's Handler. Schedule/At/Every are adapters that wrap their
 //     func() in a Handler.
 //   - Timer.Stop is a lazy cancellation: the event is marked dead and its
 //     struct is recycled when it reaches the front of its queue. Timer
@@ -74,14 +75,8 @@ type funcHandler func()
 
 func (f funcHandler) OnEvent(time.Duration) { f() }
 
-// ArgHandler receives events that carry a payload pointer: one handler
-// instance (a link, a flow) serves many in-flight events, each carrying
-// its own argument (a packet) through the pooled event's arg slot.
-type ArgHandler interface {
-	OnArgEvent(now time.Duration, arg any)
-}
-
-// event is a pooled scheduler entry. Exactly one of h or ah is set.
+// event is a pooled scheduler entry: the ordering key, a generation, the
+// handler and the free-list link fill exactly one 64-byte line.
 type event struct {
 	at time.Duration
 	// schedAt is the engine clock at the moment the event was filed. In a
@@ -100,9 +95,7 @@ type event struct {
 	gen       uint32
 	cancelled bool
 
-	h   Handler
-	ah  ArgHandler
-	arg any
+	h Handler
 
 	// next links free-list entries.
 	next *event
@@ -230,6 +223,8 @@ type Engine struct {
 	laneIns, heapIns uint64
 	// processed counts executed events, exposed for tests and benchmarks.
 	processed uint64
+	// seed seeds rng; below the lane arrays, so the fields above fit a line.
+	seed int64
 }
 
 // eventBlock is how many pooled events are allocated at once when the
@@ -239,7 +234,7 @@ const eventBlock = 128
 // New returns an Engine whose random source is seeded with seed.
 // Two engines created with the same seed run identically.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time, measured from the start of the
@@ -260,9 +255,14 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 // already in hand, so a disabled run pays a field load and a branch.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// Rand returns the engine's deterministic random source. All randomness in a
-// simulation must come from here so runs stay reproducible.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand returns the engine's random source, seeded with New's seed. It is
+// built on the first call (~5 KB), so an engine that never draws pays nothing.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Processed reports how many events have executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -308,7 +308,7 @@ func (e *Engine) alloc() *event {
 // handles via the generation counter.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.h, ev.ah, ev.arg = nil, nil, nil
+	ev.h = nil
 	ev.cancelled = false
 	ev.next = e.free
 	e.free = ev
@@ -393,10 +393,9 @@ func (e *Engine) TakeSeq() uint64 {
 // inject files an event carrying a foreign ordering key — the mailbox
 // drain path. The caller (a Group barrier) guarantees at >= e.now. A
 // foreign schedAt says nothing about lane order, so it goes to the heap.
-func (e *Engine) inject(at, schedAt time.Duration, src uint32, seq uint64, ah ArgHandler, arg any) {
+func (e *Engine) inject(at, schedAt time.Duration, src uint32, seq uint64, h Handler) {
 	ev := e.alloc()
-	ev.ah = ah
-	ev.arg = arg
+	ev.h = h
 	ev.at = at
 	ev.schedAt = schedAt
 	ev.src = src
@@ -447,15 +446,6 @@ func (e *Engine) AtHandler(t time.Duration, h Handler) Timer {
 	ev := e.alloc()
 	ev.h = h
 	return e.add(t, ev)
-}
-
-// ScheduleArg runs h.OnArgEvent(now, arg) after delay. This is the packet
-// path's closure-free transit event: arg is typically a *netem.Packet.
-func (e *Engine) ScheduleArg(delay time.Duration, h ArgHandler, arg any) Timer {
-	ev := e.alloc()
-	ev.ah = h
-	ev.arg = arg
-	return e.add(e.now+delay, ev)
 }
 
 // Ticker repeatedly invokes a callback at a fixed interval until stopped.
@@ -584,15 +574,11 @@ func (e *Engine) dispatch(ev *event, q int) {
 	e.remove(q)
 	e.now = ev.at
 	e.processed++
-	h, ah, arg := ev.h, ev.ah, ev.arg
+	h := ev.h
 	// Recycle before dispatch: the callback's own schedules reuse the
 	// still-hot struct, and its Timer handles are already invalidated.
 	e.recycle(ev)
-	if ah != nil {
-		ah.OnArgEvent(e.now, arg)
-	} else {
-		h.OnEvent(e.now)
-	}
+	h.OnEvent(e.now)
 }
 
 // Step executes the single earliest pending event and reports whether one

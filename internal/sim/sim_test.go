@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -619,5 +620,47 @@ func TestLaneArraysOnOneLineEach(t *testing.T) {
 	var e Engine
 	if off := unsafe.Offsetof(e.laneDelay); off != 64 || unsafe.Sizeof(e.laneDelay) != 64 {
 		t.Fatalf("laneDelay at offset %d, %d bytes; want 64 and 64", off, unsafe.Sizeof(e.laneDelay))
+	}
+}
+
+// TestEventOneLine pins the pooled event to one 64-byte line: the
+// ordering key (at, schedAt, seq, src), the generation and cancel flag,
+// one Handler and the free-list link. A second handler kind or a payload
+// slot moves it to the 96-byte class, and every event block pays for it.
+func TestEventOneLine(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Errorf("event is %d bytes, want 64", got)
+	}
+}
+
+// TestRandBuiltOnFirstDraw: an engine that never calls Rand builds no
+// source, and the stream it hands out is the seed's stream whether the
+// first draw comes at t=0 or after a thousand events.
+func TestRandBuiltOnFirstDraw(t *testing.T) {
+	draws := func(e *Engine) []int64 {
+		out := make([]int64, 8)
+		for i := range out {
+			out[i] = e.Rand().Int63()
+		}
+		return out
+	}
+	early := draws(New(7))
+	ref := rand.New(rand.NewSource(7))
+	for i, v := range early {
+		if want := ref.Int63(); v != want {
+			t.Fatalf("draw %d = %d, want %d (rand.NewSource(seed)'s stream)", i, v, want)
+		}
+	}
+
+	late := New(7)
+	for i := range 1000 {
+		late.Schedule(time.Duration(i)*time.Millisecond, func() {})
+	}
+	late.Run()
+	if late.Processed() != 1000 || late.rng != nil {
+		t.Fatalf("after %d events rng = %p; want 1000 events and no source built", late.Processed(), late.rng)
+	}
+	if got := draws(late); !slices.Equal(got, early) {
+		t.Fatalf("draws after 1000 events %v, want %v (the t=0 stream)", got, early)
 	}
 }

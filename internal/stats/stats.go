@@ -101,12 +101,14 @@ func (m *Meter) RateMbps() Series {
 	return s
 }
 
-// MeanRateMbps returns the average rate over [from, to).
+// MeanRateMbps returns the average rate over [from, to) in whole bins; a
+// window inside one bin is rounded out to the bin that holds from.
 func (m *Meter) MeanRateMbps(from, to time.Duration) float64 {
 	if to <= from {
 		return 0
 	}
-	lo, hi := int(from/m.Bin), int(to/m.Bin)
+	lo := int(from / m.Bin)
+	hi := max(int(to/m.Bin), lo+1)
 	var bytes float64
 	for i := lo; i < hi && i < len(m.bins); i++ {
 		bytes += m.bins[i]
