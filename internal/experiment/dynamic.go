@@ -103,7 +103,7 @@ type DynamicResult struct {
 	FreezeRatio stats.Summary
 	// LatP50Ms/LatP95Ms/LatP99Ms are end-to-end frame latency
 	// percentiles across all clients, in ms, over the frames arriving
-	// from Warmup on.
+	// from Warmup on; N counts the repetitions any such frame reached.
 	LatP50Ms, LatP95Ms, LatP99Ms stats.Summary
 	// Events reports recovery after each Recover-marked scenario event,
 	// in timeline order.
@@ -112,8 +112,8 @@ type DynamicResult struct {
 
 // dynamicTrial is one repetition's raw measurements.
 type dynamicTrial struct {
-	down, freeze        float64
-	p50Ms, p95Ms, p99Ms float64
+	down, freeze float64
+	lat          frameLatency
 	// recovered[i]/ttrSec[i] follow the scenario's recovery points.
 	recovered []bool
 	ttrSec    []float64
@@ -144,7 +144,7 @@ func (cfg *DynamicConfig) runTrial(o *trialObs, rep int) dynamicTrial {
 		down:   call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
 		freeze: call.MeanFreezeRatio(),
 	}
-	res.p50Ms, res.p95Ms, res.p99Ms = latencyPercentilesMs(call)
+	res.lat = readFrameLatency(call)
 
 	// Recovery after each marked event: time until C1's 5 s rolling-median
 	// rate returns to 80% of the pre-scenario nominal — measured in the
@@ -195,10 +195,8 @@ func RunDynamic(cfg DynamicConfig) DynamicResult {
 		N: cfg.Participants, Regions: cfg.Regions, InterMbps: cfg.InterMbps,
 		DownMbps:    summarize(ts, func(t dynamicTrial) float64 { return t.down }),
 		FreezeRatio: summarize(ts, func(t dynamicTrial) float64 { return t.freeze }),
-		LatP50Ms:    summarize(ts, func(t dynamicTrial) float64 { return t.p50Ms }),
-		LatP95Ms:    summarize(ts, func(t dynamicTrial) float64 { return t.p95Ms }),
-		LatP99Ms:    summarize(ts, func(t dynamicTrial) float64 { return t.p99Ms }),
 	}
+	res.LatP50Ms, res.LatP95Ms, res.LatP99Ms = summarizeLatency(ts, func(t dynamicTrial) frameLatency { return t.lat })
 	for pi, ev := range cfg.Scenario.RecoveryPoints() {
 		ttr := summarizeSome(ts, func(t dynamicTrial) (float64, bool) { return t.ttrSec[pi], t.recovered[pi] })
 		res.Events = append(res.Events, EventRecovery{Label: ev.Label, At: ev.At, Recovered: ttr.N, TTRSec: ttr})

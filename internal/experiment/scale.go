@@ -74,7 +74,8 @@ type ScaleResult struct {
 	RelayUtilMean, RelayUtilMax stats.Summary
 	// LatP50Ms/LatP95Ms/LatP99Ms are end-to-end frame latency percentiles
 	// (origin capture to receiver arrival, across all clients) in ms,
-	// over the frames arriving from Warmup on.
+	// over the frames arriving from Warmup on; N counts the repetitions
+	// any such frame reached.
 	LatP50Ms, LatP95Ms, LatP99Ms stats.Summary
 }
 
@@ -86,10 +87,10 @@ type scaleCond struct {
 
 // scaleTrial is one repetition's raw measurements.
 type scaleTrial struct {
-	regionDown          []float64
-	freeze              float64
-	utilMean, utilMax   float64
-	p50Ms, p95Ms, p99Ms float64
+	regionDown        []float64
+	freeze            float64
+	utilMean, utilMax float64
+	lat               frameLatency
 }
 
 // runTrial executes one (n, capacity, repetition) cell on a fresh trial.
@@ -143,17 +144,34 @@ func (cfg *ScaleConfig) runTrial(o *trialObs, cd scaleCond, rep int) scaleTrial 
 		res.regionDown = append(res.regionDown, down)
 	}
 	res.freeze = call.MeanFreezeRatio()
-	res.p50Ms, res.p95Ms, res.p99Ms = latencyPercentilesMs(call)
+	res.lat = readFrameLatency(call)
 	return res
 }
 
-// latencyPercentilesMs reads the p50/p95/p99 end-to-end frame latency, in
-// ms, off a call that sampled it; zeros when no frame arrived.
-func latencyPercentilesMs(call *vca.Call) (p50, p95, p99 float64) {
-	if lp := call.FrameLatencyPercentilesMs(50, 95, 99); lp != nil {
-		return lp[0], lp[1], lp[2]
+// frameLatency is one trial's p50/p95/p99 end-to-end frame latency, in ms.
+// A trial no frame reached after warm-up has no latency (sampled false),
+// not a latency of 0.
+type frameLatency struct {
+	ms      [3]float64
+	sampled bool
+}
+
+// readFrameLatency reads the percentiles off a call that sampled them.
+func readFrameLatency(call *vca.Call) frameLatency {
+	lp := call.FrameLatencyPercentilesMs(50, 95, 99)
+	if lp == nil {
+		return frameLatency{}
 	}
-	return 0, 0, 0
+	return frameLatency{[3]float64(lp), true}
+}
+
+// summarizeLatency is the across-repetition band of each percentile, over
+// the trials that sampled a frame.
+func summarizeLatency[T any](trials []T, lat func(T) frameLatency) (p50, p95, p99 stats.Summary) {
+	band := func(i int) stats.Summary {
+		return summarizeSome(trials, func(t T) (float64, bool) { l := lat(t); return l.ms[i], l.sampled })
+	}
+	return band(0), band(1), band(2)
 }
 
 // RunScale executes the cascade sweep and returns one result per
@@ -175,10 +193,8 @@ func RunScale(cfg ScaleConfig) []ScaleResult {
 			FreezeRatio:   summarize(ts, func(t scaleTrial) float64 { return t.freeze }),
 			RelayUtilMean: summarize(ts, func(t scaleTrial) float64 { return t.utilMean }),
 			RelayUtilMax:  summarize(ts, func(t scaleTrial) float64 { return t.utilMax }),
-			LatP50Ms:      summarize(ts, func(t scaleTrial) float64 { return t.p50Ms }),
-			LatP95Ms:      summarize(ts, func(t scaleTrial) float64 { return t.p95Ms }),
-			LatP99Ms:      summarize(ts, func(t scaleTrial) float64 { return t.p99Ms }),
 		}
+		res.LatP50Ms, res.LatP95Ms, res.LatP99Ms = summarizeLatency(ts, func(t scaleTrial) frameLatency { return t.lat })
 		for r := 0; r < cfg.Regions; r++ {
 			res.RegionDownMbps = append(res.RegionDownMbps,
 				summarize(ts, func(t scaleTrial) float64 { return t.regionDown[r] }))

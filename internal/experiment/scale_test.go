@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
 
@@ -101,5 +102,21 @@ func TestPrintScale(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "zoom") || !strings.Contains(out, "2 regions") {
 		t.Errorf("PrintScale output: %q", out)
+	}
+}
+
+// TestLatencySummarySkipsUnsampledTrials: a repetition no frame reached
+// after warm-up has no latency. It is left out of the band, which N
+// counts, instead of averaging in as 0 ms.
+func TestLatencySummarySkipsUnsampledTrials(t *testing.T) {
+	ts := []frameLatency{{ms: [3]float64{40, 80, 120}, sampled: true}, {}}
+	p50, p95, p99 := summarizeLatency(ts, func(l frameLatency) frameLatency { return l })
+	for i, c := range []struct {
+		got  stats.Summary
+		want float64
+	}{{p50, 40}, {p95, 80}, {p99, 120}} {
+		if c.got.N != 1 || c.got.Mean != c.want || c.got.Min != c.want {
+			t.Errorf("percentile %d: N = %d, mean %v, min %v; want 1, %v, %v", i, c.got.N, c.got.Mean, c.got.Min, c.want, c.want)
+		}
 	}
 }

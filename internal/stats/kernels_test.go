@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,33 +131,24 @@ func TestSortedPercentiles(t *testing.T) {
 	}
 }
 
-// shape lays samples out the way vca's region logs hold them: per log,
-// chunks of chunk samples (the last one partial) for what fits 32 bits,
-// everything else in wide.
-func shape(chunk int, logs ...[]time.Duration) (chunks [][]uint32, wide []time.Duration) {
-	for _, log := range logs {
-		var cur []uint32
+// record lays samples out the way vca's region logs hold them: each log in
+// its own RunTable, stage samples staged between merges.
+func record(stage int, logs ...[]time.Duration) []*RunTable {
+	ts := make([]*RunTable, len(logs))
+	for i, log := range logs {
+		ts[i] = &RunTable{stage: make([]uint32, 0, stage)}
 		for _, d := range log {
-			if d < 0 || d > math.MaxUint32 {
-				wide = append(wide, d)
-				continue
-			}
-			if len(cur) == chunk {
-				chunks, cur = append(chunks, cur), nil
-			}
-			cur = append(cur, uint32(d))
-		}
-		if len(cur) > 0 {
-			chunks = append(chunks, cur)
+			ts[i].Add(d)
 		}
 	}
-	return chunks, wide
+	return ts
 }
 
-// checkChunkedExact holds ChunkedPercentilesMs over the shaped logs to the
+// checkRunsExact holds RunPercentilesMs over the recorded logs to the
 // formulation the latency columns were first produced with — convert every
-// sample to ms, sort the copy, interpolate — bit for bit.
-func checkChunkedExact(t *testing.T, name string, chunk int, ps []float64, logs ...[]time.Duration) {
+// sample to ms, sort the copy, interpolate — bit for bit, and each table
+// to its shape: values ascending and distinct, no empty run.
+func checkRunsExact(t *testing.T, name string, stage int, ps []float64, logs ...[]time.Duration) {
 	t.Helper()
 	var ms []float64
 	for _, log := range logs {
@@ -165,14 +157,21 @@ func checkChunkedExact(t *testing.T, name string, chunk int, ps []float64, logs 
 		}
 	}
 	want := SortedPercentiles(ms, ps...)
-	chunks, wide := shape(chunk, logs...)
-	got := ChunkedPercentilesMs(chunks, wide, ps...)
+	ts := record(stage, logs...)
+	got := RunPercentilesMs(ts, ps...)
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: got %v, want %v", name, got, want)
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Errorf("%s: n=%d p%v = %v, want %v", name, len(ms), ps[i], got[i], want[i])
+		}
+	}
+	for ti, tb := range ts {
+		for i, c := range tb.counts {
+			if c == 0 || i > 0 && tb.vals[i-1] >= tb.vals[i] {
+				t.Fatalf("%s: table %d entry %d = (%d ns × %d) after (%d ns)", name, ti, i, tb.vals[i], c, tb.vals[max(i-1, 0)])
+			}
 		}
 	}
 }
@@ -187,32 +186,41 @@ func everyRank() []float64 {
 	return ps
 }
 
-func TestChunkedPercentilesMsMatchesConvertedCopy(t *testing.T) {
+func TestRunPercentilesMsMatchesConvertedCopy(t *testing.T) {
 	const over = time.Duration(1) << 32 // the first sample that does not fit
 	ps := everyRank()
-	checkChunkedExact(t, "empty", 4, ps)
-	checkChunkedExact(t, "one sample", 4, ps, []time.Duration{17})
-	checkChunkedExact(t, "one wide sample", 4, ps, []time.Duration{-3})
-	checkChunkedExact(t, "all equal", 4, ps, []time.Duration{9, 9, 9, 9, 9, 9, 9, 9, 9})
-	checkChunkedExact(t, "partial last chunk", 4, ps, []time.Duration{5, 1, 4, 2, 3, 0, math.MaxUint32})
-	checkChunkedExact(t, "several logs, partial chunks", 4, ps,
+	checkRunsExact(t, "empty", 4, ps)
+	checkRunsExact(t, "one sample", 4, ps, []time.Duration{17})
+	checkRunsExact(t, "one wide sample", 4, ps, []time.Duration{-3})
+	checkRunsExact(t, "all equal", 4, ps, []time.Duration{9, 9, 9, 9, 9, 9, 9, 9, 9})
+	checkRunsExact(t, "partial staging buffer", 4, ps, []time.Duration{5, 1, 4, 2, 3, 0, math.MaxUint32})
+	checkRunsExact(t, "several logs, partial buffers", 4, ps,
 		[]time.Duration{50, 10, 40, 20, 30}, []time.Duration{25, 15}, nil, []time.Duration{60, 5, 35, 45, 55, 65, 1, 2, 3})
+	// The same values recurring within and across logs, so runs with
+	// counts above one meet in the read-time merge.
+	checkRunsExact(t, "counts > 1 merging across regions", 3, ps,
+		[]time.Duration{5, 5, 3, 5, 3, 9, 5}, []time.Duration{3, 9, 9, 5, 1, 3}, []time.Duration{9, 5, 5, 5, 1})
+	// A merge after every sample, and after every pair.
+	for _, stage := range []int{1, 2} {
+		checkRunsExact(t, fmt.Sprintf("stage %d", stage), stage, ps,
+			[]time.Duration{7, 1, 7, 3, 7, 2, 9, 1}, []time.Duration{4, 4, 8, 0, 7}, []time.Duration{-5, 6})
+	}
 	// Ranks lo and lo+1 both inside a run of duplicates, and on each edge
-	// of it, with the run split across chunks and logs.
-	checkChunkedExact(t, "duplicates straddling a rank", 3, ps,
+	// of it, with the run split across merges and logs.
+	checkRunsExact(t, "duplicates straddling a rank", 3, ps,
 		[]time.Duration{7, 1, 7, 7, 2}, []time.Duration{7, 9, 7, 8, 7})
 	// Four negatives, eight that fit, four past 2³² ns: the grid puts a
 	// rank inside each group and on both boundaries between them.
-	checkChunkedExact(t, "wide on both sides", 3, ps,
+	checkRunsExact(t, "wide on both sides", 3, ps,
 		[]time.Duration{-1, 300, over + 2, 100, -40, 500, over}, []time.Duration{200, 5 * time.Second, -2, 400, 0, math.MaxUint32, -1, 600, over + 2})
-	checkChunkedExact(t, "only wide", 3, ps, []time.Duration{over, -1, over + 7, -9})
+	checkRunsExact(t, "only wide", 3, ps, []time.Duration{over, -1, over + 7, -9})
 
-	// The sizes a 48-party trial has: several logs of many full 8192-sample
-	// chunks and a partial one, sub-microsecond to multi-second values with
+	// The sizes a 48-party trial has: several logs of many full staging
+	// buffers and a partial one, sub-microsecond to multi-second values with
 	// duplicates, a few samples on either side of the 32-bit range.
 	rng := rand.New(rand.NewSource(7))
 	logs := make([][]time.Duration, 3)
-	for li, n := range []int{3*8192 + 5, 8192, 1000} {
+	for li, n := range []int{30*runStage + 5, 8 * runStage, 1000} {
 		for i := 0; i < n; i++ {
 			d := time.Duration(rng.Int63n(3e9)) / time.Duration(1+rng.Intn(1000)) * time.Duration(1+rng.Intn(1000))
 			switch rng.Intn(5000) {
@@ -224,17 +232,18 @@ func TestChunkedPercentilesMsMatchesConvertedCopy(t *testing.T) {
 			logs[li] = append(logs[li], d)
 		}
 	}
-	checkChunkedExact(t, "trial-sized", 8192, []float64{0, 50, 95, 99, 99.9, 99.999, 100}, logs...)
+	checkRunsExact(t, "trial-sized", runStage, []float64{0, 50, 95, 99, 99.9, 99.999, 100}, logs...)
 }
 
-// FuzzChunkedPercentilesMs decodes an arbitrary byte string into region
+// FuzzRunPercentilesMs decodes an arbitrary byte string into region
 // logs — five bytes a sample: a tag picking negative / past-2³² / in-range
 // and whether a new log starts, then the magnitude — and holds the kernel
-// to the converted-copy reference at quantile p and the fixed three. The
-// seed corpus under testdata/fuzz runs as a plain test.
-func FuzzChunkedPercentilesMs(f *testing.F) {
+// to the converted-copy reference at quantile p and the fixed three, with
+// 1 + stage samples staged between merges. The seed corpus under
+// testdata/fuzz runs as a plain test.
+func FuzzRunPercentilesMs(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 7}, uint8(4), 50.0)
-	f.Fuzz(func(t *testing.T, data []byte, chunk uint8, p float64) {
+	f.Fuzz(func(t *testing.T, data []byte, stage uint8, p float64) {
 		logs := [][]time.Duration{nil}
 		for ; len(data) >= 5; data = data[5:] {
 			d := time.Duration(binary.BigEndian.Uint32(data[1:5]))
@@ -249,7 +258,7 @@ func FuzzChunkedPercentilesMs(f *testing.F) {
 			}
 			logs[len(logs)-1] = append(logs[len(logs)-1], d)
 		}
-		checkChunkedExact(t, "fuzz", 1+int(chunk), []float64{p, 50, 95, 99}, logs...)
+		checkRunsExact(t, "fuzz", 1+int(stage), []float64{p, 50, 95, 99}, logs...)
 	})
 }
 

@@ -184,27 +184,133 @@ func SortedPercentiles(vs []float64, ps ...float64) []float64 {
 	return out
 }
 
-// ChunkedPercentilesMs returns the requested percentiles, in milliseconds,
-// of nanosecond samples read in place: chunks hold those that fit 32 bits,
-// wide only those that do not (negative, or ≥ 2³² ns). It sorts inside each
-// chunk and wide, copies no sample, and is bit-identical to SortedPercentiles
-// over every sample converted to ms. Returns nil when there are no samples.
-func ChunkedPercentilesMs(chunks [][]uint32, wide []time.Duration, ps ...float64) []float64 {
+// RunTable is an exact multiset of nanosecond samples: the samples that fit
+// 32 bits as a run-length table — distinct values ascending, each with its
+// count, 8 B an entry however often the value recurs — and the rest
+// (negative, or ≥ 2³² ns ≈ 4.29 s) whole in wide, so nothing is clamped.
+// New samples wait in a fixed staging buffer; a full buffer is sorted and
+// merged into the table in place, so recording costs O(distinct values),
+// not O(samples). The zero value is an empty table.
+type RunTable struct {
+	vals   []uint32 // ascending, distinct
+	counts []uint32 // counts[i] samples equal vals[i]
+	stage  []uint32 // unsorted, not yet in vals; capacity runStage once used
+	wide   []time.Duration
+}
+
+const runStage = 1024 // samples staged between merges (4 KB)
+
+// Add records one sample.
+func (t *RunTable) Add(d time.Duration) {
+	if uint64(d) > math.MaxUint32 {
+		t.wide = append(t.wide, d)
+		return
+	}
+	if t.stage == nil {
+		t.stage = make([]uint32, 0, runStage)
+	}
+	t.stage = append(t.stage, uint32(d))
+	if len(t.stage) == cap(t.stage) {
+		t.flush()
+	}
+}
+
+// flush merges the staged samples into the table, back to front so that
+// no entry moves twice, growing the table by doubling.
+func (t *RunTable) flush() {
+	if len(t.stage) == 0 {
+		return
+	}
+	slices.Sort(t.stage)
+	old := len(t.vals)
+	n := old
+	for i, j := 0, 0; j < len(t.stage); j++ {
+		v := t.stage[j]
+		if j > 0 && t.stage[j-1] == v {
+			continue
+		}
+		for i < old && t.vals[i] < v {
+			i++
+		}
+		if i == old || t.vals[i] != v {
+			n++
+		}
+	}
+	if n > cap(t.vals) {
+		c := max(2*cap(t.vals), n)
+		t.vals = append(make([]uint32, 0, c), t.vals...)
+		t.counts = append(make([]uint32, 0, c), t.counts...)
+	}
+	t.vals, t.counts = t.vals[:n], t.counts[:n]
+	i, w := old-1, n
+	for j := len(t.stage) - 1; j >= 0; {
+		v, c := t.stage[j], uint32(0)
+		for ; j >= 0 && t.stage[j] == v; j-- {
+			c++
+		}
+		for ; i >= 0 && t.vals[i] > v; i-- {
+			w--
+			t.vals[w], t.counts[w] = t.vals[i], t.counts[i]
+		}
+		if i >= 0 && t.vals[i] == v {
+			c += t.counts[i]
+			i--
+		}
+		w--
+		t.vals[w], t.counts[w] = v, c
+	}
+	t.stage = t.stage[:0]
+}
+
+// Each calls visit once per run of the table, ascending, with its value
+// and count, then once per sample too wide for it, with n = 1.
+func (t *RunTable) Each(visit func(d time.Duration, n int)) {
+	t.flush()
+	for i, v := range t.vals {
+		visit(time.Duration(v), int(t.counts[i]))
+	}
+	for _, d := range t.wide {
+		visit(d, 1)
+	}
+}
+
+// RunPercentilesMs returns the requested percentiles, in milliseconds, of
+// every sample the tables hold together. It merges their run tables into
+// one of exact size and walks its counts to the one or two ranks each
+// percentile lands on, converting only those samples, so the result is
+// bit-identical to SortedPercentiles over every sample converted to ms.
+// Tables stay valid for more Adds and reads. Returns nil without a sample.
+func RunPercentilesMs(tables []*RunTable, ps ...float64) []float64 {
+	var wide []time.Duration
+	for _, t := range tables {
+		t.flush()
+		wide = append(wide, t.wide...)
+	}
+	pos := make([]int, len(tables))
+	distinct := mergeRuns(tables, pos, nil, nil)
+	table := make([]uint32, 2*distinct)
+	vals, counts := table[:distinct], table[distinct:]
+	mergeRuns(tables, pos, vals, counts)
 	n := len(wide)
-	for _, ch := range chunks {
-		slices.Sort(ch)
-		n += len(ch)
+	for _, c := range counts {
+		n += int(c)
 	}
 	if n == 0 {
 		return nil
 	}
 	slices.Sort(wide)
-	// Ascending: wide's neg negatives, the chunks' narrow samples, wide's rest.
+	// Ascending: wide's neg negatives, the table's narrow samples, wide's rest.
 	neg, _ := slices.BinarySearch(wide, 0)
 	narrow := n - len(wide)
 	at := func(i int) float64 {
 		if i >= neg && i < neg+narrow {
-			return time.Duration(selectRank(chunks, i-neg)).Seconds() * 1000
+			k := i - neg
+			e := 0
+			for k >= int(counts[e]) {
+				k -= int(counts[e])
+				e++
+			}
+			return time.Duration(vals[e]).Seconds() * 1000
 		}
 		if i >= neg {
 			i -= narrow
@@ -218,24 +324,33 @@ func ChunkedPercentilesMs(chunks [][]uint32, wide []time.Duration, ps ...float64
 	return out
 }
 
-// selectRank returns the k-th smallest (0-based) sample across sorted
-// chunks: the least v with more than k samples ≤ v, found by bisecting
-// the 32-bit value domain with one binary search per chunk per step.
-func selectRank(chunks [][]uint32, k int) uint32 {
-	lo, hi := uint32(0), uint32(math.MaxUint32)
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		le := 0
-		for _, ch := range chunks {
-			le += sort.Search(len(ch), func(i int) bool { return ch[i] > mid })
+// mergeRuns writes the union of the tables' runs, ascending, into vals
+// and counts when they are non-nil, and returns how many distinct values
+// it has: called once to size a table exactly, once to fill it.
+func mergeRuns(tables []*RunTable, pos []int, vals, counts []uint32) int {
+	clear(pos)
+	n := 0
+	for ; ; n++ {
+		v, ok := uint32(0), false
+		for ti, t := range tables {
+			if p := pos[ti]; p < len(t.vals) && (!ok || t.vals[p] < v) {
+				v, ok = t.vals[p], true
+			}
 		}
-		if le > k {
-			hi = mid
-		} else {
-			lo = mid + 1
+		if !ok {
+			return n
+		}
+		c := uint32(0)
+		for ti, t := range tables {
+			if p := pos[ti]; p < len(t.vals) && t.vals[p] == v {
+				c += t.counts[p]
+				pos[ti]++
+			}
+		}
+		if vals != nil {
+			vals[n], counts[n] = v, c
 		}
 	}
-	return lo
 }
 
 // Mean returns the arithmetic mean (0 for empty input).

@@ -2,7 +2,6 @@ package vca
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -210,30 +209,13 @@ func (c *Call) PayloadTransfer(dstRegion int) func(any) any {
 // (negative).
 func (c *Call) ControlMsgsLive(region int) int { return c.pools[region].ctrlLive }
 
-// latencyLog is one region's end-to-end frame-latency samples in
-// nanoseconds, as SampleFrameLatency defines them, from all the region's
-// clients. Fixed-size chunks, so growth never copies what is already
-// recorded; a sample that does not fit 32 bits (negative, or ≥ 2³² ns ≈
-// 4.29 s) goes to wide instead, so nothing is clamped.
+// latencyLog is one region's end-to-end frame-latency samples, as
+// SampleFrameLatency defines them, from all the region's clients: an exact
+// run-length table of nanoseconds, so it costs what is distinct, not what
+// is recorded.
 type latencyLog struct {
-	from   time.Duration
-	chunks [][]uint32
-	wide   []time.Duration
-}
-
-const latencyChunk = 8192 // samples per chunk (32 KB)
-
-func (l *latencyLog) add(d time.Duration) {
-	if uint64(d) > math.MaxUint32 {
-		l.wide = append(l.wide, d)
-		return
-	}
-	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == latencyChunk {
-		l.chunks = append(l.chunks, make([]uint32, 0, latencyChunk))
-		last++
-	}
-	l.chunks[last] = append(l.chunks[last], uint32(d))
+	from time.Duration
+	stats.RunTable
 }
 
 // SampleFrameLatency subscribes to end-to-end frame latency: from now on
@@ -256,17 +238,15 @@ func (c *Call) SampleFrameLatency(from time.Duration) {
 }
 
 // FrameLatencyPercentilesMs returns the requested percentiles, in ms, of
-// every sample recorded since SampleFrameLatency, all clients together,
-// read off the region logs in place (it sorts inside their chunks). Nil
-// without a sample. Read it once the run has finished.
+// every sample recorded since SampleFrameLatency, all clients together:
+// exact order statistics of the region tables merged at read time. Nil
+// without a sample. Recording may go on after a read.
 func (c *Call) FrameLatencyPercentilesMs(ps ...float64) []float64 {
-	var chunks [][]uint32
-	var wide []time.Duration
-	for _, l := range c.lats {
-		chunks = append(chunks, l.chunks...)
-		wide = append(wide, l.wide...)
+	tables := make([]*stats.RunTable, len(c.lats))
+	for i, l := range c.lats {
+		tables[i] = &l.RunTable
 	}
-	return stats.ChunkedPercentilesMs(chunks, wide, ps...)
+	return stats.RunPercentilesMs(tables, ps...)
 }
 
 // active returns the clients currently in the call, in join order.

@@ -410,7 +410,7 @@ func (c *Client) onMedia(pkt *netem.Packet) {
 	if c.lat != nil && mp.FrameEnd && !mp.Padding && !mp.Audio && now >= c.lat.from {
 		// OriginSentAt survives SFU forwarding (and cascading), so the
 		// sample spans the whole origin→receiver path.
-		c.lat.add(now - mp.OriginSentAt)
+		c.lat.Add(now - mp.OriginSentAt)
 	}
 	sentAt := pkt.SentAt
 	if mp.E2E {

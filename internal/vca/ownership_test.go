@@ -300,20 +300,23 @@ func TestPayloadTransferRehomesControlMsgs(t *testing.T) {
 	}
 }
 
-// latencySamples reads a call's region logs back in recording order,
-// widened to durations — a test-only gather; read it before
-// FrameLatencyPercentilesMs sorts the chunks.
-func latencySamples(c *Call) []time.Duration {
-	var out []time.Duration
+// latencyCounts reads a call's region logs back as one multiset: how many
+// samples of each latency were recorded, all regions together.
+func latencyCounts(c *Call) map[time.Duration]int {
+	out := map[time.Duration]int{}
 	for _, l := range c.lats {
-		for _, ch := range l.chunks {
-			for _, ns := range ch {
-				out = append(out, time.Duration(ns))
-			}
-		}
-		out = append(out, l.wide...)
+		l.Each(func(d time.Duration, n int) { out[d] += n })
 	}
 	return out
+}
+
+// total is the number of samples in a multiset.
+func total(counts map[time.Duration]int) int {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return n
 }
 
 // TestFrameLatencySubscription: a call records frame latency only once
@@ -340,23 +343,25 @@ func TestFrameLatencySubscription(t *testing.T) {
 		t.Error("a subscription no frame reached reported percentiles")
 	}
 	full := run(true, 0)
-	all := latencySamples(full)
-	late := latencySamples(run(true, 3*time.Second))
-	if len(late) == 0 || len(late) >= len(all) {
-		t.Fatalf("samples from 3 s: %d, from 0: %d; want 0 < late < all", len(late), len(all))
+	all := latencyCounts(full)
+	late := latencyCounts(run(true, 3*time.Second))
+	if n, nAll := total(late), total(all); n == 0 || n >= nAll {
+		t.Fatalf("samples from 3 s: %d, from 0: %d; want 0 < late < all", n, nAll)
 	}
-	// Same seed, same call: the late log is the tail of the full one.
-	for i, d := range late {
+	// Same seed, same call: what the late log holds, the full one holds too.
+	for d, n := range late {
 		if d <= 0 {
-			t.Fatalf("sample %d = %v, want a positive latency", i, d)
+			t.Fatalf("%d samples of %v, want a positive latency", n, d)
 		}
-		if want := all[len(all)-len(late)+i]; d != want {
-			t.Fatalf("late[%d] = %v, want %v (the full log's tail)", i, d, want)
+		if n > all[d] {
+			t.Fatalf("%d samples of %v from 3 s, %d from 0", n, d, all[d])
 		}
 	}
-	ms := make([]float64, len(all))
-	for i, d := range all {
-		ms[i] = d.Seconds() * 1000
+	var ms []float64
+	for d, n := range all {
+		for range n {
+			ms = append(ms, d.Seconds()*1000)
+		}
 	}
 	ps := []float64{0, 50, 95, 99, 100}
 	want := stats.SortedPercentiles(ms, ps...)
@@ -367,41 +372,61 @@ func TestFrameLatencySubscription(t *testing.T) {
 	}
 }
 
-// TestLatencyLogGrowsByChunks: growth appends a chunk and never moves the
-// samples already recorded; a sample that does not fit 32 bits is kept
-// whole beside the chunks.
-func TestLatencyLogGrowsByChunks(t *testing.T) {
+// TestLatencyLogMergesRuns: a log keeps one entry per distinct latency
+// however often it recurs, and a sample that does not fit 32 bits of ns
+// is kept whole beside the table, unclamped.
+func TestLatencyLogMergesRuns(t *testing.T) {
 	var l latencyLog
-	l.add(1)
-	first := &l.chunks[0][0]
-	const n = 2*latencyChunk + 5
-	for i := 2; i <= n; i++ {
-		l.add(time.Duration(i))
-	}
-	if len(l.chunks) != 3 {
-		t.Fatalf("%d chunks for %d samples, want 3", len(l.chunks), n)
-	}
-	if &l.chunks[0][0] != first {
-		t.Error("growth moved the first chunk")
-	}
-	call := &Call{lats: []*latencyLog{&l}}
-	got := latencySamples(call)
-	if len(got) != n {
-		t.Fatalf("read back %d samples, want %d", len(got), n)
-	}
-	for i, d := range got {
-		if d != time.Duration(i+1) {
-			t.Fatalf("sample[%d] = %v", i, d)
+	const distinct, reps = 300, 7
+	for r := 0; r < reps; r++ {
+		for i := distinct; i > 0; i-- {
+			l.Add(time.Duration(i) * time.Microsecond)
 		}
 	}
-	l.add(math.MaxUint32) // the largest that fits
-	l.add(-time.Millisecond)
-	l.add(5 * time.Second)
-	if len(l.wide) != 2 || len(l.chunks[2]) != 6 {
-		t.Fatalf("wide holds %d, last chunk %d; want 2 and 6", len(l.wide), len(l.chunks[2]))
+	runs := 0
+	l.Each(func(d time.Duration, n int) {
+		if runs++; d != time.Duration(runs)*time.Microsecond || n != reps {
+			t.Fatalf("run %d = %d × %v, want %d × %v", runs, n, d, reps, time.Duration(runs)*time.Microsecond)
+		}
+	})
+	if runs != distinct {
+		t.Fatalf("%d runs for %d distinct latencies", runs, distinct)
+	}
+	l.Add(math.MaxUint32) // the largest that fits
+	l.Add(-time.Millisecond)
+	l.Add(5 * time.Second)
+	call := &Call{lats: []*latencyLog{&l}}
+	if got := latencyCounts(call); len(got) != distinct+3 {
+		t.Fatalf("%d entries after three edge samples, want %d", len(got), distinct+3)
 	}
 	if pc := call.FrameLatencyPercentilesMs(0, 100); pc[0] != -1 || pc[1] != 5000 {
 		t.Errorf("p0, p100 = %v ms, want -1 and 5000 (unclamped)", pc)
+	}
+}
+
+// TestFrameLatencyReadIsRepeatable: a read leaves the region logs as they
+// were — a second read is bit-identical — and open to more samples, which
+// the next read counts.
+func TestFrameLatencyReadIsRepeatable(t *testing.T) {
+	logs := []*latencyLog{{}, {}}
+	for i := 0; i < 3000; i++ {
+		logs[i%2].Add(time.Duration(i%700) * 37 * time.Microsecond)
+	}
+	call := &Call{lats: logs}
+	ps := []float64{0, 50, 95, 99, 100}
+	first := call.FrameLatencyPercentilesMs(ps...)
+	second := call.FrameLatencyPercentilesMs(ps...)
+	for i := range ps {
+		if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
+			t.Errorf("p%v read %v, then %v", ps[i], first[i], second[i])
+		}
+	}
+	logs[1].Add(time.Second)
+	if got := call.FrameLatencyPercentilesMs(100); got[0] != 1000 {
+		t.Errorf("p100 after one more 1 s sample = %v ms, want 1000", got[0])
+	}
+	if n := total(latencyCounts(call)); n != 3001 {
+		t.Errorf("%d samples after the reads, want 3001", n)
 	}
 }
 
@@ -426,8 +451,8 @@ func TestFrameLatencySampleIsPerArrival(t *testing.T) {
 	}
 	frameEnd := func(*MediaPacket) {}
 	arrive(frameEnd) // now = 0 < from
-	if got := latencySamples(call); len(got) != 0 {
-		t.Fatalf("%d samples before the subscription's start, want none", len(got))
+	if n := total(latencyCounts(call)); n != 0 {
+		t.Fatalf("%d samples before the subscription's start, want none", n)
 	}
 	eng.RunUntil(2 * time.Second)
 	arrive(frameEnd)
@@ -436,13 +461,11 @@ func TestFrameLatencySampleIsPerArrival(t *testing.T) {
 	arrive(func(mp *MediaPacket) { mp.Padding = true })
 	arrive(func(mp *MediaPacket) { mp.Audio = true })
 	arrive(func(mp *MediaPacket) { mp.FrameEnd = false })
-	got := latencySamples(call)
-	if len(got) != 3 {
-		t.Fatalf("%d samples for an original, a duplicate and a retransmitted frame-end; want 3", len(got))
+	got := latencyCounts(call)
+	if n := total(got); n != 3 {
+		t.Fatalf("%d samples for an original, a duplicate and a retransmitted frame-end; want 3", n)
 	}
-	for _, d := range got {
-		if d != 30*time.Millisecond {
-			t.Errorf("sample = %v, want 30ms (arrival minus origin stamp)", d)
-		}
+	if got[30*time.Millisecond] != 3 {
+		t.Errorf("samples = %v, want 3 of 30ms (arrival minus origin stamp)", got)
 	}
 }
