@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -109,12 +110,8 @@ func genScenarioSeed(name string) (genSeed int64, ok bool, err error) {
 	return s, true, nil
 }
 
-// knownExperiment reports whether the id is in the experiment registry.
+// knownExperiment reports whether the id is a paper figure or an extension.
 func knownExperiment(id string) bool {
-	for _, d := range experiments() {
-		if d.name == id {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(vcalab.Figures(), func(f vcalab.Figure) bool { return f.ID == id }) ||
+		slices.ContainsFunc(extensions(), func(e extension) bool { return e.name == id })
 }

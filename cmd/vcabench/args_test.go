@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,5 +111,37 @@ func TestRegistryCoversFlagDocs(t *testing.T) {
 	}
 	if knownExperiment("all") {
 		t.Error("`all` must not be a registry entry (it is the meta-id)")
+	}
+}
+
+// TestExperimentsDocMatchesList keeps EXPERIMENTS.md from drifting from
+// the binary: the ids -list enumerates must be exactly the ids the
+// document shows an `-experiment <id>` invocation for, apart from `all`.
+func TestExperimentsDocMatchesList(t *testing.T) {
+	var list bytes.Buffer
+	printList(&list)
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(list.String()), "\n")[1:] {
+		if id := strings.Fields(line)[0]; id != "all" {
+			listed = append(listed, id)
+		}
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile(`-experiment ([a-z0-9]+)`).FindAllStringSubmatch(string(doc), -1) {
+		if m[1] != "all" {
+			documented = append(documented, m[1])
+		}
+	}
+	slices.Sort(listed)
+	slices.Sort(documented)
+	if documented = slices.Compact(documented); !slices.Equal(listed, documented) {
+		t.Errorf("-list ids %v, EXPERIMENTS.md invokes %v", listed, documented)
+	}
+	if len(listed) != 20 {
+		t.Errorf("-list has %d ids, want the 17 paper figures and 3 extensions", len(listed))
 	}
 }

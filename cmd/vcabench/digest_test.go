@@ -17,27 +17,6 @@ var update = flag.Bool("update", false, "rewrite testdata/output_digests.txt fro
 
 const digestFile = "testdata/output_digests.txt"
 
-// captureStdout runs fn with os.Stdout pointed at a file and returns what
-// it printed — the experiment functions of `-experiment all` write there
-// directly.
-func captureStdout(t *testing.T, fn func()) *bytes.Buffer {
-	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	stdout := os.Stdout
-	os.Stdout = f
-	defer func() { os.Stdout = stdout }()
-	fn()
-	data, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.NewBuffer(data)
-}
-
 // TestOutputDigests pins experiment output across refactors: the SHA-256
 // of what `vcabench -quick -reps 1 -seed 1` prints for every canned
 // dynamic scenario x VCA with recovery off and on, for the impairment
@@ -54,7 +33,9 @@ func captureStdout(t *testing.T, fn func()) *bytes.Buffer {
 // `all` ids, the impairment sweep and the scale sweep at -shards 2 with
 // -trace/-metrics capture on must print the same bytes again — capture is
 // read-only for every experiment — and the two capture streams it writes
-// are pinned as capture/trace and capture/metrics.
+// are pinned as capture/trace and capture/metrics. The first `all` pass
+// is paper_suite's grid at seed 1, so its typed results also carry the
+// paper's claims (checkPaperClaims).
 func TestOutputDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 53 quick-grid experiments and 26 repeats of them")
@@ -89,12 +70,14 @@ func TestOutputDigests(t *testing.T) {
 		}
 		*recovery = "off"
 	}
-	allPass := func(record func(string, *bytes.Buffer)) {
-		for _, d := range experiments() {
-			if d.all {
-				record("all/"+d.name, captureStdout(t, d.fn))
-			}
+	allPass := func(record func(string, *bytes.Buffer)) map[string]vcalab.FigureResults {
+		res := map[string]vcalab.FigureResults{}
+		for _, f := range vcalab.Figures() {
+			var out bytes.Buffer
+			res[f.ID] = f.Run(true, 1, 1, &out)
+			record("all/"+f.ID, &out)
 		}
+		return res
 	}
 	scalePass := func(sh int, record func(string, *bytes.Buffer)) {
 		*shards = sh
@@ -116,7 +99,7 @@ func TestOutputDigests(t *testing.T) {
 	impairmentPass(record)
 	scalePass(1, record)
 	scalePass(2, same("at -shards 2"))
-	allPass(record)
+	checkPaperClaims(t, allPass(record))
 
 	// Capture on: a small ring keeps the pass cheap. Attaching, sampling
 	// and flushing must leave every printed byte where it was, and the

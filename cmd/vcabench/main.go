@@ -53,37 +53,19 @@ var (
 	memprofile  = flag.String("memprofile", "", "write a pprof heap profile to `FILE` when the run completes")
 )
 
-// experimentDef is one runnable artifact; the registry is the single
-// source of truth for -list, -experiment validation and `all`.
-type experimentDef struct {
-	name string
-	desc string
-	all  bool // included in -experiment all
-	fn   func()
+// extension is an experiment id beyond the paper's 17 figures
+// (vcalab.Figures, which `all` runs): these read -recovery, -shards and
+// -scenario, so they live with the flags.
+type extension struct {
+	name, desc string
+	fn         func()
 }
 
-func experiments() []experimentDef {
-	return []experimentDef{
-		{"table2", "Table 2: unconstrained up/down utilization per VCA", true, table2},
-		{"fig1a", "Fig 1a: median sent bitrate vs uplink capacity", true, fig1a},
-		{"fig1b", "Fig 1b: median received bitrate vs downlink capacity", true, fig1b},
-		{"fig1c", "Fig 1c: browser vs native clients (Teams/Zoom)", true, fig1c},
-		{"fig2", "Fig 2: encode FPS/QP/width vs capacity (Meet, Teams-Chrome)", true, fig2},
-		{"fig3", "Fig 3: freeze ratio (3a) and FIR counts (3b)", true, fig3},
-		{"fig4", "Fig 4: uplink disruption traces + time-to-recovery", true, fig4},
-		{"fig5", "Fig 5: downlink disruption TTR per VCA", true, fig5},
-		{"fig6", "Fig 6: far client's upstream during C1's downlink dip", true, fig6},
-		{"fig8", "Fig 8: pairwise VCA uplink shares at 0.5 Mbps", true, fig8},
-		{"fig9", "Fig 9: self-competition traces (Zoom unfair, Meet fair)", true, fig9},
-		{"fig10", "Fig 10: pairwise downlink shares (Teams cedes)", true, fig10},
-		{"fig11", "Fig 11: Teams vs Zoom at 1 Mbps", true, fig11},
-		{"fig12", "Fig 12: VCA vs TCP at 2 Mbps (Teams starved)", true, fig12},
-		{"fig13", "Fig 13: Zoom's probe bursts depressing TCP", true, fig13},
-		{"fig14", "Fig 14: Zoom vs Netflix / Teams vs YouTube", true, fig14},
-		{"fig15", "Fig 15: up/down utilization vs participants, both modes", true, fig15},
-		{"impairment", "§8 extension: random loss and jitter sweep", false, impairment},
-		{"scale", "Cascaded large calls: participants x regions x inter-region capacity", false, scale},
-		{"dynamic", "Dynamic scenarios: churn storms, capacity cliffs, partitions, trace replay (-scenario selects one)", false, dynamic},
+func extensions() []extension {
+	return []extension{
+		{"impairment", "§8 extension: random loss and jitter sweep", impairment},
+		{"scale", "Cascaded large calls: participants x regions x inter-region capacity", scale},
+		{"dynamic", "Dynamic scenarios: churn storms, capacity cliffs, partitions, trace replay (-scenario selects one)", dynamic},
 	}
 }
 
@@ -133,15 +115,7 @@ func main() {
 	}
 
 	if *list {
-		fmt.Printf("%-12s %s\n", "id", "description")
-		for _, d := range experiments() {
-			desc := d.desc
-			if !d.all {
-				desc += " (extension; not part of `all`)"
-			}
-			fmt.Printf("%-12s %s\n", d.name, desc)
-		}
-		fmt.Printf("%-12s %s\n", "all", "every paper figure/table above in sequence")
+		printList(os.Stdout)
 		return
 	}
 
@@ -171,15 +145,32 @@ func main() {
 		runFuzz()
 		return
 	}
-	for _, d := range experiments() {
-		switch {
-		case *exp == "all" && d.all:
-			fmt.Printf("\n===== %s =====\n", d.name)
-			d.fn()
-		case d.name == *exp: // validateFlags vetted *exp against the same registry
-			d.fn()
+	// validateFlags vetted *exp against the same two registries.
+	for _, f := range vcalab.Figures() {
+		if *exp == "all" {
+			fmt.Printf("\n===== %s =====\n", f.ID)
+		}
+		if *exp == "all" || f.ID == *exp {
+			f.Run(*quick, *reps, *seed, os.Stdout)
 		}
 	}
+	for _, e := range extensions() {
+		if e.name == *exp {
+			e.fn()
+		}
+	}
+}
+
+// printList is -list: every figure, then every extension.
+func printList(w io.Writer) {
+	fmt.Fprintf(w, "%-12s %s\n", "id", "description")
+	for _, f := range vcalab.Figures() {
+		fmt.Fprintf(w, "%-12s %s\n", f.ID, f.Desc)
+	}
+	for _, e := range extensions() {
+		fmt.Fprintf(w, "%-12s %s (extension; not part of `all`)\n", e.name, e.desc)
+	}
+	fmt.Fprintf(w, "%-12s %s\n", "all", "every paper figure/table above in sequence")
 }
 
 // openCapture opens the -trace/-metrics files and makes them the capture
@@ -223,149 +214,8 @@ func openCapture() (end func()) {
 	}
 }
 
-func caps() []float64 {
-	if *quick {
-		return []float64{0.3, 0.5, 1, 2, 10}
-	}
-	return vcalab.PaperCaps()
-}
-
-func callDur() time.Duration {
-	if *quick {
-		return 80 * time.Second
-	}
-	return 150 * time.Second
-}
-
 func threeVCAs() []*vcalab.Profile {
 	return []*vcalab.Profile{vcalab.Meet(), vcalab.Teams(), vcalab.Zoom()}
-}
-
-func table2() {
-	rs := vcalab.Table2(threeVCAs(), *reps, *seed)
-	vcalab.PrintTable2(os.Stdout, rs)
-}
-
-func sweep(dir vcalab.Direction, profiles []*vcalab.Profile) {
-	for _, p := range profiles {
-		rs := vcalab.RunStatic(vcalab.StaticConfig{
-			Profile: p, Dir: dir, CapsMbps: caps(), Reps: *reps,
-			Dur: callDur(), Seed: *seed,
-		})
-		vcalab.PrintStatic(os.Stdout, rs)
-	}
-}
-
-func fig1a() { sweep(vcalab.Uplink, threeVCAs()) }
-func fig1b() { sweep(vcalab.Downlink, threeVCAs()) }
-func fig1c() {
-	sweep(vcalab.Uplink, []*vcalab.Profile{
-		vcalab.Teams(), vcalab.TeamsChrome(), vcalab.Zoom(), vcalab.ZoomChrome(),
-	})
-}
-
-func fig2() {
-	// Encoding parameters for the two stats-capable clients (§3.2).
-	for _, dir := range []vcalab.Direction{vcalab.Downlink, vcalab.Uplink} {
-		sweep(dir, []*vcalab.Profile{vcalab.Meet(), vcalab.TeamsChrome()})
-	}
-}
-
-func fig3() {
-	// Freeze ratios (downlink) and FIR counts (uplink) come out of the
-	// same sweeps; PrintStatic includes both columns.
-	fig2()
-}
-
-func disruptionSet(dir vcalab.Direction) {
-	for _, p := range threeVCAs() {
-		for _, level := range vcalab.PaperDisruptionLevels() {
-			r := vcalab.RunDisruption(vcalab.DisruptionConfig{
-				Profile: p, Dir: dir, LevelMbps: level, Reps: *reps, Seed: *seed,
-			})
-			vcalab.PrintDisruption(os.Stdout, r)
-		}
-	}
-}
-
-func fig4() {
-	disruptionSet(vcalab.Uplink)
-	// Fig 4a trace at the severest level:
-	r := vcalab.RunDisruption(vcalab.DisruptionConfig{
-		Profile: vcalab.Zoom(), Dir: vcalab.Uplink, LevelMbps: 0.25, Reps: 1, Seed: *seed,
-	})
-	vcalab.PrintDisruptionTrace(os.Stdout, r)
-}
-
-func fig5() { disruptionSet(vcalab.Downlink) }
-
-func fig6() {
-	for _, p := range []*vcalab.Profile{vcalab.Meet(), vcalab.Teams()} {
-		r := vcalab.RunDisruption(vcalab.DisruptionConfig{
-			Profile: p, Dir: vcalab.Downlink, LevelMbps: 0.25, Reps: 1, Seed: *seed,
-		})
-		vcalab.PrintDisruptionTrace(os.Stdout, r)
-	}
-}
-
-func vcaPairs(linkMbps float64) {
-	for _, inc := range threeVCAs() {
-		for _, comp := range threeVCAs() {
-			r := vcalab.RunCompetition(vcalab.CompetitionConfig{
-				Incumbent: inc, Kind: vcalab.CompVCA, CompProfile: comp,
-				LinkMbps: linkMbps, Reps: *reps, Seed: *seed,
-			})
-			vcalab.PrintCompetition(os.Stdout, r)
-		}
-	}
-}
-
-func fig8()  { vcaPairs(0.5) }
-func fig10() { vcaPairs(0.5) }
-
-func fig9() {
-	for _, p := range []*vcalab.Profile{vcalab.Zoom(), vcalab.Meet()} {
-		r := vcalab.RunCompetition(vcalab.CompetitionConfig{
-			Incumbent: p, Kind: vcalab.CompVCA, CompProfile: p,
-			LinkMbps: 0.5, Reps: 1, Seed: *seed,
-		})
-		vcalab.PrintCompetition(os.Stdout, r)
-	}
-}
-
-func fig11() {
-	r := vcalab.RunCompetition(vcalab.CompetitionConfig{
-		Incumbent: vcalab.Teams(), Kind: vcalab.CompVCA, CompProfile: vcalab.Zoom(),
-		LinkMbps: 1, Reps: *reps, Seed: *seed,
-	})
-	vcalab.PrintCompetition(os.Stdout, r)
-}
-
-func fig12() {
-	for _, p := range threeVCAs() {
-		r := vcalab.RunCompetition(vcalab.CompetitionConfig{
-			Incumbent: p, Kind: vcalab.CompIPerf, LinkMbps: 2, Reps: *reps, Seed: *seed,
-		})
-		vcalab.PrintCompetition(os.Stdout, r)
-	}
-}
-
-func fig13() {
-	r := vcalab.RunCompetition(vcalab.CompetitionConfig{
-		Incumbent: vcalab.Zoom(), Kind: vcalab.CompIPerf, LinkMbps: 2, Reps: 1, Seed: *seed,
-	})
-	vcalab.PrintCompetition(os.Stdout, r)
-}
-
-func fig14() {
-	r := vcalab.RunCompetition(vcalab.CompetitionConfig{
-		Incumbent: vcalab.Zoom(), Kind: vcalab.CompNetflix, LinkMbps: 0.5, Reps: *reps, Seed: *seed,
-	})
-	vcalab.PrintCompetition(os.Stdout, r)
-	y := vcalab.RunCompetition(vcalab.CompetitionConfig{
-		Incumbent: vcalab.Teams(), Kind: vcalab.CompYouTube, LinkMbps: 0.5, Reps: *reps, Seed: *seed,
-	})
-	vcalab.PrintCompetition(os.Stdout, y)
 }
 
 // recoveryOn reports the -recovery toggle as the bool the experiment
@@ -387,17 +237,6 @@ func impairmentConfig(p *vcalab.Profile) vcalab.ImpairmentConfig {
 		Profile: p, LossPcts: []float64{0, 0.5, 1, 2, 5},
 		Jitter: 20 * time.Millisecond, Reps: *reps, Seed: *seed,
 		Recovery: recoveryOn(),
-	}
-}
-
-func fig15() {
-	maxN := 8
-	if *quick {
-		maxN = 5
-	}
-	for _, p := range threeVCAs() {
-		vcalab.PrintModality(os.Stdout, vcalab.ModalitySweep(p, vcalab.Gallery, maxN, *reps, *seed))
-		vcalab.PrintModality(os.Stdout, vcalab.ModalitySweep(p, vcalab.Speaker, maxN, *reps, *seed))
 	}
 }
 

@@ -75,7 +75,7 @@ func RunFuzz(cfg FuzzConfig) FuzzResult {
 	cfg.defaults()
 	// Profiles cycle per seed (seed S runs profiles[S % 3]) so every VCA
 	// sees a share of the space.
-	profiles := []*vca.Profile{vca.Meet(), vca.Teams(), vca.Zoom()}
+	profiles := threeVCAs()
 	trials := repeat("fuzz", fuzzCapture(), cfg.N, func(o *trialObs, i int) FuzzFailure {
 		seed := cfg.Seed + int64(i)
 		// The profile is a function of the seed (not the trial index), so

@@ -27,7 +27,7 @@
 //
 // Higher-level experiment runners (RunStatic, RunDisruption,
 // RunCompetition, RunModality) regenerate every table and figure of the
-// paper; see EXPERIMENTS.md for the index.
+// paper, and Figures lists them; see EXPERIMENTS.md for the index.
 package vcalab
 
 import (
@@ -240,6 +240,9 @@ type (
 	// ModalityConfig/ModalityResult drive §6 (Fig 15).
 	ModalityConfig = experiment.ModalityConfig
 	ModalityResult = experiment.ModalityResult
+	// Figure/FigureResults: one of the 17 artifacts Figures lists.
+	Figure        = experiment.Figure
+	FigureResults = experiment.Results
 	// ImpairmentConfig/ImpairmentResult drive the §8 extension: random
 	// loss and jitter on an unconstrained link.
 	ImpairmentConfig = experiment.ImpairmentConfig
@@ -348,6 +351,7 @@ var (
 	RunFuzz        = experiment.RunFuzz
 	ModalitySweep  = experiment.ModalitySweep
 	Table2         = experiment.Table2
+	Figures        = experiment.Figures
 
 	// Paper parameter grids.
 	PaperCaps             = experiment.PaperCaps
