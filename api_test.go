@@ -1,7 +1,9 @@
 package vcalab_test
 
 import (
+	"fmt"
 	"os/exec"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,12 +15,7 @@ import (
 
 func TestFacadeQuickstart(t *testing.T) {
 	eng := vcalab.NewEngine(42)
-	lab := vcalab.NewLab(eng, 1e6, 1e6)
-	c1 := lab.ClientHost("c1")
-	c2 := lab.RemoteHost("c2", vcalab.RemoteDelay)
-	sfu := lab.RemoteHost("sfu", vcalab.SFUDelay)
-	call := vcalab.NewCall(eng, vcalab.Zoom(), sfu,
-		[]*vcalab.Host{c1, c2}, vcalab.CallOptions{Seed: 42})
+	_, call := vcalab.NewLabCall(eng, vcalab.Zoom(), 2, 1e6, 1e6, vcalab.CallOptions{Seed: 42})
 	call.Start()
 	eng.RunUntil(60 * time.Second)
 	call.Stop()
@@ -26,6 +23,38 @@ func TestFacadeQuickstart(t *testing.T) {
 	if up < 0.4 || up > 1.1 {
 		t.Errorf("quickstart upstream = %.2f Mbps, want ~0.8 on a 1 Mbps link", up)
 	}
+
+	// NewLabCall is the hand assembly it replaced: at one seed, C1's
+	// per-second rates are identical, for the quickstart's shaped 2-party
+	// call and for a 4-party speaker call built the way modality did.
+	for _, c := range []struct {
+		n        int
+		up, down float64
+		mode     vcalab.ViewMode
+	}{{2, 1e6, 1e6, vcalab.Gallery}, {4, 0, 0, vcalab.Speaker}} {
+		opt := vcalab.CallOptions{Mode: c.mode, Seed: 42}
+		eng := vcalab.NewEngine(42)
+		lab := vcalab.NewLab(eng, c.up, c.down)
+		hosts := []*vcalab.Host{lab.ClientHost("c1")}
+		for i := 2; i <= c.n; i++ {
+			hosts = append(hosts, lab.RemoteHost(fmt.Sprintf("c%d", i), vcalab.RemoteDelay))
+		}
+		hand := c1Rates(eng, vcalab.NewCall(eng, vcalab.Zoom(), lab.RemoteHost("sfu", vcalab.SFUDelay), hosts, opt))
+		eng = vcalab.NewEngine(42)
+		_, call := vcalab.NewLabCall(eng, vcalab.Zoom(), c.n, c.up, c.down, opt)
+		if built := c1Rates(eng, call); !reflect.DeepEqual(built, hand) {
+			t.Errorf("n=%d: NewLabCall's C1 rates differ from the hand-built call's", c.n)
+		}
+	}
+}
+
+// c1Rates runs call for 60 s and returns C1's per-second up and down
+// rates.
+func c1Rates(eng *vcalab.Engine, call *vcalab.Call) [2]vcalab.Series {
+	call.Start()
+	eng.RunUntil(60 * time.Second)
+	call.Stop()
+	return [2]vcalab.Series{call.C1().UpMeter.RateMbps(), call.C1().DownMeter.RateMbps()}
 }
 
 func TestFacadeProfilesComplete(t *testing.T) {

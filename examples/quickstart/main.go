@@ -12,15 +12,10 @@ import (
 func main() {
 	eng := vcalab.NewEngine(42)
 
-	// The paper's testbed: client C1 behind a shaped access link, the far
-	// client and the VCA's relay server out on the Internet (§2.2).
-	lab := vcalab.NewLab(eng, 1e6, 1e6) // 1 Mbps symmetric
-	c1 := lab.ClientHost("c1")
-	c2 := lab.RemoteHost("c2", vcalab.RemoteDelay)
-	sfu := lab.RemoteHost("sfu", vcalab.SFUDelay)
-
-	call := vcalab.NewCall(eng, vcalab.Zoom(), sfu,
-		[]*vcalab.Host{c1, c2}, vcalab.CallOptions{Seed: 42})
+	// The paper's testbed: client C1 behind a 1 Mbps symmetric access
+	// link, the far client and the VCA's relay server out on the Internet
+	// (§2.2).
+	_, call := vcalab.NewLabCall(eng, vcalab.Zoom(), 2, 1e6, 1e6, vcalab.CallOptions{Seed: 42})
 	call.Start()
 	eng.RunUntil(150 * time.Second) // the paper's 2.5-minute call
 	call.Stop()

@@ -106,7 +106,7 @@ type competitionTrial struct {
 // runTrial executes one repetition on a fresh engine.
 func (cfg *CompetitionConfig) runTrial(o *trialObs, rep int) competitionTrial {
 	seed := cfg.Seed + int64(rep)*7127
-	t := twoPartyTrial(o, seed, cfg.Incumbent, cfg.LinkMbps*1e6, cfg.LinkMbps*1e6, vca.CallOptions{Seed: seed})
+	t := labTrial(o, seed, cfg.Incumbent, 2, cfg.LinkMbps*1e6, cfg.LinkMbps*1e6, vca.CallOptions{Seed: seed})
 	lab, eng := t.lab, t.eng
 
 	// Bottleneck taps: classify by which bottleneck-side host the

@@ -78,7 +78,7 @@ type disruptionTrial struct {
 // newTrial builds one repetition: the two-party call, with the dip as a
 // scenario timeline on C1's access link in the disrupted direction.
 func (cfg *DisruptionConfig) newTrial(o *trialObs, seed int64) *trial {
-	t := twoPartyTrial(o, seed, cfg.Profile, 0, 0, vca.CallOptions{Seed: seed})
+	t := labTrial(o, seed, cfg.Profile, 2, 0, 0, vca.CallOptions{Seed: seed})
 	ref := scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "c1"}
 	if cfg.Dir == Uplink {
 		ref.Kind = scenario.LinkClientUp

@@ -214,7 +214,7 @@ func TestModalitySweepShapes(t *testing.T) {
 // behind the switch resolves to the shaped bottleneck, a remote host to
 // its own router pair, an unknown host or an inter-region kind to nothing.
 func TestLabResolveLink(t *testing.T) {
-	tr := twoPartyTrial(nil, 1, vca.Meet(), 0, 0, vca.CallOptions{Seed: 1})
+	tr := labTrial(nil, 1, vca.Meet(), 2, 0, 0, vca.CallOptions{Seed: 1})
 	tr.start()
 	tr.lab.ClientHost("f1") // attached mid-call, as the §5 competitor is
 	for _, c := range []struct {
@@ -304,7 +304,7 @@ func TestLabTraceReplay(t *testing.T) {
 		{At: 120 * time.Second, RateBps: 0.4e6},
 		{At: 160 * time.Second, RateBps: 2e6},
 	}
-	tr := twoPartyTrial(nil, 9, vca.Zoom(), 0, 0, vca.CallOptions{Seed: 9})
+	tr := labTrial(nil, 9, vca.Zoom(), 2, 0, 0, vca.CallOptions{Seed: 9})
 	up := scenario.Trace(scenario.LinkRef{Kind: scenario.LinkClientUp, Client: "c1"}, "sawtooth", steps)
 	down := scenario.Trace(scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "c1"}, "sawtooth", steps)
 	tr.timeline = scenario.New(tr.eng, tr.call, tr.lab, scenario.Scenario{Name: "sawtooth", Events: append(up, down...)})

@@ -63,7 +63,7 @@ type impairmentTrial struct {
 // runTrial executes one (loss, repetition) cell on a fresh engine.
 func (cfg *ImpairmentConfig) runTrial(o *trialObs, lossPct float64, rep int) impairmentTrial {
 	seed := cfg.Seed + int64(rep)*17389 + int64(lossPct*100)
-	t := twoPartyTrial(o, seed, cfg.Profile, 0, 0, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
+	t := labTrial(o, seed, cfg.Profile, 2, 0, 0, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
 	t.lab.Uplink().SetImpairment(lossPct/100, cfg.Jitter)
 	t.lab.Downlink().SetImpairment(lossPct/100, cfg.Jitter)
 	t.start()

@@ -8,11 +8,13 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"vcalab/internal/netem"
 	"vcalab/internal/scenario"
 	"vcalab/internal/sim"
+	"vcalab/internal/vca"
 )
 
 // Lab is the paper's testbed (§2.2, Fig 7): clients C1 (and, for
@@ -55,6 +57,20 @@ func NewLab(eng *sim.Engine, upBps, downBps float64) *Lab {
 	l.links = []*netem.Link{l.up, l.down}
 	l.sw.DefaultRoute(l.up)
 	return l
+}
+
+// NewLabCall builds the paper's n-party call on a fresh testbed shaped
+// to upBps/downBps: C1 behind the bottleneck, C2..Cn at RemoteDelay and
+// the SFU at SFUDelay, created in that order. Capture walks the links in
+// creation order, so the order is part of the capture digests.
+func NewLabCall(eng *sim.Engine, prof *vca.Profile, n int, upBps, downBps float64, opt vca.CallOptions) (*Lab, *vca.Call) {
+	l := NewLab(eng, upBps, downBps)
+	hosts := make([]*netem.Host, 1, n)
+	hosts[0] = l.ClientHost("c1")
+	for i := 2; i <= n; i++ {
+		hosts = append(hosts, l.RemoteHost(fmt.Sprintf("c%d", i), RemoteDelay))
+	}
+	return l, vca.NewCall(eng, prof, l.RemoteHost("sfu", SFUDelay), hosts, opt)
 }
 
 // ResolveLink implements scenario.LinkResolver, so a scenario re-shapes

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"vcalab/internal/netem"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -51,13 +50,7 @@ type modalityTrial struct {
 // runTrial executes one repetition on a fresh engine.
 func (cfg *ModalityConfig) runTrial(o *trialObs, rep int) modalityTrial {
 	seed := cfg.Seed + int64(rep)*52361 + int64(cfg.N)
-	t := newLabTrial(o, seed, 0, 0)
-	hosts := []*netem.Host{t.lab.ClientHost("c1")}
-	for i := 2; i <= cfg.N; i++ {
-		hosts = append(hosts, t.lab.RemoteHost(fmt.Sprintf("c%d", i), RemoteDelay))
-	}
-	sfu := t.lab.RemoteHost("sfu", SFUDelay)
-	t.call = vca.NewCall(t.eng, cfg.Profile, sfu, hosts, vca.CallOptions{Mode: cfg.Mode, Seed: seed})
+	t := labTrial(o, seed, cfg.Profile, cfg.N, 0, 0, vca.CallOptions{Mode: cfg.Mode, Seed: seed})
 	t.start()
 	t.finish(cfg.Dur)
 	return modalityTrial{

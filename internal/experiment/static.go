@@ -82,7 +82,7 @@ func (cfg *StaticConfig) runTrial(o *trialObs, capMbps float64, rep int) staticT
 	seed := cfg.Seed + int64(rep)*104729 + int64(capMbps*1000)
 	var bps [2]float64 // by Direction; the other side stays unconstrained
 	bps[cfg.Dir] = max(capMbps, 0) * 1e6
-	t := twoPartyTrial(o, seed, cfg.Profile, bps[Uplink], bps[Downlink], vca.CallOptions{Seed: seed})
+	t := labTrial(o, seed, cfg.Profile, 2, bps[Uplink], bps[Downlink], vca.CallOptions{Seed: seed})
 	c1 := t.call.C1()
 	rec := c1.RecordStats() // getStats on the instrumented client (§3.2)
 	t.start()

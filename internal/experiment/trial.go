@@ -31,23 +31,13 @@ type trial struct {
 	obs      *trialObs // nil = capture off
 }
 
-// newLabTrial builds an empty §2.2 testbed on a fresh engine; the caller
-// attaches hosts and sets the call.
-func newLabTrial(o *trialObs, seed int64, upBps, downBps float64) *trial {
+// labTrial is the §2.2 testbed trial: NewLabCall's n-party call on a
+// fresh engine. The options carry the trial seed plus any per-experiment
+// toggles (the viewing mode, loss recovery for the impairment sweep).
+func labTrial(o *trialObs, seed int64, prof *vca.Profile, n int, upBps, downBps float64, opt vca.CallOptions) *trial {
 	eng := sim.New(seed)
-	return &trial{seed: seed, eng: eng, engines: []*sim.Engine{eng}, lab: NewLab(eng, upBps, downBps), obs: o}
-}
-
-// twoPartyTrial is the standard §2.2 topology: C1 behind the bottleneck,
-// C2 and the SFU at the router. The options carry the trial seed plus any
-// per-experiment toggles (loss recovery for the impairment sweep).
-func twoPartyTrial(o *trialObs, seed int64, prof *vca.Profile, upBps, downBps float64, opt vca.CallOptions) *trial {
-	t := newLabTrial(o, seed, upBps, downBps)
-	c1 := t.lab.ClientHost("c1")
-	c2 := t.lab.RemoteHost("c2", RemoteDelay)
-	sfu := t.lab.RemoteHost("sfu", SFUDelay)
-	t.call = vca.NewCall(t.eng, prof, sfu, []*netem.Host{c1, c2}, opt)
-	return t
+	lab, call := NewLabCall(eng, prof, n, upBps, downBps, opt)
+	return &trial{seed: seed, eng: eng, engines: []*sim.Engine{eng}, lab: lab, call: call, obs: o}
 }
 
 // newMeshTrial builds the topology every cascade experiment runs on — n

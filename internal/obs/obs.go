@@ -327,7 +327,8 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 
 // WriteLinksJSONL writes, oldest-first, every retained decision event and
 // the packet events of the named links only, and reports how many lines
-// it wrote: the timeline vcapcap lines up with its pcap of those links.
+// it wrote: the timeline vcacall -trace lines up with its pcap of those
+// links.
 func (t *Tracer) WriteLinksJSONL(w io.Writer, links ...string) (int, error) {
 	return t.writeJSONL(w, func(e *Event) bool {
 		return e.Kind > EvDeliver || slices.Contains(links, e.Link)

@@ -26,10 +26,13 @@ const (
 )
 
 // Writer emits a pcap stream. Create with NewWriter; call WriteNetem (or
-// the lower-level WriteFrame) per packet.
+// the lower-level WriteFrame) per packet. The first error sticks: every
+// later write returns it and writes nothing, so a tap, which cannot
+// return an error, loses none — read it with Err once the run is over.
 type Writer struct {
-	w io.Writer
-	// Packets counts records written.
+	w   io.Writer
+	err error
+	// Packets counts the records written whole.
 	Packets int
 }
 
@@ -48,19 +51,27 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: w}, nil
 }
 
+// Err returns the first error any write hit, or nil.
+func (w *Writer) Err() error { return w.err }
+
 // WriteFrame writes one raw Ethernet frame with the given virtual
 // timestamp.
 func (w *Writer) WriteFrame(ts time.Duration, frame []byte) error {
+	if w.err != nil {
+		return w.err
+	}
 	rec := make([]byte, 16)
 	binary.LittleEndian.PutUint32(rec[0:], uint32(ts/time.Second))
 	binary.LittleEndian.PutUint32(rec[4:], uint32(ts%time.Second/time.Microsecond))
 	binary.LittleEndian.PutUint32(rec[8:], uint32(len(frame)))
 	binary.LittleEndian.PutUint32(rec[12:], uint32(len(frame)))
 	if _, err := w.w.Write(rec); err != nil {
-		return fmt.Errorf("pcap: writing record header: %w", err)
+		w.err = fmt.Errorf("pcap: writing record header: %w", err)
+		return w.err
 	}
 	if _, err := w.w.Write(frame); err != nil {
-		return fmt.Errorf("pcap: writing frame: %w", err)
+		w.err = fmt.Errorf("pcap: writing frame: %w", err)
+		return w.err
 	}
 	w.Packets++
 	return nil
@@ -69,8 +80,12 @@ func (w *Writer) WriteFrame(ts time.Duration, frame []byte) error {
 // WriteNetem serializes a netem packet as Ethernet/IPv4/UDP (with a real
 // RTP header when the payload is a vca media packet) and writes it.
 func (w *Writer) WriteNetem(ts time.Duration, pkt *netem.Packet) error {
+	if w.err != nil {
+		return w.err
+	}
 	frame, err := Frame(pkt)
 	if err != nil {
+		w.err = err
 		return err
 	}
 	return w.WriteFrame(ts, frame)
@@ -176,17 +191,13 @@ func ipChecksum(hdr []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// TapHost records every packet delivered to the host into w.
+// TapHost records every packet delivered to the host into w. A write
+// error stops the capture and waits in w.Err.
 func TapHost(w *Writer, h *netem.Host, now func() time.Duration) {
-	h.Tap(func(pkt *netem.Packet) {
-		// Errors cannot propagate from a tap; traces are best-effort.
-		_ = w.WriteNetem(now(), pkt)
-	})
+	h.Tap(func(pkt *netem.Packet) { w.WriteNetem(now(), pkt) })
 }
 
-// TapLink records every packet offered to a link into w.
+// TapLink records every packet offered to a link into w, as TapHost does.
 func TapLink(w *Writer, l *netem.Link, now func() time.Duration) {
-	l.OnSend(func(pkt *netem.Packet) {
-		_ = w.WriteNetem(now(), pkt)
-	})
+	l.OnSend(func(pkt *netem.Packet) { w.WriteNetem(now(), pkt) })
 }

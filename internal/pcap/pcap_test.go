@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -139,5 +140,47 @@ func TestTinyPacketClamped(t *testing.T) {
 	}
 	if len(frame) < 14+28 {
 		t.Errorf("frame below minimum: %d", len(frame))
+	}
+}
+
+// failAfter accepts the first left bytes, then fails every write; writes
+// counts the calls that reached it.
+type failAfter struct{ left, writes int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	f.writes++
+	if len(p) > f.left {
+		n := f.left
+		f.left = 0
+		return n, errors.New("disk full")
+	}
+	f.left -= len(p)
+	return len(p), nil
+}
+
+// TestWriteErrorSticks: a write that fails partway through the third
+// record leaves Packets at the two whole ones, Err set, and every later
+// write returning that error without reaching the underlying writer.
+func TestWriteErrorSticks(t *testing.T) {
+	pkt := &netem.Packet{Size: 100, From: netem.Addr{Host: "a", Port: 1}, To: netem.Addr{Host: "b", Port: 2}}
+	const rec = 16 + 14 + 100
+	for _, k := range []int{24 + 2*rec, 24 + 2*rec + 10, 24 + 2*rec + 20} { // at, inside the header, inside the frame
+		fw := &failAfter{left: k}
+		w, err := NewWriter(fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			err = w.WriteNetem(time.Duration(i)*time.Millisecond, pkt)
+			if (err != nil) != (i >= 2) {
+				t.Errorf("k=%d write %d: err %v, want one from the third write on", k, i, err)
+			}
+		}
+		if w.Packets != 2 || w.Err() == nil || w.Err() != err {
+			t.Errorf("k=%d: Packets %d, Err %v (last write %v); want 2 and the one sticky error", k, w.Packets, w.Err(), err)
+		}
+		if calls := fw.writes; calls > 1+2*2+2 {
+			t.Errorf("k=%d: %d writes reached the underlying writer, want none after the failing one", k, calls)
+		}
 	}
 }

@@ -13,12 +13,9 @@
 // # Quickstart
 //
 //	eng := vcalab.NewEngine(42)
-//	lab := vcalab.NewLab(eng, 1e6, 1e6) // 1 Mbps symmetric access link
-//	c1 := lab.ClientHost("c1")
-//	c2 := lab.RemoteHost("c2", vcalab.RemoteDelay)
-//	sfu := lab.RemoteHost("sfu", vcalab.SFUDelay)
-//	call := vcalab.NewCall(eng, vcalab.Zoom(), sfu,
-//	    []*vcalab.Host{c1, c2}, vcalab.CallOptions{Seed: 42})
+//	// C1 behind a 1 Mbps symmetric access link, C2 and the SFU beyond it.
+//	_, call := vcalab.NewLabCall(eng, vcalab.Zoom(), 2, 1e6, 1e6,
+//	    vcalab.CallOptions{Seed: 42})
 //	call.Start()
 //	eng.RunUntil(150 * time.Second)
 //	call.Stop()
@@ -341,6 +338,7 @@ var (
 // Topology and experiment constructors/runners.
 var (
 	NewLab         = experiment.NewLab
+	NewLabCall     = experiment.NewLabCall
 	RunStatic      = experiment.RunStatic
 	RunDisruption  = experiment.RunDisruption
 	RunCompetition = experiment.RunCompetition

@@ -474,6 +474,10 @@ var oneSite = []struct {
 		[]string{"internal/experiment/*.go", "internal/cascade/*.go", "internal/scenario/*.go"}, ".SetQueueBytes", false, 1},
 	{"a link pauses mid-call only as a timeline event, in scenario's applyShape (DESIGN.md §10)",
 		[]string{"internal/*/*.go", "cmd/*/*.go", "*.go"}, ".SetPaused", true, 1},
+	{"the CLIs build the §2.2 call through vcalab.NewLabCall (DESIGN.md §5)",
+		[]string{"cmd/*/*.go"}, "vcalab.NewLab", false, 0},
+	{"the CLIs build the §2.2 call through vcalab.NewLabCall (DESIGN.md §5)",
+		[]string{"cmd/*/*.go"}, "vcalab.NewCall", false, 0},
 }
 
 func TestOneSite(t *testing.T) {
