@@ -40,7 +40,7 @@ func TestTrialAllocBudgets(t *testing.T) {
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on", func() {
 			RunDynamic(DynamicConfig{Profile: vca.Zoom(), Scenario: scenario.ChurnStorm(8), Participants: 8, Regions: 2, InterMbps: 10,
 				Reps: 1, Dur: 80 * time.Second, Warmup: 10 * time.Second, Seed: 1, Recovery: true})
-		}, 3.744, 4.431}, // parent: 144-byte packets, per-track labels
+		}, 2.927, 3.617}, // parent: 24-byte RTX slots, FEC packet copies, 2048-slot TWCC rings
 		{"meet scale 48p/3r 20 Mbps", func() {
 			RunScale(ScaleConfig{Profile: vca.Meet(), Participants: []int{48}, Regions: 3, InterMbps: []float64{20},
 				Reps: 1, Dur: 30 * time.Second, Warmup: 10 * time.Second, Seed: 1})

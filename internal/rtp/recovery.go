@@ -12,72 +12,88 @@ import "time"
 // time and payloads.
 
 // RTXRing is a fixed-capacity retransmission buffer indexed by RTP
-// sequence number. A slot holds a payload, the seq it was filed under and
-// whether it is occupied — nothing else. Put stores a payload under its
-// seq and returns whatever older payload the slot evicts, so the caller
-// can drop the references it holds; Get answers a NACK if the seq is
-// still buffered. A slot is reused every capacity packets, so the ring
-// holds the most recent `capacity` consecutive seqs of one stream. T is
-// whatever the sender needs to rebuild the packet: the SFU stores a
-// pointer to the shared ingress packet plus the header fields its
-// down-track rewrote and the wire size. A drained ring is
-// indistinguishable from a new one, so a caller may keep it for reuse.
-type RTXRing[T any] struct {
-	slots []rtxSlot[T]
+// sequence number. A slot is the entry itself: T knows the seq it was
+// filed under and whether it holds anything (RTXEntry), so the ring adds
+// no field of its own. Put files an entry under its seq and returns
+// whatever older entry the slot evicts, so the caller can drop the
+// references it holds; Get answers a NACK if the seq is still buffered. A
+// slot is reused every capacity packets, so the ring holds the most recent
+// `capacity` consecutive seqs of one stream. T is whatever the sender
+// needs to rebuild the packet: the SFU stores a pointer to the shared
+// ingress packet plus the header fields its down-track rewrote and the
+// wire size. A drained ring is indistinguishable from a new one, so a
+// caller may keep it for reuse.
+type RTXRing[T RTXEntry] struct {
+	slots []T
 }
 
-type rtxSlot[T any] struct {
-	payload T
-	seq     uint16
-	valid   bool
+// RTXEntry is what an RTXRing slot holds. RTXSeq returns the seq the entry
+// was filed under and whether it holds anything; the zero T must hold
+// nothing.
+type RTXEntry interface {
+	RTXSeq() (seq uint16, held bool)
 }
 
-// NewRTXRing returns a ring holding up to capacity packets.
-func NewRTXRing[T any](capacity int) *RTXRing[T] {
-	if capacity <= 0 {
-		capacity = 1
+// ringSize rounds a ring capacity up to a power of two (at least 1), so a
+// seq's slot stays the same across the uint16 wrap: 65536 is a multiple of
+// every power of two up to it, and of nothing else.
+func ringSize(capacity int) int {
+	n := 1
+	for n < capacity {
+		n <<= 1
 	}
-	return &RTXRing[T]{slots: make([]rtxSlot[T], capacity)}
+	return n
 }
 
-// Put stores payload under seq and returns the payload the slot held
-// before (ok false if it was free). Storing the same seq twice evicts the
-// older payload.
-func (b *RTXRing[T]) Put(seq uint16, payload T) (evicted T, ok bool) {
-	s := &b.slots[int(seq)%len(b.slots)]
-	evicted, ok = s.payload, s.valid
-	*s = rtxSlot[T]{payload: payload, seq: seq, valid: true}
+// NewRTXRing returns a ring holding up to capacity packets, capacity
+// rounded up to a power of two.
+func NewRTXRing[T RTXEntry](capacity int) *RTXRing[T] {
+	return &RTXRing[T]{slots: make([]T, ringSize(capacity))}
+}
+
+func (b *RTXRing[T]) slot(seq uint16) *T { return &b.slots[int(seq)&(len(b.slots)-1)] }
+
+// Put files e under its seq and returns the entry the slot held before
+// (ok false if it was free). Filing the same seq twice evicts the older
+// entry.
+func (b *RTXRing[T]) Put(e T) (evicted T, ok bool) {
+	seq, _ := e.RTXSeq()
+	s := b.slot(seq)
+	evicted = *s
+	_, ok = evicted.RTXSeq()
+	*s = e
 	return evicted, ok
 }
 
-// Get returns the buffered payload for seq, if it has not been evicted.
-func (b *RTXRing[T]) Get(seq uint16) (payload T, ok bool) {
-	s := &b.slots[int(seq)%len(b.slots)]
-	if !s.valid || s.seq != seq {
-		return payload, false
+// Get returns the buffered entry for seq, if it has not been evicted.
+func (b *RTXRing[T]) Get(seq uint16) (e T, ok bool) {
+	s := b.slot(seq)
+	if got, held := (*s).RTXSeq(); !held || got != seq {
+		return e, false
 	}
-	return s.payload, true
+	return *s, true
 }
 
 // Len reports the number of buffered packets.
 func (b *RTXRing[T]) Len() int {
 	n := 0
-	for i := range b.slots {
-		if b.slots[i].valid {
+	for _, e := range b.slots {
+		if _, held := e.RTXSeq(); held {
 			n++
 		}
 	}
 	return n
 }
 
-// Drain hands every buffered payload to release and zeroes its slot,
+// Drain hands every buffered entry to release and zeroes its slot,
 // leaving the ring as NewRTXRing made it. Call at teardown so whatever
 // the entries reference is let go.
-func (b *RTXRing[T]) Drain(release func(payload T)) {
+func (b *RTXRing[T]) Drain(release func(e T)) {
+	var zero T
 	for i := range b.slots {
-		if b.slots[i].valid {
-			release(b.slots[i].payload)
-			b.slots[i] = rtxSlot[T]{}
+		if _, held := b.slots[i].RTXSeq(); held {
+			release(b.slots[i])
+			b.slots[i] = zero
 		}
 	}
 }
@@ -90,10 +106,15 @@ type RTXBuffer RTXRing[bufEntry]
 type bufEntry struct {
 	payload any
 	atUs    int64
-	size    int
+	size    int32
+	seq     uint16
+	held    bool
 }
 
-// NewRTXBuffer returns an untyped ring holding up to capacity packets.
+func (e bufEntry) RTXSeq() (uint16, bool) { return e.seq, e.held }
+
+// NewRTXBuffer returns an untyped ring holding up to capacity packets,
+// capacity rounded up to a power of two.
 func NewRTXBuffer(capacity int) *RTXBuffer {
 	return (*RTXBuffer)(NewRTXRing[bufEntry](capacity))
 }
@@ -103,7 +124,7 @@ func (b *RTXBuffer) ring() *RTXRing[bufEntry] { return (*RTXRing[bufEntry])(b) }
 // Put stores payload under seq with its wire size and send time, and
 // returns the payload the slot held before (ok false if it was free).
 func (b *RTXBuffer) Put(seq uint16, payload any, size int, atUs int64) (evicted any, ok bool) {
-	ev, ok := b.ring().Put(seq, bufEntry{payload: payload, atUs: atUs, size: size})
+	ev, ok := b.ring().Put(bufEntry{payload: payload, atUs: atUs, size: int32(size), seq: seq, held: true})
 	return ev.payload, ok
 }
 
@@ -111,7 +132,7 @@ func (b *RTXBuffer) Put(seq uint16, payload any, size int, atUs int64) (evicted 
 // if it has not been evicted.
 func (b *RTXBuffer) Get(seq uint16) (payload any, size int, atUs int64, ok bool) {
 	e, ok := b.ring().Get(seq)
-	return e.payload, e.size, e.atUs, ok
+	return e.payload, int(e.size), e.atUs, ok
 }
 
 // Len reports the number of buffered packets.

@@ -49,49 +49,90 @@ func TestRTXBufferDrain(t *testing.T) {
 	}
 }
 
+// typedEntry is a struct entry the way the SFU files one: it carries the
+// seq it is filed under, and a nil ref is a free slot.
+type typedEntry struct {
+	ref       *int
+	frameSeq  int32
+	seq       uint16
+	sizeFlags uint16
+}
+
+func (e typedEntry) RTXSeq() (uint16, bool) { return e.seq, e.ref != nil }
+
 // TestRTXRingTypedEntries runs the ring at a struct instantiation, the way
 // the SFU uses it: entries come back by value, a free slot evicts nothing,
 // and a miss returns the zero entry.
 func TestRTXRingTypedEntries(t *testing.T) {
-	type entry struct {
-		ref      *int
-		frameSeq int32
-		key      bool
-	}
 	shared := 7
-	b := NewRTXRing[entry](2)
-	if ev, ok := b.Put(10, entry{&shared, 1, true}); ok || ev != (entry{}) {
+	b := NewRTXRing[typedEntry](2)
+	if ev, ok := b.Put(typedEntry{&shared, 1, 10, 0}); ok || ev != (typedEntry{}) {
 		t.Fatalf("Put into a free slot evicted %+v, %v", ev, ok)
 	}
-	b.Put(11, entry{&shared, 2, false})
-	if ev, ok := b.Put(12, entry{&shared, 3, false}); !ok || ev.frameSeq != 1 || ev.ref != &shared {
+	b.Put(typedEntry{&shared, 2, 11, 0})
+	if ev, ok := b.Put(typedEntry{&shared, 3, 12, 0}); !ok || ev.frameSeq != 1 || ev.ref != &shared {
 		t.Fatalf("Put(12) evicted %+v, %v; want seq 10's entry", ev, ok)
 	}
 	if e, ok := b.Get(11); !ok || e.frameSeq != 2 {
 		t.Fatalf("Get(11) = %+v,%v", e, ok)
 	}
-	if e, ok := b.Get(10); ok || e != (entry{}) {
+	if e, ok := b.Get(10); ok || e != (typedEntry{}) {
 		t.Fatalf("Get(10) after eviction = %+v, %v", e, ok)
 	}
 	n := 0
-	b.Drain(func(e entry) { n += int(e.frameSeq) })
+	b.Drain(func(e typedEntry) { n += int(e.frameSeq) })
 	if n != 5 || b.Len() != 0 {
 		t.Fatalf("Drain visited frameSeq sum %d, Len %d; want 5, 0", n, b.Len())
 	}
 }
 
-// TestRTXSlotLayout pins the slot the SFU's ring pays per packet: a
-// 16-byte entry (pointer, int32, uint16, uint8) plus seq and valid pack
-// into 24 bytes.
+// TestRTXSlotLayout pins the slot the SFU's ring pays per packet: the slot
+// is the entry, so a 16-byte entry (pointer, int32, two uint16) costs 16
+// bytes a slot and nothing besides.
 func TestRTXSlotLayout(t *testing.T) {
-	type entry struct {
-		ref   *int
-		frame int32
-		size  uint16
-		flags uint8
+	b := NewRTXRing[typedEntry](512)
+	if got := unsafe.Sizeof(b.slots[0]); got != 16 {
+		t.Errorf("a ring slot at a 16-byte entry is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(rtxSlot[entry]{}); got != 24 {
-		t.Errorf("rtxSlot at a 16-byte entry is %d bytes, want 24", got)
+}
+
+// The three seq-indexed rings hold their capacity across the uint16 wrap:
+// a capacity that does not divide 65536 is rounded up to a power of two,
+// so the seqs either side of the wrap never share a slot.
+
+func TestRTXBufferAcrossWrap(t *testing.T) {
+	b := NewRTXBuffer(1000)
+	for i := 0; i < 1000; i++ {
+		b.Put(65000+uint16(i), i, 100, 0)
+	}
+	if p, _, _, ok := b.Get(65000); !ok || p.(int) != 0 {
+		t.Fatalf("seq 65000 evicted by the 999 seqs after it across the wrap: %v, %v", p, ok)
+	}
+}
+
+func TestTWCCRecorderAcrossWrap(t *testing.T) {
+	r := NewTWCCRecorder(1000)
+	for i := 0; i < 537; i++ {
+		r.Record(65000+uint16(i), int64(i))
+	}
+	rep, ok := r.BuildReport()
+	if !ok || rep.BaseSeq != 65000 || len(rep.DeltaUs) != 537 {
+		t.Fatalf("report = base %d, %d deltas, ok %v; want base 65000, 537 deltas", rep.BaseSeq, len(rep.DeltaUs), ok)
+	}
+	for i, d := range rep.DeltaUs {
+		if d != int32(i) {
+			t.Fatalf("seq %d reported %d, want %d", 65000+uint16(i), d, i)
+		}
+	}
+}
+
+func TestSentHistoryAcrossWrap(t *testing.T) {
+	h := NewSentHistory(1000)
+	for i := 0; i < 1000; i++ {
+		h.Record(65000+uint16(i), int64(i), 1200)
+	}
+	if at, _, ok := h.Lookup(65000); !ok || at != 0 {
+		t.Fatalf("seq 65000 evicted by the 999 seqs after it across the wrap: %d, %v", at, ok)
 	}
 }
 

@@ -27,15 +27,24 @@ type TransportCC struct {
 
 // TWCCRecorder is the receiver half: it records arrival times by
 // transport-wide seq and periodically flushes them into TransportCC
-// reports. Fixed capacity; a gap wider than the ring re-bases the
-// recorder (the skipped range is reported lost). A receiver with nobody to
-// report to holds a nil *TWCCRecorder, on which Record and Reset do nothing.
+// reports. Its capacity is logical: a gap wider than it re-bases the
+// recorder (the skipped range is reported lost). The ring itself starts
+// at twccMinSlots and doubles, up to the capacity, only when the
+// unreported window [next, highest] outgrows it: every held arrival lies
+// in that window, so a report never depends on how far the ring has
+// grown, and a receiver reporting every 100 ms never pays for the
+// capacity it does not use. A receiver with nobody to report to holds a
+// nil *TWCCRecorder, on which Record and Reset do nothing.
 type TWCCRecorder struct {
-	started bool
-	next    uint16 // first seq not yet reported
-	highest uint16
-	slots   []twccSlot
+	started  bool
+	next     uint16 // first seq not yet reported
+	highest  uint16
+	capacity int // logical, a power of two: the widest window before a re-base
+	slots    []twccSlot
 }
+
+// twccMinSlots is the ring a TWCCRecorder starts with.
+const twccMinSlots = 16
 
 type twccSlot struct {
 	seq   uint16
@@ -44,13 +53,13 @@ type twccSlot struct {
 }
 
 // NewTWCCRecorder returns a recorder buffering up to capacity arrivals
-// between reports.
+// between reports, capacity rounded up to a power of two.
 func NewTWCCRecorder(capacity int) *TWCCRecorder {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &TWCCRecorder{slots: make([]twccSlot, capacity)}
+	capacity = ringSize(capacity)
+	return &TWCCRecorder{capacity: capacity, slots: make([]twccSlot, min(capacity, twccMinSlots))}
 }
+
+func (r *TWCCRecorder) slot(seq uint16) *twccSlot { return &r.slots[int(seq)&(len(r.slots)-1)] }
 
 // Record notes that seq arrived at atUs microseconds. Seqs at or before
 // the last report are dropped (they were already reported lost).
@@ -62,24 +71,42 @@ func (r *TWCCRecorder) Record(seq uint16, atUs int64) {
 		r.started = true
 		r.next = seq
 		r.highest = seq
-		r.slots[int(seq)%len(r.slots)] = twccSlot{seq: seq, valid: true, atUs: atUs}
+		*r.slot(seq) = twccSlot{seq: seq, valid: true, atUs: atUs}
 		return
 	}
-	if SeqDiff(r.next, seq) < 0 {
+	ahead := SeqDiff(r.next, seq)
+	if ahead < 0 {
 		return // before the report window: already flushed
 	}
-	if d := SeqDiff(r.highest, seq); d > 0 {
-		if SeqDiff(r.next, seq) >= len(r.slots) {
+	if SeqDiff(r.highest, seq) > 0 {
+		if ahead >= r.capacity {
 			// Catastrophic gap: everything unreported is lost; re-base
 			// so the window [next, highest] stays within capacity.
-			for i := range r.slots {
-				r.slots[i] = twccSlot{}
-			}
-			r.next = seq
+			clear(r.slots)
+			r.next, ahead = seq, 0
 		}
 		r.highest = seq
+		if ahead >= len(r.slots) {
+			r.grow(ahead + 1)
+		}
 	}
-	r.slots[int(seq)%len(r.slots)] = twccSlot{seq: seq, valid: true, atUs: atUs}
+	*r.slot(seq) = twccSlot{seq: seq, valid: true, atUs: atUs}
+}
+
+// grow doubles the ring until it spans a window of span seqs, re-filing
+// the held arrivals.
+func (r *TWCCRecorder) grow(span int) {
+	n := len(r.slots)
+	for n < span {
+		n <<= 1
+	}
+	old := r.slots
+	r.slots = make([]twccSlot, n)
+	for _, s := range old {
+		if s.valid {
+			*r.slot(s.seq) = s
+		}
+	}
 }
 
 // Reset returns the recorder to its just-constructed state, keeping the
@@ -88,9 +115,7 @@ func (r *TWCCRecorder) Reset() {
 	if r == nil {
 		return
 	}
-	for i := range r.slots {
-		r.slots[i] = twccSlot{}
-	}
+	clear(r.slots)
 	r.started, r.next, r.highest = false, 0, 0
 }
 
@@ -113,7 +138,7 @@ func (r *TWCCRecorder) AppendReport(deltas []int32) (TransportCC, bool) {
 	ref := int64(-1)
 	for i := 0; i < span; i++ {
 		seq := r.next + uint16(i)
-		s := &r.slots[int(seq)%len(r.slots)]
+		s := r.slot(seq)
 		if s.valid && s.seq == seq && (ref < 0 || s.atUs < ref) {
 			ref = s.atUs
 		}
@@ -124,7 +149,7 @@ func (r *TWCCRecorder) AppendReport(deltas []int32) (TransportCC, bool) {
 	base := len(deltas)
 	for i := 0; i < span; i++ {
 		seq := r.next + uint16(i)
-		s := &r.slots[int(seq)%len(r.slots)]
+		s := r.slot(seq)
 		if s.valid && s.seq == seq {
 			deltas = append(deltas, int32(s.atUs-ref))
 			*s = twccSlot{}
@@ -150,22 +175,22 @@ type sentSlot struct {
 	atUs  int64
 }
 
-// NewSentHistory returns a history holding the last capacity sends.
+// NewSentHistory returns a history holding the last capacity sends,
+// capacity rounded up to a power of two.
 func NewSentHistory(capacity int) *SentHistory {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &SentHistory{slots: make([]sentSlot, capacity)}
+	return &SentHistory{slots: make([]sentSlot, ringSize(capacity))}
 }
+
+func (h *SentHistory) slot(seq uint16) *sentSlot { return &h.slots[int(seq)&(len(h.slots)-1)] }
 
 // Record notes that seq was sent at atUs with the given wire size.
 func (h *SentHistory) Record(seq uint16, atUs int64, size int) {
-	h.slots[int(seq)%len(h.slots)] = sentSlot{seq: seq, valid: true, size: int32(size), atUs: atUs}
+	*h.slot(seq) = sentSlot{seq: seq, valid: true, size: int32(size), atUs: atUs}
 }
 
 // Lookup returns the send time and size for seq if still in the ring.
 func (h *SentHistory) Lookup(seq uint16) (atUs int64, size int, ok bool) {
-	s := &h.slots[int(seq)%len(h.slots)]
+	s := h.slot(seq)
 	if !s.valid || s.seq != seq {
 		return 0, 0, false
 	}

@@ -385,32 +385,42 @@ type rtxOrigin struct {
 	rtxCount
 }
 
-// rtxEntry is one ring slot's payload: the packet this down-track shares
-// with every other ring its ingress packet fanned out to, plus the wire
-// size and the header fields this down-track rewrote on the copy it sent.
-// The ring keys the slot by the rewritten Seq. The slot is one of pkt's
-// holders (MediaPacket.retain) until it is evicted or drained.
+// rtxEntry is one ring slot: the packet this down-track shares with every
+// other ring its ingress packet fanned out to, the rewritten seq the slot
+// is filed under, and the wire size and header fields this down-track
+// rewrote on the copy it sent. The slot is one of pkt's holders
+// (MediaPacket.retain) until it is evicted or drained. An FEC slot holds
+// no packet (see storeOwn).
 type rtxEntry struct {
 	pkt *MediaPacket
-	// frameSeq is MediaPacket.FrameSeq's width, which keeps the entry at
-	// 16 bytes (a 24-byte ring slot); at 30 fps it wraps after two years
-	// of simulated call.
-	frameSeq int32
-	size     uint16
-	flags    uint8 // rtxKeyframe | rtxFrameEnd | rtxE2E
+	// frameSeq is MediaPacket.FrameSeq's width, which keeps the entry, and
+	// so the ring slot, at 16 bytes; at 30 fps it wraps after two years of
+	// simulated call.
+	frameSeq  int32
+	seq       uint16
+	sizeFlags uint16 // the wire size (rtxSizeMask), then rtxKeyframe | rtxFrameEnd | rtxE2E | rtxFEC
 }
 
-// The largest packet a down-track sends must fit rtxEntry.size.
-const _ uint16 = maxPayload + wireOverhead
-
+// rtxEntry.sizeFlags: the wire size in the low 12 bits, the flags above.
 const (
-	rtxKeyframe uint8 = 1 << iota
-	rtxFrameEnd
-	rtxE2E
+	rtxSizeMask uint16 = 1<<12 - 1
+	rtxKeyframe uint16 = 1 << 12
+	rtxFrameEnd uint16 = 1 << 13
+	rtxE2E      uint16 = 1 << 14
+	rtxFEC      uint16 = 1 << 15
 )
 
+// The largest packet a down-track sends must fit rtxEntry's size bits.
+const _ uint16 = rtxSizeMask - (maxPayload + wireOverhead)
+
+// RTXSeq is the ring's key: the seq the entry is filed under, and whether
+// the slot is taken (a media slot holds its packet, an FEC slot its flag).
+func (e rtxEntry) RTXSeq() (uint16, bool) { return e.seq, e.pkt != nil || e.sizeFlags&rtxFEC != 0 }
+
+func (e rtxEntry) size() int { return int(e.sizeFlags & rtxSizeMask) }
+
 // flag returns bit if on, else 0.
-func flag(on bool, bit uint8) uint8 {
+func flag(on bool, bit uint16) uint16 {
 	if on {
 		return bit
 	}
@@ -418,11 +428,19 @@ func flag(on bool, bit uint8) uint8 {
 }
 
 // rebuild returns a fresh pooled copy of the packet exactly as this
-// down-track first sent it under seq.
-func (e rtxEntry) rebuild(p *mpPool, seq uint16) *MediaPacket {
-	out := p.copyOf(e.pkt)
-	out.Seq, out.FrameSeq = seq, e.frameSeq
-	out.Keyframe, out.FrameEnd, out.E2E = e.flags&rtxKeyframe != 0, e.flags&rtxFrameEnd != 0, e.flags&rtxE2E != 0
+// down-track first sent it, origin's packet under e.seq: the shared packet
+// with the slot's fields written over it, or for an FEC slot a new FEC
+// packet, whose every field emit set from its origin and seq.
+func (e rtxEntry) rebuild(p *mpPool, origin int32) *MediaPacket {
+	var out *MediaPacket
+	if e.sizeFlags&rtxFEC != 0 {
+		out = p.get()
+		out.OriginID, out.RK, out.Padding = origin, rkFEC, true
+	} else {
+		out = p.copyOf(e.pkt)
+	}
+	out.Seq, out.FrameSeq = e.seq, e.frameSeq
+	out.Keyframe, out.FrameEnd, out.E2E = e.sizeFlags&rtxKeyframe != 0, e.sizeFlags&rtxFrameEnd != 0, e.sizeFlags&rtxE2E != 0
 	return out
 }
 
@@ -436,14 +454,31 @@ func newRetransmitter(idCap int, twcc bool, spare *[]*rtp.RTXRing[rtxEntry]) *re
 
 // store files an outgoing packet in its origin's ring so a NACK for its
 // seq can be answered: the slot retains shared — the ingress packet out
-// was copied from — and records what out rewrote. The slot this one evicts
-// lets go of its packet. An origin's first packet takes a spare ring if
-// the server has one.
+// was copied from — and records what out rewrote.
 func (r *retransmitter) store(shared, out *MediaPacket, size int) {
-	if r == nil {
-		return
+	if r != nil {
+		r.put(out.OriginID, rtxEntry{
+			pkt:       shared.retain(),
+			frameSeq:  out.FrameSeq,
+			seq:       out.Seq,
+			sizeFlags: uint16(size) | flag(out.Keyframe, rtxKeyframe) | flag(out.FrameEnd, rtxFrameEnd) | flag(out.E2E, rtxE2E),
+		})
 	}
-	o := &r.byOrigin[out.OriginID]
+}
+
+// storeOwn files a server-generated FEC packet. No ingress packet stands
+// behind it, and its origin, seq and size are all there is to it, so the
+// slot holds no packet: rebuild makes a new one from those.
+func (r *retransmitter) storeOwn(fec *MediaPacket, size int) {
+	if r != nil {
+		r.put(fec.OriginID, rtxEntry{seq: fec.Seq, sizeFlags: uint16(size) | rtxFEC})
+	}
+}
+
+// put files e in origin's ring; the slot it evicts lets go of its packet.
+// An origin's first packet takes a spare ring if the server has one.
+func (r *retransmitter) put(origin int32, e rtxEntry) {
+	o := &r.byOrigin[origin]
 	if o.ring == nil {
 		if n := len(*r.spare); n > 0 {
 			o.ring, *r.spare = (*r.spare)[n-1], (*r.spare)[:n-1]
@@ -451,25 +486,12 @@ func (r *retransmitter) store(shared, out *MediaPacket, size int) {
 			o.ring = rtp.NewRTXRing[rtxEntry](r.ringPkts)
 		}
 	}
-	ev, ok := o.ring.Put(out.Seq, rtxEntry{
-		pkt:      shared.retain(),
-		frameSeq: out.FrameSeq,
-		size:     uint16(size),
-		flags:    flag(out.Keyframe, rtxKeyframe) | flag(out.FrameEnd, rtxFrameEnd) | flag(out.E2E, rtxE2E),
-	})
-	if ok {
-		unref(ev.pkt) // one reference in, one out: refsLive stands
-	} else {
-		r.refsLive++
+	if ev, _ := o.ring.Put(e); ev.pkt != nil {
+		unref(ev.pkt)
+		r.refsLive--
 	}
-}
-
-// storeOwn files a server-generated packet (FEC): no ingress packet stands
-// behind it and out itself is consumed by the wire, so the slot holds a
-// copy of its own.
-func (r *retransmitter) storeOwn(p *mpPool, out *MediaPacket, size int) {
-	if r != nil {
-		r.store(p.copyOf(out), out, size)
+	if e.pkt != nil {
+		r.refsLive++
 	}
 }
 
@@ -499,8 +521,10 @@ func (r *retransmitter) drop(origin int32) {
 		return
 	}
 	o.ring.Drain(func(e rtxEntry) {
-		unref(e.pkt)
-		r.refsLive--
+		if e.pkt != nil {
+			unref(e.pkt)
+			r.refsLive--
+		}
 	})
 	*r.spare = append(*r.spare, o.ring)
 	o.ring = nil
@@ -548,9 +572,9 @@ func (l *downTrack) answer(now time.Duration, m *NackMsg) (answered int) {
 			}
 			requested++
 			if e, ok := o.ring.Get(seq); ok {
-				out := e.rebuild(l.pool, seq)
+				out := e.rebuild(l.pool, m.Origin)
 				out.RTX = true
-				l.send(now, out, int(e.size))
+				l.send(now, out, e.size())
 				answered++
 			}
 		}

@@ -175,10 +175,10 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 		t.Error("seq 0 still answerable after eviction")
 	}
 	e, ok := ring.Get(3)
-	if !ok || e.size != 140 {
-		t.Fatalf("seq 3 not held: ok %v size %d", ok, e.size)
+	if !ok || e.size() != 140 {
+		t.Fatalf("seq 3 not held: ok %v size %d", ok, e.size())
 	}
-	out := e.rebuild(pool, 3)
+	out := e.rebuild(pool, call.Clients[0].id)
 	if out.Seq != 3 || !out.Audio || out.refs != 0 || out == e.pkt {
 		t.Errorf("rebuilt %+v", out)
 	}
@@ -197,13 +197,14 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 // sequence numbers, the rate key, the SVC layer and eight flags. It
 // carries no origin name: an ID never changes owner, so the registry
 // names the origin. Three more bytes move it to the 96-byte class, and
-// every pool fill, recovery on or off, pays for it.
+// every pool fill, recovery on or off, pays for it. An rtxEntry is 16
+// bytes, and it is the whole RTX ring slot: 8 KB a 512-slot ring.
 func TestMediaPacketSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(MediaPacket{}); got > 80 {
 		t.Errorf("MediaPacket is %d bytes, want <= 80", got)
 	}
-	if got := unsafe.Sizeof(rtxEntry{}); got > 16 {
-		t.Errorf("rtxEntry is %d bytes, want <= 16 (a 24-byte ring slot)", got)
+	if got := unsafe.Sizeof(rtxEntry{}); got != 16 {
+		t.Errorf("rtxEntry is %d bytes, want 16 (the ring slot is the entry)", got)
 	}
 }
 

@@ -82,7 +82,7 @@ func (l *downTrack) emit(now time.Duration, f *forwarder, mp *MediaPacket, size 
 		fec.OriginID = mp.OriginID
 		fec.RK = rkFEC
 		fec.Seq, fec.Padding = l.nextSeq(f), true
-		l.rtx.storeOwn(l.pool, fec, n+wireOverhead)
+		l.rtx.storeOwn(fec, n+wireOverhead)
 		l.send(now, fec, n+wireOverhead)
 	}
 }
