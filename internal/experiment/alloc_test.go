@@ -20,7 +20,10 @@ import (
 // repeat to under 1%). Per-second samples on the unread client put either
 // paper cell over; a boxed tcp payload per packet costs the second eight
 // times over; a fresh ring per rejoin puts the third over; keeping every
-// latency sample, or growing the tables by a quarter, puts the fourth over.
+// latency sample puts the fourth over. Growing the meters' bins one append
+// at a time, not a page at a time, puts the second over; growing the latency
+// run tables by doubling and reading them through a merged copy puts the
+// third and fourth over.
 func TestTrialAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -33,18 +36,18 @@ func TestTrialAllocBudgets(t *testing.T) {
 	}{
 		{"static meet uplink 1 Mbps 80 s", func() {
 			RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{1}, Reps: 1, Dur: 80 * time.Second, Seed: 1})
-		}, 0.123, 0.155}, // parent: every client sampled
+		}, 0.105, 0.108}, // parent: meter bins grown by append
 		{"zoom vs iperf3 2 Mbps", func() {
 			RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1})
-		}, 0.257, 2.097}, // parent: tcp payloads boxed
+		}, 0.203, 0.245}, // parent: meter bins grown by append
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on", func() {
 			RunDynamic(DynamicConfig{Profile: vca.Zoom(), Scenario: scenario.ChurnStorm(8), Participants: 8, Regions: 2, InterMbps: 10,
 				Reps: 1, Dur: 80 * time.Second, Warmup: 10 * time.Second, Seed: 1, Recovery: true})
-		}, 2.927, 3.617}, // parent: 24-byte RTX slots, FEC packet copies, 2048-slot TWCC rings
+		}, 2.608, 2.929}, // parent: run tables and meter bins grown by doubling
 		{"meet scale 48p/3r 20 Mbps", func() {
 			RunScale(ScaleConfig{Profile: vca.Meet(), Participants: []int{48}, Regions: 3, InterMbps: []float64{20},
 				Reps: 1, Dur: 30 * time.Second, Warmup: 10 * time.Second, Seed: 1})
-		}, 3.820, 8.559}, // parent: 4 B a sample
+		}, 3.351, 3.819}, // parent: run tables grown by doubling, read through a merged copy
 	}
 	for _, c := range cells {
 		var before, after runtime.MemStats

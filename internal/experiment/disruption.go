@@ -135,6 +135,7 @@ func meanSeries[T any](trials []T, field func(T) stats.Series) stats.Series {
 		ss[i] = field(t)
 		n = min(n, ss[i].Len())
 	}
+	out = stats.Series{Times: make([]time.Duration, 0, n), Values: make([]float64, 0, n)}
 	for i := 0; i < n; i++ {
 		sum := 0.0
 		for _, s := range ss {

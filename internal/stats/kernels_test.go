@@ -168,10 +168,14 @@ func checkRunsExact(t *testing.T, name string, stage int, ps []float64, logs ...
 		}
 	}
 	for ti, tb := range ts {
-		for i, c := range tb.counts {
-			if c == 0 || i > 0 && tb.vals[i-1] >= tb.vals[i] {
-				t.Fatalf("%s: table %d entry %d = (%d ns × %d) after (%d ns)", name, ti, i, tb.vals[i], c, tb.vals[max(i-1, 0)])
+		for i := range tb.runs.n {
+			r, prev := tb.runs.at(i), tb.runs.at(max(i-1, 0))
+			if r.count == 0 || i > 0 && prev.v >= r.v {
+				t.Fatalf("%s: table %d entry %d = (%d ns × %d) after (%d ns)", name, ti, i, r.v, r.count, prev.v)
 			}
+		}
+		if pages, need := len(tb.runs.pages), (tb.runs.n+pageLen-1)/pageLen; pages != need {
+			t.Fatalf("%s: table %d holds %d runs in %d pages, want %d", name, ti, tb.runs.n, pages, need)
 		}
 	}
 }
@@ -215,6 +219,20 @@ func TestRunPercentilesMsMatchesConvertedCopy(t *testing.T) {
 		[]time.Duration{-1, 300, over + 2, 100, -40, 500, over}, []time.Duration{200, 5 * time.Second, -2, 400, 0, math.MaxUint32, -1, 600, over + 2})
 	checkRunsExact(t, "only wide", 3, ps, []time.Duration{over, -1, over + 7, -9})
 
+	// One below, at and one above each of the first two page boundaries,
+	// each value twice, in an order that lands new values in every page:
+	// merges insert in front of entries already paged, moving them across
+	// a boundary, and the last merge opens the page the count calls for.
+	for _, distinct := range []int{pageLen - 1, pageLen, pageLen + 1, 2*pageLen - 1, 2 * pageLen, 2*pageLen + 1} {
+		var log []time.Duration
+		for _, i := range rand.New(rand.NewSource(int64(distinct))).Perm(2 * distinct) {
+			log = append(log, time.Duration(i%distinct)*time.Microsecond)
+		}
+		for _, stage := range []int{7, runStage} {
+			checkRunsExact(t, fmt.Sprintf("%d distinct, stage %d", distinct, stage), stage, ps, log, log[:distinct/2])
+		}
+	}
+
 	// The sizes a 48-party trial has: several logs of many full staging
 	// buffers and a partial one, sub-microsecond to multi-second values with
 	// duplicates, a few samples on either side of the 32-bit range.
@@ -243,6 +261,23 @@ func TestRunPercentilesMsMatchesConvertedCopy(t *testing.T) {
 // testdata/fuzz runs as a plain test.
 func FuzzRunPercentilesMs(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 7}, uint8(4), 50.0)
+	// Two pages and more of distinct values: descending, so each merge
+	// puts its values in front of every paged entry; then two logs whose
+	// values interleave, the second ending in a wide sample on each side.
+	var desc, interleaved []byte
+	for i := 2*pageLen + 9; i > 0; i-- {
+		desc = binary.BigEndian.AppendUint32(append(desc, 2), uint32(i)*1000)
+	}
+	for i := range 3 * pageLen {
+		tag := byte(2)
+		if i == pageLen {
+			tag = 0x12 // a new log starts
+		}
+		interleaved = binary.BigEndian.AppendUint32(append(interleaved, tag), uint32(i%pageLen*2+i/pageLen))
+	}
+	interleaved = append(interleaved, 0, 0, 0, 0, 9, 1, 0, 0, 0, 9)
+	f.Add(desc, uint8(10), 99.0)
+	f.Add(interleaved, uint8(30), 37.5)
 	f.Fuzz(func(t *testing.T, data []byte, stage uint8, p float64) {
 		logs := [][]time.Duration{nil}
 		for ; len(data) >= 5; data = data[5:] {
@@ -261,6 +296,108 @@ func FuzzRunPercentilesMs(f *testing.F) {
 		checkRunsExact(t, "fuzz", 1+int(stage), []float64{p, 50, 95, 99}, logs...)
 	})
 }
+
+// flatMeter is the meter on one flat slice grown a bin at a time, the
+// layout before pages, kept as FuzzMeter's reference.
+type flatMeter struct {
+	bin  time.Duration
+	bins []float64
+}
+
+func (f *flatMeter) add(t time.Duration, n int) {
+	for len(f.bins) <= int(t/f.bin) {
+		f.bins = append(f.bins, 0)
+	}
+	f.bins[int(t/f.bin)] += float64(n)
+}
+
+func (f *flatMeter) meanRateMbps(from, to time.Duration) float64 {
+	if to <= from {
+		return 0
+	}
+	floor := func(t time.Duration) int { return int((t - (f.bin+t%f.bin)%f.bin) / f.bin) }
+	lo := floor(from)
+	hi := max(floor(to), lo+1)
+	var bytes float64
+	for i := max(lo, 0); i < hi && i < len(f.bins); i++ {
+		bytes += f.bins[i]
+	}
+	return bytes * 8 / (time.Duration(hi-lo) * f.bin).Seconds() / 1e6
+}
+
+// FuzzMeter decodes an arbitrary byte string into a program of AddBytes
+// calls — three bytes each: a tag picking a step forward of up to 6.3 s,
+// a jump of up to 630 s (pages ahead, leaving bins empty), or a return to
+// time 0, then the byte count — and holds TotalBytes, RateMbps and
+// MeanRateMbps over a window that may start before 0 to the flat
+// reference, bit for bit.
+func FuzzMeter(f *testing.F) {
+	f.Add([]byte{0x45, 0x04, 0xb0, 0x01, 0x00, 0x10, 0x7f, 0x05, 0xdc, 0x80, 0x00, 0x01}, uint16(999), int32(-3000), int32(700000))
+	f.Add([]byte{0x7f, 0x00, 0x01, 0x48, 0xff, 0xff, 0x0a, 0x12, 0x34, 0x41, 0x00, 0x00, 0x3f, 0x05, 0xdc}, uint16(249), int32(120000), int32(121000))
+	var dense []byte // a second a step, each bin its own count, over two pages
+	for i := range 2*pageLen + 3 {
+		dense = append(dense, 0x0a, 0, byte(i))
+	}
+	f.Add(dense, uint16(999), int32(-1500), int32(100500))
+	f.Fuzz(func(t *testing.T, prog []byte, binMs uint16, fromMs, toMs int32) {
+		bin := time.Duration(1+int(binMs)) * time.Millisecond
+		m, ref := NewMeter(bin), &flatMeter{bin: bin}
+		at := time.Duration(0)
+		for ; len(prog) >= 3; prog = prog[3:] {
+			step := time.Duration(prog[0]&0x3f) * 100 * time.Millisecond
+			switch prog[0] >> 6 {
+			case 1:
+				step *= 100
+			case 2:
+				at = 0
+			}
+			at += step
+			n := int(binary.BigEndian.Uint16(prog[1:3]))
+			m.AddBytes(at, n)
+			ref.add(at, n)
+		}
+		same := func(what string, got, want float64) {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s = %v, want %v", what, got, want)
+			}
+		}
+		var total float64
+		for _, b := range ref.bins {
+			total += b
+		}
+		same("TotalBytes", m.TotalBytes(), total)
+		rate := m.RateMbps()
+		if rate.Len() != len(ref.bins) {
+			t.Fatalf("RateMbps has %d points, want %d", rate.Len(), len(ref.bins))
+		}
+		for i, b := range ref.bins {
+			if rate.Times[i] != time.Duration(i+1)*bin {
+				t.Fatalf("RateMbps point %d at %v, want %v", i, rate.Times[i], time.Duration(i+1)*bin)
+			}
+			same(fmt.Sprintf("RateMbps point %d", i), rate.Values[i], b*8/bin.Seconds()/1e6)
+		}
+		from, to := time.Duration(fromMs)*time.Millisecond, time.Duration(toMs)*time.Millisecond
+		same(fmt.Sprintf("MeanRateMbps(%v, %v)", from, to), m.MeanRateMbps(from, to), ref.meanRateMbps(from, to))
+	})
+}
+
+// BenchmarkMeterAddBytes prices the per-packet tap: a 300 s call of one
+// 1200-byte packet a millisecond into 1 s bins, a fresh meter every 300 000
+// packets so that growing the bins is in the price.
+func BenchmarkMeterAddBytes(b *testing.B) {
+	const packets = 300_000
+	var m *Meter
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%packets == 0 {
+			m = NewMeter(time.Second)
+		}
+		m.AddBytes(time.Duration(i%packets)*time.Millisecond, 1200)
+	}
+	meterSink = m.TotalBytes()
+}
+
+var meterSink float64
 
 func sortedAsc(vs []float64) bool {
 	for i := 1; i < len(vs); i++ {

@@ -62,7 +62,7 @@ func (s Series) RollingMedian(window time.Duration) Series {
 // into it and read Mbps out.
 type Meter struct {
 	Bin  time.Duration
-	bins []float64 // bytes per bin
+	bins paged[float64] // bytes per bin
 }
 
 // NewMeter creates a meter with the given bin width (commonly 1s).
@@ -75,18 +75,18 @@ func NewMeter(bin time.Duration) *Meter {
 
 // AddBytes credits n bytes at virtual time t.
 func (m *Meter) AddBytes(t time.Duration, n int) {
-	idx := int(t / m.Bin)
-	for len(m.bins) <= idx {
-		m.bins = append(m.bins, 0)
+	i := int(t / m.Bin)
+	if i >= m.bins.n {
+		m.bins.grow(i + 1)
 	}
-	m.bins[idx] += float64(n)
+	*m.bins.at(i) += float64(n)
 }
 
 // TotalBytes returns the total accumulated bytes.
 func (m *Meter) TotalBytes() float64 {
 	var sum float64
-	for _, b := range m.bins {
-		sum += b
+	for i := range m.bins.n {
+		sum += *m.bins.at(i)
 	}
 	return sum
 }
@@ -94,26 +94,62 @@ func (m *Meter) TotalBytes() float64 {
 // RateMbps returns a Series of megabits/second, one point per bin, stamped
 // at the bin end.
 func (m *Meter) RateMbps() Series {
-	s := Series{Times: make([]time.Duration, 0, len(m.bins)), Values: make([]float64, 0, len(m.bins))}
-	for i, bytes := range m.bins {
-		s.Add(time.Duration(i+1)*m.Bin, bytes*8/m.Bin.Seconds()/1e6)
+	s := Series{Times: make([]time.Duration, 0, m.bins.n), Values: make([]float64, 0, m.bins.n)}
+	for i := range m.bins.n {
+		s.Add(time.Duration(i+1)*m.Bin, *m.bins.at(i)*8/m.Bin.Seconds()/1e6)
 	}
 	return s
 }
 
 // MeanRateMbps returns the average rate over [from, to) in whole bins; a
-// window inside one bin is rounded out to the bin that holds from.
+// window inside one bin is rounded out to the bin that holds from. Bins
+// before 0 hold no bytes but count toward the window.
 func (m *Meter) MeanRateMbps(from, to time.Duration) float64 {
 	if to <= from {
 		return 0
 	}
-	lo := int(from / m.Bin)
-	hi := max(int(to/m.Bin), lo+1)
+	lo := m.binOf(from)
+	hi := max(m.binOf(to), lo+1)
 	var bytes float64
-	for i := lo; i < hi && i < len(m.bins); i++ {
-		bytes += m.bins[i]
+	for i := max(lo, 0); i < min(hi, m.bins.n); i++ {
+		bytes += *m.bins.at(i)
 	}
 	return bytes * 8 / (time.Duration(hi-lo) * m.Bin).Seconds() / 1e6
+}
+
+// binOf returns the index of the bin holding t, negative before 0.
+func (m *Meter) binOf(t time.Duration) int {
+	i := int(t / m.Bin)
+	if t%m.Bin < 0 {
+		i--
+	}
+	return i
+}
+
+// pageShift sizes the pages of a paged sequence: 64 entries, 512 B of a
+// meter's bins or of a run table's runs.
+const (
+	pageShift = 6
+	pageLen   = 1 << pageShift
+)
+
+// paged is a sequence of n entries kept in fixed pages, so growing it
+// allocates a page at a time and never copies an entry: it holds under one
+// page more than it uses, plus a pointer a page.
+type paged[T any] struct {
+	pages []*[pageLen]T
+	n     int
+}
+
+// at returns entry i, which must be below n.
+func (p *paged[T]) at(i int) *T { return &p.pages[i>>pageShift][i&(pageLen-1)] }
+
+// grow extends the sequence to n entries; each entry it adds is zero.
+func (p *paged[T]) grow(n int) {
+	for len(p.pages)<<pageShift < n {
+		p.pages = append(p.pages, new([pageLen]T))
+	}
+	p.n = n
 }
 
 // Median returns the median of vs (0 for empty input).
@@ -186,17 +222,19 @@ func SortedPercentiles(vs []float64, ps ...float64) []float64 {
 
 // RunTable is an exact multiset of nanosecond samples: the samples that fit
 // 32 bits as a run-length table — distinct values ascending, each with its
-// count, 8 B an entry however often the value recurs — and the rest
-// (negative, or ≥ 2³² ns ≈ 4.29 s) whole in wide, so nothing is clamped.
-// New samples wait in a fixed staging buffer; a full buffer is sorted and
-// merged into the table in place, so recording costs O(distinct values),
-// not O(samples). The zero value is an empty table.
+// count, 8 B an entry however often the value recurs, in pages that never
+// move — and the rest (negative, or ≥ 2³² ns ≈ 4.29 s) whole in wide, so
+// nothing is clamped. New samples wait in a fixed staging buffer; a full
+// buffer is sorted and merged into the table in place, so recording costs
+// O(distinct values), not O(samples). The zero value is an empty table.
 type RunTable struct {
-	vals   []uint32 // ascending, distinct
-	counts []uint32 // counts[i] samples equal vals[i]
-	stage  []uint32 // unsorted, not yet in vals; capacity runStage once used
-	wide   []time.Duration
+	runs  paged[run] // ascending, distinct values
+	stage []uint32   // unsorted, not yet in runs; capacity runStage once used
+	wide  []time.Duration
 }
+
+// run is count samples of v ns.
+type run struct{ v, count uint32 }
 
 const runStage = 1024 // samples staged between merges (4 KB)
 
@@ -216,48 +254,43 @@ func (t *RunTable) Add(d time.Duration) {
 }
 
 // flush merges the staged samples into the table, back to front so that
-// no entry moves twice, growing the table by doubling.
+// no entry moves twice, after adding the pages the new values need.
 func (t *RunTable) flush() {
 	if len(t.stage) == 0 {
 		return
 	}
 	slices.Sort(t.stage)
-	old := len(t.vals)
+	old := t.runs.n
 	n := old
 	for i, j := 0, 0; j < len(t.stage); j++ {
 		v := t.stage[j]
 		if j > 0 && t.stage[j-1] == v {
 			continue
 		}
-		for i < old && t.vals[i] < v {
+		for i < old && t.runs.at(i).v < v {
 			i++
 		}
-		if i == old || t.vals[i] != v {
+		if i == old || t.runs.at(i).v != v {
 			n++
 		}
 	}
-	if n > cap(t.vals) {
-		c := max(2*cap(t.vals), n)
-		t.vals = append(make([]uint32, 0, c), t.vals...)
-		t.counts = append(make([]uint32, 0, c), t.counts...)
-	}
-	t.vals, t.counts = t.vals[:n], t.counts[:n]
+	t.runs.grow(n)
 	i, w := old-1, n
 	for j := len(t.stage) - 1; j >= 0; {
 		v, c := t.stage[j], uint32(0)
 		for ; j >= 0 && t.stage[j] == v; j-- {
 			c++
 		}
-		for ; i >= 0 && t.vals[i] > v; i-- {
+		for ; i >= 0 && t.runs.at(i).v > v; i-- {
 			w--
-			t.vals[w], t.counts[w] = t.vals[i], t.counts[i]
+			*t.runs.at(w) = *t.runs.at(i)
 		}
-		if i >= 0 && t.vals[i] == v {
-			c += t.counts[i]
+		if i >= 0 && t.runs.at(i).v == v {
+			c += t.runs.at(i).count
 			i--
 		}
 		w--
-		t.vals[w], t.counts[w] = v, c
+		*t.runs.at(w) = run{v, c}
 	}
 	t.stage = t.stage[:0]
 }
@@ -266,8 +299,9 @@ func (t *RunTable) flush() {
 // and count, then once per sample too wide for it, with n = 1.
 func (t *RunTable) Each(visit func(d time.Duration, n int)) {
 	t.flush()
-	for i, v := range t.vals {
-		visit(time.Duration(v), int(t.counts[i]))
+	for i := range t.runs.n {
+		r := t.runs.at(i)
+		visit(time.Duration(r.v), int(r.count))
 	}
 	for _, d := range t.wide {
 		visit(d, 1)
@@ -275,81 +309,89 @@ func (t *RunTable) Each(visit func(d time.Duration, n int)) {
 }
 
 // RunPercentilesMs returns the requested percentiles, in milliseconds, of
-// every sample the tables hold together. It merges their run tables into
-// one of exact size and walks its counts to the one or two ranks each
-// percentile lands on, converting only those samples, so the result is
-// bit-identical to SortedPercentiles over every sample converted to ms.
-// Tables stay valid for more Adds and reads. Returns nil without a sample.
+// every sample the tables hold together. It sums their counts, then walks
+// the merge of the tables in place to the one or two ranks each percentile
+// lands on, converting only those samples, so the result is bit-identical
+// to SortedPercentiles over every sample converted to ms and nothing but
+// the result is allocated (for up to four tables). Tables stay valid for
+// more Adds and reads. Returns nil without a sample.
 func RunPercentilesMs(tables []*RunTable, ps ...float64) []float64 {
-	var wide []time.Duration
+	var cs [4]cursor
+	m := runMerge{cs: cs[:0]}
+	n := 0
 	for _, t := range tables {
 		t.flush()
-		wide = append(wide, t.wide...)
-	}
-	pos := make([]int, len(tables))
-	distinct := mergeRuns(tables, pos, nil, nil)
-	table := make([]uint32, 2*distinct)
-	vals, counts := table[:distinct], table[distinct:]
-	mergeRuns(tables, pos, vals, counts)
-	n := len(wide)
-	for _, c := range counts {
-		n += int(c)
+		slices.Sort(t.wide)
+		neg, _ := slices.BinarySearch(t.wide, 0)
+		m.cs = append(m.cs, cursor{t: t, neg: neg})
+		n += len(t.wide)
+		for i := range t.runs.n {
+			n += int(t.runs.at(i).count)
+		}
 	}
 	if n == 0 {
 		return nil
 	}
-	slices.Sort(wide)
-	// Ascending: wide's neg negatives, the table's narrow samples, wide's rest.
-	neg, _ := slices.BinarySearch(wide, 0)
-	narrow := n - len(wide)
-	at := func(i int) float64 {
-		if i >= neg && i < neg+narrow {
-			k := i - neg
-			e := 0
-			for k >= int(counts[e]) {
-				k -= int(counts[e])
-				e++
-			}
-			return time.Duration(vals[e]).Seconds() * 1000
-		}
-		if i >= neg {
-			i -= narrow
-		}
-		return wide[i].Seconds() * 1000
-	}
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = percentileAt(n, p, at)
+		out[i] = percentileAt(n, p, func(k int) float64 { return m.at(k).Seconds() * 1000 })
 	}
 	return out
 }
 
-// mergeRuns writes the union of the tables' runs, ascending, into vals
-// and counts when they are non-nil, and returns how many distinct values
-// it has: called once to size a table exactly, once to fill it.
-func mergeRuns(tables []*RunTable, pos []int, vals, counts []uint32) int {
-	clear(pos)
-	n := 0
-	for ; ; n++ {
-		v, ok := uint32(0), false
-		for ti, t := range tables {
-			if p := pos[ti]; p < len(t.vals) && (!ok || t.vals[p] < v) {
-				v, ok = t.vals[p], true
+// runMerge walks the entries of several tables in ascending order, as one:
+// a rank at or past the last one asked for goes on from where that walk
+// stopped, so ascending ranks cost one pass between them.
+type runMerge struct {
+	cs     []cursor
+	passed int // samples in the entries walked past
+}
+
+// cursor is one table's place in a runMerge. Its entries, ascending, are
+// its neg negative wide samples, its runs, then its other wide samples.
+type cursor struct {
+	t      *RunTable
+	neg, j int
+}
+
+// entry returns the cursor's next entry and its count, and false past the
+// last.
+func (c *cursor) entry() (time.Duration, int, bool) {
+	t, j := c.t, c.j
+	switch {
+	case j < c.neg:
+		return t.wide[j], 1, true
+	case j-c.neg < t.runs.n:
+		r := t.runs.at(j - c.neg)
+		return time.Duration(r.v), int(r.count), true
+	case j-t.runs.n < len(t.wide):
+		return t.wide[j-t.runs.n], 1, true
+	}
+	return 0, 0, false
+}
+
+// at returns the k-th smallest sample, from 0; k must be below the total.
+func (m *runMerge) at(k int) time.Duration {
+	if k < m.passed {
+		m.passed = 0
+		for i := range m.cs {
+			m.cs[i].j = 0
+		}
+	}
+	for {
+		var next *cursor
+		var d time.Duration
+		n := 0
+		for i := range m.cs {
+			if cd, cn, ok := m.cs[i].entry(); ok && (next == nil || cd < d) {
+				next, d, n = &m.cs[i], cd, cn
 			}
 		}
-		if !ok {
-			return n
+		if k < m.passed+n {
+			return d
 		}
-		c := uint32(0)
-		for ti, t := range tables {
-			if p := pos[ti]; p < len(t.vals) && t.vals[p] == v {
-				c += t.counts[p]
-				pos[ti]++
-			}
-		}
-		if vals != nil {
-			vals[n], counts[n] = v, c
-		}
+		m.passed += n
+		next.j++
 	}
 }
 

@@ -87,29 +87,37 @@ func TestMeter(t *testing.T) {
 
 // TestMeterMeanRateWindows: the mean covers whole bins, and a window that
 // spans no bin boundary is rounded out to the bin holding from instead of
-// dividing zero bytes by zero seconds.
+// dividing zero bytes by zero seconds. Bins before 0 and past the last
+// hold no bytes but count toward the window, and no window panics.
 func TestMeterMeanRateWindows(t *testing.T) {
-	m := NewMeter(time.Second)
+	m, empty := NewMeter(time.Second), NewMeter(time.Second)
 	for i := range 12 {
 		m.AddBytes(time.Duration(i)*time.Second+time.Millisecond, 125000*(i+1)) // (i+1) Mbps in bin i
 	}
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	cases := []struct {
 		name     string
+		m        *Meter
 		from, to time.Duration
 		want     float64
 	}{
-		{"aligned one bin", ms(10000), ms(11000), 11},
-		{"aligned two bins", ms(9000), ms(11000), 10.5},
-		{"inside one bin", ms(10200), ms(10800), 11},
-		{"inside the first bin", ms(100), ms(900), 1},
-		{"unaligned across a boundary", ms(9500), ms(10500), 10},
-		{"inside a bin past the data", ms(20200), ms(20800), 0},
-		{"empty window", ms(10500), ms(10500), 0},
-		{"reversed window", ms(11000), ms(10000), 0},
+		{"aligned one bin", m, ms(10000), ms(11000), 11},
+		{"aligned two bins", m, ms(9000), ms(11000), 10.5},
+		{"inside one bin", m, ms(10200), ms(10800), 11},
+		{"inside the first bin", m, ms(100), ms(900), 1},
+		{"unaligned across a boundary", m, ms(9500), ms(10500), 10},
+		{"inside a bin past the data", m, ms(20200), ms(20800), 0},
+		{"across the last bin", m, ms(11000), ms(14000), 4},
+		{"empty window", m, ms(10500), ms(10500), 0},
+		{"reversed window", m, ms(11000), ms(10000), 0},
+		{"negative from", m, ms(-3000), ms(2000), 0.6},
+		{"negative from, unaligned", m, ms(-1500), ms(1500), 1.0 / 3},
+		{"inside a bin before 0", m, ms(-2500), ms(-2200), 0},
+		{"empty meter", empty, ms(0), ms(5000), 0},
+		{"empty meter, negative from", empty, ms(-3000), ms(2000), 0},
 	}
 	for _, c := range cases {
-		got := m.MeanRateMbps(c.from, c.to)
+		got := c.m.MeanRateMbps(c.from, c.to)
 		if math.IsNaN(got) || math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("%s: MeanRateMbps(%v, %v) = %v, want %v", c.name, c.from, c.to, got, c.want)
 		}

@@ -107,7 +107,7 @@ func TestUnconstrainedUtilization(t *testing.T) {
 // ships as simulcast or SVC is a working call: the sender's one stream is
 // forwarded and displayed, and nothing simulcast- or SVC-specific runs at
 // the SFU. Whether the paper's §4 ablation claim holds on such a profile
-// is ROADMAP item 3 and not asserted here.
+// is ROADMAP item 2 and not asserted here.
 func TestSingleStreamOnAnyProfile(t *testing.T) {
 	for _, prof := range []*Profile{Meet(), Zoom()} {
 		prof.MediaMode = ModeSingle
