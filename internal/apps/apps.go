@@ -93,7 +93,7 @@ func NewNetflix(eng *sim.Engine, client, server *netem.Host, basePort int) *Netf
 func (n *Netflix) Start() {
 	n.running = true
 	n.startChunk()
-	n.ticker = n.eng.Every(time.Second, n.tick)
+	n.ticker = n.eng.EveryHandler(time.Second, sim.HandlerFunc(n.tick))
 }
 
 // Stop ends playback and closes all connections.
@@ -150,7 +150,7 @@ func (n *Netflix) openConnection(bytes int64, reuse bool) {
 }
 
 // tick runs once per second: drain the playback buffer, finish or struggle.
-func (n *Netflix) tick() {
+func (n *Netflix) tick(time.Duration) {
 	if !n.running {
 		return
 	}
@@ -242,7 +242,7 @@ func NewYouTube(eng *sim.Engine, client, server *netem.Host, port int) *YouTube 
 func (y *YouTube) Start() {
 	y.running = true
 	y.fetchChunk()
-	y.ticker = y.eng.Every(time.Second, y.tick)
+	y.ticker = y.eng.EveryHandler(time.Second, sim.HandlerFunc(y.tick))
 }
 
 // Stop ends playback.
@@ -289,7 +289,7 @@ func (y *YouTube) fetchChunk() {
 	f.Start(y.target)
 }
 
-func (y *YouTube) tick() {
+func (y *YouTube) tick(time.Duration) {
 	if !y.running {
 		return
 	}

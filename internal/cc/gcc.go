@@ -282,9 +282,3 @@ func (g *GCC) OnFeedback(fb Feedback) {
 
 // Threshold exposes the current adaptive overuse threshold (for tests).
 func (g *GCC) Threshold() time.Duration { return g.gamma }
-
-// Snapshot exposes the controller's internal estimates for debugging and
-// tests.
-func (g *GCC) Snapshot() (delayRate, lossRate, lastGood float64, gamma time.Duration, state int) {
-	return g.delayRate, g.lossRate, g.lastGood, g.gamma, int(g.state)
-}

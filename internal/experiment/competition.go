@@ -6,6 +6,7 @@ import (
 
 	"vcalab/internal/apps"
 	"vcalab/internal/netem"
+	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -135,12 +136,14 @@ func (cfg *CompetitionConfig) runTrial(o *trialObs, rep int) competitionTrial {
 	var res competitionTrial
 	f1 := lab.ClientHost("f1")
 	var stopComp func()
-	eng.Schedule(cfg.CompAt, func() { stopComp = cfg.startCompetitor(t, f1, &res) })
-	eng.Schedule(cfg.CompAt+cfg.CompDur, func() {
+	eng.ScheduleHandler(cfg.CompAt, sim.HandlerFunc(func(time.Duration) {
+		stopComp = cfg.startCompetitor(t, f1, &res)
+	}))
+	eng.ScheduleHandler(cfg.CompAt+cfg.CompDur, sim.HandlerFunc(func(time.Duration) {
 		if stopComp != nil {
 			stopComp()
 		}
-	})
+	}))
 	t.finish(cfg.CallDur)
 
 	lo, hi := cfg.ShareLo, cfg.ShareHi
@@ -188,8 +191,8 @@ func (cfg *CompetitionConfig) startCompetitor(t *trial, f1 *netem.Host, res *com
 		// One upload and one download flow so a single run measures the
 		// paper's uplink and downlink conditions; the cross-direction
 		// ack traffic is negligible.
-		srvUp := lab.RemoteHost("ipup", IPerfDelay)
-		srvDown := lab.RemoteHost("ipdn", IPerfDelay)
+		srvUp := lab.RemoteHost("ipup", iperfDelay)
+		srvDown := lab.RemoteHost("ipdn", iperfDelay)
 		upload := apps.NewIPerf(eng, f1, srvUp, 5201)
 		download := apps.NewIPerf(eng, srvDown, f1, 5202)
 		upload.Start()

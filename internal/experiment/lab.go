@@ -36,24 +36,24 @@ type Lab struct {
 	access map[string][2]*netem.Link
 }
 
-// ClientDelay is the one-way delay between a bottleneck client and the
+// clientDelay is the one-way delay between a bottleneck client and the
 // router; RemoteDelay the default router↔remote host delay; SFUDelay the
 // router↔SFU delay.
 const (
-	ClientDelay = 5 * time.Millisecond
+	clientDelay = 5 * time.Millisecond
 	RemoteDelay = 5 * time.Millisecond
 	SFUDelay    = 15 * time.Millisecond
-	// IPerfDelay matches the paper's iPerf3 server "within the same
+	// iperfDelay matches the paper's iPerf3 server "within the same
 	// network (average RTT 2 ms)".
-	IPerfDelay = time.Millisecond
+	iperfDelay = time.Millisecond
 )
 
 // NewLab builds the testbed with initial shaping rates (0 = unconstrained,
 // the paper's 1 Gbps case).
 func NewLab(eng *sim.Engine, upBps, downBps float64) *Lab {
 	l := &Lab{Eng: eng, rt: netem.NewRouter("rt"), sw: netem.NewRouter("sw"), access: map[string][2]*netem.Link{}}
-	l.up = netem.NewLink(eng, "bottleneck/up", netem.LinkConfig{RateBps: upBps, Delay: ClientDelay}, l.rt)
-	l.down = netem.NewLink(eng, "bottleneck/down", netem.LinkConfig{RateBps: downBps, Delay: ClientDelay}, l.sw)
+	l.up = netem.NewLink(eng, "bottleneck/up", netem.LinkConfig{RateBps: upBps, Delay: clientDelay}, l.rt)
+	l.down = netem.NewLink(eng, "bottleneck/down", netem.LinkConfig{RateBps: downBps, Delay: clientDelay}, l.sw)
 	l.links = []*netem.Link{l.up, l.down}
 	l.sw.DefaultRoute(l.up)
 	return l

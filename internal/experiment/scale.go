@@ -3,6 +3,7 @@ package experiment
 import (
 	"time"
 
+	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -106,11 +107,11 @@ func (cfg *ScaleConfig) runTrial(o *trialObs, cd scaleCond, rep int) scaleTrial 
 	// exactly the sequential run's.
 	links := t.mesh.InterLinks()
 	startBytes := make([]uint64, len(links))
-	t.eng.Schedule(cfg.Warmup, func() {
+	t.eng.ScheduleHandler(cfg.Warmup, sim.HandlerFunc(func(time.Duration) {
 		for i, l := range links {
 			startBytes[i] = l.DeliveredBytes
 		}
-	})
+	}))
 
 	call.SampleFrameLatency(cfg.Warmup)
 	t.start()

@@ -164,7 +164,8 @@ const (
 // enters the dropping state and head-drops at a frequency growing with the
 // square root of the drop count (the RFC 8289 control law), until a
 // sojourn back under the target resets it. No randomness is involved, so
-// AQM behaviour is a pure function of the packet arrival pattern.
+// AQM behaviour is a pure function of the packet arrival pattern. The
+// zero value is ready; install one with Link.SetAQM.
 type CoDel struct {
 	firstAbove time.Duration // deadline to leave the above-target grace period; 0 = not above
 	dropNext   time.Duration
@@ -174,9 +175,6 @@ type CoDel struct {
 	// Drops counts head drops decided by the control law.
 	Drops uint64
 }
-
-// NewCoDel builds an AQM instance; install it with Link.SetAQM.
-func NewCoDel() *CoDel { return &CoDel{} }
 
 // dropOnDequeue is the control law, called by the link for the head packet
 // when it is dequeued for serialization.
@@ -226,9 +224,9 @@ type BloatConfig struct {
 	AQM bool
 }
 
-// DeepQueueBytes converts a time depth at a rate into a byte bound, with
+// deepQueueBytes converts a time depth at a rate into a byte bound, with
 // the same 5-MTU floor as DefaultQueueBytes.
-func DeepQueueBytes(rateBps float64, depth time.Duration) int {
+func deepQueueBytes(rateBps float64, depth time.Duration) int {
 	q := int(rateBps / 8 * depth.Seconds())
 	if min := 5 * 1500; q < min {
 		q = min
@@ -247,9 +245,9 @@ func ApplyBloat(l *Link, cfg BloatConfig) {
 	if cfg.Depth == 0 {
 		cfg.Depth = 2 * time.Second
 	}
-	l.SetQueueBytes(DeepQueueBytes(l.Rate(), cfg.Depth))
+	l.SetQueueBytes(deepQueueBytes(l.Rate(), cfg.Depth))
 	if cfg.AQM {
-		l.SetAQM(NewCoDel())
+		l.SetAQM(&CoDel{})
 	} else {
 		l.SetAQM(nil)
 	}

@@ -150,7 +150,7 @@ func TestLinkLossModelAccounting(t *testing.T) {
 // the first drop, and the √count acceleration.
 func TestCoDelControlLaw(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	c := NewCoDel() // 5 ms target, 100 ms interval
+	c := &CoDel{} // 5 ms target, 100 ms interval
 	steps := []struct {
 		now, sojourn time.Duration
 		want         bool
@@ -178,10 +178,10 @@ func TestCoDelControlLaw(t *testing.T) {
 // --- bufferbloat ---
 
 func TestDeepQueueBytes(t *testing.T) {
-	if got := DeepQueueBytes(1e6, 2*time.Second); got != 250000 {
+	if got := deepQueueBytes(1e6, 2*time.Second); got != 250000 {
 		t.Errorf("1 Mbps x 2 s = %d bytes, want 250000", got)
 	}
-	if got := DeepQueueBytes(50e3, time.Second); got != 5*1500 {
+	if got := deepQueueBytes(50e3, time.Second); got != 5*1500 {
 		t.Errorf("tiny rate queue = %d, want the 5-MTU floor", got)
 	}
 }
@@ -217,7 +217,7 @@ func TestBloatEdgeCases(t *testing.T) {
 				l.Send(&Packet{Size: mtu, Payload: i})
 			}
 			if c.reshape > 0 {
-				eng.Schedule(50*time.Millisecond, func() { l.SetRate(c.reshape) })
+				eng.ScheduleHandler(50*time.Millisecond, sim.HandlerFunc(func(time.Duration) { l.SetRate(c.reshape) }))
 			}
 			eng.Run()
 
@@ -272,11 +272,11 @@ func TestBloatVsAQMDelay(t *testing.T) {
 		// Offered load 2x capacity for 4 s: 100 pkts/s of 2500 B at 1 Mbps.
 		for i := 0; i < 400; i++ {
 			at := time.Duration(i) * 10 * time.Millisecond
-			eng.At(at, func() {
+			eng.AtHandler(at, sim.HandlerFunc(func(time.Duration) {
 				pkt := &Packet{Size: 2500}
 				pkt.SentAt = eng.Now()
 				l.Send(pkt)
-			})
+			}))
 		}
 		eng.Run()
 		return worst
@@ -311,11 +311,11 @@ func TestLinkSetPaused(t *testing.T) {
 	l := NewLink(eng, "lte", LinkConfig{RateBps: 1e6, QueueBytes: 1 << 20}, s)
 	l.Send(&Packet{Size: 1250}) // serialization done at 10 ms
 	l.Send(&Packet{Size: 1250}) // queued
-	eng.Schedule(5*time.Millisecond, func() { l.SetPaused(true) })
-	eng.Schedule(20*time.Millisecond, func() {
+	eng.ScheduleHandler(5*time.Millisecond, sim.HandlerFunc(func(time.Duration) { l.SetPaused(true) }))
+	eng.ScheduleHandler(20*time.Millisecond, sim.HandlerFunc(func(time.Duration) {
 		l.Send(&Packet{Size: 1250}) // arrives mid-gap: queues
-	})
-	eng.Schedule(50*time.Millisecond, func() { l.SetPaused(false) })
+	}))
+	eng.ScheduleHandler(50*time.Millisecond, sim.HandlerFunc(func(time.Duration) { l.SetPaused(false) }))
 	eng.Run()
 	want := []time.Duration{10 * time.Millisecond, 60 * time.Millisecond, 70 * time.Millisecond}
 	if len(s.times) != len(want) {

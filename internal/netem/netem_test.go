@@ -106,7 +106,7 @@ func TestLinkSetRateMidStream(t *testing.T) {
 	l.Send(&Packet{Size: 1250}) // serializes at 1 Mbps: done at 10ms
 	l.Send(&Packet{Size: 1250}) // queued
 	// Halve the rate while the first packet is in flight.
-	eng.Schedule(5*time.Millisecond, func() { l.SetRate(0.5e6) })
+	eng.ScheduleHandler(5*time.Millisecond, sim.HandlerFunc(func(time.Duration) { l.SetRate(0.5e6) }))
 	eng.Run()
 	// First finishes at old rate (10ms); second takes 20ms at the new rate.
 	if s.times[0] != 10*time.Millisecond {
@@ -424,7 +424,7 @@ func TestInterRouterRateChangeMidSimulation(t *testing.T) {
 	h1.Send(&Packet{Size: 1250, From: Addr{"h1", 1}, To: Addr{"h2", 80}})
 	h1.Send(&Packet{Size: 1250, From: Addr{"h1", 1}, To: Addr{"h2", 80}})
 	// Halve the inter link while the first packet serializes.
-	eng.Schedule(6*time.Millisecond, func() { inter.SetRate(0.5e6) })
+	eng.ScheduleHandler(6*time.Millisecond, sim.HandlerFunc(func(time.Duration) { inter.SetRate(0.5e6) }))
 	eng.Run()
 	if len(times) != 2 {
 		t.Fatalf("delivered %d packets, want 2", len(times))
@@ -520,10 +520,10 @@ func TestSetDelayMidSimulation(t *testing.T) {
 	l := NewLink(eng, "wan", LinkConfig{Delay: 50 * time.Millisecond},
 		HandlerFunc(func(p *Packet) { arrivals = append(arrivals, eng.Now()) }))
 	l.Send(&Packet{Size: 100}) // departs at 0 under the 50 ms delay
-	eng.Schedule(10*time.Millisecond, func() {
+	eng.ScheduleHandler(10*time.Millisecond, sim.HandlerFunc(func(time.Duration) {
 		l.SetDelay(5 * time.Millisecond)
 		l.Send(&Packet{Size: 100}) // departs at 10 ms under the 5 ms delay
-	})
+	}))
 	eng.Run()
 	if l.Delay() != 5*time.Millisecond {
 		t.Errorf("Delay() = %v after SetDelay, want 5ms", l.Delay())
@@ -550,11 +550,11 @@ func TestLinkQueueRingWrapsInPlace(t *testing.T) {
 	for i := 0; i < 6; i++ { // one in service, five queued
 		send()
 	}
-	eng.Every(time.Millisecond, func() {
+	eng.EveryHandler(time.Millisecond, sim.HandlerFunc(func(time.Duration) {
 		if sent < 500 {
 			send() // one in per one out: the backlog stands at five
 		}
-	})
+	}))
 	eng.RunUntil(200 * time.Millisecond)
 	if l.QueuedBytes() != 5000 || l.QueueHighWater() != 5000 {
 		t.Fatalf("QueuedBytes() = %d, QueueHighWater() = %d mid-run; want 5000, 5000", l.QueuedBytes(), l.QueueHighWater())
@@ -588,7 +588,7 @@ func TestSetDelayCutInterleavesLanes(t *testing.T) {
 	l := NewLink(eng, "wan", LinkConfig{Delay: oldDelay},
 		HandlerFunc(func(p *Packet) { got = append(got, arrival{p.Payload.(int), eng.Now()}) }))
 	id := 0
-	eng.Every(time.Millisecond, func() {
+	eng.EveryHandler(time.Millisecond, sim.HandlerFunc(func(time.Duration) {
 		if id == cutAt {
 			l.SetDelay(newDelay)
 		}
@@ -597,7 +597,7 @@ func TestSetDelayCutInterleavesLanes(t *testing.T) {
 			l.Send(&Packet{Size: 100, Payload: id})
 			id++
 		}
-	})
+	}))
 	eng.RunUntil(time.Second)
 	if lane, _ := eng.SchedulerInserts(); lane < n {
 		t.Fatalf("only %d lane inserts: the two delay classes never both ran on lanes", lane)
@@ -636,9 +636,9 @@ func TestBoundaryLinkTracesOnBothShards(t *testing.T) {
 	g.Register(l.Handoff(dst))
 	const sent = 100
 	for i := 0; i < sent; i++ {
-		src.At(time.Duration(2*i)*time.Millisecond, func() {
+		src.AtHandler(time.Duration(2*i)*time.Millisecond, sim.HandlerFunc(func(time.Duration) {
 			l.Send(&Packet{Size: 1250, Flow: "f", To: Addr{Host: "b"}})
-		})
+		}))
 	}
 	g.Run()
 

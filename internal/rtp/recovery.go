@@ -243,9 +243,6 @@ func (q *NackQueue) Tick(now, backoff time.Duration, nack func(seq uint16), conc
 // Len reports the number of pending (missing, not yet conceded) seqs.
 func (q *NackQueue) Len() int { return len(q.entries) }
 
-// Highest returns the highest sequence number observed so far.
-func (q *NackQueue) Highest() (uint16, bool) { return q.highest, q.started }
-
 // NackPair is one RFC 4585 generic-NACK entry: a lost packet and a bitmask
 // of losses among the 16 seqs that follow it.
 type NackPair struct {

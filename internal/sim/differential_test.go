@@ -29,18 +29,24 @@ type prodScheduler struct{ e *Engine }
 
 func (p prodScheduler) now() time.Duration { return p.e.Now() }
 func (p prodScheduler) at(t time.Duration, fn func()) func() bool {
-	tm := p.e.At(t, fn)
+	tm := p.e.AtHandler(t, handler(fn))
 	return tm.Stop
 }
-func (p prodScheduler) every(d time.Duration, fn func()) tickerControl { return p.e.Every(d, fn) }
+func (p prodScheduler) every(d time.Duration, fn func()) tickerControl {
+	return p.e.EveryHandler(d, handler(fn))
+}
 func (p prodScheduler) inject(at, schedAt time.Duration, src uint32, seq uint64, fn func()) {
-	p.e.inject(at, schedAt, src, seq, funcHandler(fn))
+	p.e.inject(at, schedAt, src, seq, handler(fn))
 }
 func (p prodScheduler) runBefore(at, sched time.Duration) { p.e.RunBefore(at, sched) }
 func (p prodScheduler) runUntil(t time.Duration)          { p.e.RunUntil(t) }
 func (p prodScheduler) run()                              { p.e.Run() }
 func (p prodScheduler) advanceTo(t time.Duration)         { p.e.advanceTo(t) }
 func (p prodScheduler) setSrc(src uint32)                 { p.e.src = src }
+
+// handler adapts the harness's func() callbacks, which the reference
+// scheduler shares, to the engine's Handler.
+func handler(fn func()) HandlerFunc { return func(time.Duration) { fn() } }
 
 // palette holds the recurring delays of a generated schedule — more of
 // them than there are lanes, so some hot delay always stays on the heap.

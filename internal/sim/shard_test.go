@@ -94,9 +94,9 @@ func (p ping) OnEvent(now time.Duration) { p.to.recv(now, p.v) }
 
 func (n *pingNode) recv(now time.Duration, v int) {
 	*n.log = append(*n.log, fmt.Sprintf("%s@%v:%d", n.name, now, v))
-	n.eng.Schedule(0, func() {
+	n.eng.ScheduleHandler(0, HandlerFunc(func(time.Duration) {
 		*n.log = append(*n.log, fmt.Sprintf("%s-local@%v", n.name, n.eng.Now()))
-	})
+	}))
 	if v > 0 {
 		n.send(v - 1)
 	}
@@ -111,9 +111,9 @@ func runSequentialPing(hops int, until time.Duration) ([]string, *Engine) {
 	b := &pingNode{name: "b", eng: eng, log: &log}
 	a.send = func(v int) { eng.ScheduleHandler(pingDelay, ping{b, v}) }
 	b.send = func(v int) { eng.ScheduleHandler(pingDelay, ping{a, v}) }
-	tick := eng.Every(7*time.Millisecond, func() {
+	tick := eng.EveryHandler(7*time.Millisecond, HandlerFunc(func(time.Duration) {
 		log = append(log, fmt.Sprintf("tick@%v", eng.Now()))
-	})
+	}))
 	eng.ScheduleHandler(0, ping{a, hops})
 	eng.RunUntil(until)
 	tick.Stop()
@@ -136,14 +136,14 @@ func runShardedPing(t *testing.T, hops int, until time.Duration) []string {
 	g.Register(mba)
 	a.send = func(v int) { mab.Post(sa.Now()+pingDelay, sa.Now(), sa.TakeSeq(), ping{b, v}) }
 	b.send = func(v int) { mba.Post(sb.Now()+pingDelay, sb.Now(), sb.TakeSeq(), ping{a, v}) }
-	tick := ctrl.Every(7*time.Millisecond, func() {
+	tick := ctrl.EveryHandler(7*time.Millisecond, HandlerFunc(func(time.Duration) {
 		// Barrier contract: every shard is parked with its clock advanced
 		// to exactly the global's instant before the callback runs.
 		if sa.Now() != ctrl.Now() || sb.Now() != ctrl.Now() {
 			t.Errorf("global at %v ran with shard clocks %v/%v", ctrl.Now(), sa.Now(), sb.Now())
 		}
 		log = append(log, fmt.Sprintf("tick@%v", ctrl.Now()))
-	})
+	}))
 	sa.ScheduleHandler(0, ping{a, hops})
 	g.RunUntil(until)
 	tick.Stop()
@@ -224,8 +224,8 @@ func TestCrossShardSameInstantOrder(t *testing.T) {
 			g.Register(m23)
 		}
 		// Shard 2 posts first; shard-index order must still win.
-		s2.Schedule(0, func() { m23.Post(s2.Now()+pingDelay, s2.Now(), s2.TakeSeq(), logMsg{&log, "from-s2"}) })
-		s1.Schedule(0, func() { m13.Post(s1.Now()+pingDelay, s1.Now(), s1.TakeSeq(), logMsg{&log, "from-s1"}) })
+		s2.ScheduleHandler(0, HandlerFunc(func(time.Duration) { m23.Post(s2.Now()+pingDelay, s2.Now(), s2.TakeSeq(), logMsg{&log, "from-s2"}) }))
+		s1.ScheduleHandler(0, HandlerFunc(func(time.Duration) { m13.Post(s1.Now()+pingDelay, s1.Now(), s1.TakeSeq(), logMsg{&log, "from-s1"}) }))
 		g.RunUntil(pingDelay)
 		g.Close()
 		want := []string{"10ms/from-s1", "10ms/from-s2"}
@@ -247,7 +247,7 @@ func TestMailboxTransfer(t *testing.T) {
 		return msg
 	})
 	g.Register(m)
-	s1.Schedule(0, func() { m.Post(s1.Now()+pingDelay, s1.Now(), s1.TakeSeq(), logMsg{&log, "payload"}) })
+	s1.ScheduleHandler(0, HandlerFunc(func(time.Duration) { m.Post(s1.Now()+pingDelay, s1.Now(), s1.TakeSeq(), logMsg{&log, "payload"}) }))
 	g.RunUntil(pingDelay)
 	if want := []string{"10ms/transferred:payload"}; !reflect.DeepEqual(log, want) {
 		t.Fatalf("transfer hook: got %v want %v", log, want)

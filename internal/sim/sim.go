@@ -32,11 +32,13 @@
 //     per-event index is maintained.
 //   - The next event is the minimum of the heap top and the lane heads, so
 //     which queue an event sat in can never change the order it fires in.
-//   - There is one handler kind: an event carries a Handler. Hot callers
-//     implement it and so schedule closure-free; on the packet path
-//     (internal/netem) the in-flight *Packet is itself the propagation
-//     event's Handler. Schedule/At/Every are adapters that wrap their
-//     func() in a Handler.
+//   - There is one handler kind and one way to schedule it: an event
+//     carries a Handler, filed by ScheduleHandler, AtHandler or
+//     EveryHandler. Hot callers implement Handler and so schedule
+//     closure-free; on the packet path (internal/netem) the in-flight
+//     *Packet is itself the propagation event's Handler. A closure is
+//     scheduled as a HandlerFunc, which is pointer-shaped and so converts
+//     to Handler without allocating.
 //   - Timer.Stop is a lazy cancellation: the event is marked dead and its
 //     struct is recycled when it reaches the front of its queue. Timer
 //     handles carry a generation counter so a stale handle can never
@@ -56,8 +58,8 @@ import (
 	"vcalab/internal/obs"
 )
 
-// Handler is implemented by hot-path callers that want to receive events
-// without allocating a closure per schedule.
+// Handler receives an event. Hot-path callers implement it to schedule
+// without allocating a closure; anything else passes a HandlerFunc.
 type Handler interface {
 	OnEvent(now time.Duration)
 }
@@ -67,13 +69,6 @@ type HandlerFunc func(now time.Duration)
 
 // OnEvent calls f(now).
 func (f HandlerFunc) OnEvent(now time.Duration) { f(now) }
-
-// funcHandler is the Handler behind the closure API (Schedule, At, Every).
-// A func value is pointer-shaped, so converting one to Handler stores it
-// in the interface word directly: the adapter costs no allocation.
-type funcHandler func()
-
-func (f funcHandler) OnEvent(time.Duration) { f() }
 
 // event is a pooled scheduler entry: the ordering key, a generation, the
 // handler and the free-list link fill exactly one 64-byte line.
@@ -423,25 +418,16 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Schedule runs fn after delay of virtual time. A negative delay is treated
-// as zero. Events scheduled for the same instant run in scheduling order.
-func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
-	return e.At(e.now+delay, fn)
-}
-
-// At runs fn at the absolute virtual time t. Times in the past are clamped
-// to now.
-func (e *Engine) At(t time.Duration, fn func()) Timer {
-	return e.AtHandler(t, funcHandler(fn))
-}
-
-// ScheduleHandler runs h.OnEvent after delay without allocating: the event
-// comes from the engine pool and carries the handler interface directly.
+// ScheduleHandler runs h.OnEvent after delay of virtual time without
+// allocating: the event comes from the engine pool and carries the handler
+// interface directly. A negative delay is treated as zero. Events
+// scheduled for the same instant run in scheduling order.
 func (e *Engine) ScheduleHandler(delay time.Duration, h Handler) Timer {
 	return e.AtHandler(e.now+delay, h)
 }
 
-// AtHandler runs h.OnEvent at the absolute virtual time t.
+// AtHandler runs h.OnEvent at the absolute virtual time t. Times in the
+// past are clamped to now.
 func (e *Engine) AtHandler(t time.Duration, h Handler) Timer {
 	ev := e.alloc()
 	ev.h = h
@@ -460,15 +446,9 @@ type Ticker struct {
 	firing   bool
 }
 
-// Every runs fn every interval, first firing one interval from now.
-// It panics if interval is not positive, since a zero-interval ticker would
-// prevent virtual time from ever advancing.
-func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
-	return e.EveryHandler(interval, funcHandler(fn))
-}
-
-// EveryHandler runs h.OnEvent every interval — the closure-free form of
-// Every used by the media/feedback tick loops.
+// EveryHandler runs h.OnEvent every interval, first firing one interval
+// from now. It panics if interval is not positive, since a zero-interval
+// ticker would prevent virtual time from ever advancing.
 func (e *Engine) EveryHandler(interval time.Duration, h Handler) *Ticker {
 	t := &Ticker{eng: e, interval: checkInterval(interval), h: h}
 	t.arm()

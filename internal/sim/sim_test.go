@@ -15,9 +15,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := New(1)
 	var got []int
-	e.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
-	e.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	e.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
+	e.ScheduleHandler(30*time.Millisecond, HandlerFunc(func(time.Duration) { got = append(got, 3) }))
+	e.ScheduleHandler(10*time.Millisecond, HandlerFunc(func(time.Duration) { got = append(got, 1) }))
+	e.ScheduleHandler(20*time.Millisecond, HandlerFunc(func(time.Duration) { got = append(got, 2) }))
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -35,7 +35,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(time.Second, func() { got = append(got, i) })
+		e.ScheduleHandler(time.Second, HandlerFunc(func(time.Duration) { got = append(got, i) }))
 	}
 	e.Run()
 	for i := 0; i < 10; i++ {
@@ -47,20 +47,20 @@ func TestSameInstantFIFO(t *testing.T) {
 
 func TestNegativeDelayClampedToNow(t *testing.T) {
 	e := New(1)
-	e.Schedule(time.Second, func() {
-		e.Schedule(-time.Hour, func() {
+	e.ScheduleHandler(time.Second, HandlerFunc(func(time.Duration) {
+		e.ScheduleHandler(-time.Hour, HandlerFunc(func(time.Duration) {
 			if e.Now() != time.Second {
 				t.Errorf("negative delay fired at %v, want 1s", e.Now())
 			}
-		})
-	})
+		}))
+	}))
 	e.Run()
 }
 
 func TestTimerStop(t *testing.T) {
 	e := New(1)
 	fired := false
-	tm := e.Schedule(time.Second, func() { fired = true })
+	tm := e.ScheduleHandler(time.Second, HandlerFunc(func(time.Duration) { fired = true }))
 	if !tm.Stop() {
 		t.Fatal("Stop() = false on pending timer")
 	}
@@ -75,7 +75,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	e := New(1)
-	tm := e.Schedule(time.Millisecond, func() {})
+	tm := e.ScheduleHandler(time.Millisecond, HandlerFunc(func(time.Duration) {}))
 	e.Run()
 	if tm.Stop() {
 		t.Fatal("Stop() = true after timer fired")
@@ -85,7 +85,7 @@ func TestTimerStopAfterFire(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	e := New(1)
 	count := 0
-	e.Every(time.Second, func() { count++ })
+	e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) { count++ }))
 	e.RunUntil(5500 * time.Millisecond)
 	if count != 5 {
 		t.Errorf("ticks = %d, want 5", count)
@@ -104,12 +104,12 @@ func TestTickerStop(t *testing.T) {
 	e := New(1)
 	count := 0
 	var tk *Ticker
-	tk = e.Every(time.Second, func() {
+	tk = e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) {
 		count++
 		if count == 3 {
 			tk.Stop()
 		}
-	})
+	}))
 	e.RunUntil(time.Minute)
 	if count != 3 {
 		t.Errorf("ticks = %d, want 3 (stop from within callback)", count)
@@ -119,7 +119,7 @@ func TestTickerStop(t *testing.T) {
 func TestTickerReset(t *testing.T) {
 	e := New(1)
 	var times []time.Duration
-	tk := e.Every(time.Second, func() { times = append(times, e.Now()) })
+	tk := e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) { times = append(times, e.Now()) }))
 	e.RunUntil(2500 * time.Millisecond) // ticks at 1s, 2s
 	tk.Reset(100 * time.Millisecond)
 	e.RunUntil(3 * time.Second) // ticks at 2.6, 2.7, 2.8, 2.9, 3.0
@@ -134,19 +134,19 @@ func TestTickerReset(t *testing.T) {
 func TestTickerZeroIntervalPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Every(0, ...) did not panic")
+			t.Fatal("EveryHandler(0, ...) did not panic")
 		}
 	}()
-	New(1).Every(0, func() {})
+	New(1).EveryHandler(0, HandlerFunc(func(time.Duration) {}))
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []int64 {
 		e := New(seed)
 		var draws []int64
-		e.Every(time.Millisecond, func() {
+		e.EveryHandler(time.Millisecond, HandlerFunc(func(time.Duration) {
 			draws = append(draws, e.Rand().Int63n(1000))
-		})
+		}))
 		e.RunUntil(50 * time.Millisecond)
 		return draws
 	}
@@ -175,14 +175,14 @@ func TestDeterminism(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := New(1)
 	depth := 0
-	var recurse func()
-	recurse = func() {
+	var recurse HandlerFunc
+	recurse = func(time.Duration) {
 		depth++
 		if depth < 100 {
-			e.Schedule(time.Millisecond, recurse)
+			e.ScheduleHandler(time.Millisecond, recurse)
 		}
 	}
-	e.Schedule(0, recurse)
+	e.ScheduleHandler(0, recurse)
 	e.Run()
 	if depth != 100 {
 		t.Errorf("depth = %d, want 100", depth)
@@ -194,8 +194,8 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestPending(t *testing.T) {
 	e := New(1)
-	t1 := e.Schedule(time.Second, func() {})
-	e.Schedule(2*time.Second, func() {})
+	t1 := e.ScheduleHandler(time.Second, HandlerFunc(func(time.Duration) {}))
+	e.ScheduleHandler(2*time.Second, HandlerFunc(func(time.Duration) {}))
 	if e.Pending() != 2 {
 		t.Fatalf("Pending() = %d, want 2", e.Pending())
 	}
@@ -212,9 +212,9 @@ func TestQuickEventOrdering(t *testing.T) {
 		e := New(7)
 		var fired []time.Duration
 		for _, d := range delaysMS {
-			e.Schedule(time.Duration(d)*time.Millisecond, func() {
+			e.ScheduleHandler(time.Duration(d)*time.Millisecond, HandlerFunc(func(time.Duration) {
 				fired = append(fired, e.Now())
-			})
+			}))
 		}
 		e.Run()
 		for i := 1; i < len(fired); i++ {
@@ -230,7 +230,7 @@ func TestQuickEventOrdering(t *testing.T) {
 }
 
 // Property: virtual time never moves backwards across arbitrary mixes of
-// Schedule / nested Schedule calls.
+// top-level and nested ScheduleHandler calls.
 func TestQuickMonotonicClock(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		e := New(seed)
@@ -243,11 +243,11 @@ func TestQuickMonotonicClock(t *testing.T) {
 			}
 			last = e.Now()
 			if rem > 0 {
-				e.Schedule(time.Duration(e.Rand().Intn(1000))*time.Microsecond, func() { spawn(rem - 1) })
+				e.ScheduleHandler(time.Duration(e.Rand().Intn(1000))*time.Microsecond, HandlerFunc(func(time.Duration) { spawn(rem - 1) }))
 			}
 		}
 		for i := 0; i < int(n%8)+1; i++ {
-			e.Schedule(time.Duration(e.Rand().Intn(1000))*time.Microsecond, func() { spawn(int(n) % 32) })
+			e.ScheduleHandler(time.Duration(e.Rand().Intn(1000))*time.Microsecond, HandlerFunc(func(time.Duration) { spawn(int(n) % 32) }))
 		}
 		e.Run()
 		return ok
@@ -267,10 +267,10 @@ func TestSameInstantFIFOAcrossPoolReuse(t *testing.T) {
 	var got []int
 	for i := 0; i < 20; i++ {
 		i := i
-		e.Schedule(time.Second, func() { got = append(got, i) })
+		e.ScheduleHandler(time.Second, HandlerFunc(func(time.Duration) { got = append(got, i) }))
 	}
 	// Cancel a few to scramble the free-list order at collection time.
-	tm := e.Schedule(time.Second, func() { t.Error("cancelled event fired") })
+	tm := e.ScheduleHandler(time.Second, HandlerFunc(func(time.Duration) { t.Error("cancelled event fired") }))
 	tm.Stop()
 	e.Run()
 	for i := 0; i < 20; i++ {
@@ -281,7 +281,7 @@ func TestSameInstantFIFOAcrossPoolReuse(t *testing.T) {
 	got = nil
 	for i := 0; i < 20; i++ {
 		i := i
-		e.Schedule(time.Millisecond, func() { got = append(got, i) }) // reuses pooled structs
+		e.ScheduleHandler(time.Millisecond, HandlerFunc(func(time.Duration) { got = append(got, i) })) // reuses pooled structs
 	}
 	e.Run()
 	for i := 0; i < 20; i++ {
@@ -298,15 +298,15 @@ func TestTimerStopInsideFiringCallback(t *testing.T) {
 	e := New(1)
 	var self, victim Timer
 	victimFired := false
-	self = e.Schedule(time.Second, func() {
+	self = e.ScheduleHandler(time.Second, HandlerFunc(func(time.Duration) {
 		if self.Stop() {
 			t.Error("Stop() on the timer currently firing returned true")
 		}
 		if !victim.Stop() {
 			t.Error("Stop() on a pending same-instant timer returned false")
 		}
-	})
-	victim = e.Schedule(time.Second, func() { victimFired = true })
+	}))
+	victim = e.ScheduleHandler(time.Second, HandlerFunc(func(time.Duration) { victimFired = true }))
 	e.Run()
 	if victimFired {
 		t.Fatal("timer stopped from a firing callback still fired")
@@ -317,10 +317,10 @@ func TestTimerStopInsideFiringCallback(t *testing.T) {
 // pooled event struct (generation guard).
 func TestStaleTimerHandleAfterReuse(t *testing.T) {
 	e := New(1)
-	t1 := e.Schedule(time.Millisecond, func() {})
+	t1 := e.ScheduleHandler(time.Millisecond, HandlerFunc(func(time.Duration) {}))
 	e.Run()
 	fired := false
-	e.Schedule(time.Millisecond, func() { fired = true }) // reuses t1's struct
+	e.ScheduleHandler(time.Millisecond, HandlerFunc(func(time.Duration) { fired = true })) // reuses t1's struct
 	if t1.Stop() {
 		t.Fatal("stale handle Stop() returned true")
 	}
@@ -335,7 +335,7 @@ func TestStaleTimerHandleAfterReuse(t *testing.T) {
 func TestTickerStopThenRestart(t *testing.T) {
 	e := New(1)
 	count := 0
-	tk := e.Every(time.Second, func() { count++ })
+	tk := e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) { count++ }))
 	e.RunUntil(3500 * time.Millisecond)
 	tk.Stop()
 	tk.Reset(100 * time.Millisecond) // must not revive it
@@ -344,7 +344,7 @@ func TestTickerStopThenRestart(t *testing.T) {
 		t.Fatalf("stopped ticker ticked: count = %d, want 3", count)
 	}
 	count = 0
-	e.Every(time.Second, func() { count++ }) // fresh ticker restarts the cadence
+	e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) { count++ })) // fresh ticker restarts the cadence
 	e.RunUntil(15 * time.Second)
 	if count != 5 {
 		t.Fatalf("restarted ticker count = %d, want 5", count)
@@ -356,8 +356,8 @@ func TestTickerStopThenRestart(t *testing.T) {
 func TestTickerLongIntervals(t *testing.T) {
 	e := New(1)
 	var times []time.Duration
-	e.Every(700*time.Millisecond, func() { times = append(times, e.Now()) })
-	e.Every(90*time.Second, func() { times = append(times, e.Now()) })
+	e.EveryHandler(700*time.Millisecond, HandlerFunc(func(time.Duration) { times = append(times, e.Now()) }))
+	e.EveryHandler(90*time.Second, HandlerFunc(func(time.Duration) { times = append(times, e.Now()) }))
 	e.RunUntil(91 * time.Second)
 	if !hasLane(e, 700*time.Millisecond) || hasLane(e, 90*time.Second) {
 		t.Fatalf("lanes = %v, want 700ms on a lane and 90s on the heap", e.laneDelay[:e.nLanes])
@@ -391,20 +391,20 @@ func TestEngineDrainNoLeakedEvents(t *testing.T) {
 	e := New(1)
 	for i := 0; i < 500; i++ {
 		// Ten recurring delays: eight earn lanes, two stay on the heap.
-		tm := e.Schedule(time.Duration(i%10)*time.Millisecond, func() {})
+		tm := e.ScheduleHandler(time.Duration(i%10)*time.Millisecond, HandlerFunc(func(time.Duration) {}))
 		if i%7 == 0 {
 			tm.Stop()
 		}
 	}
-	e.Schedule(70*time.Second, func() {})
+	e.ScheduleHandler(70*time.Second, HandlerFunc(func(time.Duration) {}))
 	var tk *Ticker
-	tk = e.Every(33*time.Millisecond, func() {
+	tk = e.EveryHandler(33*time.Millisecond, HandlerFunc(func(time.Duration) {
 		if e.Now() > 2*time.Second {
 			tk.Stop()
 		}
-	})
-	tk2 := e.Every(time.Hour, func() {})
-	e.Schedule(80*time.Second, tk2.Stop)
+	}))
+	tk2 := e.EveryHandler(time.Hour, HandlerFunc(func(time.Duration) {}))
+	e.ScheduleHandler(80*time.Second, HandlerFunc(func(time.Duration) { tk2.Stop() }))
 	if lane, heap := e.SchedulerInserts(); lane == 0 || heap == 0 {
 		t.Fatalf("inserts: %d lane, %d heap; the drain must cover both", lane, heap)
 	}
@@ -428,7 +428,7 @@ func hasLane(e *Engine, d time.Duration) bool {
 func openLane(t *testing.T, e *Engine, d time.Duration) {
 	t.Helper()
 	for i := 0; i < lanePromoteAt; i++ {
-		e.Schedule(d, func() {})
+		e.ScheduleHandler(d, HandlerFunc(func(time.Duration) {}))
 	}
 	e.Run()
 	if !hasLane(e, d) {
@@ -444,9 +444,9 @@ func TestLaneCancelledTimerRecycledNotFired(t *testing.T) {
 	openLane(t, e, d)
 	before, _ := e.SchedulerInserts()
 	fired := 0
-	e.Schedule(d, func() { fired++ })
-	tm := e.Schedule(d, func() { t.Error("cancelled lane event fired") })
-	e.Schedule(d, func() { fired++ })
+	e.ScheduleHandler(d, HandlerFunc(func(time.Duration) { fired++ }))
+	tm := e.ScheduleHandler(d, HandlerFunc(func(time.Duration) { t.Error("cancelled lane event fired") }))
+	e.ScheduleHandler(d, HandlerFunc(func(time.Duration) { fired++ }))
 	if after, _ := e.SchedulerInserts(); after-before != 3 {
 		t.Fatalf("%d of 3 events filed on the lane", after-before)
 	}
@@ -470,7 +470,7 @@ func TestLanePromotionMidRunKeepsKeyOrder(t *testing.T) {
 	n := lanePromoteAt + 10
 	var got []int
 	for i := 0; i < n; i++ {
-		e.Schedule(5*time.Millisecond, func() { got = append(got, i) })
+		e.ScheduleHandler(5*time.Millisecond, HandlerFunc(func(time.Duration) { got = append(got, i) }))
 	}
 	if lane, heap := e.SchedulerInserts(); heap != lanePromoteAt || lane != 10 {
 		t.Fatalf("inserts: %d lane, %d heap; want the first %d on the heap and 10 on the new lane", lane, heap, lanePromoteAt)
@@ -501,7 +501,7 @@ func TestNinthHotDelayStaysOnHeap(t *testing.T) {
 	}
 	var want, got []filed
 	id := 0
-	e.Every(500*time.Microsecond, func() {
+	e.EveryHandler(500*time.Microsecond, HandlerFunc(func(time.Duration) {
 		if id >= 50*len(delays) {
 			return
 		}
@@ -509,9 +509,9 @@ func TestNinthHotDelayStaysOnHeap(t *testing.T) {
 			ev := filed{id, e.Now() + d}
 			id++
 			want = append(want, ev)
-			e.Schedule(d, func() { got = append(got, ev) })
+			e.ScheduleHandler(d, HandlerFunc(func(time.Duration) { got = append(got, ev) }))
 		}
-	})
+	}))
 	e.RunUntil(time.Second)
 	if e.nLanes != maxLanes || hasLane(e, ninth) {
 		t.Fatalf("lanes = %v, want the first %d delays only", e.laneDelay[:e.nLanes], maxLanes)
@@ -531,9 +531,9 @@ func TestLaneRenumberedSrcFallsBackToHeap(t *testing.T) {
 	d := 5 * time.Millisecond
 	openLane(t, e, d)
 	var got []string
-	e.Schedule(d, func() { got = append(got, "src2") })
+	e.ScheduleHandler(d, HandlerFunc(func(time.Duration) { got = append(got, "src2") }))
 	e.src = 0
-	e.Schedule(d, func() { got = append(got, "src0") })
+	e.ScheduleHandler(d, HandlerFunc(func(time.Duration) { got = append(got, "src0") }))
 	e.Run()
 	if want := []string{"src0", "src2"}; !slices.Equal(got, want) {
 		t.Fatalf("order = %v, want %v: equal (at, schedAt) orders by src before seq", got, want)
@@ -544,7 +544,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	e := New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(time.Duration(i)*time.Nanosecond, func() {})
+		e.ScheduleHandler(time.Duration(i)*time.Nanosecond, HandlerFunc(func(time.Duration) {}))
 	}
 	e.Run()
 }
@@ -555,12 +555,12 @@ func TestTickerResetInsideCallback(t *testing.T) {
 	e := New(1)
 	var times []time.Duration
 	var tk *Ticker
-	tk = e.Every(time.Second, func() {
+	tk = e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) {
 		times = append(times, e.Now())
 		if e.Now() == 2*time.Second {
 			tk.Reset(250 * time.Millisecond)
 		}
-	})
+	}))
 	e.RunUntil(3 * time.Second)
 	want := []time.Duration{
 		1 * time.Second, 2 * time.Second, // old cadence
@@ -577,20 +577,20 @@ func TestTickerResetInsideCallback(t *testing.T) {
 	}
 }
 
-// TestClosureAPIAllocFree: Schedule, At and Every wrap their func() in a
-// Handler, and a func value is pointer-shaped, so the wrap stores it in
-// the interface word without allocating — the closure API costs what the
-// handler API costs, a pooled event.
-func TestClosureAPIAllocFree(t *testing.T) {
+// TestHandlerFuncAllocFree: a HandlerFunc is pointer-shaped, so converting
+// one to Handler stores it in the interface word without allocating — a
+// closure scheduled, stamped or ticked through the handler verbs costs
+// what any handler costs, a pooled event.
+func TestHandlerFuncAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	e := New(1)
 	fired := 0
-	fn := func() { fired++ }
+	fn := HandlerFunc(func(time.Duration) { fired++ })
 	step := func() {
-		e.Schedule(time.Millisecond, fn)
-		e.At(e.Now()+3*time.Millisecond, fn)
+		e.ScheduleHandler(time.Millisecond, fn)
+		e.AtHandler(e.Now()+3*time.Millisecond, fn)
 		e.Step()
 		e.Step()
 	}
@@ -598,13 +598,13 @@ func TestClosureAPIAllocFree(t *testing.T) {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-		t.Errorf("Schedule+At+dispatch allocates %.2f objects per round, want 0", allocs)
+		t.Errorf("ScheduleHandler+AtHandler+dispatch of a HandlerFunc allocates %.2f objects per round, want 0", allocs)
 	}
-	tk := e.Every(time.Millisecond, fn)
+	tk := e.EveryHandler(time.Millisecond, fn)
 	e.RunUntil(e.Now() + 4*eventBlock*time.Millisecond)
 	before := fired
 	if allocs := testing.AllocsPerRun(1000, func() { e.RunUntil(e.Now() + time.Millisecond) }); allocs != 0 {
-		t.Errorf("a closure ticker allocates %.2f objects per tick, want 0", allocs)
+		t.Errorf("a HandlerFunc ticker allocates %.2f objects per tick, want 0", allocs)
 	}
 	tk.Stop()
 	if fired == before {
@@ -654,7 +654,7 @@ func TestRandBuiltOnFirstDraw(t *testing.T) {
 
 	late := New(7)
 	for i := range 1000 {
-		late.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		late.ScheduleHandler(time.Duration(i)*time.Millisecond, HandlerFunc(func(time.Duration) {}))
 	}
 	late.Run()
 	if late.Processed() != 1000 || late.rng != nil {

@@ -142,7 +142,7 @@ type Flow struct {
 	rtoBackoff   int
 	rtoTimer     sim.Timer
 	rtoArmed     bool
-	rtoFn        func() // f.onRTO, bound once: a method value per arm allocates
+	rtoFn        sim.HandlerFunc // f.onRTO, bound once: a method value per arm allocates
 
 	// Receiver state.
 	rcvNext int64
@@ -263,7 +263,7 @@ func (f *Flow) ensureRTO() {
 		return
 	}
 	f.rtoArmed = true
-	f.rtoTimer = f.eng.Schedule(f.rto(), f.rtoFn)
+	f.rtoTimer = f.eng.ScheduleHandler(f.rto(), f.rtoFn)
 }
 
 // onData runs at the receiver.
@@ -458,7 +458,7 @@ func (f *Flow) armRTO() {
 	f.ensureRTO()
 }
 
-func (f *Flow) onRTO() {
+func (f *Flow) onRTO(time.Duration) {
 	f.rtoArmed = false
 	if !f.running || f.nextSeq == f.cumAck {
 		return

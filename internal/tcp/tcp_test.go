@@ -150,14 +150,14 @@ func TestRTORecoveryAfterBlackout(t *testing.T) {
 	f.OnDeliver(func(at time.Duration, n int) { m.AddBytes(at, n) })
 	f.Start(0)
 	// Blackout: shrink the link to a trickle with a tiny queue at t=5s.
-	eng.Schedule(5*time.Second, func() {
+	eng.ScheduleHandler(5*time.Second, sim.HandlerFunc(func(time.Duration) {
 		src.Uplink().SetRate(1000)
 		src.Uplink().SetQueueBytes(1500)
-	})
-	eng.Schedule(15*time.Second, func() {
+	}))
+	eng.ScheduleHandler(15*time.Second, sim.HandlerFunc(func(time.Duration) {
 		src.Uplink().SetRate(2e6)
 		src.Uplink().SetQueueBytes(netem.DefaultQueueBytes(2e6))
-	})
+	}))
 	eng.RunUntil(40 * time.Second)
 	if f.RTOCount == 0 {
 		t.Error("no RTOs during a 10 s blackout")

@@ -548,15 +548,6 @@ func (c *Call) MeanFreezeRatio() float64 {
 	return sum / float64(n)
 }
 
-// HomeServer returns the SFU the named client is homed on (region 0's
-// for unknown names, matching the old map-default behaviour).
-func (c *Call) HomeServer(name string) *Server {
-	if cl := c.clientByName(name); cl != nil {
-		return c.Servers[cl.region]
-	}
-	return c.Servers[0]
-}
-
 // String identifies the call.
 func (c *Call) String() string {
 	if len(c.Servers) > 1 {

@@ -201,9 +201,9 @@ func TestChurnStormKeepsTablesDense(t *testing.T) {
 			}{{true, "c2"}, {true, "c3"}, {false, "c2"}, {true, "c4"}, {false, "c3"}, {false, "c4"}} {
 				ev := ev
 				if ev.leave {
-					eng.Schedule(at, func() { call.Leave(ev.name) })
+					eng.ScheduleHandler(at, sim.HandlerFunc(func(time.Duration) { call.Leave(ev.name) }))
 				} else {
-					eng.Schedule(at, func() { call.Rejoin(ev.name) })
+					eng.ScheduleHandler(at, sim.HandlerFunc(func(time.Duration) { call.Rejoin(ev.name) }))
 				}
 				at += step
 			}

@@ -248,37 +248,6 @@ func (s *Server) setDisplayedIDs(receiver int32, origins []int32) {
 	s.fanDirty = true
 }
 
-// SetDisplayed configures which origins each receiver displays (layout).
-// The receiver may be a peer SFU, in which case the set is the union of
-// what that region's receivers display — the relay subscription.
-func (s *Server) SetDisplayed(receiver string, origins []string) {
-	rid := s.reg.id(receiver)
-	if rid == noID {
-		return
-	}
-	ids := make([]int32, 0, len(origins))
-	for _, o := range origins {
-		if oid := s.reg.id(o); oid != noID {
-			ids = append(ids, oid)
-		}
-	}
-	s.setDisplayedIDs(rid, ids)
-}
-
-// Displayed returns the current displayed set for one receiver as names
-// (the reporting boundary).
-func (s *Server) Displayed(receiver string) []string {
-	rid := s.reg.id(receiver)
-	if rid == noID {
-		return nil
-	}
-	var out []string
-	for _, oid := range s.displayed[rid] {
-		out = append(out, s.reg.name(oid))
-	}
-	return out
-}
-
 // track returns the down-track toward a subscriber ID taken off the wire or
 // out of the registry (nil: out of range, noID, or no track).
 func (s *Server) track(id int32) *downTrack {

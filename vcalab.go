@@ -32,7 +32,6 @@ import (
 	"vcalab/internal/experiment"
 	"vcalab/internal/netem"
 	"vcalab/internal/obs"
-	"vcalab/internal/runner"
 	"vcalab/internal/scenario"
 	"vcalab/internal/sim"
 	"vcalab/internal/stats"
@@ -58,32 +57,25 @@ type (
 func NewEngine(seed int64) *Engine { return sim.New(seed) }
 
 // Heterogeneous last-mile link models (internal/netem): Gilbert–Elliott
-// bursty loss (WiFi) and bufferbloat with optional CoDel AQM. Each model
-// owns its seeded randomness, so installing one never perturbs the
-// engine's shared stream. A cellular (LTE/5G) last mile is a scenario
-// timeline: a ScenarioTrace of capacity steps plus pause/resume shapes.
+// bursty loss (WiFi) and bufferbloat with optional CoDel AQM, installed
+// by a ScenarioModel event. Each model owns its seeded randomness, so
+// installing one never perturbs the engine's shared stream. A cellular
+// (LTE/5G) last mile is a scenario timeline: a ScenarioTrace of capacity
+// steps plus pause/resume shapes.
 type (
 	// LossModel is a stateful per-packet loss process for Link.SetLossModel.
 	LossModel = netem.LossModel
 	// GEConfig parameterizes the Gilbert–Elliott loss chain.
 	GEConfig = netem.GEConfig
-	// GilbertElliott is the GE chain; install with Link.SetLossModel.
-	GilbertElliott = netem.GilbertElliott
 	// BloatConfig describes a bufferbloated hop (deep queue, optional AQM).
 	BloatConfig = netem.BloatConfig
 )
 
 var (
-	// NewGilbertElliott builds a seeded GE loss model.
-	NewGilbertElliott = netem.NewGilbertElliott
 	// WiFiBursty parameterizes GE for a target loss rate and burst length.
 	WiFiBursty = netem.WiFiBursty
-	// NewCoDel builds an AQM instance for Link.SetAQM.
-	NewCoDel = netem.NewCoDel
 	// ApplyBloat reconfigures a rate-limited link as a bufferbloated hop.
 	ApplyBloat = netem.ApplyBloat
-	// DeepQueueBytes converts a time depth at a rate into a queue bound.
-	DeepQueueBytes = netem.DeepQueueBytes
 )
 
 // VCA modelling types.
@@ -129,10 +121,9 @@ type (
 	CascadeTopology = cascade.Topology
 	// CascadeRegion is one SFU site and its homed clients.
 	CascadeRegion = cascade.Region
-	// CascadeMesh is a built multi-router cascade lab.
+	// CascadeMesh is a built multi-router cascade lab; Mesh.NewCall
+	// assembles a conference across its per-region SFUs.
 	CascadeMesh = cascade.Mesh
-	// CascadePlacement homes a group of client hosts on one SFU host.
-	CascadePlacement = vca.CascadePlacement
 )
 
 var (
@@ -140,9 +131,6 @@ var (
 	BuildCascade = cascade.Build
 	// CascadeAssign spreads n clients round-robin across regions.
 	CascadeAssign = cascade.Assign
-	// NewCascadedCall assembles a conference across per-region SFU hosts
-	// joined by relay legs (Meet/Zoom: per-hop CC; Teams: end-to-end).
-	NewCascadedCall = vca.NewCascadedCall
 )
 
 // Dynamic-scenario subsystem (internal/scenario): declarative,
@@ -261,9 +249,9 @@ type (
 )
 
 // Observability (internal/obs): a ring-buffer tracer of typed sim-time
-// events and a sampled metrics registry. Engine.SetTracer attaches one to
-// an engine, and everything that runs there records into it; attaching
-// one never changes experiment output.
+// events. Engine.SetTracer attaches one to an engine, and everything that
+// runs there records into it; attaching one never changes experiment
+// output. Sampled metrics are captured per trial through SetCapture.
 type (
 	// Tracer records packet/CC/switch/scenario/churn events into a
 	// fixed-capacity ring exportable as JSONL.
@@ -271,21 +259,14 @@ type (
 	// TraceEvent is one traced record; TraceEventKind its taxonomy.
 	TraceEvent     = obs.Event
 	TraceEventKind = obs.EventKind
-	// MetricsRegistry/MetricsLog are the sampled named-metric half.
-	MetricsRegistry = obs.Registry
-	MetricsLog      = obs.MetricsLog
 	// ObsConfig enables per-trial capture (see SetCapture, and
 	// DynamicConfig.Obs for one run).
 	ObsConfig = experiment.ObsConfig
 )
 
-var (
-	// NewTracer builds a tracer holding the last n events (n <= 0 uses
-	// the package default capacity).
-	NewTracer = obs.NewTracer
-	// NewMetricsRegistry builds an empty metrics registry.
-	NewMetricsRegistry = obs.NewRegistry
-)
+// NewTracer builds a tracer holding the last n events (n <= 0 uses the
+// package default capacity).
+var NewTracer = obs.NewTracer
 
 // Traced event kinds.
 const (
@@ -313,18 +294,12 @@ const (
 	CompYouTube = experiment.CompYouTube
 )
 
-// Parallel sweep engine. Every Run* fans its independent trials across a
+// Parallel sweeps. Every Run* fans its independent trials across a
 // worker pool (one fresh single-threaded Engine per trial, per-trial
 // seeds, results in input order), so parallel output is byte-identical to
 // sequential. The knobs below set every sweep's parallelism, progress
 // hook and capture, process-wide.
-type Runner = runner.Runner
-
 var (
-	// NewRunner builds a worker pool (parallelism <= 0 = GOMAXPROCS).
-	NewRunner = runner.New
-	// TrialSeed derives a decorrelated per-trial seed from (base, trial).
-	TrialSeed = runner.Seed
 	// SetDefaultParallelism sets the trial parallelism of every sweep
 	// (1 = sequential, n <= 0 restores GOMAXPROCS).
 	SetDefaultParallelism = experiment.SetDefaultParallelism
@@ -369,12 +344,11 @@ var (
 	PrintFuzz            = experiment.PrintFuzz
 )
 
-// Topology delays (re-exported from the experiment package).
+// Topology delays of the hosts Lab.RemoteHost adds (re-exported from the
+// experiment package).
 const (
-	ClientDelay = experiment.ClientDelay
 	RemoteDelay = experiment.RemoteDelay
 	SFUDelay    = experiment.SFUDelay
-	IPerfDelay  = experiment.IPerfDelay
 )
 
 // Measurement types.
@@ -383,16 +357,15 @@ type (
 	Series = stats.Series
 	// Summary aggregates repeated measurements with 90% CIs.
 	Summary = stats.Summary
-	// Meter converts byte arrivals into bitrate series.
+	// Meter converts byte arrivals into bitrate series (Client.UpMeter,
+	// Client.DownMeter).
 	Meter = stats.Meter
 )
 
 // Statistics helpers.
 var (
-	NewMeter  = stats.NewMeter
 	Median    = stats.Median
 	Mean      = stats.Mean
 	Summarize = stats.Summarize
-	TTR       = stats.TTR
 	Share     = stats.Share
 )

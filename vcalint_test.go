@@ -582,17 +582,8 @@ func TestOptionCensus(t *testing.T) {
 func optionCensus(t *testing.T) map[string][]string {
 	t.Helper()
 	got := map[string][]string{}
-	fset := token.NewFileSet()
 	for _, dir := range packageDirs(t, ".", []string{"internal"}) {
-		bp, err := build.ImportDir(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, f := range parsePackage(t, dir) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
 				if !ok || !ts.Name.IsExported() {
@@ -616,4 +607,233 @@ func optionCensus(t *testing.T) map[string][]string {
 		}
 	}
 	return got
+}
+
+// wantFacadeExports is how many names vcalab.go exports. A facade name
+// stays while a program, test, example or bench/ file uses it, a user
+// document tells users to use it, or a kept name exposes it (a kept
+// function's parameter or result, a kept type's field or method, or the
+// named values of a kept enum type). The count may only go down.
+const wantFacadeExports = 138
+
+// wantUnnamed is every exported top-level name ("pkg.Name") and method
+// ("pkg.Type.Method") under internal/ that no Go file outside its package
+// names: tests, examples, cmd/ and bench/ count, files in the package's
+// own directory do not. Most are methods that satisfy an interface, or
+// names that only the package and its own tests use. A new entry is an
+// exported name without an outside caller — unexport or delete it, or list
+// it here; a stale entry fails until it is pruned.
+var wantUnnamed = []string{
+	"apps.IPerf", "apps.Netflix", "apps.YouTube",
+	"cascade.Mesh.Placements", "cascade.Trial.ShardStats",
+	"cc.Fixed", "cc.GCC", "cc.GCC.Threshold", "cc.GCCConfig", "cc.TeamsCC", "cc.TeamsConfig",
+	"cc.ZoomCC", "cc.ZoomConfig",
+	"codec.Encoder", "codec.Encoder.Target", "codec.FECBytes", "codec.Ladder.ParamsFor",
+	"codec.SVC", "codec.Simulcast", "codec.Source", "codec.Source.Complexity",
+	"experiment.CompetitionLabel", "experiment.EventRecovery",
+	"netem.CoDel", "netem.GEConfig.StationaryLoss", "netem.GilbertElliott.Bad",
+	"netem.GilbertElliott.Lose", "netem.Handler", "netem.HandlerFunc.Deliver",
+	"netem.Host.Deliver", "netem.Host.Handle", "netem.Link.OnDrop", "netem.Packet.Release",
+	"netem.PacketPool", "netem.Router.Deliver",
+	"obs.DefaultTraceCap", "obs.GaugeSample", "obs.HistSample", "obs.Histogram", "obs.Tracer.Cap",
+	"pcap.Frame", "pcap.HostIP", "pcap.Writer.WriteFrame", "pcap.Writer.WriteNetem",
+	"rtp.ErrBadVersion", "rtp.ErrShortPacket", "rtp.Header.MarshalSize", "rtp.Packet.MarshalSize",
+	"rtp.RTXBuffer", "rtp.RTXEntry", "rtp.Version", "rtp.bufEntry.RTXSeq",
+	"runner.Runner",
+	"scenario.LinkKind", "scenario.Op", "scenario.OpLeave", "scenario.OpMode",
+	"scenario.OpRejoin", "scenario.SpeakerFlip", "scenario.Timeline.Applied",
+	"scenario.TraceReplay",
+	"sim.Engine.NextKey", "sim.Engine.RunBefore", "sim.Engine.Step", "sim.HandlerFunc.OnEvent",
+	"sim.Mailbox.HighWater", "sim.Ticker.OnEvent",
+	"stats.Percentile", "stats.Series.RollingMedian", "stats.StdDev",
+	"tcp.Flow.SRTT",
+	"vca.AllocMsg", "vca.Client.SetTierBps", "vca.Client.TierBps", "vca.FIRMsg",
+	"vca.FeedbackMsg", "vca.MediaMode", "vca.ModeSVC", "vca.ModeSimulcast", "vca.ModeSingle",
+	"vca.NackMsg", "vca.PortFeedback", "vca.PortMedia", "vca.PortSignal",
+	"vca.RecoveryReceiverStats", "vca.Server", "vca.TWCCMsg", "vca.Tier", "vca.TierHigh",
+	"vca.TierLow", "vca.TierMed", "vca.TierSpeaker", "vca.TierThumb",
+	"webrtcstats.Recorder.Last",
+}
+
+// TestExportCensus pins the exported surface: the facade's size and the
+// internal exports nothing outside their package names.
+func TestExportCensus(t *testing.T) {
+	if n := len(facadeExports(t)); n != wantFacadeExports {
+		t.Errorf("vcalab.go exports %d names, wantFacadeExports is %d", n, wantFacadeExports)
+	}
+	got := unnamedExports(t)
+	for _, name := range got {
+		if !slices.Contains(wantUnnamed, name) {
+			t.Errorf("%s is exported but named nowhere outside its package: unexport or delete it, or list it in wantUnnamed", name)
+		}
+	}
+	for _, name := range wantUnnamed {
+		if !slices.Contains(got, name) {
+			t.Errorf("wantUnnamed lists %s, which is gone or now named outside its package: prune the list", name)
+		}
+	}
+	if !slices.IsSorted(wantUnnamed) {
+		t.Error("wantUnnamed is not sorted")
+	}
+	t.Logf("%d facade exports, %d internal exports named only inside their package", wantFacadeExports, len(got))
+}
+
+// facadeExports returns the exported top-level names of the root package.
+func facadeExports(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	for _, f := range parsePackage(t, ".") {
+		for _, d := range f.Decls {
+			names = append(names, declNames(d)...)
+		}
+	}
+	return names
+}
+
+// unnamedExports returns, sorted, the exported top-level names and methods
+// declared in the non-test files under internal/ that no Go file in
+// another directory of the repository names.
+func unnamedExports(t *testing.T) []string {
+	t.Helper()
+	// declared maps each census entry to the reference that would name it
+	// ("pkg.Name" for a top-level name, ".Method" for a method) and the
+	// declaring directory.
+	type decl struct{ ref, dir string }
+	declared := map[string]decl{}
+	for _, dir := range packageDirs(t, ".", []string{"internal"}) {
+		for _, f := range parsePackage(t, dir) {
+			pkg := f.Name.Name
+			for _, d := range f.Decls {
+				for _, name := range declNames(d) {
+					declared[pkg+"."+name] = decl{pkg + "." + name, dir}
+				}
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+					continue
+				}
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if ix, ok := recv.(*ast.IndexExpr); ok {
+					recv = ix.X
+				}
+				declared[pkg+"."+recv.(*ast.Ident).Name+"."+fd.Name.Name] = decl{"." + fd.Name.Name, dir}
+			}
+		}
+	}
+	// namedIn maps a reference to the directories whose files make it:
+	// "pkg.Name" for a qualified selector through an import of
+	// vcalab/internal/pkg, ".Name" for any selector or interface method,
+	// which may name a method of any type.
+	namedIn := map[string]map[string]bool{}
+	mark := func(ref, dir string) {
+		if namedIn[ref] == nil {
+			namedIn[ref] = map[string]bool{}
+		}
+		namedIn[ref][dir] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(p, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(p)
+		imports := map[string]string{} // local name → package name
+		for _, spec := range f.Imports {
+			path := strings.Trim(spec.Path.Value, `"`)
+			if pkg, ok := strings.CutPrefix(path, "vcalab/internal/"); ok {
+				local := pkg
+				if spec.Name != nil {
+					local = spec.Name.Name
+				}
+				imports[local] = pkg
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				mark("."+n.Sel.Name, dir)
+				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					mark(imports[id.Name]+"."+n.Sel.Name, dir)
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						mark("."+id.Name, dir)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unnamed []string
+	for name, d := range declared {
+		dirs := namedIn[d.ref]
+		if len(dirs) == 0 || len(dirs) == 1 && dirs[d.dir] {
+			unnamed = append(unnamed, name)
+		}
+	}
+	slices.Sort(unnamed)
+	return unnamed
+}
+
+// parsePackage parses the non-test Go files of the package in dir.
+func parsePackage(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// declNames returns the exported names a top-level declaration binds;
+// methods bind none.
+func declNames(d ast.Decl) []string {
+	var names []string
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil && d.Name.IsExported() {
+			names = append(names, d.Name.Name)
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				if s.Name.IsExported() {
+					names = append(names, s.Name.Name)
+				}
+			case *ast.ValueSpec:
+				for _, id := range s.Names {
+					if id.IsExported() {
+						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	return names
 }
