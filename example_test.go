@@ -190,12 +190,15 @@ func Example_classroom() {
 // broadband definition suffice for a multi-person household on
 // simultaneous video calls (§1, §3 takeaway)? One, two, then three
 // simultaneous 2-party calls of each VCA share a 3 Mbps uplink (the FCC
-// floor), and each row reports per-call quality.
+// floor), and each row reports per-call quality. The closing lines state
+// what this run's rows show, then the paper's §3 caution as the paper's
+// claim: the model need not reproduce it for these households.
 func Example_broadband() {
 	fmt.Println("FCC broadband floor: 25 Mbps down / 3 Mbps up")
 	fmt.Println("simultaneous 2-party calls sharing the 3 Mbps uplink:")
 	fmt.Println()
 
+	cells, degraded := 0, 0
 	for _, mk := range []func() *vcalab.Profile{vcalab.Meet, vcalab.Teams, vcalab.Zoom} {
 		prof := mk()
 		fmt.Printf("%s:\n", prof.Name)
@@ -204,14 +207,21 @@ func Example_broadband() {
 			verdict := "ok"
 			if freezeRatio > 0.02 {
 				verdict = "degraded"
+				degraded++
 			}
+			cells++
 			fmt.Printf("  %d call(s): %.2f Mbps per call upstream, %.1f%% freezes -> %s\n",
 				nCalls, perCall, 100*freezeRatio, verdict)
 		}
 		fmt.Println()
 	}
-	fmt.Println("The paper's takeaway (§3): a 25/3 connection may not suffice")
-	fmt.Println("even for two simultaneous video calls.")
+	if degraded == 0 {
+		fmt.Println("This run: every household stays under 2% freezes, up to three calls.")
+	} else {
+		fmt.Printf("This run: %d of %d households freeze more than 2%% of the time.\n", degraded, cells)
+	}
+	fmt.Println("The paper's caution (§3), from its measurements, not this run:")
+	fmt.Println("a 25/3 connection may not suffice even for two simultaneous video calls.")
 	// Output:
 	// FCC broadband floor: 25 Mbps down / 3 Mbps up
 	// simultaneous 2-party calls sharing the 3 Mbps uplink:
@@ -231,8 +241,9 @@ func Example_broadband() {
 	//   2 call(s): 0.86 Mbps per call upstream, 0.0% freezes -> ok
 	//   3 call(s): 0.81 Mbps per call upstream, 1.5% freezes -> ok
 	//
-	// The paper's takeaway (§3): a 25/3 connection may not suffice
-	// even for two simultaneous video calls.
+	// This run: every household stays under 2% freezes, up to three calls.
+	// The paper's caution (§3), from its measurements, not this run:
+	// a 25/3 connection may not suffice even for two simultaneous video calls.
 }
 
 // householdCalls starts nCalls calls behind one 3 Mbps uplink and returns

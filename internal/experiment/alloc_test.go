@@ -16,14 +16,16 @@ import (
 // segments and acks from a pool — one recovery-on churn trial, whose
 // rejoins take drained RTX rings from the server's spare list, and one
 // 48-party scale trial, whose 1.3 M frame-latency samples fill run tables
-// of about 8 000 distinct values a region, to 1.1× the measured value (all
-// repeat to under 1%). Per-second samples on the unread client put either
-// paper cell over; a boxed tcp payload per packet costs the second eight
-// times over; a fresh ring per rejoin puts the third over; keeping every
-// latency sample puts the fourth over. Growing the meters' bins one append
-// at a time, not a page at a time, puts the second over; growing the latency
-// run tables by doubling and reading them through a merged copy puts the
-// third and fourth over.
+// of about 8 000 distinct values a region, to 1.1× the measured value, the
+// recovery-on trial to 1.05× (all repeat to under 1%). Per-second samples
+// on the unread client put either paper cell over; a boxed tcp payload per
+// packet costs the second eight times over; a fresh ring per rejoin puts
+// the third over; keeping every latency sample puts the fourth over.
+// Growing the meters' bins one append at a time, not a page at a time,
+// puts the second over; growing the latency run tables by doubling and
+// reading them through a merged copy puts the third and fourth over; an
+// 80-byte MediaPacket, which every RTX ring slot keeps alive, puts the
+// third over.
 func TestTrialAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -33,21 +35,22 @@ func TestTrialAllocBudgets(t *testing.T) {
 		name             string
 		run              func()
 		measured, parent float64 // MB: at this budget's writing, and at its parent commit
+		slack            float64 // the budget is slack × measured
 	}{
 		{"static meet uplink 1 Mbps 80 s", func() {
 			RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{1}, Reps: 1, Dur: 80 * time.Second, Seed: 1})
-		}, 0.105, 0.108}, // parent: meter bins grown by append
+		}, 0.105, 0.108, 1.1}, // parent: meter bins grown by append
 		{"zoom vs iperf3 2 Mbps", func() {
 			RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1})
-		}, 0.203, 0.245}, // parent: meter bins grown by append
+		}, 0.203, 0.245, 1.1}, // parent: meter bins grown by append
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on", func() {
 			RunDynamic(DynamicConfig{Profile: vca.Zoom(), Scenario: scenario.ChurnStorm(8), Participants: 8, Regions: 2, InterMbps: 10,
 				Reps: 1, Dur: 80 * time.Second, Warmup: 10 * time.Second, Seed: 1, Recovery: true})
-		}, 2.608, 2.929}, // parent: run tables and meter bins grown by doubling
+		}, 2.177, 2.608, 1.05}, // parent: 80-byte media packets, 16-byte TWCC send-history slots
 		{"meet scale 48p/3r 20 Mbps", func() {
 			RunScale(ScaleConfig{Profile: vca.Meet(), Participants: []int{48}, Regions: 3, InterMbps: []float64{20},
 				Reps: 1, Dur: 30 * time.Second, Warmup: 10 * time.Second, Seed: 1})
-		}, 3.351, 3.819}, // parent: run tables grown by doubling, read through a merged copy
+		}, 3.351, 3.819, 1.1}, // parent: run tables grown by doubling, read through a merged copy
 	}
 	for _, c := range cells {
 		var before, after runtime.MemStats
@@ -55,8 +58,8 @@ func TestTrialAllocBudgets(t *testing.T) {
 		c.run()
 		runtime.ReadMemStats(&after)
 		got := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-		if budget := 1.1 * c.measured; got > budget {
-			t.Errorf("%s: allocated %.3f MB, budget %.3f (1.1 × %.3f; the parent commit allocated %.3f)", c.name, got, budget, c.measured, c.parent)
+		if budget := c.slack * c.measured; got > budget {
+			t.Errorf("%s: allocated %.3f MB, budget %.3f (%.2f × %.3f; the parent commit allocated %.3f)", c.name, got, budget, c.slack, c.measured, c.parent)
 		} else {
 			t.Logf("%s: allocated %.3f MB", c.name, got)
 		}

@@ -159,7 +159,7 @@ func udpPayloadFor(pkt *netem.Packet, size int) ([]byte, error) {
 			PayloadType:    payloadTypeFor(mp),
 			SequenceNumber: mp.Seq,
 			Timestamp:      uint32(pkt.SentAt / (time.Second / 90000)), // 90 kHz video clock
-			SSRC:           mp.SSRC,
+			SSRC:           uint32(mp.SSRC),
 		},
 		Payload: make([]byte, payloadLen),
 	}

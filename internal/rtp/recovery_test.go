@@ -1,6 +1,7 @@
 package rtp
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 	"time"
@@ -350,8 +351,65 @@ func TestSentHistory(t *testing.T) {
 	if at, size, ok := h.Lookup(13); !ok || at != 2000 || size != 300 {
 		t.Fatal("seq 13 should be present")
 	}
-	// 2048 slots per down-track with a controller: the slot stays packed.
-	if got := unsafe.Sizeof(sentSlot{}); got != 16 {
-		t.Errorf("sentSlot is %d bytes, want 16", got)
+}
+
+// TestHistorySlotLayout pins what the two TWCC rings pay per seq: 2048
+// send-history slots per down-track with a controller and up to 2048
+// arrival slots per receiver, each one uint64.
+func TestHistorySlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(NewSentHistory(2048).slots[0]); got != 8 {
+		t.Errorf("a SentHistory slot is %d bytes, want 8", got)
 	}
+	if got := unsafe.Sizeof(NewTWCCRecorder(2048).slots[0]); got != 8 {
+		t.Errorf("a TWCCRecorder slot is %d bytes, want 8", got)
+	}
+}
+
+// TestHistoryRejectsUnpackable: a value a packed slot cannot hold panics
+// instead of wrapping into another seq's or another time's bits, and the
+// limits themselves round-trip. A 2048-slot history keeps 5 seq bits and
+// 46 bits of atUs (about 2.2 years of µs); a one-slot history keeps all
+// 16 seq bits and 35 bits of atUs.
+func TestHistoryRejectsUnpackable(t *testing.T) {
+	for _, capacity := range []int{1, 2048} {
+		h := NewSentHistory(capacity)
+		limit := int64(h.pack.maxAt)
+		if want := int64(1)<<(35+bits.TrailingZeros(uint(capacity))) - 1; limit != want {
+			t.Errorf("capacity %d: atUs limit %d, want %d", capacity, limit, want)
+		}
+		h.Record(65535, limit, sizeMax)
+		if at, size, ok := h.Lookup(65535); !ok || at != limit || size != sizeMax {
+			t.Errorf("capacity %d: Lookup at the limits = %d, %d, %v", capacity, at, size, ok)
+		}
+		for _, bad := range []struct {
+			atUs int64
+			size int
+		}{{limit + 1, 0}, {-1, 0}, {0, sizeMax + 1}, {0, -1}} {
+			if !panics(func() { h.Record(1, bad.atUs, bad.size) }) {
+				t.Errorf("capacity %d: Record(1, %d, %d) did not panic", capacity, bad.atUs, bad.size)
+			}
+		}
+	}
+	r := NewTWCCRecorder(1024)
+	limit := int64(r.pack.maxAt)
+	if want := int64(1)<<51 - 1; limit != want {
+		t.Errorf("TWCC atUs limit %d, want %d (its 16-slot first ring fixes 4 seq bits)", limit, want)
+	}
+	for _, bad := range []int64{limit + 1, -1} {
+		if !panics(func() { r.Record(1, bad) }) {
+			t.Errorf("TWCC Record(1, %d) did not panic", bad)
+		}
+	}
+	r.Record(1, limit)
+	if rep, ok := r.BuildReport(); !ok || rep.RefTimeUs != limit {
+		t.Errorf("TWCC report at the limit = %+v, %v", rep, ok)
+	}
+}
+
+const sizeMax = 1<<sizeBits - 1
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

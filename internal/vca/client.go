@@ -340,8 +340,7 @@ func (c *Client) sendFrame(f *codec.Frame) {
 		mp.FrameEnd = last && f.Layer == c.topLayer
 		mp.Keyframe = f.Keyframe
 		if mp.LayerEnd {
-			mp.Params = f.Params
-			mp.HasParams = true
+			mp.setParams(f.Params)
 		}
 		c.seq++
 		c.send(mp, chunk+wireOverhead)

@@ -11,6 +11,8 @@
 package vca
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -80,13 +82,16 @@ func (m *MediaPacket) rateKey() int {
 // MediaPacket is the typed payload of an RTP media packet in the emulator.
 // internal/pcap can serialize it to a real RTP packet for traces.
 //
-// Fields are ordered by alignment so the struct fits the 80-byte size
-// class: every pool fill, recovery on or off, pays for one of these.
+// Fields are ordered by alignment so the struct fits the 64-byte size
+// class: every pool fill, recovery on or off, pays for one of these, and
+// every RTX ring slot holds one alive.
 type MediaPacket struct {
 	// OriginSentAt is stamped by the origin client and survives
 	// forwarding.
 	OriginSentAt time.Duration
-	Params       codec.EncodeParams
+	// fps, qp, width and height are the encode parameters a frame's last
+	// packet of each layer carries (hasParams); params reads them back.
+	fps, qp float64
 
 	pool *mpPool // owning free list, nil for literal packets
 
@@ -97,14 +102,15 @@ type MediaPacket struct {
 	// wherever a name is needed (labels, traces).
 	OriginID int32
 	// refs counts the holders of a retained packet (see retain).
-	refs     int32
-	SSRC     uint32
-	FrameSeq int32
-	Seq      uint16
+	refs          int32
+	FrameSeq      int32
+	width, height uint16
+	Seq           uint16
 	// TWSeq is the transport-wide sequence number the SFU stamps on every
 	// packet of one downlink when recovery is on (0 = unstamped; the
 	// counter skips 0), feeding the TWCC arrival reports.
 	TWSeq uint16
+	SSRC  uint8 // 1 video and client padding, 2 audio, 0 SFU-made FEC and padding
 	// RK is the stream's rate key (see streamRK), stamped alongside
 	// OriginID; it names the stream ("video", "sim/low", "sim/high",
 	// "svc", "audio", "pad", "fec") through streamName.
@@ -125,7 +131,22 @@ type MediaPacket struct {
 	// RTX marks a NACK-answered retransmission, so the receiver can
 	// account it separately and CC can discount it.
 	RTX       bool
-	HasParams bool
+	hasParams bool
+}
+
+// setParams stamps the encode parameters on the packet. A dimension
+// outside 16 bits is a ladder no packet can carry, and panics.
+func (m *MediaPacket) setParams(p codec.EncodeParams) {
+	if uint(p.Width) > math.MaxUint16 || uint(p.Height) > math.MaxUint16 {
+		panic(fmt.Sprintf("vca: a %dx%d frame does not fit a media packet's 16-bit dimensions", p.Width, p.Height))
+	}
+	m.fps, m.qp, m.width, m.height, m.hasParams = p.FPS, p.QP, uint16(p.Width), uint16(p.Height), true
+}
+
+// params returns the encode parameters setParams stamped, FPS and QP bit
+// for bit, and whether there are any.
+func (m *MediaPacket) params() (codec.EncodeParams, bool) {
+	return codec.EncodeParams{FPS: m.fps, Width: int(m.width), Height: int(m.height), QP: m.qp}, m.hasParams
 }
 
 // mpPool is the single-threaded free list of one region's payload
@@ -277,6 +298,7 @@ func (m *MediaPacket) ReleasePayload() { releaseMedia(m) }
 // Audio shares the padding path in media.Receiver: it counts toward rate
 // and loss but not toward video frame assembly.
 func (m *MediaPacket) Info(wireBytes int, sentAt time.Duration) media.PacketInfo {
+	params, has := m.params()
 	return media.PacketInfo{
 		Seq:       m.Seq,
 		FrameSeq:  int(m.FrameSeq),
@@ -285,8 +307,8 @@ func (m *MediaPacket) Info(wireBytes int, sentAt time.Duration) media.PacketInfo
 		Bytes:     wireBytes,
 		SentAt:    sentAt,
 		Padding:   m.Padding || m.Audio,
-		Params:    m.Params,
-		HasParams: m.HasParams,
+		Params:    params,
+		HasParams: has,
 	}
 }
 

@@ -2,10 +2,12 @@ package vca
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 	"unsafe"
 
+	"vcalab/internal/codec"
 	"vcalab/internal/netem"
 	"vcalab/internal/rtp"
 	"vcalab/internal/sim"
@@ -191,20 +193,50 @@ func TestSharedPacketOutlivesIngressUntilLastSlot(t *testing.T) {
 	}
 }
 
-// TestMediaPacketSizeClass: a MediaPacket is 78 bytes, the 80-byte size
-// class — the send time (8), the encode parameters (32), the pool pointer
-// (8), four 4-byte fields (origin ID, refs, SSRC, frame number), two
-// sequence numbers, the rate key, the SVC layer and eight flags. It
-// carries no origin name: an ID never changes owner, so the registry
-// names the origin. Three more bytes move it to the 96-byte class, and
-// every pool fill, recovery on or off, pays for it. An rtxEntry is 16
-// bytes, and it is the whole RTX ring slot: 8 KB a 512-slot ring.
+// TestMediaPacketSizeClass: a MediaPacket is exactly 64 bytes, one
+// size class — the send time (8), FPS and QP (8 each), the pool pointer
+// (8), three 4-byte fields (origin ID, refs, frame number), four 2-byte
+// ones (width, height and the two sequence numbers), three bytes (SSRC,
+// rate key, SVC layer) and eight flags: 63 bytes, padded. It carries no
+// origin name: an ID never changes owner, so the registry names the
+// origin. One more byte moves it to the 80-byte class, and every pool
+// fill, recovery on or off, and every packet an RTX ring keeps alive pays
+// for it. An rtxEntry is 16 bytes, and it is the whole RTX ring slot:
+// 8 KB a 512-slot ring.
 func TestMediaPacketSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(MediaPacket{}); got > 80 {
-		t.Errorf("MediaPacket is %d bytes, want <= 80", got)
+	if got := unsafe.Sizeof(MediaPacket{}); got != 64 {
+		t.Errorf("MediaPacket is %d bytes, want 64", got)
 	}
 	if got := unsafe.Sizeof(rtxEntry{}); got != 16 {
 		t.Errorf("rtxEntry is %d bytes, want 16 (the ring slot is the entry)", got)
+	}
+}
+
+// TestMediaPacketParams: the packed encode parameters read back as they
+// went in, FPS and QP bit for bit, and a dimension past 16 bits panics
+// rather than wraps.
+func TestMediaPacketParams(t *testing.T) {
+	var mp MediaPacket
+	if _, ok := mp.params(); ok {
+		t.Error("a fresh packet has params")
+	}
+	p := codec.EncodeParams{FPS: 29.97, Width: 65535, Height: 720, QP: math.Nextafter(31, 32)}
+	mp.setParams(p)
+	if got, ok := mp.params(); !ok || got != p || math.Float64bits(got.QP) != math.Float64bits(p.QP) {
+		t.Errorf("params() = %+v, %v; want %+v", got, ok, p)
+	}
+	if info := mp.Info(100, 0); !info.HasParams || info.Params != p {
+		t.Errorf("Info carries %+v, %v; want %+v", info.Params, info.HasParams, p)
+	}
+	for _, bad := range []codec.EncodeParams{{Width: 65536, Height: 1}, {Width: 1, Height: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("setParams(%+v) did not panic", bad)
+				}
+			}()
+			mp.setParams(bad)
+		}()
 	}
 }
 

@@ -619,39 +619,47 @@ const wantFacadeExports = 138
 // wantUnnamed is every exported top-level name ("pkg.Name") and method
 // ("pkg.Type.Method") under internal/ that no Go file outside its package
 // names: tests, examples, cmd/ and bench/ count, files in the package's
-// own directory do not. Most are methods that satisfy an interface, or
-// names that only the package and its own tests use. A new entry is an
-// exported name without an outside caller — unexport or delete it, or list
-// it here; a stale entry fails until it is pruned.
+// own directory do not. A name is named where go/types resolves a use to
+// it; a method, where a selector resolves to it or to an interface method
+// its type implements, so a method that only shares its name with one
+// called outside (Len, Reset, String) is listed. Most entries are names
+// that only the package and its own tests use, or methods reached only
+// implicitly (fmt's Stringer). A new entry is an exported name without an
+// outside caller — unexport or delete it, or list it here; a stale entry
+// fails until it is pruned.
 var wantUnnamed = []string{
 	"apps.IPerf", "apps.Netflix", "apps.YouTube",
 	"cascade.Mesh.Placements", "cascade.Trial.ShardStats",
-	"cc.Fixed", "cc.GCC", "cc.GCC.Threshold", "cc.GCCConfig", "cc.TeamsCC", "cc.TeamsConfig",
-	"cc.ZoomCC", "cc.ZoomConfig",
+	"cc.Fixed", "cc.Fixed.Name", "cc.GCC", "cc.GCC.Name", "cc.GCC.Threshold", "cc.GCCConfig",
+	"cc.TeamsCC", "cc.TeamsCC.Name", "cc.TeamsConfig", "cc.ZoomCC", "cc.ZoomCC.Name",
+	"cc.ZoomConfig",
 	"codec.Encoder", "codec.Encoder.Target", "codec.FECBytes", "codec.Ladder.ParamsFor",
 	"codec.SVC", "codec.Simulcast", "codec.Source", "codec.Source.Complexity",
-	"experiment.CompetitionLabel", "experiment.EventRecovery",
-	"netem.CoDel", "netem.GEConfig.StationaryLoss", "netem.GilbertElliott.Bad",
-	"netem.GilbertElliott.Lose", "netem.Handler", "netem.HandlerFunc.Deliver",
-	"netem.Host.Deliver", "netem.Host.Handle", "netem.Link.OnDrop", "netem.Packet.Release",
-	"netem.PacketPool", "netem.Router.Deliver",
-	"obs.DefaultTraceCap", "obs.GaugeSample", "obs.HistSample", "obs.Histogram", "obs.Tracer.Cap",
+	"experiment.CompetitionLabel", "experiment.EventRecovery", "experiment.Lab.ResolveLink",
+	"netem.Addr.String", "netem.CoDel", "netem.GEConfig.StationaryLoss", "netem.GilbertElliott.Bad",
+	"netem.GilbertElliott.Lose", "netem.Handler", "netem.HandlerFunc.Deliver", "netem.Host.Deliver",
+	"netem.Host.Handle", "netem.Link.OnDrop", "netem.Link.Send", "netem.Packet.Release",
+	"netem.PacketPool", "netem.PacketPool.Get", "netem.PacketPool.Live", "netem.Router.Deliver",
+	"obs.DefaultTraceCap", "obs.EventKind.String", "obs.GaugeSample", "obs.HistSample",
+	"obs.Histogram", "obs.MetricsLog.Len", "obs.Tracer.Cap", "obs.Tracer.Len",
 	"pcap.Frame", "pcap.HostIP", "pcap.Writer.WriteFrame", "pcap.Writer.WriteNetem",
-	"rtp.ErrBadVersion", "rtp.ErrShortPacket", "rtp.Header.MarshalSize", "rtp.Packet.MarshalSize",
-	"rtp.RTXBuffer", "rtp.RTXEntry", "rtp.Version", "rtp.bufEntry.RTXSeq",
+	"rtp.ErrBadVersion", "rtp.ErrShortPacket", "rtp.Header.Marshal", "rtp.Header.MarshalSize",
+	"rtp.Header.Unmarshal", "rtp.Packet.MarshalSize", "rtp.RTXBuffer", "rtp.RTXBuffer.Drain",
+	"rtp.RTXBuffer.Len", "rtp.RTXEntry", "rtp.Version", "rtp.bufEntry.RTXSeq",
 	"runner.Runner",
-	"scenario.LinkKind", "scenario.Op", "scenario.OpLeave", "scenario.OpMode",
-	"scenario.OpRejoin", "scenario.SpeakerFlip", "scenario.Timeline.Applied",
-	"scenario.TraceReplay",
-	"sim.Engine.NextKey", "sim.Engine.RunBefore", "sim.Engine.Step", "sim.HandlerFunc.OnEvent",
-	"sim.Mailbox.HighWater", "sim.Ticker.OnEvent",
+	"scenario.LinkKind", "scenario.Op", "scenario.OpLeave", "scenario.OpMode", "scenario.OpRejoin",
+	"scenario.SpeakerFlip", "scenario.Timeline.Applied", "scenario.Timeline.Done",
+	"scenario.TraceReplay", "scenario.Violation.String",
+	"sim.Engine.NextKey", "sim.Engine.RunBefore", "sim.Engine.Step", "sim.Group.Live",
+	"sim.Group.Pending", "sim.HandlerFunc.OnEvent", "sim.Mailbox.HighWater", "sim.Mailbox.Name",
+	"sim.Ticker.OnEvent", "sim.Ticker.Reset",
 	"stats.Percentile", "stats.Series.RollingMedian", "stats.StdDev",
 	"tcp.Flow.SRTT",
-	"vca.AllocMsg", "vca.Client.SetTierBps", "vca.Client.TierBps", "vca.FIRMsg",
-	"vca.FeedbackMsg", "vca.MediaMode", "vca.ModeSVC", "vca.ModeSimulcast", "vca.ModeSingle",
-	"vca.NackMsg", "vca.PortFeedback", "vca.PortMedia", "vca.PortSignal",
+	"vca.AllocMsg", "vca.Call.String", "vca.Client.SetTierBps", "vca.Client.TierBps", "vca.FIRMsg",
+	"vca.FeedbackMsg", "vca.MediaMode", "vca.MediaPacket.Info", "vca.ModeSVC", "vca.ModeSimulcast",
+	"vca.ModeSingle", "vca.NackMsg", "vca.PortFeedback", "vca.PortMedia", "vca.PortSignal",
 	"vca.RecoveryReceiverStats", "vca.Server", "vca.TWCCMsg", "vca.Tier", "vca.TierHigh",
-	"vca.TierLow", "vca.TierMed", "vca.TierSpeaker", "vca.TierThumb",
+	"vca.TierLow", "vca.TierMed", "vca.TierSpeaker", "vca.TierThumb", "vca.sinkAt.OnPacket",
 	"webrtcstats.Recorder.Last",
 }
 
@@ -691,21 +699,25 @@ func facadeExports(t *testing.T) []string {
 }
 
 // unnamedExports returns, sorted, the exported top-level names and methods
-// declared in the non-test files under internal/ that no Go file in
-// another directory of the repository names.
+// declared in the non-test files under internal/ that nothing in another
+// directory of the repository names. Every package there is type-checked
+// with its test files through srcImporter: a name counts as named where
+// go/types resolves a use to it, and a method where a selector resolves to
+// it, or to the method of an interface that its type or a pointer to it
+// implements.
 func unnamedExports(t *testing.T) []string {
 	t.Helper()
-	// declared maps each census entry to the reference that would name it
-	// ("pkg.Name" for a top-level name, ".Method" for a method) and the
-	// declaring directory.
-	type decl struct{ ref, dir string }
+	// declared maps each census entry to its declaring directory and, for
+	// a method, its receiver type and name.
+	type decl struct{ dir, recv, method string }
 	declared := map[string]decl{}
 	for _, dir := range packageDirs(t, ".", []string{"internal"}) {
+		dir = filepath.ToSlash(dir)
 		for _, f := range parsePackage(t, dir) {
 			pkg := f.Name.Name
 			for _, d := range f.Decls {
 				for _, name := range declNames(d) {
-					declared[pkg+"."+name] = decl{pkg + "." + name, dir}
+					declared[pkg+"."+name] = decl{dir: dir}
 				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Recv == nil || !fd.Name.IsExported() {
@@ -718,72 +730,112 @@ func unnamedExports(t *testing.T) []string {
 				if ix, ok := recv.(*ast.IndexExpr); ok {
 					recv = ix.X
 				}
-				declared[pkg+"."+recv.(*ast.Ident).Name+"."+fd.Name.Name] = decl{"." + fd.Name.Name, dir}
+				typ := recv.(*ast.Ident).Name
+				declared[pkg+"."+typ+"."+fd.Name.Name] = decl{dir, typ, fd.Name.Name}
 			}
 		}
 	}
-	// namedIn maps a reference to the directories whose files make it:
-	// "pkg.Name" for a qualified selector through an import of
-	// vcalab/internal/pkg, ".Name" for any selector or interface method,
-	// which may name a method of any type.
-	namedIn := map[string]map[string]bool{}
-	mark := func(ref, dir string) {
-		if namedIn[ref] == nil {
-			namedIn[ref] = map[string]bool{}
+	named := map[string]bool{}
+	// mark notes a use in dir of name, declared in pkg.
+	mark := func(pkg *types.Package, name, dir string) {
+		if rel, ok := strings.CutPrefix(pkg.Path(), "vcalab/"); ok && rel != dir {
+			named[pkg.Name()+"."+name] = true
 		}
-		namedIn[ref][dir] = true
 	}
-	fset := token.NewFileSet()
+	// An interface method selected in dir names the methods that implement
+	// it outside dir; ifaceUses holds them until every type is loaded.
+	type ifaceUse struct {
+		iface       *types.Interface
+		method, dir string
+	}
+	var ifaceUses []ifaceUse
+	im := &srcImporter{fset: token.NewFileSet(), root: ".", pkgs: map[string]*types.Package{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
 			return err
-		case d.IsDir() && p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
-			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(p, ".go"):
+		case !d.IsDir():
 			return nil
+		case p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
+		bp, err := build.ImportDir(p, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		} else if err != nil {
 			return err
 		}
-		dir := filepath.Dir(p)
-		imports := map[string]string{} // local name → package name
-		for _, spec := range f.Imports {
-			path := strings.Trim(spec.Path.Value, `"`)
-			if pkg, ok := strings.CutPrefix(path, "vcalab/internal/"); ok {
-				local := pkg
-				if spec.Name != nil {
-					local = spec.Name.Name
+		dir, path := filepath.ToSlash(p), "vcalab"
+		if p != "." {
+			path += "/" + dir
+		}
+		// The package with its in-package tests, then its external tests.
+		for _, unit := range []struct {
+			path  string
+			names []string
+		}{{path, slices.Concat(bp.GoFiles, bp.TestGoFiles)}, {path + "_test", bp.XTestGoFiles}} {
+			if len(unit.names) == 0 {
+				continue
+			}
+			var files []*ast.File
+			for _, name := range unit.names {
+				f, err := parser.ParseFile(im.fset, filepath.Join(p, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					return err
 				}
-				imports[local] = pkg
+				files = append(files, f)
+			}
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			if _, err := (&types.Config{Importer: im}).Check(unit.path, im.fset, files, info); err != nil {
+				return fmt.Errorf("type-checking %s: %v", unit.path, err)
+			}
+			for _, obj := range info.Uses {
+				fn, ok := obj.(*types.Func)
+				if !ok || fn.Signature().Recv() == nil {
+					if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+						mark(obj.Pkg(), obj.Name(), dir)
+					}
+					continue
+				}
+				recv := fn.Origin().Signature().Recv().Type()
+				if ptr, ok := recv.(*types.Pointer); ok {
+					recv = ptr.Elem()
+				}
+				if iface, ok := recv.Underlying().(*types.Interface); ok {
+					ifaceUses = append(ifaceUses, ifaceUse{iface, fn.Name(), dir})
+				} else if n, ok := recv.(*types.Named); ok {
+					mark(fn.Pkg(), n.Obj().Name()+"."+fn.Name(), dir)
+				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				mark("."+n.Sel.Name, dir)
-				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					mark(imports[id.Name]+"."+n.Sel.Name, dir)
-				}
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, id := range m.Names {
-						mark("."+id.Name, dir)
-					}
-				}
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unnamed []string
 	for name, d := range declared {
-		dirs := namedIn[d.ref]
-		if len(dirs) == 0 || len(dirs) == 1 && dirs[d.dir] {
+		if d.method == "" || named[name] {
+			continue
+		}
+		pkg, err := im.Import("vcalab/" + d.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ := pkg.Scope().Lookup(d.recv).Type()
+		if n, ok := typ.(*types.Named); ok && n.TypeParams().Len() > 0 {
+			continue // a generic type implements no interface uninstantiated
+		}
+		for _, u := range ifaceUses {
+			if u.method == d.method && u.dir != d.dir &&
+				(types.Implements(typ, u.iface) || types.Implements(types.NewPointer(typ), u.iface)) {
+				named[name] = true
+				break
+			}
+		}
+	}
+	var unnamed []string
+	for name := range declared {
+		if !named[name] {
 			unnamed = append(unnamed, name)
 		}
 	}
