@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -60,10 +61,10 @@ func run(w, errw io.Writer, args []string) int {
 		bad = fmt.Sprintf("-mode must be gallery or speaker; got %q", *mode)
 	case *dur <= 0:
 		bad = fmt.Sprintf("-dur must be > 0; got %v", *dur)
-	case !(*up >= 0):
-		bad = fmt.Sprintf("-up must be >= 0 Mbps (0 = unconstrained); got %v", *up)
-	case !(*down >= 0):
-		bad = fmt.Sprintf("-down must be >= 0 Mbps (0 = unconstrained); got %v", *down)
+	case !(*up >= 0 && *up*1e6 <= math.MaxFloat64):
+		bad = fmt.Sprintf("-up must be finite and >= 0 Mbps (0 = unconstrained); got %v", *up)
+	case !(*down >= 0 && *down*1e6 <= math.MaxFloat64):
+		bad = fmt.Sprintf("-down must be finite and >= 0 Mbps (0 = unconstrained); got %v", *down)
 	}
 	if bad != "" {
 		fmt.Fprintln(errw, bad)

@@ -69,8 +69,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-dur", "0s"},
 		{"-up", "-3"},
 		{"-up", "NaN"},
+		{"-up", "Inf"},
+		{"-up", "1e303"}, // finite Mbps, infinite bps
 		{"-down", "-0.5"},
 		{"-down", "NaN"},
+		{"-down", "+Inf"},
 	} {
 		var out, errw bytes.Buffer
 		code := run(&out, &errw, []string{"-vca", "meet", c.flag, c.value})

@@ -153,12 +153,3 @@ func (t *Trial) Engines() []*sim.Engine { return t.engines }
 // BoundaryLinks returns the cross-shard inter links in deterministic
 // (ascending pair) order. Empty on one engine.
 func (t *Trial) BoundaryLinks() []*netem.Link { return t.boundary }
-
-// ShardStats reports the window, barrier-wait and mailbox accounting of
-// the run so far; the zero value on one engine.
-func (t *Trial) ShardStats() sim.GroupStats {
-	if t.group == nil {
-		return sim.GroupStats{}
-	}
-	return t.group.Stats()
-}

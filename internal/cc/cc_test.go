@@ -82,7 +82,7 @@ func TestGCCTracksConstrainedLink(t *testing.T) {
 
 func TestGCCAdaptiveThresholdRises(t *testing.T) {
 	g := NewGCC(DefaultGCCConfig(videoRange()))
-	start := g.Threshold()
+	start := g.gamma
 	// Sustained 150 ms queueing (e.g. TCP filling the buffer).
 	for now := time.Duration(0); now < 20*time.Second; now += 100 * time.Millisecond {
 		g.OnFeedback(Feedback{
@@ -90,11 +90,11 @@ func TestGCCAdaptiveThresholdRises(t *testing.T) {
 			ReceiveRateBps: 500_000, QueueDelay: 150 * time.Millisecond,
 		})
 	}
-	if g.Threshold() <= start {
-		t.Errorf("threshold did not adapt: %v -> %v", start, g.Threshold())
+	if g.gamma <= start {
+		t.Errorf("threshold did not adapt: %v -> %v", start, g.gamma)
 	}
-	if g.Threshold() < 100*time.Millisecond {
-		t.Errorf("threshold = %v after 20s of 150ms queues, want >= 100ms", g.Threshold())
+	if g.gamma < 100*time.Millisecond {
+		t.Errorf("threshold = %v after 20s of 150ms queues, want >= 100ms", g.gamma)
 	}
 }
 

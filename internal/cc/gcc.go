@@ -279,6 +279,3 @@ func (g *GCC) OnFeedback(fb Feedback) {
 		}
 	}
 }
-
-// Threshold exposes the current adaptive overuse threshold (for tests).
-func (g *GCC) Threshold() time.Duration { return g.gamma }

@@ -412,10 +412,3 @@ func (s *SVC) Tick(now time.Duration) []*Frame {
 	}
 	return s.out
 }
-
-// FECBytes returns the forward-error-correction overhead the Zoom relay
-// adds when forwarding mediaBytes (§3.1: downstream ≈ 1.2x upstream;
-// the Zoom patent describes server-side FEC generation).
-func FECBytes(mediaBytes int, overhead float64) int {
-	return int(float64(mediaBytes) * overhead)
-}

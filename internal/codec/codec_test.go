@@ -231,15 +231,6 @@ func TestSVCLayers(t *testing.T) {
 	}
 }
 
-func TestFECBytes(t *testing.T) {
-	if got := FECBytes(1000, 0.2); got != 200 {
-		t.Errorf("FECBytes = %d, want 200", got)
-	}
-	if got := FECBytes(0, 0.5); got != 0 {
-		t.Errorf("FECBytes(0) = %d", got)
-	}
-}
-
 // Property: ladder parameters are piecewise-monotone — a higher target never
 // yields a lower resolution or FPS.
 func TestQuickLadderMonotone(t *testing.T) {

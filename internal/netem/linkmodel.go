@@ -68,9 +68,9 @@ type GEConfig struct {
 	LossBad  float64 // loss probability in Bad (typically ~1)
 }
 
-// StationaryLoss returns the chain's long-run loss rate — the yardstick
+// stationaryLoss returns the chain's long-run loss rate — the yardstick
 // the statistical property tests hold empirical drops against.
-func (c GEConfig) StationaryLoss() float64 {
+func (c GEConfig) stationaryLoss() float64 {
 	if c.P+c.R <= 0 {
 		return c.LossGood
 	}
@@ -150,9 +150,6 @@ func (g *GilbertElliott) Lose() bool {
 	return lost
 }
 
-// Bad reports whether the chain is currently in the Bad (bursty) state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // CoDel's RFC 8289 parameters: the target sojourn and the interval.
 const (
 	codelTarget   = 5 * time.Millisecond
@@ -224,16 +221,6 @@ type BloatConfig struct {
 	AQM bool
 }
 
-// deepQueueBytes converts a time depth at a rate into a byte bound, with
-// the same 5-MTU floor as DefaultQueueBytes.
-func deepQueueBytes(rateBps float64, depth time.Duration) int {
-	q := int(rateBps / 8 * depth.Seconds())
-	if min := 5 * 1500; q < min {
-		q = min
-	}
-	return q
-}
-
 // ApplyBloat reconfigures l as a bufferbloated hop: the queue bound grows
 // to cfg.Depth at the link's current rate and CoDel is installed or
 // removed per cfg.AQM. The link must be rate-limited — on an
@@ -245,7 +232,7 @@ func ApplyBloat(l *Link, cfg BloatConfig) {
 	if cfg.Depth == 0 {
 		cfg.Depth = 2 * time.Second
 	}
-	l.SetQueueBytes(deepQueueBytes(l.Rate(), cfg.Depth))
+	l.SetQueueBytes(queueBytes(l.Rate(), cfg.Depth))
 	if cfg.AQM {
 		l.SetAQM(&CoDel{})
 	} else {

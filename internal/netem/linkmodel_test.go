@@ -43,7 +43,7 @@ func TestGEDeterminism(t *testing.T) {
 }
 
 // TestGEStatistics holds the empirical chain against its analytic
-// long-run behaviour: overall loss rate vs StationaryLoss, and — for the
+// long-run behaviour: overall loss rate vs stationaryLoss, and — for the
 // LossBad=1/LossGood=0 WiFi parameterization — mean burst length vs 1/R.
 func TestGEStatistics(t *testing.T) {
 	cases := []struct {
@@ -77,7 +77,7 @@ func TestGEStatistics(t *testing.T) {
 				t.Fatalf("Offered = %d, want %d", g.Offered, n)
 			}
 			rate := float64(g.Losses) / float64(g.Offered)
-			want := c.cfg.StationaryLoss()
+			want := c.cfg.stationaryLoss()
 			if rate < want*0.8 || rate > want*1.2 {
 				t.Errorf("loss rate %.4f, want %.4f ±20%%", rate, want)
 			}
@@ -107,7 +107,7 @@ func TestGEDegenerateChains(t *testing.T) {
 			t.Fatal("P=1,R=0 chain left Bad")
 		}
 	}
-	if !always.Bad() {
+	if !always.bad {
 		t.Error("absorbing chain not in Bad state")
 	}
 }
@@ -178,10 +178,10 @@ func TestCoDelControlLaw(t *testing.T) {
 // --- bufferbloat ---
 
 func TestDeepQueueBytes(t *testing.T) {
-	if got := deepQueueBytes(1e6, 2*time.Second); got != 250000 {
+	if got := queueBytes(1e6, 2*time.Second); got != 250000 {
 		t.Errorf("1 Mbps x 2 s = %d bytes, want 250000", got)
 	}
-	if got := deepQueueBytes(50e3, time.Second); got != 5*1500 {
+	if got := queueBytes(50e3, time.Second); got != 5*1500 {
 		t.Errorf("tiny rate queue = %d, want the 5-MTU floor", got)
 	}
 }

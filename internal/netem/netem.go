@@ -10,6 +10,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 	"unsafe"
@@ -151,12 +152,20 @@ type LinkConfig struct {
 // DefaultQueueBytes returns the queue depth used when LinkConfig.QueueBytes
 // is zero: 200 ms worth of bytes at the given rate, floored at 5 full
 // 1500-byte packets so slow links can still absorb a small burst.
-func DefaultQueueBytes(rateBps float64) int {
-	q := int(rateBps / 8 * 0.2)
-	if min := 5 * 1500; q < min {
-		q = min
+func DefaultQueueBytes(rateBps float64) int { return queueBytes(rateBps, 200*time.Millisecond) }
+
+// queueBytes converts a time depth at a rate into a byte bound, floored at
+// 5 full 1500-byte packets. A bound past math.MaxInt (an infinite rate
+// included) saturates there: converting it to int would wrap.
+func queueBytes(rateBps float64, depth time.Duration) int {
+	q := rateBps / 8 * depth.Seconds()
+	switch {
+	case !(q >= 5*1500): // NaN too
+		return 5 * 1500
+	case q >= math.MaxInt:
+		return math.MaxInt
 	}
-	return q
+	return int(q)
 }
 
 // Link is a unidirectional, rate-limited, drop-tail wire. Create with
@@ -203,7 +212,6 @@ type Link struct {
 	pausedAt    time.Duration
 	pausedTotal time.Duration
 
-	onDrop func(*Packet)
 	onSend []func(*Packet)
 
 	// handoff, when set, makes this a shard-boundary link: instead of
@@ -295,10 +303,6 @@ func (l *Link) SetDelay(d time.Duration) { l.cfg.Delay = d }
 
 // QueuedBytes reports the bytes currently waiting (not the one in service).
 func (l *Link) QueuedBytes() int { return l.queuedSize }
-
-// OnDrop registers fn to be called for every packet dropped at this link's
-// queue. Used by tests and by loss instrumentation.
-func (l *Link) OnDrop(fn func(*Packet)) { l.onDrop = fn }
 
 // SetImpairment reconfigures random loss and jitter mid-simulation.
 func (l *Link) SetImpairment(lossProb float64, jitter time.Duration) {
@@ -490,7 +494,7 @@ func (pkt *Packet) OnEvent(now time.Duration) {
 // records into dst's tracer.
 func (l *Link) Handoff(dst *sim.Engine) *sim.Mailbox {
 	l.rx = dst
-	l.handoff = sim.NewMailbox(l.name, l.eng, dst, l.transferPacket)
+	l.handoff = sim.NewMailbox(l.eng, dst, l.transferPacket)
 	return l.handoff
 }
 
@@ -528,9 +532,6 @@ func (l *Link) drop(pkt *Packet, aqm bool) {
 	l.Drops++
 	l.DroppedBytes += uint64(pkt.Size)
 	l.eng.Tracer().Packet(obs.EvDrop, l.eng.Now(), l.name, pkt.Flow, pkt.To.Host, pkt.Size, l.queuedSize, aqm)
-	if l.onDrop != nil {
-		l.onDrop(pkt)
-	}
 	pkt.discard()
 }
 

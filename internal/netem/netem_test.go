@@ -3,6 +3,7 @@ package netem
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -82,8 +83,6 @@ func TestLinkDropTail(t *testing.T) {
 	s := &sink{eng: eng}
 	// Queue of exactly 2 packets beyond the one in service.
 	l := NewLink(eng, "up", LinkConfig{RateBps: 1e6, QueueBytes: 2500}, s)
-	var dropped []*Packet
-	l.OnDrop(func(p *Packet) { dropped = append(dropped, p) })
 	for i := 0; i < 5; i++ {
 		l.Send(&Packet{Size: 1250, Flow: "f"})
 	}
@@ -91,8 +90,8 @@ func TestLinkDropTail(t *testing.T) {
 	if len(s.pkts) != 3 {
 		t.Errorf("delivered %d, want 3 (1 in service + 2 queued)", len(s.pkts))
 	}
-	if len(dropped) != 2 || l.Drops != 2 {
-		t.Errorf("dropped %d (counter %d), want 2", len(dropped), l.Drops)
+	if l.Drops != 2 {
+		t.Errorf("dropped %d, want 2", l.Drops)
 	}
 	if l.DroppedBytes != 2500 {
 		t.Errorf("DroppedBytes = %d, want 2500", l.DroppedBytes)
@@ -123,6 +122,13 @@ func TestDefaultQueueBytes(t *testing.T) {
 	}
 	if got := DefaultQueueBytes(100e3); got != 5*1500 {
 		t.Errorf("100 kbps queue = %d, want floor %d", got, 5*1500)
+	}
+	// Past math.MaxInt bytes the bound saturates instead of wrapping to
+	// the floor.
+	for _, rate := range []float64{1e21, 1e300, math.Inf(1)} {
+		if got := DefaultQueueBytes(rate); got != math.MaxInt {
+			t.Errorf("%g bps queue = %d, want %d", rate, got, math.MaxInt)
+		}
 	}
 }
 

@@ -255,14 +255,6 @@ func (t *Tracer) Churn(now time.Duration, client, what, detail string) {
 	}
 }
 
-// Cap returns the ring capacity (0 for a nil tracer).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
-}
-
 // Total returns how many events were ever recorded, including ones the
 // ring has since overwritten.
 func (t *Tracer) Total() uint64 {

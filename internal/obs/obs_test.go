@@ -16,8 +16,8 @@ import (
 func TestTracerWraparound(t *testing.T) {
 	const capacity = 8
 	tr := NewTracer(capacity)
-	if tr.Cap() != capacity {
-		t.Fatalf("Cap = %d, want %d", tr.Cap(), capacity)
+	if len(tr.buf) != capacity {
+		t.Fatalf("ring capacity = %d, want %d", len(tr.buf), capacity)
 	}
 	const n = 21 // 2.6 wraps
 	for i := 0; i < n; i++ {
@@ -83,7 +83,7 @@ func TestNilTracer(t *testing.T) {
 	if n := testing.AllocsPerRun(100, record); n != 0 {
 		t.Errorf("nil-tracer producers allocate %v times per call set, want 0", n)
 	}
-	if tr.Total() != 0 || tr.Len() != 0 || tr.Dropped() != 0 || tr.Cap() != 0 || tr.Count(EvDrop) != 0 {
+	if tr.Total() != 0 || tr.Len() != 0 || tr.Dropped() != 0 || tr.Count(EvDrop) != 0 {
 		t.Error("nil tracer must report all zeros")
 	}
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {

@@ -135,9 +135,6 @@ func (b *RTXBuffer) Get(seq uint16) (payload any, size int, atUs int64, ok bool)
 	return e.payload, int(e.size), e.atUs, ok
 }
 
-// Len reports the number of buffered packets.
-func (b *RTXBuffer) Len() int { return b.ring().Len() }
-
 // Drain hands every buffered payload to release and empties the buffer.
 func (b *RTXBuffer) Drain(release func(payload any)) {
 	b.ring().Drain(func(e bufEntry) { release(e.payload) })

@@ -15,8 +15,8 @@ func TestRTXBufferPutGetEvict(t *testing.T) {
 			t.Fatalf("unexpected eviction %v at seq %d", ev, seq)
 		}
 	}
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", b.Len())
+	if b.ring().Len() != 4 {
+		t.Fatalf("Len = %d, want 4", b.ring().Len())
 	}
 	p, size, at, ok := b.Get(2)
 	if !ok || p.(int) != 2 || size != 100 || at != 2 {
@@ -42,8 +42,8 @@ func TestRTXBufferDrain(t *testing.T) {
 	}
 	var freed []int
 	b.Drain(func(p any) { freed = append(freed, p.(int)) })
-	if len(freed) != 5 || b.Len() != 0 {
-		t.Fatalf("Drain freed %v, Len %d", freed, b.Len())
+	if len(freed) != 5 || b.ring().Len() != 0 {
+		t.Fatalf("Drain freed %v, Len %d", freed, b.ring().Len())
 	}
 	if _, _, _, ok := b.Get(12); ok {
 		t.Fatal("Get after Drain should miss")

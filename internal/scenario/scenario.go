@@ -26,6 +26,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -216,8 +217,8 @@ func (sc Scenario) Validate() error {
 		// The negated comparisons reject NaN too.
 		sh, m := ev.Shape, ev.Shape.Model
 		switch {
-		case sh.SetRate && !(sh.RateBps >= 0):
-			return fmt.Errorf("scenario %s: event %d sets rate %v bps, want >= 0", sc.Name, i, sh.RateBps)
+		case sh.SetRate && !(sh.RateBps >= 0 && sh.RateBps <= math.MaxFloat64):
+			return fmt.Errorf("scenario %s: event %d sets rate %v bps, want finite and >= 0", sc.Name, i, sh.RateBps)
 		case sh.SetDelay && sh.Delay < 0:
 			return fmt.Errorf("scenario %s: event %d sets negative delay %v", sc.Name, i, sh.Delay)
 		case sh.SetDelay && sh.Delay == 0 && ev.Ref.Kind >= LinkInter:

@@ -231,6 +231,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative event time", []Event{Leave(-time.Second, "c2")}, false},
 		{"negative rate", shape(Shape{SetRate: true, RateBps: -1}), false},
 		{"NaN rate", shape(Shape{SetRate: true, RateBps: math.NaN()}), false},
+		{"infinite rate", shape(Shape{SetRate: true, RateBps: math.Inf(1)}), false},
 		{"negative delay", shape(Shape{SetDelay: true, Delay: -time.Millisecond}), false},
 		{"negative loss", shape(Shape{SetImpair: true, LossProb: -0.1}), false},
 		{"loss above 1", shape(Shape{SetImpair: true, LossProb: 1.5}), false},

@@ -21,7 +21,6 @@ type scheduler interface {
 }
 
 type tickerControl interface {
-	Reset(interval time.Duration)
 	Stop()
 }
 
@@ -69,7 +68,7 @@ type fired struct {
 // schedule interprets a byte string as a program of scheduler calls.
 // Top-level bytes file events, open tickers, run the clock forward and
 // renumber the engine; every callback that fires reads further bytes to
-// decide what to file, stop or reset from inside the dispatch. Once the
+// decide what to file or stop from inside the dispatch. Once the
 // bytes run out callbacks do nothing, so every schedule drains.
 type schedule struct {
 	s       scheduler
@@ -104,17 +103,16 @@ func (p *schedule) event() func() {
 	return func() {
 		p.log = append(p.log, fired{id, p.s.now()})
 		for n := p.byte() % 3; n > 0; n-- {
-			p.act(nil)
+			p.act()
 		}
 	}
 }
 
-// act performs one scheduler call; self is the ticker whose callback is
-// running, if any.
-func (p *schedule) act(self tickerControl) {
+// act performs one scheduler call.
+func (p *schedule) act() {
 	now := p.s.now()
-	switch op := p.byte() % 16; op {
-	default: // 0..7: the common case, a plain timer
+	switch p.byte() % 16 {
+	default: // 0..7, 11, 12: the common case, a plain timer
 		p.timers = append(p.timers, p.s.at(now+p.delay(), p.event()))
 	case 8: // absolute time in the past: clamps to now
 		p.timers = append(p.timers, p.s.at(now-p.delay()-1, p.event()))
@@ -129,14 +127,6 @@ func (p *schedule) act(self tickerControl) {
 	case 10:
 		if len(p.tickers) < 12 {
 			p.ticker()
-		}
-	case 11, 12: // Reset: any ticker, or the one firing right now
-		tk := self
-		if op == 11 && len(p.tickers) > 0 {
-			tk = p.tickers[p.byte()%len(p.tickers)]
-		}
-		if tk != nil {
-			tk.Reset(max(p.delay(), time.Millisecond))
 		}
 	case 13:
 		if len(p.tickers) > 0 {
@@ -163,7 +153,7 @@ func (p *schedule) ticker() {
 			tk.Stop()
 		}
 		for n := p.byte() % 2; n > 0; n-- {
-			p.act(tk)
+			p.act()
 		}
 	})
 	p.tickers = append(p.tickers, tk)
@@ -175,7 +165,7 @@ func play(s scheduler, data []byte) []fired {
 	for p.pos < len(p.data) {
 		switch p.byte() % 8 {
 		default:
-			p.act(nil)
+			p.act()
 		case 4, 5:
 			s.runUntil(s.now() + p.delay())
 		case 6:

@@ -96,14 +96,13 @@ func (r *refEngine) outstanding() int {
 }
 
 // refTicker restates the Ticker contract on top of refEngine.at: first
-// fire one interval out, Stop is final, Reset re-arms from now unless
-// called from the ticker's own callback, where only the cadence changes.
+// fire one interval out, and Stop is final.
 type refTicker struct {
-	r               *refEngine
-	interval        time.Duration
-	fn              func()
-	stop            func() bool
-	stopped, firing bool
+	r        *refEngine
+	interval time.Duration
+	fn       func()
+	stop     func() bool
+	stopped  bool
 }
 
 func (r *refEngine) every(interval time.Duration, fn func()) tickerControl {
@@ -115,9 +114,7 @@ func (r *refEngine) every(interval time.Duration, fn func()) tickerControl {
 func (t *refTicker) arm() { t.stop = t.r.at(t.r.clock+t.interval, t.fire) }
 
 func (t *refTicker) fire() {
-	t.firing = true
 	t.fn()
-	t.firing = false
 	if !t.stopped {
 		t.arm()
 	}
@@ -126,15 +123,4 @@ func (t *refTicker) fire() {
 func (t *refTicker) Stop() {
 	t.stopped = true
 	t.stop()
-}
-
-func (t *refTicker) Reset(interval time.Duration) {
-	if t.stopped {
-		return
-	}
-	t.interval = interval
-	if !t.firing {
-		t.stop()
-		t.arm()
-	}
 }

@@ -62,9 +62,8 @@ type mailEntry struct {
 // drains every mailbox at every barrier, injecting each entry into the
 // destination engine with its source-side ordering key.
 type Mailbox struct {
-	name string
-	src  *Engine
-	dst  *Engine
+	src *Engine
+	dst *Engine
 	// transfer re-homes the posted handler's resource ownership to the
 	// destination side and returns what the destination dispatches. It
 	// runs on the barrier goroutine with both shards parked; nil passes
@@ -72,31 +71,20 @@ type Mailbox struct {
 	transfer func(Handler) Handler
 
 	entries []mailEntry
-	hw      int
 }
 
 // NewMailbox creates a mailbox delivering src-shard posts on the dst
 // engine. transfer (optional) re-homes each posted handler at drain time.
-func NewMailbox(name string, src, dst *Engine, transfer func(Handler) Handler) *Mailbox {
-	return &Mailbox{name: name, src: src, dst: dst, transfer: transfer}
+func NewMailbox(src, dst *Engine, transfer func(Handler) Handler) *Mailbox {
+	return &Mailbox{src: src, dst: dst, transfer: transfer}
 }
-
-// Name returns the label the mailbox was created with.
-func (m *Mailbox) Name() string { return m.name }
 
 // Post files h to run on the destination engine at `at`, carrying the
 // source shard's scheduling key (schedAt, seq). Call only from the source
 // shard.
 func (m *Mailbox) Post(at, schedAt time.Duration, seq uint64, h Handler) {
 	m.entries = append(m.entries, mailEntry{at: at, schedAt: schedAt, seq: seq, h: h})
-	if len(m.entries) > m.hw {
-		m.hw = len(m.entries)
-	}
 }
-
-// HighWater reports the most entries the mailbox has held between drains
-// — the cross-shard backlog metric GroupStats reports.
-func (m *Mailbox) HighWater() int { return m.hw }
 
 // drain injects every posted entry into the destination engine. Runs on
 // the barrier goroutine with all shards parked.
@@ -120,38 +108,13 @@ type shardWorker struct {
 	cmd  chan [2]time.Duration
 	done chan<- int
 	idx  int
-	// busy accumulates wall-clock time spent executing (not parked);
-	// written by the worker, read by the Group after a barrier, ordered
-	// by the done channel.
-	busy time.Duration
 }
 
 func (w *shardWorker) loop() {
 	for lim := range w.cmd {
-		t0 := time.Now() //vcalint:ignore determinism worker busy-time metric; never read by simulation logic
 		w.eng.RunBefore(lim[0], lim[1])
-		w.busy += time.Since(t0) //vcalint:ignore determinism worker busy-time metric; never read by simulation logic
 		w.done <- w.idx
 	}
-}
-
-// GroupStats is the sharded run's performance accounting, read after the
-// run via Group.Stats.
-type GroupStats struct {
-	// Windows is how many synchronization windows the run used.
-	Windows uint64
-	// WallSeconds is wall-clock time spent inside Run/RunUntil.
-	WallSeconds float64
-	// ShardProcessed is each shard engine's executed-event count.
-	ShardProcessed []uint64
-	// ShardBusySeconds is wall-clock time each shard spent executing.
-	ShardBusySeconds []float64
-	// ShardBarrierWaitFrac is the fraction of the run each shard spent
-	// parked at barriers (1 - busy/wall).
-	ShardBarrierWaitFrac []float64
-	// MailboxHighWater is the largest cross-shard mailbox backlog
-	// observed between any two drains, across all mailboxes.
-	MailboxHighWater int
 }
 
 // Group runs one simulation partitioned across shard engines under a
@@ -173,8 +136,6 @@ type Group struct {
 	workers []*shardWorker
 	doneCh  chan int
 	now     time.Duration // window clock: everything with at < now has run
-	windows uint64
-	wall    time.Duration
 	closed  bool
 }
 
@@ -258,7 +219,6 @@ func (g *Group) window(wEnd time.Duration) {
 		g.ctrl.Step()
 	}
 	g.runSegment(wEnd, math.MinInt64)
-	g.windows++
 }
 
 // earliest reports the earliest pending event time across the control
@@ -288,7 +248,6 @@ func (g *Group) checkLookahead() time.Duration {
 // control engine, then advances every clock to exactly t — the sharded
 // equivalent of Engine.RunUntil, byte-identical in effect.
 func (g *Group) RunUntil(t time.Duration) {
-	t0 := time.Now() //vcalint:ignore determinism wall-time accounting for SpeedupStats; never read by simulation logic
 	for {
 		l := g.checkLookahead()
 		next, ok := g.earliest()
@@ -324,13 +283,11 @@ func (g *Group) RunUntil(t time.Duration) {
 	if t > g.now {
 		g.now = t
 	}
-	g.wall += time.Since(t0) //vcalint:ignore determinism wall-time accounting for SpeedupStats
 }
 
 // Run executes windows until every engine is drained — the sharded
 // equivalent of Engine.Run, used by harnesses to drain a stopped call.
 func (g *Group) Run() {
-	t0 := time.Now() //vcalint:ignore determinism wall-time accounting for SpeedupStats; never read by simulation logic
 	for {
 		l := g.checkLookahead()
 		next, ok := g.earliest()
@@ -343,7 +300,6 @@ func (g *Group) Run() {
 		g.window(g.now + l)
 		g.now += l
 	}
-	g.wall += time.Since(t0) //vcalint:ignore determinism wall-time accounting for SpeedupStats
 }
 
 // Live sums outstanding pooled events across the control engine and all
@@ -367,30 +323,4 @@ func (g *Group) Pending() int {
 		n += len(m.entries)
 	}
 	return n
-}
-
-// Stats reports the run's window count, wall time, per-shard throughput
-// and barrier-wait accounting, and the deepest mailbox backlog. Call
-// after RunUntil/Run returns (never concurrently with one).
-func (g *Group) Stats() GroupStats {
-	st := GroupStats{Windows: g.windows, WallSeconds: g.wall.Seconds()}
-	for _, w := range g.workers {
-		busy := w.busy.Seconds()
-		frac := 0.0
-		if st.WallSeconds > 0 {
-			frac = 1 - busy/st.WallSeconds
-			if frac < 0 {
-				frac = 0
-			}
-		}
-		st.ShardProcessed = append(st.ShardProcessed, w.eng.Processed())
-		st.ShardBusySeconds = append(st.ShardBusySeconds, busy)
-		st.ShardBarrierWaitFrac = append(st.ShardBarrierWaitFrac, frac)
-	}
-	for _, m := range g.boxes {
-		if m.hw > st.MailboxHighWater {
-			st.MailboxHighWater = m.hw
-		}
-	}
-	return st
 }

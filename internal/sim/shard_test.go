@@ -130,8 +130,8 @@ func runShardedPing(t *testing.T, hops int, until time.Duration) []string {
 	defer g.Close()
 	a := &pingNode{name: "a", eng: sa, log: &log}
 	b := &pingNode{name: "b", eng: sb, log: &log}
-	mab := NewMailbox("a->b", sa, sb, nil)
-	mba := NewMailbox("b->a", sb, sa, nil)
+	mab := NewMailbox(sa, sb, nil)
+	mba := NewMailbox(sb, sa, nil)
 	g.Register(mab)
 	g.Register(mba)
 	a.send = func(v int) { mab.Post(sa.Now()+pingDelay, sa.Now(), sa.TakeSeq(), ping{b, v}) }
@@ -155,15 +155,8 @@ func runShardedPing(t *testing.T, hops int, until time.Duration) []string {
 	if g.Pending() != 0 {
 		t.Fatalf("group pending events after drain: %d", g.Pending())
 	}
-	st := g.Stats()
-	if st.Windows == 0 {
-		t.Fatal("sharded run used zero windows")
-	}
-	if got := st.ShardProcessed[0] + st.ShardProcessed[1]; got == 0 {
+	if sa.Processed()+sb.Processed() == 0 {
 		t.Fatal("shard processed counters never advanced")
-	}
-	if mab.HighWater() == 0 {
-		t.Fatal("a->b mailbox high-water never advanced")
 	}
 	return log
 }
@@ -214,8 +207,8 @@ func TestCrossShardSameInstantOrder(t *testing.T) {
 		ctrl := New(1)
 		s1, s2, s3 := New(2), New(3), New(4)
 		g := NewGroup(ctrl, []*Engine{s1, s2, s3}, func() time.Duration { return pingDelay })
-		m13 := NewMailbox("1->3", s1, s3, nil)
-		m23 := NewMailbox("2->3", s2, s3, nil)
+		m13 := NewMailbox(s1, s3, nil)
+		m23 := NewMailbox(s2, s3, nil)
 		if swapReg {
 			g.Register(m23)
 			g.Register(m13)
@@ -241,7 +234,7 @@ func TestMailboxTransfer(t *testing.T) {
 	s1, s2 := New(2), New(3)
 	g := NewGroup(ctrl, []*Engine{s1, s2}, func() time.Duration { return pingDelay })
 	defer g.Close()
-	m := NewMailbox("x", s1, s2, func(h Handler) Handler {
+	m := NewMailbox(s1, s2, func(h Handler) Handler {
 		msg := h.(logMsg)
 		msg.v = "transferred:" + msg.v
 		return msg

@@ -443,7 +443,6 @@ type Ticker struct {
 	h        Handler
 	timer    Timer
 	stopped  bool
-	firing   bool
 }
 
 // EveryHandler runs h.OnEvent every interval, first firing one interval
@@ -468,9 +467,7 @@ func (t *Ticker) OnEvent(now time.Duration) {
 	if t.stopped {
 		return
 	}
-	t.firing = true
 	t.h.OnEvent(now)
-	t.firing = false
 	if !t.stopped {
 		t.arm()
 	}
@@ -484,23 +481,6 @@ func (t *Ticker) arm() {
 func (t *Ticker) Stop() {
 	t.stopped = true
 	t.timer.Stop()
-}
-
-// Reset changes the ticker interval; the next tick fires one new interval
-// from now. Reset on a stopped ticker is a no-op. Resetting from inside
-// the ticker's own callback only updates the cadence — the tick in flight
-// re-arms once, at the new interval, when the callback returns.
-func (t *Ticker) Reset(interval time.Duration) {
-	checkInterval(interval)
-	if t.stopped {
-		return
-	}
-	t.interval = interval
-	if t.firing {
-		return // OnEvent's tail re-arms at the new cadence
-	}
-	t.timer.Stop()
-	t.arm()
 }
 
 // peek returns the earliest live event and the queue holding it (a lane

@@ -116,21 +116,6 @@ func TestTickerStop(t *testing.T) {
 	}
 }
 
-func TestTickerReset(t *testing.T) {
-	e := New(1)
-	var times []time.Duration
-	tk := e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) { times = append(times, e.Now()) }))
-	e.RunUntil(2500 * time.Millisecond) // ticks at 1s, 2s
-	tk.Reset(100 * time.Millisecond)
-	e.RunUntil(3 * time.Second) // ticks at 2.6, 2.7, 2.8, 2.9, 3.0
-	if len(times) != 2+5 {
-		t.Fatalf("got %d ticks (%v), want 7", len(times), times)
-	}
-	if times[2] != 2600*time.Millisecond {
-		t.Errorf("first tick after Reset at %v, want 2.6s", times[2])
-	}
-}
-
 func TestTickerZeroIntervalPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -330,15 +315,14 @@ func TestStaleTimerHandleAfterReuse(t *testing.T) {
 	}
 }
 
-// Ticker stop/restart semantics: Stop is final (Reset on a stopped ticker
-// is a no-op), and a replacement ticker picks up cleanly.
+// Ticker stop/restart semantics: Stop is final, and a replacement ticker
+// picks up cleanly.
 func TestTickerStopThenRestart(t *testing.T) {
 	e := New(1)
 	count := 0
 	tk := e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) { count++ }))
 	e.RunUntil(3500 * time.Millisecond)
 	tk.Stop()
-	tk.Reset(100 * time.Millisecond) // must not revive it
 	e.RunUntil(10 * time.Second)
 	if count != 3 {
 		t.Fatalf("stopped ticker ticked: count = %d, want 3", count)
@@ -547,34 +531,6 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		e.ScheduleHandler(time.Duration(i)*time.Nanosecond, HandlerFunc(func(time.Duration) {}))
 	}
 	e.Run()
-}
-
-// Reset from inside the ticker's own callback must not double-arm the
-// tick chain: the in-flight tick re-arms once, at the new cadence.
-func TestTickerResetInsideCallback(t *testing.T) {
-	e := New(1)
-	var times []time.Duration
-	var tk *Ticker
-	tk = e.EveryHandler(time.Second, HandlerFunc(func(time.Duration) {
-		times = append(times, e.Now())
-		if e.Now() == 2*time.Second {
-			tk.Reset(250 * time.Millisecond)
-		}
-	}))
-	e.RunUntil(3 * time.Second)
-	want := []time.Duration{
-		1 * time.Second, 2 * time.Second, // old cadence
-		2250 * time.Millisecond, 2500 * time.Millisecond, // new cadence
-		2750 * time.Millisecond, 3 * time.Second,
-	}
-	if len(times) != len(want) {
-		t.Fatalf("ticks = %v, want %v (double-armed ticker?)", times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("tick %d at %v, want %v (full: %v)", i, times[i], want[i], times)
-		}
-	}
 }
 
 // TestHandlerFuncAllocFree: a HandlerFunc is pointer-shaped, so converting

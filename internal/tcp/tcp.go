@@ -199,9 +199,6 @@ func (f *Flow) Stop() {
 	f.rtoTimer.Stop()
 }
 
-// SRTT exposes the smoothed RTT estimate (for tests).
-func (f *Flow) SRTT() time.Duration { return f.srtt }
-
 func (f *Flow) trySend() {
 	if !f.running {
 		return

@@ -228,8 +228,8 @@ func TestRTTEstimate(t *testing.T) {
 	f := NewFlow(eng, "iperf", src, dst, 5201, Config{})
 	f.Start(0)
 	eng.RunUntil(2 * time.Second)
-	if f.SRTT() < 45*time.Millisecond || f.SRTT() > 250*time.Millisecond {
-		t.Errorf("SRTT = %v, want ~50ms-250ms (base RTT 50ms + queueing)", f.SRTT())
+	if f.srtt < 45*time.Millisecond || f.srtt > 250*time.Millisecond {
+		t.Errorf("SRTT = %v, want ~50ms-250ms (base RTT 50ms + queueing)", f.srtt)
 	}
 }
 

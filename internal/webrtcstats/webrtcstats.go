@@ -43,14 +43,6 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Add appends a sample.
 func (r *Recorder) Add(s Sample) { r.Samples = append(r.Samples, s) }
 
-// Last returns the most recent sample and true, or a zero sample and false.
-func (r *Recorder) Last() (Sample, bool) {
-	if len(r.Samples) == 0 {
-		return Sample{}, false
-	}
-	return r.Samples[len(r.Samples)-1], true
-}
-
 // MedianOut returns the median outbound encode parameters over samples with
 // T in [from, to) — the aggregation behind Fig 2.
 func (r *Recorder) MedianOut(from, to time.Duration) codec.EncodeParams {

@@ -19,14 +19,13 @@ func sample(t int, fps float64, qp float64, w int, frames int) Sample {
 
 func TestRecorderLast(t *testing.T) {
 	r := NewRecorder()
-	if _, ok := r.Last(); ok {
-		t.Error("Last() on empty recorder returned ok")
+	if len(r.Samples) != 0 {
+		t.Error("new recorder holds samples")
 	}
 	r.Add(sample(1, 30, 25, 640, 30))
 	r.Add(sample(2, 15, 30, 320, 45))
-	last, ok := r.Last()
-	if !ok || last.Out.FPS != 15 {
-		t.Errorf("Last = %+v", last)
+	if last := r.Samples[len(r.Samples)-1]; len(r.Samples) != 2 || last.Out.FPS != 15 {
+		t.Errorf("Samples = %+v, want the 15 fps sample last", r.Samples)
 	}
 }
 

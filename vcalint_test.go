@@ -31,9 +31,7 @@ import (
 //
 // It over-approximates effects (an unknown call might be pure) and cannot
 // see map order laundered through a helper; both directions are safe.
-// //vcalint:ignore determinism <reason> on a finding's line or the line
-// above suppresses it. A directive without a reason, naming another
-// analyzer, or of any other kind (file-ignore included) is a finding.
+// There is no suppression directive: a finding is fixed, not excused.
 
 // deterministic lists the module-relative package trees the lint covers.
 var deterministic = []string{
@@ -45,30 +43,11 @@ var deterministic = []string{
 // synchronized by the conservative barrier protocol (DESIGN.md §12).
 const blessedGo = "internal/sim/shard.go"
 
-// wantSuppressions is every //vcalint:ignore the tree may carry, per file.
-// All six are the shard workers' busy-time and the group's wall-time
-// meters, which no simulation logic reads. A new suppression is a reviewed
-// edit of this table.
-var wantSuppressions = map[string]int{
-	"internal/sim/shard.go": 6,
-}
-
 // TestLintTree is the gate: the lint over the real module, failing on any
-// finding or on a suppression the table does not list.
+// finding.
 func TestLintTree(t *testing.T) {
-	findings, sups := lint(t, ".", deterministic)
-	for _, f := range findings {
+	for _, f := range lint(t, ".", deterministic) {
 		t.Error(f)
-	}
-	for file, n := range sups {
-		if n != wantSuppressions[file] {
-			t.Errorf("%d //vcalint:ignore in %s, wantSuppressions lists %d", n, file, wantSuppressions[file])
-		}
-	}
-	for file, n := range wantSuppressions {
-		if sups[file] == 0 {
-			t.Errorf("wantSuppressions lists %d for %s, the tree has none: prune the table", n, file)
-		}
 	}
 }
 
@@ -83,6 +62,7 @@ func TestLintFindings(t *testing.T) {
 		{"time.Now", "_ = time.Now()", "time.Now in deterministic package"},
 		{"time.Since", "_ = time.Since(time.Time{})", "time.Since in deterministic package"},
 		{"time.Until", "_ = time.Until(time.Time{})", "time.Until in deterministic package"},
+		{"ignore comment is inert", "_ = time.Now() //vcalint:ignore determinism meter", "time.Now in deterministic package"},
 		{"global rand", "_ = rand.Intn(6)", "rand.Intn draws from the process-global RNG"},
 		{"seeded rand", "_ = rand.New(rand.NewSource(1)).Intn(6)", ""},
 		{"select", "select {}", "select statement in deterministic package"},
@@ -90,33 +70,15 @@ func TestLintFindings(t *testing.T) {
 	})
 }
 
-// TestLintDirectives: a well-formed ignore silences a finding on its line
-// or the line below, and any other directive is a finding of its own.
-func TestLintDirectives(t *testing.T) {
-	lintCases(t, []lintCase{
-		{"ignore on the line", "_ = time.Now() //vcalint:ignore determinism meter, never reaches output", ""},
-		{"ignore above the line", "//vcalint:ignore determinism meter, never reaches output\n_ = time.Now()", ""},
-		{"ignore two lines above", "//vcalint:ignore determinism too far away\n\n_ = time.Now()", "time.Now in deterministic package"},
-		{"unknown analyzer", "//vcalint:ignore bogus latency experiment\n_ = 1", `names unknown analyzer "bogus"`},
-		{"missing reason", "//vcalint:ignore determinism\n_ = 1", "without a reason"},
-		{"file-ignore", "//vcalint:file-ignore determinism whole file\n_ = 1", "the only directive"},
-	})
-}
-
-// TestLintReportsFindingsAndSuppressions: outside any function too, a
-// wall-clock read is reported at its file and line, and a suppressed one
-// is counted as a suppression instead.
-func TestLintReportsFindingsAndSuppressions(t *testing.T) {
+// TestLintReportsFindings: outside any function too, a wall-clock read is
+// reported at its file and line.
+func TestLintReportsFindings(t *testing.T) {
 	dir := scratchModule(t, map[string]string{
 		"internal/netem/a.go": "package netem\n\nimport \"time\"\n\nvar T = time.Now()\n",
-		"internal/netem/b.go": "package netem\n\nimport \"time\"\n\nvar U = time.Now() //vcalint:ignore determinism scratch reason\n",
 	})
-	findings, sups := lint(t, dir, []string{"internal/netem"})
+	findings := lint(t, dir, []string{"internal/netem"})
 	if len(findings) != 1 || findings[0].file != "internal/netem/a.go" || findings[0].line != 5 {
 		t.Errorf("findings = %v, want one at internal/netem/a.go:5", findings)
-	}
-	if want := map[string]int{"internal/netem/b.go": 1}; !maps.Equal(sups, want) {
-		t.Errorf("suppressions = %v, want %v", sups, want)
 	}
 }
 
@@ -127,13 +89,12 @@ func TestLintUncoveredPackageSilent(t *testing.T) {
 	dir := scratchModule(t, map[string]string{
 		"internal/apps/free.go": "package apps\n\nimport (\n\t\"math/rand\"\n\t\"time\"\n)\n\n" +
 			"func WallClock() time.Duration { return time.Since(time.Now()) }\n\n" +
-			"func GlobalRand() int { return rand.Intn(6) } //vcalint:bogus\n\n" +
+			"func GlobalRand() int { return rand.Intn(6) }\n\n" +
 			"func Spawn(f func()) { go f() }\n",
 		"internal/netem/uses.go": "package netem\n\nimport \"vcalab/internal/apps\"\n\nvar Roll = apps.GlobalRand\n",
 	})
-	findings, sups := lint(t, dir, []string{"internal/netem"})
-	if len(findings) != 0 || len(sups) != 0 {
-		t.Errorf("findings %v, suppressions %v: want none outside the covered trees", findings, sups)
+	if findings := lint(t, dir, []string{"internal/netem"}); len(findings) != 0 {
+		t.Errorf("findings %v: want none outside the covered trees", findings)
 	}
 }
 
@@ -154,19 +115,16 @@ func lintCases(t *testing.T, cases []lintCase) {
 		files[file(i)] = fmt.Sprintf("package netem\n\nimport (\n\t\"math/rand\"\n\t\"time\"\n)\n\n"+
 			"var _ *rand.Rand\nvar _ time.Duration\n\nfunc case%02d() {\n%s\n}\n", i, c.body)
 	}
-	findings, sups := lint(t, scratchModule(t, files), []string{"internal/netem", "internal/sim"})
+	findings := lint(t, scratchModule(t, files), []string{"internal/netem", "internal/sim"})
 	got := map[string][]string{}
 	for _, f := range findings {
 		got[f.file] = append(got[f.file], f.msg)
 	}
-	wantFindings, wantSups := 0, map[string]int{}
+	wantFindings := 0
 	for i, c := range cases {
 		msgs := got[file(i)]
 		if c.want != "" {
 			wantFindings++
-		}
-		if strings.Contains(c.body, "//vcalint:ignore determinism ") {
-			wantSups[file(i)] = 1
 		}
 		if (c.want == "") != (len(msgs) == 0) || len(msgs) > 1 || len(msgs) == 1 && !strings.Contains(msgs[0], c.want) {
 			t.Errorf("%s: findings %q, want %q", c.name, msgs, c.want)
@@ -174,9 +132,6 @@ func lintCases(t *testing.T, cases []lintCase) {
 	}
 	if len(findings) != wantFindings {
 		t.Errorf("%d findings, want %d: %v", len(findings), wantFindings, findings)
-	}
-	if !maps.Equal(sups, wantSups) {
-		t.Errorf("suppressions %v, want %v", sups, wantSups)
 	}
 }
 
@@ -208,13 +163,11 @@ type finding struct {
 func (f finding) String() string { return fmt.Sprintf("%s:%d: %s", f.file, f.line, f.msg) }
 
 // lint type-checks from source every package under trees of the module
-// (path vcalab) rooted at root, and returns the findings no directive
-// suppresses and the count of well-formed directives per file.
-func lint(t *testing.T, root string, trees []string) ([]finding, map[string]int) {
+// (path vcalab) rooted at root, and returns its findings.
+func lint(t *testing.T, root string, trees []string) []finding {
 	t.Helper()
 	im := &srcImporter{fset: token.NewFileSet(), root: root, pkgs: map[string]*types.Package{}}
 	var findings []finding
-	sups := map[string]int{}
 	for _, dir := range packageDirs(t, root, trees) {
 		files, err := im.parseDir(dir)
 		if err != nil {
@@ -228,31 +181,10 @@ func lint(t *testing.T, root string, trees []string) ([]finding, map[string]int)
 		}
 		for _, f := range files {
 			rel, _ := filepath.Rel(root, im.fset.File(f.Pos()).Name())
-			file := filepath.ToSlash(rel)
-			ignored := map[int]bool{}
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text, ok := strings.CutPrefix(c.Text, "//vcalint:")
-					if !ok {
-						continue
-					}
-					line := im.fset.Position(c.Pos()).Line
-					if bad := directiveError(text); bad != "" {
-						findings = append(findings, finding{file, line, bad})
-						continue
-					}
-					sups[file]++
-					ignored[line], ignored[line+1] = true, true
-				}
-			}
-			for _, fd := range check(im.fset, info, f, file) {
-				if !ignored[fd.line] {
-					findings = append(findings, fd)
-				}
-			}
+			findings = append(findings, check(im.fset, info, f, filepath.ToSlash(rel))...)
 		}
 	}
-	return findings, sups
+	return findings
 }
 
 // packageDirs returns every directory under trees holding non-test Go
@@ -278,22 +210,6 @@ func packageDirs(t *testing.T, root string, trees []string) []string {
 		}
 	}
 	return dirs
-}
-
-// directiveError returns why the directive text after "//vcalint:" is not
-// a well-formed suppression, or "".
-func directiveError(text string) string {
-	verb, rest, _ := strings.Cut(text, " ")
-	name, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
-	switch {
-	case verb != "ignore":
-		return "//vcalint:" + verb + ": the only directive is //vcalint:ignore determinism <reason>"
-	case name != "determinism":
-		return fmt.Sprintf("//vcalint:ignore names unknown analyzer %q", name)
-	case strings.TrimSpace(reason) == "":
-		return "//vcalint:ignore without a reason"
-	}
-	return ""
 }
 
 // check returns the determinism findings in f, in source order.
@@ -629,38 +545,35 @@ const wantFacadeExports = 138
 // fails until it is pruned.
 var wantUnnamed = []string{
 	"apps.IPerf", "apps.Netflix", "apps.YouTube",
-	"cascade.Mesh.Placements", "cascade.Trial.ShardStats",
-	"cc.Fixed", "cc.Fixed.Name", "cc.GCC", "cc.GCC.Name", "cc.GCC.Threshold", "cc.GCCConfig",
+	"cascade.Mesh.Placements",
+	"cc.Fixed", "cc.Fixed.Name", "cc.GCC", "cc.GCC.Name", "cc.GCCConfig",
 	"cc.TeamsCC", "cc.TeamsCC.Name", "cc.TeamsConfig", "cc.ZoomCC", "cc.ZoomCC.Name",
 	"cc.ZoomConfig",
-	"codec.Encoder", "codec.Encoder.Target", "codec.FECBytes", "codec.Ladder.ParamsFor",
+	"codec.Encoder", "codec.Encoder.Target", "codec.Ladder.ParamsFor",
 	"codec.SVC", "codec.Simulcast", "codec.Source", "codec.Source.Complexity",
 	"experiment.CompetitionLabel", "experiment.EventRecovery", "experiment.Lab.ResolveLink",
-	"netem.Addr.String", "netem.CoDel", "netem.GEConfig.StationaryLoss", "netem.GilbertElliott.Bad",
-	"netem.GilbertElliott.Lose", "netem.Handler", "netem.HandlerFunc.Deliver", "netem.Host.Deliver",
-	"netem.Host.Handle", "netem.Link.OnDrop", "netem.Link.Send", "netem.Packet.Release",
-	"netem.PacketPool", "netem.PacketPool.Get", "netem.PacketPool.Live", "netem.Router.Deliver",
+	"netem.Addr.String", "netem.CoDel", "netem.GilbertElliott.Lose", "netem.Handler",
+	"netem.HandlerFunc.Deliver", "netem.Host.Deliver", "netem.Host.Handle", "netem.Link.Send",
+	"netem.Packet.Release", "netem.PacketPool", "netem.PacketPool.Get", "netem.PacketPool.Live",
+	"netem.Router.Deliver",
 	"obs.DefaultTraceCap", "obs.EventKind.String", "obs.GaugeSample", "obs.HistSample",
-	"obs.Histogram", "obs.MetricsLog.Len", "obs.Tracer.Cap", "obs.Tracer.Len",
+	"obs.Histogram", "obs.MetricsLog.Len", "obs.Tracer.Len",
 	"pcap.Frame", "pcap.HostIP", "pcap.Writer.WriteFrame", "pcap.Writer.WriteNetem",
 	"rtp.ErrBadVersion", "rtp.ErrShortPacket", "rtp.Header.Marshal", "rtp.Header.MarshalSize",
 	"rtp.Header.Unmarshal", "rtp.Packet.MarshalSize", "rtp.RTXBuffer", "rtp.RTXBuffer.Drain",
-	"rtp.RTXBuffer.Len", "rtp.RTXEntry", "rtp.Version", "rtp.bufEntry.RTXSeq",
+	"rtp.RTXEntry", "rtp.Version", "rtp.bufEntry.RTXSeq",
 	"runner.Runner",
 	"scenario.LinkKind", "scenario.Op", "scenario.OpLeave", "scenario.OpMode", "scenario.OpRejoin",
 	"scenario.SpeakerFlip", "scenario.Timeline.Applied", "scenario.Timeline.Done",
 	"scenario.TraceReplay", "scenario.Violation.String",
 	"sim.Engine.NextKey", "sim.Engine.RunBefore", "sim.Engine.Step", "sim.Group.Live",
-	"sim.Group.Pending", "sim.HandlerFunc.OnEvent", "sim.Mailbox.HighWater", "sim.Mailbox.Name",
-	"sim.Ticker.OnEvent", "sim.Ticker.Reset",
+	"sim.Group.Pending", "sim.HandlerFunc.OnEvent", "sim.Ticker.OnEvent",
 	"stats.Percentile", "stats.Series.RollingMedian", "stats.StdDev",
-	"tcp.Flow.SRTT",
 	"vca.AllocMsg", "vca.Call.String", "vca.Client.SetTierBps", "vca.Client.TierBps", "vca.FIRMsg",
 	"vca.FeedbackMsg", "vca.MediaMode", "vca.MediaPacket.Info", "vca.ModeSVC", "vca.ModeSimulcast",
 	"vca.ModeSingle", "vca.NackMsg", "vca.PortFeedback", "vca.PortMedia", "vca.PortSignal",
 	"vca.RecoveryReceiverStats", "vca.Server", "vca.TWCCMsg", "vca.Tier", "vca.TierHigh",
 	"vca.TierLow", "vca.TierMed", "vca.TierSpeaker", "vca.TierThumb", "vca.sinkAt.OnPacket",
-	"webrtcstats.Recorder.Last",
 }
 
 // TestExportCensus pins the exported surface: the facade's size and the
