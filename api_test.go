@@ -73,14 +73,13 @@ func TestFacadeExperimentRunners(t *testing.T) {
 	// Tiny versions of each runner, verifying the exported plumbing.
 	rs := vcalab.RunStatic(vcalab.StaticConfig{
 		Profile: vcalab.Meet(), Dir: vcalab.Uplink, CapsMbps: []float64{2},
-		Reps: 1, Dur: 50 * time.Second, Warmup: 20 * time.Second, Seed: 1,
+		Reps: 1, Dur: 50 * time.Second, Seed: 1,
 	})
 	if len(rs) != 1 || rs[0].MedianMbps.Mean <= 0 {
 		t.Errorf("RunStatic broken: %+v", rs)
 	}
 	m := vcalab.RunModality(vcalab.ModalityConfig{
-		Profile: vcalab.Teams(), N: 3, Mode: vcalab.Speaker, Reps: 1,
-		Dur: 40 * time.Second, Warmup: 15 * time.Second, Seed: 1,
+		Profile: vcalab.Teams(), N: 3, Mode: vcalab.Speaker, Reps: 1, Seed: 1,
 	})
 	if m.UpMbps.Mean <= 0 {
 		t.Errorf("RunModality broken: %+v", m)

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -112,19 +113,28 @@ func TestRunRejectsBadCaptureFlags(t *testing.T) {
 	}
 }
 
-// TestRunMeetTrace drives a 10 s Meet call through run with -pcap and
-// -trace: the pcap must hold packets, and although the engine traces
-// every link of the lab, the trace's packet lines must name only C1's two
-// bottleneck links, both of them, beside the call's decision lines.
+// pcapDigest is the SHA-256 of TestRunMeetTrace's pcap: every frame's
+// Ethernet, IPv4, UDP and RTP header bytes for its seeded call.
+const pcapDigest = "f0f78fd41bc3e4371887b143364cf1cee129a9089dd4edf746af60ffbf083041"
+
+// TestRunMeetTrace drives a 10 s seeded Meet call through run with -pcap
+// and -trace: the pcap must hold exactly the bytes pcapDigest pins, and
+// although the engine traces every link of the lab, the trace's packet
+// lines must name only C1's two bottleneck links, both of them, beside
+// the call's decision lines.
 func TestRunMeetTrace(t *testing.T) {
 	dir := t.TempDir()
 	pcapPath, tracePath := filepath.Join(dir, "c1.pcap"), filepath.Join(dir, "c1.jsonl")
 	var out, errw bytes.Buffer
-	if code := run(&out, &errw, []string{"-vca", "meet", "-up", "1", "-dur", "10s", "-pcap", pcapPath, "-trace", tracePath}); code != 0 {
+	if code := run(&out, &errw, []string{"-vca", "meet", "-up", "1", "-dur", "10s", "-seed", "42", "-pcap", pcapPath, "-trace", tracePath}); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errw.String())
 	}
-	if fi, err := os.Stat(pcapPath); err != nil || fi.Size() <= 24 { // 24 = the pcap file header
-		t.Fatalf("pcap %v, err %v: want packets after the file header", fi, err)
+	pcapBytes, err := os.ReadFile(pcapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(pcapBytes)); sum != pcapDigest {
+		t.Errorf("pcap of %d bytes has SHA-256 %s, want %s", len(pcapBytes), sum, pcapDigest)
 	}
 
 	f, err := os.Open(tracePath)

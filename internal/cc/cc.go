@@ -43,8 +43,6 @@ type Feedback struct {
 
 // Controller adapts a media sender's target bitrate.
 type Controller interface {
-	// Name identifies the algorithm (for logs and traces).
-	Name() string
 	// OnFeedback folds one feedback report into the controller state.
 	OnFeedback(fb Feedback)
 	// TargetBps returns the current media target rate for the encoder.
@@ -71,19 +69,3 @@ func (r Range) clamp(v float64) float64 {
 	}
 	return v
 }
-
-// Fixed is a constant-rate controller, useful in tests and for audio
-// streams, which the paper's VCAs do not adapt.
-type Fixed struct{ Rate float64 }
-
-// Name implements Controller.
-func (f *Fixed) Name() string { return "fixed" }
-
-// OnFeedback implements Controller (no-op).
-func (f *Fixed) OnFeedback(Feedback) {}
-
-// TargetBps implements Controller.
-func (f *Fixed) TargetBps() float64 { return f.Rate }
-
-// PadRateBps implements Controller.
-func (f *Fixed) PadRateBps(time.Duration) float64 { return 0 }

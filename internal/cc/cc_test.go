@@ -32,17 +32,6 @@ func videoRange() Range {
 	return Range{MinBps: 100_000, MaxBps: 3_000_000, StartBps: 500_000}
 }
 
-func TestFixed(t *testing.T) {
-	f := &Fixed{Rate: 64_000}
-	f.OnFeedback(Feedback{LossFraction: 0.9, QueueDelay: time.Second})
-	if f.TargetBps() != 64_000 {
-		t.Errorf("Fixed changed rate: %v", f.TargetBps())
-	}
-	if f.PadRateBps(0) != 0 {
-		t.Error("Fixed pads")
-	}
-}
-
 func TestRangeClamp(t *testing.T) {
 	r := Range{MinBps: 10, MaxBps: 100}
 	if r.clamp(5) != 10 || r.clamp(500) != 100 || r.clamp(50) != 50 {

@@ -104,9 +104,6 @@ func NewGCC(cfg GCCConfig) *GCC {
 	return g
 }
 
-// Name implements Controller.
-func (g *GCC) Name() string { return "gcc" }
-
 // TargetBps implements Controller.
 func (g *GCC) TargetBps() float64 {
 	return g.cfg.Range.clamp(math.Min(g.delayRate, g.lossRate))

@@ -62,9 +62,6 @@ func NewTeamsCC(cfg TeamsConfig) *TeamsCC {
 	return &TeamsCC{cfg: cfg, rate: cfg.Range.StartBps, slope: cfg.RampInitBpsPerSec}
 }
 
-// Name implements Controller.
-func (t *TeamsCC) Name() string { return "teams" }
-
 // TargetBps implements Controller.
 func (t *TeamsCC) TargetBps() float64 { return t.cfg.Range.clamp(t.rate) }
 

@@ -72,9 +72,6 @@ func NewZoomCC(cfg ZoomConfig) *ZoomCC {
 	return &ZoomCC{cfg: cfg, rate: cfg.Range.StartBps}
 }
 
-// Name implements Controller.
-func (z *ZoomCC) Name() string { return "zoom" }
-
 // TargetBps implements Controller.
 func (z *ZoomCC) TargetBps() float64 { return z.cfg.Range.clamp(z.rate) }
 

@@ -47,32 +47,11 @@ type CompetitionConfig struct {
 	LinkMbps    float64 // symmetric shaping, paper: {0.5,1,2,3,4,5}
 	Reps        int     // paper: 3
 	Seed        int64
-
-	CallDur time.Duration // incumbent lifetime (default 210 s)
-	CompAt  time.Duration // competitor start (default 30 s)
-	CompDur time.Duration // competitor lifetime (default 120 s)
-	ShareLo time.Duration // share-measurement window start (default 45 s)
-	ShareHi time.Duration // window end (default 145 s)
 }
 
 func (c *CompetitionConfig) defaults() {
 	if c.Reps == 0 {
 		c.Reps = 3
-	}
-	if c.CallDur == 0 {
-		c.CallDur = 210 * time.Second
-	}
-	if c.CompAt == 0 {
-		c.CompAt = 30 * time.Second
-	}
-	if c.CompDur == 0 {
-		c.CompDur = 120 * time.Second
-	}
-	if c.ShareLo == 0 {
-		c.ShareLo = 45 * time.Second
-	}
-	if c.ShareHi == 0 {
-		c.ShareHi = 145 * time.Second
 	}
 }
 
@@ -106,8 +85,18 @@ type competitionTrial struct {
 
 // runTrial executes one repetition on a fresh engine.
 func (cfg *CompetitionConfig) runTrial(o *trialObs, rep int) competitionTrial {
-	seed := cfg.Seed + int64(rep)*7127
-	t := labTrial(o, seed, cfg.Incumbent, 2, cfg.LinkMbps*1e6, cfg.LinkMbps*1e6, vca.CallOptions{Seed: seed})
+	var res competitionTrial
+	t, measure := cfg.newTrial(o, cfg.Seed+int64(rep)*7127, &res)
+	t.finish(compCallDur)
+	measure()
+	return res
+}
+
+// newTrial builds and starts one repetition: the incumbent call behind
+// the bottleneck taps, and the competitor's start and stop. measure, once
+// the trial has finished, fills res from the taps.
+func (cfg *CompetitionConfig) newTrial(o *trialObs, seed int64, res *competitionTrial) (t *trial, measure func()) {
+	t = labTrial(o, seed, cfg.Incumbent, 2, cfg.LinkMbps*1e6, cfg.LinkMbps*1e6, vca.CallOptions{Seed: seed})
 	lab, eng := t.lab, t.eng
 
 	// Bottleneck taps: classify by which bottleneck-side host the
@@ -133,25 +122,22 @@ func (cfg *CompetitionConfig) runTrial(o *trialObs, rep int) competitionTrial {
 	t.start()
 
 	// Competitor.
-	var res competitionTrial
 	f1 := lab.ClientHost("f1")
 	var stopComp func()
-	eng.ScheduleHandler(cfg.CompAt, sim.HandlerFunc(func(time.Duration) {
-		stopComp = cfg.startCompetitor(t, f1, &res)
+	eng.ScheduleHandler(compAt, sim.HandlerFunc(func(time.Duration) {
+		stopComp = cfg.startCompetitor(t, f1, res)
 	}))
-	eng.ScheduleHandler(cfg.CompAt+cfg.CompDur, sim.HandlerFunc(func(time.Duration) {
+	eng.ScheduleHandler(compAt+compDur, sim.HandlerFunc(func(time.Duration) {
 		if stopComp != nil {
 			stopComp()
 		}
 	}))
-	t.finish(cfg.CallDur)
-
-	lo, hi := cfg.ShareLo, cfg.ShareHi
-	res.shareUp = stats.Share(mIncUp.MeanRateMbps(lo, hi), mCompUp.MeanRateMbps(lo, hi))
-	res.shareDown = stats.Share(mIncDown.MeanRateMbps(lo, hi), mCompDown.MeanRateMbps(lo, hi))
-	res.incUp, res.compUp = mIncUp.RateMbps(), mCompUp.RateMbps()
-	res.incDown, res.compDown = mIncDown.RateMbps(), mCompDown.RateMbps()
-	return res
+	return t, func() {
+		res.shareUp = stats.Share(mIncUp.MeanRateMbps(shareLo, shareHi), mCompUp.MeanRateMbps(shareLo, shareHi))
+		res.shareDown = stats.Share(mIncDown.MeanRateMbps(shareLo, shareHi), mCompDown.MeanRateMbps(shareLo, shareHi))
+		res.incUp, res.compUp = mIncUp.RateMbps(), mCompUp.RateMbps()
+		res.incDown, res.compDown = mIncDown.RateMbps(), mCompDown.RateMbps()
+	}
 }
 
 // RunCompetition executes the experiment, repetitions in parallel.

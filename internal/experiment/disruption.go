@@ -17,12 +17,6 @@ type DisruptionConfig struct {
 	LevelMbps float64
 	Reps      int // paper: 4
 	Seed      int64
-
-	// Timing knobs (defaults follow §4's method; zero or negative takes
-	// the default).
-	CallDur time.Duration // 5 min
-	DropAt  time.Duration // 60 s
-	DropLen time.Duration // 30 s
 }
 
 // Time-to-recovery (§4, stats.TTR): how long after the disruption ends the
@@ -33,18 +27,37 @@ const (
 	ttrRoll         = 5 * time.Second
 )
 
+// The paper's method, which every figure, CLI path and bench workload
+// runs, and the fuzz harness's topology: fixed values, not options.
+const (
+	// §3, §6 and the §8 impairment sweep read steady-state rates from
+	// warmup on.
+	warmup = 30 * time.Second
+	// §6 and the impairment sweep run 2-minute calls.
+	shortCallDur = 120 * time.Second
+
+	// §4: a five-minute call whose dip starts at dropAt and lasts dropLen.
+	dipCallDur = 300 * time.Second
+	dropAt     = 60 * time.Second
+	dropLen    = 30 * time.Second
+
+	// §5: the competitor runs [compAt, compAt+compDur) of the incumbent's
+	// compCallDur; shares are measured over [shareLo, shareHi).
+	compCallDur = 210 * time.Second
+	compAt      = 30 * time.Second
+	compDur     = 120 * time.Second
+	shareLo     = 45 * time.Second
+	shareHi     = 145 * time.Second
+
+	// The scenario-fuzz harness call spans fuzzRegions regions joined by
+	// fuzzInterMbps inter-region links.
+	fuzzRegions   = 2
+	fuzzInterMbps = 10
+)
+
 func (c *DisruptionConfig) defaults() {
 	if c.Reps == 0 {
 		c.Reps = 4
-	}
-	if c.CallDur <= 0 {
-		c.CallDur = 300 * time.Second
-	}
-	if c.DropAt <= 0 {
-		c.DropAt = 60 * time.Second
-	}
-	if c.DropLen <= 0 {
-		c.DropLen = 30 * time.Second
 	}
 }
 
@@ -85,8 +98,8 @@ func (cfg *DisruptionConfig) newTrial(o *trialObs, seed int64) *trial {
 	}
 	t.timeline = scenario.New(t.eng, t.call, t.lab, scenario.Scenario{Name: "disruption",
 		Events: scenario.Trace(ref, "disruption", []scenario.TraceStep{
-			{At: cfg.DropAt, RateBps: cfg.LevelMbps * 1e6},
-			{At: cfg.DropAt + cfg.DropLen},
+			{At: dropAt, RateBps: cfg.LevelMbps * 1e6},
+			{At: dropAt + dropLen},
 		})})
 	return t
 }
@@ -96,14 +109,14 @@ func (cfg *DisruptionConfig) runTrial(o *trialObs, rep int) disruptionTrial {
 	seed := cfg.Seed + int64(rep)*31337
 	t := cfg.newTrial(o, seed)
 	t.start()
-	t.finish(cfg.CallDur)
+	t.finish(dipCallDur)
 
 	shaped := t.call.C1().DownMeter
 	if cfg.Dir == Uplink {
 		shaped = t.call.C1().UpMeter
 	}
 	res := disruptionTrial{series: shaped.RateMbps(), far: t.call.Clients[1].UpMeter.RateMbps()}
-	ttr, ok := stats.TTR(res.series, cfg.DropAt, cfg.DropAt+cfg.DropLen, ttrRoll, ttrFrac)
+	ttr, ok := stats.TTR(res.series, dropAt, dropAt+dropLen, ttrRoll, ttrFrac)
 	res.ttrSec, res.recovered = ttr.Seconds(), ok
 	return res
 }

@@ -75,9 +75,9 @@ func (c *DynamicConfig) defaults() {
 }
 
 // EventRecovery reports recovery after one scenario event marked Recover:
-// in how many repetitions the instrumented client's rolling-median
-// download rate returned to 80% of its pre-scenario nominal (the §4 TTR
-// convention), and how long that took.
+// in how many repetitions the instrumented client's 5 s rolling-median
+// rate returned to 80% of its median over [Warmup, first scenario event),
+// and how long that took. §4's TTR differs: 95% of the [0, dip) median.
 type EventRecovery struct {
 	Label string
 	At    time.Duration
@@ -147,9 +147,10 @@ func (cfg *DynamicConfig) runTrial(o *trialObs, rep int) dynamicTrial {
 	res.lat = readFrameLatency(call)
 
 	// Recovery after each marked event: time until C1's 5 s rolling-median
-	// rate returns to 80% of the pre-scenario nominal — measured in the
-	// direction the event impairs (an event shaping C1's uplink is judged
-	// on C1's upload rate; everything else on its download).
+	// rate returns to 80% of its median over [Warmup, first scenario
+	// event) — measured in the direction the event impairs (an event
+	// shaping C1's uplink is judged on C1's upload rate; everything else
+	// on its download).
 	points := cfg.Scenario.RecoveryPoints()
 	if len(points) == 0 {
 		return res

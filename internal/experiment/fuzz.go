@@ -18,11 +18,8 @@ type FuzzConfig struct {
 	N int
 	// Seed is the first scenario seed.
 	Seed int64
-	// Participants/Regions/InterMbps/Dur describe the harness call
-	// (defaults 8 / 2 / 10 / 45s).
+	// Participants/Dur describe the harness call (defaults 8 / 45s).
 	Participants int
-	Regions      int
-	InterMbps    float64
 	Dur          time.Duration
 	// Shards runs every replay region-sharded (<= 1 keeps the
 	// sequential engine); the harness asserts its invariants per shard.
@@ -38,12 +35,6 @@ func (c *FuzzConfig) defaults() {
 	}
 	if c.Participants == 0 {
 		c.Participants = 8
-	}
-	if c.Regions == 0 {
-		c.Regions = 2
-	}
-	if c.InterMbps == 0 {
-		c.InterMbps = 10
 	}
 	if c.Dur == 0 {
 		c.Dur = 45 * time.Second
@@ -83,8 +74,8 @@ func RunFuzz(cfg FuzzConfig) FuzzResult {
 		prof := profiles[int(uint64(seed)%uint64(len(profiles)))]
 		sc := scenario.Generate(seed, scenario.GenConfig{
 			Participants: cfg.Participants,
-			Regions:      cfg.Regions,
-			InterBps:     cfg.InterMbps * 1e6,
+			Regions:      fuzzRegions,
+			InterBps:     fuzzInterMbps * 1e6,
 			Dur:          cfg.Dur,
 		})
 		return FuzzFailure{Seed: seed, Profile: prof.Name, Scenario: sc.Name, Events: len(sc.Events),
@@ -123,7 +114,7 @@ func (cfg *FuzzConfig) replay(o *trialObs, sc scenario.Scenario, prof *vca.Profi
 	if err := sc.Validate(); err != nil {
 		return []scenario.Violation{{Invariant: "validate", Detail: err.Error()}}
 	}
-	t := newMeshTrial(o, seed, prof, cfg.Participants, cfg.Regions, cfg.InterMbps, cfg.Shards, cfg.Recovery)
+	t := newMeshTrial(o, seed, prof, cfg.Participants, fuzzRegions, fuzzInterMbps, cfg.Shards, cfg.Recovery)
 	defer t.mesh.Close()
 	t.timeline = scenario.New(t.eng, t.call, scenario.MeshLinks(t.mesh.Mesh), sc)
 	t.start()

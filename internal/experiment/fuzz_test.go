@@ -62,9 +62,9 @@ func TestFuzzReplayCanned(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			// The canned scenarios script a full 60-second call; a shorter
 			// replay would leave late events legitimately unapplied.
-			cfg := FuzzConfig{Participants: 8, Regions: 2, InterMbps: 10, Dur: 60 * time.Second, Shards: shards}
+			cfg := FuzzConfig{Participants: 8, Dur: 60 * time.Second, Shards: shards}
 			for _, name := range scenario.CannedNames() {
-				sc, err := scenario.Canned(name, cfg.Participants, cfg.InterMbps*1e6)
+				sc, err := scenario.Canned(name, cfg.Participants, fuzzInterMbps*1e6)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -81,7 +81,7 @@ func TestFuzzReplayCanned(t *testing.T) {
 // it mid-call. Validate rejects it first, so the fuzz run reports a
 // validate violation with its seed instead.
 func TestFuzzReplayRejectsZeroInterDelay(t *testing.T) {
-	cfg := FuzzConfig{Participants: 4, Regions: 2, InterMbps: 10, Dur: 20 * time.Second, Shards: 2}
+	cfg := FuzzConfig{Participants: 4, Dur: 20 * time.Second, Shards: 2}
 	sc := scenario.Scenario{Name: "zero-inter-delay", Events: []scenario.Event{
 		scenario.ShapeLink(12*time.Second, scenario.LinkRef{Kind: scenario.LinkInterPair, From: 0, To: 1}, scenario.Shape{SetDelay: true}),
 	}}

@@ -19,8 +19,6 @@ type ImpairmentConfig struct {
 	LossPcts []float64     // random loss percentages to sweep, e.g. {0, 1, 2, 5}
 	Jitter   time.Duration // uniform extra delay per packet
 	Reps     int
-	Dur      time.Duration
-	Warmup   time.Duration
 	Seed     int64
 	// Recovery enables packet-level loss recovery (NACK/RTX, jitter
 	// buffer, TWCC feedback) on every call — the knob the loss sweep
@@ -31,12 +29,6 @@ type ImpairmentConfig struct {
 func (c *ImpairmentConfig) defaults() {
 	if c.Reps == 0 {
 		c.Reps = 3
-	}
-	if c.Dur == 0 {
-		c.Dur = 120 * time.Second
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 30 * time.Second
 	}
 }
 
@@ -67,9 +59,9 @@ func (cfg *ImpairmentConfig) runTrial(o *trialObs, lossPct float64, rep int) imp
 	t.lab.Uplink().SetImpairment(lossPct/100, cfg.Jitter)
 	t.lab.Downlink().SetImpairment(lossPct/100, cfg.Jitter)
 	t.start()
-	t.finish(cfg.Dur)
+	t.finish(shortCallDur)
 	return impairmentTrial{
-		up: t.call.C1().UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		up: t.call.C1().UpMeter.MeanRateMbps(warmup, shortCallDur),
 		// Quality of C1's video as seen by the far client.
 		freeze: t.call.Clients[1].Receiver("c1").FreezeRatio(),
 		fir:    float64(t.call.C1().FIRsForMyVideo),

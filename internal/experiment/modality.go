@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
@@ -15,20 +14,12 @@ type ModalityConfig struct {
 	N       int
 	Mode    vca.ViewMode
 	Reps    int // paper: 5
-	Dur     time.Duration
-	Warmup  time.Duration
 	Seed    int64
 }
 
 func (c *ModalityConfig) defaults() {
 	if c.Reps == 0 {
 		c.Reps = 5
-	}
-	if c.Dur == 0 {
-		c.Dur = 120 * time.Second // the paper's 2-minute calls
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 30 * time.Second
 	}
 }
 
@@ -52,10 +43,10 @@ func (cfg *ModalityConfig) runTrial(o *trialObs, rep int) modalityTrial {
 	seed := cfg.Seed + int64(rep)*52361 + int64(cfg.N)
 	t := labTrial(o, seed, cfg.Profile, cfg.N, 0, 0, vca.CallOptions{Mode: cfg.Mode, Seed: seed})
 	t.start()
-	t.finish(cfg.Dur)
+	t.finish(shortCallDur)
 	return modalityTrial{
-		up:   t.call.C1().UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
-		down: t.call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		up:   t.call.C1().UpMeter.MeanRateMbps(warmup, shortCallDur),
+		down: t.call.C1().DownMeter.MeanRateMbps(warmup, shortCallDur),
 	}
 }
 

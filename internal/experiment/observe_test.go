@@ -23,14 +23,9 @@ func captured(t *testing.T, o ObsConfig, fn func()) (trace, metrics string) {
 	return tw.String(), mw.String()
 }
 
-// competitionTestConfig is a §5 run short enough for the capture tests:
-// the competitor joins at 10 s and leaves at 40 s of a 60 s call.
+// competitionTestConfig is the §5 run the capture tests share.
 func competitionTestConfig(kind CompetitorKind) CompetitionConfig {
-	return CompetitionConfig{
-		Incumbent: vca.Zoom(), Kind: kind, CompProfile: vca.Teams(), LinkMbps: 1, Reps: 2, Seed: 7,
-		CallDur: 60 * time.Second, CompAt: 10 * time.Second, CompDur: 30 * time.Second,
-		ShareLo: 15 * time.Second, ShareHi: 40 * time.Second,
-	}
+	return CompetitionConfig{Incumbent: vca.Zoom(), Kind: kind, CompProfile: vca.Teams(), LinkMbps: 1, Reps: 2, Seed: 7}
 }
 
 // TestObservedOutputUnchanged is the zero-interference gate for the
@@ -40,7 +35,6 @@ func competitionTestConfig(kind CompetitorKind) CompetitionConfig {
 // only reads — and the capture files themselves must be byte-identical at
 // parallelism 1 and 4 (per-trial buffers flushed in trial order).
 func TestObservedOutputUnchanged(t *testing.T) {
-	const dur, warmup = 40 * time.Second, 10 * time.Second
 	families := []struct {
 		name   string
 		trials int
@@ -48,21 +42,19 @@ func TestObservedOutputUnchanged(t *testing.T) {
 	}{
 		{"static", 4, func() any {
 			return RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{0.5, 0},
-				Reps: 2, Dur: dur, Warmup: warmup, Seed: 1})
+				Reps: 2, Dur: 40 * time.Second, Seed: 1})
 		}},
 		{"disruption", 2, func() any {
-			return RunDisruption(DisruptionConfig{Profile: vca.Meet(), Dir: Downlink, LevelMbps: 0.5, Reps: 2, Seed: 5,
-				CallDur: 60 * time.Second, DropAt: 20 * time.Second, DropLen: 10 * time.Second})
+			return RunDisruption(DisruptionConfig{Profile: vca.Meet(), Dir: Downlink, LevelMbps: 0.5, Reps: 2, Seed: 5})
 		}},
 		{"competition-vs-vca", 2, func() any { return RunCompetition(competitionTestConfig(CompVCA)) }},
 		{"competition-vs-iperf", 2, func() any { return RunCompetition(competitionTestConfig(CompIPerf)) }},
 		{"modality", 2, func() any {
-			return RunModality(ModalityConfig{Profile: vca.Meet(), N: 3, Mode: vca.Speaker,
-				Reps: 2, Dur: dur, Warmup: warmup, Seed: 3})
+			return RunModality(ModalityConfig{Profile: vca.Meet(), N: 3, Mode: vca.Speaker, Reps: 2, Seed: 3})
 		}},
 		{"impairment", 4, func() any {
 			return RunImpairment(ImpairmentConfig{Profile: vca.Meet(), LossPcts: []float64{0, 2}, Jitter: 20 * time.Millisecond,
-				Reps: 2, Dur: dur, Warmup: warmup, Seed: 11, Recovery: true})
+				Reps: 2, Seed: 11, Recovery: true})
 		}},
 		{"scale", 2, func() any {
 			return RunScale(ScaleConfig{Profile: vca.Meet(), Participants: []int{6}, Regions: 2, InterMbps: []float64{10},
@@ -132,16 +124,22 @@ func TestDynamicTraceRecordsChurn(t *testing.T) {
 }
 
 // TestCompetitionTraceCoversCompetitor: the §5 competitor's hosts and call
-// do not exist until CompAt, and the trace must still see them — packet
+// do not exist until compAt, and the trace must still see them — packet
 // events on the links wired in mid-run and CC decisions of the second
 // call's clients.
 func TestCompetitionTraceCoversCompetitor(t *testing.T) {
 	cfg := competitionTestConfig(CompVCA)
-	cfg.Reps, cfg.CallDur = 1, 20*time.Second // stop while the ring still holds the competitor's start
-	trace, metrics := captured(t, ObsConfig{Trace: true, Metrics: true, TraceCap: 1 << 19}, func() { RunCompetition(cfg) })
+	trace, metrics := captured(t, ObsConfig{Trace: true, Metrics: true, TraceCap: 1 << 19}, func() {
+		repeat("competition", nil, 1, func(o *trialObs, _ int) competitionTrial {
+			var res competitionTrial
+			tr, _ := cfg.newTrial(o, cfg.Seed, &res)
+			tr.finish(compAt + 10*time.Second) // stop while the ring still holds the competitor's start
+			return res
+		})
+	})
 	for _, link := range []string{"f2-rt", "sfu2-rt", "rt-sfu2", "f1-sw"} {
 		if !strings.Contains(trace, `"kind":"deliver","link":"`+link+`"`) {
-			t.Errorf("no deliver events on %s, a link that did not exist before CompAt", link)
+			t.Errorf("no deliver events on %s, a link that did not exist before compAt", link)
 		}
 	}
 	for _, client := range []string{"f1", "f2"} {

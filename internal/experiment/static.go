@@ -31,7 +31,6 @@ type StaticConfig struct {
 	CapsMbps []float64 // 0 = unconstrained
 	Reps     int       // paper: 5
 	Dur      time.Duration
-	Warmup   time.Duration
 	Seed     int64
 }
 
@@ -41,9 +40,6 @@ func (c *StaticConfig) defaults() {
 	}
 	if c.Dur == 0 {
 		c.Dur = 150 * time.Second // the paper's 2.5-minute calls
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 30 * time.Second
 	}
 }
 
@@ -93,13 +89,13 @@ func (cfg *StaticConfig) runTrial(o *trialObs, capMbps float64, rep int) staticT
 		shaped = c1.UpMeter
 	}
 	return staticTrial{
-		median: stats.Median(shaped.RateMbps().Slice(cfg.Warmup, cfg.Dur).Values),
-		up:     c1.UpMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
-		down:   c1.DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),
+		median: stats.Median(shaped.RateMbps().Slice(warmup, cfg.Dur).Values),
+		up:     c1.UpMeter.MeanRateMbps(warmup, cfg.Dur),
+		down:   c1.DownMeter.MeanRateMbps(warmup, cfg.Dur),
 		freeze: c1.Receiver("c2").FreezeRatio(),
 		fir:    float64(c1.FIRsForMyVideo),
-		out:    rec.MedianOut(cfg.Warmup, cfg.Dur),
-		in:     rec.MedianIn(cfg.Warmup, cfg.Dur),
+		out:    rec.MedianOut(warmup, cfg.Dur),
+		in:     rec.MedianIn(warmup, cfg.Dur),
 	}
 }
 

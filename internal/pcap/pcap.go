@@ -83,12 +83,7 @@ func (w *Writer) WriteNetem(ts time.Duration, pkt *netem.Packet) error {
 	if w.err != nil {
 		return w.err
 	}
-	frame, err := Frame(pkt)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	return w.WriteFrame(ts, frame)
+	return w.WriteFrame(ts, Frame(pkt))
 }
 
 // HostIP derives a stable synthetic IPv4 address for a host name.
@@ -102,15 +97,12 @@ func HostIP(name string) [4]byte {
 // Frame builds the on-wire Ethernet frame for a netem packet. pkt.Size is
 // interpreted as the IP datagram size; the UDP payload is reconstructed as
 // RTP when possible and zero-filled otherwise.
-func Frame(pkt *netem.Packet) ([]byte, error) {
+func Frame(pkt *netem.Packet) []byte {
 	ipLen := pkt.Size
 	if ipLen < 28 {
 		ipLen = 28 // minimum IP+UDP
 	}
-	udpPayload, err := udpPayloadFor(pkt, ipLen-28)
-	if err != nil {
-		return nil, err
-	}
+	udpPayload := udpPayloadFor(pkt, ipLen-28)
 	frame := make([]byte, 14+28+len(udpPayload))
 
 	// Ethernet: synthetic MACs from the IPs, EtherType IPv4.
@@ -136,18 +128,18 @@ func Frame(pkt *netem.Packet) ([]byte, error) {
 	binary.BigEndian.PutUint16(udp[4:], uint16(8+len(udpPayload)))
 	// checksum 0 (legal for UDP over IPv4)
 	copy(udp[8:], udpPayload)
-	return frame, nil
+	return frame
 }
 
 // udpPayloadFor reconstructs the UDP payload: a real RTP packet for media,
 // zero padding otherwise.
-func udpPayloadFor(pkt *netem.Packet, size int) ([]byte, error) {
+func udpPayloadFor(pkt *netem.Packet, size int) []byte {
 	if size < 0 {
 		size = 0
 	}
 	mp, ok := pkt.Payload.(*vca.MediaPacket)
 	if !ok {
-		return make([]byte, size), nil
+		return make([]byte, size)
 	}
 	payloadLen := size - rtp.HeaderSize
 	if payloadLen < 0 {

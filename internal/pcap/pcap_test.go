@@ -89,10 +89,7 @@ func TestWriteNetemRecord(t *testing.T) {
 
 func TestIPChecksumValid(t *testing.T) {
 	pkt := &netem.Packet{Size: 100, From: netem.Addr{Host: "a", Port: 1}, To: netem.Addr{Host: "b", Port: 2}}
-	frame, err := Frame(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := Frame(pkt)
 	ip := frame[14:34]
 	// Verify: sum over header including checksum must be 0xffff.
 	var sum uint32
@@ -123,10 +120,7 @@ func TestHostIPStable(t *testing.T) {
 func TestNonMediaPayloadZeroFilled(t *testing.T) {
 	pkt := &netem.Packet{Size: 200, From: netem.Addr{Host: "a", Port: 80}, To: netem.Addr{Host: "b", Port: 81},
 		Payload: "tcp segment"}
-	frame, err := Frame(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := Frame(pkt)
 	if len(frame) != 14+200 {
 		t.Errorf("frame length %d, want 214", len(frame))
 	}
@@ -134,10 +128,7 @@ func TestNonMediaPayloadZeroFilled(t *testing.T) {
 
 func TestTinyPacketClamped(t *testing.T) {
 	pkt := &netem.Packet{Size: 10, From: netem.Addr{Host: "a"}, To: netem.Addr{Host: "b"}}
-	frame, err := Frame(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := Frame(pkt)
 	if len(frame) < 14+28 {
 		t.Errorf("frame below minimum: %d", len(frame))
 	}

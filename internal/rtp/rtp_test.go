@@ -13,12 +13,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 		SequenceNumber: 0xBEEF,
 		Timestamp:      0xDEADBEEF,
 		SSRC:           0x12345678,
-		CSRC:           []uint32{1, 2, 3},
 	}
-	buf, err := h.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := h.Marshal()
 	if len(buf) != h.MarshalSize() {
 		t.Errorf("len = %d, MarshalSize = %d", len(buf), h.MarshalSize())
 	}
@@ -32,42 +28,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 	if got.Marker != h.Marker || got.PayloadType != h.PayloadType ||
 		got.SequenceNumber != h.SequenceNumber || got.Timestamp != h.Timestamp ||
-		got.SSRC != h.SSRC || len(got.CSRC) != 3 || got.CSRC[2] != 3 {
+		got.SSRC != h.SSRC {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, h)
-	}
-}
-
-func TestHeaderExtension(t *testing.T) {
-	h := Header{
-		PayloadType:      96,
-		Extension:        true,
-		ExtensionProfile: 0xBEDE,
-		ExtensionData:    []byte{1, 2, 3, 4, 5, 6, 7, 8},
-	}
-	buf, err := h.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Header
-	if _, err := got.Unmarshal(buf); err != nil {
-		t.Fatal(err)
-	}
-	if got.ExtensionProfile != 0xBEDE || !bytes.Equal(got.ExtensionData, h.ExtensionData) {
-		t.Errorf("extension mismatch: %+v", got)
-	}
-}
-
-func TestHeaderExtensionBadLength(t *testing.T) {
-	h := Header{Extension: true, ExtensionData: []byte{1, 2, 3}}
-	if _, err := h.Marshal(); err == nil {
-		t.Fatal("marshal with 3-byte extension succeeded, want error")
-	}
-}
-
-func TestHeaderTooManyCSRCs(t *testing.T) {
-	h := Header{CSRC: make([]uint32, 16)}
-	if _, err := h.Marshal(); err == nil {
-		t.Fatal("marshal with 16 CSRCs succeeded, want error")
 	}
 }
 
@@ -81,6 +43,14 @@ func TestUnmarshalShortAndBadVersion(t *testing.T) {
 	if _, err := h.Unmarshal(buf); err != ErrBadVersion {
 		t.Errorf("bad version: err = %v, want ErrBadVersion", err)
 	}
+	// A CSRC count, the extension bit or the padding bit: a header
+	// Marshal could not write back.
+	for _, b0 := range []byte{0x81, 0x8f, 0x90, 0xa0} {
+		buf[0] = b0
+		if _, err := h.Unmarshal(buf); err != errUnsupported {
+			t.Errorf("first byte %#x: err = %v, want errUnsupported", b0, err)
+		}
+	}
 }
 
 func TestPacketRoundTrip(t *testing.T) {
@@ -88,10 +58,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		Header:  Header{PayloadType: 111, SequenceNumber: 7, SSRC: 42},
 		Payload: []byte("opus frame bytes"),
 	}
-	buf, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := p.Marshal()
 	var got Packet
 	if err := got.Unmarshal(buf); err != nil {
 		t.Fatal(err)
@@ -127,10 +94,7 @@ func TestSeqArithmetic(t *testing.T) {
 func TestQuickHeaderRoundTrip(t *testing.T) {
 	f := func(marker bool, pt uint8, seq uint16, ts, ssrc uint32) bool {
 		h := Header{Marker: marker, PayloadType: pt & 0x7f, SequenceNumber: seq, Timestamp: ts, SSRC: ssrc}
-		buf, err := h.Marshal()
-		if err != nil {
-			return false
-		}
+		buf := h.Marshal()
 		var got Header
 		n, err := got.Unmarshal(buf)
 		return err == nil && n == len(buf) &&
@@ -146,15 +110,15 @@ func BenchmarkRTPMarshal(b *testing.B) {
 	p := Packet{Header: Header{PayloadType: 96, SequenceNumber: 1, SSRC: 42}, Payload: make([]byte, 1200)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Marshal(); err != nil {
-			b.Fatal(err)
+		if len(p.Marshal()) != HeaderSize+1200 {
+			b.Fatal("short marshal")
 		}
 	}
 }
 
 func BenchmarkRTPUnmarshal(b *testing.B) {
 	p := Packet{Header: Header{PayloadType: 96, SequenceNumber: 1, SSRC: 42}, Payload: make([]byte, 1200)}
-	buf, _ := p.Marshal()
+	buf := p.Marshal()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var q Packet

@@ -30,7 +30,6 @@ func staticSweep(t *testing.T, parallel int) []experiment.StaticResult {
 		CapsMbps: []float64{0.5, 1, 2},
 		Reps:     2,
 		Dur:      60 * time.Second,
-		Warmup:   20 * time.Second,
 		Seed:     1,
 	})
 }
@@ -51,7 +50,6 @@ func disruptionRun(t *testing.T, parallel int) experiment.DisruptionResult {
 		LevelMbps: 0.5,
 		Reps:      4,
 		Seed:      3,
-		CallDur:   150 * time.Second,
 	})
 }
 
@@ -71,8 +69,6 @@ func TestImpairmentParallelMatchesSequential(t *testing.T) {
 			LossPcts: []float64{0, 2},
 			Jitter:   10 * time.Millisecond,
 			Reps:     2,
-			Dur:      50 * time.Second,
-			Warmup:   20 * time.Second,
 			Seed:     5,
 		})
 	}

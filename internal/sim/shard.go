@@ -106,14 +106,13 @@ func (m *Mailbox) drain() {
 type shardWorker struct {
 	eng  *Engine
 	cmd  chan [2]time.Duration
-	done chan<- int
-	idx  int
+	done chan<- struct{}
 }
 
 func (w *shardWorker) loop() {
 	for lim := range w.cmd {
 		w.eng.RunBefore(lim[0], lim[1])
-		w.done <- w.idx
+		w.done <- struct{}{}
 	}
 }
 
@@ -134,7 +133,7 @@ type Group struct {
 	lookahead func() time.Duration
 
 	workers []*shardWorker
-	doneCh  chan int
+	doneCh  chan struct{}
 	now     time.Duration // window clock: everything with at < now has run
 	closed  bool
 }
@@ -147,10 +146,10 @@ type Group struct {
 func NewGroup(ctrl *Engine, shards []*Engine, lookahead func() time.Duration) *Group {
 	g := &Group{ctrl: ctrl, shards: shards, lookahead: lookahead}
 	g.ctrl.src = 0
-	g.doneCh = make(chan int, len(shards))
+	g.doneCh = make(chan struct{}, len(shards))
 	for i, s := range shards {
 		s.src = uint32(i + 1)
-		w := &shardWorker{eng: s, cmd: make(chan [2]time.Duration), done: g.doneCh, idx: i}
+		w := &shardWorker{eng: s, cmd: make(chan [2]time.Duration), done: g.doneCh}
 		g.workers = append(g.workers, w)
 		go w.loop()
 	}

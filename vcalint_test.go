@@ -456,15 +456,15 @@ var wantOptions = map[string][]string{
 	"cc.GCCConfig":                 {"Range", "LossHigh"},
 	"cc.TeamsConfig":               {"Range", "LossBackoff", "DelayBackoff", "BackoffFactor", "RampInitBpsPerSec", "RampMaxBpsPerSec"},
 	"cc.ZoomConfig":                {"Range", "NominalBps"},
-	"experiment.CompetitionConfig": {"Incumbent", "Kind", "CompProfile", "LinkMbps", "Reps", "Seed", "CallDur", "CompAt", "CompDur", "ShareLo", "ShareHi"},
-	"experiment.DisruptionConfig":  {"Profile", "Dir", "LevelMbps", "Reps", "Seed", "CallDur", "DropAt", "DropLen"},
+	"experiment.CompetitionConfig": {"Incumbent", "Kind", "CompProfile", "LinkMbps", "Reps", "Seed"},
+	"experiment.DisruptionConfig":  {"Profile", "Dir", "LevelMbps", "Reps", "Seed"},
 	"experiment.DynamicConfig":     {"Profile", "Scenario", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Shards", "Recovery", "Obs", "TraceW", "MetricsW"},
-	"experiment.FuzzConfig":        {"N", "Seed", "Participants", "Regions", "InterMbps", "Dur", "Shards", "Recovery"},
-	"experiment.ImpairmentConfig":  {"Profile", "LossPcts", "Jitter", "Reps", "Dur", "Warmup", "Seed", "Recovery"},
-	"experiment.ModalityConfig":    {"Profile", "N", "Mode", "Reps", "Dur", "Warmup", "Seed"},
+	"experiment.FuzzConfig":        {"N", "Seed", "Participants", "Dur", "Shards", "Recovery"},
+	"experiment.ImpairmentConfig":  {"Profile", "LossPcts", "Jitter", "Reps", "Seed", "Recovery"},
+	"experiment.ModalityConfig":    {"Profile", "N", "Mode", "Reps", "Seed"},
 	"experiment.ObsConfig":         {"Trace", "Metrics", "Interval", "TraceCap"},
 	"experiment.ScaleConfig":       {"Profile", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Shards", "Recovery"},
-	"experiment.StaticConfig":      {"Profile", "Dir", "CapsMbps", "Reps", "Dur", "Warmup", "Seed"},
+	"experiment.StaticConfig":      {"Profile", "Dir", "CapsMbps", "Reps", "Dur", "Seed"},
 	"netem.BloatConfig":            {"Depth", "AQM"},
 	"netem.GEConfig":               {"P", "R", "LossGood", "LossBad"},
 	"netem.LinkConfig":             {"RateBps", "Delay", "QueueBytes", "LossProb", "Jitter"},
@@ -546,9 +546,7 @@ const wantFacadeExports = 138
 var wantUnnamed = []string{
 	"apps.IPerf", "apps.Netflix", "apps.YouTube",
 	"cascade.Mesh.Placements",
-	"cc.Fixed", "cc.Fixed.Name", "cc.GCC", "cc.GCC.Name", "cc.GCCConfig",
-	"cc.TeamsCC", "cc.TeamsCC.Name", "cc.TeamsConfig", "cc.ZoomCC", "cc.ZoomCC.Name",
-	"cc.ZoomConfig",
+	"cc.GCC", "cc.GCCConfig", "cc.TeamsCC", "cc.TeamsConfig", "cc.ZoomCC", "cc.ZoomConfig",
 	"codec.Encoder", "codec.Encoder.Target", "codec.Ladder.ParamsFor",
 	"codec.SVC", "codec.Simulcast", "codec.Source", "codec.Source.Complexity",
 	"experiment.CompetitionLabel", "experiment.EventRecovery", "experiment.Lab.ResolveLink",
