@@ -87,7 +87,8 @@ type competitionTrial struct {
 func (cfg *CompetitionConfig) runTrial(o *trialObs, rep int) competitionTrial {
 	var res competitionTrial
 	t, measure := cfg.newTrial(o, cfg.Seed+int64(rep)*7127, &res)
-	t.finish(compCallDur)
+	defer t.release()
+	t.run(compCallDur)
 	measure()
 	return res
 }

@@ -108,8 +108,9 @@ func (cfg *DisruptionConfig) newTrial(o *trialObs, seed int64) *trial {
 func (cfg *DisruptionConfig) runTrial(o *trialObs, rep int) disruptionTrial {
 	seed := cfg.Seed + int64(rep)*31337
 	t := cfg.newTrial(o, seed)
+	defer t.release()
 	t.start()
-	t.finish(dipCallDur)
+	t.run(dipCallDur)
 
 	shaped := t.call.C1().DownMeter
 	if cfg.Dir == Uplink {

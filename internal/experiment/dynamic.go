@@ -134,11 +134,12 @@ func scenarioSalt(name string) int64 {
 func (cfg *DynamicConfig) runTrial(o *trialObs, rep int) dynamicTrial {
 	seed := runner.Seed(cfg.Seed+scenarioSalt(cfg.Scenario.Name), rep)
 	t := newMeshTrial(o, seed, cfg.Profile, cfg.Participants, cfg.Regions, cfg.InterMbps, cfg.Shards, cfg.Recovery)
+	defer t.release()
 	call := t.call
 	t.timeline = scenario.New(t.eng, call, scenario.MeshLinks(t.mesh.Mesh), cfg.Scenario)
 	call.SampleFrameLatency(cfg.Warmup)
 	t.start()
-	t.finish(cfg.Dur)
+	t.run(cfg.Dur)
 
 	res := dynamicTrial{
 		down:   call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur),

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,46 @@ func dynTestConfig(p *vca.Profile) DynamicConfig {
 		Dur:          70 * time.Second,
 		Warmup:       10 * time.Second,
 		Seed:         5,
+	}
+}
+
+// churnRecoveryConfig is one recovery-on Zoom churn storm, the trial the
+// allocation budgets and TestReleasedStateChangesNoOutput run: every leave
+// drains rings into the stash and every rejoin takes them back.
+func churnRecoveryConfig() DynamicConfig {
+	cfg := dynTestConfig(vca.Zoom())
+	cfg.Reps, cfg.Dur, cfg.Seed, cfg.Recovery = 1, 80*time.Second, 1, true
+	return cfg
+}
+
+// TestReleasedStateChangesNoOutput: a trial built on what an earlier trial
+// released prints what a trial built from nothing prints. The recovery-on
+// churn storm runs cold (two collections empty the stashes), warm (on the
+// rings, send histories and packet pools the cold run released), and cold
+// again; then four repetitions at parallelism 2, whose workers take from
+// and release into the stashes at once, print what the same four print
+// one at a time. Under -race that handoff is what the detector watches.
+func TestReleasedStateChangesNoOutput(t *testing.T) {
+	out := func(par, reps int) string {
+		setParallelism(t, par)
+		cfg := churnRecoveryConfig()
+		cfg.Reps, cfg.Dur = reps, 60*time.Second // the last rejoin is at 56.4 s
+		var buf strings.Builder
+		PrintDynamic(&buf, RunDynamic(cfg))
+		return buf.String()
+	}
+	flush := func() { runtime.GC(); runtime.GC() }
+	flush()
+	cold := out(1, 1)
+	if warm := out(1, 1); warm != cold {
+		t.Errorf("a warm trial prints differently:\n-- cold --\n%s-- warm --\n%s", cold, warm)
+	}
+	flush()
+	if again := out(1, 1); again != cold {
+		t.Errorf("a trial after a flush prints differently:\n-- cold --\n%s-- after flush --\n%s", cold, again)
+	}
+	if seq, par := out(1, 4), out(2, 4); seq != par {
+		t.Errorf("four trials print differently at parallelism 2:\n-- parallel 1 --\n%s-- parallel 2 --\n%s", seq, par)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestDisruptionTimeline(t *testing.T) {
 			if other.Rate() != 0 {
 				t.Errorf("%s in the dip: %v bps, want unconstrained", other.Name(), other.Rate())
 			}
-			tr.finish(dropAt + dropLen + time.Millisecond)
+			tr.run(dropAt + dropLen + time.Millisecond)
 			if shaped.Rate() != 0 {
 				t.Errorf("%s after the dip: %v bps, want unconstrained", shaped.Name(), shaped.Rate())
 			}
@@ -213,7 +213,7 @@ func TestLabResolveLink(t *testing.T) {
 			t.Errorf("ResolveLink(%+v) = %q, want %q", c.ref, got, c.want)
 		}
 	}
-	tr.finish(time.Second)
+	tr.run(time.Second)
 }
 
 func TestImpairmentSweep(t *testing.T) {
@@ -277,7 +277,7 @@ func TestLabTraceReplay(t *testing.T) {
 	down := scenario.Trace(scenario.LinkRef{Kind: scenario.LinkClientDown, Client: "c1"}, "sawtooth", steps)
 	tr.timeline = scenario.New(tr.eng, tr.call, tr.lab, scenario.Scenario{Name: "sawtooth", Events: append(up, down...)})
 	tr.start()
-	tr.finish(200 * time.Second)
+	tr.run(200 * time.Second)
 	// The sent series must visibly track the sawtooth: mean rate in the
 	// 0.4 Mbps valley well below the 2 Mbps plateau mean.
 	sent := tr.call.C1().UpMeter.RateMbps()

@@ -115,7 +115,7 @@ func (cfg *FuzzConfig) replay(o *trialObs, sc scenario.Scenario, prof *vca.Profi
 		return []scenario.Violation{{Invariant: "validate", Detail: err.Error()}}
 	}
 	t := newMeshTrial(o, seed, prof, cfg.Participants, fuzzRegions, fuzzInterMbps, cfg.Shards, cfg.Recovery)
-	defer t.mesh.Close()
+	defer t.release()
 	t.timeline = scenario.New(t.eng, t.call, scenario.MeshLinks(t.mesh.Mesh), sc)
 	t.start()
 	t.run(cfg.Dur)

@@ -56,10 +56,11 @@ type impairmentTrial struct {
 func (cfg *ImpairmentConfig) runTrial(o *trialObs, lossPct float64, rep int) impairmentTrial {
 	seed := cfg.Seed + int64(rep)*17389 + int64(lossPct*100)
 	t := labTrial(o, seed, cfg.Profile, 2, 0, 0, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
+	defer t.release()
 	t.lab.Uplink().SetImpairment(lossPct/100, cfg.Jitter)
 	t.lab.Downlink().SetImpairment(lossPct/100, cfg.Jitter)
 	t.start()
-	t.finish(shortCallDur)
+	t.run(shortCallDur)
 	return impairmentTrial{
 		up: t.call.C1().UpMeter.MeanRateMbps(warmup, shortCallDur),
 		// Quality of C1's video as seen by the far client.

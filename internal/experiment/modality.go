@@ -42,8 +42,9 @@ type modalityTrial struct {
 func (cfg *ModalityConfig) runTrial(o *trialObs, rep int) modalityTrial {
 	seed := cfg.Seed + int64(rep)*52361 + int64(cfg.N)
 	t := labTrial(o, seed, cfg.Profile, cfg.N, 0, 0, vca.CallOptions{Mode: cfg.Mode, Seed: seed})
+	defer t.release()
 	t.start()
-	t.finish(shortCallDur)
+	t.run(shortCallDur)
 	return modalityTrial{
 		up:   t.call.C1().UpMeter.MeanRateMbps(warmup, shortCallDur),
 		down: t.call.C1().DownMeter.MeanRateMbps(warmup, shortCallDur),

@@ -133,7 +133,7 @@ func TestCompetitionTraceCoversCompetitor(t *testing.T) {
 		repeat("competition", nil, 1, func(o *trialObs, _ int) competitionTrial {
 			var res competitionTrial
 			tr, _ := cfg.newTrial(o, cfg.Seed, &res)
-			tr.finish(compAt + 10*time.Second) // stop while the ring still holds the competitor's start
+			tr.run(compAt + 10*time.Second) // stop while the ring still holds the competitor's start
 			return res
 		})
 	})

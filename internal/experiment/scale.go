@@ -98,6 +98,7 @@ type scaleTrial struct {
 func (cfg *ScaleConfig) runTrial(o *trialObs, cd scaleCond, rep int) scaleTrial {
 	seed := cfg.Seed + int64(rep)*86243 + int64(cd.n)*613 + int64(cd.interMbps*1000)
 	t := newMeshTrial(o, seed, cfg.Profile, cd.n, cfg.Regions, cd.interMbps, cfg.Shards, cfg.Recovery)
+	defer t.release()
 	call := t.call
 
 	// Snapshot inter-link counters at warmup so utilization covers the
@@ -115,7 +116,7 @@ func (cfg *ScaleConfig) runTrial(o *trialObs, cd scaleCond, rep int) scaleTrial 
 
 	call.SampleFrameLatency(cfg.Warmup)
 	t.start()
-	t.finish(cfg.Dur)
+	t.run(cfg.Dur)
 
 	var res scaleTrial
 	span := (cfg.Dur - cfg.Warmup).Seconds()

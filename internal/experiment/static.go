@@ -79,10 +79,11 @@ func (cfg *StaticConfig) runTrial(o *trialObs, capMbps float64, rep int) staticT
 	var bps [2]float64 // by Direction; the other side stays unconstrained
 	bps[cfg.Dir] = max(capMbps, 0) * 1e6
 	t := labTrial(o, seed, cfg.Profile, 2, bps[Uplink], bps[Downlink], vca.CallOptions{Seed: seed})
+	defer t.release()
 	c1 := t.call.C1()
 	rec := c1.RecordStats() // getStats on the instrumented client (§3.2)
 	t.start()
-	t.finish(cfg.Dur)
+	t.run(cfg.Dur)
 
 	shaped := c1.DownMeter
 	if cfg.Dir == Uplink {

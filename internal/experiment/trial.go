@@ -12,10 +12,10 @@ import (
 
 // trial is what one repetition of any experiment runs on: the paper's
 // shared-bottleneck Lab (§2.2) or a cascaded mesh, the measured call, and
-// the one start → run → stop. A runner's trial function builds one,
-// schedules what its experiment shapes when, and reads its measurements
-// off the call after finish; capture (observe.go) attaches here, so it
-// sees every experiment the same way.
+// the one start → run → stop → release. A runner's trial function builds
+// one, defers its release, schedules what its experiment shapes when, and
+// reads its measurements off the call after run; capture (observe.go)
+// attaches here, so it sees every experiment the same way.
 type trial struct {
 	seed int64
 	// eng is the control engine, where runners schedule shaping events and
@@ -60,7 +60,7 @@ func (t *trial) links() []*netem.Link {
 }
 
 // start attaches capture (when on), then starts the timeline and the
-// call. What a runner schedules between start and finish keeps the
+// call. What a runner schedules between start and run keeps the
 // sequence numbers it always had.
 func (t *trial) start() {
 	t.obs.attach(t)
@@ -68,14 +68,6 @@ func (t *trial) start() {
 		t.timeline.Start()
 	}
 	t.call.Start()
-}
-
-// finish runs the trial to dur and releases any shard goroutines.
-func (t *trial) finish(dur time.Duration) {
-	t.run(dur)
-	if t.mesh != nil {
-		t.mesh.Close()
-	}
 }
 
 // run runs every engine to dur and stops the call and the metrics
@@ -90,4 +82,15 @@ func (t *trial) run(dur time.Duration) {
 	if t.obs != nil && t.obs.sampler != nil {
 		t.obs.sampler.Stop()
 	}
+}
+
+// release ends the trial: it releases any shard goroutines, then hands the
+// call's packet pools and recovery state to the next trial in the process
+// (vca.Call.Release). Deferred where the trial is built, it runs once the
+// runner has read its measurements.
+func (t *trial) release() {
+	if t.mesh != nil {
+		t.mesh.Close()
+	}
+	t.call.Release()
 }

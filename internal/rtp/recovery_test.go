@@ -351,6 +351,10 @@ func TestSentHistory(t *testing.T) {
 	if at, size, ok := h.Lookup(13); !ok || at != 2000 || size != 300 {
 		t.Fatal("seq 13 should be present")
 	}
+	h.Reset()
+	if _, _, ok := h.Lookup(13); ok || !reflect.DeepEqual(h, NewSentHistory(8)) {
+		t.Fatalf("a reset history holds %v, want a new one's", h.slots)
+	}
 }
 
 // TestHistorySlotLayout pins what the two TWCC rings pay per seq: 2048

@@ -182,6 +182,10 @@ func NewSentHistory(capacity int) *SentHistory {
 
 func (h *SentHistory) slot(seq uint16) *uint64 { return &h.slots[int(seq)&(len(h.slots)-1)] }
 
+// Reset forgets every send, leaving the history as NewSentHistory made it,
+// so a caller may keep it for reuse.
+func (h *SentHistory) Reset() { clear(h.slots) }
+
 // Record notes that seq was sent at atUs with the given wire size. An atUs or
 // a size a slot cannot hold (see slotPacking) panics.
 func (h *SentHistory) Record(seq uint16, atUs int64, size int) {

@@ -133,7 +133,7 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 	// affects event order, so splitting it is output-invisible.
 	c.pools = make([]*mpPool, len(regions))
 	for ri := range regions {
-		c.pools[ri] = &mpPool{}
+		c.pools[ri] = poolStash.Get().(*mpPool)
 	}
 	for ri, r := range regions {
 		s := newServer(regionEngine(r, eng), prof, r.Server, c.reg, localIDs[ri], c.pools[ri], total, opt.Recovery)
@@ -398,6 +398,26 @@ func (c *Call) DrainRecovery() {
 	for _, s := range c.Servers {
 		s.eachRTX((*retransmitter).drain)
 	}
+}
+
+// Release ends the call for good and hands what it built for packets and
+// recovery to the next call in the process (DESIGN.md §13): every
+// down-track's RTX rings are drained and its TWCC send history cleared,
+// each region's pool forgets whatever is still out of it, and all three
+// wait in process-wide stashes for the next NewCascadedCall to take. Call
+// it once the call is stopped, its engines will run no more, and
+// everything the caller wants of it has been read: nothing of the call
+// may be used afterwards. A second Release does nothing; a call never
+// released only forgoes the reuse.
+func (c *Call) Release() {
+	for _, s := range c.Servers {
+		s.eachRTX((*retransmitter).release)
+	}
+	for _, p := range c.pools {
+		p.made, p.ctrlLive = len(p.free), 0
+		poolStash.Put(p)
+	}
+	c.pools = nil
 }
 
 // RTXClonesLive reports how many references to retained ingress packets

@@ -1,6 +1,7 @@
 package vca
 
 import (
+	"sync"
 	"time"
 
 	"vcalab/internal/cc"
@@ -346,16 +347,10 @@ func (s sinkAt) OnPacket(_ time.Duration, p media.PacketInfo) { s.to.OnPacket(s.
 // do nothing: the packet path calls them unconditionally and asks nothing
 // else about recovery.
 type retransmitter struct {
-	// ringPkts is the capacity of the rings this track makes: rtxRingPkts,
-	// or less where a test sets it before the first packet.
-	ringPkts int
-	// byOrigin is dense by origin ID. A ring is taken by the pair's first
-	// emission and drained when the origin is dropped; the counters
-	// outlive it.
+	// byOrigin is dense by origin ID. A ring is taken from ringStash by the
+	// pair's first emission and goes back there, drained, when the origin
+	// is dropped; the counters outlive it.
 	byOrigin []rtxOrigin
-	// spare is the server's spareRings: churn reuses drained rings, which
-	// are indistinguishable from new ones, rather than allocating.
-	spare *[]*rtp.RTXRing[rtxEntry]
 	// refsLive is the number of ring slots currently holding a packet
 	// (harness invariant: zero after DrainRecovery).
 	refsLive uint64
@@ -444,10 +439,24 @@ func (e rtxEntry) rebuild(p *mpPool, origin int32) *MediaPacket {
 	return out
 }
 
-func newRetransmitter(idCap int, twcc bool, spare *[]*rtp.RTXRing[rtxEntry]) *retransmitter {
-	r := &retransmitter{ringPkts: rtxRingPkts, byOrigin: make([]rtxOrigin, idCap), spare: spare}
+// Recovery state outlives the track and the call that made it (DESIGN.md
+// §13). A dropped origin's drained ring, a retired track's cleared send
+// history and, at Call.Release, a dead call's rings, histories and region
+// pools wait here for the next track or call in the process: churn and
+// back-to-back trials take the one path. A drained ring and a cleared
+// history are byte-for-byte new ones, and a released pool's free packets
+// and messages are zeroed with nothing counted out, so where a call's
+// state came from never shows in what it sends.
+var (
+	ringStash = sync.Pool{New: func() any { return rtp.NewRTXRing[rtxEntry](rtxRingPkts) }}
+	histStash = sync.Pool{New: func() any { return rtp.NewSentHistory(2048) }}
+	poolStash = sync.Pool{New: func() any { return &mpPool{} }}
+)
+
+func newRetransmitter(idCap int, twcc bool) *retransmitter {
+	r := &retransmitter{byOrigin: make([]rtxOrigin, idCap)}
 	if twcc {
-		r.twHist = rtp.NewSentHistory(2048)
+		r.twHist = histStash.Get().(*rtp.SentHistory)
 	}
 	return r
 }
@@ -476,15 +485,11 @@ func (r *retransmitter) storeOwn(fec *MediaPacket, size int) {
 }
 
 // put files e in origin's ring; the slot it evicts lets go of its packet.
-// An origin's first packet takes a spare ring if the server has one.
+// An origin's first packet takes a ring from the stash.
 func (r *retransmitter) put(origin int32, e rtxEntry) {
 	o := &r.byOrigin[origin]
 	if o.ring == nil {
-		if n := len(*r.spare); n > 0 {
-			o.ring, *r.spare = (*r.spare)[n-1], (*r.spare)[:n-1]
-		} else {
-			o.ring = rtp.NewRTXRing[rtxEntry](r.ringPkts)
-		}
+		o.ring = ringStash.Get().(*rtp.RTXRing[rtxEntry])
 	}
 	if ev, _ := o.ring.Put(e); ev.pkt != nil {
 		unref(ev.pkt)
@@ -508,10 +513,10 @@ func (r *retransmitter) stamp(now time.Duration, mp *MediaPacket, size int) {
 	r.twHist.Record(r.twSeq, int64(now/time.Microsecond), size)
 }
 
-// drop lets go of every packet one origin's ring holds and files the
-// emptied ring on the server's spare list. Every path that makes a
-// down-track forget an origin must come through here (or drain), or
-// retained packets never return to the pool.
+// drop lets go of every packet one origin's ring holds and stashes the
+// emptied ring. Every path that makes a down-track forget an origin must
+// come through here (or drain), or retained packets never return to the
+// pool.
 func (r *retransmitter) drop(origin int32) {
 	if r == nil {
 		return
@@ -526,7 +531,7 @@ func (r *retransmitter) drop(origin int32) {
 			r.refsLive--
 		}
 	})
-	*r.spare = append(*r.spare, o.ring)
+	ringStash.Put(o.ring)
 	o.ring = nil
 }
 
@@ -537,12 +542,23 @@ func (r *retransmitter) drain() {
 	}
 }
 
-// retire is the track's teardown: the rings drained, the counters folded
-// into the server's per-origin tally of departed tracks.
+// retire is the track's teardown: the counters folded into the server's
+// per-origin tally of departed tracks, then the track released.
 func (r *retransmitter) retire(into []rtxCount) {
-	r.drain()
 	for id := range r.byOrigin {
 		into[id].add(r.byOrigin[id].rtxCount)
+	}
+	r.release()
+}
+
+// release ends the track (retire, Call.Release): its rings drained and
+// stashed, its send history cleared and stashed.
+func (r *retransmitter) release() {
+	r.drain()
+	if r.twHist != nil {
+		r.twHist.Reset()
+		histStash.Put(r.twHist)
+		r.twHist = nil
 	}
 }
 

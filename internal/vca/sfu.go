@@ -6,7 +6,6 @@ import (
 
 	"vcalab/internal/cc"
 	"vcalab/internal/netem"
-	"vcalab/internal/rtp"
 	"vcalab/internal/sim"
 )
 
@@ -73,10 +72,6 @@ type Server struct {
 	// retired keeps, per origin ID, the recovery counters of down-tracks
 	// that have been torn down, so the sender-side totals survive churn.
 	retired []rtxCount
-	// spareRings holds drained RTX rings for the next (track, origin) pair
-	// that needs one; every retransmitter of this server shares it, so it
-	// stays on the server's engine.
-	spareRings []*rtp.RTXRing[rtxEntry]
 
 	flowRtcpUp, flowRtcpHop, flowRtcpRelay string
 	flowFir, flowAlloc                     string
@@ -139,7 +134,7 @@ func (s *Server) addTrack(id int32, relay bool) {
 	}
 	l.passthrough = s.passthrough || (relay && l.ctrl == nil)
 	if s.recovery && !relay {
-		l.rtx = newRetransmitter(len(l.fwd), l.ctrl != nil, &s.spareRings)
+		l.rtx = newRetransmitter(len(l.fwd), l.ctrl != nil)
 	}
 	s.legs[id] = l
 	s.rewire()

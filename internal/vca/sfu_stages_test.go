@@ -170,7 +170,7 @@ func TestForwarderThinsAndRenumbers(t *testing.T) {
 // trackToSink builds one Zoom down-track by hand — no Server, no Call — on
 // a host whose uplink delivers straight to the subscriber, and returns what
 // the subscriber received so far as values.
-func trackToSink(t *testing.T, ringPkts int) (*sim.Engine, *downTrack, *[]sentPacket) {
+func trackToSink(t *testing.T) (*sim.Engine, *downTrack, *[]sentPacket) {
 	t.Helper()
 	eng := sim.New(1)
 	var wire []sentPacket
@@ -190,9 +190,8 @@ func trackToSink(t *testing.T, ringPkts int) (*sim.Engine, *downTrack, *[]sentPa
 	l := &downTrack{
 		receiver: 1, recvName: "c2", prof: prof, host: host, pool: &mpPool{},
 		fwd: make([]*forwarder, 2), flows: &flowLabels{prefix: "zoom/sfu/", reg: reg, rows: make([][]string, 2)},
-		rtx: newRetransmitter(2, false, new([]*rtp.RTXRing[rtxEntry])),
+		rtx: newRetransmitter(2, false),
 	}
-	l.rtx.ringPkts = ringPkts
 	l.fwd[0] = newForwarder(prof, false)
 	return eng, l, &wire
 }
@@ -203,7 +202,7 @@ func trackToSink(t *testing.T, ringPkts int) (*sim.Engine, *downTrack, *[]sentPa
 // switch owed, the frame-end of a layer-stripped frame — an evicted seq is
 // not answered, and tearing the track down returns every retained packet.
 func TestDownTrackAnswersNackWithItsOwnRewrite(t *testing.T) {
-	eng, l, wire := trackToSink(t, 4)
+	eng, l, wire := trackToSink(t)
 	f := l.fwd[0]
 	f.maxLayer, f.needKey = 1, true // strip layer 2; owe a keyframe
 	f.seq, f.frameOut = 100, 40     // well into the call
@@ -252,9 +251,10 @@ func TestDownTrackAnswersNackWithItsOwnRewrite(t *testing.T) {
 		}
 	}
 
-	// Four more emissions fill the 4-slot ring and evict seq 100 and 101.
-	for i := 0; i < 4; i++ {
-		f.curInFrame = -1 // each its own frame
+	// A ring's worth of emissions, each its own frame, evicts seq 100 and
+	// 101.
+	for i := 0; i < rtxRingPkts; i++ {
+		f.curInFrame = -1
 		ingress(uint16(20+i), 0)
 	}
 	eng.Run()
@@ -270,9 +270,16 @@ func TestDownTrackAnswersNackWithItsOwnRewrite(t *testing.T) {
 		t.Errorf("counters %+v, want 4 NACKed seqs, 2 answered", c)
 	}
 
-	// Teardown: the ring's four references, and with them the packets.
-	if l.rtx.refsLive != 4 || l.pool.mediaLive() != 4 {
-		t.Fatalf("before teardown: %d references, %d packets out of the pool; want 4 and 4", l.rtx.refsLive, l.pool.mediaLive())
+	// Teardown: the ring's references, one per media slot (an FEC slot
+	// holds none), and with them the packets.
+	held := uint64(0)
+	for seq := f.seq - rtxRingPkts; seq != f.seq; seq++ {
+		if e, ok := l.rtx.byOrigin[0].ring.Get(seq); ok && e.pkt != nil {
+			held++
+		}
+	}
+	if held == 0 || l.rtx.refsLive != held || uint64(l.pool.mediaLive()) != held {
+		t.Fatalf("before teardown: %d references, %d packets out of the pool; want %d media slots' worth of each", l.rtx.refsLive, l.pool.mediaLive(), held)
 	}
 	tally := make([]rtxCount, 2)
 	l.rtx.retire(tally)
