@@ -22,10 +22,9 @@ type obsFlags struct {
 
 // validateFlags checks the cross-flag invariants once, right after
 // flag.Parse and before any experiment runs, so every bad invocation
-// fails fast with one clear message and exit code 2. Before this helper a
-// negative -parallel was silently coerced to "all cores" and a bad
-// -scenario surfaced only after other sweeps had already burned minutes;
-// likewise an unwritable -trace path must fail here, not after the sweep.
+// fails fast with one clear message and exit code 2: a negative -parallel,
+// a bad -scenario or an unwritable -trace path fails here, not after
+// other sweeps have run.
 func validateFlags(exp, scenarioName, recovery string, parallel, reps, fuzz, shards int, obs obsFlags) error {
 	if parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 = all cores, 1 = sequential); got %d", parallel)

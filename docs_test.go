@@ -1,6 +1,7 @@
 package vcalab_test
 
 import (
+	"bytes"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -37,21 +38,82 @@ func TestDesignCitationsResolve(t *testing.T) {
 		}
 	}
 	check(filepath.Join(".github", "workflows", "ci.yml"))
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	walkFiles(t, ".go", check)
+	if cited == 0 || len(have) == 0 {
+		t.Errorf("found %d citations and %d headings: the patterns no longer match", cited, len(have))
+	}
+}
+
+// designMaxLines is DESIGN.md's budget: it says what the code does now and
+// why, and the history of replaced designs lives in CHANGES.md.
+const designMaxLines = 800
+
+// TestDesignWithinBudget fails once DESIGN.md outgrows designMaxLines.
+func TestDesignWithinBudget(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(design, []byte("\n")); n > designMaxLines {
+		t.Errorf("DESIGN.md has %d lines, want at most %d: move dated measurements and replaced designs to CHANGES.md", n, designMaxLines)
+	}
+}
+
+// TestDocTestNamesResolve: every Test*, Fuzz*, Benchmark* or Example* name
+// in code (inline or fenced) in the prose docs is a function some _test.go
+// file declares, so a doc cannot send a reader to a test that was renamed
+// or deleted. Names are spelled whole: `TestSteadyState{Call,Recovery}Mallocs`
+// or `TestRetransmissions…` reads as a name no file declares.
+func TestDocTestNamesResolve(t *testing.T) {
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+	walkFiles(t, "_test.go", func(path string) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+	})
+	code := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	name := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)(?:[A-Z0-9_]\w*)?\b`)
+	named := 0
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range code.FindAll(src, -1) {
+			for _, n := range name.FindAll(span, -1) {
+				named++
+				if !declared[string(n)] {
+					t.Errorf("%s names %s, which no _test.go file declares", doc, n)
+				}
+			}
+		}
+	}
+	if named == 0 || len(declared) == 0 {
+		t.Errorf("found %d named tests and %d declared: the patterns no longer match", named, len(declared))
+	}
+}
+
+// walkFiles calls fn on every file under the module root whose name ends
+// in suffix, skipping dot-directories (.git, .bench_build's build cache).
+func walkFiles(t *testing.T, suffix string, fn func(path string)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
 			return err
 		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
-			return filepath.SkipDir // .git, .bench_build's build cache
-		case !d.IsDir() && strings.HasSuffix(path, ".go"):
-			check(path)
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, suffix):
+			fn(path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cited == 0 || len(have) == 0 {
-		t.Errorf("found %d citations and %d headings: the patterns no longer match", cited, len(have))
 	}
 }

@@ -81,7 +81,10 @@ func (c GEConfig) stationaryLoss() float64 {
 // WiFiBursty returns a GE parameterization hitting a target overall loss
 // rate with a target mean burst length (packets), using the classic
 // LossBad=1, LossGood=0 simplification: bursts of meanBurst consecutive
-// losses arriving often enough to average lossRate.
+// losses arriving often enough to average lossRate. The chain can reach
+// lossRate only when lossRate <= meanBurst/(meanBurst+1); above that P
+// exceeds 1 (the chain then loses less than asked), which
+// scenario.Scenario.Validate rejects.
 func WiFiBursty(lossRate, meanBurst float64) GEConfig {
 	if meanBurst < 1 {
 		meanBurst = 1

@@ -411,8 +411,9 @@ func (l *Link) transmit(pkt *Packet) {
 }
 
 // OnEvent implements sim.Handler: serialization of the in-service packet
-// completed. It hands the packet to the propagation stage, then starts on
-// the queue head — the same event order as the original closure.
+// completed. It hands the packet to the propagation stage before it starts
+// on the queue head, so the propagation event takes the lower sequence
+// number.
 func (l *Link) OnEvent(time.Duration) {
 	pkt := l.inService
 	l.inService = nil

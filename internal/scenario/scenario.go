@@ -200,7 +200,8 @@ type Scenario struct {
 }
 
 // Validate reports the first structurally invalid event (a churn op with
-// no participant name, a negative timestamp, a shape aspect out of range).
+// no participant name, a negative timestamp, a shape aspect out of range,
+// a GE chain probability outside [0, 1], a negative bloat depth).
 // An inter-region link's delay must stay positive: it is the lookahead a
 // region-sharded run synchronizes on.
 func (sc Scenario) Validate() error {
@@ -223,16 +224,23 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("scenario %s: event %d sets negative delay %v", sc.Name, i, sh.Delay)
 		case sh.SetDelay && sh.Delay == 0 && ev.Ref.Kind >= LinkInter:
 			return fmt.Errorf("scenario %s: event %d sets zero inter-region delay", sc.Name, i)
-		case sh.SetImpair && !(sh.LossProb >= 0 && sh.LossProb <= 1):
+		case sh.SetImpair && !isProb(sh.LossProb):
 			return fmt.Errorf("scenario %s: event %d sets loss %v outside [0, 1]", sc.Name, i, sh.LossProb)
 		case sh.SetImpair && sh.Jitter < 0:
 			return fmt.Errorf("scenario %s: event %d sets negative jitter %v", sc.Name, i, sh.Jitter)
 		case sh.SetModel && (m.Kind < ModelNone || m.Kind > ModelBloat):
 			return fmt.Errorf("scenario %s: event %d has unknown link-model kind %d", sc.Name, i, m.Kind)
+		case sh.SetModel && m.Kind == ModelGE && !(isProb(m.GE.P) && isProb(m.GE.R) && isProb(m.GE.LossGood) && isProb(m.GE.LossBad)):
+			return fmt.Errorf("scenario %s: event %d has a GE chain %+v with a probability outside [0, 1]", sc.Name, i, m.GE)
+		case sh.SetModel && m.Kind == ModelBloat && m.Bloat.Depth < 0:
+			return fmt.Errorf("scenario %s: event %d sets negative bloat depth %v", sc.Name, i, m.Bloat.Depth)
 		}
 	}
 	return nil
 }
+
+// isProb reports whether p is a probability; NaN is not.
+func isProb(p float64) bool { return p >= 0 && p <= 1 }
 
 // RecoveryPoints lists the events marked Recover, in timeline order —
 // the measurement schedule the dynamic experiment reports against.

@@ -244,6 +244,15 @@ func TestScenarioValidate(t *testing.T) {
 		{"zero delay on one direction", []Event{ShapeLink(time.Second, LinkRef{Kind: LinkInter, To: 1}, Shape{SetDelay: true})}, false},
 		{"zero delay on every inter link", []Event{ShapeLink(time.Second, LinkRef{Kind: LinkInterAll}, Shape{SetDelay: true})}, false},
 		{"zero access delay", []Event{ShapeLink(time.Second, LinkRef{Kind: LinkClientUp, Client: "c2"}, Shape{SetDelay: true})}, true},
+		// WiFiBursty(0.9, 1) asks for P = 9: the chain would flip state
+		// every packet and lose 50%, not 90%.
+		{"GE transition above 1", shape(Shape{SetModel: true, Model: LinkModelSpec{Kind: ModelGE, GE: netem.WiFiBursty(0.9, 1)}}), false},
+		{"GE negative return", shape(Shape{SetModel: true, Model: LinkModelSpec{Kind: ModelGE, GE: netem.GEConfig{R: -0.5, LossBad: 1}}}), false},
+		{"GE NaN good-state loss", shape(Shape{SetModel: true, Model: LinkModelSpec{Kind: ModelGE, GE: netem.GEConfig{P: 0.1, R: 0.5, LossGood: math.NaN(), LossBad: 1}}}), false},
+		{"GE bad-state loss above 1", shape(Shape{SetModel: true, Model: LinkModelSpec{Kind: ModelGE, GE: netem.GEConfig{P: 0.1, R: 0.5, LossBad: 1.5}}}), false},
+		{"GE at the feasible edge", shape(Shape{SetModel: true, Model: LinkModelSpec{Kind: ModelGE, GE: netem.WiFiBursty(0.5, 1)}}), true},
+		{"negative bloat depth", shape(Shape{SetModel: true, Model: LinkModelSpec{Kind: ModelBloat, Bloat: netem.BloatConfig{Depth: -time.Second}}}), false},
+		{"default bloat depth", shape(Shape{SetModel: true, Model: LinkModelSpec{Kind: ModelBloat}}), true},
 		// An aspect's value only matters when its Set flag applies it.
 		{"unset aspects ignored", shape(Shape{RateBps: -1, Delay: -1, LossProb: 2, Jitter: -1}), true},
 		{"in range", shape(Shape{

@@ -12,8 +12,8 @@
 //
 // Determinism. Every event carries the ordering key (at, schedAt, src,
 // seq); see sim.go's less. Within one engine the key degenerates to the
-// classic (at, seq) order, so a standalone engine is bit-identical to the
-// pre-sharding scheduler. Across shards, a boundary packet is injected
+// classic (at, seq) order, since schedAt and seq rise together and src is
+// constant. Across shards, a boundary packet is injected
 // into its destination with the key it would have carried on a single
 // sequential engine: at = the arrival instant, schedAt = the source-shard
 // clock at the send, seq = a sequence number consumed from the source

@@ -44,9 +44,9 @@
 //     handles carry a generation counter so a stale handle can never
 //     cancel an unrelated reuse of the same pooled struct.
 //
-// Determinism is unchanged from the original container/heap engine: events
-// scheduled for the same instant fire in scheduling order, guaranteed by
-// the monotonically increasing sequence number assigned at schedule time.
+// Events scheduled for the same instant fire in scheduling order,
+// guaranteed by the monotonically increasing sequence number assigned at
+// schedule time.
 package sim
 
 import (

@@ -55,8 +55,8 @@ type Client struct {
 	recv []inbound // origin ID -> receive track (zero until first packet)
 	// recvOrder lists the IDs of live tracks in sorted-name order,
 	// maintained on insert so the 10 Hz feedback and 1 Hz stats ticks
-	// iterate deterministically and allocation-free, in the exact order
-	// the string-keyed implementation used: feedbackTick sums floats in it.
+	// iterate deterministically and allocation-free: feedbackTick sums
+	// floats in it, so the order is in the report's bits.
 	// nackOrder lists the tracks built with a jitter buffer in creation
 	// order, the order recoveryTick puts NACKs on the uplink in. Both are
 	// output-visible and they differ (a rejoiner is created last but sorts

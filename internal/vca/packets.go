@@ -36,9 +36,9 @@ const wireOverhead = 40
 // maxPayload is the media packetization MTU budget.
 const maxPayload = 1200
 
-// Rate keys give every stream of one origin a dense index, replacing the
-// string-keyed per-(origin, stream) maps on the packet path: rate
-// estimators and flow-label caches are slices indexed by rate key. SVC
+// Rate keys give every stream of one origin a dense index, so the packet
+// path hashes no stream name: rate estimators and flow-label caches are
+// slices indexed by rate key. SVC
 // layers extend past rkSVC (layer L maps to rkSVC+L), so rkSVC must stay
 // the last constant.
 const (

@@ -40,8 +40,7 @@ func asSent(mp *MediaPacket, size int) sentPacket {
 
 // TestRetransmissionsMatchAClonePerEmission is the differential test for
 // the shared retained packet: a reference store on the SFU's wire clones
-// every packet as it is first sent — what the per-emission clone ring used
-// to keep — and every NACK answer, rebuilt from a ring slot and the shared
+// every packet as it is first sent, and every NACK answer, rebuilt from a ring slot and the shared
 // ingress packet, must equal the clone filed under the same (receiver,
 // origin, seq), field for field. The calls lose 3% of everything the SFU
 // sends and go through a Leave, a Rejoin (recycled ID, fresh rings) and a

@@ -11,7 +11,7 @@ import (
 // TestZoomStarvedReceiverGetsBaseLayerOnly is the regression test for the
 // SVC layer-selection churn bug: when a receiver's downlink estimate sits
 // below even the base layer's rate, a mid-call rejoin used to forward the
-// rejoined origin's media at EVERY layer — the fresh fwdState's maxLayer
+// rejoined origin's media at EVERY layer — the fresh forwarder's maxLayer
 // sentinel (1<<10) lived until the next control tick, and the selection
 // walk advanced past unmeasured layers for free because the rejoined
 // origin's rate row was empty. Both paths must now keep a starved
