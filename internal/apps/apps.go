@@ -6,6 +6,7 @@
 package apps
 
 import (
+	"slices"
 	"time"
 
 	"vcalab/internal/netem"
@@ -60,8 +61,7 @@ type Netflix struct {
 	chunkSeconds  float64
 	bufferSeconds float64
 	rateIdx       int
-	basePort      int
-	active        map[int]*tcp.Flow
+	active        []*tcp.Flow // open connections, in the order they opened
 	nextPort      int
 	ticker        *sim.Ticker
 	running       bool
@@ -75,7 +75,7 @@ type Netflix struct {
 }
 
 // NewNetflix creates the client. Data flows server→client.
-func NewNetflix(eng *sim.Engine, client, server *netem.Host, basePort int) *Netflix {
+func NewNetflix(eng *sim.Engine, client, server *netem.Host, firstPort int) *Netflix {
 	return &Netflix{
 		eng:          eng,
 		client:       client,
@@ -83,9 +83,7 @@ func NewNetflix(eng *sim.Engine, client, server *netem.Host, basePort int) *Netf
 		Meter:        stats.NewMeter(time.Second),
 		chunkSeconds: 4,
 		rateIdx:      2,
-		basePort:     basePort,
-		nextPort:     basePort,
-		active:       map[int]*tcp.Flow{},
+		nextPort:     firstPort,
 	}
 }
 
@@ -102,10 +100,7 @@ func (n *Netflix) Stop() {
 	if n.ticker != nil {
 		n.ticker.Stop()
 	}
-	for _, f := range n.active {
-		f.Stop()
-	}
-	n.active = map[int]*tcp.Flow{}
+	n.stopAll()
 }
 
 // startChunk begins fetching the next chunk. A chunk that follows a clean,
@@ -134,14 +129,14 @@ func (n *Netflix) openConnection(bytes int64, reuse bool) {
 		n.ConnectionsOpened++
 	}
 	f := tcp.NewFlow(n.eng, "netflix", n.server, n.client, port, tcp.Config{})
-	n.active[port] = f
+	n.active = append(n.active, f)
 	f.OnDeliver(func(at time.Duration, sz int) {
 		n.Meter.AddBytes(at, sz)
 		n.fetchedBytes += int64(sz)
 	})
 	f.OnComplete(func() {
 		f.Stop()
-		delete(n.active, port)
+		n.active = slices.DeleteFunc(n.active, func(g *tcp.Flow) bool { return g == f })
 	})
 	f.Start(bytes)
 	if len(n.active) > n.PeakParallel {
@@ -162,10 +157,7 @@ func (n *Netflix) tick(time.Duration) {
 		// Chunk done: stop any straggler helper connections (their
 		// remaining bytes are duplicates of data already received),
 		// credit the buffer, adapt the rendition, fetch next.
-		for port, f := range n.active {
-			f.Stop()
-			delete(n.active, port)
-		}
+		n.stopAll()
 		n.bufferSeconds += n.chunkSeconds
 		elapsed := (n.eng.Now() - n.fetchStart).Seconds()
 		if elapsed > 0 {
@@ -193,6 +185,15 @@ func (n *Netflix) tick(time.Duration) {
 			n.openConnection(remaining, false)
 		}
 	}
+}
+
+// stopAll stops and forgets every open connection.
+func (n *Netflix) stopAll() {
+	for _, f := range n.active {
+		f.Stop()
+	}
+	clear(n.active)
+	n.active = n.active[:0]
 }
 
 // adapt picks the next rendition from measured throughput (0.8 safety).

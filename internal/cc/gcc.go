@@ -77,7 +77,6 @@ type GCC struct {
 	gamma        time.Duration // adaptive overuse threshold
 	lastFeedback time.Duration
 	lastGood     float64 // highest recently sustained rate, for probing
-	overusedAt   time.Duration
 	lastOveruse  time.Duration
 
 	probeUntil   time.Duration

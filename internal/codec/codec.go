@@ -36,12 +36,11 @@ type EncodeParams struct {
 
 // Frame is one encoded video frame (or one layer of one frame).
 type Frame struct {
-	StreamID  string // "video", "sim/low", "sim/high", "svc/0"...
-	FrameSeq  int
-	Bytes     int
-	Keyframe  bool
-	CaptureTS time.Duration
-	Params    EncodeParams
+	StreamID string // "video", "sim/low", "sim/high", "svc/0"...
+	FrameSeq int
+	Bytes    int
+	Keyframe bool
+	Params   EncodeParams
 	// Layer is the SVC layer index (0 = base); 0 for non-SVC streams.
 	Layer int
 }
@@ -270,12 +269,11 @@ func (e *Encoder) tick(now time.Duration) *Frame {
 	}
 	e.frameSeq++
 	e.frame = Frame{
-		StreamID:  e.StreamID,
-		FrameSeq:  e.frameSeq,
-		Bytes:     int(bytes),
-		Keyframe:  key,
-		CaptureTS: now,
-		Params:    e.params,
+		StreamID: e.StreamID,
+		FrameSeq: e.frameSeq,
+		Bytes:    int(bytes),
+		Keyframe: key,
+		Params:   e.params,
 	}
 	return &e.frame
 }

@@ -17,8 +17,8 @@ import (
 // 48-party scale trial, whose 1.3 M frame-latency samples fill run tables
 // of about 8 000 distinct values a region, to 1.1× the measured value, the
 // recovery-on trial to 1.05× (all repeat to under 1%). Each of these starts
-// cold: two collections empty the stashes (a sync.Pool survives one), so no
-// cell leans on what an earlier cell or test released. The warm cell runs
+// cold: vca.DropStashes empties the stashes, so no cell leans on what an
+// earlier cell or test released. The warm cell runs
 // the churn trial again straight after the cold one, on the rings, send
 // histories and packet pools that one released, to 1.05×.
 //
@@ -61,8 +61,7 @@ func TestTrialAllocBudgets(t *testing.T) {
 	}
 	for _, c := range cells {
 		if !c.warm {
-			runtime.GC()
-			runtime.GC()
+			vca.DropStashes()
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +37,7 @@ func churnRecoveryConfig() DynamicConfig {
 
 // TestReleasedStateChangesNoOutput: a trial built on what an earlier trial
 // released prints what a trial built from nothing prints. The recovery-on
-// churn storm runs cold (two collections empty the stashes), warm (on the
+// churn storm runs cold (vca.DropStashes empties the stashes), warm (on the
 // rings, send histories and packet pools the cold run released), and cold
 // again; then four repetitions at parallelism 2, whose workers take from
 // and release into the stashes at once, print what the same four print
@@ -52,7 +51,7 @@ func TestReleasedStateChangesNoOutput(t *testing.T) {
 		PrintDynamic(&buf, RunDynamic(cfg))
 		return buf.String()
 	}
-	flush := func() { runtime.GC(); runtime.GC() }
+	flush := vca.DropStashes
 	flush()
 	cold := out(1, 1)
 	if warm := out(1, 1); warm != cold {

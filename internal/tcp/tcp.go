@@ -146,12 +146,11 @@ type Flow struct {
 
 	// Receiver state.
 	rcvNext int64
-	rcvBuf  map[int64]bool
+	rcvBuf  []int64 // out-of-order segments above rcvNext, ascending
 	acks    freeList[ack]
 
 	// Instrumentation.
 	DeliveredSegs  int64 // in-order segments delivered to the app
-	Retransmits    int64
 	RTOCount       int64
 	FastRecoveries int64
 
@@ -167,7 +166,7 @@ func NewFlow(eng *sim.Engine, name string, src, dst *netem.Host, port int, cfg C
 	f := &Flow{
 		Name: name, ackName: name + "/ack", eng: eng, cfg: cfg, src: src, dst: dst, port: port,
 		cwnd: initCwnd, ssthresh: math.Inf(1),
-		scoreboard: map[int64]segState{}, rcvBuf: map[int64]bool{},
+		scoreboard: map[int64]segState{},
 	}
 	f.rtoFn = f.onRTO
 	dst.HandleFunc(port, f.onData)
@@ -231,7 +230,6 @@ func (f *Flow) nextRexmit() bool {
 	}
 	f.scoreboard[best] = segRexted
 	f.pipeCnt++
-	f.Retransmits++
 	f.sendSeg(best)
 	return true
 }
@@ -270,31 +268,25 @@ func (f *Flow) onData(pkt *netem.Packet) {
 	switch {
 	case seg.Seq == f.rcvNext:
 		f.rcvNext++
-		delivered := int64(1)
-		for f.rcvBuf[f.rcvNext] {
-			delete(f.rcvBuf, f.rcvNext)
+		n := 0 // buffered segments this one makes in-order
+		for n < len(f.rcvBuf) && f.rcvBuf[n] == f.rcvNext {
 			f.rcvNext++
-			delivered++
+			n++
 		}
-		f.deliver(delivered)
+		f.rcvBuf = slices.Delete(f.rcvBuf, 0, n)
+		f.deliver(int64(1 + n))
 	case seg.Seq > f.rcvNext:
-		f.rcvBuf[seg.Seq] = true
+		if i, held := slices.BinarySearch(f.rcvBuf, seg.Seq); !held {
+			f.rcvBuf = slices.Insert(f.rcvBuf, i, seg.Seq)
+		}
 	default:
 		// Duplicate of already-delivered data; ack anyway.
 	}
 	a := f.acks.get()
-	a.CumAck, a.Echo, a.Sacked, a.f = f.rcvNext, pkt.SentAt, a.Sacked[:0], f
-	if len(f.rcvBuf) > 0 {
-		for s := range f.rcvBuf {
-			a.Sacked = append(a.Sacked, s)
-		}
-		// Sorted for determinism; lowest seqs are the most useful to the
-		// sender, so the cap keeps those.
-		slices.Sort(a.Sacked)
-		if len(a.Sacked) > maxSackList {
-			a.Sacked = a.Sacked[:maxSackList]
-		}
-	}
+	// The lowest seqs are the most useful to the sender, so the cap keeps
+	// those.
+	sacked := f.rcvBuf[:min(len(f.rcvBuf), maxSackList)]
+	a.CumAck, a.Echo, a.Sacked, a.f = f.rcvNext, pkt.SentAt, append(a.Sacked[:0], sacked...), f
 	f.post(f.dst, f.src, f.cfg.AckSize, f.ackName, a)
 }
 

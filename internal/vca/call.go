@@ -56,8 +56,6 @@ type CascadePlacement struct {
 type Call struct {
 	Prof    *Profile
 	Clients []*Client
-	// Server is the region-0 SFU — the only one in a single-SFU call.
-	Server *Server
 	// Servers holds every region's SFU (length 1 for NewCall).
 	Servers []*Server
 
@@ -133,14 +131,13 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 	// affects event order, so splitting it is output-invisible.
 	c.pools = make([]*mpPool, len(regions))
 	for ri := range regions {
-		c.pools[ri] = poolStash.Get().(*mpPool)
+		c.pools[ri] = take(&stashes.pools, func() *mpPool { return &mpPool{} })
 	}
 	for ri, r := range regions {
 		s := newServer(regionEngine(r, eng), prof, r.Server, c.reg, localIDs[ri], c.pools[ri], total, opt.Recovery)
 		c.home[s.id] = int32(ri)
 		c.Servers = append(c.Servers, s)
 	}
-	c.Server = c.Servers[0]
 	// Wire the relay mesh: each server forwards its local origins to every
 	// peer, and registers every peer's origins as remote arrivals.
 	for i, si := range c.Servers {
@@ -415,7 +412,7 @@ func (c *Call) Release() {
 	}
 	for _, p := range c.pools {
 		p.made, p.ctrlLive = len(p.free), 0
-		poolStash.Put(p)
+		stash(&stashes.pools, p)
 	}
 	c.pools = nil
 }

@@ -94,7 +94,7 @@ func TestLeaveCleansServerState(t *testing.T) {
 	call.Start()
 	eng.RunUntil(10 * time.Second)
 
-	s := call.Server
+	s := call.Servers[0]
 	if serverState(s, "c3") == 0 {
 		t.Fatal("no server state for c3 before leave")
 	}
@@ -139,7 +139,7 @@ func TestRejoinRestoresMedia(t *testing.T) {
 	if !call.Active("c4") {
 		t.Fatal("c4 not active after rejoin")
 	}
-	if n := serverState(call.Server, "c4"); n == 0 {
+	if n := serverState(call.Servers[0], "c4"); n == 0 {
 		t.Error("no server state recreated for rejoined c4")
 	}
 	c4 := call.Clients[3]
@@ -154,9 +154,9 @@ func TestRejoinRestoresMedia(t *testing.T) {
 		t.Error("rejoined c4 receives no media")
 	}
 	// Leave/rejoin cycles must not grow server state (the churn leak).
-	if rateRows(call.Server) != 5 || upRecvCount(call.Server) != 5 {
+	if rateRows(call.Servers[0]) != 5 || upRecvCount(call.Servers[0]) != 5 {
 		t.Errorf("server table sizes after rejoin: rates=%d upRecv=%d, want 5",
-			rateRows(call.Server), upRecvCount(call.Server))
+			rateRows(call.Servers[0]), upRecvCount(call.Servers[0]))
 	}
 }
 
@@ -171,8 +171,8 @@ func TestLeaveIdempotentAndUnknown(t *testing.T) {
 	call.Rejoin("c3") // never left: no-op
 	eng.RunUntil(4 * time.Second)
 	call.Stop()
-	if len(call.Server.clients) != 4 {
-		t.Errorf("clients = %d after churn no-ops, want 4", len(call.Server.clients))
+	if len(call.Servers[0].clients) != 4 {
+		t.Errorf("clients = %d after churn no-ops, want 4", len(call.Servers[0].clients))
 	}
 }
 
@@ -262,7 +262,7 @@ func TestChurnRejoinStartsFresh(t *testing.T) {
 func churnRejoin(t *testing.T, recovery bool) {
 	eng := sim.New(78)
 	call := fivePartyOpt(eng, Zoom(), CallOptions{Seed: 21, Recovery: recovery})
-	call.Server.host.Uplink().SetImpairment(0.03, 0)
+	call.Servers[0].host.Uplink().SetImpairment(0.03, 0)
 	call.Start()
 	eng.RunUntil(10 * time.Second)
 
@@ -291,7 +291,7 @@ func churnRejoin(t *testing.T, recovery bool) {
 	if c1.recv[id2] != (inbound{}) || slices.Contains(c1.recvOrder, id2) || slices.Contains(c1.nackOrder, id2) {
 		t.Fatalf("c1 still holds c2's old track (or its place in an order list)")
 	}
-	s := call.Server
+	s := call.Servers[0]
 	r := s.recv[id2]
 	if r == nil || !r.local() || r.arrivals == nil || s.legs[id2] == nil {
 		t.Fatal("rejoined participant's slot not rebuilt")

@@ -118,6 +118,14 @@ type videoEncoder interface {
 // keyInterval is every encoder's periodic intra-refresh interval.
 const keyInterval = 10 * time.Second
 
+// Audio is one constant stream in every VCA, never adapted; the video
+// budgets (videoTarget, downTrack.share) set audioBps aside for it.
+const (
+	audioPacketsPerSec = 50
+	audioPayloadBytes  = 100
+	audioBps           = audioPacketsPerSec * audioPayloadBytes * 8 // 40 kbps
+)
+
 // newClient builds one participant homed on the given SFU, with loss
 // recovery's client half when recovery is set.
 func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, reg *registry, home *Server, region int, pool *mpPool, seed int64, recovery bool) *Client {
@@ -249,8 +257,7 @@ func (c *Client) start(nominalVideoBps float64) {
 
 	// Video capture tick (30 Hz).
 	c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second/30, sim.HandlerFunc(c.videoTick)))
-	// Audio: 50 packets/s of 100 B payload = 40 kbps.
-	c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second/50, sim.HandlerFunc(c.audioTick)))
+	c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second/audioPacketsPerSec, sim.HandlerFunc(c.audioTick)))
 	// Padding / probing budget (20 ms granularity).
 	c.tickers = append(c.tickers, c.eng.EveryHandler(20*time.Millisecond, sim.HandlerFunc(c.padTick)))
 	// Receiver feedback at 100 ms.
@@ -285,7 +292,7 @@ func (c *Client) stop() {
 
 // videoTarget computes the current encoder budget.
 func (c *Client) videoTarget() float64 {
-	t := c.ccUp.TargetBps() - c.prof.AudioBps
+	t := c.ccUp.TargetBps() - audioBps
 	if c.tierBps > 0 && t > c.tierBps {
 		t = c.tierBps
 	}
@@ -347,7 +354,7 @@ func (c *Client) sendFrame(f *codec.Frame) {
 	}
 }
 
-// audioTick runs at 50 Hz.
+// audioTick sends one audio packet, audioPacketsPerSec times a second.
 func (c *Client) audioTick(time.Duration) {
 	if !c.running {
 		return
@@ -357,7 +364,7 @@ func (c *Client) audioTick(time.Duration) {
 	mp.RK = rkAudio
 	mp.SSRC, mp.Seq, mp.Audio = 2, c.seq, true
 	c.seq++
-	c.send(mp, 100+wireOverhead)
+	c.send(mp, audioPayloadBytes+wireOverhead)
 }
 
 // padTick emits FEC/probe padding at the controller's requested rate
@@ -575,13 +582,11 @@ func (c *Client) statsTick(now time.Duration) {
 	}
 	s := webrtcstats.Sample{T: now - c.startedAt}
 	s.Out = c.enc.Params()
-	s.OutTargetBps = c.videoTarget()
 	s.FIRCount = c.FIRsForMyVideo
 	// Inbound: aggregate over origins (2-party calls have exactly one).
 	// Pick the params of the busiest video stream deterministically —
 	// padding-only receivers (server probes) carry no params.
 	var frames, bestFrames int
-	var freeze time.Duration
 	for _, id := range c.recvOrder {
 		r := c.recv[id].recv
 		if r.DisplayedFrames() >= bestFrames && r.LastParams.Width > 0 {
@@ -589,10 +594,8 @@ func (c *Client) statsTick(now time.Duration) {
 			s.In = r.LastParams
 		}
 		frames += r.DisplayedFrames()
-		freeze += r.FreezeTime()
 	}
 	s.InFramesTotal = frames
-	s.FreezeTime = freeze
 	c.rec.Add(s)
 }
 

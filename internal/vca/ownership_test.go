@@ -65,7 +65,7 @@ func TestControlMsgReleasedByEveryConsumerPath(t *testing.T) {
 			eng.RunUntil(2 * time.Second)
 			call.Stop()
 			eng.Run() // drain in-flight reports so the pool starts balanced
-			p, s, c2 := call.pools[0], call.Server, call.Clients[1]
+			p, s, c2 := call.pools[0], call.Servers[0], call.Clients[1]
 			wantReleasedOnce(t, prof.Name+" after drain", p)
 
 			// Stopped consumers still own what they are handed.
@@ -197,7 +197,7 @@ func TestControlMsgReleasedWhenNetemDrops(t *testing.T) {
 func TestTeamsRelayFanOutCopiesPerPacket(t *testing.T) {
 	eng := sim.New(7)
 	call := fiveParty(eng, Teams())
-	s, p := call.Server, call.pools[0]
+	s, p := call.Servers[0], call.pools[0]
 	s.running = true
 	c1 := call.Clients[0]
 	var got []*FeedbackMsg

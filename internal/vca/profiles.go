@@ -39,13 +39,6 @@ const (
 type Profile struct {
 	Name string
 
-	// AudioBps is the constant audio rate (not adapted by any VCA).
-	AudioBps float64
-
-	// VideoNominalBps is the steady-state total video target on an
-	// unconstrained link in a 2-party call (Table 2 minus audio).
-	VideoNominalBps float64
-
 	// NewClientCC builds the uplink congestion controller, given the
 	// nominal video rate the current call modality asks for.
 	NewClientCC func(nominalBps float64) cc.Controller
@@ -70,12 +63,6 @@ type Profile struct {
 	// ServerFECOverhead is the FEC fraction the relay adds when
 	// forwarding (§3.1: Zoom downstream ≈ 1.2x upstream).
 	ServerFECOverhead float64
-
-	// ThinZoneLow/High bound the Meet SFU's temporal-thinning zone: when a
-	// receiver's estimate is between ThinZoneLow and ThinZoneHigh times
-	// the high-copy rate, the SFU drops frames instead of switching down
-	// (§3.2: FPS-first downlink adaptation between 0.7–1 Mbps).
-	ThinZoneLow, ThinZoneHigh float64
 
 	// TierBps maps layout tiers to video target rates (§6).
 	TierBps map[Tier]float64
@@ -109,17 +96,10 @@ type Profile struct {
 // the browser, §2.2).
 func Meet() *Profile {
 	p := &Profile{
-		Name:            "meet",
-		AudioBps:        40_000,
-		VideoNominalBps: 910_000, // 0.19 low + 0.72 high (§3.1, Table 2: 0.95 up with audio)
-		MediaMode:       ModeSimulcast,
-		SimLowCapBps:    190_000,
-		SimMinHighBps:   260_000,
-		// §3.2: fps-first adaptation when the receiver estimate sits at
-		// 0.82–1.0x the high copy's rate (the paper's 0.7–1.0 Mbps
-		// range); below that the SFU switches to the low copy.
-		ThinZoneLow:  0.82,
-		ThinZoneHigh: 1.00,
+		Name:          "meet",
+		MediaMode:     ModeSimulcast,
+		SimLowCapBps:  190_000,
+		SimMinHighBps: 260_000,
 		// High-copy ladder (drives Fig 2d-f): QP-first degradation from
 		// 1.0 down to ~0.5 Mbps, then width+FPS reduction at 0.4 and below.
 		Ladder: codec.Ladder{Rungs: []codec.Rung{
@@ -137,7 +117,7 @@ func Meet() *Profile {
 			TierThumb:   90_000,
 			TierLow:     190_000,
 			TierMed:     560_000,
-			TierHigh:    720_000,
+			TierHigh:    720_000, // high copy; with the 0.19 low copy, 0.95 up with audio (§3.1, Table 2)
 			TierSpeaker: 960_000,
 		},
 	}
@@ -171,11 +151,9 @@ func Meet() *Profile {
 // Zoom returns the Zoom native-client profile.
 func Zoom() *Profile {
 	p := &Profile{
-		Name:            "zoom",
-		AudioBps:        40_000,
-		VideoNominalBps: 740_000, // Table 2: 0.78 Mbps up with audio
-		MediaMode:       ModeSVC,
-		SVCSplit:        []float64{0.40, 0.30, 0.30},
+		Name:      "zoom",
+		MediaMode: ModeSVC,
+		SVCSplit:  []float64{0.40, 0.30, 0.30},
 		// §3.1: downstream ≈ 1.2x upstream via server-generated FEC.
 		ServerFECOverhead: 0.18,
 		Ladder: codec.Ladder{Rungs: []codec.Rung{
@@ -188,7 +166,7 @@ func Zoom() *Profile {
 			TierThumb:   90_000,
 			TierLow:     360_000,
 			TierMed:     560_000,
-			TierHigh:    740_000,
+			TierHigh:    740_000, // Table 2: 0.78 Mbps up with audio
 			TierSpeaker: 960_000,
 		},
 	}
@@ -219,10 +197,8 @@ func Zoom() *Profile {
 // Teams returns the Microsoft Teams native-client profile.
 func Teams() *Profile {
 	p := &Profile{
-		Name:            "teams",
-		AudioBps:        40_000,
-		VideoNominalBps: 1_400_000, // §3.1: Teams-native 1.44 Mbps at 10 Mbps uplink
-		MediaMode:       ModeSingle,
+		Name:      "teams",
+		MediaMode: ModeSingle,
 		// Fig 2 (Teams-Chrome shares the shape): all three parameters
 		// degrade together; the bottom rung reproduces the paper's
 		// width-increase bug at 0.3 Mbps (Fig 2f) — 640 wide below the
@@ -240,7 +216,7 @@ func Teams() *Profile {
 			TierThumb:   90_000,
 			TierLow:     360_000,
 			TierMed:     700_000,
-			TierHigh:    1_400_000,
+			TierHigh:    1_400_000, // §3.1: Teams-native 1.44 Mbps at 10 Mbps uplink
 			TierSpeaker: 1_250_000,
 		},
 	}
@@ -292,7 +268,6 @@ func Teams() *Profile {
 func TeamsChrome() *Profile {
 	p := Teams()
 	p.Name = "teams-chrome"
-	p.VideoNominalBps = 1_150_000
 	// §3.2/Fig 3a: Teams-Chrome freezes ~3.6%% of the time even
 	// unconstrained; modeled as random encoder stalls.
 	p.StallEvery = 8 * time.Second
@@ -319,7 +294,6 @@ func TeamsChrome() *Profile {
 func ZoomChrome() *Profile {
 	p := Zoom()
 	p.Name = "zoom-chrome"
-	p.VideoNominalBps = 700_000
 	p.NewClientCC = func(nominal float64) cc.Controller {
 		return cc.NewZoomCC(cc.DefaultZoomConfig(cc.Range{
 			MinBps: 100_000, MaxBps: 1.6 * nominal, StartBps: nominal,

@@ -347,7 +347,7 @@ func (s sinkAt) OnPacket(_ time.Duration, p media.PacketInfo) { s.to.OnPacket(s.
 // do nothing: the packet path calls them unconditionally and asks nothing
 // else about recovery.
 type retransmitter struct {
-	// byOrigin is dense by origin ID. A ring is taken from ringStash by the
+	// byOrigin is dense by origin ID. A ring is taken from the stash by the
 	// pair's first emission and goes back there, drained, when the origin
 	// is dropped; the counters outlive it.
 	byOrigin []rtxOrigin
@@ -442,21 +442,49 @@ func (e rtxEntry) rebuild(p *mpPool, origin int32) *MediaPacket {
 // Recovery state outlives the track and the call that made it (DESIGN.md
 // §13). A dropped origin's drained ring, a retired track's cleared send
 // history and, at Call.Release, a dead call's rings, histories and region
-// pools wait here for the next track or call in the process: churn and
-// back-to-back trials take the one path. A drained ring and a cleared
-// history are byte-for-byte new ones, and a released pool's free packets
-// and messages are zeroed with nothing counted out, so where a call's
-// state came from never shows in what it sends.
-var (
-	ringStash = sync.Pool{New: func() any { return rtp.NewRTXRing[rtxEntry](rtxRingPkts) }}
-	histStash = sync.Pool{New: func() any { return rtp.NewSentHistory(2048) }}
-	poolStash = sync.Pool{New: func() any { return &mpPool{} }}
-)
+// pools wait here for the next track or call in the process. A drained ring
+// and a cleared history are byte-for-byte new ones, and a released pool's
+// free packets and messages are zeroed with nothing counted out, so where a
+// call's state came from never shows in what it sends. The stashes are free
+// lists, not sync.Pools: no collection empties them, so what a trial
+// allocates does not depend on when the GC ran. take pops the last of a list,
+// or makes one with fresh when it is empty; stash appends.
+var stashes struct {
+	sync.Mutex
+	rings []*rtp.RTXRing[rtxEntry]
+	hists []*rtp.SentHistory
+	pools []*mpPool
+}
+
+func take[T any](list *[]T, fresh func() T) T {
+	stashes.Lock()
+	defer stashes.Unlock()
+	if n := len(*list) - 1; n >= 0 {
+		x := (*list)[n]
+		*list = (*list)[:n]
+		return x
+	}
+	return fresh()
+}
+
+func stash[T any](list *[]T, x T) {
+	stashes.Lock()
+	defer stashes.Unlock()
+	*list = append(*list, x)
+}
+
+// DropStashes empties the stashes, so the next call builds its state anew,
+// as the process's first call does. Tests call it to start a trial cold.
+func DropStashes() {
+	stashes.Lock()
+	defer stashes.Unlock()
+	stashes.rings, stashes.hists, stashes.pools = nil, nil, nil
+}
 
 func newRetransmitter(idCap int, twcc bool) *retransmitter {
 	r := &retransmitter{byOrigin: make([]rtxOrigin, idCap)}
 	if twcc {
-		r.twHist = histStash.Get().(*rtp.SentHistory)
+		r.twHist = take(&stashes.hists, func() *rtp.SentHistory { return rtp.NewSentHistory(2048) })
 	}
 	return r
 }
@@ -489,7 +517,7 @@ func (r *retransmitter) storeOwn(fec *MediaPacket, size int) {
 func (r *retransmitter) put(origin int32, e rtxEntry) {
 	o := &r.byOrigin[origin]
 	if o.ring == nil {
-		o.ring = ringStash.Get().(*rtp.RTXRing[rtxEntry])
+		o.ring = take(&stashes.rings, func() *rtp.RTXRing[rtxEntry] { return rtp.NewRTXRing[rtxEntry](rtxRingPkts) })
 	}
 	if ev, _ := o.ring.Put(e); ev.pkt != nil {
 		unref(ev.pkt)
@@ -531,7 +559,7 @@ func (r *retransmitter) drop(origin int32) {
 			r.refsLive--
 		}
 	})
-	ringStash.Put(o.ring)
+	stash(&stashes.rings, o.ring)
 	o.ring = nil
 }
 
@@ -557,7 +585,7 @@ func (r *retransmitter) release() {
 	r.drain()
 	if r.twHist != nil {
 		r.twHist.Reset()
-		histStash.Put(r.twHist)
+		stash(&stashes.hists, r.twHist)
 		r.twHist = nil
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 	"unsafe"
 
 	"vcalab/internal/codec"
 	"vcalab/internal/netem"
-	"vcalab/internal/race"
 	"vcalab/internal/rtp"
 	"vcalab/internal/sim"
 )
@@ -247,8 +245,7 @@ func TestMediaPacketParams(t *testing.T) {
 // a seq the departed track still held gets nothing, though the new owner's
 // forwarder restarts the same seq space and has since filed the first
 // seqs of it. The departed track filed more than a ring's worth, so every
-// slot was taken when it left. The stash is a sync.Pool, which the race
-// detector empties at random: only then may the rejoin make a new ring.
+// slot was taken when it left.
 func TestRingReuseAcrossChurn(t *testing.T) {
 	eng := sim.New(1)
 	l := newLab(eng, 0, 0)
@@ -274,8 +271,7 @@ func TestRingReuseAcrossChurn(t *testing.T) {
 	if old.Len() != rtxRingPkts {
 		t.Fatalf("before leave: c3's ring holds %d, want %d", old.Len(), rtxRingPkts)
 	}
-	runtime.GC() // twice empties the stash, so the next ring it hands out is the one c3 leaves
-	runtime.GC()
+	DropStashes() // so the next ring the stash hands out is the one c3 leaves
 	call.Leave("c3")
 	if old.Len() != 0 {
 		t.Fatalf("after leave: the stashed ring holds %d", old.Len())
@@ -283,7 +279,7 @@ func TestRingReuseAcrossChurn(t *testing.T) {
 	call.Rejoin("c3")
 	eng.Run()
 	ingest(2) // the new track's forwarder files seqs 0 and 1
-	if got := c3Ring(); got != old && !race.Enabled {
+	if got := c3Ring(); got != old {
 		t.Fatalf("rejoined track made a ring (%p) instead of reusing %p", got, old)
 	}
 	if n := c3Ring().Len(); n != 2 {
@@ -323,7 +319,7 @@ func TestReleaseStashesClearedState(t *testing.T) {
 
 	var rings []*rtp.RTXRing[rtxEntry]
 	var hists []*rtp.SentHistory
-	call.Server.eachRTX(func(r *retransmitter) {
+	call.Servers[0].eachRTX(func(r *retransmitter) {
 		for _, o := range r.byOrigin {
 			if o.ring != nil && o.ring.Len() > 0 {
 				rings = append(rings, o.ring)

@@ -149,7 +149,7 @@ func (l *downTrack) probe(now time.Duration, serverID int32) {
 // share is the bandwidth the subscriber's estimate leaves each of the
 // numVideo origins it displays, audio set aside.
 func (l *downTrack) share(numVideo int) float64 {
-	return (l.ctrl.TargetBps() - l.prof.AudioBps*float64(numVideo)) / float64(numVideo)
+	return (l.ctrl.TargetBps() - audioBps*float64(numVideo)) / float64(numVideo)
 }
 
 // dropOrigin forgets one origin: its layer machine and retained packets.

@@ -23,6 +23,15 @@ type forwarder struct {
 // allLayers is the maxLayer of a forwarder that has not been through sel.
 const allLayers = 1 << 10
 
+// Meet's temporal-thinning zone (§3.2: FPS-first downlink adaptation, the
+// paper's 0.7–1.0 Mbps): while a subscriber's share is between thinZoneLow
+// and thinZoneHigh times the high copy's rate, sel keeps the high copy and
+// drops frames; below it sel switches to the low copy.
+const (
+	thinZoneLow  = 0.82
+	thinZoneHigh = 1.00
+)
+
 // newForwarder builds a pair's layer machine. Before the call starts it
 // forwards everything — the high copy, every layer — until the first
 // control tick has measured arrival rates: estimates start optimistic and
@@ -106,9 +115,9 @@ func (f *forwarder) sel(share float64, src *receiver, n int) (from, to int, swit
 			// The high copy is not actually flowing (the sender disabled
 			// it); selecting it would forward nothing.
 			f.selRK, f.thinFactor = rkSimLow, 1
-		case share >= p.ThinZoneHigh*highRate:
+		case share >= thinZoneHigh*highRate:
 			f.selRK, f.thinFactor = rkSimHigh, 1
-		case share >= p.ThinZoneLow*highRate:
+		case share >= thinZoneLow*highRate:
 			// Temporal-thinning zone (§3.2: FPS-first downlink
 			// adaptation): keep the high copy, drop frames.
 			f.selRK, f.thinFactor = rkSimHigh, share/highRate

@@ -52,7 +52,7 @@ func TestForwarderSelection(t *testing.T) {
 		thin     float64
 		switched bool
 	}{
-		// Meet, ThinZoneHigh 1.00, ThinZoneLow 0.82.
+		// Meet, thinZoneHigh 1.00, thinZoneLow 0.82.
 		{name: "meet share covers the high copy", prof: Meet(), via: noID, rates: meetSrc, share: 1_000_000,
 			selRK: rkSimHigh, maxLayer: allLayers, thin: 1},
 		{name: "meet thinning zone keeps the high copy at share/high", prof: Meet(), via: noID, rates: meetSrc, share: 900_000,
@@ -332,7 +332,7 @@ func TestFlowLabelsOnePerServer(t *testing.T) {
 		t.Fatalf("c2 and c3 got no copy of the same c1 video stream: %v", labels)
 	}
 
-	s := call.Server
+	s := call.Servers[0]
 	c2 := call.clientByName("c2").id
 	if s.flows.rows[c2] == nil {
 		t.Fatal("no labels cached for c2's media before it left")

@@ -1,6 +1,7 @@
 package vca
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -102,6 +103,32 @@ func TestUnconstrainedUtilization(t *testing.T) {
 	}
 }
 
+// TestAudioRate: the audio payload C1 puts on its uplink in an
+// unconstrained Meet, Zoom or Teams call is the audioBps that videoTarget
+// and downTrack.share set aside, to within one packet over the window.
+func TestAudioRate(t *testing.T) {
+	const from, to = 5 * time.Second, 15 * time.Second
+	for _, prof := range []*Profile{Meet(), Zoom(), Teams()} {
+		eng := sim.New(3)
+		call, _ := twoParty(eng, prof, 0, 0)
+		c1 := call.C1()
+		payload := 0
+		c1.Host().Uplink().OnSend(func(pkt *netem.Packet) {
+			if mp, ok := pkt.Payload.(*MediaPacket); ok && mp.Audio && mp.OriginID == c1.id && eng.Now() >= from && eng.Now() < to {
+				payload += pkt.Size - wireOverhead
+			}
+		})
+		call.Start()
+		eng.RunUntil(to)
+		call.Stop()
+		secs := (to - from).Seconds()
+		got, tol := float64(payload)*8/secs, audioPayloadBytes*8/secs
+		if math.Abs(got-audioBps) > tol {
+			t.Errorf("%s: C1 sends %.0f bps of audio payload, want audioBps %d ± %.0f", prof.Name, got, audioBps, tol)
+		}
+	}
+}
+
 // TestSingleStreamOnAnyProfile: MediaMode is the one strategy selector both
 // halves of a call read, so flipping it to ModeSingle on a profile that
 // ships as simulcast or SVC is a working call: the sender's one stream is
@@ -114,7 +141,7 @@ func TestSingleStreamOnAnyProfile(t *testing.T) {
 		eng := sim.New(4)
 		call, _ := twoParty(eng, prof, 0, 0)
 		call.Start()
-		if n := len(call.Server.tickers); n != 2 {
+		if n := len(call.Servers[0].tickers); n != 2 {
 			t.Errorf("%s: %d server tickers, want 2 (control, padding): there is no low copy for an allocTick to resize", prof.Name, n)
 		}
 		eng.RunUntil(30 * time.Second)
@@ -126,7 +153,7 @@ func TestSingleStreamOnAnyProfile(t *testing.T) {
 		if down := call.C1().DownMeter.MeanRateMbps(15*time.Second, 30*time.Second); down < 0.3 {
 			t.Errorf("%s: c1 receives %.3f Mbps, want video (> 0.3)", prof.Name, down)
 		}
-		if n := call.Server.FwdSwitches(); n != 0 {
+		if n := call.Servers[0].FwdSwitches(); n != 0 {
 			t.Errorf("%s: %d copy/layer switches on a stream with neither", prof.Name, n)
 		}
 	}

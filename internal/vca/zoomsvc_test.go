@@ -47,8 +47,8 @@ func TestZoomStarvedReceiverGetsBaseLayerOnly(t *testing.T) {
 	eng.RunUntil(20 * time.Second)
 
 	// Sanity: the starved leg's estimate really is below the base layer.
-	est := call.Server.Leg("c1").TargetBps()
-	share := (est - Zoom().AudioBps*2) / 2
+	est := call.Servers[0].Leg("c1").TargetBps()
+	share := (est - audioBps*2) / 2
 	if baseRate := 0.40 * 740_000 * 1.18; share >= baseRate {
 		t.Fatalf("precondition: c1 share %.0f not below base layer %.0f", share, baseRate)
 	}

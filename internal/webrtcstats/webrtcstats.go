@@ -20,16 +20,14 @@ type Sample struct {
 	T time.Duration // time since call start
 
 	// Outbound (sender-side outbound-rtp).
-	Out          codec.EncodeParams
-	OutTargetBps float64
+	Out codec.EncodeParams
 	// FIRCount is the cumulative count of FIRs received for the outbound
 	// video (Fig 3b's metric).
 	FIRCount int
 
 	// Inbound (receiver-side inbound-rtp), aggregated across remotes.
 	In            codec.EncodeParams
-	InFramesTotal int           // cumulative displayed frames
-	FreezeTime    time.Duration // cumulative freeze duration (paper formula)
+	InFramesTotal int // cumulative displayed frames
 }
 
 // Recorder accumulates samples for one client over one call.
