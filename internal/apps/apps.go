@@ -1,8 +1,8 @@
-// Package apps implements the competing applications of §5: an iPerf3-like
-// bulk TCP flow (§5.2), a Netflix-like ABR client that opens parallel TCP
-// connections under scarcity (§5.3, Fig 14: 28 connections over a
-// 120-second fight, 11 in parallel at peak), and a YouTube-like ABR client
-// over a QUIC flow.
+// Package apps implements the ABR competitors of §5: a Netflix-like client
+// that opens parallel TCP connections under scarcity (§5.3, Fig 14: 28
+// connections over a 120-second fight, 11 in parallel at peak), and a
+// YouTube-like client over a QUIC flow. §5.2's iPerf3 competitor is a bare
+// tcp.Flow.
 package apps
 
 import (
@@ -11,36 +11,23 @@ import (
 
 	"vcalab/internal/netem"
 	"vcalab/internal/sim"
-	"vcalab/internal/stats"
 	"vcalab/internal/tcp"
 )
 
-// IPerf is a single long-lived bulk TCP flow, the paper's iPerf3 stand-in.
-// The data flows from Server to Client for downlink competition and the
-// reverse for uplink competition — callers choose by picking src and dst.
-type IPerf struct {
-	Flow  *tcp.Flow
-	Meter *stats.Meter
-}
-
-// NewIPerf wires the flow from src to dst.
-func NewIPerf(eng *sim.Engine, src, dst *netem.Host, port int) *IPerf {
-	ip := &IPerf{
-		Flow:  tcp.NewFlow(eng, "iperf3", src, dst, port, tcp.Config{}),
-		Meter: stats.NewMeter(time.Second),
-	}
-	ip.Flow.OnDeliver(func(at time.Duration, n int) { ip.Meter.AddBytes(at, n) })
-	return ip
-}
-
-// Start begins the unbounded transfer.
-func (ip *IPerf) Start() { ip.Flow.Start(0) }
-
-// Stop halts it.
-func (ip *IPerf) Stop() { ip.Flow.Stop() }
-
 // abrLadder is a typical streaming bitrate ladder (bps).
 var abrLadder = []float64{235_000, 375_000, 560_000, 750_000, 1_050_000, 1_750_000, 3_000_000}
+
+// adapt returns the abrLadder index to fetch next at the measured
+// throughput: the highest rendition within 0.8 of it.
+func adapt(tputBps float64) int {
+	idx := 0
+	for i, r := range abrLadder {
+		if 0.8*tputBps >= r {
+			idx = i
+		}
+	}
+	return idx
+}
 
 // Netflix models the Netflix client's behaviour under constrained capacity:
 // chunked ABR fetching over persistent TCP connections, opening additional
@@ -50,8 +37,6 @@ type Netflix struct {
 	eng    *sim.Engine
 	client *netem.Host // the viewer (data sink)
 	server *netem.Host // CDN edge (data source)
-
-	Meter *stats.Meter
 
 	// ConnectionsOpened counts every TCP connection created (Fig 14b).
 	ConnectionsOpened int
@@ -80,7 +65,6 @@ func NewNetflix(eng *sim.Engine, client, server *netem.Host, firstPort int) *Net
 		eng:          eng,
 		client:       client,
 		server:       server,
-		Meter:        stats.NewMeter(time.Second),
 		chunkSeconds: 4,
 		rateIdx:      2,
 		nextPort:     firstPort,
@@ -130,10 +114,7 @@ func (n *Netflix) openConnection(bytes int64, reuse bool) {
 	}
 	f := tcp.NewFlow(n.eng, "netflix", n.server, n.client, port, tcp.Config{})
 	n.active = append(n.active, f)
-	f.OnDeliver(func(at time.Duration, sz int) {
-		n.Meter.AddBytes(at, sz)
-		n.fetchedBytes += int64(sz)
-	})
+	f.OnDeliver(func(_ time.Duration, sz int) { n.fetchedBytes += int64(sz) })
 	f.OnComplete(func() {
 		f.Stop()
 		n.active = slices.DeleteFunc(n.active, func(g *tcp.Flow) bool { return g == f })
@@ -162,7 +143,7 @@ func (n *Netflix) tick(time.Duration) {
 		elapsed := (n.eng.Now() - n.fetchStart).Seconds()
 		if elapsed > 0 {
 			tput := float64(n.fetchedBytes) * 8 / elapsed
-			n.adapt(tput)
+			n.rateIdx = adapt(tput)
 		}
 		// An on-time single-connection chunk keeps the connection warm.
 		n.prevClean = elapsed <= n.chunkSeconds+1 && !n.usedHelpers
@@ -196,17 +177,6 @@ func (n *Netflix) stopAll() {
 	n.active = n.active[:0]
 }
 
-// adapt picks the next rendition from measured throughput (0.8 safety).
-func (n *Netflix) adapt(tputBps float64) {
-	idx := 0
-	for i, r := range abrLadder {
-		if 0.8*tputBps >= r {
-			idx = i
-		}
-	}
-	n.rateIdx = idx
-}
-
 // YouTube models a YouTube client: sequential ABR chunk fetches over a
 // single QUIC flow.
 type YouTube struct {
@@ -214,8 +184,6 @@ type YouTube struct {
 	client *netem.Host
 	server *netem.Host
 	port   int
-
-	Meter *stats.Meter
 
 	chunkSeconds  float64
 	bufferSeconds float64
@@ -233,7 +201,6 @@ type YouTube struct {
 func NewYouTube(eng *sim.Engine, client, server *netem.Host, port int) *YouTube {
 	return &YouTube{
 		eng: eng, client: client, server: server, port: port,
-		Meter:        stats.NewMeter(time.Second),
 		chunkSeconds: 5,
 		rateIdx:      2,
 	}
@@ -274,16 +241,13 @@ func (y *YouTube) fetchChunk() {
 	// 40 B as TCP/IP), and 35-byte ACK frames.
 	f := tcp.NewFlow(y.eng, "youtube", y.server, y.client, y.port, tcp.Config{MSS: 1350, AckSize: 35})
 	y.flow = f
-	f.OnDeliver(func(at time.Duration, sz int) {
-		y.Meter.AddBytes(at, sz)
-		y.fetched += int64(sz)
-	})
+	f.OnDeliver(func(_ time.Duration, sz int) { y.fetched += int64(sz) })
 	f.OnComplete(func() {
 		f.Stop()
 		y.fetching = false
 		elapsed := (y.eng.Now() - y.fetchStart).Seconds()
 		if elapsed > 0 {
-			y.adapt(float64(y.fetched) * 8 / elapsed)
+			y.rateIdx = adapt(float64(y.fetched) * 8 / elapsed)
 		}
 		y.bufferSeconds += y.chunkSeconds
 	})
@@ -301,14 +265,4 @@ func (y *YouTube) tick(time.Duration) {
 	if !y.fetching && y.bufferSeconds < 30 {
 		y.fetchChunk()
 	}
-}
-
-func (y *YouTube) adapt(tputBps float64) {
-	idx := 0
-	for i, r := range abrLadder {
-		if 0.8*tputBps >= r {
-			idx = i
-		}
-	}
-	y.rateIdx = idx
 }

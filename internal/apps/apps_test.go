@@ -6,6 +6,8 @@ import (
 
 	"vcalab/internal/netem"
 	"vcalab/internal/sim"
+	"vcalab/internal/stats"
+	"vcalab/internal/tcp"
 )
 
 // lab: client behind a shaped downlink, servers at the router.
@@ -38,16 +40,32 @@ func (l *lab) remoteHost(name string, delay time.Duration) *netem.Host {
 	return h
 }
 
+// tapMeter meters every byte delivered to h, headers included.
+func tapMeter(eng *sim.Engine, h *netem.Host) *stats.Meter {
+	m := stats.NewMeter(time.Second)
+	h.Tap(func(p *netem.Packet) { m.AddBytes(eng.Now(), p.Size) })
+	return m
+}
+
+// newIPerf is §5.2's iPerf3 competitor as the experiments build it: one
+// unbounded bulk TCP flow from src to dst.
+func newIPerf(eng *sim.Engine, src, dst *netem.Host) *tcp.Flow {
+	f := tcp.NewFlow(eng, "iperf3", src, dst, 5201, tcp.Config{})
+	f.Start(0)
+	return f
+}
+
 func TestIPerfSaturatesLink(t *testing.T) {
 	eng := sim.New(1)
 	l := newLab(eng, 0, 2e6)
 	client := l.clientHost("f1")
 	srv := l.remoteHost("srv", time.Millisecond)
-	ip := NewIPerf(eng, srv, client, 5201)
-	ip.Start()
+	ip := newIPerf(eng, srv, client)
+	m := stats.NewMeter(time.Second)
+	ip.OnDeliver(m.AddBytes)
 	eng.RunUntil(30 * time.Second)
 	ip.Stop()
-	got := ip.Meter.MeanRateMbps(10*time.Second, 30*time.Second)
+	got := m.MeanRateMbps(10*time.Second, 30*time.Second)
 	if got < 1.6 || got > 2.05 {
 		t.Errorf("iperf on 2 Mbps downlink = %.2f Mbps, want ~1.7-2", got)
 	}
@@ -58,11 +76,12 @@ func TestNetflixStreamsComfortably(t *testing.T) {
 	l := newLab(eng, 0, 10e6)
 	client := l.clientHost("f1")
 	cdn := l.remoteHost("cdn", 5*time.Millisecond)
+	m := tapMeter(eng, client)
 	nf := NewNetflix(eng, client, cdn, 7000)
 	nf.Start()
 	eng.RunUntil(60 * time.Second)
 	nf.Stop()
-	rate := nf.Meter.MeanRateMbps(10*time.Second, 60*time.Second)
+	rate := m.MeanRateMbps(10*time.Second, 60*time.Second)
 	// Should reach the 3 Mbps top rendition and pace around it, fetching
 	// ~chunkSeconds of video per chunk (duty-cycled by the buffer cap).
 	if rate < 1.5 {
@@ -81,9 +100,8 @@ func TestNetflixOpensParallelConnectionsUnderScarcity(t *testing.T) {
 	client := l.clientHost("f1")
 	cdn := l.remoteHost("cdn", 5*time.Millisecond)
 	srv := l.remoteHost("srv", time.Millisecond)
-	ip := NewIPerf(eng, srv, client, 5201)
+	ip := newIPerf(eng, srv, client)
 	nf := NewNetflix(eng, client, cdn, 7000)
-	ip.Start()
 	nf.Start()
 	eng.RunUntil(120 * time.Second)
 	nf.Stop()
@@ -103,11 +121,12 @@ func TestYouTubeStreams(t *testing.T) {
 	cdn := l.remoteHost("cdn", 5*time.Millisecond)
 	largest := 0
 	client.Tap(func(p *netem.Packet) { largest = max(largest, p.Size) })
+	m := tapMeter(eng, client)
 	yt := NewYouTube(eng, client, cdn, 8000)
 	yt.Start()
 	eng.RunUntil(60 * time.Second)
 	yt.Stop()
-	rate := yt.Meter.MeanRateMbps(10*time.Second, 60*time.Second)
+	rate := m.MeanRateMbps(10*time.Second, 60*time.Second)
 	if rate < 1.0 {
 		t.Errorf("youtube on 5 Mbps = %.2f Mbps, want >= 1.0", rate)
 	}
@@ -137,14 +156,15 @@ func TestStopsAreClean(t *testing.T) {
 	l := newLab(eng, 0, 2e6)
 	client := l.clientHost("f1")
 	cdn := l.remoteHost("cdn", 5*time.Millisecond)
+	m := tapMeter(eng, client)
 	nf := NewNetflix(eng, client, cdn, 7000)
 	nf.Start()
 	eng.RunUntil(10 * time.Second)
 	nf.Stop()
-	before := nf.Meter.TotalBytes()
+	before := m.TotalBytes()
 	eng.RunUntil(20 * time.Second)
 	// In-flight packets may still land briefly; no *new* chunks may start.
-	after := nf.Meter.TotalBytes()
+	after := m.TotalBytes()
 	if after-before > 200_000 {
 		t.Errorf("netflix delivered %.0f bytes after Stop", after-before)
 	}

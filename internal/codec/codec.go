@@ -136,18 +136,25 @@ func (l Ladder) ParamsFor(targetBps float64, rng *rand.Rand) EncodeParams {
 	}
 }
 
+// CaptureHz is the source's capture rate: a sender calls Tick every
+// 1/CaptureHz seconds. Untyped, so time.Second/CaptureHz is a Duration and
+// FPS/CaptureHz a float64.
+const CaptureHz = 30
+
+const (
+	// keyInterval is every encoder's periodic intra-refresh interval.
+	keyInterval = 10 * time.Second
+	// keyframeScale is a keyframe's size relative to a delta frame's
+	// budget, before the bits-per-pixel clamps.
+	keyframeScale = 4
+)
+
 // Encoder produces frames for a single stream at a rate-dependent FPS.
-// Drive it with Tick at the source frame interval (TickHz); it emits or
-// skips frames to honour the ladder's FPS.
+// Drive it with Tick at the capture rate (CaptureHz); it emits or skips
+// frames to honour the ladder's FPS.
 type Encoder struct {
-	StreamID string
-	Ladder   Ladder
-	// TickHz is the capture rate the encoder is driven at (default 30).
-	TickHz float64
-	// KeyInterval inserts a periodic keyframe (0 = only on request).
-	KeyInterval time.Duration
-	// KeyframeScale is the size multiplier for keyframes (default 4).
-	KeyframeScale float64
+	streamID string
+	ladder   Ladder
 
 	src    *Source
 	rng    *rand.Rand
@@ -169,14 +176,7 @@ type Encoder struct {
 // NewEncoder creates an encoder. src may be shared across encoders
 // (simulcast copies see the same scene).
 func NewEncoder(streamID string, ladder Ladder, src *Source, rng *rand.Rand) *Encoder {
-	return &Encoder{
-		StreamID:      streamID,
-		Ladder:        ladder,
-		TickHz:        30,
-		KeyframeScale: 4,
-		src:           src,
-		rng:           rng,
-	}
+	return &Encoder{streamID: streamID, ladder: ladder, src: src, rng: rng}
 }
 
 // SetTarget sets the encoder's target bitrate; parameters update on the
@@ -212,8 +212,8 @@ func (e *Encoder) tick(now time.Duration) *Frame {
 	if e.target <= 0 {
 		return nil
 	}
-	e.params = e.Ladder.ParamsFor(e.target, e.rng)
-	e.frameAcc += e.params.FPS / e.TickHz
+	e.params = e.ladder.ParamsFor(e.target, e.rng)
+	e.frameAcc += e.params.FPS / CaptureHz
 	if e.frameAcc < 1 {
 		return nil
 	}
@@ -225,7 +225,7 @@ func (e *Encoder) tick(now time.Duration) *Frame {
 		e.byteDebt -= e.target / e.params.FPS / 8
 		return nil
 	}
-	if e.KeyInterval > 0 && now-e.lastKey >= e.KeyInterval {
+	if now-e.lastKey >= keyInterval {
 		key = true
 	}
 	complexity := e.src.Complexity()
@@ -233,7 +233,7 @@ func (e *Encoder) tick(now time.Duration) *Frame {
 	noise := math.Exp(e.rng.NormFloat64() * 0.12)
 	bytes := budget * complexity * noise
 	if key {
-		bytes *= e.KeyframeScale
+		bytes *= keyframeScale
 		// An intra frame's size is resolution-bound: it cannot compress
 		// below ~0.30 bits/pixel — at low bitrates and high resolutions
 		// (Teams' width bug, Fig 2f) the keyframe alone can exceed a
@@ -269,7 +269,7 @@ func (e *Encoder) tick(now time.Duration) *Frame {
 	}
 	e.frameSeq++
 	e.frame = Frame{
-		StreamID: e.StreamID,
+		StreamID: e.streamID,
 		FrameSeq: e.frameSeq,
 		Bytes:    int(bytes),
 		Keyframe: key,
@@ -282,12 +282,12 @@ func (e *Encoder) tick(now time.Duration) *Frame {
 // scene at two quality levels and uploads both; the SFU forwards one per
 // receiver (§3.1: streams observed at 320x180 and 640x360).
 type Simulcast struct {
-	Low, High *Encoder
-	// LowCapBps caps the low stream (the paper's low copy runs ~0.19 Mbps).
-	LowCapBps float64
-	// MinHighBps disables the high stream when the remaining budget is
-	// below this (below it Meet sends only the low copy).
-	MinHighBps float64
+	low, high *Encoder
+	// lowCap caps the low stream (the paper's low copy runs ~0.19 Mbps).
+	lowCap float64
+	// minHigh disables the high stream when the remaining budget is below
+	// it (below it Meet sends only the low copy).
+	minHigh float64
 
 	lowAlloc float64   // SetLowAlloc's rate for the low copy (0 = default split)
 	out      [2]*Frame // backs the list Tick returns
@@ -296,9 +296,9 @@ type Simulcast struct {
 // NewSimulcast builds the two encoders sharing one source.
 func NewSimulcast(low, high Ladder, lowCap, minHigh float64, src *Source, rng *rand.Rand) *Simulcast {
 	return &Simulcast{
-		Low:       NewEncoder("sim/low", low, src, rng),
-		High:      NewEncoder("sim/high", high, src, rng),
-		LowCapBps: lowCap, MinHighBps: minHigh,
+		low:    NewEncoder("sim/low", low, src, rng),
+		high:   NewEncoder("sim/high", high, src, rng),
+		lowCap: lowCap, minHigh: minHigh,
 	}
 }
 
@@ -311,47 +311,47 @@ func (s *Simulcast) SetLowAlloc(bps float64) { s.lowAlloc = bps }
 func (s *Simulcast) SetTarget(totalBps float64) {
 	if s.lowAlloc > 0 {
 		high := totalBps - s.lowAlloc
-		if high < s.MinHighBps {
+		if high < s.minHigh {
 			high = 0
 		}
-		s.Low.SetTarget(s.lowAlloc)
-		s.High.SetTarget(math.Max(0, high))
+		s.low.SetTarget(s.lowAlloc)
+		s.high.SetTarget(math.Max(0, high))
 		return
 	}
-	low := math.Min(s.LowCapBps, 0.25*totalBps)
+	low := math.Min(s.lowCap, 0.25*totalBps)
 	high := totalBps - low
-	if high < s.MinHighBps {
+	if high < s.minHigh {
 		// Not enough for the high copy: all budget to the low copy.
-		s.High.SetTarget(0)
-		s.Low.SetTarget(math.Min(totalBps, s.LowCapBps*1.3))
+		s.high.SetTarget(0)
+		s.low.SetTarget(math.Min(totalBps, s.lowCap*1.3))
 		return
 	}
-	s.Low.SetTarget(low)
-	s.High.SetTarget(high)
+	s.low.SetTarget(low)
+	s.high.SetTarget(high)
 }
 
 // RequestKeyframe makes the next frame of both copies a keyframe.
 func (s *Simulcast) RequestKeyframe() {
-	s.Low.RequestKeyframe()
-	s.High.RequestKeyframe()
+	s.low.RequestKeyframe()
+	s.high.RequestKeyframe()
 }
 
 // Params returns the encode parameters of the copy a receiver of the main
 // stream gets: the high copy while it is on, the low copy otherwise.
 func (s *Simulcast) Params() EncodeParams {
-	if s.High.Target() > 0 {
-		return s.High.Params()
+	if s.high.Target() > 0 {
+		return s.high.Params()
 	}
-	return s.Low.Params()
+	return s.low.Params()
 }
 
 // Tick produces this tick's frames for both copies, low copy first.
 func (s *Simulcast) Tick(now time.Duration) []*Frame {
 	out := s.out[:0]
-	if f := s.Low.tick(now); f != nil {
+	if f := s.low.tick(now); f != nil {
 		out = append(out, f)
 	}
-	if f := s.High.tick(now); f != nil {
+	if f := s.high.tick(now); f != nil {
 		out = append(out, f)
 	}
 	return out
@@ -364,8 +364,8 @@ func (s *Simulcast) Tick(now time.Duration) []*Frame {
 // one's — whose every frame Tick splits into layers.
 type SVC struct {
 	*Encoder
-	// Split gives each layer's share of the frame bytes (sums to 1).
-	Split []float64
+	// split gives each layer's share of the frame bytes (sums to 1).
+	split []float64
 
 	layers []Frame  // one frame per layer, rewritten every Tick
 	out    []*Frame // the list Tick returns: pointers into layers
@@ -373,18 +373,16 @@ type SVC struct {
 
 // NewSVC creates an SVC encoder with the given per-layer byte split.
 func NewSVC(ladder Ladder, split []float64, src *Source, rng *rand.Rand) *SVC {
-	s := &SVC{Encoder: NewEncoder("svc", ladder, src, rng), Split: split}
-	s.sizeLayers()
-	return s
-}
-
-// sizeLayers (re)builds the per-layer frame storage to match Split.
-func (s *SVC) sizeLayers() {
-	s.layers = make([]Frame, len(s.Split))
-	s.out = make([]*Frame, len(s.Split))
+	s := &SVC{
+		Encoder: NewEncoder("svc", ladder, src, rng),
+		split:   split,
+		layers:  make([]Frame, len(split)),
+		out:     make([]*Frame, len(split)),
+	}
 	for i := range s.layers {
 		s.out[i] = &s.layers[i]
 	}
+	return s
 }
 
 // Tick returns one frame per layer, base layer first (or nil on skipped
@@ -394,10 +392,7 @@ func (s *SVC) Tick(now time.Duration) []*Frame {
 	if f == nil {
 		return nil
 	}
-	if len(s.layers) != len(s.Split) {
-		s.sizeLayers() // Split was reassigned after construction
-	}
-	for i, share := range s.Split {
+	for i, share := range s.split {
 		lf := &s.layers[i]
 		*lf = *f
 		lf.Layer = i

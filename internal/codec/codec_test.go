@@ -171,18 +171,18 @@ func TestSimulcastSplitsBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := NewSimulcast(testLadder(), testLadder(), 190_000, 250_000, NewSource(rng), rng)
 	s.SetTarget(950_000)
-	if s.Low.Target() > 200_000 || s.Low.Target() < 100_000 {
-		t.Errorf("low target = %v", s.Low.Target())
+	if s.low.Target() > 200_000 || s.low.Target() < 100_000 {
+		t.Errorf("low target = %v", s.low.Target())
 	}
-	if s.High.Target() < 700_000 {
-		t.Errorf("high target = %v", s.High.Target())
+	if s.high.Target() < 700_000 {
+		t.Errorf("high target = %v", s.high.Target())
 	}
 	// Starved: only the low copy survives.
 	s.SetTarget(220_000)
-	if s.High.Target() != 0 {
-		t.Errorf("high stream alive at 220k total: %v", s.High.Target())
+	if s.high.Target() != 0 {
+		t.Errorf("high stream alive at 220k total: %v", s.high.Target())
 	}
-	if s.Low.Target() == 0 {
+	if s.low.Target() == 0 {
 		t.Error("low stream dead at 220k total")
 	}
 }
@@ -281,7 +281,6 @@ func TestTickAllocFree(t *testing.T) {
 	single := NewEncoder("video", testLadder(), src, rng)
 	simul := NewSimulcast(testLadder(), testLadder(), 190_000, 150_000, src, rng)
 	svc := NewSVC(testLadder(), []float64{0.4, 0.3, 0.3}, src, rng)
-	single.KeyInterval, svc.KeyInterval = time.Second, time.Second
 	simul.SetLowAlloc(120_000)
 	now := time.Duration(0)
 	tick := time.Second / 30
@@ -334,7 +333,7 @@ type strategy interface {
 // the reported parameters are those of the stream a receiver of the main
 // video gets; and a low-copy allocation means something to a simulcast
 // only, where it pins the low copy and turns the high copy off once the
-// rest of the budget is under MinHighBps.
+// rest of the budget is under minHigh.
 func TestStrategySurface(t *testing.T) {
 	const target = 2_000_000 // 30 fps rung: every tick emits
 	// The low copy runs at full frame rate whatever its rate (§3.1).
@@ -390,12 +389,12 @@ func TestStrategySurface(t *testing.T) {
 				}
 				return
 			}
-			if simul.Low.Target() != 100_000 || simul.High.Target() != 0 {
-				t.Errorf("low %v high %v at 300k with 100k allocated; want 100000 and 0", simul.Low.Target(), simul.High.Target())
+			if simul.low.Target() != 100_000 || simul.high.Target() != 0 {
+				t.Errorf("low %v high %v at 300k with 100k allocated; want 100000 and 0", simul.low.Target(), simul.high.Target())
 			}
 			enc.SetTarget(target)
-			if simul.Low.Target() != 100_000 || simul.High.Target() != target-100_000 {
-				t.Errorf("low %v high %v at 2M with 100k allocated; want 100000 and the rest", simul.Low.Target(), simul.High.Target())
+			if simul.low.Target() != 100_000 || simul.high.Target() != target-100_000 {
+				t.Errorf("low %v high %v at 2M with 100k allocated; want 100000 and the rest", simul.low.Target(), simul.high.Target())
 			}
 			// Outbound parameters follow the live copy.
 			enc.SetTarget(300_000)
@@ -406,14 +405,14 @@ func TestStrategySurface(t *testing.T) {
 					}
 				}
 			}
-			if p := enc.Params(); p != simul.Low.Params() || p == (EncodeParams{}) {
-				t.Errorf("Params %+v with the high copy off, want the low copy's %+v", p, simul.Low.Params())
+			if p := enc.Params(); p != simul.low.Params() || p == (EncodeParams{}) {
+				t.Errorf("Params %+v with the high copy off, want the low copy's %+v", p, simul.low.Params())
 			}
 			// Lifting the allocation restores the default split.
 			enc.SetLowAlloc(0)
 			enc.SetTarget(950_000)
-			if simul.Low.Target() != 190_000 || simul.High.Target() != 760_000 {
-				t.Errorf("low %v high %v at 950k, allocation lifted; want 190000 and 760000", simul.Low.Target(), simul.High.Target())
+			if simul.low.Target() != 190_000 || simul.high.Target() != 760_000 {
+				t.Errorf("low %v high %v at 950k, allocation lifted; want 190000 and 760000", simul.low.Target(), simul.high.Target())
 			}
 		})
 	}

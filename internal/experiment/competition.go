@@ -8,6 +8,7 @@ import (
 	"vcalab/internal/netem"
 	"vcalab/internal/sim"
 	"vcalab/internal/stats"
+	"vcalab/internal/tcp"
 	"vcalab/internal/vca"
 )
 
@@ -180,10 +181,10 @@ func (cfg *CompetitionConfig) startCompetitor(t *trial, f1 *netem.Host, res *com
 		// ack traffic is negligible.
 		srvUp := lab.RemoteHost("ipup", iperfDelay)
 		srvDown := lab.RemoteHost("ipdn", iperfDelay)
-		upload := apps.NewIPerf(eng, f1, srvUp, 5201)
-		download := apps.NewIPerf(eng, srvDown, f1, 5202)
-		upload.Start()
-		download.Start()
+		upload := tcp.NewFlow(eng, "iperf3", f1, srvUp, 5201, tcp.Config{})
+		download := tcp.NewFlow(eng, "iperf3", srvDown, f1, 5202, tcp.Config{})
+		upload.Start(0)
+		download.Start(0)
 		return func() { upload.Stop(); download.Stop() }
 	case CompNetflix:
 		cdn := lab.RemoteHost("nfcdn", RemoteDelay)

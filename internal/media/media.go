@@ -46,13 +46,16 @@ type IntervalStats struct {
 	QueueDelay   time.Duration
 }
 
+// The FIR policy: decode must be stalled firDamageThreshold before a
+// receiver requests a keyframe, and it requests at most one per
+// firCooldown.
+const (
+	firDamageThreshold = 200 * time.Millisecond
+	firCooldown        = 500 * time.Millisecond
+)
+
 // Receiver tracks one incoming media stream.
 type Receiver struct {
-	// FIRCooldown rate-limits FIR emission (default 500ms).
-	FIRCooldown time.Duration
-	// FIRDamageThreshold is how long decode must be stalled before an
-	// FIR fires (default 200ms).
-	FIRDamageThreshold time.Duration
 	// OnFIR, when set, is invoked when the receiver wants a keyframe.
 	OnFIR func(now time.Duration)
 
@@ -105,12 +108,7 @@ type Receiver struct {
 
 // NewReceiver creates a receiver.
 func NewReceiver() *Receiver {
-	return &Receiver{
-		FIRCooldown:        500 * time.Millisecond,
-		FIRDamageThreshold: 200 * time.Millisecond,
-		lastDecoded:        -1,
-		curFrame:           -1,
-	}
+	return &Receiver{lastDecoded: -1, curFrame: -1}
 }
 
 // OnPacket processes one arriving packet at virtual time now.
@@ -274,7 +272,7 @@ func (r *Receiver) checkStall(now time.Duration) {
 		r.stalled = true
 		r.stalledSince = now
 	}
-	if now-r.stalledSince >= r.FIRDamageThreshold && now-r.lastFIR >= r.FIRCooldown {
+	if now-r.stalledSince >= firDamageThreshold && now-r.lastFIR >= firCooldown {
 		r.lastFIR = now
 		r.FIRCount++
 		if r.OnFIR != nil {

@@ -115,8 +115,21 @@ type videoEncoder interface {
 	Params() codec.EncodeParams
 }
 
-// keyInterval is every encoder's periodic intra-refresh interval.
-const keyInterval = 10 * time.Second
+// The control cadences and conventions every client and SFU share.
+const (
+	// reportInterval is the RTCP receiver-report cadence: the client's
+	// feedback tick and the SFU's control tick, whose per-origin rate
+	// estimate (receiver.tick) divides one interval's bytes by it.
+	reportInterval = 100 * time.Millisecond
+	// padInterval is the padding/probe budget's tick (padBudget.due).
+	padInterval = 20 * time.Millisecond
+	// rttBase is the synthetic RTT's fixed part: a controller sees
+	// 2×queue delay + rttBase.
+	rttBase = 40 * time.Millisecond
+	// twccWindow is the TWCC sequence window, on the client's arrival
+	// recorder and the SFU's send history alike.
+	twccWindow = 2048
+)
 
 // Audio is one constant stream in every VCA, never adapted; the video
 // budgets (videoTarget, downTrack.share) set audioBps aside for it.
@@ -150,22 +163,16 @@ func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, re
 	src := codec.NewSource(c.rng)
 	switch prof.MediaMode {
 	case ModeSimulcast:
-		e := codec.NewSimulcast(prof.LowLadder, prof.Ladder, prof.SimLowCapBps, prof.SimMinHighBps, src, c.rng)
-		e.Low.KeyInterval, e.High.KeyInterval = keyInterval, keyInterval
-		c.enc = e
+		c.enc = codec.NewSimulcast(prof.LowLadder, prof.Ladder, prof.SimLowCapBps, prof.SimMinHighBps, src, c.rng)
 	case ModeSVC:
-		e := codec.NewSVC(prof.Ladder, prof.SVCSplit, src, c.rng)
-		e.KeyInterval = keyInterval
-		c.enc, c.topLayer = e, len(prof.SVCSplit)-1
+		c.enc, c.topLayer = codec.NewSVC(prof.Ladder, prof.SVCSplit, src, c.rng), len(prof.SVCSplit)-1
 	default:
-		e := codec.NewEncoder("video", prof.Ladder, src, c.rng)
-		e.KeyInterval = keyInterval
-		c.enc = e
+		c.enc = codec.NewEncoder("video", prof.Ladder, src, c.rng)
 	}
 	// TWCC is only generated when the home SFU runs per-leg controllers
 	// that could consume it (pure relays have none).
 	if recovery && prof.NewServerCC != nil {
-		c.twcc = rtp.NewTWCCRecorder(2048)
+		c.twcc = rtp.NewTWCCRecorder(twccWindow)
 	}
 	host.HandleFunc(PortMedia, c.onMedia)
 	host.HandleFunc(PortFeedback, c.onFeedback)
@@ -255,13 +262,10 @@ func (c *Client) start(nominalVideoBps float64) {
 	c.startedAt = c.eng.Now()
 	c.ccUp = c.prof.NewClientCC(nominalVideoBps)
 
-	// Video capture tick (30 Hz).
-	c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second/30, sim.HandlerFunc(c.videoTick)))
+	c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second/codec.CaptureHz, sim.HandlerFunc(c.videoTick)))
 	c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second/audioPacketsPerSec, sim.HandlerFunc(c.audioTick)))
-	// Padding / probing budget (20 ms granularity).
-	c.tickers = append(c.tickers, c.eng.EveryHandler(20*time.Millisecond, sim.HandlerFunc(c.padTick)))
-	// Receiver feedback at 100 ms.
-	c.tickers = append(c.tickers, c.eng.EveryHandler(100*time.Millisecond, sim.HandlerFunc(c.feedbackTick)))
+	c.tickers = append(c.tickers, c.eng.EveryHandler(padInterval, sim.HandlerFunc(c.padTick)))
+	c.tickers = append(c.tickers, c.eng.EveryHandler(reportInterval, sim.HandlerFunc(c.feedbackTick)))
 	// WebRTC-stats sampling at 1 s (§3.2), for a client that subscribed.
 	if c.rec != nil {
 		c.tickers = append(c.tickers, c.eng.EveryHandler(time.Second, sim.HandlerFunc(c.statsTick)))
@@ -311,7 +315,7 @@ func (c *Client) videoTick(now time.Duration) {
 		return
 	}
 	if c.prof.StallEvery > 0 {
-		tickP := (time.Second / 30).Seconds() / c.prof.StallEvery.Seconds()
+		tickP := (time.Second / codec.CaptureHz).Seconds() / c.prof.StallEvery.Seconds()
 		if c.rng.Float64() < tickP {
 			c.stallUntil = now + c.prof.StallDur
 			return
@@ -560,7 +564,7 @@ func (c *Client) feedbackTick(now time.Duration) {
 		agg.LossFraction = lossWeighted / float64(expectedSum)
 	}
 	if agg.Interval == 0 {
-		agg.Interval = 100 * time.Millisecond
+		agg.Interval = reportInterval
 	}
 	post(c.host, c.home.Name, PortFeedback, feedbackWire, c.flowRtcp, c.pool.getFeedback(c.id, agg))
 }
@@ -570,7 +574,7 @@ func (c *Client) feedbackTick(now time.Duration) {
 // Call it before Start; it is idempotent and outlives Leave and Rejoin.
 func (c *Client) RecordStats() *webrtcstats.Recorder {
 	if c.rec == nil {
-		c.rec = webrtcstats.NewRecorder()
+		c.rec = &webrtcstats.Recorder{}
 	}
 	return c.rec
 }
@@ -596,7 +600,7 @@ func (c *Client) statsTick(now time.Duration) {
 		frames += r.DisplayedFrames()
 	}
 	s.InFramesTotal = frames
-	c.rec.Add(s)
+	c.rec.Samples = append(c.rec.Samples, s)
 }
 
 // Host exposes the client's network host (for instrumentation).

@@ -37,12 +37,12 @@ func ccReason(lossFraction float64, queueDelay time.Duration, oldBps, newBps flo
 }
 
 // reportFeedback is an aggregate receiver report as controller input; the
-// RTT follows the repo's synthetic convention (2×queue delay + 40 ms base).
+// RTT follows the repo's synthetic convention (2×queue delay + rttBase).
 func reportFeedback(now time.Duration, st media.IntervalStats) cc.Feedback {
 	return cc.Feedback{
 		Now:            now,
 		Interval:       st.Interval,
-		RTT:            2*st.QueueDelay + 40*time.Millisecond,
+		RTT:            2*st.QueueDelay + rttBase,
 		LossFraction:   st.LossFraction,
 		ReceiveRateBps: st.RateBps,
 		QueueDelay:     st.QueueDelay,

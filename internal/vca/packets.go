@@ -401,11 +401,11 @@ type padBudget struct {
 }
 
 // due returns how many maxPayload packets the rate has accrued since the
-// last call (the 20 ms tick cadence on the first).
+// last call (one padInterval on the first).
 func (b *padBudget) due(now time.Duration, ctrl cc.Controller) int {
 	dt := (now - b.last).Seconds()
 	if b.last == 0 {
-		dt = 0.02
+		dt = padInterval.Seconds()
 	}
 	b.last = now
 	b.owed += ctrl.PadRateBps(now) / 8 * dt

@@ -484,7 +484,7 @@ func DropStashes() {
 func newRetransmitter(idCap int, twcc bool) *retransmitter {
 	r := &retransmitter{byOrigin: make([]rtxOrigin, idCap)}
 	if twcc {
-		r.twHist = take(&stashes.hists, func() *rtp.SentHistory { return rtp.NewSentHistory(2048) })
+		r.twHist = take(&stashes.hists, func() *rtp.SentHistory { return rtp.NewSentHistory(twccWindow) })
 	}
 	return r
 }
@@ -631,7 +631,7 @@ func (l *downTrack) answer(now time.Duration, m *NackMsg) (answered int) {
 // onTWCC folds a subscriber's transport-wide arrival report into the
 // track's controller. The filter reconstructs per-packet one-way delay
 // against the send history; RTT follows the repo's synthetic convention
-// (2×queue delay + 40 ms base). It only reads m.
+// (2×queue delay + rttBase). It only reads m.
 func (l *downTrack) onTWCC(now time.Duration, m *TWCCMsg, tr *obs.Tracer, server string) {
 	if l.rtx == nil || l.rtx.twHist == nil {
 		return
@@ -640,7 +640,7 @@ func (l *downTrack) onTWCC(now time.Duration, m *TWCCMsg, tr *obs.Tracer, server
 	if !ok {
 		return
 	}
-	fb.RTT = 2*fb.QueueDelay + 40*time.Millisecond
+	fb.RTT = 2*fb.QueueDelay + rttBase
 	feedCC(l.ctrl, fb, tr, l.recvName, server)
 }
 

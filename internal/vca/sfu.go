@@ -262,8 +262,8 @@ func (s *Server) Leg(receiver string) cc.Controller {
 
 func (s *Server) start() {
 	s.running = true
-	s.tickers = append(s.tickers, s.eng.EveryHandler(100*time.Millisecond, sim.HandlerFunc(s.controlTick)))
-	s.tickers = append(s.tickers, s.eng.EveryHandler(20*time.Millisecond, sim.HandlerFunc(s.padTick)))
+	s.tickers = append(s.tickers, s.eng.EveryHandler(reportInterval, sim.HandlerFunc(s.controlTick)))
+	s.tickers = append(s.tickers, s.eng.EveryHandler(padInterval, sim.HandlerFunc(s.padTick)))
 	if s.prof.MediaMode == ModeSimulcast {
 		s.tickers = append(s.tickers, s.eng.EveryHandler(500*time.Millisecond, sim.HandlerFunc(s.allocTick)))
 	}

@@ -108,7 +108,7 @@ func (s *Server) controlTick(now time.Duration) {
 func (s *Server) report(now time.Duration, to int32, flow string) {
 	st := s.recv[to].arrivals.Take(now)
 	if st.Interval == 0 {
-		st.Interval = 100 * time.Millisecond
+		st.Interval = reportInterval
 	}
 	post(s.host, s.reg.name(to), PortFeedback, feedbackWire, flow, s.pool.getFeedback(s.id, st))
 }

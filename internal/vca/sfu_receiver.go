@@ -73,11 +73,12 @@ func (r *receiver) trackRate(mp *MediaPacket, size int) {
 	}
 }
 
-// tick folds the bytes of one 100 ms control interval into the estimates.
+// tick folds the bytes of one control interval (reportInterval) into the
+// estimates.
 func (r *receiver) tick() {
 	for i := range r.rates {
 		e := &r.rates[i]
-		inst := float64(e.bytes) * 8 / 0.1
+		inst := float64(e.bytes) * 8 / reportInterval.Seconds()
 		e.rate = 0.5*e.rate + 0.5*inst
 		e.bytes = 0
 	}

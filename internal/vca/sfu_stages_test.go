@@ -23,6 +23,27 @@ func origin(via int32, rates map[int]float64) *receiver {
 	return r
 }
 
+// TestRateEstimateMatchesSentRate: the SFU's per-origin rate estimate
+// divides what one control tick collected by the report interval, so for a
+// constant-rate stream — audio on unshaped links — it reads the rate the
+// origin sends. A control tick whose period and the estimator's divisor
+// disagree reads a multiple of it.
+func TestRateEstimateMatchesSentRate(t *testing.T) {
+	eng := sim.New(3)
+	l := newLab(eng, 0, 0)
+	hosts := []*netem.Host{l.clientHost("c1"), l.remoteHost("c2", 5*time.Millisecond)}
+	call := NewCall(eng, Meet(), l.remoteHost("sfu", 15*time.Millisecond), hosts, CallOptions{Seed: 3})
+	call.Start()
+	eng.RunUntil(5 * time.Second)
+	want := float64(audioPacketsPerSec * (audioPayloadBytes + wireOverhead) * 8)
+	for _, c := range call.Clients {
+		got := call.Servers[0].recv[c.id].rate(int(rkAudio))
+		if math.Abs(got-want) > 1e-6*want {
+			t.Errorf("SFU's estimate of %s's audio = %.0f bps, want the %.0f bps it sends", c.Name, got, want)
+		}
+	}
+}
+
 // TestForwarderSelection drives the layer machine alone, per VCA, through
 // every zone of its selection rule.
 func TestForwarderSelection(t *testing.T) {

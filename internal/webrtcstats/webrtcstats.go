@@ -35,12 +35,6 @@ type Recorder struct {
 	Samples []Sample
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Add appends a sample.
-func (r *Recorder) Add(s Sample) { r.Samples = append(r.Samples, s) }
-
 // MedianOut returns the median outbound encode parameters over samples with
 // T in [from, to) — the aggregation behind Fig 2.
 func (r *Recorder) MedianOut(from, to time.Duration) codec.EncodeParams {

@@ -17,26 +17,14 @@ func sample(t int, fps float64, qp float64, w int, frames int) Sample {
 	}
 }
 
-func TestRecorderLast(t *testing.T) {
-	r := NewRecorder()
-	if len(r.Samples) != 0 {
-		t.Error("new recorder holds samples")
-	}
-	r.Add(sample(1, 30, 25, 640, 30))
-	r.Add(sample(2, 15, 30, 320, 45))
-	if last := r.Samples[len(r.Samples)-1]; len(r.Samples) != 2 || last.Out.FPS != 15 {
-		t.Errorf("Samples = %+v, want the 15 fps sample last", r.Samples)
-	}
-}
-
 func TestMedianOutWindow(t *testing.T) {
-	r := NewRecorder()
+	r := &Recorder{}
 	for i := 1; i <= 10; i++ {
 		fps := 30.0
 		if i > 5 {
 			fps = 10.0 // degrade in the second half
 		}
-		r.Add(sample(i, fps, 25, 640, i*30))
+		r.Samples = append(r.Samples, sample(i, fps, 25, 640, i*30))
 	}
 	first := r.MedianOut(0, 5500*time.Millisecond)
 	second := r.MedianOut(5500*time.Millisecond, 11*time.Second)
@@ -49,14 +37,14 @@ func TestMedianOutWindow(t *testing.T) {
 }
 
 func TestMedianInFPSFromFrameDeltas(t *testing.T) {
-	r := NewRecorder()
+	r := &Recorder{}
 	// 30 displayed frames per second for 5s, then a stall (no frames).
 	frames := 0
 	for i := 1; i <= 10; i++ {
 		if i <= 5 {
 			frames += 30
 		}
-		r.Add(sample(i, 30, 25, 640, frames))
+		r.Samples = append(r.Samples, sample(i, 30, 25, 640, frames))
 	}
 	active := r.MedianIn(0, 5500*time.Millisecond)
 	stalled := r.MedianIn(6*time.Second, 11*time.Second)
@@ -69,8 +57,8 @@ func TestMedianInFPSFromFrameDeltas(t *testing.T) {
 }
 
 func TestMedianEmptyWindow(t *testing.T) {
-	r := NewRecorder()
-	r.Add(sample(1, 30, 25, 640, 30))
+	r := &Recorder{}
+	r.Samples = append(r.Samples, sample(1, 30, 25, 640, 30))
 	p := r.MedianOut(100*time.Second, 200*time.Second)
 	if p.FPS != 0 || p.Width != 0 {
 		t.Errorf("empty window medians = %+v", p)

@@ -451,7 +451,10 @@ func selectorSites(t *testing.T, file, sel string) []string {
 
 // censusTypes names the option types the census covers beyond every
 // exported struct type whose name ends in Config or Options.
-var censusTypes = map[string]bool{"vca.Profile": true, "cascade.Topology": true, "cascade.Region": true}
+var censusTypes = map[string]bool{
+	"vca.Profile": true, "cascade.Topology": true, "cascade.Region": true,
+	"codec.Encoder": true, "codec.Simulcast": true, "codec.SVC": true,
+}
 
 // wantOptions is every exported field of the option types under internal/,
 // per "package.Type". A field with one value in use is a constant instead
@@ -462,6 +465,9 @@ var wantOptions = map[string][]string{
 	"cc.GCCConfig":                 {"Range", "LossHigh"},
 	"cc.TeamsConfig":               {"Range", "LossBackoff", "DelayBackoff", "BackoffFactor", "RampInitBpsPerSec", "RampMaxBpsPerSec"},
 	"cc.ZoomConfig":                {"Range", "NominalBps"},
+	"codec.Encoder":                {},
+	"codec.SVC":                    {},
+	"codec.Simulcast":              {},
 	"experiment.CompetitionConfig": {"Incumbent", "Kind", "CompProfile", "LinkMbps", "Reps", "Seed"},
 	"experiment.DisruptionConfig":  {"Profile", "Dir", "LevelMbps", "Reps", "Seed"},
 	"experiment.DynamicConfig":     {"Profile", "Scenario", "Participants", "Regions", "InterMbps", "Reps", "Dur", "Warmup", "Seed", "Shards", "Recovery", "Obs", "TraceW", "MetricsW"},
@@ -550,7 +556,7 @@ const wantFacadeExports = 138
 // outside caller — unexport or delete it, or list it here; a stale entry
 // fails until it is pruned.
 var wantUnnamed = []string{
-	"apps.IPerf", "apps.Netflix", "apps.YouTube",
+	"apps.Netflix", "apps.YouTube",
 	"cascade.Mesh.Placements",
 	"cc.GCC", "cc.GCCConfig", "cc.TeamsCC", "cc.TeamsConfig", "cc.ZoomCC", "cc.ZoomConfig",
 	"codec.Encoder", "codec.Encoder.Target", "codec.Ladder.ParamsFor",
