@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcalab/internal/race"
+	"vcalab/internal/reuse"
 	"vcalab/internal/vca"
 )
 
@@ -17,26 +18,37 @@ import (
 // 48-party scale trial, whose 1.3 M frame-latency samples fill run tables
 // of about 8 000 distinct values a region, to 1.1× the measured value, the
 // recovery-on trial to 1.05× (all repeat to under 1%). Each of these starts
-// cold: vca.DropStashes empties the stashes, so no cell leans on what an
-// earlier cell or test released. The warm cell runs
-// the churn trial again straight after the cold one, on the rings, send
-// histories and packet pools that one released, to 1.05×.
+// cold: reuse.Drop empties every free list, so no cell leans on what an
+// earlier cell or test released. Each warm cell runs the cell before it
+// again, on the engine, host packet pools, client RNGs, getStats samples,
+// rings, send histories and region pools that one released (DESIGN.md §7),
+// to the same slack.
 //
 // Per-second samples on the unread client put either paper cell over; a
 // boxed tcp payload per packet costs the competition cell eight times over;
 // a fresh ring per rejoin puts the churn cell over; keeping every latency
-// sample puts the scale cell over; a trial that releases nothing puts the
-// warm cell over. Growing the meters' bins one append at a time, not a page
-// at a time, puts the competition cell over; growing the latency run tables
-// by doubling and reading them through a merged copy puts the churn and
-// scale cells over; an 80-byte MediaPacket, which every RTX ring slot keeps
-// alive, puts the churn cell over.
+// sample puts the scale cell over. A trial that hands back no engine, no
+// host pools, no RNGs or no sample buffer puts the warm static cell over;
+// one that hands back no host pools puts the warm competition cell over;
+// one that hands back no engine, no host pools or no RNGs puts the warm
+// churn cell over.
+// Growing the meters' bins one append at a time, not a page at a time, puts
+// the competition cell over; growing the latency run tables by doubling and
+// reading them through a merged copy puts the churn and scale cells over; an
+// 80-byte MediaPacket, which every RTX ring slot keeps alive, puts the churn
+// cell over.
 func TestTrialAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
 	setParallelism(t, 1)
 	churn := func() { RunDynamic(churnRecoveryConfig()) }
+	static := func() {
+		RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{1}, Reps: 1, Dur: 80 * time.Second, Seed: 1})
+	}
+	competition := func() {
+		RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1})
+	}
 	cells := []struct {
 		name             string
 		run              func()
@@ -44,24 +56,26 @@ func TestTrialAllocBudgets(t *testing.T) {
 		measured, parent float64 // MB: at this budget's writing, and at its parent commit
 		slack            float64 // the budget is slack × measured
 	}{
-		{"static meet uplink 1 Mbps 80 s", func() {
-			RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{1}, Reps: 1, Dur: 80 * time.Second, Seed: 1})
-		}, false, 0.105, 0.108, 1.1}, // parent: meter bins grown by append
-		{"zoom vs iperf3 2 Mbps", func() {
-			RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1})
-		}, false, 0.203, 0.245, 1.1}, // parent: meter bins grown by append
+		{"static meet uplink 1 Mbps 80 s", static,
+			false, 0.096, 0.095, 1.1}, // parent: host pools held inline
+		{"static meet uplink 1 Mbps 80 s, warm", static,
+			true, 0.037, 0.092, 1.1}, // parent: a trial handed on only its region pools
+		{"zoom vs iperf3 2 Mbps", competition,
+			false, 0.187, 0.186, 1.1}, // parent: host pools held inline
+		{"zoom vs iperf3 2 Mbps, warm", competition,
+			true, 0.123, 0.179, 1.1}, // parent: a trial handed on only its region pools
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on", churn,
-			false, 2.177, 2.608, 1.05}, // parent: 80-byte media packets, 16-byte TWCC send-history slots
+			false, 2.196, 2.195, 1.05}, // parent: host pools held inline
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on, warm", churn,
-			true, 0.541, 2.177, 1.05}, // parent: every trial built its rings, histories and pools anew
+			true, 0.419, 0.551, 1.05}, // parent: a trial handed on its recovery state and region pools, not its engine, host pools or RNGs
 		{"meet scale 48p/3r 20 Mbps", func() {
 			RunScale(ScaleConfig{Profile: vca.Meet(), Participants: []int{48}, Regions: 3, InterMbps: []float64{20},
 				Reps: 1, Dur: 30 * time.Second, Warmup: 10 * time.Second, Seed: 1})
-		}, false, 3.351, 3.819, 1.1}, // parent: run tables grown by doubling, read through a merged copy
+		}, false, 3.296, 3.291, 1.1}, // parent: host pools held inline
 	}
 	for _, c := range cells {
 		if !c.warm {
-			vca.DropStashes()
+			reuse.Drop()
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

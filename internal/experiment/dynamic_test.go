@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcalab/internal/netem"
+	"vcalab/internal/reuse"
 	"vcalab/internal/scenario"
 	"vcalab/internal/vca"
 )
@@ -36,12 +37,15 @@ func churnRecoveryConfig() DynamicConfig {
 }
 
 // TestReleasedStateChangesNoOutput: a trial built on what an earlier trial
-// released prints what a trial built from nothing prints. The recovery-on
-// churn storm runs cold (vca.DropStashes empties the stashes), warm (on the
-// rings, send histories and packet pools the cold run released), and cold
-// again; then four repetitions at parallelism 2, whose workers take from
-// and release into the stashes at once, print what the same four print
-// one at a time. Under -race that handoff is what the detector watches.
+// released prints what a trial built from nothing prints, on both trial
+// shapes. On the mesh, the recovery-on churn storm runs cold (reuse.Drop
+// empties the free lists), warm (on the engine, host pools, RNGs, rings,
+// send histories and packet pools the cold run released), and cold again;
+// then four repetitions at parallelism 2, whose workers take from and
+// release into the free lists at once, print what the same four print one
+// at a time. On the lab, a Meet static sweep at parallelism 2 prints cold
+// what it prints after a Zoom competition trial has filled the free lists.
+// Under -race those handoffs across workers are what the detector watches.
 func TestReleasedStateChangesNoOutput(t *testing.T) {
 	out := func(par, reps int) string {
 		setParallelism(t, par)
@@ -51,7 +55,7 @@ func TestReleasedStateChangesNoOutput(t *testing.T) {
 		PrintDynamic(&buf, RunDynamic(cfg))
 		return buf.String()
 	}
-	flush := vca.DropStashes
+	flush := reuse.Drop
 	flush()
 	cold := out(1, 1)
 	if warm := out(1, 1); warm != cold {
@@ -63,6 +67,19 @@ func TestReleasedStateChangesNoOutput(t *testing.T) {
 	}
 	if seq, par := out(1, 4), out(2, 4); seq != par {
 		t.Errorf("four trials print differently at parallelism 2:\n-- parallel 1 --\n%s-- parallel 2 --\n%s", seq, par)
+	}
+
+	static := func() string {
+		setParallelism(t, 2)
+		var buf strings.Builder
+		PrintStatic(&buf, RunStatic(StaticConfig{Profile: vca.Meet(), Dir: Uplink, CapsMbps: []float64{0.5, 1}, Reps: 2, Dur: 40 * time.Second, Seed: 3}))
+		return buf.String()
+	}
+	flush()
+	coldLab := static()
+	RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1})
+	if warm := static(); warm != coldLab {
+		t.Errorf("a static sweep after a competition trial prints differently:\n-- cold --\n%s-- warm --\n%s", coldLab, warm)
 	}
 }
 

@@ -30,6 +30,8 @@ type Lab struct {
 	// each host's pair as it is attached — so capture walks a Lab the way
 	// it walks cascade.Mesh.Links().
 	links []*netem.Link
+	// hosts lists every host in creation order, for trial.release.
+	hosts []*netem.Host
 	// access is each host's up/down access pair by name, the pair a
 	// scenario shapes: the bottleneck for a host behind the switch, its
 	// own router pair for a remote host.
@@ -102,7 +104,7 @@ func (l *Lab) Downlink() *netem.Link { return l.down }
 func (l *Lab) ClientHost(name string) *netem.Host {
 	h := netem.NewHost(l.Eng, name)
 	up, down := netem.Attach(l.Eng, h, l.sw, netem.LinkConfig{Delay: 100 * time.Microsecond})
-	l.links = append(l.links, up, down)
+	l.links, l.hosts = append(l.links, up, down), append(l.hosts, h)
 	l.rt.Route(name, l.down)
 	l.access[name] = [2]*netem.Link{l.up, l.down}
 	return h
@@ -113,7 +115,7 @@ func (l *Lab) ClientHost(name string) *netem.Host {
 func (l *Lab) RemoteHost(name string, delay time.Duration) *netem.Host {
 	h := netem.NewHost(l.Eng, name)
 	up, down := netem.Attach(l.Eng, h, l.rt, netem.LinkConfig{Delay: delay})
-	l.links = append(l.links, up, down)
+	l.links, l.hosts = append(l.links, up, down), append(l.hosts, h)
 	l.access[name] = [2]*netem.Link{up, down}
 	return h
 }

@@ -84,13 +84,34 @@ func (t *trial) run(dur time.Duration) {
 	}
 }
 
-// release ends the trial: it releases any shard goroutines, then hands the
-// call's packet pools and recovery state to the next trial in the process
-// (vca.Call.Release). Deferred where the trial is built, it runs once the
-// runner has read its measurements.
+// release ends the trial and hands its working state to the next trial in
+// the process (DESIGN.md §7): it releases any shard goroutines, then the
+// call's packet pools, recovery state, RNGs and getStats buffers
+// (vca.Call.Release), every host's packet pool and, last, every engine.
+// Hosts and engines go back last-made first, so the free lists, which hand
+// out the last item put, give the next trial's hosts and engines those made
+// in the same order: on a sweep of one topology each packet pool keeps its
+// role and never grows to another host's peak. Deferred where the trial is
+// built, release runs once the runner, capture and any scenario.Check drain
+// have read what they need.
 func (t *trial) release() {
 	if t.mesh != nil {
 		t.mesh.Close()
 	}
 	t.call.Release()
+	if m := t.mesh; m != nil {
+		for ri := len(m.SFUs) - 1; ri >= 0; ri-- {
+			for i := len(m.Clients[ri]) - 1; i >= 0; i-- {
+				m.Clients[ri][i].Release()
+			}
+			m.SFUs[ri].Release()
+		}
+	} else {
+		for i := len(t.lab.hosts) - 1; i >= 0; i-- {
+			t.lab.hosts[i].Release()
+		}
+	}
+	for i := len(t.engines) - 1; i >= 0; i-- {
+		t.engines[i].Release()
+	}
 }

@@ -16,6 +16,7 @@ import (
 	"unsafe"
 
 	"vcalab/internal/obs"
+	"vcalab/internal/reuse"
 	"vcalab/internal/sim"
 )
 
@@ -547,7 +548,9 @@ type Host struct {
 	// of ports, and three integer compares beat hashing one.
 	ports []portBinding
 	taps  []func(*Packet)
-	pool  PacketPool
+	// pool is taken from hostPools at NewHost and handed back by Release,
+	// so the packets on its free list, which point back at it, move with it.
+	pool *PacketPool
 
 	// Unrouteable counts packets delivered to a port nobody listens on.
 	Unrouteable uint64
@@ -564,10 +567,31 @@ func (h *Host) NewPacket() *Packet { return h.pool.Get() }
 // so the count must read zero. A leaky drop path shows up here.
 func (h *Host) PoolLive() int { return h.pool.Live() }
 
+// hostPools holds the packet pools of released hosts.
+var hostPools = reuse.New[*PacketPool]()
+
 // NewHost creates a host. Attach its uplink with SetUplink once the
 // topology is wired.
 func NewHost(eng *sim.Engine, name string) *Host {
-	return &Host{Name: name, eng: eng}
+	pool := hostPools.Take()
+	if pool == nil {
+		pool = &PacketPool{}
+	}
+	return &Host{Name: name, eng: eng, pool: pool}
+}
+
+// Release hands the host's packet pool to the next NewHost in the process.
+// Packets still out of it (in flight, queued) are abandoned with the events
+// and links that hold them; the free ones were zeroed when put. Call it once
+// the host's engine will run no more; nothing of the host may be used
+// afterwards. A second Release does nothing.
+func (h *Host) Release() {
+	if h.pool == nil {
+		return
+	}
+	h.pool.live = 0
+	hostPools.Put(h.pool)
+	h.pool = nil
 }
 
 type portBinding struct {

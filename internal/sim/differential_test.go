@@ -183,11 +183,10 @@ func play(s scheduler, data []byte) []fired {
 	return p.log
 }
 
-// checkOrder plays data on the production engine and on the reference
+// checkOrder plays data on the production engine e and on the reference
 // and fails on the first difference between their dispatch logs.
-func checkOrder(t *testing.T, data []byte) *Engine {
+func checkOrder(t *testing.T, e *Engine, data []byte) {
 	t.Helper()
-	e := New(1)
 	got := play(prodScheduler{e}, data)
 	ref := &refEngine{}
 	want := play(ref, data)
@@ -203,23 +202,39 @@ func checkOrder(t *testing.T, data []byte) *Engine {
 		t.Fatalf("after drain: Live() = %d, Pending() = %d, reference outstanding = %d, want 0",
 			e.Live(), e.Pending(), ref.outstanding())
 	}
-	return e
 }
 
 // TestEngineMatchesReference drives both schedulers with generated
 // programs long enough to open every lane, and checks the inputs really
-// did put events on both the lanes and the heap.
+// did put events on both the lanes and the heap. Every other program runs
+// on the engine the one before it released, with its lanes open, a ticker
+// armed and events pending on the heap and in lanes.
 func TestEngineMatchesReference(t *testing.T) {
 	var lane, heap uint64
 	fullLanes := 0
+	var released *Engine
 	for seed := int64(1); seed <= 40; seed++ {
 		data := make([]byte, 6000)
 		rand.New(rand.NewSource(seed)).Read(data)
-		e := checkOrder(t, data)
+		e := New(1)
+		if released != nil && e != released {
+			t.Fatal("New did not hand back the engine the last program released")
+		}
+		checkOrder(t, e, data)
 		l, h := e.SchedulerInserts()
 		lane, heap = lane+l, heap+h
 		if e.nLanes == maxLanes {
 			fullLanes++
+		}
+		released = nil
+		if seed%2 == 1 {
+			e.EveryHandler(time.Millisecond, HandlerFunc(func(time.Duration) {}))
+			for i := range 64 {
+				e.ScheduleHandler(palette[i%len(palette)]+time.Duration(i%3), HandlerFunc(func(time.Duration) {}))
+			}
+			e.RunUntil(e.Now() + 3*time.Millisecond)
+			e.Release()
+			released = e
 		}
 	}
 	if lane == 0 || heap == 0 || fullLanes == 0 {
@@ -232,6 +247,6 @@ func TestEngineMatchesReference(t *testing.T) {
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkOrder(t, data)
+		checkOrder(t, New(1), data)
 	})
 }

@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"vcalab/internal/obs"
+	"vcalab/internal/reuse"
 )
 
 // Handler receives an event. Hot-path callers implement it to schedule
@@ -218,18 +219,55 @@ type Engine struct {
 	laneIns, heapIns uint64
 	// processed counts executed events, exposed for tests and benchmarks.
 	processed uint64
-	// seed seeds rng; below the lane arrays, so the fields above fit a line.
-	seed int64
+	// seed seeds rng on the first Rand of the engine's life (seeded); below
+	// the lane arrays, so the fields above fit a line.
+	seed     int64
+	seeded   bool
+	released bool
 }
 
 // eventBlock is how many pooled events are allocated at once when the
 // free list runs dry.
 const eventBlock = 128
 
-// New returns an Engine whose random source is seeded with seed.
-// Two engines created with the same seed run identically.
+// engines holds released engines for New to hand out again.
+var engines = reuse.New[*Engine]()
+
+// New returns an Engine whose random source is seeded with seed: a
+// released one when there is one (Release), else a new one. Two engines
+// created with the same seed run identically, whichever they are.
 func New(seed int64) *Engine {
-	return &Engine{seed: seed}
+	e := engines.Take()
+	if e == nil {
+		e = &Engine{}
+	}
+	e.seed, e.released = seed, false
+	return e
+}
+
+// Release ends the engine's life and hands it to the next New in the
+// process, with its event blocks, heap, lane rings and random source. Every
+// pending event is recycled unrun, so the Timers that filed them stay
+// inert, and the clock, sequence numbers, lanes, lane counts, tracer and
+// counters start again from zero. Call it once nothing will run on, schedule
+// on or read from the engine again; a second Release does nothing.
+func (e *Engine) Release() {
+	if e.released {
+		return
+	}
+	for _, ev := range e.heap {
+		e.recycle(ev)
+	}
+	clear(e.heap)
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		for ; l.n > 0; l.pop() {
+			e.recycle(l.at(0))
+		}
+		l.head = 0
+	}
+	*e = Engine{heap: e.heap[:0], rng: e.rng, lanes: e.lanes, free: e.free, released: true}
+	engines.Put(e)
 }
 
 // Now returns the current virtual time, measured from the start of the
@@ -251,12 +289,25 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // Rand returns the engine's random source, seeded with New's seed. It is
-// built on the first call (~5 KB), so an engine that never draws pays nothing.
+// seeded on the first call of the engine's life, and built then (~5 KB)
+// unless an earlier life left one, so an engine that never draws pays
+// nothing.
 func (e *Engine) Rand() *rand.Rand {
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.seed))
+	if !e.seeded {
+		e.seedRand()
 	}
 	return e.rng
+}
+
+// seedRand makes rng New's seed's stream from its start: rand.Rand.Seed
+// rebuilds the whole source and its read position.
+func (e *Engine) seedRand() {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	} else {
+		e.rng.Seed(e.seed)
+	}
+	e.seeded = true
 }
 
 // Processed reports how many events have executed so far.

@@ -620,3 +620,85 @@ func TestRandBuiltOnFirstDraw(t *testing.T) {
 		t.Fatalf("draws after 1000 events %v, want %v (the t=0 stream)", got, early)
 	}
 }
+
+// TestReleasedEngineIsNew: an engine back from Release is one New never
+// handed out. Its first life ends with events pending in a lane and on the
+// heap, a ticker armed, a delay counted part-way to a lane and its source
+// drawn from. After Release and New, every counter reads zero; the same
+// program files the same lane and heap inserts, fires the same events at
+// the same times and draws the same numbers as on a new engine; and a
+// Timer from the first life, whose struct the program reuses, stops
+// nothing.
+func TestReleasedEngineIsNew(t *testing.T) {
+	type run struct {
+		log        []fired
+		lane, heap uint64
+		hw         int
+		draws      []int64
+	}
+	// file files 200 events — 20 at a delay counted to 20 of the 32 misses
+	// that earn a lane, 60 at one that earns it, 120 one-offs — and a
+	// ticker, and draws three numbers.
+	file := func(e *Engine, r *run) {
+		for i := range 200 {
+			d := time.Duration(1+i)*37*time.Microsecond + time.Second
+			switch {
+			case i < 20:
+				d = 7 * time.Millisecond
+			case i < 80:
+				d = 5 * time.Millisecond
+			}
+			e.ScheduleHandler(d, HandlerFunc(func(now time.Duration) { r.log = append(r.log, fired{i, now}) }))
+		}
+		e.EveryHandler(10*time.Millisecond, HandlerFunc(func(now time.Duration) { r.log = append(r.log, fired{-1, now}) }))
+		for range 3 {
+			r.draws = append(r.draws, e.Rand().Int63())
+		}
+	}
+	finish := func(e *Engine, r *run) {
+		e.RunUntil(2 * time.Second)
+		r.lane, r.heap = e.SchedulerInserts()
+		r.hw = e.LiveHighWater()
+	}
+
+	first := New(1)
+	file(first, &run{})
+	first.RunUntil(4 * time.Millisecond) // before anything fires
+	stale := first.ScheduleHandler(time.Hour, HandlerFunc(func(time.Duration) {}))
+	first.Release()
+	first.Release() // must not hand the engine out twice
+
+	e := New(2)
+	if e != first {
+		t.Fatal("New did not hand back the released engine")
+	}
+	if New(2) == e {
+		t.Fatal("a second Release handed the engine out twice")
+	}
+	lane, heap := e.SchedulerInserts()
+	if e.Now() != 0 || e.Processed() != 0 || e.Live() != 0 || e.LiveHighWater() != 0 || lane != 0 || heap != 0 {
+		t.Fatalf("released engine reads Now %v, Processed %d, Live %d, LiveHighWater %d, inserts %d/%d; want all zero",
+			e.Now(), e.Processed(), e.Live(), e.LiveHighWater(), lane, heap)
+	}
+	var got, want run
+	file(e, &got)
+	if stale.ev.h == nil {
+		t.Fatal("the program did not reuse the stale Timer's event struct")
+	}
+	if stale.Stop() {
+		t.Error("a Timer from the engine's previous life stopped an event of this one")
+	}
+	finish(e, &got)
+	fresh := &Engine{seed: 2}
+	file(fresh, &want)
+	finish(fresh, &want)
+	if !slices.Equal(got.log, want.log) {
+		t.Errorf("released engine fired %d events, a new one %d, or in another order", len(got.log), len(want.log))
+	}
+	if got.lane != want.lane || got.heap != want.heap || got.hw != want.hw {
+		t.Errorf("released engine: %d lane / %d heap inserts, high water %d; a new one %d / %d, %d", got.lane, got.heap, got.hw, want.lane, want.heap, want.hw)
+	}
+	if !slices.Equal(got.draws, want.draws) {
+		t.Errorf("released engine draws %v, New(2)'s stream is %v", got.draws, want.draws)
+	}
+}

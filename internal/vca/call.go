@@ -2,12 +2,16 @@ package vca
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"time"
 
 	"vcalab/internal/netem"
+	"vcalab/internal/reuse"
+	"vcalab/internal/rtp"
 	"vcalab/internal/sim"
 	"vcalab/internal/stats"
+	"vcalab/internal/webrtcstats"
 )
 
 // ViewMode is the call's viewing modality (§6).
@@ -131,7 +135,9 @@ func NewCascadedCall(eng *sim.Engine, prof *Profile, regions []CascadePlacement,
 	// affects event order, so splitting it is output-invisible.
 	c.pools = make([]*mpPool, len(regions))
 	for ri := range regions {
-		c.pools[ri] = take(&stashes.pools, func() *mpPool { return &mpPool{} })
+		if c.pools[ri] = stashes.pools.Take(); c.pools[ri] == nil {
+			c.pools[ri] = &mpPool{}
+		}
 	}
 	for ri, r := range regions {
 		s := newServer(regionEngine(r, eng), prof, r.Server, c.reg, localIDs[ri], c.pools[ri], total, opt.Recovery)
@@ -397,24 +403,57 @@ func (c *Call) DrainRecovery() {
 	}
 }
 
-// Release ends the call for good and hands what it built for packets and
-// recovery to the next call in the process (DESIGN.md §13): every
-// down-track's RTX rings are drained and its TWCC send history cleared,
-// each region's pool forgets whatever is still out of it, and all three
-// wait in process-wide stashes for the next NewCascadedCall to take. Call
-// it once the call is stopped, its engines will run no more, and
-// everything the caller wants of it has been read: nothing of the call
-// may be used afterwards. A second Release does nothing; a call never
-// released only forgoes the reuse.
+// What a call builds outlives it (DESIGN.md §7, §13). A dropped origin's
+// drained ring, a retired track's cleared send history and, at Call.Release,
+// a dead call's rings, histories, region pools, client RNGs and getStats
+// sample buffers wait here for the next track or call in the process. A
+// drained ring and a cleared history are byte-for-byte new ones, a released
+// pool's free packets and messages are zeroed with nothing counted out, a
+// taken RNG is re-seeded and a taken sample buffer is empty, so where a
+// call's state came from never shows in what it sends. The stashes are
+// internal/reuse free lists, which reuse.Drop empties.
+var stashes = struct {
+	rings   *reuse.List[*rtp.RTXRing[rtxEntry]]
+	hists   *reuse.List[*rtp.SentHistory]
+	pools   *reuse.List[*mpPool]
+	rngs    *reuse.List[*rand.Rand]
+	samples *reuse.List[[]webrtcstats.Sample]
+}{
+	reuse.New[*rtp.RTXRing[rtxEntry]](),
+	reuse.New[*rtp.SentHistory](),
+	reuse.New[*mpPool](),
+	reuse.New[*rand.Rand](),
+	reuse.New[[]webrtcstats.Sample](),
+}
+
+// Release ends the call for good and hands what it built to the next call
+// in the process (DESIGN.md §7): every down-track's RTX rings are drained
+// and its TWCC send history cleared, each region's pool forgets whatever is
+// still out of it, and those, each client's random source and C1's getStats
+// sample buffer wait in process-wide stashes for the next NewCascadedCall
+// and RecordStats to take. Call it once the call is stopped, its engines
+// will run no more, and everything the caller wants of it has been read:
+// nothing of the call may be used afterwards. A second Release does
+// nothing; a call never released only forgoes the reuse.
 func (c *Call) Release() {
 	for _, s := range c.Servers {
 		s.eachRTX((*retransmitter).release)
 	}
 	for _, p := range c.pools {
 		p.made, p.ctrlLive = len(p.free), 0
-		stash(&stashes.pools, p)
+		stashes.pools.Put(p)
 	}
 	c.pools = nil
+	for _, cl := range c.Clients {
+		if cl.rng != nil {
+			stashes.rngs.Put(cl.rng)
+			cl.rng = nil
+		}
+		if cl.rec != nil && cl.rec.Samples != nil {
+			stashes.samples.Put(cl.rec.Samples[:0])
+			cl.rec.Samples = nil
+		}
+	}
 }
 
 // RTXClonesLive reports how many references to retained ingress packets

@@ -151,7 +151,6 @@ func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, re
 		reg:        reg,
 		id:         reg.intern(name, false),
 		region:     region,
-		rng:        rand.New(rand.NewSource(seed)),
 		recv:       make([]inbound, reg.cap()),
 		recovery:   recovery,
 		pool:       pool,
@@ -159,6 +158,11 @@ func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, re
 		flowSignal: prof.Name + "/" + name + "/signal",
 		UpMeter:    stats.NewMeter(time.Second),
 		DownMeter:  stats.NewMeter(time.Second),
+	}
+	if c.rng = stashes.rngs.Take(); c.rng == nil {
+		c.rng = rand.New(rand.NewSource(seed))
+	} else {
+		c.rng.Seed(seed) // rebuilds the source: the stream is NewSource(seed)'s
 	}
 	src := codec.NewSource(c.rng)
 	switch prof.MediaMode {
@@ -574,7 +578,7 @@ func (c *Client) feedbackTick(now time.Duration) {
 // Call it before Start; it is idempotent and outlives Leave and Rejoin.
 func (c *Client) RecordStats() *webrtcstats.Recorder {
 	if c.rec == nil {
-		c.rec = &webrtcstats.Recorder{}
+		c.rec = &webrtcstats.Recorder{Samples: stashes.samples.Take()}
 	}
 	return c.rec
 }

@@ -1,7 +1,6 @@
 package vca
 
 import (
-	"sync"
 	"time"
 
 	"vcalab/internal/cc"
@@ -439,52 +438,12 @@ func (e rtxEntry) rebuild(p *mpPool, origin int32) *MediaPacket {
 	return out
 }
 
-// Recovery state outlives the track and the call that made it (DESIGN.md
-// §13). A dropped origin's drained ring, a retired track's cleared send
-// history and, at Call.Release, a dead call's rings, histories and region
-// pools wait here for the next track or call in the process. A drained ring
-// and a cleared history are byte-for-byte new ones, and a released pool's
-// free packets and messages are zeroed with nothing counted out, so where a
-// call's state came from never shows in what it sends. The stashes are free
-// lists, not sync.Pools: no collection empties them, so what a trial
-// allocates does not depend on when the GC ran. take pops the last of a list,
-// or makes one with fresh when it is empty; stash appends.
-var stashes struct {
-	sync.Mutex
-	rings []*rtp.RTXRing[rtxEntry]
-	hists []*rtp.SentHistory
-	pools []*mpPool
-}
-
-func take[T any](list *[]T, fresh func() T) T {
-	stashes.Lock()
-	defer stashes.Unlock()
-	if n := len(*list) - 1; n >= 0 {
-		x := (*list)[n]
-		*list = (*list)[:n]
-		return x
-	}
-	return fresh()
-}
-
-func stash[T any](list *[]T, x T) {
-	stashes.Lock()
-	defer stashes.Unlock()
-	*list = append(*list, x)
-}
-
-// DropStashes empties the stashes, so the next call builds its state anew,
-// as the process's first call does. Tests call it to start a trial cold.
-func DropStashes() {
-	stashes.Lock()
-	defer stashes.Unlock()
-	stashes.rings, stashes.hists, stashes.pools = nil, nil, nil
-}
-
 func newRetransmitter(idCap int, twcc bool) *retransmitter {
 	r := &retransmitter{byOrigin: make([]rtxOrigin, idCap)}
 	if twcc {
-		r.twHist = take(&stashes.hists, func() *rtp.SentHistory { return rtp.NewSentHistory(twccWindow) })
+		if r.twHist = stashes.hists.Take(); r.twHist == nil {
+			r.twHist = rtp.NewSentHistory(twccWindow)
+		}
 	}
 	return r
 }
@@ -517,7 +476,9 @@ func (r *retransmitter) storeOwn(fec *MediaPacket, size int) {
 func (r *retransmitter) put(origin int32, e rtxEntry) {
 	o := &r.byOrigin[origin]
 	if o.ring == nil {
-		o.ring = take(&stashes.rings, func() *rtp.RTXRing[rtxEntry] { return rtp.NewRTXRing[rtxEntry](rtxRingPkts) })
+		if o.ring = stashes.rings.Take(); o.ring == nil {
+			o.ring = rtp.NewRTXRing[rtxEntry](rtxRingPkts)
+		}
 	}
 	if ev, _ := o.ring.Put(e); ev.pkt != nil {
 		unref(ev.pkt)
@@ -559,7 +520,7 @@ func (r *retransmitter) drop(origin int32) {
 			r.refsLive--
 		}
 	})
-	stash(&stashes.rings, o.ring)
+	stashes.rings.Put(o.ring)
 	o.ring = nil
 }
 
@@ -585,7 +546,7 @@ func (r *retransmitter) release() {
 	r.drain()
 	if r.twHist != nil {
 		r.twHist.Reset()
-		stash(&stashes.hists, r.twHist)
+		stashes.hists.Put(r.twHist)
 		r.twHist = nil
 	}
 }

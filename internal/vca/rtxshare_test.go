@@ -10,6 +10,7 @@ import (
 
 	"vcalab/internal/codec"
 	"vcalab/internal/netem"
+	"vcalab/internal/reuse"
 	"vcalab/internal/rtp"
 	"vcalab/internal/sim"
 )
@@ -271,7 +272,7 @@ func TestRingReuseAcrossChurn(t *testing.T) {
 	if old.Len() != rtxRingPkts {
 		t.Fatalf("before leave: c3's ring holds %d, want %d", old.Len(), rtxRingPkts)
 	}
-	DropStashes() // so the next ring the stash hands out is the one c3 leaves
+	reuse.Drop() // so the next ring the stash hands out is the one c3 leaves
 	call.Leave("c3")
 	if old.Len() != 0 {
 		t.Fatalf("after leave: the stashed ring holds %d", old.Len())
