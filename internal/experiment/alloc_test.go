@@ -21,8 +21,8 @@ import (
 // cold: reuse.Drop empties every free list, so no cell leans on what an
 // earlier cell or test released. Each warm cell runs the cell before it
 // again, on the engine, host packet pools, client RNGs, getStats samples,
-// rings, send histories and region pools that one released (DESIGN.md §7),
-// to the same slack.
+// rings, send histories, TWCC recorders and region pools that one released
+// (DESIGN.md §7), to the same slack.
 //
 // Per-second samples on the unread client put either paper cell over; a
 // boxed tcp payload per packet costs the competition cell eight times over;
@@ -30,8 +30,8 @@ import (
 // sample puts the scale cell over. A trial that hands back no engine, no
 // host pools, no RNGs or no sample buffer puts the warm static cell over;
 // one that hands back no host pools puts the warm competition cell over;
-// one that hands back no engine, no host pools or no RNGs puts the warm
-// churn cell over.
+// one that hands back no engine, no host pools, no RNGs or no TWCC
+// recorders puts the warm churn cell over.
 // Growing the meters' bins one append at a time, not a page at a time, puts
 // the competition cell over; growing the latency run tables by doubling and
 // reading them through a merged copy puts the churn and scale cells over; an
@@ -65,9 +65,9 @@ func TestTrialAllocBudgets(t *testing.T) {
 		{"zoom vs iperf3 2 Mbps, warm", competition,
 			true, 0.123, 0.179, 1.1}, // parent: a trial handed on only its region pools
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on", churn,
-			false, 2.196, 2.195, 1.05}, // parent: host pools held inline
+			false, 2.341, 2.193, 1.05}, // parent: history slots packed into 8 bytes
 		{"zoom churn-storm 8p/2r 10 Mbps recovery on, warm", churn,
-			true, 0.419, 0.551, 1.05}, // parent: a trial handed on its recovery state and region pools, not its engine, host pools or RNGs
+			true, 0.403, 0.425, 1.05}, // parent: a trial handed on no TWCC recorders
 		{"meet scale 48p/3r 20 Mbps", func() {
 			RunScale(ScaleConfig{Profile: vca.Meet(), Participants: []int{48}, Regions: 3, InterMbps: []float64{20},
 				Reps: 1, Dur: 30 * time.Second, Warmup: 10 * time.Second, Seed: 1})

@@ -172,9 +172,9 @@ func (cfg *CompetitionConfig) startCompetitor(t *trial, f1 *netem.Host, res *com
 	case CompVCA:
 		f2 := lab.RemoteHost("f2", RemoteDelay)
 		sfu2 := lab.RemoteHost("sfu2", SFUDelay)
-		call2 := vca.NewCall(eng, cfg.CompProfile, sfu2, []*netem.Host{f1, f2}, vca.CallOptions{Seed: t.seed + 999})
-		call2.Start()
-		return call2.Stop
+		t.competitor = vca.NewCall(eng, cfg.CompProfile, sfu2, []*netem.Host{f1, f2}, vca.CallOptions{Seed: t.seed + 999})
+		t.competitor.Start()
+		return t.competitor.Stop
 	case CompIPerf:
 		// One upload and one download flow so a single run measures the
 		// paper's uplink and downlink conditions; the cross-direction

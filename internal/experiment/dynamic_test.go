@@ -44,7 +44,8 @@ func churnRecoveryConfig() DynamicConfig {
 // then four repetitions at parallelism 2, whose workers take from and
 // release into the free lists at once, print what the same four print one
 // at a time. On the lab, a Meet static sweep at parallelism 2 prints cold
-// what it prints after a Zoom competition trial has filled the free lists.
+// what it prints after a Zoom-vs-Meet competition trial, both calls
+// released, has filled the free lists.
 // Under -race those handoffs across workers are what the detector watches.
 func TestReleasedStateChangesNoOutput(t *testing.T) {
 	out := func(par, reps int) string {
@@ -77,7 +78,7 @@ func TestReleasedStateChangesNoOutput(t *testing.T) {
 	}
 	flush()
 	coldLab := static()
-	RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompIPerf, LinkMbps: 2, Reps: 1, Seed: 1})
+	RunCompetition(CompetitionConfig{Incumbent: vca.Zoom(), Kind: CompVCA, CompProfile: vca.Meet(), LinkMbps: 2, Reps: 1, Seed: 1})
 	if warm := static(); warm != coldLab {
 		t.Errorf("a static sweep after a competition trial prints differently:\n-- cold --\n%s-- warm --\n%s", coldLab, warm)
 	}

@@ -25,6 +25,8 @@ type trial struct {
 	lab     *Lab           // exactly one of lab
 	mesh    *cascade.Trial // and mesh is set
 	call    *vca.Call
+	// competitor is the §5 VCA competitor's call, when it has started.
+	competitor *vca.Call
 	// timeline, when set, starts just before the call so its t<=0 events
 	// (a thinned starting roster) apply first.
 	timeline *scenario.Timeline
@@ -86,17 +88,21 @@ func (t *trial) run(dur time.Duration) {
 
 // release ends the trial and hands its working state to the next trial in
 // the process (DESIGN.md §7): it releases any shard goroutines, then the
-// call's packet pools, recovery state, RNGs and getStats buffers
-// (vca.Call.Release), every host's packet pool and, last, every engine.
-// Hosts and engines go back last-made first, so the free lists, which hand
-// out the last item put, give the next trial's hosts and engines those made
-// in the same order: on a sweep of one topology each packet pool keeps its
-// role and never grows to another host's peak. Deferred where the trial is
+// competitor's call and the call's packet pools, recovery state, RNGs and
+// getStats buffers (vca.Call.Release), every host's packet pool and, last,
+// every engine. Calls, hosts and engines go back last-made first, so the
+// free lists, which hand out the last item put, give the next trial's calls,
+// hosts and engines those made in the same place: on a sweep of one
+// topology each packet pool keeps its role and never grows to another's
+// peak. Deferred where the trial is
 // built, release runs once the runner, capture and any scenario.Check drain
 // have read what they need.
 func (t *trial) release() {
 	if t.mesh != nil {
 		t.mesh.Close()
+	}
+	if t.competitor != nil {
+		t.competitor.Release()
 	}
 	t.call.Release()
 	if m := t.mesh; m != nil {

@@ -1,10 +1,5 @@
 package rtp
 
-import (
-	"fmt"
-	"math/bits"
-)
-
 // Transport-wide congestion control (TWCC,
 // draft-holmer-rmcat-transport-wide-cc-extensions): the sender stamps
 // every outgoing packet — media, FEC, padding and retransmissions alike
@@ -45,10 +40,7 @@ type TWCCRecorder struct {
 	next     uint16 // first seq not yet reported
 	highest  uint16
 	capacity int // logical, a power of two: the widest window before a re-base
-	// pack is fixed by the first ring, whose index fixes fewest seq bits,
-	// so a grown ring re-files a slot without re-packing it.
-	pack  slotPacking
-	slots []uint64
+	slots    []historySlot
 }
 
 // twccMinSlots is the ring a TWCCRecorder starts with.
@@ -58,20 +50,18 @@ const twccMinSlots = 16
 // between reports, capacity rounded up to a power of two.
 func NewTWCCRecorder(capacity int) *TWCCRecorder {
 	capacity = ringSize(capacity)
-	n := min(capacity, twccMinSlots)
-	return &TWCCRecorder{capacity: capacity, pack: newSlotPacking(n, 0), slots: make([]uint64, n)}
+	return &TWCCRecorder{capacity: capacity, slots: make([]historySlot, min(capacity, twccMinSlots))}
 }
 
-func (r *TWCCRecorder) slot(seq uint16) *uint64 { return &r.slots[int(seq)&(len(r.slots)-1)] }
+func (r *TWCCRecorder) slot(seq uint16) *historySlot { return &r.slots[int(seq)&(len(r.slots)-1)] }
 
 // Record notes that seq arrived at atUs microseconds. Seqs at or before
-// the last report are dropped (they were already reported lost). An atUs
-// a slot cannot hold (see slotPacking) panics.
+// the last report are dropped (they were already reported lost).
 func (r *TWCCRecorder) Record(seq uint16, atUs int64) {
 	if r == nil {
 		return
 	}
-	v := r.pack.pack(seq, atUs, 0)
+	v := historySlot{atUs: atUs, seq: seq, valid: true}
 	if !r.started {
 		r.started = true
 		r.next = seq
@@ -106,10 +96,10 @@ func (r *TWCCRecorder) grow(span int) {
 		n <<= 1
 	}
 	old := r.slots
-	r.slots = make([]uint64, n)
-	for i, v := range old {
-		if v&slotValid != 0 {
-			*r.slot(r.pack.seq(v, i)) = v
+	r.slots = make([]historySlot, n)
+	for _, s := range old {
+		if s.valid {
+			*r.slot(s.seq) = s
 		}
 	}
 }
@@ -143,8 +133,8 @@ func (r *TWCCRecorder) AppendReport(deltas []int32) (TransportCC, bool) {
 	ref := int64(-1)
 	for i := 0; i < span; i++ {
 		seq := r.next + uint16(i)
-		if atUs, _, ok := r.pack.unpack(*r.slot(seq), seq); ok && (ref < 0 || atUs < ref) {
-			ref = atUs
+		if s := r.slot(seq); s.holds(seq) && (ref < 0 || s.atUs < ref) {
+			ref = s.atUs
 		}
 	}
 	if ref < 0 {
@@ -154,9 +144,9 @@ func (r *TWCCRecorder) AppendReport(deltas []int32) (TransportCC, bool) {
 	for i := 0; i < span; i++ {
 		seq := r.next + uint16(i)
 		s := r.slot(seq)
-		if atUs, _, ok := r.pack.unpack(*s, seq); ok {
-			deltas = append(deltas, int32(atUs-ref))
-			*s = 0
+		if s.holds(seq) {
+			deltas = append(deltas, int32(s.atUs-ref))
+			*s = historySlot{}
 		} else {
 			deltas = append(deltas, DeltaLost)
 		}
@@ -169,100 +159,43 @@ func (r *TWCCRecorder) AppendReport(deltas []int32) (TransportCC, bool) {
 // SentHistory is the sender half: a ring of send times and wire sizes by
 // transport-wide seq, joined against incoming TransportCC reports.
 type SentHistory struct {
-	pack  slotPacking
-	slots []uint64
+	slots []historySlot
 }
+
+// historySlot is one seq's entry in either ring; the zero slot is empty.
+// A TWCCRecorder leaves size zero.
+type historySlot struct {
+	atUs  int64
+	size  int32
+	seq   uint16
+	valid bool
+}
+
+// holds reports whether the slot is taken by seq rather than empty or
+// taken by another seq filed under the same index.
+func (s *historySlot) holds(seq uint16) bool { return s.valid && s.seq == seq }
 
 // NewSentHistory returns a history holding the last capacity sends,
 // capacity rounded up to a power of two.
 func NewSentHistory(capacity int) *SentHistory {
-	n := ringSize(capacity)
-	return &SentHistory{pack: newSlotPacking(n, sizeBits), slots: make([]uint64, n)}
+	return &SentHistory{slots: make([]historySlot, ringSize(capacity))}
 }
 
-func (h *SentHistory) slot(seq uint16) *uint64 { return &h.slots[int(seq)&(len(h.slots)-1)] }
+func (h *SentHistory) slot(seq uint16) *historySlot { return &h.slots[int(seq)&(len(h.slots)-1)] }
 
 // Reset forgets every send, leaving the history as NewSentHistory made it,
 // so a caller may keep it for reuse.
 func (h *SentHistory) Reset() { clear(h.slots) }
 
-// Record notes that seq was sent at atUs with the given wire size. An atUs or
-// a size a slot cannot hold (see slotPacking) panics.
+// Record notes that seq was sent at atUs with the given wire size.
 func (h *SentHistory) Record(seq uint16, atUs int64, size int) {
-	*h.slot(seq) = h.pack.pack(seq, atUs, size)
+	*h.slot(seq) = historySlot{atUs: atUs, size: int32(size), seq: seq, valid: true}
 }
 
 // Lookup returns the send time and size for seq if still in the ring.
 func (h *SentHistory) Lookup(seq uint16) (atUs int64, size int, ok bool) {
-	return h.pack.unpack(*h.slot(seq), seq)
-}
-
-// sizeBits holds a SentHistory slot's wire size, as the SFU's RTX ring
-// entry holds it.
-const sizeBits = 12
-
-// slotValid marks a taken slot; the zero slot is empty.
-const slotValid = uint64(1) << 63
-
-// slotPacking packs a history slot into one uint64. From the top: the
-// valid bit, atUs, the seq bits the ring index does not fix, and the wire
-// size in sizeBits bits (none for a TWCCRecorder, which keeps no size).
-// An atUs below zero or above maxAt, or a size that does not fit, is a
-// caller's fault, and pack panics rather than wrap it. Every shift amount
-// is masked with 63, which it never exceeds, so each compiles to a bare
-// shift: the histories pack and unpack once per packet.
-type slotPacking struct {
-	idxBits  uint // seq bits the (smallest) ring's index fixes, at most 16
-	sizeBits uint
-	atShift  uint   // sizeBits plus the stored seq bits
-	keyMask  uint64 // the valid bit and the stored seq bits
-	maxAt    uint64 // the latest atUs a slot holds
-}
-
-func newSlotPacking(ringLen int, sizeBits uint) slotPacking {
-	idx := min(uint(bits.TrailingZeros(uint(ringLen))), 16)
-	at := sizeBits + 16 - idx
-	return slotPacking{idxBits: idx, sizeBits: sizeBits, atShift: at,
-		keyMask: slotValid | (1<<at-1)&^(1<<sizeBits-1), maxAt: 1<<(63-at) - 1}
-}
-
-// key is what a slot holding seq has under keyMask.
-func (p *slotPacking) key(seq uint16) uint64 {
-	return slotValid | uint64(seq)>>(p.idxBits&63)<<(p.sizeBits&63)
-}
-
-func (p *slotPacking) pack(seq uint16, atUs int64, size int) uint64 {
-	if uint64(atUs) > p.maxAt || uint64(size)>>(p.sizeBits&63) != 0 {
-		panic(unpackable{*p, seq, atUs, size})
+	if s := h.slot(seq); s.holds(seq) {
+		return s.atUs, int(s.size), true
 	}
-	return p.key(seq) | uint64(atUs)<<(p.atShift&63) | uint64(size)
-}
-
-// unpack returns what slot v holds for seq, or false when v is empty or
-// holds another seq filed under the same index.
-func (p *slotPacking) unpack(v uint64, seq uint16) (atUs int64, size int, ok bool) {
-	if v&p.keyMask != p.key(seq) {
-		return 0, 0, false
-	}
-	return int64(v &^ slotValid >> (p.atShift & 63)), int(v & (1<<(p.sizeBits&63) - 1)), true
-}
-
-// seq returns the seq slot v holds, filed at index i of a ring at least as
-// long as the one p was made for.
-func (p *slotPacking) seq(v uint64, i int) uint16 {
-	return uint16(v>>(p.sizeBits&63)<<(p.idxBits&63)) | uint16(i)&(1<<(p.idxBits&63)-1)
-}
-
-// unpackable is pack's panic value; formatting it only when it is printed
-// keeps pack small enough to inline.
-type unpackable struct {
-	p    slotPacking
-	seq  uint16
-	atUs int64
-	size int
-}
-
-func (u unpackable) Error() string {
-	return fmt.Sprintf("rtp: seq %d at %d us, %d B does not fit a history slot (atUs 0..%d, size 0..%d)",
-		u.seq, u.atUs, u.size, u.p.maxAt, 1<<u.p.sizeBits-1)
+	return 0, 0, false
 }

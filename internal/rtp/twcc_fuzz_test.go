@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// refSlot is the references' history slot: 16 bytes holding seq, size
-// and atUs whole, with nothing packed.
+// refSlot is the references' history slot, compared field by field
+// rather than through historySlot.holds.
 type refSlot struct {
 	seq   uint16
 	valid bool
@@ -16,8 +16,12 @@ type refSlot struct {
 	atUs  int64
 }
 
+// clockLimit is the latest time the fuzzers' clocks reach: far past any
+// call, and far from overflowing a step.
+const clockLimit = int64(1) << 62
+
 // fixedRecorder is the TWCC recorder with its whole capacity allocated up
-// front, in whole slots: the reference the growing packed ring is held to.
+// front: the reference the growing ring is held to.
 type fixedRecorder struct {
 	started       bool
 	next, highest uint16
@@ -72,13 +76,13 @@ func (r *fixedRecorder) report() (TransportCC, bool) {
 // FuzzTWCCRecorderWindow drives the growing recorder and the fixed one
 // through the same calls and requires every report to match field for
 // field. data[0]'s low 7 bits pick the capacity (1 to 2048) and its top
-// bit starts the clock 4096 µs short of the latest arrival a slot holds,
+// bit starts the clock 4096 µs short of clockLimit,
 // data[1:3] the first seq; each following 3-byte op is a Record — a small
 // step forward, a late or duplicate seq behind the cursor, a jump of up
 // to 4080 seqs, or any int16 step, so gaps wider than the capacity and
 // the uint16 wrap both occur — an AppendReport into a recycled slice, or
-// a Reset. The clock moves by -28 to 227 µs a Record and is held to the
-// packed range. Plain `go test` replays the seeds below: hand-written
+// a Reset. The clock moves by -28 to 227 µs a Record and is held to
+// [0, clockLimit]. Plain `go test` replays the seeds below: hand-written
 // cases plus 64 random ones.
 func FuzzTWCCRecorderWindow(f *testing.F) {
 	// Capacity 16 from seq 10: in order, reported, one more, reported.
@@ -94,13 +98,12 @@ func FuzzTWCCRecorderWindow(f *testing.F) {
 	// Capacity 64: windows of exactly 17 and 33 grow the ring 16 -> 32 -> 64,
 	// then a window of 65 re-bases.
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 3, 16, 0, 3, 16, 0, 1, 7, 0, 5, 0, 0, 3, 63, 0, 3, 1, 0, 3, 1, 0, 6, 0, 0})
-	// Capacity 16 near the packed limit: arrivals 100 µs apart, reported,
+	// Capacity 16 near the clock limit: arrivals 100 µs apart, reported,
 	// then 24 steps of 227 µs that reach the limit and stay there, the
 	// ring grown to 32 on the way.
 	up := bytes.Repeat([]byte{0, 1, 127}, 12)
 	f.Add(slices.Concat([]byte{0x84, 0, 0, 0, 1, 0, 0, 1, 0, 5, 0, 0}, up, []byte{3, 20, 127}, up, []byte{6, 0, 0}))
-	// Capacity 1 (a one-slot ring: all 16 seq bits stored, the fewest
-	// atUs bits) at the limit, across the wrap.
+	// Capacity 1 (a one-slot ring) at the clock limit, across the wrap.
 	f.Add(slices.Concat([]byte{0x80, 255, 254}, up, up, []byte{5, 0, 0, 0, 1, 127, 5, 0, 0, 3, 30, 127, 6, 0, 0}))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 64; i++ {
@@ -116,10 +119,9 @@ func FuzzTWCCRecorderWindow(f *testing.F) {
 		got := NewTWCCRecorder(capacity)
 		want := &fixedRecorder{slots: make([]refSlot, capacity)}
 		cur := uint16(data[1])<<8 | uint16(data[2])
-		limit := int64(got.pack.maxAt)
 		var clock int64
 		if data[0]&0x80 != 0 {
-			clock = limit - 4096
+			clock = clockLimit - 4096
 		}
 		var deltas []int32
 		check := func(op int) {
@@ -151,7 +153,7 @@ func FuzzTWCCRecorderWindow(f *testing.F) {
 				want = &fixedRecorder{slots: make([]refSlot, capacity)}
 				continue
 			}
-			clock = min(max(clock+int64(int8(b))+100, 0), limit)
+			clock = min(max(clock+int64(int8(b))+100, 0), clockLimit)
 			got.Record(cur, clock)
 			want.record(cur, clock)
 		}
@@ -159,7 +161,7 @@ func FuzzTWCCRecorderWindow(f *testing.F) {
 	})
 }
 
-// refHistory is SentHistory in whole slots: the reference the packed ring
+// refHistory is SentHistory written out plainly: the reference the ring
 // is held to.
 type refHistory []refSlot
 
@@ -174,18 +176,17 @@ func (h refHistory) lookup(seq uint16) (atUs int64, size int, ok bool) {
 	return 0, 0, false
 }
 
-// FuzzSentHistory runs the packed history and refHistory through one
+// FuzzSentHistory runs SentHistory and refHistory through one
 // program and requires every Lookup to match. data[0:2] picks the
 // capacity (1 to 4096, most not a power of two), data[2:4] the first seq,
-// and data[4]'s low bit starts the clock 4096 µs short of the latest send
-// time a slot holds. Each following 4-byte op [op a b c] is a Record — a
+// and data[4]'s low bit starts the clock 4096 µs short of clockLimit. Each following 4-byte op [op a b c] is a Record — a
 // step of up to 3 seqs, a step back of up to 7, or any int16 step, so the
 // uint16 wrap and seqs that share a slot both occur, with a size of
 // b<<4|op>>4 (0 to 4095) at a clock that moves by int8(c)+100 µs, held to
-// the packed range — or a Lookup of a seq within int8(a) of the cursor.
+// [0, clockLimit] — or a Lookup of a seq within int8(a) of the cursor.
 // Each Record is followed by Lookups of its seq and of the 16 seqs one bit
 // away, among them every seq filed under the same slot that differs from
-// it in one stored bit.
+// it in one bit the ring index does not fix.
 func FuzzSentHistory(f *testing.F) {
 	// Capacity 16 from seq 65530: in order across the wrap, a lookup of
 	// the slot's previous seq, a step back.
@@ -194,16 +195,16 @@ func FuzzSentHistory(f *testing.F) {
 	// Capacity 100 (a 128-slot ring): a jump of exactly 128 onto the same
 	// slot, then one of 32768.
 	f.Add([]byte{0, 99, 0, 10, 0, 0, 1, 0, 0, 2, 0, 128, 0, 3, 0x80, 0, 0, 2, 128, 0, 0, 3, 0, 0, 0})
-	// Capacity 3 (a 4-slot ring) and capacity 1 (one slot, all 16 seq
-	// bits stored), each with seqs 4 and 65536-4 apart.
+	// Capacity 3 (a 4-slot ring) and capacity 1 (one slot), each with
+	// seqs 4 and 65536-4 apart.
 	f.Add([]byte{0, 2, 0, 0, 0, 0, 1, 0, 0, 2, 0, 4, 0, 1, 4, 0, 0, 2, 255, 252, 0, 3, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 1, 0, 2, 128, 0, 0, 3, 0, 0, 0})
-	// Capacity 2000 (2048 slots, as each down-track keeps) at the packed
-	// limits: 24 records of 4095 B 227 µs apart reach the latest time a
-	// slot holds and stay there, then a 0 B one.
+	// Capacity 2000 (2048 slots, as each down-track keeps) at the clock
+	// limit: 24 records of 4095 B 227 µs apart reach it and stay there,
+	// then a 0 B one.
 	full := bytes.Repeat([]byte{0xf0, 1, 255, 127}, 24)
 	f.Add(slices.Concat([]byte{7, 207, 1, 0, 1}, full, []byte{0, 1, 0, 127, 3, 0xf0, 0, 0}))
-	// Capacity 1, where atUs has the fewest bits, at the limit.
+	// Capacity 1 at the clock limit.
 	f.Add(slices.Concat([]byte{0, 0, 255, 255, 1}, full, []byte{0xf2, 0, 0, 127, 3, 0, 0, 0}))
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 64; i++ {
@@ -219,10 +220,9 @@ func FuzzSentHistory(f *testing.F) {
 		got := NewSentHistory(capacity)
 		want := make(refHistory, ringSize(capacity))
 		cur := uint16(data[2])<<8 | uint16(data[3])
-		limit := int64(got.pack.maxAt)
 		var clock int64
 		if data[4]&1 != 0 {
-			clock = limit - 4096
+			clock = clockLimit - 4096
 		}
 		check := func(op int, seq uint16) {
 			gAt, gSize, gok := got.Lookup(seq)
@@ -245,7 +245,7 @@ func FuzzSentHistory(f *testing.F) {
 				check(i/4, cur+uint16(int8(a)))
 				continue
 			}
-			clock = min(max(clock+int64(int8(c))+100, 0), limit)
+			clock = min(max(clock+int64(int8(c))+100, 0), clockLimit)
 			size := int(b)<<4 | int(op>>4)
 			got.Record(cur, clock, size)
 			want.record(cur, clock, size)

@@ -405,36 +405,41 @@ func (c *Call) DrainRecovery() {
 
 // What a call builds outlives it (DESIGN.md §7, §13). A dropped origin's
 // drained ring, a retired track's cleared send history and, at Call.Release,
-// a dead call's rings, histories, region pools, client RNGs and getStats
-// sample buffers wait here for the next track or call in the process. A
-// drained ring and a cleared history are byte-for-byte new ones, a released
-// pool's free packets and messages are zeroed with nothing counted out, a
-// taken RNG is re-seeded and a taken sample buffer is empty, so where a
-// call's state came from never shows in what it sends. The stashes are
-// internal/reuse free lists, which reuse.Drop empties.
+// a dead call's rings, histories, region pools, client RNGs, TWCC recorders
+// and getStats sample buffers wait here for the next track or call in the
+// process. A drained ring and a cleared history are byte-for-byte new ones,
+// a reset recorder reports as a new one does (only its ring may have
+// grown), a released pool's free packets and messages are zeroed with
+// nothing counted out, a taken RNG is re-seeded and a taken sample buffer
+// is empty, so where a call's state came from never shows in what it
+// sends. The stashes are internal/reuse free lists, which reuse.Drop
+// empties.
 var stashes = struct {
-	rings   *reuse.List[*rtp.RTXRing[rtxEntry]]
-	hists   *reuse.List[*rtp.SentHistory]
-	pools   *reuse.List[*mpPool]
-	rngs    *reuse.List[*rand.Rand]
-	samples *reuse.List[[]webrtcstats.Sample]
+	rings     *reuse.List[*rtp.RTXRing[rtxEntry]]
+	hists     *reuse.List[*rtp.SentHistory]
+	pools     *reuse.List[*mpPool]
+	rngs      *reuse.List[*rand.Rand]
+	recorders *reuse.List[*rtp.TWCCRecorder]
+	samples   *reuse.List[[]webrtcstats.Sample]
 }{
 	reuse.New[*rtp.RTXRing[rtxEntry]](),
 	reuse.New[*rtp.SentHistory](),
 	reuse.New[*mpPool](),
 	reuse.New[*rand.Rand](),
+	reuse.New[*rtp.TWCCRecorder](),
 	reuse.New[[]webrtcstats.Sample](),
 }
 
 // Release ends the call for good and hands what it built to the next call
 // in the process (DESIGN.md §7): every down-track's RTX rings are drained
 // and its TWCC send history cleared, each region's pool forgets whatever is
-// still out of it, and those, each client's random source and C1's getStats
-// sample buffer wait in process-wide stashes for the next NewCascadedCall
-// and RecordStats to take. Call it once the call is stopped, its engines
-// will run no more, and everything the caller wants of it has been read:
-// nothing of the call may be used afterwards. A second Release does
-// nothing; a call never released only forgoes the reuse.
+// still out of it, each client's TWCC recorder is reset, and those, each
+// client's random source and C1's getStats sample buffer wait in
+// process-wide stashes for the next NewCascadedCall and RecordStats to
+// take. Call it once the call's engines will run no more, stopped or not,
+// and everything the caller wants of it has been read: nothing of the call
+// may be used afterwards. A second Release does nothing; a call never
+// released only forgoes the reuse.
 func (c *Call) Release() {
 	for _, s := range c.Servers {
 		s.eachRTX((*retransmitter).release)
@@ -448,6 +453,11 @@ func (c *Call) Release() {
 		if cl.rng != nil {
 			stashes.rngs.Put(cl.rng)
 			cl.rng = nil
+		}
+		if cl.twcc != nil {
+			cl.twcc.Reset()
+			stashes.recorders.Put(cl.twcc)
+			cl.twcc = nil
 		}
 		if cl.rec != nil && cl.rec.Samples != nil {
 			stashes.samples.Put(cl.rec.Samples[:0])

@@ -176,7 +176,9 @@ func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, re
 	// TWCC is only generated when the home SFU runs per-leg controllers
 	// that could consume it (pure relays have none).
 	if recovery && prof.NewServerCC != nil {
-		c.twcc = rtp.NewTWCCRecorder(twccWindow)
+		if c.twcc = stashes.recorders.Take(); c.twcc == nil {
+			c.twcc = rtp.NewTWCCRecorder(twccWindow)
+		}
 	}
 	host.HandleFunc(PortMedia, c.onMedia)
 	host.HandleFunc(PortFeedback, c.onFeedback)

@@ -307,8 +307,11 @@ func TestRingReuseAcrossChurn(t *testing.T) {
 // TestReleaseStashesClearedState: what Release stashes is byte-for-byte
 // new. After a recovery-on Meet call has filed packets in its rings and
 // sends in its TWCC histories, Release leaves every ring it held empty,
-// every history as NewSentHistory makes one and every region pool with
-// nothing counted out; a second Release does nothing.
+// every history as NewSentHistory makes one, every client's TWCC recorder
+// unstarted with all its slots empty, and every region pool with nothing
+// counted out; a second Release does nothing. The call is released without
+// Stop, which would reset the recorders itself, so Release alone must
+// leave clean what it stashes.
 func TestReleaseStashesClearedState(t *testing.T) {
 	eng := sim.New(1)
 	l := newLab(eng, 0, 0)
@@ -316,7 +319,6 @@ func TestReleaseStashesClearedState(t *testing.T) {
 	call := NewCall(eng, Meet(), l.remoteHost("sfu", 5*time.Millisecond), hosts, CallOptions{Seed: 1, Recovery: true})
 	call.Start()
 	eng.RunUntil(5 * time.Second)
-	call.Stop()
 
 	var rings []*rtp.RTXRing[rtxEntry]
 	var hists []*rtp.SentHistory
@@ -330,9 +332,16 @@ func TestReleaseStashesClearedState(t *testing.T) {
 			hists = append(hists, r.twHist)
 		}
 	})
+	var recs []*rtp.TWCCRecorder
+	for _, cl := range call.Clients {
+		if cl.twcc != nil && reflect.ValueOf(cl.twcc).Elem().FieldByName("started").Bool() {
+			recs = append(recs, cl.twcc)
+		}
+	}
 	pool := call.pools[0]
-	if len(rings) == 0 || len(hists) == 0 || pool.mediaLive() == 0 {
-		t.Fatalf("nothing to release: %d filled rings, %d filled histories, %d packets out", len(rings), len(hists), pool.mediaLive())
+	if len(rings) == 0 || len(hists) == 0 || len(recs) == 0 || pool.mediaLive() == 0 {
+		t.Fatalf("nothing to release: %d filled rings, %d filled histories, %d started recorders, %d packets out",
+			len(rings), len(hists), len(recs), pool.mediaLive())
 	}
 	call.Release()
 	call.Release()
@@ -344,6 +353,16 @@ func TestReleaseStashesClearedState(t *testing.T) {
 	for i, h := range hists {
 		if !reflect.DeepEqual(h, rtp.NewSentHistory(2048)) {
 			t.Errorf("history %d stashed with sends in it", i)
+		}
+	}
+	for i, r := range recs {
+		v := reflect.ValueOf(r).Elem()
+		clean, slots := !v.FieldByName("started").Bool(), v.FieldByName("slots")
+		for j := range slots.Len() {
+			clean = clean && slots.Index(j).IsZero()
+		}
+		if _, ok := r.AppendReport(nil); ok || !clean {
+			t.Errorf("recorder %d stashed with arrivals or a report window in it", i)
 		}
 	}
 	if pool.mediaLive() != 0 || pool.ctrlLive != 0 {

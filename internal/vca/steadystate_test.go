@@ -1,6 +1,7 @@
 package vca
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -78,34 +79,44 @@ func steadyStateMallocs(t *testing.T, recovery bool, warmup time.Duration, budge
 // region tables, with no merged copy. The 1 000 values arrive in ascending
 // order, a few new ones a merge, so the table grows through every size on
 // the way; keeping each sample (1.3 MB here), or growing the table by
-// doubling (about twice the final size in all), fails the first.
+// doubling (about twice the final size in all), fails the first. Both
+// read the process-wide TotalAlloc, which an allocation elsewhere in the
+// process only raises; each attempt, on a fresh call, allocates the same,
+// so the least of up to three attempts is what sampling costs.
 func TestFrameLatencyLogAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
-	call := fiveParty(sim.New(1), Zoom())
-	call.SampleFrameLatency(0)
-	log := call.Clients[0].lat
 	const n, distinct, staging = 40 * 8192, 1000, 4 << 10
 	const pages = (distinct + 63) / 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		log.Add(time.Duration(i*distinct/n) * 50 * time.Microsecond)
+	const recBudget, readBudget = uint64(staging + pages*(512+16)), uint64(64)
+	rec, read := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	var pc []float64
+	for attempt := 0; attempt < 3 && (rec > recBudget || read > readBudget); attempt++ {
+		call := fiveParty(sim.New(1), Zoom())
+		call.SampleFrameLatency(0)
+		log := call.Clients[0].lat
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			log.Add(time.Duration(i*distinct/n) * 50 * time.Microsecond)
+		}
+		runtime.ReadMemStats(&after)
+		rec = min(rec, after.TotalAlloc-before.TotalAlloc)
+		runtime.ReadMemStats(&before)
+		pc = call.FrameLatencyPercentilesMs(50, 95, 99)
+		runtime.ReadMemStats(&after)
+		read = min(read, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(staging+pages*(512+16)); got > budget {
-		t.Errorf("recording %d samples of %d latencies allocated %d B, budget %d", n, distinct, got, budget)
+	if rec > recBudget {
+		t.Errorf("recording %d samples of %d latencies allocated %d B, budget %d", n, distinct, rec, recBudget)
 	} else {
-		t.Logf("recording %d samples of %d latencies allocated %d B", n, distinct, got)
+		t.Logf("recording %d samples of %d latencies allocated %d B", n, distinct, rec)
 	}
-	runtime.ReadMemStats(&before)
-	pc := call.FrameLatencyPercentilesMs(50, 95, 99)
-	runtime.ReadMemStats(&after)
-	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(64); got > budget {
-		t.Errorf("reading three percentiles of %d samples allocated %d B, budget %d (the result and the table slice)", n, got, budget)
+	if read > readBudget {
+		t.Errorf("reading three percentiles of %d samples allocated %d B, budget %d (the result and the table slice)", n, read, readBudget)
 	} else {
-		t.Logf("reading three percentiles of %d samples allocated %d B", n, got)
+		t.Logf("reading three percentiles of %d samples allocated %d B", n, read)
 	}
 	if len(pc) != 3 || !(24 < pc[0] && pc[0] < pc[1] && pc[1] < pc[2] && pc[2] < 50) {
 		t.Errorf("p50/p95/p99 = %v ms of a uniform 0–49.95 ms sample", pc)
